@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -134,113 +135,136 @@ func BenchmarkEngineMultiSession(b *testing.B) {
 func BenchmarkEngineShardedThroughput(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			eng, err := engine.New(engine.Config{ListenAddr: "127.0.0.1:0", Shards: shards, GSO: netbatch.GSOAvailable})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := eng.Start(); err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			dst := eng.LocalAddr().(*net.UDPAddr).AddrPort()
-
-			payload := make([]byte, 320)
-			rand.New(rand.NewSource(7)).Read(payload)
-			var nextID atomic.Uint32
-
-			b.SetBytes(int64(packet.SessionIDSize + packet.HeaderSize + len(payload)))
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				// Unconnected socket: WriteBatch addresses every datagram
-				// explicitly, which works identically on the mmsg fast path
-				// and the portable fallback.
-				c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				defer c.Close()
-				bc := netbatch.New(c, netbatch.Options{GSO: netbatch.GSOAvailable})
-				id := nextID.Add(1)
-				dgram, err := packet.AppendDatagram(nil, id, &packet.Packet{
-					Seq: uint64(id), StreamID: id, Kind: packet.KindData, Payload: payload,
-				})
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				wmsgs := make([]netbatch.Msg, netbatch.BatchSize)
-				for i := range wmsgs {
-					wmsgs[i] = netbatch.Msg{Buf: dgram, Addr: dst}
-				}
-				rbufs := make([][]byte, netbatch.BatchSize)
-				for i := range rbufs {
-					rbufs[i] = make([]byte, packet.MaxDatagram)
-				}
-				rmsgs := make([]netbatch.Msg, netbatch.BatchSize)
-				readBatch := func(deadline time.Duration) (int, error) {
-					for i := range rmsgs {
-						rmsgs[i].Buf = rbufs[i]
-					}
-					c.SetReadDeadline(time.Now().Add(deadline))
-					return bc.ReadBatch(rmsgs)
-				}
-				// Prime the session (bounded retries: the first datagram can
-				// race the session open under heavy parallelism).
-				primed := false
-				for attempt := 0; attempt < 10 && !primed; attempt++ {
-					if _, err := bc.WriteBatch(wmsgs[:1]); err != nil {
-						b.Error(err)
-						return
-					}
-					if _, err := readBatch(time.Second); err == nil {
-						primed = true
-					}
-				}
-				if !primed {
-					b.Error("session never echoed during priming")
-					return
-				}
-				// Keep a window of datagrams in flight, topped up and drained
-				// a batch at a time. A timed-out window is re-primed and the
-				// iteration still counts (UDP loss under overload must not
-				// wedge the benchmark); echoes beyond the current iteration
-				// are banked against future pb.Next() calls.
-				const window = 4 * netbatch.BatchSize
-				inflight, banked := 0, 0
-				for pb.Next() {
-					if banked > 0 {
-						banked--
-						continue
-					}
-					for inflight < window {
-						k := min(len(wmsgs), window-inflight)
-						n, err := bc.WriteBatch(wmsgs[:k])
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						inflight += n
-					}
-					n, err := readBatch(500 * time.Millisecond)
-					if err != nil {
-						inflight = 0
-						continue
-					}
-					inflight -= n
-					banked = n - 1
-				}
-				// Drain stragglers so the next sub-benchmark starts clean.
-				for inflight > 0 {
-					n, err := readBatch(50 * time.Millisecond)
-					if err != nil {
-						break
-					}
-					inflight -= n
-				}
-			})
+			benchWindowedEcho(b, engine.Config{Shards: shards})
 		})
 	}
+}
+
+// BenchmarkEngineChainDepth is the same windowed echo through one shard as
+// the session chain deepens from a pure relay to eight null stages: the
+// per-stage tax of the engine's executor, which the legacy stream-mode
+// BenchmarkChainDepth cannot see. null is frame-native, so every depth runs
+// inline on the shard reader and a stage should cost two counter updates and
+// a call — the floors are expected to be nearly flat.
+func BenchmarkEngineChainDepth(b *testing.B) {
+	for _, depth := range []int{0, 1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("stages-%d", depth), func(b *testing.B) {
+			chain := strings.TrimSuffix(strings.Repeat("null,", depth), ",")
+			benchWindowedEcho(b, engine.Config{Shards: 1, Chain: chain})
+		})
+	}
+}
+
+// benchWindowedEcho drives an engine built from cfg (listen address and GSO
+// filled in here) with GOMAXPROCS batched clients, one session each, a window
+// of datagrams in flight per client. One pb.Next() is one echoed datagram.
+func benchWindowedEcho(b *testing.B, cfg engine.Config) {
+	cfg.ListenAddr, cfg.GSO = "127.0.0.1:0", netbatch.GSOAvailable
+	eng, err := engine.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	dst := eng.LocalAddr().(*net.UDPAddr).AddrPort()
+
+	payload := make([]byte, 320)
+	rand.New(rand.NewSource(7)).Read(payload)
+	var nextID atomic.Uint32
+
+	b.SetBytes(int64(packet.SessionIDSize + packet.HeaderSize + len(payload)))
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		// Unconnected socket: WriteBatch addresses every datagram
+		// explicitly, which works identically on the mmsg fast path
+		// and the portable fallback.
+		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		defer c.Close()
+		bc := netbatch.New(c, netbatch.Options{GSO: netbatch.GSOAvailable})
+		id := nextID.Add(1)
+		dgram, err := packet.AppendDatagram(nil, id, &packet.Packet{
+			Seq: uint64(id), StreamID: id, Kind: packet.KindData, Payload: payload,
+		})
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		wmsgs := make([]netbatch.Msg, netbatch.BatchSize)
+		for i := range wmsgs {
+			wmsgs[i] = netbatch.Msg{Buf: dgram, Addr: dst}
+		}
+		rbufs := make([][]byte, netbatch.BatchSize)
+		for i := range rbufs {
+			rbufs[i] = make([]byte, packet.MaxDatagram)
+		}
+		rmsgs := make([]netbatch.Msg, netbatch.BatchSize)
+		readBatch := func(deadline time.Duration) (int, error) {
+			for i := range rmsgs {
+				rmsgs[i].Buf = rbufs[i]
+			}
+			c.SetReadDeadline(time.Now().Add(deadline))
+			return bc.ReadBatch(rmsgs)
+		}
+		// Prime the session (bounded retries: the first datagram can
+		// race the session open under heavy parallelism).
+		primed := false
+		for attempt := 0; attempt < 10 && !primed; attempt++ {
+			if _, err := bc.WriteBatch(wmsgs[:1]); err != nil {
+				b.Error(err)
+				return
+			}
+			if _, err := readBatch(time.Second); err == nil {
+				primed = true
+			}
+		}
+		if !primed {
+			b.Error("session never echoed during priming")
+			return
+		}
+		// Keep a window of datagrams in flight, topped up and drained
+		// a batch at a time. A timed-out window is re-primed and the
+		// iteration still counts (UDP loss under overload must not
+		// wedge the benchmark); echoes beyond the current iteration
+		// are banked against future pb.Next() calls.
+		const window = 4 * netbatch.BatchSize
+		inflight, banked := 0, 0
+		for pb.Next() {
+			if banked > 0 {
+				banked--
+				continue
+			}
+			for inflight < window {
+				k := min(len(wmsgs), window-inflight)
+				n, err := bc.WriteBatch(wmsgs[:k])
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				inflight += n
+			}
+			n, err := readBatch(500 * time.Millisecond)
+			if err != nil {
+				inflight = 0
+				continue
+			}
+			inflight -= n
+			banked = n - 1
+		}
+		// Drain stragglers so the next sub-benchmark starts clean.
+		for inflight > 0 {
+			n, err := readBatch(50 * time.Millisecond)
+			if err != nil {
+				break
+			}
+			inflight -= n
+		}
+	})
 }
 
 // BenchmarkEngineFanoutBranches measures the delivery-tree fan-out path: one

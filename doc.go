@@ -14,33 +14,52 @@
 // per-CPU reader goroutines demultiplex datagrams by a 4-byte session ID
 // prefix into per-session filter chains, sessions live in a sharded table
 // (ID hashed to shard, per-shard lock — no global lock on the data path),
-// and each shard's writer flushes output in opportunistic batches. Pooled
-// buffers travel end to end so the steady-state relay path does not
-// allocate. Socket I/O itself is batched (internal/netbatch): on Linux each
-// shard moves up to 32 datagrams per recvmmsg/sendmmsg call — optionally
-// coalescing equal-size runs further with UDP GSO (Config.GSO, rapidproxy
-// -gso) — with a portable single-datagram fallback elsewhere, holding the
-// data plane under 0.25 syscalls per packet at steady state. Linux builds
-// tagged "reuseport" can bind one SO_REUSEPORT socket per shard so the
-// kernel spreads flows across readers. Engine, per-shard and per-session
-// counters — including syscall and batch-fill economics — are exposed
-// through the control protocol. cmd/rapidproxy serves the engine (with
-// -pprof for live profiling and graceful signal-driven drain); cmd/rapidctl
-// inspects it (sessions, stats, stats -json); cmd/rapidbench saturates it
-// over loopback and reports pps and syscalls per packet; cmd/benchguard
-// holds every PR to the committed benchmark floor in BENCH_engine.json.
+// and each shard's writer flushes output in opportunistic batches.
+//
+// A session's chain runs to completion on the reader that received the
+// datagram. Every stage body is a frame function (filter.FrameFunc: one
+// validated frame in a pooled buffer in, any number emitted) and a plan made
+// of such stages executes on a filter.FrameChain: demux, every stage in
+// order, send and the shard writer's queue, all on one goroutine under one
+// per-session lock (several readers may serve one session, and the control
+// plane splices from its own goroutine) — no per-session goroutine, queue or
+// byte pipe, no copy and no re-parse, so a live session is a plain struct and
+// the buffer recvmmsg filled is the one sendmmsg sends. The plan alone picks
+// the executor (compose.Registry.FrameNative): the timed kinds — delay,
+// ratelimit, jitter — and stream-only custom stages have no frame form, and a
+// plan naming one keeps the paper's goroutine-per-stage filter.Chain for that
+// session; a live recompose across that boundary rebuilds the trunk on the
+// other executor, flushing what is in flight and carrying the shared stage
+// instances over. A frame stage's stream-mode body is derived from its frame
+// function, so both executors, the legacy stream proxy and the figure
+// benchmarks run the same stage code. Pooled buffers travel end to end so the
+// steady-state relay path does not allocate. Socket I/O itself is batched
+// (internal/netbatch): on Linux each shard moves up to 32 datagrams per
+// recvmmsg/sendmmsg call — optionally coalescing equal-size runs further with
+// UDP GSO (Config.GSO, rapidproxy -gso) — with a portable single-datagram
+// fallback elsewhere, holding the data plane under 0.25 syscalls per packet
+// at steady state. Linux builds tagged "reuseport" can bind one SO_REUSEPORT
+// socket per shard so the kernel spreads flows across readers. Engine,
+// per-shard and per-session counters — including syscall and batch-fill
+// economics — are exposed through the control protocol. cmd/rapidproxy serves
+// the engine (with -pprof for live profiling and graceful signal-driven
+// drain); cmd/rapidctl inspects it (sessions, stats, stats -json);
+// cmd/rapidbench saturates it over loopback and reports pps and syscalls per
+// packet; cmd/benchguard holds every PR to the committed benchmark floor in
+// BENCH_engine.json.
 //
 // Scale past the hot set comes from idle-session parking: a session with no
-// traffic for Config.IdleTTL is drained losslessly and torn down to a
-// compact record — identity, counters, canonical plan, adaptation snapshot —
-// releasing its goroutines and queue, and is rebuilt transparently by the
-// next datagram or control operation. One engine-wide maintenance ticker
-// drives harvesting and stale-receiver sweeps; admission (Config.MaxSessions,
-// default 1M, with reject or harvest-oldest-idle policy at the cap) and
-// Stats() read atomic gauges rather than walking the table. cmd/rapidload is
-// the churn harness: thousands of sessions, configurable replacement rate,
-// an independent wireless loss process per receiver, and feedback reports,
-// against an in-process or remote engine.
+// traffic for Config.IdleTTL is drained losslessly and torn down to a compact
+// record — identity, counters, canonical plan, adaptation snapshot —
+// releasing its stage instances (and, on a goroutine trunk, its goroutines
+// and queue), and is rebuilt transparently by the next datagram or control
+// operation. One engine-wide maintenance ticker drives harvesting and
+// stale-receiver sweeps; admission (Config.MaxSessions, default 1M, with
+// reject or harvest-oldest-idle policy at the cap) and Stats() read atomic
+// gauges rather than walking the table. cmd/rapidload is the churn harness:
+// thousands of sessions, configurable replacement rate, an independent
+// wireless loss process per receiver, and feedback reports, against an
+// in-process or remote engine.
 //
 // The engine also hosts a closed-loop adaptation plane: downstream receivers
 // report observed loss upstream as feedback datagrams (packet.Report), each
@@ -53,14 +72,16 @@
 //
 // Composition itself is a dedicated plane, internal/compose: one validated
 // plan IR for every chain in the system, one parser for the spec language,
-// one canonical pretty-printer, and one stage registry shared by the
-// engine's trunk chains, its delivery-branch tails and the legacy stream
-// proxy. Every live session binds its chain to a compose.Live, whose
-// transactional recompose diffs plans, carries matching stage instances
-// across rewrites, and applies the change as a single atomic splice
-// (filter.Chain.SetInterior) that pauses inflow and drains each stage to
-// quiescence before detaching it — chains are rebuilt mid-traffic without
-// dropping a relayed packet. The control plane drives it end to end:
+// one canonical pretty-printer, and one stage registry shared by the engine's
+// trunk chains, its delivery-branch tails and the legacy stream proxy. Every
+// live session binds its chain to a compose.Live, whose transactional
+// recompose diffs plans, carries matching stage instances across rewrites,
+// and applies the change as a single atomic splice (SetInterior on either
+// executor) — chains are rebuilt mid-traffic without dropping a relayed
+// packet. On an inline trunk the splice is a slice swap under the session's
+// lock, between two frames by construction, with departing stages flushed
+// through what was downstream of them; on a goroutine trunk it is the paper's
+// pause-drain-reconnect protocol. The control plane drives it end to end:
 // OpRecompose (rapidctl compose <session> '<spec>'), session-scoped
 // insert/remove/move, and a per-stage counter view in rapidctl sessions.
 // Adaptation responders express their FEC splices through the same plane via
@@ -98,6 +119,7 @@
 // format), DESIGN.md for the system inventory and experiment index, and
 // EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
 // bench_test.go regenerate every figure of the paper's evaluation plus the
-// engine's multi-session relay benchmark; cmd/fecbench prints the paper
-// tables from the command line.
+// engine's micro-benchmarks; bench/ (its own module, see bench/README.md) is
+// the end-to-end benchmark, six wire-level workloads against a live
+// rapidproxy; cmd/fecbench prints the paper tables from the command line.
 package rapidware

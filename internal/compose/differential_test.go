@@ -1,0 +1,297 @@
+package compose
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"rapidware/internal/filter"
+	"rapidware/internal/packet"
+)
+
+// Every stage body runs under two drivers — the stream driver inside a
+// goroutine filter.Chain and the run-to-completion filter.FrameChain. The
+// tests below hold them to the same answer: the same seeded frame sequence
+// through the same plan must come out byte-identical whichever executor ran
+// it, however the stream side's writes and reads happen to be chunked.
+
+// diffArgs supplies an argument for every registered kind that needs one. A
+// kind registered without an entry here fails canonicalization below, which is
+// the reminder to add it.
+var diffArgs = map[string]string{
+	"delay":      "1ms",
+	"ratelimit":  "100000000",
+	"jitter":     "1",
+	"replay":     "8",
+	"fec-encode": "6/4",
+	"transcode":  "2",
+	"thin":       "3",
+	"compress":   "6",
+}
+
+// diffFrames returns a seeded sequence of marshaled frames: mostly data with
+// even-length payloads of varying size (the audio stages want whole PCM
+// frames), with a few parity and control frames mixed in, since every stage
+// must pass those through.
+func diffFrames(seed int64, n int) [][]byte {
+	rng := rand.New(rand.NewSource(seed))
+	frames := make([][]byte, 0, n)
+	for i := 0; i < n; i++ {
+		p := &packet.Packet{Seq: uint64(i), StreamID: 7, Kind: packet.KindData}
+		switch {
+		case i%17 == 11:
+			p.Kind = packet.KindControl
+		case i%23 == 7:
+			p.Kind = packet.KindParity
+		}
+		p.Payload = make([]byte, 2*(1+rng.Intn(300)))
+		rng.Read(p.Payload)
+		if i%5 == 0 {
+			// Compressible payloads, so compress really shrinks something.
+			for j := range p.Payload {
+				p.Payload[j] = byte(j / 16)
+			}
+		}
+		frame, err := packet.Marshal(p)
+		if err != nil {
+			panic(err)
+		}
+		frames = append(frames, frame)
+	}
+	return frames
+}
+
+// buildPlan instantiates fresh stage instances for a spec.
+func buildPlan(t *testing.T, spec string) []filter.Filter {
+	t.Helper()
+	plan, err := Parse(spec, ModeChain)
+	if err != nil {
+		t.Fatalf("parse %q: %v", spec, err)
+	}
+	stages := make([]filter.Filter, 0, plan.Len())
+	for _, st := range plan.Stages {
+		f, err := Default().Build(Env{StreamID: 7}, st)
+		if err != nil {
+			t.Fatalf("build %s: %v", st, err)
+		}
+		stages = append(stages, f)
+	}
+	return stages
+}
+
+// runFrames pushes frames through spec on the frame executor and returns the
+// concatenated output, end-of-stream flush included.
+func runFrames(t *testing.T, spec string, frames [][]byte) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	fc := filter.NewFrameChain(func(b *packet.Buf) {
+		out.Write(b.B)
+		b.Release()
+	})
+	if err := fc.SetInterior(buildPlan(t, spec)); err != nil {
+		t.Fatalf("frame executor rejected %q: %v", spec, err)
+	}
+	for _, f := range frames {
+		b := packet.GetFrameBuf(len(f))
+		copy(b.B, f)
+		if err := fc.Process(b); err != nil {
+			t.Fatalf("%q: frame executor: %v", spec, err)
+		}
+	}
+	if err := fc.Close(); err != nil {
+		t.Fatalf("%q: flush: %v", spec, err)
+	}
+	return out.Bytes()
+}
+
+// chunking is one cell of the slow-writer/fast-reader matrix the stream side
+// is fed through: the source writes the byte stream writeSize bytes at a time
+// (0: one frame per write), pausing every pauseEvery writes, and the far end
+// reads readSize bytes at a time.
+type chunking struct {
+	writeSize, readSize, pauseEvery int
+}
+
+var diffChunkings = []chunking{
+	{writeSize: 0, readSize: 64 << 10},
+	{writeSize: 1024, readSize: 5 * 1024, pauseEvery: 16},
+	{writeSize: 88, readSize: 1099},
+	{writeSize: 1024, readSize: 12},
+	{writeSize: 7, readSize: 4096, pauseEvery: 512},
+}
+
+// runStream pushes the same frames through spec on a goroutine chain, the
+// stream written and read in the given chunking, and returns everything that
+// reached the far end by the time the EOF cascade finished.
+func runStream(t *testing.T, spec string, frames [][]byte, ch chunking) []byte {
+	t.Helper()
+	var writes [][]byte
+	if ch.writeSize == 0 {
+		writes = frames
+	} else {
+		all := bytes.Join(frames, nil)
+		for off := 0; off < len(all); off += ch.writeSize {
+			writes = append(writes, all[off:min(off+ch.writeSize, len(all))])
+		}
+	}
+	src := filter.New("src", func(_ io.Reader, w io.Writer) error {
+		for i, chunk := range writes {
+			if _, err := w.Write(chunk); err != nil {
+				return err
+			}
+			if ch.pauseEvery > 0 && i%ch.pauseEvery == ch.pauseEvery-1 {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		return nil // EOF cascades down the chain, flushing every stage
+	})
+	var out bytes.Buffer
+	dst := filter.New("dst", func(r io.Reader, _ io.Writer) error {
+		buf := make([]byte, ch.readSize)
+		for {
+			n, err := r.Read(buf)
+			out.Write(buf[:n])
+			if err != nil {
+				return err
+			}
+		}
+	})
+	chain := filter.NewChain("diff")
+	for _, f := range append(append([]filter.Filter{src}, buildPlan(t, spec)...), dst) {
+		if err := chain.Append(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := chain.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { dst.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("%q %+v: stream side never finished", spec, ch)
+	}
+	if err := dst.Err(); err != nil {
+		t.Fatalf("%q %+v: stream side: %v", spec, ch, err)
+	}
+	_ = chain.Stop() // everything already exited
+	return out.Bytes()
+}
+
+// splitFrames cuts a byte stream back into frames.
+func splitFrames(t *testing.T, stream []byte) [][]byte {
+	t.Helper()
+	var frames [][]byte
+	pr := packet.NewReader(bytes.NewReader(stream))
+	for {
+		b, err := pr.ReadFrameBuf(0)
+		if err == io.EOF {
+			return frames
+		}
+		if err != nil {
+			t.Fatalf("re-framing: %v", err)
+		}
+		frames = append(frames, append([]byte(nil), b.B...))
+		b.Release()
+	}
+}
+
+// diffInput is the input a plan is differentially tested on. Stages that only
+// accept what their counterpart produced get that: decompress is fed
+// compressed payloads, and fec-decode an encoded stream with one erasure per
+// group plus the hostile shares a decoder must shrug off (a duplicate, and a
+// share whose header disagrees with its group).
+func diffInput(t *testing.T, spec string, seed int64) [][]byte {
+	t.Helper()
+	plain := diffFrames(seed, 200)
+	switch first, _, _ := strings.Cut(spec, ","); first {
+	case "decompress":
+		return splitFrames(t, runFrames(t, "compress=6", plain))
+	case "fec-decode":
+		encoded := splitFrames(t, runFrames(t, "fec-encode=6/4", plain))
+		var in [][]byte
+		for i, f := range encoded {
+			p, _, err := packet.Unmarshal(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.IsFEC() && int(p.Index) == int(p.Group)%4 {
+				continue // erased: the group's parity must rebuild it
+			}
+			in = append(in, f)
+			if i%31 == 5 {
+				in = append(in, f) // duplicate share
+			}
+			if i%37 == 9 && p.IsFEC() {
+				p.K, p.N = 2, 3
+				p.Index %= 3
+				bad, _ := packet.Marshal(p)
+				in = append(in, bad) // disagrees with its group's code
+			}
+		}
+		return in
+	}
+	return plain
+}
+
+func testDifferential(t *testing.T, spec string) {
+	frames := diffInput(t, spec, 42)
+	want := runFrames(t, spec, frames)
+	if len(want) == 0 {
+		t.Fatalf("%q produced no output at all", spec)
+	}
+	for _, ch := range diffChunkings {
+		if got := runStream(t, spec, frames, ch); !bytes.Equal(got, want) {
+			t.Errorf("%q: stream driver (%+v) produced %d bytes, frame executor %d; outputs differ",
+				spec, ch, len(got), len(want))
+		}
+	}
+}
+
+// TestDifferentialEveryKind runs each registered kind on its own through both
+// drivers, and pins which kinds have no frame form: exactly the timed ones.
+func TestDifferentialEveryKind(t *testing.T) {
+	var streamOnly []string
+	for _, kind := range Default().Kinds() {
+		d, _ := Default().Lookup(kind)
+		if d.Marker {
+			continue // no instance of its own
+		}
+		st, err := Default().CanonStage(kind, diffArgs[kind])
+		if err != nil {
+			t.Fatalf("kind %q needs an argument in diffArgs: %v", kind, err)
+		}
+		if !Default().FrameNative(Plan{Stages: []Stage{st}}) {
+			streamOnly = append(streamOnly, kind)
+			continue
+		}
+		t.Run(kind, func(t *testing.T) { testDifferential(t, st.String()) })
+	}
+	sort.Strings(streamOnly)
+	if got, want := fmt.Sprint(streamOnly), "[delay jitter ratelimit]"; got != want {
+		t.Errorf("kinds without a frame form = %s, want %s (the timed stages)", got, want)
+	}
+}
+
+// TestDifferentialPlans does the same for multi-stage plans, where one
+// stage's output framing is the next one's input.
+func TestDifferentialPlans(t *testing.T) {
+	for _, spec := range []string{
+		"counting,checksum,null,null",
+		"fec-encode=6/4,fec-decode",
+		"fec-decode,fec-encode=6/4",
+		"compress=6,decompress",
+		"thin=3,fec-encode=5/3",
+		"arq,replay=8,counting",
+		"transcode=2,mono,compress",
+		"null,fec-encode=12/8,checksum,thin=2",
+	} {
+		t.Run(spec, func(t *testing.T) { testDifferential(t, spec) })
+	}
+}

@@ -20,23 +20,35 @@ var (
 	ErrMarkerActive = errors.New("compose: marker stage already active")
 )
 
+// Interior is the executor beneath a Live: whatever runs the plan's stage
+// instances and can swap its whole interior in one transaction. The
+// goroutine-per-stage *filter.Chain and the run-to-completion
+// *filter.FrameChain both implement it; Live never needs to know which one it
+// drives.
+type Interior interface {
+	// SetInterior atomically replaces the executor's stages: instances present
+	// before and after keep their state, drop-outs are flushed downstream and
+	// retired, and nothing relayed is lost.
+	SetInterior(stages []filter.Filter) error
+}
+
 // Live binds a running filter chain to its plan and keeps the two consistent
 // under one mutex — the chain's splice lock. Every structural mutation of the
 // chain (a control-plane recompose, a single-stage insert/remove/move, an
 // adaptation responder activating or deactivating its marker instance) is a
 // plan rewrite applied here as one atomic step: instances that survive the
-// rewrite are rewired in place with their state intact, and the underlying
-// Chain.SetInterior never exposes a half-built chain to traffic.
+// rewrite keep their state, and the executor's SetInterior never exposes a
+// half-built chain to traffic.
 //
 // The relay hot path never touches a Live; recomposition cost is paid only on
 // the control path.
 type Live struct {
-	mu    sync.Mutex
-	chain *filter.Chain
-	reg   *Registry
-	env   Env
-	mode  Mode
-	plan  Plan
+	mu   sync.Mutex
+	exec Interior
+	reg  *Registry
+	env  Env
+	mode Mode
+	plan Plan
 	// inst holds the filter instance realizing each plan stage, index-aligned
 	// with plan.Stages; nil for a marker whose responder has not activated an
 	// instance.
@@ -80,10 +92,33 @@ func Attach(chain *filter.Chain, reg *Registry, env Env, mode Mode, plan Plan) (
 	if chain == nil {
 		return nil, errors.New("compose: attach requires a chain")
 	}
+	return AttachTo(chain, reg, env, mode, plan, nil)
+}
+
+// AttachTo is Attach for any executor. from, when non-nil, is a Live whose
+// executor has already been torn down: stages of plan that match one of its
+// stages (same kind and argument) take over that stage's instance — counters,
+// retransmission history and all — instead of being built fresh. The engine
+// uses it to move a session between its inline and goroutine executors.
+func AttachTo(exec Interior, reg *Registry, env Env, mode Mode, plan Plan, from *Live) (*Live, error) {
+	if exec == nil {
+		return nil, errors.New("compose: attach requires an executor")
+	}
 	if reg == nil {
 		reg = Default()
 	}
-	l := &Live{chain: chain, reg: reg, env: env, mode: mode}
+	l := &Live{exec: exec, reg: reg, env: env, mode: mode}
+	if from != nil {
+		v := from.snapshot()
+		l.plan, l.inst = v.plan.Clone(), append([]filter.Filter(nil), v.inst...)
+		for _, f := range l.inst {
+			// An instance whose goroutine was stopped with its old chain needs
+			// fresh stream endpoints before a chain can start it again.
+			if r, ok := f.(interface{ Rearm() }); ok {
+				r.Rearm()
+			}
+		}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.recomposeLocked(plan); err != nil {
@@ -92,8 +127,12 @@ func Attach(chain *filter.Chain, reg *Registry, env Env, mode Mode, plan Plan) (
 	return l, nil
 }
 
-// Chain returns the underlying filter chain.
-func (l *Live) Chain() *filter.Chain { return l.chain }
+// Chain returns the underlying filter chain, or nil when the Live drives a
+// frame executor.
+func (l *Live) Chain() *filter.Chain {
+	chain, _ := l.exec.(*filter.Chain)
+	return chain
+}
 
 // Quiesce runs fn while holding the splice lock: no structural rewrite — a
 // control-plane recompose, a responder's marker activation — is in flight
@@ -132,61 +171,6 @@ func (l *Live) Mode() Mode { return l.mode }
 func (l *Live) Recompose(target Plan) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.recomposeLocked(target)
-}
-
-// InsertStage splices one stage into the plan at pos (a plan position;
-// pos == Len appends) and recomposes.
-func (l *Live) InsertStage(st Stage, pos int) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	canon, err := l.reg.CanonStage(st.Kind, st.Arg)
-	if err != nil {
-		return err
-	}
-	target, err := l.plan.WithInsert(pos, canon)
-	if err != nil {
-		return err
-	}
-	return l.recomposeLocked(target)
-}
-
-// RemoveStageAt removes the stage at plan position pos and recomposes.
-func (l *Live) RemoveStageAt(pos int) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	target, err := l.plan.WithRemove(pos)
-	if err != nil {
-		return err
-	}
-	return l.recomposeLocked(target)
-}
-
-// RemoveStageKind removes the first stage with the given kind and
-// recomposes.
-func (l *Live) RemoveStageKind(kind string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	pos := l.plan.Index(kind)
-	if pos < 0 {
-		return fmt.Errorf("%w: %q", ErrNoStage, kind)
-	}
-	target, err := l.plan.WithRemove(pos)
-	if err != nil {
-		return err
-	}
-	return l.recomposeLocked(target)
-}
-
-// MoveStage relocates the stage at plan position from to position to and
-// recomposes. The moved stage keeps its live instance.
-func (l *Live) MoveStage(from, to int) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	target, err := l.plan.WithMove(from, to)
-	if err != nil {
-		return err
-	}
 	return l.recomposeLocked(target)
 }
 
@@ -296,7 +280,7 @@ func (l *Live) markerIndexLocked(kind string) int {
 }
 
 // recomposeLocked validates target, carries over every matching live
-// instance, builds the rest, and applies the new interior to the chain in
+// instance, builds the rest, and applies the new interior to the executor in
 // one SetInterior transaction. Caller holds l.mu.
 func (l *Live) recomposeLocked(target Plan) error {
 	if err := l.reg.Validate(target, l.mode); err != nil {
@@ -338,7 +322,7 @@ func (l *Live) recomposeLocked(target Plan) error {
 	return nil
 }
 
-// applyLocked pushes the current instance set into the chain as its new
+// applyLocked pushes the current instance set into the executor as its new
 // interior. Caller holds l.mu.
 func (l *Live) applyLocked() error {
 	interior := make([]filter.Filter, 0, len(l.inst))
@@ -347,5 +331,5 @@ func (l *Live) applyLocked() error {
 			interior = append(interior, f)
 		}
 	}
-	return l.chain.SetInterior(interior)
+	return l.exec.SetInterior(interior)
 }

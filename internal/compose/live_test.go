@@ -183,30 +183,29 @@ func TestLiveRecomposeRejectsInvalidPlan(t *testing.T) {
 func TestLivePlanEditOperations(t *testing.T) {
 	payload := bytes.Repeat([]byte("z"), 1<<16)
 	live, dst := newLiveChain(t, payload, ModeChain, "counting")
-	if err := live.InsertStage(Stage{Kind: "checksum"}, 1); err != nil {
-		t.Fatal(err)
+	// Single-stage edits are plan rewrites: derive the target from the
+	// current plan and recompose to it.
+	edit := func(op func(Plan) (Plan, error), want string) {
+		t.Helper()
+		target, err := op(live.Plan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := live.Recompose(target); err != nil {
+			t.Fatal(err)
+		}
+		if live.String() != want {
+			t.Fatalf("plan = %q, want %q", live.String(), want)
+		}
 	}
-	if live.String() != "counting,checksum" {
-		t.Fatalf("after insert: %q", live.String())
+	counting := live.Instance("counting")
+	edit(func(p Plan) (Plan, error) { return p.WithInsert(1, Stage{Kind: "checksum"}) }, "counting,checksum")
+	edit(func(p Plan) (Plan, error) { return p.WithMove(1, 0) }, "checksum,counting")
+	if live.Instance("counting") != counting {
+		t.Fatal("a moved stage lost its live instance")
 	}
-	if err := live.MoveStage(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if live.String() != "checksum,counting" {
-		t.Fatalf("after move: %q", live.String())
-	}
-	if err := live.RemoveStageKind("checksum"); err != nil {
-		t.Fatal(err)
-	}
-	if err := live.RemoveStageAt(0); err != nil {
-		t.Fatal(err)
-	}
-	if live.String() != "" {
-		t.Fatalf("after removals: %q", live.String())
-	}
-	if err := live.RemoveStageKind("counting"); !errors.Is(err, ErrNoStage) {
-		t.Fatalf("removing a missing kind = %v, want ErrNoStage", err)
-	}
+	edit(func(p Plan) (Plan, error) { return p.WithRemove(p.Index("checksum")) }, "counting")
+	edit(func(p Plan) (Plan, error) { return p.WithRemove(0) }, "")
 	if !bytes.Equal(dst.wait(t, len(payload)), payload) {
 		t.Fatal("payload corrupted across plan edits")
 	}

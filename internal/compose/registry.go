@@ -32,6 +32,10 @@ type Env struct {
 	// reconstruction count, folded into the owning session's repair counter.
 	// May be nil when the chain has no session to account to.
 	OnRepairs func(func() uint64)
+	// OnDrop is called for every frame a stage discards because it cannot
+	// accept it (an FEC decoder's duplicate or mismatched shares), so the
+	// owning session can count the drop. May be nil.
+	OnDrop func()
 }
 
 // StageName resolves the instance name for a stage kind.
@@ -74,6 +78,9 @@ func (d Definition) canonArg(arg string) (string, error) {
 type Registry struct {
 	mu   sync.Mutex
 	defs map[string]Definition
+	// frameForm caches, per canonical stage, whether its instances have a
+	// frame form (see FrameNative).
+	frameForm map[string]bool
 }
 
 // NewRegistry returns an empty registry.
@@ -186,6 +193,47 @@ func (r *Registry) Validate(p Plan, mode Mode) error {
 		return fmt.Errorf("compose: plan %q carries both %s and fec-encode; the adaptation plane manages the FEC encoder itself", p.String(), KindFECAdapt)
 	}
 	return nil
+}
+
+// FrameNative reports whether every stage of the plan runs as a frame
+// function, so that a chain owner can execute the plan inline on a
+// filter.FrameChain instead of spending a goroutine and a byte pipe per
+// stage. It is a property of the plan alone: marker stages count as
+// frame-native (their instances are checked when they are activated), and for
+// the rest the registry builds one throwaway instance per distinct stage with
+// an empty Env, asks it, and remembers the answer. The timed kinds (delay,
+// ratelimit, jitter) and any definition whose Build returns a stream-only
+// filter answer no.
+func (r *Registry) FrameNative(p Plan) bool {
+	for _, st := range p.Stages {
+		if !r.stageFrameNative(st) {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *Registry) stageFrameNative(st Stage) bool {
+	key := st.key()
+	r.mu.Lock()
+	d, ok := r.defs[st.Kind]
+	native, cached := r.frameForm[key]
+	r.mu.Unlock()
+	if !ok {
+		return false
+	}
+	if d.Marker || cached {
+		return d.Marker || native
+	}
+	f, err := d.Build(Env{}, st.Arg) // outside the lock: builders are caller code
+	native = err == nil && filter.HasFrameForm(f)
+	r.mu.Lock()
+	if r.frameForm == nil {
+		r.frameForm = make(map[string]bool)
+	}
+	r.frameForm[key] = native
+	r.mu.Unlock()
+	return native
 }
 
 // Build instantiates the stage through its registered builder. Marker stages
@@ -392,9 +440,12 @@ func newDefaultRegistry() *Registry {
 		ChainOnly: true,
 		Build: func(env Env, _ string) (filter.Filter, error) {
 			df := fecproxy.NewDecoderFilter(env.StageName("fec-decoder"), nil)
+			if env.OnDrop != nil {
+				df.OnDrop(env.OnDrop)
+			}
 			if env.OnRepairs != nil {
 				env.OnRepairs(func() uint64 {
-					_, reconstructed, _ := df.Stats()
+					_, reconstructed, _, _ := df.Stats()
 					return reconstructed
 				})
 			}

@@ -339,6 +339,9 @@ func TestEngineFanoutRemovalUnpinsWorstReceiver(t *testing.T) {
 	})
 	c := dialEngine(t, e)
 	sendPacket(t, c, 6, &packet.Packet{Seq: 1, Kind: packet.KindData, Payload: []byte("x")})
+	// Reports for a session that does not exist yet are dropped, and another
+	// shard's reader may well see them first.
+	waitFor(t, "session 6 to open", func() bool { return e.Session(6) != nil })
 
 	engAddr := e.LocalAddr().(*net.UDPAddr)
 	reportFrom := func(rx *net.UDPConn, rep packet.Report) {

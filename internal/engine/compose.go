@@ -11,27 +11,50 @@ import (
 
 // Session-scoped composition: the control plane addresses a live session (and
 // optionally one of its fan-out receivers) and rewrites its chain while
-// traffic flows. Trunk operations resolve the session's compose.Live and
-// apply the rewrite under its splice lock, serialized with the session's
-// adaptation responder. Receiver operations rewrite the member's tail *plan*
-// and reassign its delivery cohort — under cohort delivery a receiver's tail
-// is shared state, so a per-receiver rewrite is a membership move, never
-// surgery on a chain other receivers are using. The canonical plan string
-// after the rewrite is returned for display.
+// traffic flows. Trunk operations compute the target plan and apply it
+// through the session's compose.Live under its splice lock, serialized with
+// the session's adaptation responder — or, when the target needs the other
+// executor (it gained its first stage without a frame form, or lost its last),
+// rebuild the trunk on that executor with the surviving stage instances
+// carried over. Receiver operations rewrite the member's tail *plan* and
+// reassign its delivery cohort — under cohort delivery a receiver's tail is
+// shared state, so a per-receiver rewrite is a membership move, never surgery
+// on a chain other receivers are using. The canonical plan string after the
+// rewrite is returned for display.
 
-// liveFor resolves the composed trunk chain a session-wide control operation
-// addresses. A parked session is unparked first — a control operation is
-// activity, and it needs a chain to act on.
-func (e *Engine) liveFor(id uint32) (*compose.Live, compose.Mode, error) {
+// recomposeTrunk applies one plan rewrite to a session's trunk. rewrite maps
+// the current plan to the target (validated against mode). A parked session
+// is unparked first — a control operation is activity, and it needs a chain
+// to act on. The whole operation holds the session's lifecycle lock, so trunk
+// rewrites of one session serialize with each other and with park, and the
+// executor the target plan selects (compose.Registry.FrameNative — the same
+// rule that picked it when the session opened) is compared against the one
+// running it under that lock.
+func (e *Engine) recomposeTrunk(id uint32, rewrite func(cur compose.Plan, mode compose.Mode) (compose.Plan, error)) (string, error) {
 	s := e.table.lookup(id)
 	if s == nil {
-		return nil, compose.Mode{}, fmt.Errorf("%w: %d", ErrUnknownSession, id)
+		return "", fmt.Errorf("%w: %d", ErrUnknownSession, id)
 	}
-	cs, err := s.ensureLive()
+	s.ctlActivity.Add(1)
+	s.parkMu.Lock()
+	defer s.parkMu.Unlock()
+	cs, err := s.liveLocked()
 	if err != nil {
-		return nil, compose.Mode{}, fmt.Errorf("engine: session %d: %w", id, err)
+		return "", fmt.Errorf("engine: session %d: %w", id, err)
 	}
-	return cs.live, e.trunkMode(), nil
+	target, err := rewrite(cs.live.Plan(), e.trunkMode())
+	if err != nil {
+		return "", err
+	}
+	if e.reg.FrameNative(target) == (cs.frames != nil) {
+		err = cs.live.Recompose(target)
+	} else {
+		cs, err = s.rebuildLocked(cs, target)
+	}
+	if err != nil {
+		return "", err
+	}
+	return cs.live.String(), nil
 }
 
 // memberPlanOp applies a plan rewrite to one fan-out receiver's tail: resolve
@@ -71,18 +94,9 @@ func (e *Engine) RecomposeSession(id uint32, receiver, target string) (string, e
 			return compose.ParseWith(e.reg, target, compose.ModeBranch)
 		})
 	}
-	live, mode, err := e.liveFor(id)
-	if err != nil {
-		return "", err
-	}
-	plan, err := compose.ParseWith(e.reg, target, mode)
-	if err != nil {
-		return "", err
-	}
-	if err := live.Recompose(plan); err != nil {
-		return "", err
-	}
-	return live.String(), nil
+	return e.recomposeTrunk(id, func(_ compose.Plan, mode compose.Mode) (compose.Plan, error) {
+		return compose.ParseWith(e.reg, target, mode)
+	})
 }
 
 // InsertSessionStage splices one stage (spec syntax, e.g. "delay=5ms") into
@@ -97,47 +111,33 @@ func (e *Engine) InsertSessionStage(id uint32, receiver, stage string, pos int) 
 			return p.WithInsert(pos, st)
 		})
 	}
-	live, mode, err := e.liveFor(id)
-	if err != nil {
-		return "", err
-	}
-	st, err := parseOneStage(e.reg, stage, mode)
-	if err != nil {
-		return "", err
-	}
-	if err := live.InsertStage(st, pos); err != nil {
-		return "", err
-	}
-	return live.String(), nil
+	return e.recomposeTrunk(id, func(cur compose.Plan, mode compose.Mode) (compose.Plan, error) {
+		st, err := parseOneStage(e.reg, stage, mode)
+		if err != nil {
+			return compose.Plan{}, err
+		}
+		return cur.WithInsert(pos, st)
+	})
 }
 
 // RemoveSessionStage removes a stage from a live session chain. sel is a
 // plan position or a stage kind (first match).
 func (e *Engine) RemoveSessionStage(id uint32, receiver, sel string) (string, error) {
-	if receiver != "" {
-		return e.memberPlanOp(id, receiver, func(p compose.Plan) (compose.Plan, error) {
-			pos, convErr := strconv.Atoi(sel)
-			if convErr != nil {
-				if pos = p.Index(sel); pos < 0 {
-					return compose.Plan{}, fmt.Errorf("engine: no %q stage in plan", sel)
-				}
+	remove := func(p compose.Plan) (compose.Plan, error) {
+		pos, convErr := strconv.Atoi(sel)
+		if convErr != nil {
+			if pos = p.Index(sel); pos < 0 {
+				return compose.Plan{}, fmt.Errorf("%w: %q", compose.ErrNoStage, sel)
 			}
-			return p.WithRemove(pos)
-		})
+		}
+		return p.WithRemove(pos)
 	}
-	live, _, err := e.liveFor(id)
-	if err != nil {
-		return "", err
+	if receiver != "" {
+		return e.memberPlanOp(id, receiver, remove)
 	}
-	if pos, convErr := strconv.Atoi(sel); convErr == nil {
-		err = live.RemoveStageAt(pos)
-	} else {
-		err = live.RemoveStageKind(sel)
-	}
-	if err != nil {
-		return "", err
-	}
-	return live.String(), nil
+	return e.recomposeTrunk(id, func(cur compose.Plan, _ compose.Mode) (compose.Plan, error) {
+		return remove(cur)
+	})
 }
 
 // MoveSessionStage relocates a stage between plan positions of a live
@@ -148,14 +148,9 @@ func (e *Engine) MoveSessionStage(id uint32, receiver string, from, to int) (str
 			return p.WithMove(from, to)
 		})
 	}
-	live, _, err := e.liveFor(id)
-	if err != nil {
-		return "", err
-	}
-	if err := live.MoveStage(from, to); err != nil {
-		return "", err
-	}
-	return live.String(), nil
+	return e.recomposeTrunk(id, func(cur compose.Plan, _ compose.Mode) (compose.Plan, error) {
+		return cur.WithMove(from, to)
+	})
 }
 
 // parseOneStage parses a spec that must contain exactly one stage.

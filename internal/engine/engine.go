@@ -7,6 +7,32 @@
 // any live session — and relays each chain's output either back to the
 // session's sender (echo mode) or to a fixed downstream address.
 //
+// Execution model. A session's trunk runs to completion on the shard reader
+// that received the datagram: validate and demux, every trunk stage in order,
+// Session.send, the owning shard's writer queue — one goroutine, no
+// per-session queue, no byte pipe between stages, no copy and no re-parse;
+// the received buffer (its session-ID prefix kept as the outgoing one's
+// room) rides all the way to the writer. This is the filter.FrameChain
+// executor, used whenever every stage of the session's plan has a frame form
+// (compose.Registry.FrameNative): null, counting, checksum, the FEC encoder
+// and decoder, arq, replay, thin, the transcoders and the compressors, plus
+// whatever an adaptation responder activates at the fec-adapt marker. One
+// lock per session serializes it — in shared-socket mode any shard's reader
+// may receive any session's datagram, and the control plane splices from
+// another goroutine — so a splice is a slice swap between two frames, a
+// departing stage is flushed through the stages downstream of it first, and
+// per-stage byte counters are kept as on a goroutine chain. A stage error
+// evicts the session (chainErrors). A plan with a stage that has no frame
+// form — the timed kinds delay, ratelimit and jitter, or a custom registry
+// kind that only builds a stream filter — keeps the paper's executor
+// instead: a goroutine per stage joined by detachable streams between UDP
+// endpoints, fed from a per-session queue. The plan alone decides, there is
+// no setting; a live recompose that crosses the boundary rebuilds the
+// session's chainState on the other executor under its lifecycle lock,
+// flushing everything in flight and carrying matching stage instances over
+// (Session.rebuildLocked). Delivery-cohort tails (branch.go) still run as
+// goroutine chains behind the trunk.
+//
 // Chains are built on the composition plane (internal/compose): the trunk
 // and branch specs parse to plan IRs instantiated through the shared stage
 // registry, every session binds its chain to a compose.Live, and the
@@ -32,14 +58,15 @@
 // metrics.EngineStats).
 //
 // The steady-state relay path is allocation-free: datagrams travel in pooled
-// buffers (packet.GetBuf) from the socket read, through the chain's
-// detachable streams, to the shard writer's socket write, and session
-// lookup, peer tracking and counters all avoid per-packet allocation.
+// buffers (packet.GetBuf) from the socket read, through the chain, to the
+// shard writer's socket write, and session lookup, peer tracking (one atomic
+// load per datagram) and counters all avoid per-packet allocation.
 //
 // The engine scales to a million mostly-idle sessions by making idleness
-// free: after Config.IdleTTL without traffic a session is parked — its chain,
-// goroutines and buffers released, only identity, plan and counters retained
-// — and transparently rebuilt on the next datagram (park.go). Session counts
+// free: after Config.IdleTTL without traffic a session is parked — its stage
+// instances (and a goroutine trunk's goroutines and buffers) released, only
+// identity, plan and counters retained — and transparently rebuilt on the
+// next datagram (park.go). Session counts
 // and engine stats are maintained as atomic gauges, so admission checks and
 // Stats() are O(1)/O(shards) regardless of table size, and an explicit
 // admission policy (Config.Admission) chooses between rejecting new sessions
@@ -58,7 +85,8 @@
 // Migration is exact: an in-band marker seals the old cohort at a sequence
 // number and a gate opens the new one at the same point, so no frame is
 // lost, duplicated or miscounted while a member moves. Cohort output is
-// flushed destination-major so the batched writer can fold one traversal's
+// flushed destination-major, a cohort's frames gathered from across the
+// writer's drained batch, so the batched writer can fold one traversal's
 // fan-out into GSO super-datagrams; the BypassHits and CoalescedSends
 // counters (metrics.ShardStats) expose both fast paths. See branch.go.
 //
@@ -157,9 +185,11 @@ type Config struct {
 	// datagrams are sent to. When empty the engine echoes each session's
 	// output back to that session's most recent sender.
 	Forward string
-	// QueueDepth bounds each session's inbound datagram queue; 0 selects
-	// DefaultQueueDepth. When the queue is full new datagrams are dropped and
-	// counted, UDP-style, rather than blocking the shared read loop.
+	// QueueDepth bounds the inbound datagram queue of each goroutine chain — a
+	// session whose plan is not frame-native, and every delivery-cohort tail;
+	// 0 selects DefaultQueueDepth. When the queue is full new datagrams are
+	// dropped and counted, UDP-style, rather than blocking the shared read
+	// loop. Frame-native sessions run inline and have no queue.
 	QueueDepth int
 	// AllowRoaming lets a session's echo destination follow its most recent
 	// sender (for mobile clients whose address changes mid-session). Off by
@@ -640,7 +670,7 @@ func (e *Engine) openSession(id uint32, peer netip.AddrPort) (*Session, error) {
 			e.active.Add(-1)
 		}
 		var cause error
-		if cs := s.state(); cs != nil {
+		if cs := s.state(); cs != nil && cs.sink != nil {
 			cause = cs.sink.Err()
 		}
 		s.close()
@@ -667,19 +697,28 @@ func (e *Engine) trackSessionExit() bool {
 	return true
 }
 
-// sessionExited runs on a chain incarnation's sink goroutine after that
-// chain terminates. A chain that dies on its own — for example because a
-// filter stage failed — is evicted so a dead session cannot occupy a slot and
-// blackhole its ID forever; deliberate stops (park, close) retired the
-// incarnation first and are ignored here. Replacing the old
-// one-watchdog-goroutine-per-session design with this exit hook removes a
-// third of the engine's per-session goroutines.
+// sessionExited runs on a goroutine incarnation's sink goroutine after that
+// chain terminates. Replacing the old one-watchdog-goroutine-per-session
+// design with this exit hook removed a third of the per-session goroutines a
+// goroutine trunk costs.
 func (e *Engine) sessionExited(s *Session, cs *chainState, tracked bool) {
 	if tracked {
 		defer e.exitWg.Done()
 	}
+	e.chainFailed(s, cs, cs.sink.Err())
+}
+
+// chainFailed evicts a session whose trunk terminated on its own — a stage
+// failed on a frame (cause says why), or a goroutine chain simply ended — so
+// a dead session cannot occupy a slot and blackhole its ID forever; the next
+// datagram opens a fresh one. Deliberate stops (park, close, a rebuild on the
+// other executor) retired the incarnation first and are ignored here. It runs
+// on the sink goroutine of a goroutine trunk and on the delivering goroutine
+// of a frame-native one, after that goroutine has left the executor's lock;
+// several readers may report one failure, and only the first evicts.
+func (e *Engine) chainFailed(s *Session, cs *chainState, cause error) {
 	if cs.retired.Load() {
-		return // park or close tore this incarnation down deliberately
+		return // park, close or rebuild tore this incarnation down deliberately
 	}
 	select {
 	case <-s.done:
@@ -690,10 +729,12 @@ func (e *Engine) sessionExited(s *Session, cs *chainState, tracked bool) {
 	// its construct→register window, this remove finds nothing, and it is
 	// openSession's post-insert check of this flag that evicts instead (the
 	// shard lock orders that check after this store).
-	s.exited.Store(true)
-	if err := cs.sink.Err(); err != nil {
+	if !s.exited.CompareAndSwap(false, true) {
+		return
+	}
+	if cause != nil {
 		s.shard.counters.chainErrors.Add(1)
-		e.logf("session %d: chain failed, evicting: %v", s.id, err)
+		e.logf("session %d: chain failed, evicting: %v", s.id, cause)
 	} else {
 		e.logf("session %d: chain ended, evicting", s.id)
 	}

@@ -94,9 +94,12 @@ func TestEngineEchoRelay(t *testing.T) {
 	if len(stats) != 1 || stats[0].ID != 42 {
 		t.Fatalf("SessionStats = %+v, want one entry for session 42", stats)
 	}
-	if stats[0].Packets != 1 || stats[0].OutPackets != 1 {
-		t.Fatalf("session counters = %+v, want 1 in / 1 out", stats[0])
-	}
+	// The writer credits a send after the syscall returns, so the echo can
+	// reach us a moment before its counter moves.
+	waitFor(t, "1 in / 1 out on the session counters", func() bool {
+		st := e.Session(42).Stats()
+		return st.Packets == 1 && st.OutPackets == 1
+	})
 }
 
 func TestEngineMultipleSessionsAreIndependent(t *testing.T) {
@@ -121,13 +124,18 @@ func TestEngineMultipleSessionsAreIndependent(t *testing.T) {
 	if n := e.SessionCount(); n != sessions {
 		t.Fatalf("SessionCount = %d, want %d", n, sessions)
 	}
-	// Each session's chain has source + counting + sink.
+	// Each session runs its own counting stage — inline, the plan being
+	// frame-native, so there is no goroutine chain behind it.
 	s := e.Session(3)
 	if s == nil {
 		t.Fatal("session 3 missing")
 	}
-	if got := s.Chain().Len(); got != 3 {
-		t.Fatalf("chain length = %d, want 3", got)
+	if s.Chain() != nil {
+		t.Fatal("frame-native session built a goroutine chain")
+	}
+	stages := s.Live().StageStats()
+	if len(stages) != 1 || stages[0].Kind != "counting" || !stages[0].Active || stages[0].InBytes == 0 {
+		t.Fatalf("stage stats = %+v, want one active counting stage that saw traffic", stages)
 	}
 }
 
@@ -486,30 +494,81 @@ func TestEngineGarbageFrameDoesNotBrickSession(t *testing.T) {
 }
 
 func TestEngineEvictsSessionWhoseChainFails(t *testing.T) {
-	// A duplicate FEC share is a protocol-valid frame that makes the decoder
-	// filter fail, killing the session's chain. The watchdog must evict the
-	// dead session so the ID is not blackholed, and a later datagram must get
-	// a fresh session.
+	// A payload that is not a DEFLATE stream is a protocol-valid frame that
+	// makes the decompress stage fail, killing the session's trunk — inline
+	// on the frame executor, or the whole goroutine chain when a timed stage
+	// keeps the plan off it. Either way the dead session must be evicted so
+	// the ID is not blackholed, and a later datagram must get a fresh session.
+	for _, chain := range []string{"decompress,counting", "decompress,delay=1ms"} {
+		t.Run(chain, func(t *testing.T) {
+			e := newTestEngine(t, Config{Chain: chain})
+			c := dialEngine(t, e)
+
+			sendPacket(t, c, 33, &packet.Packet{Seq: 1, Kind: packet.KindData, Payload: []byte("not deflate")})
+			deadline := time.Now().Add(2 * time.Second)
+			for e.Stats().ChainErrors == 0 || e.SessionCount() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("dead session never evicted: %+v count=%d", e.Stats(), e.SessionCount())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := e.Stats().ChainErrors; got != 1 {
+				t.Fatalf("ChainErrors = %d, want 1", got)
+			}
+			// Same ID works again on a fresh session (empty payloads pass
+			// decompress untouched).
+			sendPacket(t, c, 33, &packet.Packet{Seq: 2, Kind: packet.KindData})
+			if id, p := readPacket(t, c, 2*time.Second); id != 33 || p.Seq != 2 {
+				t.Fatalf("after eviction: session %d seq %d", id, p.Seq)
+			}
+		})
+	}
+}
+
+// TestEngineDuplicateFECShareDoesNotEvict replays one duplicated share
+// mid-stream into a decoding session: a protocol-valid datagram any sender can
+// produce. The decoder must drop and count it — the session survives with no
+// chain error, and every other frame is delivered.
+func TestEngineDuplicateFECShareDoesNotEvict(t *testing.T) {
 	e := newTestEngine(t, Config{Chain: "fec-decode"})
 	c := dialEngine(t, e)
-
-	dup := &packet.Packet{Seq: 1, Kind: packet.KindData, Group: 0, Index: 0, K: 4, N: 6, Payload: []byte("share")}
-	sendPacket(t, c, 33, dup)
-	readPacket(t, c, 2*time.Second) // data share passes through the decoder
-	sendPacket(t, c, 33, dup)       // duplicate: decoder errors, chain dies
-
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Stats().ChainErrors == 0 || e.SessionCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("dead session never evicted: %+v count=%d", e.Stats(), e.SessionCount())
+	const id = 33
+	share := func(group uint32, index uint8) *packet.Packet {
+		return &packet.Packet{
+			Seq: uint64(group)*4 + uint64(index), Kind: packet.KindData,
+			Group: group, Index: index, K: 4, N: 6,
+			Payload: []byte{byte(group), index},
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	// Same ID works again on a fresh session.
-	sendPacket(t, c, 33, &packet.Packet{Seq: 2, Kind: packet.KindData, Payload: []byte("reborn")})
-	_, p := readPacket(t, c, 2*time.Second)
-	if string(p.Payload) != "reborn" {
-		t.Fatalf("payload after eviction = %q", p.Payload)
+	expect := func(group uint32, index uint8) {
+		t.Helper()
+		got, p := readPacket(t, c, 2*time.Second)
+		if got != id || p.Group != group || p.Index != index {
+			t.Fatalf("delivered session %d group %d index %d, want %d/%d/%d", got, p.Group, p.Index, id, group, index)
+		}
+	}
+	for i := uint8(0); i < 4; i++ {
+		sendPacket(t, c, id, share(0, i))
+		expect(0, i)
+		if i == 1 {
+			sendPacket(t, c, id, share(0, 1)) // the duplicate: no echo, no eviction
+		}
+	}
+	// A share whose header disagrees with its group's code is dropped too.
+	bad := share(0, 3)
+	bad.K, bad.N, bad.Index = 2, 3, 2
+	sendPacket(t, c, id, bad)
+	for i := uint8(0); i < 4; i++ {
+		sendPacket(t, c, id, share(1, i))
+		expect(1, i)
+	}
+	st := e.Stats()
+	if st.ChainErrors != 0 || e.SessionCount() != 1 || e.Session(id) == nil {
+		t.Fatalf("session did not survive: chainErrors=%d sessions=%d", st.ChainErrors, e.SessionCount())
+	}
+	waitFor(t, "the last echo to be credited", func() bool { return e.Session(id).Stats().OutPackets == 8 })
+	if ss := e.Session(id).Stats(); ss.Drops != 2 || ss.Packets != 10 {
+		t.Fatalf("session stats = drops %d packets %d out %d, want 2/10/8", ss.Drops, ss.Packets, ss.OutPackets)
 	}
 }
 

@@ -177,9 +177,17 @@ func TestMaintInterval(t *testing.T) {
 // rebuilds the chain and flows through it. Counters, plan and identity must
 // survive the round trip.
 func TestSessionParkUnparkTTL(t *testing.T) {
+	// A frame-native plan runs inline: parking it releases no goroutines
+	// because it never had any. A timed stage puts the plan on the goroutine
+	// executor: source, both stages and sink must all be gone after park.
+	t.Run("inline", func(t *testing.T) { testSessionParkUnparkTTL(t, "counting", 0) })
+	t.Run("goroutine", func(t *testing.T) { testSessionParkUnparkTTL(t, "counting,delay=1ms", 4) })
+}
+
+func testSessionParkUnparkTTL(t *testing.T, chain string, chainGoroutines int) {
 	const id = 42
 	ttl := time.Hour // harvesting driven by explicit maintain() calls, not the ticker
-	e := newTestEngine(t, Config{IdleTTL: ttl, Chain: "counting"})
+	e := newTestEngine(t, Config{IdleTTL: ttl, Chain: chain})
 	c := dialEngine(t, e)
 
 	sendPacket(t, c, id, &packet.Packet{Seq: 1, Kind: packet.KindData, Payload: []byte("pre-park")})
@@ -222,12 +230,12 @@ func TestSessionParkUnparkTTL(t *testing.T) {
 	if len(ss) != 1 || !ss[0].Parked {
 		t.Fatalf("SessionStats after park = %+v, want one parked entry", ss)
 	}
-	if ss[0].Chain != "counting" {
-		t.Fatalf("parked session chain column = %q, want retained plan %q", ss[0].Chain, "counting")
+	if ss[0].Chain != chain {
+		t.Fatalf("parked session chain column = %q, want retained plan %q", ss[0].Chain, chain)
 	}
-	// The two chain goroutines must actually be gone.
-	if n := waitGoroutines(t, 5*time.Second, func(n int) bool { return n <= g0-2 }); n > g0-2 {
-		t.Fatalf("goroutines after park = %d, want <= %d (chain goroutines released)", n, g0-2)
+	// The chain goroutines must actually be gone.
+	if n := waitGoroutines(t, 5*time.Second, func(n int) bool { return n <= g0-chainGoroutines }); n > g0-chainGoroutines {
+		t.Fatalf("goroutines after park = %d, want <= %d (chain goroutines released)", n, g0-chainGoroutines)
 	}
 
 	// First datagram after the idle period unparks transparently: it must not
@@ -239,11 +247,11 @@ func TestSessionParkUnparkTTL(t *testing.T) {
 	if s.Parked() {
 		t.Fatal("session still reports parked after traffic")
 	}
-	if ch := s.Chain(); ch == nil || ch.Len() != 3 {
-		t.Fatalf("rebuilt chain = %v, want source+counting+sink", ch)
+	if ch := s.Chain(); (ch != nil) != (chainGoroutines > 0) || (ch != nil && ch.Len() != chainGoroutines) {
+		t.Fatalf("rebuilt chain = %v, want %d goroutine stages", ch, chainGoroutines)
 	}
-	if got := s.Live().String(); got != "counting" {
-		t.Fatalf("rebuilt plan = %q, want %q", got, "counting")
+	if got := s.Live().String(); got != chain {
+		t.Fatalf("rebuilt plan = %q, want %q", got, chain)
 	}
 	if got := s.Counters().Packets.Load(); got != 2 {
 		t.Fatalf("Packets across park/unpark = %d, want 2 (counters survive)", got)

@@ -18,13 +18,12 @@ import (
 
 // Session is one proxied stream inside an Engine. Its identity, counters and
 // peer pinning live directly on the struct and survive for the session's
-// whole registered lifetime; everything that costs resources at scale — the
-// filter chain, its two endpoint goroutines, the inbound queue, the
-// adaptation bus and the delivery tree — lives behind one atomic pointer to a
-// chainState, so an idle session can be parked down to this struct plus a
-// retained plan and later rebuilt transparently (see park.go). Sessions are
-// created on demand by the engine's read loop when a datagram with an unknown
-// session ID arrives.
+// whole registered lifetime; everything bound to the trunk's current plan —
+// the stage instances and their executor, the adaptation bus and the delivery
+// tree — lives behind one atomic pointer to a chainState, so an idle session
+// can be parked down to this struct plus a retained plan and later rebuilt
+// transparently (see park.go). Sessions are created on demand by the engine's
+// read loop when a datagram with an unknown session ID arrives.
 type Session struct {
 	id  uint32
 	eng *Engine
@@ -75,23 +74,42 @@ type Session struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	peerMu sync.RWMutex
-	peer   netip.AddrPort
+	// peer is the address the session echoes to. The data path reads it with
+	// one atomic load per datagram; peerMu serializes the writers (the first
+	// sender's pin, and every change under AllowRoaming).
+	peerMu sync.Mutex
+	peer   atomic.Pointer[netip.AddrPort]
 }
 
-// chainState is one incarnation of a session's running machinery: the filter
-// chain bracketed by UDP endpoints, the inbound datagram queue, and — when
-// configured — the adaptation plane and the per-receiver delivery tree.
-// filter chains cannot restart once stopped, so park discards the whole
-// incarnation and unpark builds a fresh one from the session's retained plan.
+// chainState is one incarnation of a session's running machinery: the trunk
+// plan's stage instances on one of two executors, and — when configured — the
+// adaptation plane and the per-receiver delivery tree.
+//
+// The plan picks the executor (compose.Registry.FrameNative): when every stage
+// has a frame form the trunk is a filter.FrameChain and runs to completion on
+// whichever goroutine delivers the datagram — no goroutine, queue or byte
+// pipe of its own; frames is set and the goroutine-chain fields are nil.
+// Otherwise (a timed stage, a stream-only custom stage) the trunk is the
+// paper's goroutine-per-stage filter.Chain bracketed by UDP endpoints and fed
+// from an inbound queue; frames is nil. A goroutine chain cannot restart once
+// stopped and a frame chain cannot reopen once closed, so park discards the
+// whole incarnation and unpark builds a fresh one from the retained plan.
 type chainState struct {
-	chain *filter.Chain
-	// live binds the trunk chain to its composition plan; all structural
-	// mutation — control-plane recompose, responder splices — goes through
-	// it, serialized by its splice lock.
-	live   *compose.Live
+	// frames is the inline executor of a frame-native plan.
+	frames *filter.FrameChain
+
+	// chain, source, sink, in and stop are the goroutine executor: nil on a
+	// frame-native incarnation.
+	chain  *filter.Chain
 	source *endpoint.UDPSource
 	sink   *endpoint.UDPSink
+	in     chan *packet.Buf
+	stop   chan struct{}
+
+	// live binds the trunk's executor to its composition plan; all structural
+	// mutation — control-plane recompose, responder splices — goes through
+	// it, serialized by its splice lock.
+	live *compose.Live
 
 	// adaptor is the session's closed adaptation plane; nil when the engine
 	// runs without the feedback loop.
@@ -102,12 +120,9 @@ type chainState struct {
 	// nil on unicast sessions and on plain (branch-less) fan-out.
 	tree *deliveryTree
 
-	in   chan *packet.Buf
-	stop chan struct{}
-
-	// retired is set (under the session's parkMu) before a deliberate chain
-	// stop — park or close — so the sink's exit hook can tell teardown from a
-	// chain dying on its own and skip the eviction path.
+	// retired is set (under the session's parkMu) before a deliberate teardown
+	// — park, close, or a rebuild on the other executor — so the failure path
+	// can tell it from a chain dying on its own and skip the eviction.
 	retired atomic.Bool
 }
 
@@ -120,10 +135,12 @@ func newSession(e *Engine, id uint32, peer netip.AddrPort) (*Session, error) {
 		eng:   e,
 		shard: e.shardFor(id),
 		done:  make(chan struct{}),
-		peer:  peer,
+	}
+	if peer.IsValid() {
+		s.peer.Store(&peer)
 	}
 	s.idleSince.Store(time.Now().UnixNano())
-	cs, err := e.buildChainState(s, e.trunkPlan)
+	cs, err := e.buildChainState(s, e.trunkPlan, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -131,53 +148,22 @@ func newSession(e *Engine, id uint32, peer netip.AddrPort) (*Session, error) {
 	return s, nil
 }
 
-// buildChainState assembles and starts one incarnation of a session's chain
-// from the given trunk plan: at open time from the engine's configured plan,
-// at unpark time from the plan the session retained when it was parked.
-func (e *Engine) buildChainState(s *Session, plan compose.Plan) (*chainState, error) {
-	cs := &chainState{
-		in:   make(chan *packet.Buf, e.cfg.QueueDepth),
-		stop: make(chan struct{}),
+// buildChainState assembles and starts one incarnation of a session's trunk
+// from the given plan: at open time from the engine's configured plan, at
+// unpark time from the plan the session retained when it was parked, and when
+// a recompose moves the session to the other executor from the new plan, with
+// from naming the torn-down incarnation's Live whose matching stage instances
+// carry over.
+func (e *Engine) buildChainState(s *Session, plan compose.Plan, from *compose.Live) (*chainState, error) {
+	cs := &chainState{}
+	var err error
+	if e.reg.FrameNative(plan) {
+		err = e.buildFrameChain(s, cs, plan, from)
+	} else {
+		err = e.buildGoroutineChain(s, cs, plan, from)
 	}
-	cs.chain = filter.NewChain(fmt.Sprintf("session-%d", s.id))
-	cs.source = endpoint.NewUDPSource(fmt.Sprintf("udp-in:%d", s.id), func() (*packet.Buf, error) {
-		return s.recv(cs)
-	})
-	// The trunk sink always reserves session-ID headroom: on the unicast path
-	// the frame is stamped and sent as-is, and on the delivery-tree path the
-	// tree stamps the same headroom once before teeing so the bypass lane can
-	// forward the shared buffer to the shard writer with no copy at all
-	// (cohort chains read past the stamp at a fixed offset).
-	cs.sink = endpoint.NewUDPSink(fmt.Sprintf("udp-out:%d", s.id), packet.SessionIDSize, func(b *packet.Buf) error {
-		return s.send(cs, b)
-	})
-	if err := cs.chain.Append(cs.source); err != nil {
-		return nil, err
-	}
-	if err := cs.chain.Append(cs.sink); err != nil {
-		return nil, err
-	}
-	// Compose the trunk interior between the endpoints from the plan; the
-	// same Live later applies control-plane recompositions and the adaptation
-	// responder's splices to the running chain.
-	live, err := compose.Attach(cs.chain, e.reg, s.composeEnv(), e.trunkMode(), plan)
 	if err != nil {
-		return nil, fmt.Errorf("engine: session %d chain: %w", s.id, err)
-	}
-	cs.live = live
-	// The sink's exit hook is the session's watchdog: when the chain
-	// terminates on its own the hook evicts the session, without spending a
-	// goroutine per session on a blocking Wait. Registered (and accounted in
-	// the engine's exit WaitGroup) before Start so the hook cannot be missed.
-	tracked := e.trackSessionExit()
-	cs.sink.OnExit(func() { e.sessionExited(s, cs, tracked) })
-	if err := cs.chain.Start(); err != nil {
-		if tracked && !cs.sink.Running() {
-			// The sink goroutine never launched, so the exit hook will never
-			// fire; balance the accounting here.
-			e.exitWg.Done()
-		}
-		return nil, fmt.Errorf("engine: session %d start: %w", s.id, err)
+		return nil, err
 	}
 	if e.adaptOn {
 		a, err := newSessionAdaptor(s, cs, e.policy)
@@ -186,7 +172,7 @@ func (e *Engine) buildChainState(s *Session, plan compose.Plan) (*chainState, er
 			// first so the exit hook doesn't mistake the stop for a chain
 			// death and try to evict a session that was never registered.
 			cs.retired.Store(true)
-			cs.chain.Stop()
+			cs.stopExecutor()
 			return nil, fmt.Errorf("engine: session %d adaptor: %w", s.id, err)
 		}
 		cs.adaptor = a
@@ -201,15 +187,101 @@ func (e *Engine) buildChainState(s *Session, plan compose.Plan) (*chainState, er
 	return cs, nil
 }
 
+// buildFrameChain composes a frame-native plan onto the inline executor: the
+// stages run on the delivering goroutine and what they emit goes straight to
+// send, in the buffer it arrived in whenever the stages kept it.
+func (e *Engine) buildFrameChain(s *Session, cs *chainState, plan compose.Plan, from *compose.Live) error {
+	cs.frames = filter.NewFrameChain(func(b *packet.Buf) {
+		// send wants the session-ID headroom in front of the frame. A
+		// received buffer still has its prefix there and stage-built frames
+		// reserve it (packet.GetFrameBuf); anything else is re-buffered.
+		if !b.Unshift(packet.SessionIDSize) {
+			nb := packet.GetBuf(packet.SessionIDSize + len(b.B))
+			copy(nb.B[packet.SessionIDSize:], b.B)
+			b.Release()
+			b = nb
+		}
+		s.send(cs, b)
+	})
+	live, err := compose.AttachTo(cs.frames, e.reg, s.composeEnv(), e.trunkMode(), plan, from)
+	if err != nil {
+		return fmt.Errorf("engine: session %d chain: %w", s.id, err)
+	}
+	cs.live = live
+	return nil
+}
+
+// buildGoroutineChain composes a plan with a stage that has no frame form
+// onto the paper's executor: one goroutine per stage joined by detachable
+// streams, a UDPSource feeding it from the session's inbound queue and a
+// UDPSink re-framing its output for send.
+func (e *Engine) buildGoroutineChain(s *Session, cs *chainState, plan compose.Plan, from *compose.Live) error {
+	cs.in = make(chan *packet.Buf, e.cfg.QueueDepth)
+	cs.stop = make(chan struct{})
+	cs.chain = filter.NewChain(fmt.Sprintf("session-%d", s.id))
+	cs.source = endpoint.NewUDPSource(fmt.Sprintf("udp-in:%d", s.id), func() (*packet.Buf, error) {
+		return s.recv(cs)
+	})
+	// The trunk sink always reserves session-ID headroom: on the unicast path
+	// the frame is stamped and sent as-is, and on the delivery-tree path the
+	// tree stamps the same headroom once before teeing so the bypass lane can
+	// forward the shared buffer to the shard writer with no copy at all
+	// (cohort chains read past the stamp at a fixed offset).
+	cs.sink = endpoint.NewUDPSink(fmt.Sprintf("udp-out:%d", s.id), packet.SessionIDSize, func(b *packet.Buf) error {
+		s.send(cs, b)
+		return nil
+	})
+	if err := cs.chain.Append(cs.source); err != nil {
+		return err
+	}
+	if err := cs.chain.Append(cs.sink); err != nil {
+		return err
+	}
+	// Compose the trunk interior between the endpoints from the plan; the
+	// same Live later applies control-plane recompositions and the adaptation
+	// responder's splices to the running chain.
+	live, err := compose.AttachTo(cs.chain, e.reg, s.composeEnv(), e.trunkMode(), plan, from)
+	if err != nil {
+		return fmt.Errorf("engine: session %d chain: %w", s.id, err)
+	}
+	cs.live = live
+	// The sink's exit hook is the session's watchdog: when the chain
+	// terminates on its own the hook evicts the session, without spending a
+	// goroutine per session on a blocking Wait. Registered (and accounted in
+	// the engine's exit WaitGroup) before Start so the hook cannot be missed.
+	tracked := e.trackSessionExit()
+	cs.sink.OnExit(func() { e.sessionExited(s, cs, tracked) })
+	if err := cs.chain.Start(); err != nil {
+		if tracked && !cs.sink.Running() {
+			// The sink goroutine never launched, so the exit hook will never
+			// fire; balance the accounting here.
+			e.exitWg.Done()
+		}
+		return fmt.Errorf("engine: session %d start: %w", s.id, err)
+	}
+	return nil
+}
+
+// stopExecutor force-stops the incarnation's executor: close's teardown (and
+// the bail-out of a half-built incarnation). A frame chain flushes what its
+// stages hold on the way; a goroutine chain discards what is mid-chain.
+func (cs *chainState) stopExecutor() error {
+	if cs.frames != nil {
+		return cs.frames.Close()
+	}
+	return cs.chain.Stop()
+}
+
 // ID returns the session's wire identifier.
 func (s *Session) ID() uint32 { return s.id }
 
 // state returns the session's current chain-bound state, nil while parked.
 func (s *Session) state() *chainState { return s.cs.Load() }
 
-// Chain exposes the session's filter chain for observation (nil while the
-// session is parked). Structural mutation goes through Live, which keeps the
-// chain and its plan consistent.
+// Chain exposes the session's goroutine filter chain for observation: nil
+// while the session is parked, and nil when its plan is frame-native and runs
+// inline with no filter.Chain at all. Structural mutation goes through Live,
+// which keeps the executor and its plan consistent.
 func (s *Session) Chain() *filter.Chain {
 	if cs := s.cs.Load(); cs != nil {
 		return cs.chain
@@ -218,8 +290,9 @@ func (s *Session) Chain() *filter.Chain {
 }
 
 // Live exposes the session's composed trunk so the control plane (and tests)
-// can recompose it transactionally while traffic flows. nil while parked; the
-// engine's control operations go through liveFor, which unparks first.
+// can observe it. nil while parked. Recompose through the engine's session
+// operations (RecomposeSession and friends), which unpark first and move the
+// session to the other executor when the new plan needs it.
 func (s *Session) Live() *compose.Live {
 	if cs := s.cs.Load(); cs != nil {
 		return cs.live
@@ -237,6 +310,7 @@ func (s *Session) composeEnv() compose.Env {
 		StreamID:  s.id,
 		Name:      func(kind string) string { return fmt.Sprintf("%s:%d", kind, s.id) },
 		OnRepairs: s.addRepairHook,
+		OnDrop:    func() { s.counters.Drops.Add(1) },
 	}
 }
 
@@ -435,42 +509,51 @@ func (s *Session) handleNack(from netip.AddrPort, frame []byte) {
 // Peer returns the address the session currently relays to in echo mode: the
 // source of the most recent inbound datagram.
 func (s *Session) Peer() netip.AddrPort {
-	s.peerMu.RLock()
-	defer s.peerMu.RUnlock()
-	return s.peer
+	if p := s.peer.Load(); p != nil {
+		return *p
+	}
+	return netip.AddrPort{}
 }
 
 // setPeer records the sender a session echoes to. By default the peer is
 // pinned to the session's first sender: letting any datagram that guesses a
 // live session ID retarget the output would hand the stream to an off-path
 // attacker (or reflect it at a spoofed victim). Deployments with genuinely
-// mobile clients opt in with Config.AllowRoaming. The common case (unchanged
-// peer) stays on the read lock.
+// mobile clients opt in with Config.AllowRoaming. The per-datagram cost is
+// one atomic load (plus an address compare under roaming); the mutex only
+// orders the rare writes.
 func (s *Session) setPeer(from netip.AddrPort) {
-	s.peerMu.RLock()
-	same := s.peer == from
-	pinned := !s.eng.cfg.AllowRoaming && s.peer.IsValid()
-	s.peerMu.RUnlock()
-	if same || pinned {
+	roaming := s.eng.cfg.AllowRoaming
+	if p := s.peer.Load(); p != nil && (!roaming || *p == from) {
 		return
 	}
 	s.peerMu.Lock()
-	if s.eng.cfg.AllowRoaming || !s.peer.IsValid() {
-		s.peer = from
+	if roaming || s.peer.Load() == nil {
+		addr := from // the copy escapes, not the per-datagram parameter
+		s.peer.Store(&addr)
 	}
 	s.peerMu.Unlock()
 }
 
 // deliver hands one inbound datagram (session ID still prefixed) to the
-// session, dropping rather than blocking when the queue is full so one slow
-// session cannot stall the engine's shared read loop. A datagram for a parked
-// session unparks it first — the rebuild is the slow path; the live path is
-// one atomic load, the enqueue, and one confirming load. The confirming load
-// closes the park race: if park retired the queue between our load and the
-// enqueue, the datagram could sit in a channel nothing reads, so we reclaim
-// one buffer from the retired queue (ours, or an equivalent predecessor
-// park's drain didn't own) and deliver it through the fresh state. deliver
-// takes ownership of b.
+// session; it takes ownership of b. A datagram for a parked session unparks
+// it first — the rebuild is the slow path.
+//
+// On a frame-native trunk the datagram is processed right here: one atomic
+// load, the executor's lock, then every stage and send run to completion on
+// this goroutine, in the buffer the socket read filled. A false Enter means
+// the executor was retired under us — park or a rebuild on the other
+// executor, both under parkMu, or a close/failure for good — so we wait the
+// transition out on parkMu and look again.
+//
+// On a goroutine trunk the datagram is queued for the chain's source,
+// dropping rather than blocking when the queue is full so one slow session
+// cannot stall the engine's shared read loop: one atomic load, the enqueue,
+// and one confirming load. The confirming load closes the park race: if park
+// retired the queue between our load and the enqueue, the datagram could sit
+// in a channel nothing reads, so we reclaim one buffer from the retired queue
+// (ours, or an equivalent predecessor park's drain didn't own) and deliver it
+// through the fresh state.
 func (s *Session) deliver(b *packet.Buf, from netip.AddrPort) {
 	s.setPeer(from)
 	for {
@@ -483,7 +566,34 @@ func (s *Session) deliver(b *packet.Buf, from netip.AddrPort) {
 				return
 			}
 		}
-		n := uint64(len(b.B)) // read before the send: the chain owns b afterwards
+		n := uint64(len(b.B)) // read before the hand-off: the chain owns b afterwards
+		if fc := cs.frames; fc != nil {
+			if fc.Enter() {
+				s.counters.Packets.Add(1)
+				s.counters.Bytes.Add(n)
+				b.B = b.B[packet.SessionIDSize:]
+				err := fc.Run(b)
+				fc.Exit()
+				if err != nil {
+					s.eng.chainFailed(s, cs, err)
+				}
+				return
+			}
+			s.parkMu.Lock()
+			swapped := s.cs.Load() != cs
+			s.parkMu.Unlock()
+			if swapped {
+				continue
+			}
+			// Still the same incarnation, so it is gone for good: the session
+			// is closing, or a stage failed on another reader's frame.
+			if err := fc.Err(); err != nil {
+				s.eng.chainFailed(s, cs, err)
+			}
+			s.counters.Drops.Add(1)
+			b.Release()
+			return
+		}
 		select {
 		case cs.in <- b:
 		default:
@@ -509,8 +619,8 @@ func (s *Session) deliver(b *packet.Buf, from netip.AddrPort) {
 	}
 }
 
-// recv feeds one incarnation's UDPSource: it blocks for the next queued
-// datagram, strips the session-ID prefix, and returns io.EOF once the
+// recv feeds a goroutine incarnation's UDPSource: it blocks for the next
+// queued datagram, strips the session-ID prefix, and returns io.EOF once the
 // incarnation is parked or the session is closed.
 func (s *Session) recv(cs *chainState) (*packet.Buf, error) {
 	select {
@@ -524,25 +634,27 @@ func (s *Session) recv(cs *chainState) (*packet.Buf, error) {
 	}
 }
 
-// send relays one chain-output frame. On the delivery-tree path the tree
-// stamps the session ID into the sink's reserved headroom once and tees the
-// frame into every delivery cohort by reference; otherwise the session ID is
-// stamped in place and the whole buffer is one datagram for the owning
-// shard's batched writer. Routing
-// every datagram of a session through one shard writer preserves per-session
-// output order; a full writer queue drops (UDP-style, counted) rather than
-// blocking the chain. send owns b until the enqueue.
-func (s *Session) send(cs *chainState, b *packet.Buf) error {
+// send relays one trunk-output frame; b.B starts with SessionIDSize bytes of
+// headroom followed by the frame. On the delivery-tree path the tree stamps
+// the session ID into the headroom once and tees the frame into every
+// delivery cohort by reference; otherwise the session ID is stamped in place
+// and the whole buffer is one datagram for the owning shard's batched writer.
+// Routing every datagram of a session through one shard writer preserves
+// per-session output order; a full writer queue drops (UDP-style, counted)
+// rather than blocking the trunk. send owns b until the enqueue. It runs on
+// the sink goroutine of a goroutine trunk and under the executor's lock of a
+// frame-native one, so calls for one incarnation never overlap.
+func (s *Session) send(cs *chainState, b *packet.Buf) {
 	if cs.tree != nil {
 		cs.tree.dispatch(b)
-		return nil
+		return
 	}
 	packet.PutSessionID(b.B, s.id)
 	if s.eng.group != nil {
 		// Fan-out: the writer snapshots the receiver group at flush time so
 		// membership changes apply to queued datagrams too.
 		s.shard.enqueue(outbound{s: s, b: b, fan: true})
-		return nil
+		return
 	}
 	dst := s.eng.forward
 	if !dst.IsValid() {
@@ -551,25 +663,25 @@ func (s *Session) send(cs *chainState, b *packet.Buf) error {
 	if !dst.IsValid() {
 		s.counters.Drops.Add(1)
 		b.Release()
-		return nil
+		return
 	}
 	s.shard.enqueue(outbound{s: s, b: b, dst: dst})
-	return nil
 }
 
 // close terminates the session: the adaptation plane stops first (so no
-// splice can race the teardown), then the source observes EOF, the trunk
-// chain drains and stops — flushing any in-flight frames through the tee —
-// the delivery branches drain and stop in turn, and queued buffers are
-// returned to the pool. A parked session closes by just releasing its slot in
-// the parked gauge — there is nothing else left to stop.
+// splice can race the teardown), then the trunk's executor stops — a frame
+// chain flushes what its stages hold and closes, a goroutine chain's source
+// observes EOF and its stages stop — the delivery branches drain and stop in
+// turn, and queued buffers are returned to the pool. A parked session closes
+// by just releasing its slot in the parked gauge — there is nothing else left
+// to stop.
 func (s *Session) close() error {
 	s.closeOnce.Do(func() {
 		s.parkMu.Lock()
 		defer s.parkMu.Unlock()
 		cs := s.cs.Load()
 		if cs != nil {
-			// Retire before stopping so the sink's exit hook recognizes the
+			// Retire before stopping so the failure path recognizes the
 			// deliberate teardown.
 			cs.retired.Store(true)
 			if cs.adaptor != nil {
@@ -578,21 +690,15 @@ func (s *Session) close() error {
 		}
 		close(s.done)
 		if cs != nil {
-			s.closeErr = cs.chain.Stop()
+			s.closeErr = cs.stopExecutor()
 			if cs.tree != nil {
 				// The trunk is stopped, so no dispatch is in flight; tear the
 				// branches down after it so trailing trunk output still fanned
 				// out.
 				cs.tree.close()
 			}
-		drain:
-			for {
-				select {
-				case b := <-cs.in:
-					b.Release()
-				default:
-					break drain
-				}
+			for _, b := range cs.drainQueue() {
+				b.Release()
 			}
 		}
 		if s.parked.CompareAndSwap(true, false) {
@@ -600,4 +706,18 @@ func (s *Session) close() error {
 		}
 	})
 	return s.closeErr
+}
+
+// drainQueue empties a goroutine incarnation's inbound queue without blocking
+// (nil for a frame-native incarnation, which has none).
+func (cs *chainState) drainQueue() []*packet.Buf {
+	var out []*packet.Buf
+	for {
+		select {
+		case b := <-cs.in:
+			out = append(out, b)
+		default:
+			return out
+		}
+	}
 }

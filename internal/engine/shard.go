@@ -109,6 +109,7 @@ type shard struct {
 	// allocates in steady state. Only the writer goroutine touches these.
 	wmsgs []ioMsg
 	wacct []wmeta
+	widx  [batchSize]int32
 	wseqs [batchSize]int64
 	whits [batchSize]int32
 }
@@ -327,8 +328,8 @@ func (sh *shard) writeLoop() {
 // reference — sends it, and releases every buffer. flush owns the batch's
 // buffers.
 //
-// Consecutive frames bound for the same cohort expand destination-major: all
-// of member A's frames, then all of member B's, and so on. Per-destination
+// The batch's frames bound for one cohort expand destination-major: all of
+// member A's frames, then all of member B's, and so on. Per-destination
 // order is exactly queue order (all UDP promises), and runs of equal-size
 // datagrams to one address are what the batch conn's UDP GSO path folds into
 // single segmented sends — so a busy fan-out session pays per-burst, not
@@ -336,26 +337,27 @@ func (sh *shard) writeLoop() {
 func (sh *shard) flush(batch []outbound) {
 	ms := sh.wmsgs[:0]
 	acct := sh.wacct[:0]
-	for i := 0; i < len(batch); {
+	var taken [batchSize]bool // cohort frames already expanded with an earlier run
+	for i := range batch {
 		o := &batch[i]
+		if taken[i] {
+			continue
+		}
 		if o.grp == nil {
 			if !o.fan {
 				ms = append(ms, ioMsg{Buf: o.b.B, Addr: o.dst})
 				acct = append(acct, wmeta{s: o.s, rx: o.rx})
-				i++
 				continue
 			}
 			targets := o.s.eng.group.Snapshot()
 			if len(targets) == 0 {
 				o.s.counters.Drops.Add(1)
-				i++
 				continue
 			}
 			for _, dst := range targets {
 				ms = append(ms, ioMsg{Buf: o.b.B, Addr: dst})
 				acct = append(acct, wmeta{s: o.s})
 			}
-			i++
 			continue
 		}
 		// Cohort fan-out: one payload buffer per frame, one address stamp per
@@ -364,9 +366,22 @@ func (sh *shard) flush(batch []outbound) {
 		// reach them; newer frames — which their new cohort delivers — do
 		// not) and minus joined members whose start gate it hasn't reached
 		// (their old cohort still owes them those).
+		//
+		// The run is every frame of this cohort in the batch, adjacent or
+		// not: cohorts feed the queue concurrently (the bypass lane from the
+		// reader, chain cohorts from their sinks), so their frames interleave,
+		// and only what is expanded together can share a GSO send. Pulling a
+		// cohort's later frames forward keeps that cohort's order — which is
+		// each of its destinations' order — and only moves them past other
+		// cohorts' and sessions' frames, with which they were never ordered.
 		grp := o.grp
 		run := 0
-		for i+run < len(batch) && batch[i+run].grp == grp {
+		for j := i; j < len(batch); j++ {
+			if batch[j].grp != grp {
+				continue
+			}
+			taken[j] = true
+			sh.widx[run] = int32(j)
 			sh.wseqs[run] = grp.consumed.Add(1) - 1
 			sh.whits[run] = 0
 			run++
@@ -378,28 +393,29 @@ func (sh *shard) flush(batch []outbound) {
 				if t.gate != nil && sh.wseqs[k] < t.gate.at.Load() {
 					continue // joined after this frame; its old cohort delivers it
 				}
-				ms = append(ms, ioMsg{Buf: batch[i+k].b.B, Addr: t.dst})
-				acct = append(acct, wmeta{s: batch[i+k].s, rx: t.rx})
+				f := &batch[sh.widx[k]]
+				ms = append(ms, ioMsg{Buf: f.b.B, Addr: t.dst})
+				acct = append(acct, wmeta{s: f.s, rx: t.rx})
 				sh.whits[k]++
 			}
 		}
-		for _, f := range v.fades {
+		for _, fade := range v.fades {
 			for k := 0; k < run; k++ {
-				if sh.wseqs[k] < f.expiresAt.Load() {
-					ms = append(ms, ioMsg{Buf: batch[i+k].b.B, Addr: f.dst})
-					acct = append(acct, wmeta{s: batch[i+k].s, rx: f.rx})
+				if sh.wseqs[k] < fade.expiresAt.Load() {
+					f := &batch[sh.widx[k]]
+					ms = append(ms, ioMsg{Buf: f.b.B, Addr: fade.dst})
+					acct = append(acct, wmeta{s: f.s, rx: fade.rx})
 					sh.whits[k]++
 				}
 			}
 		}
 		for k := 0; k < run; k++ {
 			if sh.whits[k] == 0 {
-				batch[i+k].s.counters.Drops.Add(1)
+				batch[sh.widx[k]].s.counters.Drops.Add(1)
 			} else if sh.whits[k] >= 2 {
 				sh.counters.coalesced.Add(1)
 			}
 		}
-		i += run
 	}
 	sh.wmsgs, sh.wacct = ms, acct
 	sh.sendBatch(ms, acct)
@@ -416,6 +432,13 @@ func (sh *shard) flush(batch []outbound) {
 // datagrams behind it. The loop terminates because every round either sends
 // or drops at least one datagram.
 func (sh *shard) sendBatch(ms []ioMsg, acct []wmeta) {
+	drop := func(m *wmeta) {
+		m.s.counters.Drops.Add(1)
+		if m.rx != nil {
+			m.rx.Drops.Add(1)
+		}
+		sh.counters.writeDrops.Add(1)
+	}
 	sent := 0
 	for sent < len(ms) {
 		n, err := sh.bconn.WriteBatch(ms[sent:])
@@ -433,16 +456,15 @@ func (sh *shard) sendBatch(ms []ioMsg, acct []wmeta) {
 			if sent >= len(ms) {
 				return
 			}
-			m := &acct[sent]
-			m.s.counters.Drops.Add(1)
-			if m.rx != nil {
-				m.rx.Drops.Add(1)
-			}
-			sh.counters.writeDrops.Add(1)
+			drop(&acct[sent])
 			sent++
 		} else if n == 0 {
 			// No progress and no error: a conn contract violation. Bail out
-			// rather than spin; the batch's remainder is dropped uncounted.
+			// rather than spin, accounting the remainder like any other send
+			// failure so every datagram still ends in a counted outcome.
+			for i := sent; i < len(ms); i++ {
+				drop(&acct[i])
+			}
 			return
 		}
 	}

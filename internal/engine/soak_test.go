@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"net/netip"
 	"runtime"
@@ -11,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"rapidware/internal/filter"
 	"rapidware/internal/packet"
 )
 
@@ -114,15 +112,12 @@ func TestEngineSoak256Sessions(t *testing.T) {
 // sockets are shared (64 sessions per socket) so the test stays within file
 // descriptor limits.
 //
-// Each session runs two chain goroutines, so under the race detector — which
-// refuses to track more than 8128 simultaneously alive goroutines — the soak
-// scales itself down to stay inside that budget while still crossing every
-// shard.
+// A pure relay is frame-native, so a live session owns no goroutine and the
+// full 4096 fit under the race detector too (it refuses to track more than
+// 8128 simultaneously alive goroutines, which capped this soak at 3584 when
+// every session ran two).
 func TestEngineSoak4096SessionsCrossShard(t *testing.T) {
-	sessions := 4096 // all live: 2 chain goroutines each
-	if raceEnabled {
-		sessions = 3584 // 2 goroutines/session + clients + runtime < 8128
-	}
+	const sessions = 4096 // all live
 	const clients = 64
 	perClient := sessions / clients
 
@@ -310,10 +305,18 @@ func TestEngineConcurrentOpenCloseRace(t *testing.T) {
 
 // TestEngineLiveFilterSpliceUnderTraffic repeatedly inserts and removes a
 // filter on a session's chain while datagrams are flowing through it — the
-// paper's live reconfiguration, now per engine session. Run under -race this
-// doubles as the engine's concurrency regression test.
+// paper's live reconfiguration, now per engine session — on both executors:
+// the inline frame chain (a splice is a slice swap under the session's lock)
+// and the goroutine chain a timed stage selects (the pause/drain/reconnect
+// protocol). Run under -race this doubles as the engine's concurrency
+// regression test.
 func TestEngineLiveFilterSpliceUnderTraffic(t *testing.T) {
-	e := newTestEngine(t, Config{})
+	t.Run("inline", func(t *testing.T) { testLiveFilterSpliceUnderTraffic(t, "") })
+	t.Run("goroutine", func(t *testing.T) { testLiveFilterSpliceUnderTraffic(t, "delay=50us") })
+}
+
+func testLiveFilterSpliceUnderTraffic(t *testing.T, chain string) {
+	e := newTestEngine(t, Config{Chain: chain})
 	c := dialEngine(t, e)
 
 	const id = 77
@@ -380,15 +383,18 @@ func TestEngineLiveFilterSpliceUnderTraffic(t *testing.T) {
 	// Live splices while traffic flows.
 	const splices = 50
 	for i := 0; i < splices; i++ {
-		f := filter.NewCounting(fmt.Sprintf("splice-%d", i))
-		if err := s.Chain().Insert(f, 1); err != nil {
+		if _, err := e.InsertSessionStage(id, "", "counting", 0); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
-		if _, err := s.Chain().Remove(1); err != nil {
+		if _, err := e.RemoveSessionStage(id, "", "0"); err != nil {
 			t.Fatalf("remove %d: %v", i, err)
 		}
-		if err := s.Chain().Validate(); err != nil {
-			t.Fatalf("chain wiring broken after splice %d: %v", i, err)
+		if ch := s.Chain(); (ch != nil) != (chain != "") {
+			t.Fatalf("splice %d left the session on the wrong executor (chain %v)", i, ch)
+		} else if ch != nil {
+			if err := ch.Validate(); err != nil {
+				t.Fatalf("chain wiring broken after splice %d: %v", i, err)
+			}
 		}
 	}
 

@@ -76,13 +76,33 @@ func (e *FrameEncoder) Add(b *packet.Buf) (full bool, err error) {
 // computed into pooled buffers, and every complete frame is handed to emit in
 // index order. The slice passed to emit is only valid for the duration of the
 // call. All held buffers are released before Encode returns, success or not.
+// It is EncodeBufs for callers that consume bytes rather than buffers.
 func (e *FrameEncoder) Encode(emit func(frame []byte) error) error {
+	var emitErr error
+	err := e.EncodeBufs(func(b *packet.Buf) {
+		if emitErr == nil {
+			emitErr = emit(b.B)
+		}
+		b.Release()
+	})
+	if err != nil {
+		return err
+	}
+	return emitErr
+}
+
+// EncodeBufs emits the full group like Encode but hands over the buffers
+// themselves: the k held data frames (the very buffers given to Add, stamped
+// in place) and n-k parity frames built in pooled frame buffers with
+// session-ID headroom. emit takes ownership of each. On error nothing has
+// been emitted and every held buffer is released.
+func (e *FrameEncoder) EncodeBufs(emit func(*packet.Buf)) error {
 	params := e.coder.Params()
 	k, n := params.K, params.N
 	if len(e.pending) != k {
+		e.Discard()
 		return fmt.Errorf("%w: group has %d of %d frames", ErrShareSize, len(e.pending), k)
 	}
-	defer e.Discard()
 	// Build equal-size shares: 2-byte length prefix + payload, zero padded to
 	// the largest payload in the group.
 	maxLen := 0
@@ -101,7 +121,7 @@ func (e *FrameEncoder) Encode(emit func(frame []byte) error) error {
 		e.staging[i], e.sources[i] = sb, sb.B
 	}
 	for i := range e.pbufs {
-		pb := packet.GetBuf(packet.HeaderSize + shareSize)
+		pb := packet.GetFrameBuf(packet.HeaderSize + shareSize)
 		e.pbufs[i], e.parity[i] = pb, pb.B[packet.HeaderSize:]
 	}
 	err := e.coder.EncodeParityInto(e.sources, e.parity)
@@ -111,40 +131,38 @@ func (e *FrameEncoder) Encode(emit func(frame []byte) error) error {
 	}
 	if err != nil {
 		e.releaseParity()
+		e.Discard()
 		return fmt.Errorf("fec: encode group %d: %w", e.group, err)
 	}
-	for i, b := range e.pending {
-		hdr := packet.Packet{
-			Seq: e.seq, StreamID: e.streamID, Kind: packet.KindData,
-			Group: e.group, Index: uint8(i), K: uint8(k), N: uint8(n),
+	// Stamp everything before emitting anything, so a header error (there is
+	// none a validated group can produce) cannot leave half a group on the
+	// wire.
+	hdr := packet.Packet{StreamID: e.streamID, Group: e.group, K: uint8(k), N: uint8(n)}
+	for i := 0; i < n; i++ {
+		b, kind := (*packet.Buf)(nil), packet.KindParity
+		if i < k {
+			b, kind = e.pending[i], packet.KindData
+		} else {
+			b = e.pbufs[i-k]
 		}
+		hdr.Kind, hdr.Index, hdr.Seq = kind, uint8(i), e.seq+uint64(i)
 		if err := packet.PutFrameHeader(b.B, &hdr, len(b.B)-packet.HeaderSize); err != nil {
 			e.releaseParity()
-			return err
-		}
-		e.seq++
-		if err := emit(b.B); err != nil {
-			e.releaseParity()
+			e.Discard()
 			return err
 		}
 	}
-	for i, pb := range e.pbufs {
-		hdr := packet.Packet{
-			Seq: e.seq, StreamID: e.streamID, Kind: packet.KindParity,
-			Group: e.group, Index: uint8(k + i), K: uint8(k), N: uint8(n),
-		}
-		if err := packet.PutFrameHeader(pb.B, &hdr, shareSize); err != nil {
-			e.releaseParity()
-			return err
-		}
-		e.seq++
-		if err := emit(pb.B); err != nil {
-			e.releaseParity()
-			return err
-		}
-	}
-	e.releaseParity()
+	e.seq += uint64(n)
 	e.group++
+	for i, b := range e.pending {
+		e.pending[i] = nil
+		emit(b)
+	}
+	e.pending = e.pending[:0]
+	for i, pb := range e.pbufs {
+		e.pbufs[i], e.parity[i] = nil, nil
+		emit(pb)
+	}
 	return nil
 }
 
@@ -152,25 +170,44 @@ func (e *FrameEncoder) Encode(emit func(frame []byte) error) error {
 // parity (parity requires a full group), keeping the stream lossless when it
 // ends — or hits an in-band barrier — mid-group. Emitted buffers are released.
 func (e *FrameEncoder) Flush(emit func(frame []byte) error) error {
+	var emitErr error
+	err := e.FlushBufs(func(b *packet.Buf) {
+		if emitErr == nil {
+			emitErr = emit(b.B)
+		}
+		b.Release()
+	})
+	if err != nil {
+		return err
+	}
+	return emitErr
+}
+
+// FlushBufs is Flush handing over the held buffers themselves; emit takes
+// ownership of each.
+func (e *FrameEncoder) FlushBufs(emit func(*packet.Buf)) error {
 	if len(e.pending) == 0 {
 		return nil
 	}
 	params := e.coder.Params()
-	defer e.Discard()
+	hdr := packet.Packet{
+		StreamID: e.streamID, Kind: packet.KindData,
+		Group: e.group, K: uint8(params.K), N: uint8(params.N),
+	}
 	for i, b := range e.pending {
-		hdr := packet.Packet{
-			Seq: e.seq, StreamID: e.streamID, Kind: packet.KindData,
-			Group: e.group, Index: uint8(i), K: uint8(params.K), N: uint8(params.N),
-		}
+		hdr.Seq, hdr.Index = e.seq+uint64(i), uint8(i)
 		if err := packet.PutFrameHeader(b.B, &hdr, len(b.B)-packet.HeaderSize); err != nil {
-			return err
-		}
-		e.seq++
-		if err := emit(b.B); err != nil {
+			e.Discard()
 			return err
 		}
 	}
+	e.seq += uint64(len(e.pending))
 	e.group++
+	for i, b := range e.pending {
+		e.pending[i] = nil
+		emit(b)
+	}
+	e.pending = e.pending[:0]
 	return nil
 }
 

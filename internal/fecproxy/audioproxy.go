@@ -234,7 +234,7 @@ func runReceiver(r *wireless.Receiver, cfg AudioProxyConfig, trace *metrics.Trac
 	if err := chain.Stop(); err != nil {
 		return ReceiverResult{}, err
 	}
-	rx, rc, _ := decoder.Stats()
+	rx, rc, _, _ := decoder.Stats()
 	received, reconstructed = int(rx), int(rc)
 
 	reasm.MarkExpected(dataSent - 1)

@@ -8,7 +8,6 @@ package fecproxy
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -21,11 +20,12 @@ import (
 // EncoderFilter groups incoming data packets into FEC blocks and emits the
 // data plus parity packets, the "FEC Encoder" stage of Figure 6.
 //
-// The processing loop never materializes decoded packets: frames are read
-// into pooled buffers, grouped as raw frames, re-stamped in place, and the
-// parity frames are encoded directly into pooled buffers (see
-// fec.FrameEncoder) — the steady-state data path performs no heap
-// allocations.
+// The stage body is a frame function: frames arrive as pooled buffers, are
+// grouped as raw frames, re-stamped in place, and handed on as the very
+// buffers they arrived in; the parity frames are encoded directly into pooled
+// buffers (see fec.FrameEncoder). The steady-state data path performs no heap
+// allocations, and in the engine's inline trunk path no copies of data
+// frames either.
 type EncoderFilter struct {
 	*filter.Base
 
@@ -47,66 +47,48 @@ func NewEncoderFilter(name string, params fec.Params, streamID uint32) (*Encoder
 	}
 	ef := &EncoderFilter{params: params}
 	k, n := params.K, params.N
-	ef.Base = filter.New(name, func(r io.Reader, w io.Writer) error {
-		enc := fec.NewFrameEncoder(coder, streamID)
-		defer enc.Discard()
-		pr := packet.NewReader(r)
-		// Each emitted frame is one Write call, so downstream pause/reconnect
-		// operations always happen on frame boundaries.
-		emit := func(frame []byte) error {
-			_, err := w.Write(frame)
+	enc := fec.NewFrameEncoder(coder, streamID)
+	// flush emits a partially filled group as plain data frames, at end of
+	// stream, when the stage leaves a live chain, and ahead of control frames.
+	flush := func(emit func(*packet.Buf)) error {
+		held := uint64(enc.Pending())
+		if err := enc.FlushBufs(emit); err != nil {
 			return err
 		}
-		flush := func() error {
-			held := uint64(enc.Pending())
-			if err := enc.Flush(emit); err != nil {
-				return err
-			}
-			ef.dataOut.Add(held)
-			return nil
-		}
-		for {
-			b, err := pr.ReadFrameBuf(0)
-			if err != nil {
-				if err == io.EOF {
-					return flush()
-				}
-				return err
-			}
-			// Parity and control packets pass through untouched; only data
-			// packets are (re)grouped into FEC blocks. Control packets act as
-			// group barriers: a partially filled group is flushed (without
-			// parity) ahead of them, so an in-band marker never overtakes
-			// data the encoder was still holding — stream position stays
-			// meaningful across the filter.
-			if kind := packet.FrameKind(b.B); kind != packet.KindData {
-				if kind == packet.KindControl {
-					if err := flush(); err != nil {
-						b.Release()
-						return err
-					}
-				}
-				err := emit(b.B)
-				b.Release()
-				if err != nil {
+		ef.dataOut.Add(held)
+		return nil
+	}
+	ef.Base = filter.NewFrame(name, func(b *packet.Buf, emit func(*packet.Buf)) error {
+		// Parity and control packets pass through untouched; only data
+		// packets are (re)grouped into FEC blocks. Control packets act as
+		// group barriers: a partially filled group is flushed (without
+		// parity) ahead of them, so an in-band marker never overtakes data
+		// the encoder was still holding — stream position stays meaningful
+		// across the filter.
+		if kind := packet.FrameKind(b.B); kind != packet.KindData {
+			if kind == packet.KindControl {
+				if err := flush(emit); err != nil {
+					b.Release()
 					return err
 				}
-				continue
 			}
-			ef.dataIn.Add(1)
-			full, err := enc.Add(b)
-			if err != nil {
+			emit(b)
+			return nil
+		}
+		ef.dataIn.Add(1)
+		full, err := enc.Add(b)
+		if err != nil {
+			return fmt.Errorf("fecproxy: encode: %w", err)
+		}
+		if full {
+			if err := enc.EncodeBufs(emit); err != nil {
 				return fmt.Errorf("fecproxy: encode: %w", err)
 			}
-			if full {
-				if err := enc.Encode(emit); err != nil {
-					return fmt.Errorf("fecproxy: encode: %w", err)
-				}
-				ef.dataOut.Add(uint64(k))
-				ef.parity.Add(uint64(n - k))
-			}
+			ef.dataOut.Add(uint64(k))
+			ef.parity.Add(uint64(n - k))
 		}
-	})
+		return nil
+	}, flush)
 	return ef, nil
 }
 
@@ -141,6 +123,8 @@ type DecoderFilter struct {
 	received      uint64
 	reconstructed uint64
 	forwarded     uint64
+	dropped       uint64
+	onDrop        func()
 }
 
 // NewDecoderFilter returns a decoder filter. trace may be nil; when provided,
@@ -159,7 +143,16 @@ func NewDecoderFilter(name string, trace *metrics.TraceRecorder) *DecoderFilter 
 		before := df.dec.Recovered()
 		outs, err := df.dec.Add(p)
 		if err != nil {
-			return nil, fmt.Errorf("fecproxy: decode: %w", err)
+			// Every decode error is a property of the share that just arrived
+			// — a duplicate, one whose header disagrees with its group, one
+			// that makes the group undecodable. Any sender can produce those,
+			// so the share is dropped and counted; failing the stage would let
+			// one datagram take the whole stream down.
+			df.dropped++
+			if df.onDrop != nil {
+				df.onDrop()
+			}
+			return nil, nil
 		}
 		newlyRecovered := df.dec.Recovered() - before
 		df.reconstructed += newlyRecovered
@@ -196,12 +189,23 @@ func traceKey(p *packet.Packet) uint64 {
 	return p.Seq
 }
 
+// OnDrop registers fn to run (under the decoder's lock) for every share the
+// decoder drops; the engine folds it into the owning session's drop counter.
+// Call before the filter carries traffic.
+func (df *DecoderFilter) OnDrop(fn func()) {
+	df.mu.Lock()
+	df.onDrop = fn
+	df.mu.Unlock()
+}
+
 // Stats returns the decoder's packet accounting: data packets received off
-// the network, packets reconstructed from parity, and packets forwarded.
-func (df *DecoderFilter) Stats() (received, reconstructed, forwarded uint64) {
+// the network, packets reconstructed from parity, packets forwarded, and
+// shares dropped because the decoder could not accept them (duplicates,
+// group-parameter mismatches, undecodable groups).
+func (df *DecoderFilter) Stats() (received, reconstructed, forwarded, dropped uint64) {
 	df.mu.Lock()
 	defer df.mu.Unlock()
-	return df.received, df.reconstructed, df.forwarded
+	return df.received, df.reconstructed, df.forwarded, df.dropped
 }
 
 var (

@@ -167,7 +167,7 @@ func TestEncodeDecodeChainNoLoss(t *testing.T) {
 			t.Fatalf("non-data packet leaked downstream: %v", p)
 		}
 	}
-	rx, rc, fwd := dec.Stats()
+	rx, rc, fwd, _ := dec.Stats()
 	if rx != 40 || rc != 0 || fwd != 40 {
 		t.Fatalf("decoder stats = %d/%d/%d", rx, rc, fwd)
 	}
@@ -200,7 +200,7 @@ func TestEncodeLossyDecodeRecovers(t *testing.T) {
 			t.Fatalf("payload %q delivered %d times", pl, seen[string(pl)])
 		}
 	}
-	_, rc, _ := dec.Stats()
+	_, rc, _, _ := dec.Stats()
 	if rc != 10 { // one reconstruction per group of 4, 40/4 groups
 		t.Fatalf("reconstructed = %d, want 10", rc)
 	}

@@ -23,7 +23,10 @@ func NewNull(name string) *Base {
 	return New(name, func(r io.Reader, w io.Writer) error {
 		_, err := io.Copy(w, r)
 		return err
-	})
+	}).WithFrame(func(b *packet.Buf, emit func(*packet.Buf)) error {
+		emit(b)
+		return nil
+	}, nil)
 }
 
 // CountingFilter passes data through unchanged while counting bytes and
@@ -55,14 +58,20 @@ func NewCounting(name string) *CountingFilter {
 				return err
 			}
 		}
-	})
+	}).WithFrame(func(b *packet.Buf, emit func(*packet.Buf)) error {
+		cf.bytes.Add(uint64(len(b.B)))
+		cf.chunks.Add(1)
+		emit(b)
+		return nil
+	}, nil)
 	return cf
 }
 
 // Bytes returns the total number of bytes forwarded.
 func (cf *CountingFilter) Bytes() uint64 { return cf.bytes.Load() }
 
-// Chunks returns the number of read chunks forwarded.
+// Chunks returns the number of chunks forwarded: stream reads in stream
+// mode, frames when the filter runs inline.
 func (cf *CountingFilter) Chunks() uint64 { return cf.chunks.Load() }
 
 // ChecksumFilter passes data through while maintaining a CRC-32 of everything
@@ -97,7 +106,14 @@ func NewChecksum(name string) *ChecksumFilter {
 				return err
 			}
 		}
-	})
+	}).WithFrame(func(b *packet.Buf, emit func(*packet.Buf)) error {
+		cf.mu.Lock()
+		cf.crc = crc32.Update(cf.crc, crc32.IEEETable, b.B)
+		cf.n += uint64(len(b.B))
+		cf.mu.Unlock()
+		emit(b)
+		return nil
+	}, nil)
 	return cf
 }
 
@@ -205,42 +221,60 @@ func NewTransform(name string, fn func([]byte) []byte) *Base {
 // forward. Returning an empty slice drops the packet.
 type PacketFunc func(*packet.Packet) ([]*packet.Packet, error)
 
-// NewPacketFunc returns a filter that parses the framed packet stream,
-// applies fn to each packet, and re-frames the results. Each output frame is
-// written with a single Write call, so downstream pause/reconnect operations
-// always happen on frame boundaries. flush, if non-nil, is invoked at EOF and
-// may emit trailing packets (e.g. a partially filled FEC group).
+// NewPacketFunc returns a frame-form filter that decodes each frame, applies
+// fn to the packet, and re-frames the results — in stream mode each output
+// frame is written with a single Write call, so downstream pause/reconnect
+// operations always happen on frame boundaries. flush, if non-nil, is invoked
+// at EOF (and when the stage leaves a live chain) and may emit trailing
+// packets (e.g. a partially filled FEC group).
 func NewPacketFunc(name string, fn PacketFunc, flush func() []*packet.Packet) *Base {
 	if name == "" {
 		name = "packetfunc"
 	}
-	return New(name, func(r io.Reader, w io.Writer) error {
-		pr := packet.NewReader(r)
-		pw := packet.NewWriter(w)
-		for {
-			p, err := pr.ReadPacket()
-			if err != nil {
-				if err == io.EOF {
-					if flush != nil {
-						for _, fp := range flush() {
-							if werr := pw.WritePacket(fp); werr != nil {
-								return werr
-							}
-						}
-					}
-					return nil
-				}
-				return err
-			}
-			outs, err := fn(p)
-			if err != nil {
-				return err
-			}
-			for _, op := range outs {
-				if werr := pw.WritePacket(op); werr != nil {
-					return werr
-				}
-			}
+	frame := func(b *packet.Buf, emit func(*packet.Buf)) error {
+		p, _, err := packet.Unmarshal(b.B)
+		if err != nil {
+			b.Release()
+			return fmt.Errorf("packet: decode frame: %w", err)
 		}
-	})
+		outs, err := fn(p)
+		if err != nil {
+			b.Release()
+			return err
+		}
+		// A stage that forwards its input keeps the buffer it arrived in
+		// (re-encoded in place, in case fn edited the packet); everything else
+		// is marshaled into fresh frame buffers.
+		if len(outs) == 1 && outs[0] == p && packet.HeaderSize+len(p.Payload) == len(b.B) {
+			if err := packet.PutFrameHeader(b.B, p, len(p.Payload)); err != nil {
+				b.Release()
+				return fmt.Errorf("packet: marshal: %w", err)
+			}
+			copy(b.B[packet.HeaderSize:], p.Payload)
+			emit(b)
+			return nil
+		}
+		b.Release()
+		return emitPackets(outs, emit)
+	}
+	var flushFrames FlushFunc
+	if flush != nil {
+		flushFrames = func(emit func(*packet.Buf)) error { return emitPackets(flush(), emit) }
+	}
+	return NewFrame(name, frame, flushFrames)
+}
+
+// emitPackets marshals packets into pooled frame buffers and emits them.
+func emitPackets(ps []*packet.Packet, emit func(*packet.Buf)) error {
+	for _, p := range ps {
+		b := packet.GetFrameBuf(packet.HeaderSize + len(p.Payload))
+		frame, err := packet.AppendFrame(b.B[:0], p)
+		if err != nil {
+			b.Release()
+			return fmt.Errorf("packet: marshal: %w", err)
+		}
+		b.B = frame
+		emit(b)
+	}
+	return nil
 }

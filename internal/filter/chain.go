@@ -273,7 +273,7 @@ func (c *Chain) Move(from, to int) error {
 // but with new stream endpoints and lifecycle state, allowing a removed
 // filter to be reinserted.
 func (b *Base) respawn() *Base {
-	return New(b.name, b.fn)
+	return New(b.name, b.fn).WithFrame(b.frame, b.flush)
 }
 
 // SetInterior atomically replaces the chain's interior (everything between

@@ -57,10 +57,24 @@ type ProcessFunc func(r io.Reader, w io.Writer) error
 // DetachableReader/DetachableWriter pair and a single processing goroutine.
 // Concrete filters either embed *Base configured with their ProcessFunc or
 // use New directly.
+//
+// A Base may also carry a frame form (see frame.go): the same stage body
+// expressed per frame, which a FrameChain runs inline with no goroutine and
+// no streams. A stage built with NewFrame has only that body — its
+// ProcessFunc is the stream driver derived from it.
 type Base struct {
 	name string
 	fn   ProcessFunc
 
+	// frame/flush are the stage's frame form; nil for stream-only stages.
+	frame FrameFunc
+	flush FlushFunc
+	// inline is set while a FrameChain holds the stage: it is live without a
+	// goroutine of its own.
+	inline atomic.Bool
+
+	// The stream endpoints are created on first use, so a stage that only
+	// ever runs inline never pays for them. Guarded by mu.
 	in  *stream.DetachableReader
 	out *stream.DetachableWriter
 
@@ -87,35 +101,76 @@ type Base struct {
 
 // New returns a filter named name whose processing loop is fn.
 func New(name string, fn ProcessFunc) *Base {
-	in := stream.NewDetachableReader()
-	// Filter loops always come back to Read, so their inputs can carry
-	// hand-off accounting: a splice that pauses this filter's inflow does
-	// not complete the drain until the loop has pushed everything it was
-	// handed and asked for more — the guarantee behind loss-free live
-	// recomposition.
-	in.TrackHandoff()
-	return &Base{
-		name: name,
-		fn:   fn,
-		in:   in,
-		out:  stream.NewDetachableWriter(),
-	}
+	return &Base{name: name, fn: fn}
 }
 
 // Name implements Filter.
 func (b *Base) Name() string { return b.name }
 
 // In implements Filter.
-func (b *Base) In() *stream.DetachableReader { return b.in }
+func (b *Base) In() *stream.DetachableReader {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.endpointsLocked()
+	return b.in
+}
 
 // Out implements Filter.
-func (b *Base) Out() *stream.DetachableWriter { return b.out }
+func (b *Base) Out() *stream.DetachableWriter {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.endpointsLocked()
+	return b.out
+}
 
-// Running implements Filter.
+// endpointsLocked creates the stream endpoints on first use. Caller holds
+// b.mu.
+func (b *Base) endpointsLocked() {
+	if b.in != nil {
+		return
+	}
+	b.in = stream.NewDetachableReader()
+	// Filter loops always come back to Read, so their inputs can carry
+	// hand-off accounting: a splice that pauses this filter's inflow does
+	// not complete the drain until the loop has pushed everything it was
+	// handed and asked for more — the guarantee behind loss-free live
+	// recomposition.
+	b.in.TrackHandoff()
+	b.out = stream.NewDetachableWriter()
+}
+
+// Running implements Filter: the stage has a live processing goroutine, or a
+// FrameChain is running it inline.
 func (b *Base) Running() bool {
+	if b.inline.Load() {
+		return true
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.started && !b.stopped
+}
+
+// Rearm returns a stage whose processing goroutine has been stopped to the
+// never-started state with fresh stream endpoints, so it can join a chain
+// again. The stage body must keep its state outside the ProcessFunc
+// invocation (every frame-form stage does) for the state to carry; the engine
+// relies on this to move a session's stage instances between its inline and
+// goroutine executors. A running or never-started stage is left alone.
+func (b *Base) Rearm() {
+	b.mu.Lock()
+	done := b.done
+	stopped := b.started && b.stopped
+	b.mu.Unlock()
+	if !stopped {
+		return
+	}
+	<-done // the goroutine takes mu to record its error; wait for it unlocked
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.done == done {
+		b.started, b.stopped, b.done, b.runErr = false, false, nil, nil
+		b.in, b.out = nil, nil
+	}
 }
 
 // OnExit registers fn to run on the processing goroutine after it has
@@ -140,23 +195,25 @@ func (b *Base) Start() error {
 	}
 	b.started = true
 	b.done = make(chan struct{})
+	b.endpointsLocked()
 	onExit := b.onExit
+	in, out, done := b.in, b.out, b.done
 	go func() {
 		if onExit != nil {
 			// Deferred first so it runs last: after done is closed and every
 			// Wait caller can already observe the exit.
 			defer onExit()
 		}
-		defer close(b.done)
-		err := b.fn(countingReader{b.in, &b.bytesIn, &b.busy}, countingWriter{b.out, &b.bytesOut})
+		defer close(done)
+		err := b.fn(countingReader{in, &b.bytesIn, &b.busy}, countingWriter{out, &b.bytesOut})
 		if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, stream.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
 			b.mu.Lock()
 			b.runErr = err
 			b.mu.Unlock()
-			b.out.CloseWithError(fmt.Errorf("filter %q: %w", b.name, err))
+			out.CloseWithError(fmt.Errorf("filter %q: %w", b.name, err))
 			return
 		}
-		b.out.Close()
+		out.Close()
 	}()
 	return nil
 }
@@ -176,11 +233,11 @@ func (b *Base) Stop() error {
 		return nil
 	}
 	b.stopped = true
-	done := b.done
+	done, in, out := b.done, b.in, b.out
 	b.mu.Unlock()
 
-	b.in.Close()
-	b.out.Close()
+	in.Close()
+	out.Close()
 	<-done
 	return nil
 }

@@ -65,6 +65,31 @@ func GetBuf(n int) *Buf {
 	return b
 }
 
+// GetFrameBuf returns a pooled buffer whose B has length exactly n with
+// SessionIDSize bytes of headroom in front of it: a frame built in B can be
+// turned into an engine datagram by Unshift, without a copy. Stages that
+// originate frames (FEC parity, re-marshaled packets) allocate them this way
+// so the engine's inline trunk path never has to re-buffer their output.
+func GetFrameBuf(n int) *Buf {
+	b := GetBuf(SessionIDSize + n)
+	b.B = b.B[SessionIDSize:]
+	return b
+}
+
+// Unshift grows B by n bytes toward the front of the underlying storage — the
+// inverse of advancing B's start — and reports whether the storage had that
+// much headroom. The recovered bytes hold whatever was there before (a
+// received datagram's session-ID prefix, or pool garbage); the caller
+// overwrites them. Only the buffer's sole owner may Unshift.
+func (b *Buf) Unshift(n int) bool {
+	off := cap(b.full) - cap(b.B)
+	if n < 0 || off < n || cap(b.B) == 0 || &b.full[off] != &b.B[:1][0] {
+		return false // no room, or B no longer views this buffer's own storage
+	}
+	b.B = b.full[off-n : off+len(b.B)]
+	return true
+}
+
 // Retain adds n additional references, so n more holders may (and must) call
 // Release. It is safe from any goroutine holding a live reference.
 func (b *Buf) Retain(n int) {

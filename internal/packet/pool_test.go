@@ -99,3 +99,39 @@ func TestReadFrameBufHeadroom(t *testing.T) {
 		t.Fatalf("decoded %v", got)
 	}
 }
+
+// TestFrameBufHeadroom pins the headroom contract the engine's inline path
+// relies on: a frame buffer (or a received datagram whose prefix was sliced
+// off) can grow back over its own storage, and nothing else can.
+func TestFrameBufHeadroom(t *testing.T) {
+	b := GetFrameBuf(100)
+	if len(b.B) != 100 {
+		t.Fatalf("GetFrameBuf(100) has len %d", len(b.B))
+	}
+	b.B[0] = 0xAB
+	if !b.Unshift(SessionIDSize) || len(b.B) != SessionIDSize+100 || b.B[SessionIDSize] != 0xAB {
+		t.Fatalf("Unshift lost the frame: len %d", len(b.B))
+	}
+	if b.Unshift(1) {
+		t.Fatal("Unshift past the start of the storage succeeded")
+	}
+	b.Release()
+
+	// A received datagram: prefix sliced off, then recovered with its bytes.
+	d := GetBuf(MaxDatagram)
+	PutSessionID(d.B, 0xC0FFEE)
+	d.B = d.B[:64]
+	d.B = d.B[SessionIDSize:]
+	if !d.Unshift(SessionIDSize) || len(d.B) != 64 {
+		t.Fatalf("Unshift on a received datagram: len %d", len(d.B))
+	}
+	if id, _, _ := SplitSessionID(d.B); id != 0xC0FFEE {
+		t.Fatalf("recovered prefix = %#x", id)
+	}
+	// B re-pointed at foreign memory has no headroom to claim.
+	d.B = make([]byte, 8, 16)[4:]
+	if d.Unshift(SessionIDSize) {
+		t.Fatal("Unshift succeeded on a slice that is not the buffer's storage")
+	}
+	d.Release()
+}
