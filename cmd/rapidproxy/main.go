@@ -9,7 +9,7 @@
 // control protocol reports engine, per-shard and per-session counters.
 //
 //	rapidproxy -listen :7400 -shards 8 -chain counting,fec-encode=6/4 \
-//	    [-forward host:7500] [-control :7100] [-pprof localhost:6060]
+//	    [-forward host:7500] [-control 127.0.0.1:7100] [-pprof localhost:6060]
 //
 // SIGINT/SIGTERM drain the engine gracefully: every live session's chain is
 // stopped and its buffers are returned before the process exits.
@@ -29,7 +29,7 @@
 // one filter chain, as in earlier revisions:
 //
 //	rapidproxy -mode stream -name edge -listen :7000 -forward host:8000 \
-//	    -control :7100 [-filters counting,checksum] [-fec 6,4]
+//	    [-control 127.0.0.1:7100] [-filters counting,checksum] [-fec 6,4]
 package main
 
 import (
@@ -67,7 +67,7 @@ func run(args []string) error {
 		mode        = fs.String("mode", "engine", "serving mode: engine (multi-session UDP) or stream (single TCP stream)")
 		listenAddr  = fs.String("listen", ":7400", "address to serve on (UDP in engine mode, TCP in stream mode)")
 		forwardAddr = fs.String("forward", "", "downstream address (optional in engine mode: empty echoes to senders; required in stream mode)")
-		controlAddr = fs.String("control", ":7100", "address for the management (control) protocol")
+		controlAddr = fs.String("control", "127.0.0.1:7100", "address for the management (control) protocol; it has no authentication, so expose it beyond loopback deliberately")
 		maxSessions = fs.Int("max-sessions", engine.DefaultMaxSessions, "engine mode: maximum concurrent sessions")
 		shards      = fs.Int("shards", 0, "engine mode: data-plane shards (readers/table shards/writers); 0 = one per CPU")
 		reusePort   = fs.Bool("reuseport", false, "engine mode: one SO_REUSEPORT socket per shard (linux, 'reuseport' build tag)")

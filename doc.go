@@ -14,26 +14,24 @@
 // per-CPU reader goroutines demultiplex datagrams by a 4-byte session ID
 // prefix into per-session filter chains, sessions live in a sharded table
 // (ID hashed to shard, per-shard lock — no global lock on the data path),
-// and each shard's writer flushes output in opportunistic batches.
+// and each shard's reader sends what a receive batch produced in one flush.
 //
 // A session's chain runs to completion on the reader that received the
 // datagram. Every stage body is a frame function (filter.FrameFunc: one
-// validated frame in a pooled buffer in, any number emitted) and a plan made
-// of such stages executes on a filter.FrameChain: demux, every stage in
-// order, send and the shard writer's queue, all on one goroutine under one
-// per-session lock (several readers may serve one session, and the control
-// plane splices from its own goroutine) — no per-session goroutine, queue or
-// byte pipe, no copy and no re-parse, so a live session is a plain struct and
-// the buffer recvmmsg filled is the one sendmmsg sends. The plan alone picks
-// the executor (compose.Registry.FrameNative): the timed kinds — delay,
-// ratelimit, jitter — and stream-only custom stages have no frame form, and a
-// plan naming one keeps the paper's goroutine-per-stage filter.Chain for that
-// session; a live recompose across that boundary rebuilds the trunk on the
-// other executor, flushing what is in flight and carrying the shared stage
-// instances over. A frame stage's stream-mode body is derived from its frame
-// function, so both executors, the legacy stream proxy and the figure
-// benchmarks run the same stage code. Pooled buffers travel end to end so the
-// steady-state relay path does not allocate. Socket I/O itself is batched
+// validated frame in a pooled buffer in, any number emitted) and the engine
+// has one executor, filter.FrameChain: demux, every stage in order, send and
+// the shard's output queue, all on one goroutine under one per-session lock
+// (several readers may serve one session, and the control plane splices from
+// its own goroutine) — no per-session goroutine, queue or byte pipe, no copy
+// and no re-parse, so a live session is a plain struct and the buffer
+// recvmmsg filled is the one sendmmsg sends. The timed kinds — delay,
+// ratelimit, jitter — hold frames and release them from one runtime timer
+// per chain, under the same lock. The paper's goroutine-per-stage
+// filter.Chain remains for the legacy stream proxy and the figure
+// benchmarks; most frame stages' stream-mode bodies are derived from their
+// frame functions, so both executors run the same stage code. Pooled buffers
+// travel end to end so the steady-state relay path does not allocate. Socket
+// I/O itself is batched
 // (internal/netbatch): on Linux each shard moves up to 32 datagrams per
 // recvmmsg/sendmmsg call — optionally coalescing equal-size runs further with
 // UDP GSO (Config.GSO, rapidproxy -gso) — with a portable single-datagram
@@ -51,9 +49,8 @@
 // Scale past the hot set comes from idle-session parking: a session with no
 // traffic for Config.IdleTTL is drained losslessly and torn down to a compact
 // record — identity, counters, canonical plan, adaptation snapshot —
-// releasing its stage instances (and, on a goroutine trunk, its goroutines
-// and queue), and is rebuilt transparently by the next datagram or control
-// operation. One engine-wide maintenance ticker drives harvesting and
+// releasing its stage instances, and is rebuilt transparently by the next
+// datagram or control operation. One engine-wide maintenance ticker drives harvesting and
 // stale-receiver sweeps; admission (Config.MaxSessions, default 1M, with
 // reject or harvest-oldest-idle policy at the cap) and Stats() read atomic
 // gauges rather than walking the table. cmd/rapidload is the churn harness:
@@ -78,10 +75,10 @@
 // recompose diffs plans, carries matching stage instances across rewrites,
 // and applies the change as a single atomic splice (SetInterior on either
 // executor) — chains are rebuilt mid-traffic without dropping a relayed
-// packet. On an inline trunk the splice is a slice swap under the session's
-// lock, between two frames by construction, with departing stages flushed
-// through what was downstream of them; on a goroutine trunk it is the paper's
-// pause-drain-reconnect protocol. The control plane drives it end to end:
+// packet. In the engine the splice is a slice swap under the session's lock,
+// between two frames by construction, with departing stages flushed through
+// what was downstream of them; on the stream proxy's filter.Chain it is the
+// paper's pause-drain-reconnect protocol. The control plane drives it end to end:
 // OpRecompose (rapidctl compose <session> '<spec>'), session-scoped
 // insert/remove/move, and a per-stage counter view in rapidctl sessions.
 // Adaptation responders express their FEC splices through the same plane via
@@ -104,11 +101,11 @@
 //
 // Fan-out sessions deliver through a per-receiver delivery tree, the
 // paper's heterogeneity claim at engine scale: the session's shared trunk
-// chain is teed — by pooled-buffer reference counts, never copying payload
-// bytes (filter.Tee, packet.Buf.Retain) — into one short filter-tail branch
-// per member of the multicast group (multicast.AddrGroup), and each branch
-// is driven by that receiver's own loss reports, so one degraded station no
-// longer taxes the whole group with worst-case parity. Branch tails are
+// chain feeds a short filter tail per protection level, run inline behind
+// it, whose output the shard's flush stamps for every member of the
+// multicast group (multicast.AddrGroup) at that level; each receiver's level
+// is driven by its own loss reports, so one degraded station no longer taxes
+// the whole group with worst-case parity. Branch tails are
 // configurable (Config.Branch: adaptive FEC via fec-adapt, rate limiting,
 // audio transcoding, media thinning), receivers that stop reporting age out
 // after a staleness window (Config.ReportStaleness), and the per-receiver

@@ -78,18 +78,20 @@ func (f *SenderFilter) Stats() (tracked, served, misses uint64) {
 	return f.tracked, f.served, f.misses
 }
 
-// jitterEntry is one held packet with its release deadline.
+// jitterEntry is one held data frame with its sequence number and release
+// deadline.
 type jitterEntry struct {
-	p   *packet.Packet
+	b   *packet.Buf
+	seq uint64
 	due time.Time
 }
 
-// jitterHeap orders held packets by sequence number, so releases are always
-// in-order among buffered packets.
+// jitterHeap orders held frames by sequence number, so releases are always
+// in-order among buffered frames.
 type jitterHeap []jitterEntry
 
 func (h jitterHeap) Len() int            { return len(h) }
-func (h jitterHeap) Less(i, j int) bool  { return h[i].p.Seq < h[j].p.Seq }
+func (h jitterHeap) Less(i, j int) bool  { return h[i].seq < h[j].seq }
 func (h jitterHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *jitterHeap) Push(x interface{}) { *h = append(*h, x.(jitterEntry)) }
 func (h *jitterHeap) Pop() interface{} {
@@ -106,9 +108,13 @@ func (h *jitterHeap) Pop() interface{} {
 // packets in sequence order — the playout-buffer half of the reliability
 // spectrum, which gives ARQ repairs a window to slot retransmissions back
 // into sequence before delivery. Non-data frames (parity, control, feedback)
-// pass straight through. A background flusher drains due packets; the
-// packet.Writer serializes its writes with the reader loop's, so frames are
-// never interleaved mid-frame.
+// pass straight through, and past filter.MaxHeld held frames new data is
+// dropped and counted.
+//
+// Both drivers share one state machine (hold, release, flush). The frame
+// form is timed: a FrameChain's timer calls release. The stream body runs a
+// ticker goroutine beside its reader loop instead, the two serializing their
+// writes so frames are never interleaved mid-frame.
 type JitterFilter struct {
 	*filter.Base
 	delay time.Duration
@@ -131,7 +137,23 @@ func NewJitterFilter(name string, delay time.Duration) *JitterFilter {
 	f := &JitterFilter{delay: delay}
 	f.Base = filter.New(name, func(r io.Reader, w io.Writer) error {
 		pr := packet.NewReader(r)
-		pw := packet.NewWriter(w)
+		var (
+			wmu  sync.Mutex
+			werr error
+		)
+		emit := func(b *packet.Buf) {
+			wmu.Lock()
+			if werr == nil {
+				_, werr = w.Write(b.B)
+			}
+			wmu.Unlock()
+			b.Release()
+		}
+		failed := func() error {
+			wmu.Lock()
+			defer wmu.Unlock()
+			return werr
+		}
 		done := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -147,12 +169,8 @@ func NewJitterFilter(name string, delay time.Duration) *JitterFilter {
 				select {
 				case <-done:
 					return
-				case now := <-t.C:
-					for _, p := range f.take(now) {
-						if pw.WritePacket(p) != nil {
-							return
-						}
-					}
+				case <-t.C:
+					f.release(emit)
 				}
 			}
 		}()
@@ -161,62 +179,68 @@ func NewJitterFilter(name string, delay time.Duration) *JitterFilter {
 			wg.Wait()
 		}()
 		for {
-			p, err := pr.ReadPacket()
+			b, err := pr.ReadFrameBuf(0)
+			if err == io.EOF {
+				f.flush(emit) // everything still held, in sequence order
+				return failed()
+			}
 			if err != nil {
-				if err == io.EOF {
-					// Flush everything still held, in sequence order.
-					for _, q := range f.drain() {
-						if werr := pw.WritePacket(q); werr != nil {
-							return werr
-						}
-					}
-					return nil
-				}
 				return err
 			}
-			if p.Kind != packet.KindData {
-				if werr := pw.WritePacket(p); werr != nil {
-					return werr
-				}
-				continue
+			f.hold(b, emit)
+			if err := failed(); err != nil {
+				return err
 			}
-			f.hold(p)
 		}
-	})
+	}).WithFrame(f.hold, f.flush).WithRelease(f.release)
 	return f
 }
 
-// hold buffers a data packet until its release deadline.
-func (f *JitterFilter) hold(p *packet.Packet) {
+// hold is the frame body: non-data frames pass straight through, data frames
+// are held until their deadline.
+func (f *JitterFilter) hold(b *packet.Buf, emit func(*packet.Buf)) error {
+	if packet.FrameKind(b.B) != packet.KindData {
+		emit(b)
+		return nil
+	}
 	f.mu.Lock()
-	heap.Push(&f.heap, jitterEntry{p: p, due: time.Now().Add(f.delay)})
+	defer f.mu.Unlock()
+	if len(f.heap) >= filter.MaxHeld {
+		b.Release()
+		f.CountDrop()
+		return nil
+	}
+	heap.Push(&f.heap, jitterEntry{b: b, seq: packet.FrameSeq(b.B), due: f.Now().Add(f.delay)})
 	f.buffered++
-	f.mu.Unlock()
+	return nil
 }
 
-// take pops the due packets in sequence order. Release stops at the first
-// not-yet-due packet so a still-maturing low sequence number is never jumped.
-func (f *JitterFilter) take(now time.Time) []*packet.Packet {
+// release emits the due frames in sequence order. It stops at the first
+// not-yet-due frame, so a still-maturing low sequence number is never jumped,
+// and reports how long until that frame is due (0: nothing held).
+func (f *JitterFilter) release(emit func(*packet.Buf)) time.Duration {
+	now := f.Now()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var out []*packet.Packet
 	for len(f.heap) > 0 && !f.heap[0].due.After(now) {
-		out = append(out, heap.Pop(&f.heap).(jitterEntry).p)
+		emit(heap.Pop(&f.heap).(jitterEntry).b)
 		f.released++
 	}
-	return out
+	if len(f.heap) == 0 {
+		return 0
+	}
+	return f.heap[0].due.Sub(now)
 }
 
-// drain pops every held packet in sequence order.
-func (f *JitterFilter) drain() []*packet.Packet {
+// flush emits every held frame in sequence order.
+func (f *JitterFilter) flush(emit func(*packet.Buf)) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]*packet.Packet, 0, len(f.heap))
 	for len(f.heap) > 0 {
-		out = append(out, heap.Pop(&f.heap).(jitterEntry).p)
+		emit(heap.Pop(&f.heap).(jitterEntry).b)
 		f.released++
 	}
-	return out
+	return nil
 }
 
 // Delay returns the configured hold time.

@@ -92,15 +92,12 @@ func Attach(chain *filter.Chain, reg *Registry, env Env, mode Mode, plan Plan) (
 	if chain == nil {
 		return nil, errors.New("compose: attach requires a chain")
 	}
-	return AttachTo(chain, reg, env, mode, plan, nil)
+	return AttachTo(chain, reg, env, mode, plan)
 }
 
-// AttachTo is Attach for any executor. from, when non-nil, is a Live whose
-// executor has already been torn down: stages of plan that match one of its
-// stages (same kind and argument) take over that stage's instance — counters,
-// retransmission history and all — instead of being built fresh. The engine
-// uses it to move a session between its inline and goroutine executors.
-func AttachTo(exec Interior, reg *Registry, env Env, mode Mode, plan Plan, from *Live) (*Live, error) {
+// AttachTo is Attach for any executor; the engine attaches its
+// filter.FrameChains with it.
+func AttachTo(exec Interior, reg *Registry, env Env, mode Mode, plan Plan) (*Live, error) {
 	if exec == nil {
 		return nil, errors.New("compose: attach requires an executor")
 	}
@@ -108,17 +105,6 @@ func AttachTo(exec Interior, reg *Registry, env Env, mode Mode, plan Plan, from 
 		reg = Default()
 	}
 	l := &Live{exec: exec, reg: reg, env: env, mode: mode}
-	if from != nil {
-		v := from.snapshot()
-		l.plan, l.inst = v.plan.Clone(), append([]filter.Filter(nil), v.inst...)
-		for _, f := range l.inst {
-			// An instance whose goroutine was stopped with its old chain needs
-			// fresh stream endpoints before a chain can start it again.
-			if r, ok := f.(interface{ Rearm() }); ok {
-				r.Rearm()
-			}
-		}
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.recomposeLocked(plan); err != nil {
@@ -132,20 +118,6 @@ func AttachTo(exec Interior, reg *Registry, env Env, mode Mode, plan Plan, from 
 func (l *Live) Chain() *filter.Chain {
 	chain, _ := l.exec.(*filter.Chain)
 	return chain
-}
-
-// Quiesce runs fn while holding the splice lock: no structural rewrite — a
-// control-plane recompose, a responder's marker activation — is in flight
-// when fn begins, and none can start until it returns. Dataflow through the
-// chain is unaffected. The engine parks sessions under this guarantee: its
-// drain-then-stop teardown feeds the source EOF and waits for the cascade to
-// reach the sink, which requires a fully wired chain — an EOF raised while a
-// splice holds a link detached is lost with the old wiring, and the sink
-// then waits forever on a stream nothing will ever close.
-func (l *Live) Quiesce(fn func()) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	fn()
 }
 
 // Plan returns a copy of the current plan. Like all read paths it serves
@@ -178,7 +150,8 @@ func (l *Live) Recompose(target Plan) error {
 // given kind — the adaptation responder's way of expressing "protection on"
 // as a plan operation. It fails with ErrNoStage when the plan carries no such
 // marker (an operator recomposed it away) and ErrMarkerActive when an
-// instance is already live.
+// instance is already live. The instance counts its drops through the
+// Live's Env.OnDrop, as built stages do.
 func (l *Live) Activate(kind string, f filter.Filter) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -189,6 +162,7 @@ func (l *Live) Activate(kind string, f filter.Filter) error {
 	if l.inst[idx] != nil {
 		return fmt.Errorf("%w: %q", ErrMarkerActive, kind)
 	}
+	l.env.countDrops(f)
 	l.inst[idx] = f
 	if err := l.applyLocked(); err != nil {
 		l.inst[idx] = nil

@@ -33,9 +33,17 @@ type Env struct {
 	// May be nil when the chain has no session to account to.
 	OnRepairs func(func() uint64)
 	// OnDrop is called for every frame a stage discards because it cannot
-	// accept it (an FEC decoder's duplicate or mismatched shares), so the
-	// owning session can count the drop. May be nil.
+	// accept it (a bad frame, an FEC decoder's duplicate or mismatched
+	// shares, a timed stage's overflow), so the owning session can count the
+	// drop. May be nil.
 	OnDrop func()
+}
+
+// countDrops hands a stage instance the OnDrop hook, when both exist.
+func (e Env) countDrops(f filter.Filter) {
+	if d, ok := f.(interface{ OnDrop(func()) }); ok && e.OnDrop != nil {
+		d.OnDrop(e.OnDrop)
+	}
 }
 
 // StageName resolves the instance name for a stage kind.
@@ -78,9 +86,6 @@ func (d Definition) canonArg(arg string) (string, error) {
 type Registry struct {
 	mu   sync.Mutex
 	defs map[string]Definition
-	// frameForm caches, per canonical stage, whether its instances have a
-	// frame form (see FrameNative).
-	frameForm map[string]bool
 }
 
 // NewRegistry returns an empty registry.
@@ -195,49 +200,9 @@ func (r *Registry) Validate(p Plan, mode Mode) error {
 	return nil
 }
 
-// FrameNative reports whether every stage of the plan runs as a frame
-// function, so that a chain owner can execute the plan inline on a
-// filter.FrameChain instead of spending a goroutine and a byte pipe per
-// stage. It is a property of the plan alone: marker stages count as
-// frame-native (their instances are checked when they are activated), and for
-// the rest the registry builds one throwaway instance per distinct stage with
-// an empty Env, asks it, and remembers the answer. The timed kinds (delay,
-// ratelimit, jitter) and any definition whose Build returns a stream-only
-// filter answer no.
-func (r *Registry) FrameNative(p Plan) bool {
-	for _, st := range p.Stages {
-		if !r.stageFrameNative(st) {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *Registry) stageFrameNative(st Stage) bool {
-	key := st.key()
-	r.mu.Lock()
-	d, ok := r.defs[st.Kind]
-	native, cached := r.frameForm[key]
-	r.mu.Unlock()
-	if !ok {
-		return false
-	}
-	if d.Marker || cached {
-		return d.Marker || native
-	}
-	f, err := d.Build(Env{}, st.Arg) // outside the lock: builders are caller code
-	native = err == nil && filter.HasFrameForm(f)
-	r.mu.Lock()
-	if r.frameForm == nil {
-		r.frameForm = make(map[string]bool)
-	}
-	r.frameForm[key] = native
-	r.mu.Unlock()
-	return native
-}
-
-// Build instantiates the stage through its registered builder. Marker stages
-// have no builder; their instances come from the adaptation plane.
+// Build instantiates the stage through its registered builder and hands the
+// instance env.OnDrop when it counts drops. Marker stages have no builder;
+// their instances come from the adaptation plane.
 func (r *Registry) Build(env Env, st Stage) (filter.Filter, error) {
 	d, ok := r.Lookup(st.Kind)
 	if !ok {
@@ -250,6 +215,7 @@ func (r *Registry) Build(env Env, st Stage) (filter.Filter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compose: build %s: %w", st, err)
 	}
+	env.countDrops(f)
 	return f, nil
 }
 
@@ -275,7 +241,7 @@ func Default() *Registry {
 //	null                  identity filter
 //	counting              pass-through byte/chunk counter
 //	checksum              pass-through CRC-32
-//	delay=<duration>      fixed per-chunk delay (e.g. delay=5ms)
+//	delay=<duration>      fixed per-frame delay (e.g. delay=5ms)
 //	ratelimit=<Bps>       token-bucket shaping to Bps bytes/second
 //	transcode=<factor>    audio downsampler (paper PCM format, e.g. transcode=2)
 //	thin=<factor>         media thinning: forward 1 data packet in <factor>
@@ -440,9 +406,6 @@ func newDefaultRegistry() *Registry {
 		ChainOnly: true,
 		Build: func(env Env, _ string) (filter.Filter, error) {
 			df := fecproxy.NewDecoderFilter(env.StageName("fec-decoder"), nil)
-			if env.OnDrop != nil {
-				df.OnDrop(env.OnDrop)
-			}
 			if env.OnRepairs != nil {
 				env.OnRepairs(func() uint64 {
 					_, reconstructed, _, _ := df.Stats()

@@ -9,6 +9,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"time"
 
 	"rapidware/internal/core"
 	"rapidware/internal/metrics"
@@ -164,11 +165,33 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serveConn handles one control connection.
+// Per-connection limits. A request may read at most maxRequestBytes off the
+// wire, a connection may sit idle between requests for idleTimeout, and a
+// reply must be written within writeTimeout; a peer that breaks one is
+// disconnected.
+const (
+	maxRequestBytes = 64 << 10
+	idleTimeout     = 5 * time.Minute
+	writeTimeout    = 10 * time.Second
+)
+
+// serveConn handles one control connection. Deadlines apply when conn
+// supports them (a net.Conn does).
 func (s *Server) serveConn(conn io.ReadWriter) {
-	dec := json.NewDecoder(conn)
+	dl, _ := conn.(interface {
+		SetReadDeadline(time.Time) error
+		SetWriteDeadline(time.Time) error
+	})
+	// The decoder buffers what it read ahead; refilling the limit per
+	// request bounds that buffer, and so the connection's memory, too.
+	lim := &io.LimitedReader{R: conn}
+	dec := json.NewDecoder(lim)
 	enc := json.NewEncoder(conn)
 	for {
+		lim.N = maxRequestBytes
+		if dl != nil {
+			dl.SetReadDeadline(time.Now().Add(idleTimeout))
+		}
 		var req Request
 		if err := dec.Decode(&req); err != nil {
 			if !errors.Is(err, io.EOF) && s.logger != nil {
@@ -177,6 +200,9 @@ func (s *Server) serveConn(conn io.ReadWriter) {
 			return
 		}
 		resp := s.Handle(req)
+		if dl != nil {
+			dl.SetWriteDeadline(time.Now().Add(writeTimeout))
+		}
 		if err := enc.Encode(resp); err != nil {
 			if s.logger != nil {
 				s.logger.Printf("control: encode: %v", err)

@@ -2,7 +2,9 @@
 // filters that move data between the proxy's internal detachable streams and
 // the outside world (network sockets, files, or any io.Reader/io.Writer).
 // Each endpoint runs its own pump goroutine, so two endpoints plus an empty
-// chain form the paper's "null proxy" that simply forwards data.
+// chain form the paper's "null proxy" that simply forwards data. They bracket
+// filter.Chain in stream mode, the paper's figures and bench/layers; the
+// engine's FrameChain needs no endpoints.
 package endpoint
 
 import (

@@ -9,11 +9,11 @@ import (
 	"rapidware/internal/packet"
 )
 
-// UDPSource is the input endpoint of an engine session: it pulls pooled
-// frames from a receive function (typically the engine's per-session inbound
-// queue) and writes each frame into the chain with a single Write call, so
-// live filter splices always land on frame boundaries. The frame passed in
-// must already have its session-ID prefix stripped.
+// UDPSource is a datagram input endpoint: it pulls pooled frames from a
+// receive function (bench/layers feeds it from a queue) and writes each frame
+// into the chain with a single Write call, so live filter splices always land
+// on frame boundaries. The frame passed in must already have its session-ID
+// prefix stripped.
 type UDPSource struct {
 	*filter.Base
 	received atomic.Uint64
@@ -23,21 +23,8 @@ type UDPSource struct {
 // frame is available and returns io.EOF to end the stream cleanly; the source
 // releases each Buf after copying it into the chain.
 func NewUDPSource(name string, recv func() (*packet.Buf, error)) *UDPSource {
-	return NewUDPSourceOffset(name, 0, recv)
-}
-
-// NewUDPSourceOffset is NewUDPSource for buffers carrying a fixed prefix that
-// is not part of the frame: only b.B[offset:] is written into the chain. The
-// engine's cohort tails are fed shared trunk buffers whose first bytes are
-// the trunk's session-ID stamp; the shared buffer is never re-sliced (sibling
-// cohorts read it concurrently), so the trim happens here at the stream
-// boundary. Buffers shorter than offset are skipped and released.
-func NewUDPSourceOffset(name string, offset int, recv func() (*packet.Buf, error)) *UDPSource {
 	if name == "" {
 		name = "udp-source"
-	}
-	if offset < 0 {
-		offset = 0
 	}
 	us := &UDPSource{}
 	us.Base = filter.New(name, func(_ io.Reader, w io.Writer) error {
@@ -49,11 +36,7 @@ func NewUDPSourceOffset(name string, offset int, recv func() (*packet.Buf, error
 				}
 				return err
 			}
-			if len(b.B) < offset {
-				b.Release()
-				continue
-			}
-			_, werr := w.Write(b.B[offset:])
+			_, werr := w.Write(b.B)
 			b.Release()
 			if werr != nil {
 				return werr
@@ -67,11 +50,10 @@ func NewUDPSourceOffset(name string, offset int, recv func() (*packet.Buf, error
 // Received returns the number of frames pumped into the chain.
 func (us *UDPSource) Received() uint64 { return us.received.Load() }
 
-// UDPSink is the output endpoint of an engine session: it reads framed
-// packets off the chain without decoding them and hands each raw frame to a
-// send function as a pooled Buf with headroom bytes reserved at the front
-// (for the engine to prepend the session ID). send owns the Buf and must
-// Release it.
+// UDPSink is a datagram output endpoint: it reads framed packets off the
+// chain without decoding them and hands each raw frame to a send function as
+// a pooled Buf with headroom bytes reserved at the front (room for a
+// session-ID prefix). send owns the Buf and must Release it.
 type UDPSink struct {
 	*filter.Base
 	sent atomic.Uint64

@@ -31,7 +31,7 @@ type sessionAdaptor struct {
 
 	// lastSweep (unix nanos) rate-limits staleness sweeps: aging only has to
 	// resolve at the window's granularity, so sweeping every loop on every
-	// report — O(receivers²) observer scans per report window — is gated to
+	// report — O(receivers²) observer scans per report window — is limited to
 	// a fraction of the window instead. The engine's maintenance tick stamps
 	// it when it sweeps (park.go), pushing the next opportunistic
 	// report-path sweep out past its own.
@@ -94,7 +94,7 @@ type repairResponder interface {
 }
 
 // sweepAll sweeps every loop's observer for receivers whose last report has
-// gone stale. Called from the engine's maintenance tick and (gated) the
+// gone stale. Called from the engine's maintenance tick and (rate-limited) the
 // report path.
 func (a *sessionAdaptor) sweepAll() {
 	a.mu.Lock()
@@ -287,28 +287,119 @@ func (a *sessionAdaptor) stats() *metrics.AdaptStats {
 	a.mu.Unlock()
 
 	agg := &metrics.AdaptStats{K: 1, N: 1}
-	var worst *receiverLoop
 	worstN, worstLoss := -1, -1.0
 	for _, l := range loops {
+		// Responder state first: a report is counted before the event it
+		// causes reaches the responder, so counters read afterwards are never
+		// behind the state they explain.
+		params, loss, active, mech := l.resp.Current(), l.resp.LastLoss(), l.resp.Active(), l.resp.Mechanism()
+		agg.Retunes += l.resp.Retunes()
 		reports, last := l.snapshot()
 		agg.Reports += reports
 		agg.Receivers += l.obs.Receivers()
-		agg.Retunes += l.resp.Retunes()
 		agg.Expired += l.obs.Expired()
 		if last.HighestSeq > agg.HighestSeq {
 			agg.HighestSeq = last.HighestSeq
 		}
-		n, loss := l.resp.Current().N, l.resp.LastLoss()
-		if n > worstN || (n == worstN && loss > worstLoss) {
-			worst, worstN, worstLoss = l, n, loss
+		if params.N > worstN || (params.N == worstN && loss > worstLoss) {
+			worstN, worstLoss = params.N, loss
+			agg.K, agg.N, agg.Active, agg.LossRate, agg.Mechanism = params.K, params.N, active, loss, mech.String()
 		}
-	}
-	if worst != nil {
-		params := worst.resp.Current()
-		agg.K, agg.N = params.K, params.N
-		agg.Active = worst.resp.Active()
-		agg.LossRate = worst.resp.LastLoss()
-		agg.Mechanism = worst.resp.Mechanism().String()
 	}
 	return agg
 }
+
+// memberResponder is a fan-out member's end of the adaptation plane: its
+// receiverLoop's responder, whose loss-rate events re-decide the member's
+// repair mechanism and move it between cohorts. It holds the member's decided
+// state for stats — the same surface raplet.ChainFECResponder exposes for
+// trunk loops — while the chain the decision selects is shared cohort
+// machinery owned by the delivery tree.
+type memberResponder struct {
+	name string
+	tree *deliveryTree
+	m    *member
+
+	mu       sync.Mutex
+	current  fec.Params
+	mech     adapt.Mechanism
+	lastLoss float64
+	retunes  uint64
+	active   bool
+}
+
+// Name implements raplet.Responder.
+func (r *memberResponder) Name() string { return r.name }
+
+// Handle implements raplet.Responder: loss-rate events from the member's own
+// observer re-decide its cohort. Runs on the session bus goroutine.
+func (r *memberResponder) Handle(e raplet.Event) error {
+	if e.Type != raplet.EventLossRate {
+		return nil
+	}
+	return r.tree.retune(r.m, e.Value, e.RTTMillis)
+}
+
+// set records the outcome of one retune decision. moved increments the retune
+// counter: a cohort move is the cohort world's equivalent of a splice.
+func (r *memberResponder) set(params fec.Params, mech adapt.Mechanism, loss float64, active, moved bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.current, r.mech, r.lastLoss, r.active = params, mech, loss, active
+	if moved {
+		r.retunes++
+	}
+}
+
+// decision returns the mechanism and parameters last decided for the member.
+func (r *memberResponder) decision() (adapt.Mechanism, fec.Params) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.mech, r.current
+}
+
+// setActive records a repair-engagement change caused by a plan rewrite
+// rather than a policy decision (marker recomposed away or back in).
+func (r *memberResponder) setActive(active bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.active = active
+}
+
+// Current returns the code the member's loop last decided (K == N: no FEC).
+func (r *memberResponder) Current() fec.Params {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.current
+}
+
+// Mechanism returns the repair mechanism last decided for the member.
+func (r *memberResponder) Mechanism() adapt.Mechanism {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.mech
+}
+
+// LastLoss returns the most recent loss rate the member's loop acted on.
+func (r *memberResponder) LastLoss() float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lastLoss
+}
+
+// Retunes returns how many times the member changed cohorts.
+func (r *memberResponder) Retunes() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.retunes
+}
+
+// Active reports whether a repair stage currently protects the member's
+// cohort.
+func (r *memberResponder) Active() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.active
+}
+
+var _ raplet.Responder = (*memberResponder)(nil)

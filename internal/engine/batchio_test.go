@@ -289,7 +289,7 @@ func TestBatchedWriterCohortDropAccounting(t *testing.T) {
 // echoes must come back complete and in order across batched flushes.
 func TestBatchSplitDemuxEquivalence(t *testing.T) {
 	const sessions = 8
-	const perSession = 48 // < QueueDepth, so no UDP-style drops distort the comparison
+	const perSession = 48
 
 	peers := make([]netip.AddrPort, sessions)
 	for i := range peers {
@@ -438,9 +438,9 @@ func (c *orderConn) WriteBatch(ms []ioMsg) (int, error) {
 }
 
 // TestFlushGroupsCohortFramesAcrossBatch pins the writer's expansion order
-// when two cohorts' frames interleave in one drained batch — as they do, the
-// bypass lane and the chain cohorts feeding the queue concurrently. Each
-// cohort's frames must be expanded together, destination-major, so that every
+// when two cohort views' frames interleave in one drained batch — as they do,
+// several cohorts and release timers feeding the queue. Each view's frames
+// must be expanded together, destination-major, so that every
 // destination's datagrams are adjacent (one GSO send) and in queue order.
 // Frames are only ever pulled forward past entries for other destinations: the
 // unicast entry queued between them goes out after the runs that started
@@ -449,25 +449,23 @@ func TestFlushGroupsCohortFramesAcrossBatch(t *testing.T) {
 	a1, a2 := netip.MustParseAddrPort("10.4.0.1:1"), netip.MustParseAddrPort("10.4.0.2:1")
 	b1 := netip.MustParseAddrPort("10.4.0.3:1")
 	u := netip.MustParseAddrPort("10.4.0.9:1")
-	cohortOf := func(dsts ...netip.AddrPort) *cohort {
-		c := &cohort{}
-		v := &cohortView{}
+	viewOf := func(dsts ...netip.AddrPort) *[]target {
+		v := []target{}
 		for _, d := range dsts {
-			v.targets = append(v.targets, cohortTarget{dst: d, rx: &metrics.ReceiverCounters{}})
+			v = append(v, target{dst: d, rx: &metrics.ReceiverCounters{}})
 		}
-		c.view.Store(v)
-		return c
+		return &v
 	}
-	A, B := cohortOf(a1, a2), cohortOf(b1)
+	A, B := viewOf(a1, a2), viewOf(b1)
 	s := &Session{}
 	conn := &orderConn{}
 	sh := &shard{bconn: conn}
 	var frames []*packet.Buf
-	entry := func(grp *cohort, dst netip.AddrPort) outbound {
+	entry := func(view *[]target, dst netip.AddrPort) outbound {
 		b := packet.GetBuf(64)
 		b.B[0] = byte(len(frames)) // queue position, to check per-destination order
 		frames = append(frames, b)
-		return outbound{s: s, b: b, grp: grp, dst: dst}
+		return outbound{s: s, b: b, view: view, dst: dst}
 	}
 	batch := []outbound{entry(A, netip.AddrPort{}), entry(B, netip.AddrPort{}), entry(A, netip.AddrPort{}),
 		entry(nil, u), entry(B, netip.AddrPort{}), entry(A, netip.AddrPort{})}
@@ -482,8 +480,8 @@ func TestFlushGroupsCohortFramesAcrossBatch(t *testing.T) {
 			t.Fatalf("send order %v, want %v", conn.order, want)
 		}
 	}
-	if got := A.consumed.Load(); got != 3 {
-		t.Fatalf("cohort A consumed %d sequence numbers, want 3", got)
+	if got := sh.counters.coalesced.Load(); got != 3 {
+		t.Fatalf("coalesced = %d, want 3 (view A's frames)", got)
 	}
 	if out := s.counters.OutPackets.Load(); out != uint64(len(want)) {
 		t.Fatalf("session credited %d sends, want %d", out, len(want))

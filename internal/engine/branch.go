@@ -1,9 +1,8 @@
 package engine
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"net/netip"
 	"sort"
 	"sync"
@@ -13,36 +12,41 @@ import (
 	"rapidware/internal/arq"
 	"rapidware/internal/cache"
 	"rapidware/internal/compose"
-	"rapidware/internal/endpoint"
 	"rapidware/internal/fec"
 	"rapidware/internal/fecproxy"
 	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
 	"rapidware/internal/packet"
-	"rapidware/internal/raplet"
 )
 
-// A fan-out session's data plane is a delivery tree: the shared trunk (the
-// session's ordinary filter chain) terminates in a tee whose taps are delivery
-// *cohorts* — one shared tail per distinct protection level, not one per
-// receiver. Receivers whose tail plans canonicalize identically and whose
-// adaptation loops decided the same repair mechanism (same (n,k) FEC code,
-// same ARQ history, or none) are members of the same cohort: the trunk frame
-// is teed once into the cohort's chain, traverses it once, is FEC-encoded
-// once, and the cohort's output fans to every member destination through the
-// owning shard's batched writer — same payload, N address stamps, no payload
-// copies. Receivers whose effective tail is empty (every stage a dormant
-// marker, no repair engaged) share the bypass cohort: trunk output goes
-// straight into the shard writer's batch with no chain, no goroutines and no
-// channel hop at all. Heterogeneity costs exactly as many chains as there are
-// distinct protection levels — the paper's per-station adaptation at the
-// price of per-level encoding.
+// A fan-out session's data plane is a delivery tree: the trunk's output is
+// dispatched to delivery *cohorts* — one shared tail per distinct protection
+// level, not one per receiver. Receivers whose tail plans canonicalize
+// identically and whose adaptation loops decided the same repair mechanism
+// (same (n,k) FEC code, same ARQ history, or none) are members of the same
+// cohort: a trunk frame traverses the cohort's tail once, is FEC-encoded once,
+// and fans to every member through the owning shard's writer — same payload,
+// N address stamps. Receivers whose effective tail is empty (every stage a
+// dormant marker, no repair engaged) share the bypass cohort, which has no
+// tail at all: trunk output goes straight into the shard's queue, sent with
+// the reader's batch.
+//
+// Everything runs inline on the goroutine that ran the trunk. A cohort's tail
+// is a filter.FrameChain that dispatch runs under the tree's lock, and a
+// frame's destinations are the cohort's view loaded when the frame is
+// enqueued. Every membership change happens under that same lock, so it falls
+// between two frames: a member moving cohorts gets each frame from exactly
+// one of them. Before a cohort's membership changes its tail is flushed, so
+// frames it holds — a partial FEC group, frames a timed stage has not
+// released — go out to the members they entered for.
+
+// errDeparted reports a member that left the tree while a cohort was being
+// built for it.
+var errDeparted = errors.New("engine: receiver left the delivery tree")
 
 // member is one fan-out receiver: its address, its tail plan, its exact
-// per-receiver counters, and its adaptation loop state. The chain serving it
-// is its cohort's, shared with every receiver at the same protection level;
-// a retune (or a per-receiver recompose) moves the member between cohorts
-// instead of rewriting a private chain.
+// per-receiver counters, and its adaptation loop state. A retune (or a
+// per-receiver recompose) moves the member between cohorts.
 type member struct {
 	ap   netip.AddrPort
 	plan compose.Plan // this member's tail plan (guarded by tree.mu)
@@ -52,152 +56,57 @@ type member struct {
 	// cohort is the cohort currently serving this member (guarded by
 	// tree.mu); nil only when cohort construction failed.
 	cohort *cohort
-	// gate fences this member into its current cohort: the shard writer
-	// starts stamping the cohort's output to it only from the gate's sealed
-	// sequence onward, so frames that were already inside the cohort (queued
-	// or mid-chain) at join time — which the member's previous cohort still
-	// owes it through a fade — are never double-delivered. nil once the gate
-	// is spent. Guarded by tree.mu; the fence value itself is atomic.
-	gate *startGate
 	// resp/loop are the member's adaptation state; nil without the
 	// per-receiver feedback plane.
 	resp *memberResponder
 	loop *receiverLoop
 }
 
-// Handover fences. A migrating member leaves a fade behind in its old cohort
-// (deliver everything up to the cut) and carries a gate into its new one
-// (deliver everything from the cut). Both start unsealed — "the cut has not
-// reached this point of the frame stream yet" — and are sealed to an exact
-// outbound sequence number by the cohort itself: the bypass lane seals on its
-// next deliver (which is by construction the first post-cut frame, thanks to
-// the tee's swap barrier), a chain cohort seals when an in-band seal marker
-// enqueued at the cut emerges from its chain, positioned after every pre-cut
-// frame and before every post-cut one.
-const (
-	// fenceUnsealed marks a fade or gate whose cut has not been located in
-	// the cohort's outbound sequence space yet: fades deliver everything,
-	// gates nothing, until the seal lands.
-	fenceUnsealed = int64(1) << 62
-	// fenceCanceled retires a fade whose receiver left the group entirely.
-	fenceCanceled = -(int64(1) << 62)
-	// sealStream/sealGroup tag seal-marker control frames so the cohort sink
-	// can recognize its own markers. A client deliberately crafting a
-	// KindControl frame with both values could seal a fence early; the blast
-	// radius is a few misrouted frames for a receiver that is mid-migration
-	// at that instant, never a crash or a stall.
-	sealStream = ^uint32(0)
-	sealGroup  = 0x5EA11D
-)
-
-// startGate fences a member into a cohort: at seals the first outbound
-// sequence number the member receives. seal orders the gate against the
-// cohort's seal markers so an earlier marker never closes a later cut.
-type startGate struct {
-	seal uint64
-	at   atomic.Int64
+// target is one destination of a cohort's fan-out: the address the shard
+// writer stamps and the receiver counters it credits.
+type target struct {
+	dst netip.AddrPort
+	rx  *metrics.ReceiverCounters
 }
 
-// cohortTarget is one destination of a cohort's fan-out, denormalized for the
-// shard writer's hot path: the address to stamp, the counters to credit, and
-// the join gate to honor (nil for settled members).
-type cohortTarget struct {
-	dst  netip.AddrPort
-	rx   *metrics.ReceiverCounters
-	gate *startGate
-}
-
-// fadeTarget keeps a receiver that just migrated to another cohort on its old
-// cohort's fan-out list for the frames that were already in flight at the
-// migration point, so nothing queued through the old chain or the shard
-// writer is lost — and nothing newer is duplicated. expiresAt is a fence in
-// the cohort's outbound sequence space (see cohort.enqueued/consumed): the
-// writer includes the fade exactly for frames whose sequence precedes it.
-type fadeTarget struct {
-	dst       netip.AddrPort
-	rx        *metrics.ReceiverCounters
-	seal      uint64
-	expiresAt atomic.Int64
-}
-
-// cohortView is the atomic snapshot the shard writer expands a cohort
-// outbound against: current member destinations plus any still-fading
-// migrated members. Rebuilt on the control path (membership mutation under
-// tree.mu), loaded wait-free per flushed frame.
-type cohortView struct {
-	targets []cohortTarget
-	fades   []*fadeTarget
-}
-
-// cohort is one shared delivery tail: either a running filter chain (with the
-// protection level's repair stage spliced at the fec-adapt marker) whose
-// output fans to every member, or — for the empty effective tail — the
-// bypass lane, which has no chain at all and forwards teed trunk frames
-// directly into the shard writer's batch.
+// cohort is one shared delivery tail: a FrameChain running the tail plan,
+// with the level's repair stage activated at the fec-adapt marker, or — for
+// the empty effective tail — the bypass lane, which has no chain.
 type cohort struct {
 	key    string
-	serial uint64
 	tree   *deliveryTree
-	bypass bool
-
-	// Chain-cohort machinery; all nil for the bypass cohort.
-	chain  *filter.Chain
+	frames *filter.FrameChain // nil: the bypass lane
 	live   *compose.Live
-	source *endpoint.UDPSource
-	sink   *endpoint.UDPSink
-	in     chan *packet.Buf
-	done   chan struct{}
 
-	view atomic.Pointer[cohortView]
-
-	// enqueued numbers this cohort's outbound frames as they are handed to
-	// the shard writer; consumed counts them as the writer resolves them
-	// (flushed or queue-dropped). Their difference is the cohort's in-flight
-	// writer load, which is what fade fences are cut against.
-	enqueued atomic.Int64
-	consumed atomic.Int64
-
-	// members and fades are the membership source of truth (guarded by
-	// tree.mu); view is their published snapshot. sealSeq numbers handover
-	// cuts (fades and gates) so seal markers match exactly the fences they
-	// were enqueued for.
+	// members is the membership (guarded by tree.mu); view is its
+	// destinations, republished — never mutated — after every change.
 	members []*member
-	fades   []*fadeTarget
-	sealSeq uint64
-
-	// pendingSeal asks the bypass lane's next deliver — the first post-cut
-	// frame, by the tee swap barrier — to seal every unsealed fence at the
-	// current enqueue count. Chain cohorts seal via in-band markers instead.
-	pendingSeal atomic.Bool
-
-	closed   atomic.Bool
-	stopOnce sync.Once
+	view    atomic.Pointer[[]target]
 }
 
 // deliveryTree owns a session's members and cohorts and keeps them reconciled
-// with the engine's fan-out group. The trunk's send path is one atomic
-// version check plus a tee dispatch; membership walks happen only when the
-// group, a member's plan, or a member's decided protection level changed.
+// with the engine's fan-out group.
 type deliveryTree struct {
 	s *Session
 	// cs is the chain incarnation this tree belongs to: member priming reads
 	// its live trunk's replay stage and member adaptation loops join its
 	// adaptor's bus. A parked session has no tree; unpark builds a fresh one.
-	cs  *chainState
-	tee *filter.Tee
+	cs *chainState
 
-	mu        sync.Mutex // guards members, cohorts and all membership state
-	members   map[netip.AddrPort]*member
-	cohorts   map[string]*cohort
-	cohortSeq uint64
-	version   atomic.Uint64 // AddrGroup version last reconciled; 0 = never
+	mu      sync.Mutex // held by dispatch for every frame, and by every membership change
+	members map[netip.AddrPort]*member
+	cohorts map[string]*cohort
+	list    []*cohort // the cohorts, for dispatch
+	version uint64    // AddrGroup version last reconciled; 0 = never
+	closed  bool
+
+	serial atomic.Uint64 // names cohort stages
 }
 
 func newDeliveryTree(s *Session, cs *chainState) *deliveryTree {
 	return &deliveryTree{
 		s:       s,
 		cs:      cs,
-		tee:     filter.NewTee(),
 		members: make(map[netip.AddrPort]*member),
 		cohorts: make(map[string]*cohort),
 	}
@@ -216,6 +125,16 @@ func cohortKeyFor(plan compose.Plan, mech adapt.Mechanism, params fec.Params) st
 	return plan.Key()
 }
 
+// effectiveMech is the repair mechanism a plan actually engages: a plan
+// without a fec-adapt marker forces none — the operator recomposed repair
+// away, so the member's loop goes dormant until the marker is back.
+func effectiveMech(plan compose.Plan, mech adapt.Mechanism) adapt.Mechanism {
+	if !plan.Has(compose.KindFECAdapt) {
+		return adapt.MechanismNone
+	}
+	return mech
+}
+
 // allMarkers reports whether every stage of a plan is a marker — a plan whose
 // chain interior would be empty, making its clean-link cohort eligible for
 // the bypass lane.
@@ -229,33 +148,47 @@ func (e *Engine) allMarkers(plan compose.Plan) bool {
 	return true
 }
 
-// dispatch fans one trunk output frame out to every cohort, reconciling
+// dispatch hands one trunk output frame to every cohort, reconciling
 // membership first if the fan-out group changed. The trunk sink reserved
-// session-ID headroom, so the ID is stamped here — once, on this goroutine,
-// before any cohort can see the buffer — and the whole buffer is one
-// ready-to-send datagram for the bypass lane. dispatch consumes the caller's
-// buffer reference. Called from the trunk sink's goroutine only.
+// session-ID headroom, so the ID is stamped here once and the whole buffer is
+// one ready datagram. One cohort takes the buffer itself and the others get a
+// copy, because a tail may rewrite its frame in place while the writer still
+// reads the original. dispatch consumes b.
 func (t *deliveryTree) dispatch(b *packet.Buf) {
-	if t.s.eng.group.Version() != t.version.Load() {
-		t.reconcile()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.s.eng.group.Version() != t.version {
+		t.reconcileLocked()
+	}
+	if len(t.list) == 0 {
+		t.s.counters.Drops.Add(1)
+		b.Release()
+		return
 	}
 	packet.PutSessionID(b.B, t.s.id)
-	if t.tee.Dispatch(b) == 0 {
-		t.s.counters.Drops.Add(1)
+	last := len(t.list) - 1
+	for _, c := range t.list[:last] {
+		cp := packet.GetBuf(len(b.B))
+		copy(cp.B, b.B)
+		c.deliver(cp)
 	}
+	t.list[last].deliver(b)
 }
 
-// reconcile aligns the member set with the fan-out group's membership:
-// departed members leave their cohorts (their adaptation loops with them),
-// new members are placed into the cohort their tail plan and initial policy
-// decision select, and the tee's tap list is republished. Runs on the trunk
-// sink goroutine (version check in dispatch) and on the feedback path
-// (handleFeedback), serialized by t.mu.
+// reconcile aligns the member set with the fan-out group's membership.
 func (t *deliveryTree) reconcile() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.reconcileLocked()
+}
+
+// reconcileLocked does reconcile's work: departed members leave their
+// cohorts (their adaptation loops with them), and new members are placed into
+// the cohort their tail plan and initial policy decision select. Runs on the
+// trunk's dispatch (version check) and the feedback path. Caller holds t.mu.
+func (t *deliveryTree) reconcileLocked() {
 	members, v := t.s.eng.group.SnapshotVersion()
-	if v == t.version.Load() {
+	if v == t.version || t.closed {
 		return
 	}
 	want := make(map[netip.AddrPort]bool, len(members))
@@ -272,16 +205,15 @@ func (t *deliveryTree) reconcile() {
 			t.addMemberLocked(ap)
 		}
 	}
-	t.publishTapsLocked()
-	t.pruneLocked()
-	t.version.Store(v)
+	t.version = v
 }
 
 // addMemberLocked admits one new fan-out member: it is placed into the cohort
 // selected by the engine's branch plan and the policy's clean-link decision
 // (so always-on protection ladders get their encoder cohort from the first
 // frame), its adaptation loop joins the session bus, and its delivery is
-// primed from the trunk's replay history. Caller holds t.mu.
+// primed from the trunk's replay history. Joins are rare, so a cohort they
+// need is built under the lock. Caller holds t.mu.
 func (t *deliveryTree) addMemberLocked(ap netip.AddrPort) {
 	e := t.s.eng
 	m := &member{ap: ap, plan: e.branchPlan}
@@ -289,20 +221,23 @@ func (t *deliveryTree) addMemberLocked(ap netip.AddrPort) {
 	if e.adaptOn {
 		mech, params = e.policy.Decide(0, 0)
 	}
-	effective := mech
-	if !m.plan.Has(compose.KindFECAdapt) {
-		effective = adapt.MechanismNone
+	effective := effectiveMech(m.plan, mech)
+	key := cohortKeyFor(m.plan, effective, params)
+	c := t.cohorts[key]
+	if c == nil {
+		var err error
+		if c, err = t.newCohort(key, m.plan, effective, params); err != nil {
+			// The member gets nothing until membership changes again; branch
+			// specs are validated at engine construction, so this is a
+			// resource-level failure worth surfacing.
+			t.s.shard.counters.chainErrors.Add(1)
+			e.logf("session %d: member %s: %v", t.s.id, ap, err)
+			return
+		}
+		t.cohorts[key] = c
 	}
 	t.members[ap] = m
-	if _, err := t.assignLocked(m, effective, params); err != nil {
-		// The member gets nothing until membership changes again; branch
-		// specs are validated at engine construction, so this is a
-		// resource-level failure worth surfacing.
-		delete(t.members, ap)
-		t.s.shard.counters.chainErrors.Add(1)
-		e.logf("session %d: member %s: %v", t.s.id, ap, err)
-		return
-	}
+	t.moveLocked(m, c)
 	if e.adaptOn {
 		m.resp = &memberResponder{
 			name:    fmt.Sprintf("adapt:%d:%s", t.s.id, ap),
@@ -323,83 +258,104 @@ func (t *deliveryTree) addMemberLocked(ap netip.AddrPort) {
 }
 
 // removeMemberLocked evicts a departed member: its loop leaves the bus and it
-// leaves its cohort with no fade (frames in flight to a receiver that left
-// the group are simply not sent). Caller holds t.mu.
+// leaves its cohort. Caller holds t.mu.
 func (t *deliveryTree) removeMemberLocked(m *member) {
 	if m.loop != nil {
 		t.cs.adaptor.removeLoop(m.loop)
 		m.loop = nil
 	}
-	if m.cohort != nil {
-		m.cohort.dropTargetLocked(m)
-		m.cohort.cancelFadeLocked(m.ap)
-		m.cohort.publishLocked()
-		m.cohort = nil
-	}
+	t.moveLocked(m, nil)
 	delete(t.members, m.ap)
 }
 
-// assignLocked moves a member into the cohort identified by its plan and the
-// given effective mechanism, creating the cohort on demand. The handover is
-// exact: the new tap set, the member's fade out of its old cohort and its
-// gate into the new one are all cut inside the tee's swap barrier, so every
-// trunk frame lands on exactly one side of the cut in both cohorts' outbound
-// sequence spaces — no frame is lost in flight and none is delivered twice,
-// even when the member rejoins a cohort it is still fading out of (the fade's
-// fence and the fresh gate's are disjoint by construction). It reports
-// whether the member actually moved. Caller holds t.mu.
-func (t *deliveryTree) assignLocked(m *member, mech adapt.Mechanism, params fec.Params) (bool, error) {
-	key := cohortKeyFor(m.plan, mech, params)
-	if m.cohort != nil && m.cohort.key == key {
-		return false, nil
+// moveLocked puts m into cohort to (nil: out of the tree). Both cohorts are
+// flushed first, so what they hold goes out to the members it entered for;
+// then their views are republished. A cohort left with no members is closed.
+// Caller holds t.mu, so no frame is dispatched in between.
+func (t *deliveryTree) moveLocked(m *member, to *cohort) {
+	if from := m.cohort; from != nil {
+		from.drain(false)
+		for i, cm := range from.members {
+			if cm == m {
+				from.members = append(from.members[:i], from.members[i+1:]...)
+				break
+			}
+		}
+		from.publish()
+		if len(from.members) == 0 {
+			delete(t.cohorts, from.key)
+			from.drain(true)
+		}
 	}
-	c := t.cohorts[key]
-	if c == nil {
-		fresh, err := t.newCohortLocked(key, m.plan, mech, params)
+	if to != nil {
+		to.drain(false)
+		to.members = append(to.members, m)
+		to.publish()
+	}
+	m.cohort = to
+	t.list = t.list[:0]
+	for _, c := range t.cohorts {
+		t.list = append(t.list, c)
+	}
+}
+
+// assign moves m into the cohort its plan and the given decision select. A
+// cohort the tree does not have yet is built with t.mu released — a chain
+// build is the slow part of a retune, and dispatch must not wait behind it —
+// so the choice is re-made once the lock is back, and a cohort built for a
+// choice that went stale meanwhile is discarded. It returns the effective
+// mechanism and whether m moved; errDeparted if m left the tree.
+func (t *deliveryTree) assign(m *member, mech adapt.Mechanism, params fec.Params) (effective adapt.Mechanism, moved bool, err error) {
+	var spare *cohort
+	defer func() {
+		if spare != nil {
+			spare.drain(true)
+		}
+	}()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for {
+		if t.closed || t.members[m.ap] != m {
+			return adapt.MechanismNone, false, errDeparted
+		}
+		effective = effectiveMech(m.plan, mech)
+		key := cohortKeyFor(m.plan, effective, params)
+		if m.cohort != nil && m.cohort.key == key {
+			return effective, false, nil
+		}
+		c := t.cohorts[key]
+		if c == nil && spare != nil && spare.key == key {
+			c, spare = spare, nil
+			t.cohorts[key] = c
+		}
+		if c != nil {
+			t.moveLocked(m, c)
+			return effective, true, nil
+		}
+		plan := m.plan
+		t.mu.Unlock()
+		if spare != nil {
+			spare.drain(true)
+		}
+		spare, err = t.newCohort(key, plan, effective, params)
+		t.mu.Lock()
 		if err != nil {
-			return false, err
+			return effective, false, err
 		}
-		c = fresh
-		t.cohorts[key] = c
 	}
-	old := m.cohort
-	c.members = append(c.members, m)
-	m.cohort = c
-	if old != nil {
-		old.dropTargetLocked(m)
-	}
-	t.tee.Swap(t.tapsLocked(), func() {
-		if old != nil {
-			old.addFadeLocked(m)
-		}
-		c.armGateLocked(m)
-		c.publishLocked()
-		if old != nil {
-			old.publishLocked()
-		}
-	})
-	t.pruneLocked()
-	return true, nil
 }
 
 // retune is the member adaptation loops' entry point: re-decide the repair
 // mechanism from the receiver's reported loss and RTT and move the member to
-// the matching cohort. A plan without a fec-adapt marker forces the effective
-// mechanism to none — the operator recomposed repair away, so the loop goes
-// dormant until a recompose restores the marker (the decided level is still
-// recorded for stats). Runs on the session bus's dispatch goroutine.
+// the matching cohort (the decided level is recorded for stats even when the
+// plan has no marker to engage it). Runs on the session bus's dispatch
+// goroutine.
 func (t *deliveryTree) retune(m *member, loss float64, rttMillis uint32) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.members[m.ap] != m {
+	mech, params := t.s.eng.policy.Decide(loss, rttMillis)
+	effective, moved, err := t.assign(m, mech, params)
+	if errors.Is(err, errDeparted) {
 		return nil // departed while the event was queued
 	}
-	mech, params := t.s.eng.policy.Decide(loss, rttMillis)
-	effective := mech
-	if !m.plan.Has(compose.KindFECAdapt) {
-		effective = adapt.MechanismNone
-	}
-	moved, err := t.assignLocked(m, effective, params)
 	if err != nil {
 		return err
 	}
@@ -414,28 +370,28 @@ func (t *deliveryTree) retune(m *member, loss float64, rttMillis uint32) error {
 // string after the rewrite.
 func (t *deliveryTree) rewriteMemberPlan(ap netip.AddrPort, op func(compose.Plan) (compose.Plan, error)) (string, error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	m := t.members[ap]
 	if m == nil {
+		t.mu.Unlock()
 		return "", fmt.Errorf("engine: session %d has no branch for receiver %s", t.s.id, ap)
 	}
 	plan, err := op(m.plan)
+	if err == nil {
+		err = t.s.eng.reg.Validate(plan, compose.ModeBranch)
+	}
+	if err == nil {
+		m.plan = plan
+	}
+	t.mu.Unlock()
 	if err != nil {
 		return "", err
 	}
-	if err := t.s.eng.reg.Validate(plan, compose.ModeBranch); err != nil {
-		return "", err
-	}
-	m.plan = plan
 	mech, params := adapt.MechanismNone, fec.Params{K: 1, N: 1}
 	if m.resp != nil {
 		mech, params = m.resp.decision()
 	}
-	effective := mech
-	if !plan.Has(compose.KindFECAdapt) {
-		effective = adapt.MechanismNone
-	}
-	if _, err := t.assignLocked(m, effective, params); err != nil {
+	effective, _, err := t.assign(m, mech, params)
+	if err != nil {
 		return "", err
 	}
 	if m.resp != nil {
@@ -444,122 +400,59 @@ func (t *deliveryTree) rewriteMemberPlan(ap netip.AddrPort, op func(compose.Plan
 	return plan.String(), nil
 }
 
-// newCohortLocked builds the shared tail for one protection level. The
-// clean-link cohort of an all-marker plan is the bypass lane (no chain); any
-// other key gets a chain with the plan's stages and — for FEC or ARQ — the
-// level's repair stage activated at the fec-adapt marker. Cohort chains use
-// a *fixed* FEC code: a level change is a membership move to another cohort,
-// never an in-place retune, so one encode always serves every member.
-// Caller holds t.mu.
-func (t *deliveryTree) newCohortLocked(key string, plan compose.Plan, mech adapt.Mechanism, params fec.Params) (*cohort, error) {
+// newCohort builds the shared tail for one protection level. The clean-link
+// cohort of an all-marker plan is the bypass lane (no chain); any other key
+// gets a FrameChain with the plan's stages and — for FEC or ARQ — the level's
+// repair stage activated at the fec-adapt marker. Cohort tails use a *fixed*
+// FEC code: a level change is a membership move to another cohort, never an
+// in-place retune, so one encode always serves every member. It takes no
+// lock.
+func (t *deliveryTree) newCohort(key string, plan compose.Plan, mech adapt.Mechanism, params fec.Params) (*cohort, error) {
 	s := t.s
 	e := s.eng
-	c := &cohort{key: key, serial: t.cohortSeq, tree: t}
-	t.cohortSeq++
-	c.view.Store(&cohortView{})
+	c := &cohort{key: key, tree: t}
+	c.publish()
 	if mech == adapt.MechanismNone && e.allMarkers(plan) {
-		c.bypass = true
 		return c, nil
 	}
-	c.in = make(chan *packet.Buf, e.cfg.QueueDepth)
-	c.done = make(chan struct{})
-	c.chain = filter.NewChain(fmt.Sprintf("session-%d-cohort-%d", s.id, c.serial))
-	c.source = endpoint.NewUDPSourceOffset(fmt.Sprintf("cohort-in:%d:%d", s.id, c.serial), packet.SessionIDSize, c.recv)
-	c.sink = endpoint.NewUDPSink(fmt.Sprintf("cohort-out:%d:%d", s.id, c.serial), packet.SessionIDSize, c.send)
-	if err := c.chain.Append(c.source); err != nil {
-		return nil, err
-	}
-	if err := c.chain.Append(c.sink); err != nil {
-		return nil, err
-	}
+	serial := t.serial.Add(1)
+	c.frames = filter.NewFrameChain(c.send)
 	env := compose.Env{
 		StreamID: s.id,
-		Name:     func(kind string) string { return fmt.Sprintf("%s:%d:c%d", kind, s.id, c.serial) },
+		Name:     func(kind string) string { return fmt.Sprintf("%s:%d:c%d", kind, s.id, serial) },
+		OnDrop:   func() { s.counters.Drops.Add(1) },
 	}
-	live, err := compose.Attach(c.chain, e.reg, env, compose.ModeBranch, plan)
+	live, err := compose.AttachTo(c.frames, e.reg, env, compose.ModeBranch, plan)
 	if err != nil {
 		return nil, fmt.Errorf("cohort tail: %w", err)
 	}
 	c.live = live
-	// A cohort chain that dies on its own (a tail stage failed) stops
-	// consuming; its queue overflows into the drop counters rather than
-	// stalling the trunk. The closed flag short-circuits deliveries.
-	serial := c.serial
-	c.sink.OnExit(func() {
-		c.closed.Store(true)
-		if err := c.sink.Err(); err != nil {
-			s.shard.counters.chainErrors.Add(1)
-			e.logf("session %d: cohort %d: chain failed: %v", s.id, serial, err)
-		}
-	})
-	if err := c.chain.Start(); err != nil {
-		return nil, fmt.Errorf("cohort start: %w", err)
-	}
+	var repair filter.Filter
 	switch mech {
 	case adapt.MechanismFEC:
-		enc, err := fecproxy.NewEncoderFilter(fmt.Sprintf("fec:%d:c%d", s.id, serial), params, s.id)
-		if err == nil {
-			err = live.Activate(compose.KindFECAdapt, enc)
-		}
-		if err != nil {
-			c.stop()
+		if repair, err = fecproxy.NewEncoderFilter(fmt.Sprintf("fec:%d:c%d", s.id, serial), params, s.id); err != nil {
+			c.drain(true)
 			return nil, fmt.Errorf("cohort fec: %w", err)
 		}
 	case adapt.MechanismARQ:
-		if err := live.Activate(compose.KindFECAdapt, arq.NewSenderFilter(fmt.Sprintf("arq:%d:c%d", s.id, serial), 0)); err != nil {
-			c.stop()
-			return nil, fmt.Errorf("cohort arq: %w", err)
+		repair = arq.NewSenderFilter(fmt.Sprintf("arq:%d:c%d", s.id, serial), 0)
+	}
+	if repair != nil {
+		if err := live.Activate(compose.KindFECAdapt, repair); err != nil {
+			c.drain(true)
+			return nil, fmt.Errorf("cohort repair: %w", err)
 		}
 	}
 	return c, nil
-}
-
-// tapsLocked builds the tee's tap list: one tap per cohort with at least one
-// real member. A cohort whose last member migrated away loses its tap, so no
-// new frames enter it while its in-flight frames drain to fade targets.
-// Caller holds t.mu.
-func (t *deliveryTree) tapsLocked() []filter.BufSink {
-	taps := make([]filter.BufSink, 0, len(t.cohorts))
-	for _, c := range t.cohorts {
-		if len(c.members) > 0 {
-			taps = append(taps, c.deliver)
-		}
-	}
-	return taps
-}
-
-// publishTapsLocked republishes the tap list without a fence cut — the path
-// for membership changes that need no handover fences (group departures,
-// teardown). Caller holds t.mu.
-func (t *deliveryTree) publishTapsLocked() {
-	t.tee.SetTaps(t.tapsLocked())
-}
-
-// pruneLocked collapses cohorts that no longer serve anyone: no members, and
-// either no live fades or nothing left to drain into them. Stopping a chain
-// cohort flushes whatever is still inside the chain through its sink, so
-// fade targets receive it on the way down; its published view outlives the
-// cohort for outbounds still queued on the shard writer. Caller holds t.mu.
-func (t *deliveryTree) pruneLocked() {
-	for key, c := range t.cohorts {
-		if len(c.members) > 0 {
-			continue
-		}
-		if c.in != nil && len(c.in) > 0 {
-			continue // teed frames not yet consumed; drain before collapsing
-		}
-		c.stop()
-		delete(t.cohorts, key)
-	}
 }
 
 // prime replays the trunk's retained history directly to a freshly admitted
 // member, oldest first, so a station joining a fan-out session mid-stream
 // starts with recent context instead of a cold gap. The frames were recorded
 // by a replay stage in the trunk plan (no stage, no priming). Priming
-// bypasses the member's cohort chain — the history is delivered as recorded,
+// bypasses the member's cohort tail — the history is delivered as recorded,
 // without re-encoding, which keeps a late join from perturbing the cohort's
-// FEC group state — and enqueues straight onto the shard writer, one pooled
+// FEC group state — and enqueues straight onto the shard's queue, one pooled
 // copy per frame and nothing else. Caller holds t.mu.
 func (t *deliveryTree) primeLocked(m *member) {
 	rf, ok := t.cs.live.Instance(compose.KindReplay).(*cache.ReplayFilter)
@@ -591,26 +484,19 @@ func (t *deliveryTree) memberRepair(ap netip.AddrPort) (*metrics.ReceiverCounter
 	return &m.counters, nil
 }
 
-// cohortCount returns the number of cohorts currently serving members (fading
-// drain cohorts excluded).
+// cohortCount returns the number of cohorts; every one has a member.
 func (t *deliveryTree) cohortCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for _, c := range t.cohorts {
-		if len(c.members) > 0 {
-			n++
-		}
-	}
-	return n
+	return len(t.cohorts)
 }
 
-// close tears the tree down. The trunk chain must already be stopped so no
-// dispatch is in flight.
+// close tears the tree down, flushing what the cohorts hold to their members.
+// The trunk must already be closed so no dispatch is in flight.
 func (t *deliveryTree) close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.tee.SetTaps(nil)
+	t.closed = true
 	for ap, m := range t.members {
 		if m.loop != nil {
 			t.cs.adaptor.removeLoop(m.loop)
@@ -618,14 +504,15 @@ func (t *deliveryTree) close() {
 		delete(t.members, ap)
 	}
 	for key, c := range t.cohorts {
-		c.stop()
+		c.drain(true)
 		delete(t.cohorts, key)
 	}
+	t.list = nil
 }
 
 // stats snapshots every member, ordered by receiver address for deterministic
 // control-plane output. Counters are exact per receiver even though delivery
-// is shared: the shard writer credits each fanned datagram to its member's
+// is shared: the shard's flush credits each fanned datagram to its member's
 // counter block.
 func (t *deliveryTree) stats() []metrics.ReceiverStats {
 	t.mu.Lock()
@@ -634,10 +521,9 @@ func (t *deliveryTree) stats() []metrics.ReceiverStats {
 	for _, m := range t.members {
 		st := m.counters.Snapshot(m.ap.String())
 		st.Chain = m.plan.String()
-		if m.cohort != nil && m.cohort.chain != nil {
-			names := m.cohort.chain.Names()
-			if len(names) >= 2 {
-				st.Stages = names[1 : len(names)-1]
+		if c := m.cohort; c != nil && c.frames != nil {
+			for _, f := range c.frames.Filters() {
+				st.Stages = append(st.Stages, f.Name())
 			}
 		}
 		if m.loop != nil {
@@ -649,359 +535,64 @@ func (t *deliveryTree) stats() []metrics.ReceiverStats {
 	return out
 }
 
-// deliver is the cohort's tee tap, consuming one reference to the shared
-// trunk buffer. The bypass lane forwards the ready-stamped datagram straight
-// into the shard writer's batch — no chain, no goroutines, no channel hop;
-// the writer expands it to every member at flush. Chain cohorts enqueue for
-// their chain, dropping rather than blocking when the queue is full so one
-// slow cohort cannot stall the trunk or its siblings.
+// deliver takes one stamped trunk datagram. The bypass lane enqueues it as
+// is; a tail runs it inline, its output reaching the writer through send.
+// Caller holds tree.mu.
 func (c *cohort) deliver(b *packet.Buf) {
 	s := c.tree.s
-	if c.bypass {
-		if c.pendingSeal.Load() {
-			// This is the first frame past a handover cut (the tee swap
-			// barrier guarantees no pre-cut deliver is still in flight):
-			// every unsealed fence lands exactly here — fades stop before
-			// this frame, gates open with it.
-			c.pendingSeal.Store(false)
-			fence := c.enqueued.Load()
-			c.sealUpTo(^uint64(0), fence, fence)
-		}
+	if c.frames == nil {
 		s.shard.counters.bypassHits.Add(1)
-		c.enqueued.Add(1)
-		s.shard.enqueue(outbound{s: s, b: b, grp: c})
+		s.shard.enqueue(outbound{s: s, b: b, view: c.view.Load()})
 		return
 	}
-	if c.closed.Load() {
-		c.dropFrame(b)
-		return
-	}
-	select {
-	case c.in <- b:
-		// stop() may have flipped closed — and drained the queue — between
-		// the check above and the enqueue, stranding this buffer's reference
-		// in a channel nothing reads anymore. Re-check and reclaim one
-		// queued buffer; if the consumer (or stop's drain) already took
-		// ours, whichever buffer we pop needed releasing just the same.
-		if c.closed.Load() {
-			select {
-			case b2 := <-c.in:
-				c.dropFrame(b2)
-			default:
-			}
+	b.B = b.B[packet.SessionIDSize:]
+	switch err := c.frames.Process(b); {
+	case err == nil:
+	case errors.Is(err, filter.ErrFrameChainClosed):
+		// A tail stage failed on an earlier frame: the cohort drops what
+		// reaches it, once for the session and once per member.
+		for _, tg := range *c.view.Load() {
+			tg.rx.Drops.Add(1)
 		}
-	default:
-		c.dropFrame(b)
-	}
-}
-
-// dropFrame accounts one lost cohort frame — once for the session, once for
-// every member it would have reached — and releases the buffer.
-func (c *cohort) dropFrame(b *packet.Buf) {
-	v := c.view.Load()
-	for i := range v.targets {
-		v.targets[i].rx.Drops.Add(1)
-	}
-	c.tree.s.counters.Drops.Add(1)
-	b.Release()
-}
-
-// recv feeds the cohort source: it blocks for the next teed frame and returns
-// io.EOF once the cohort is collapsed. The frame bytes are shared with
-// sibling cohorts, so the source copies them into the chain from an offset
-// past the trunk's session-ID stamp and releases the shared reference without
-// ever re-slicing b.B.
-func (c *cohort) recv() (*packet.Buf, error) {
-	select {
-	case b := <-c.in:
-		return b, nil
-	case <-c.done:
-		// Retirement closed done, but frames teed in beforehand may still be
-		// queued; prefer draining them so nothing owed to a fade target is
-		// thrown away with the cohort.
-		select {
-		case b := <-c.in:
-			return b, nil
-		default:
-			return nil, io.EOF
-		}
-	}
-}
-
-// send relays one cohort-output frame to every member through the owning
-// shard's batched writer. The sink reserved session-ID headroom, so the ID is
-// stamped in place and the whole buffer is one datagram; the writer fans it
-// to the cohort's current membership at flush time. A seal marker emerging
-// from the chain is consumed here instead: its position locates the handover
-// cut it was enqueued for — behind every pre-cut frame, ahead of every
-// post-cut one — so the matching fences seal at the exact current outbound
-// sequence. send owns b until the enqueue.
-func (c *cohort) send(b *packet.Buf) error {
-	if len(b.B) >= packet.SessionIDSize+packet.HeaderSize &&
-		b.B[packet.SessionIDSize+3] == byte(packet.KindControl) &&
-		binary.BigEndian.Uint32(b.B[packet.SessionIDSize+12:]) == sealStream &&
-		binary.BigEndian.Uint32(b.B[packet.SessionIDSize+16:]) == sealGroup {
-		fence := c.enqueued.Load()
-		c.sealUpTo(binary.BigEndian.Uint64(b.B[packet.SessionIDSize+4:]), fence, fence)
+		s.counters.Drops.Add(1)
 		b.Release()
-		return nil
-	}
-	packet.PutSessionID(b.B, c.tree.s.id)
-	c.enqueued.Add(1)
-	c.tree.s.shard.enqueue(outbound{s: c.tree.s, b: b, grp: c})
-	return nil
-}
-
-// dropTargetLocked removes a member from the cohort's fan-out list. Caller
-// holds tree.mu and republishes the view.
-func (c *cohort) dropTargetLocked(m *member) {
-	for i, cm := range c.members {
-		if cm == m {
-			c.members = append(c.members[:i], c.members[i+1:]...)
-			return
-		}
-	}
-}
-
-// addFadeLocked keeps a migrated member receiving the cohort's in-flight
-// frames: everything up to the cut, nothing newer. The fade starts unsealed
-// (deliver everything) and is sealed to the exact outbound sequence of the
-// cut by the cohort itself — the bypass lane on its next deliver, a chain
-// cohort when the seal marker enqueued here emerges from its chain behind
-// every pre-cut frame. Caller holds tree.mu, runs inside the tee swap
-// barrier, and republishes the view.
-func (c *cohort) addFadeLocked(m *member) {
-	c.sealSeq++
-	f := &fadeTarget{dst: m.ap, rx: &m.counters, seal: c.sealSeq}
-	f.expiresAt.Store(fenceUnsealed)
-	c.fades = append(c.fades, f)
-	c.requestSealLocked()
-}
-
-// armGateLocked fences a joining member in: the shard writer starts stamping
-// this cohort's output to the member only from the seal point onward, so
-// frames already inside the cohort at join time (owed to the member by its
-// previous cohort's fade, or predating its membership entirely) are never
-// delivered to it from here. Caller holds tree.mu, runs inside the tee swap
-// barrier, and republishes the view.
-func (c *cohort) armGateLocked(m *member) {
-	c.sealSeq++
-	m.gate = &startGate{seal: c.sealSeq}
-	m.gate.at.Store(fenceUnsealed)
-	c.requestSealLocked()
-}
-
-// requestSealLocked arranges for the fences cut at the current seal sequence
-// to be located in the cohort's outbound frame stream. Caller holds tree.mu
-// inside the tee swap barrier, so the cut lies exactly between the frames the
-// cohort has already been handed and every frame it will see next.
-func (c *cohort) requestSealLocked() {
-	if c.bypass {
-		c.pendingSeal.Store(true)
-		return
-	}
-	frame, err := packet.Marshal(&packet.Packet{
-		Seq: c.sealSeq, StreamID: sealStream, Kind: packet.KindControl, Group: sealGroup,
-	})
-	if err != nil {
-		c.sealUpTo(c.sealSeq, c.enqueued.Load()+int64(len(c.in)), c.enqueued.Load())
-		return
-	}
-	b := packet.GetBuf(packet.SessionIDSize + len(frame))
-	copy(b.B[packet.SessionIDSize:], frame)
-	select {
-	case c.in <- b:
 	default:
-		// Queue full: the cohort is shedding load anyway. Resolve the fences
-		// with conservative estimates — fades err toward a few duplicates,
-		// gates toward opening immediately — rather than leaving them
-		// unsealed forever.
-		b.Release()
-		c.sealUpTo(c.sealSeq, c.enqueued.Load()+int64(len(c.in)), c.enqueued.Load())
+		s.shard.counters.chainErrors.Add(1)
+		s.eng.logf("session %d: cohort %q: chain failed: %v", s.id, c.key, err)
 	}
 }
 
-// sealUpTo locates every fence cut at or before markerSeq: unsealed fades
-// expire at fadeFence, unsealed gates open at gateFence. Fences cut after the
-// marker keep waiting for their own seal. Runs on the sealing path — the
-// bypass lane's deliver or a chain cohort's sink — against the published
-// view; fence values are atomic, so the control path never races it.
-func (c *cohort) sealUpTo(markerSeq uint64, fadeFence, gateFence int64) {
-	v := c.view.Load()
-	for _, f := range v.fades {
-		if f.seal <= markerSeq && f.expiresAt.Load() == fenceUnsealed {
-			f.expiresAt.Store(fadeFence)
-		}
-	}
-	for i := range v.targets {
-		if g := v.targets[i].gate; g != nil && g.seal <= markerSeq && g.at.Load() == fenceUnsealed {
-			g.at.Store(gateFence)
-		}
-	}
+// send is a tail's sink: it stamps the session ID and enqueues the frame for
+// the cohort's current members. It runs under the tail's lock — inside
+// dispatch, or on the tail's release timer.
+func (c *cohort) send(b *packet.Buf) {
+	s := c.tree.s
+	b = datagram(b)
+	packet.PutSessionID(b.B, s.id)
+	s.shard.enqueueTail(outbound{s: s, b: b, view: c.view.Load()})
 }
 
-// cancelFadeLocked drops any fade entry for the given receiver — it left the
-// fan-out group entirely, so nothing is owed to it anymore. Caller holds
-// tree.mu and republishes the view.
-func (c *cohort) cancelFadeLocked(ap netip.AddrPort) {
-	kept := c.fades[:0]
-	for _, f := range c.fades {
-		if f.dst == ap {
-			f.expiresAt.Store(fenceCanceled)
-			continue
-		}
-		kept = append(kept, f)
+// publish republishes the cohort's view from its membership. Caller holds
+// tree.mu (or owns a cohort nobody else can see yet).
+func (c *cohort) publish() {
+	v := make([]target, len(c.members))
+	for i, m := range c.members {
+		v[i] = target{dst: m.ap, rx: &m.counters}
 	}
-	c.fades = kept
+	c.view.Store(&v)
 }
 
-// publishLocked rebuilds the cohort's atomic fan-out view from its membership
-// and live fades, dropping expired fades and spent join gates on the way.
-// Caller holds tree.mu.
-func (c *cohort) publishLocked() {
-	v := &cohortView{}
-	if n := len(c.members); n > 0 {
-		v.targets = make([]cohortTarget, n)
-		for i, m := range c.members {
-			if g := m.gate; g != nil {
-				if at := g.at.Load(); at != fenceUnsealed && at <= c.consumed.Load() {
-					m.gate = nil // every frame from here on clears the gate
-				}
-			}
-			v.targets[i] = cohortTarget{dst: m.ap, rx: &m.counters, gate: m.gate}
-		}
+// drain empties the cohort's tail through send to its current members, and
+// closes it when closing; the bypass lane holds nothing.
+func (c *cohort) drain(closing bool) {
+	if c.frames == nil {
+		return
 	}
-	kept := c.fades[:0]
-	for _, f := range c.fades {
-		if f.expiresAt.Load() > c.consumed.Load() {
-			kept = append(kept, f)
-			v.fades = append(v.fades, f)
-		}
+	op, fn := "flush", c.frames.Flush
+	if closing {
+		op, fn = "close", c.frames.Close
 	}
-	c.fades = kept
-	c.view.Store(v)
-}
-
-// stop tears a chain cohort down gracefully: the source drains the queue and
-// observes EOF, the chain flushes everything it still holds through the sink
-// — where fade targets receive it — and only once the sink has exited is the
-// stage machinery stopped. The bypass cohort has nothing to stop; its
-// published view keeps serving writer-queued outbounds until they flush.
-func (c *cohort) stop() {
-	c.stopOnce.Do(func() {
-		if c.chain == nil {
-			c.closed.Store(true)
-			return
-		}
-		close(c.done)
-		// If the chain already died on its own, the sink has exited and the
-		// queue may still hold frames nothing will read; Wait returns
-		// immediately and the drain below reclaims them.
-		c.sink.Wait()
-		c.closed.Store(true)
-		c.chain.Stop()
-		for {
-			select {
-			case b := <-c.in:
-				b.Release()
-			default:
-				return
-			}
-		}
-	})
-}
-
-// memberResponder is a fan-out member's end of the adaptation plane: its
-// receiverLoop's responder, whose loss-rate events re-decide the member's
-// repair mechanism and move it between cohorts. It holds the member's decided
-// state for stats — the same surface raplet.ChainFECResponder exposes for
-// trunk loops — while the chain the decision selects is shared cohort
-// machinery owned by the delivery tree.
-type memberResponder struct {
-	name string
-	tree *deliveryTree
-	m    *member
-
-	mu       sync.Mutex
-	current  fec.Params
-	mech     adapt.Mechanism
-	lastLoss float64
-	retunes  uint64
-	active   bool
-}
-
-// Name implements raplet.Responder.
-func (r *memberResponder) Name() string { return r.name }
-
-// Handle implements raplet.Responder: loss-rate events from the member's own
-// observer re-decide its cohort. Runs on the session bus goroutine.
-func (r *memberResponder) Handle(e raplet.Event) error {
-	if e.Type != raplet.EventLossRate {
-		return nil
-	}
-	return r.tree.retune(r.m, e.Value, e.RTTMillis)
-}
-
-// set records the outcome of one retune decision. moved increments the retune
-// counter: a cohort move is the cohort world's equivalent of a splice.
-func (r *memberResponder) set(params fec.Params, mech adapt.Mechanism, loss float64, active, moved bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.current, r.mech, r.lastLoss, r.active = params, mech, loss, active
-	if moved {
-		r.retunes++
+	if err := fn(); err != nil {
+		c.tree.s.eng.logf("session %d: cohort %q: %s: %v", c.tree.s.id, c.key, op, err)
 	}
 }
-
-// decision returns the mechanism and parameters last decided for the member.
-func (r *memberResponder) decision() (adapt.Mechanism, fec.Params) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.mech, r.current
-}
-
-// setActive records a repair-engagement change caused by a plan rewrite
-// rather than a policy decision (marker recomposed away or back in).
-func (r *memberResponder) setActive(active bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.active = active
-}
-
-// Current returns the code the member's loop last decided (K == N: no FEC).
-func (r *memberResponder) Current() fec.Params {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.current
-}
-
-// Mechanism returns the repair mechanism last decided for the member.
-func (r *memberResponder) Mechanism() adapt.Mechanism {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.mech
-}
-
-// LastLoss returns the most recent loss rate the member's loop acted on.
-func (r *memberResponder) LastLoss() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastLoss
-}
-
-// Retunes returns how many times the member changed cohorts.
-func (r *memberResponder) Retunes() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.retunes
-}
-
-// Active reports whether a repair stage currently protects the member's
-// cohort.
-func (r *memberResponder) Active() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.active
-}
-
-var _ raplet.Responder = (*memberResponder)(nil)

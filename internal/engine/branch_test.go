@@ -203,6 +203,26 @@ func TestEngineBranchSpecShapesPerReceiverTails(t *testing.T) {
 	}
 }
 
+// TestEngineBranchTimedTailDelivers: a documented branch spec with a timed
+// stage (-branch 'fec-adapt,ratelimit=64000') builds and delivers, the
+// ratelimit stage running inline in the cohort's tail.
+func TestEngineBranchTimedTailDelivers(t *testing.T) {
+	rx := listenReceiver(t)
+	e := newTestEngine(t, Config{Shards: 1, Fanout: []string{rx.LocalAddr().String()}, Branch: "fec-adapt,ratelimit=64000"})
+	c := dialEngine(t, e)
+	for i := 0; i < 5; i++ {
+		sendPacket(t, c, 12, &packet.Packet{Seq: uint64(i), Kind: packet.KindData, Payload: []byte{byte(i)}})
+	}
+	for i := 0; i < 5; i++ {
+		if _, p := readFrame(t, rx, 2*time.Second); p.Seq != uint64(i) {
+			t.Fatalf("timed tail delivered seq %d, want %d", p.Seq, i)
+		}
+	}
+	if st := e.Session(12).Stats(); len(st.Receivers) != 1 || len(st.Receivers[0].Stages) != 1 {
+		t.Fatalf("receiver stats = %+v, want one branch running the ratelimit stage", st.Receivers)
+	}
+}
+
 // TestEngineBranchFollowsRuntimeMembership checks that members joining and
 // leaving at run time gain and lose delivery branches on the next packet.
 func TestEngineBranchFollowsRuntimeMembership(t *testing.T) {
@@ -330,15 +350,23 @@ func TestEngineBranchConfigValidation(t *testing.T) {
 // one of two receivers oscillates its loss reports across the adaptation
 // threshold, so its membership ping-pongs between the shared bypass lane and
 // an FEC cohort while data keeps flowing. The handover contract being pinned:
-// migration may duplicate a frame already in flight (the fade window) but may
-// never lose one — every data sequence number reaches the churning receiver —
-// and its delivery counters stay exact: zero drops, and the datagrams counted
-// for the branch are exactly the datagrams its socket saw.
-func TestEngineCohortChurnNoLoss(t *testing.T) {
+// every data frame reaches the churning receiver exactly once — never lost,
+// never duplicated — and its delivery counters stay exact: zero drops, and
+// the datagrams counted for the branch are exactly the datagrams its socket
+// saw.
+func TestEngineCohortChurnNoLoss(t *testing.T) { testCohortChurn(t, "") }
+
+// TestEngineCohortChurnTimedTail is the same race with a timed stage in every
+// cohort's tail: frames a delay stage still holds when the member moves must
+// go out to the cohort's members they entered for, once.
+func TestEngineCohortChurnTimedTail(t *testing.T) { testCohortChurn(t, "fec-adapt,delay=1ms") }
+
+func testCohortChurn(t *testing.T, branch string) {
 	rxStable := listenReceiver(t)
 	rxChurn := listenReceiver(t)
 	e := newTestEngine(t, Config{
 		Adapt:  true,
+		Branch: branch,
 		Fanout: []string{rxStable.LocalAddr().String(), rxChurn.LocalAddr().String()},
 	})
 	c := dialEngine(t, e)
@@ -355,13 +383,13 @@ func TestEngineCohortChurnNoLoss(t *testing.T) {
 		}
 	}()
 
-	// Record everything the churning receiver's socket sees: which data
-	// frames arrived (possibly more than once) and how many datagrams arrived
-	// in total, parity included. Frame identity rides in the payload, not the
-	// header sequence number — an FEC cohort re-sequences data into block
-	// coordinates, but payload bytes survive every repair mechanism.
+	// Record everything the churning receiver's socket sees: how often each
+	// data frame arrived and how many datagrams arrived in total, parity
+	// included. Frame identity rides in the payload, not the header sequence
+	// number — an FEC cohort re-sequences data into block coordinates, but
+	// payload bytes survive every repair mechanism.
 	var mu sync.Mutex
-	seen := make(map[uint64]bool)
+	seen := make(map[uint64]int)
 	socketFrames := uint64(0)
 	go func() {
 		buf := make([]byte, packet.MaxDatagram)
@@ -382,7 +410,7 @@ func TestEngineCohortChurnNoLoss(t *testing.T) {
 			mu.Lock()
 			socketFrames++
 			if p.Kind == packet.KindData && len(p.Payload) >= 8 {
-				seen[binary.BigEndian.Uint64(p.Payload)] = true
+				seen[binary.BigEndian.Uint64(p.Payload)]++
 			}
 			mu.Unlock()
 		}
@@ -422,31 +450,36 @@ func TestEngineCohortChurnNoLoss(t *testing.T) {
 		})
 	}
 	last := seq - 1
+	// The last burst may sit in a partial FEC group or a delay stage; a
+	// final move flushes it.
+	reportFrom(t, rxChurn, e, id, packet.Report{Received: 90, Lost: 10, Window: 100})
 
-	// No data frame may be lost across any of the migrations.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		missing := uint64(0)
+	// Every data frame arrives, and exactly once.
+	tally := func() (missing, dup []uint64) {
 		mu.Lock()
+		defer mu.Unlock()
 		for s := uint64(0); s <= last; s++ {
-			if !seen[s] {
-				missing++
+			switch seen[s] {
+			case 0:
+				missing = append(missing, s)
+			case 1:
+			default:
+				dup = append(dup, s)
 			}
 		}
-		mu.Unlock()
-		if missing == 0 {
+		return missing, dup
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		missing, dup := tally()
+		if len(dup) > 0 {
+			t.Fatalf("data frames delivered more than once to the churning receiver: %v", dup)
+		}
+		if len(missing) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			var miss []uint64
-			mu.Lock()
-			for s := uint64(0); s <= last; s++ {
-				if !seen[s] {
-					miss = append(miss, s)
-				}
-			}
-			mu.Unlock()
-			t.Fatalf("%d of %d data frames never reached the churning receiver: %v", missing, last+1, miss)
+			t.Fatalf("%d of %d data frames never reached the churning receiver: %v", len(missing), last+1, missing)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -459,4 +492,7 @@ func TestEngineCohortChurnNoLoss(t *testing.T) {
 		mu.Unlock()
 		return rs.Drops == 0 && rs.OutPackets == got
 	})
+	if _, dup := tally(); len(dup) > 0 {
+		t.Fatalf("data frames delivered more than once to the churning receiver: %v", dup)
+	}
 }

@@ -13,23 +13,17 @@ import (
 // optionally one of its fan-out receivers) and rewrites its chain while
 // traffic flows. Trunk operations compute the target plan and apply it
 // through the session's compose.Live under its splice lock, serialized with
-// the session's adaptation responder — or, when the target needs the other
-// executor (it gained its first stage without a frame form, or lost its last),
-// rebuild the trunk on that executor with the surviving stage instances
-// carried over. Receiver operations rewrite the member's tail *plan* and
-// reassign its delivery cohort — under cohort delivery a receiver's tail is
-// shared state, so a per-receiver rewrite is a membership move, never surgery
-// on a chain other receivers are using. The canonical plan string after the
-// rewrite is returned for display.
+// the session's adaptation responder. Receiver operations rewrite the
+// member's tail *plan* and reassign its delivery cohort — under cohort
+// delivery a receiver's tail is shared state, so a per-receiver rewrite is a
+// membership move, never surgery on a chain other receivers are using. The
+// canonical plan string after the rewrite is returned for display.
 
 // recomposeTrunk applies one plan rewrite to a session's trunk. rewrite maps
 // the current plan to the target (validated against mode). A parked session
 // is unparked first — a control operation is activity, and it needs a chain
 // to act on. The whole operation holds the session's lifecycle lock, so trunk
-// rewrites of one session serialize with each other and with park, and the
-// executor the target plan selects (compose.Registry.FrameNative — the same
-// rule that picked it when the session opened) is compared against the one
-// running it under that lock.
+// rewrites of one session serialize with each other and with park.
 func (e *Engine) recomposeTrunk(id uint32, rewrite func(cur compose.Plan, mode compose.Mode) (compose.Plan, error)) (string, error) {
 	s := e.table.lookup(id)
 	if s == nil {
@@ -46,12 +40,7 @@ func (e *Engine) recomposeTrunk(id uint32, rewrite func(cur compose.Plan, mode c
 	if err != nil {
 		return "", err
 	}
-	if e.reg.FrameNative(target) == (cs.frames != nil) {
-		err = cs.live.Recompose(target)
-	} else {
-		cs, err = s.rebuildLocked(cs, target)
-	}
-	if err != nil {
+	if err := cs.live.Recompose(target); err != nil {
 		return "", err
 	}
 	return cs.live.String(), nil

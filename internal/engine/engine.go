@@ -9,29 +9,21 @@
 //
 // Execution model. A session's trunk runs to completion on the shard reader
 // that received the datagram: validate and demux, every trunk stage in order,
-// Session.send, the owning shard's writer queue — one goroutine, no
-// per-session queue, no byte pipe between stages, no copy and no re-parse;
-// the received buffer (its session-ID prefix kept as the outgoing one's
-// room) rides all the way to the writer. This is the filter.FrameChain
-// executor, used whenever every stage of the session's plan has a frame form
-// (compose.Registry.FrameNative): null, counting, checksum, the FEC encoder
-// and decoder, arq, replay, thin, the transcoders and the compressors, plus
-// whatever an adaptation responder activates at the fec-adapt marker. One
-// lock per session serializes it — in shared-socket mode any shard's reader
+// Session.send, the owning shard's output queue, which the reader itself
+// sends once its read batch is done — one goroutine, no per-session queue,
+// no byte pipe between stages, no copy and no re-parse; the received buffer
+// (its session-ID prefix kept as the outgoing one's room) rides all the way
+// to the socket write. The executor is filter.FrameChain, the only one the
+// engine builds: every stage kind has a frame form. One lock per session
+// serializes it — in shared-socket mode any shard's reader
 // may receive any session's datagram, and the control plane splices from
-// another goroutine — so a splice is a slice swap between two frames, a
-// departing stage is flushed through the stages downstream of it first, and
-// per-stage byte counters are kept as on a goroutine chain. A stage error
-// evicts the session (chainErrors). A plan with a stage that has no frame
-// form — the timed kinds delay, ratelimit and jitter, or a custom registry
-// kind that only builds a stream filter — keeps the paper's executor
-// instead: a goroutine per stage joined by detachable streams between UDP
-// endpoints, fed from a per-session queue. The plan alone decides, there is
-// no setting; a live recompose that crosses the boundary rebuilds the
-// session's chainState on the other executor under its lifecycle lock,
-// flushing everything in flight and carrying matching stage instances over
-// (Session.rebuildLocked). Delivery-cohort tails (branch.go) still run as
-// goroutine chains behind the trunk.
+// another goroutine — so a splice is a slice swap between two frames and a
+// departing stage is flushed through the stages downstream of it first. The
+// timed kinds (delay, ratelimit, jitter) hold frames and release them from
+// one runtime timer per chain, through the same lock. A stage error evicts
+// the session (chainErrors); a bad frame (filter.ErrBadFrame) is dropped and
+// counted instead. Delivery-cohort tails (branch.go) run the same way,
+// inline behind the trunk.
 //
 // Chains are built on the composition plane (internal/compose): the trunk
 // and branch specs parse to plan IRs instantiated through the shared stage
@@ -44,8 +36,10 @@
 // The data plane is sharded: Config.Shards reader goroutines (default one
 // per CPU) pull datagrams off the socket, sessions live in a sharded table
 // (per-shard lock, session ID hashed to shard) so open/lookup/close never
-// touch a global lock, and each shard runs a writer goroutine that flushes
-// output in opportunistic batches. Socket I/O is batched at the syscall
+// touch a global lock, and each shard runs a writer goroutine that sends the
+// delivery-cohort tails' output and what goroutines other than its reader
+// queue (timed stages' releases, the control plane). Socket I/O is batched at
+// the syscall
 // level where the platform allows: on linux/amd64 and linux/arm64 the shard
 // loops move up to 32 datagrams per recvmmsg/sendmmsg call (optionally
 // folding runs of equal-size datagrams into single UDP GSO super-datagrams,
@@ -59,36 +53,35 @@
 //
 // The steady-state relay path is allocation-free: datagrams travel in pooled
 // buffers (packet.GetBuf) from the socket read, through the chain, to the
-// shard writer's socket write, and session lookup, peer tracking (one atomic
+// shard's socket write, and session lookup, peer tracking (one atomic
 // load per datagram) and counters all avoid per-packet allocation.
 //
 // The engine scales to a million mostly-idle sessions by making idleness
 // free: after Config.IdleTTL without traffic a session is parked — its stage
-// instances (and a goroutine trunk's goroutines and buffers) released, only
-// identity, plan and counters retained — and transparently rebuilt on the
-// next datagram (park.go). Session counts
-// and engine stats are maintained as atomic gauges, so admission checks and
+// instances released, only identity, plan and counters retained — and
+// transparently rebuilt on the next datagram (park.go). Session counts and
+// engine stats are maintained as atomic gauges, so admission checks and
 // Stats() are O(1)/O(shards) regardless of table size, and an explicit
 // admission policy (Config.Admission) chooses between rejecting new sessions
 // at capacity and harvesting the oldest-idle one to make room.
 //
 // Fan-out sessions with adaptation (or a Branch spec) relay through a
-// delivery tree instead of a single chain: the shared trunk's output is teed
-// by reference into delivery *cohorts* — one shared tail per distinct
-// protection level, not one per receiver. Receivers whose tail plans and
-// decided repair mechanisms match share one chain traversal and one FEC
-// encode, fanned to all of them by the shard writer (same payload, N address
-// stamps); receivers needing no tail at all ride a bypass lane straight into
-// the writer's batch. Each receiver's own loss reports still drive its
-// protection level — a retune just moves the receiver between cohorts — so
-// per-station adaptation costs one chain per *level*, not per station.
-// Migration is exact: an in-band marker seals the old cohort at a sequence
-// number and a gate opens the new one at the same point, so no frame is
-// lost, duplicated or miscounted while a member moves. Cohort output is
-// flushed destination-major, a cohort's frames gathered from across the
-// writer's drained batch, so the batched writer can fold one traversal's
-// fan-out into GSO super-datagrams; the BypassHits and CoalescedSends
-// counters (metrics.ShardStats) expose both fast paths. See branch.go.
+// delivery tree instead of a single chain: the shared trunk's output is
+// dispatched to delivery *cohorts* — one shared tail per distinct protection
+// level, not one per receiver. Receivers whose tail plans and decided repair
+// mechanisms match share one tail traversal and one FEC encode, fanned to all
+// of them by the shard's flush (same payload, N address stamps); receivers
+// needing no tail at all ride a bypass lane straight into the shard's queue.
+// Each receiver's own loss reports still drive its protection level — a
+// retune just moves the receiver between cohorts — so per-station adaptation
+// costs one tail per *level*, not per station. Migration is exact by
+// construction: dispatch and every membership change take the tree's lock,
+// and a frame's destinations are fixed when it is enqueued, so a member gets
+// each frame from exactly one cohort. Cohort output is flushed
+// destination-major, a view's frames gathered from across the flushed batch,
+// so the batch conn can fold one traversal's fan-out into GSO
+// super-datagrams; the BypassHits and CoalescedSends counters
+// (metrics.ShardStats) expose both fast paths. See branch.go.
 //
 // Reliability stages close two more loops on the read path. NACK datagrams
 // (packet.KindNack) are consumed like feedback — never entering a chain,
@@ -126,7 +119,6 @@ const (
 	// bound is live traffic and memory, not a configured ceiling; deployments
 	// that want the old small cap set MaxSessions explicitly.
 	DefaultMaxSessions = 1 << 20
-	DefaultQueueDepth  = 256
 	// maxShards caps Config.Shards; beyond this the readers only contend on
 	// the kernel's socket lock.
 	maxShards = 64
@@ -185,12 +177,6 @@ type Config struct {
 	// datagrams are sent to. When empty the engine echoes each session's
 	// output back to that session's most recent sender.
 	Forward string
-	// QueueDepth bounds the inbound datagram queue of each goroutine chain — a
-	// session whose plan is not frame-native, and every delivery-cohort tail;
-	// 0 selects DefaultQueueDepth. When the queue is full new datagrams are
-	// dropped and counted, UDP-style, rather than blocking the shared read
-	// loop. Frame-native sessions run inline and have no queue.
-	QueueDepth int
 	// AllowRoaming lets a session's echo destination follow its most recent
 	// sender (for mobile clients whose address changes mid-session). Off by
 	// default: the peer is pinned to the session's first sender so a datagram
@@ -231,10 +217,9 @@ type Config struct {
 	// clean-link path. 0 (the default) disables aging.
 	ReportStaleness time.Duration
 	// IdleTTL parks sessions that see no traffic (and no control operations)
-	// for this long: the chain and its goroutines are released and only a
-	// compact record — identity, plan, counters — remains; the next datagram
-	// rebuilds the chain transparently. 0 (the default) disables parking.
-	// See park.go.
+	// for this long: the chain is released and only a compact record —
+	// identity, plan, counters — remains; the next datagram rebuilds the
+	// chain transparently. 0 (the default) disables parking. See park.go.
 	IdleTTL time.Duration
 	// Admission selects what happens to a new session arriving at
 	// MaxSessions: AdmitReject (the default) refuses it, AdmitHarvest evicts
@@ -295,14 +280,6 @@ type Engine struct {
 	active      atomic.Int64 // registered sessions (live + parked), admission-checked against MaxSessions
 	stopWriters chan struct{}
 	wg          sync.WaitGroup // shard readers and writers
-
-	// exitWg tracks in-flight session exit hooks. A plain WaitGroup would
-	// race: openSession may run on any goroutine (readers, tests), so an
-	// Add could otherwise land while Close is already in Wait with the
-	// counter at zero. exitMu + exitWaiting close that window.
-	exitMu      sync.Mutex
-	exitWaiting bool
-	exitWg      sync.WaitGroup
 }
 
 // New validates cfg (including the chain spec) and returns an engine ready to
@@ -313,9 +290,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
 	}
 	switch cfg.Admission {
 	case "":
@@ -368,7 +342,7 @@ func New(cfg Config) (*Engine, error) {
 		stopWriters: make(chan struct{}),
 	}
 	for i := range e.shards {
-		e.shards[i] = shard{idx: i, eng: e, writeq: make(chan outbound, writeQueueDepth)}
+		e.shards[i] = shard{idx: i, eng: e, wake: make(chan struct{}, 1)}
 	}
 	if adaptOn {
 		e.policy = cfg.AdaptPolicy
@@ -392,8 +366,7 @@ func New(cfg Config) (*Engine, error) {
 	// The delivery tree engages whenever fan-out needs per-receiver tails:
 	// adaptation (each member's own loss reports drive its own branch) or an
 	// explicit Branch spec. Plain fan-out without either keeps the direct
-	// multicast write path — no per-branch goroutines, one batched write per
-	// receiver.
+	// multicast write path — one batched write per receiver.
 	e.branching = e.group != nil && (cfg.Adapt || cfg.Branch != "")
 	// Chains owned by the adaptation plane carry a fec-adapt marker in their
 	// plan: the position the responder's encoder activates at, visible in
@@ -460,7 +433,7 @@ func (e *Engine) FanoutGroup() *multicast.AddrGroup { return e.group }
 
 // receiverAuthorized reports whether a feedback datagram's source is one of
 // the session's legitimate downstream receivers: a fan-out group member, the
-// forward destination, or (in echo mode) the session's pinned peer. The gate
+// forward destination, or (in echo mode) the session's pinned peer. The check
 // mirrors the data path's peer pinning — an off-path host that merely
 // guesses a session ID must not be able to steer its FEC level. from must
 // already be in canonical (unmapped) form; e.forward and group members are
@@ -661,83 +634,30 @@ func (e *Engine) openSession(id uint32, peer netip.AddrPort) (*Session, error) {
 		}
 		return winner, nil
 	}
-	if s.exited.Load() {
-		// The chain died inside the construct→register window, so the exit
-		// hook's eviction found nothing to remove. Evict here instead of
-		// leaving a dead session blackholing the ID; the next datagram opens
-		// a fresh one.
-		if e.table.remove(id, s) {
-			e.active.Add(-1)
-		}
-		var cause error
-		if cs := s.state(); cs != nil && cs.sink != nil {
-			cause = cs.sink.Err()
-		}
-		s.close()
-		if cause != nil {
-			return nil, fmt.Errorf("engine: session %d: chain died during open: %w", id, cause)
-		}
-		return nil, fmt.Errorf("engine: session %d: chain ended during open", id)
-	}
 	e.shardFor(id).counters.opened.Add(1)
 	return s, nil
 }
 
-// trackSessionExit reserves a slot in the exit-hook WaitGroup, unless Close
-// has already begun waiting on it (the hook then runs untracked — its
-// session was never registered, so it early-returns after Close anyway).
-// The returned flag tells the hook whether it owns a slot to release.
-func (e *Engine) trackSessionExit() bool {
-	e.exitMu.Lock()
-	defer e.exitMu.Unlock()
-	if e.exitWaiting {
-		return false
-	}
-	e.exitWg.Add(1)
-	return true
-}
-
-// sessionExited runs on a goroutine incarnation's sink goroutine after that
-// chain terminates. Replacing the old one-watchdog-goroutine-per-session
-// design with this exit hook removed a third of the per-session goroutines a
-// goroutine trunk costs.
-func (e *Engine) sessionExited(s *Session, cs *chainState, tracked bool) {
-	if tracked {
-		defer e.exitWg.Done()
-	}
-	e.chainFailed(s, cs, cs.sink.Err())
-}
-
-// chainFailed evicts a session whose trunk terminated on its own — a stage
-// failed on a frame (cause says why), or a goroutine chain simply ended — so
-// a dead session cannot occupy a slot and blackhole its ID forever; the next
-// datagram opens a fresh one. Deliberate stops (park, close, a rebuild on the
-// other executor) retired the incarnation first and are ignored here. It runs
-// on the sink goroutine of a goroutine trunk and on the delivering goroutine
-// of a frame-native one, after that goroutine has left the executor's lock;
-// several readers may report one failure, and only the first evicts.
+// chainFailed evicts a session whose trunk failed — a stage failed on a frame
+// (cause says why) — so a dead session cannot occupy a slot and blackhole its
+// ID forever; the next datagram opens a fresh one. Deliberate stops (park,
+// close) retired the incarnation first and are ignored here. It runs on the
+// delivering goroutine after it has left the executor's lock; several
+// readers may report one failure, and only the first evicts.
 func (e *Engine) chainFailed(s *Session, cs *chainState, cause error) {
 	if cs.retired.Load() {
-		return // park, close or rebuild tore this incarnation down deliberately
+		return // park or close tore this incarnation down deliberately
 	}
 	select {
 	case <-s.done:
 		return // CloseSession / Close is tearing the session down
 	default:
 	}
-	// Flag the death before touching the table: if the session is still in
-	// its construct→register window, this remove finds nothing, and it is
-	// openSession's post-insert check of this flag that evicts instead (the
-	// shard lock orders that check after this store).
 	if !s.exited.CompareAndSwap(false, true) {
 		return
 	}
-	if cause != nil {
-		s.shard.counters.chainErrors.Add(1)
-		e.logf("session %d: chain failed, evicting: %v", s.id, cause)
-	} else {
-		e.logf("session %d: chain ended, evicting", s.id)
-	}
+	s.shard.counters.chainErrors.Add(1)
+	e.logf("session %d: chain failed, evicting: %v", s.id, cause)
 	if e.table.remove(s.id, s) {
 		e.active.Add(-1)
 	}
@@ -839,13 +759,8 @@ func (e *Engine) Close() error {
 			firstErr = err
 		}
 	}
-	// Every registered session's chain has now been stopped, so every
-	// tracked exit hook has fired or is firing; wait them out, then stop
-	// the writers (they drain and release whatever is still queued).
-	e.exitMu.Lock()
-	e.exitWaiting = true
-	e.exitMu.Unlock()
-	e.exitWg.Wait()
+	// Every registered session's chain has now been closed; stop the writers
+	// (they drain and release whatever is still queued).
 	close(e.stopWriters)
 	e.wg.Wait()
 	e.logf("closed (%d sessions served)", e.Stats().TotalSessions)

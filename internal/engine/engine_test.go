@@ -124,14 +124,10 @@ func TestEngineMultipleSessionsAreIndependent(t *testing.T) {
 	if n := e.SessionCount(); n != sessions {
 		t.Fatalf("SessionCount = %d, want %d", n, sessions)
 	}
-	// Each session runs its own counting stage — inline, the plan being
-	// frame-native, so there is no goroutine chain behind it.
+	// Each session runs its own counting stage.
 	s := e.Session(3)
 	if s == nil {
 		t.Fatal("session 3 missing")
-	}
-	if s.Chain() != nil {
-		t.Fatal("frame-native session built a goroutine chain")
 	}
 	stages := s.Live().StageStats()
 	if len(stages) != 1 || stages[0].Kind != "counting" || !stages[0].Active || stages[0].InBytes == 0 {
@@ -286,10 +282,9 @@ func TestEngineMalformedDatagramsCounted(t *testing.T) {
 }
 
 func TestEngineChainDyingDuringOpenDoesNotBlackholeID(t *testing.T) {
-	// A stage that fails the instant it starts kills the chain inside
-	// openSession's construct→register window: the exit hook's eviction can
-	// run before the session is in the table. The post-insert exited check
-	// must evict it anyway — the ID must never be blackholed by a dead
+	// A custom kind with only a stream body cannot run on the engine's frame
+	// executor: building the session fails cleanly (filter.ErrNoFrameForm)
+	// before it is registered. The ID must never be blackholed by a dead
 	// session, and the admission slot must be released.
 	e := newTestEngine(t, Config{MaxSessions: 2})
 	reg := compose.Default().Clone()
@@ -311,11 +306,9 @@ func TestEngineChainDyingDuringOpenDoesNotBlackholeID(t *testing.T) {
 	e.trunkPlan = failPlan
 	peer := netip.MustParseAddrPort("127.0.0.1:9")
 	for i := 0; i < 30; i++ {
-		if _, err := e.openSession(77, peer); errors.Is(err, ErrEngineClosed) {
-			t.Fatalf("iteration %d: openSession: %v", i, err)
+		if _, err := e.openSession(77, peer); !errors.Is(err, filter.ErrNoFrameForm) {
+			t.Fatalf("iteration %d: openSession = %v, want ErrNoFrameForm", i, err)
 		}
-		// Whether eviction ran via the hook or the post-insert check, the
-		// dead session must vanish (and free its admission slot) promptly.
 		deadline := time.Now().Add(2 * time.Second)
 		for e.SessionCount() != 0 {
 			if time.Now().After(deadline) {
@@ -493,35 +486,91 @@ func TestEngineGarbageFrameDoesNotBrickSession(t *testing.T) {
 	}
 }
 
+// failingRegistry clones e's registry with a "fail" kind whose frame form
+// fails on every frame carrying the payload "fail" and passes the rest.
+func failingRegistry(t *testing.T, e *Engine) *compose.Registry {
+	t.Helper()
+	reg := e.reg.Clone()
+	if err := reg.Register(compose.Definition{
+		Kind: "fail",
+		Build: func(compose.Env, string) (filter.Filter, error) {
+			return filter.NewPacketFunc("fail", func(p *packet.Packet) ([]*packet.Packet, error) {
+				if string(p.Payload) == "fail" {
+					return nil, errors.New("boom")
+				}
+				return []*packet.Packet{p}, nil
+			}, nil), nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
 func TestEngineEvictsSessionWhoseChainFails(t *testing.T) {
-	// A payload that is not a DEFLATE stream is a protocol-valid frame that
-	// makes the decompress stage fail, killing the session's trunk — inline
-	// on the frame executor, or the whole goroutine chain when a timed stage
-	// keeps the plan off it. Either way the dead session must be evicted so
-	// the ID is not blackholed, and a later datagram must get a fresh session.
-	for _, chain := range []string{"decompress,counting", "decompress,delay=1ms"} {
+	// A stage failing on a frame kills the session's trunk — on the frame the
+	// reader ran, or on one a timed stage released from its timer. Either way
+	// the dead session must be evicted so the ID is not blackholed, and a
+	// later datagram must get a fresh session.
+	for _, chain := range []string{"fail,counting", "delay=1ms,fail"} {
 		t.Run(chain, func(t *testing.T) {
-			e := newTestEngine(t, Config{Chain: chain})
+			e, err := New(Config{ListenAddr: "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.reg = failingRegistry(t, e)
+			if e.trunkPlan, err = compose.ParseWith(e.reg, chain, compose.ModeChain); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { e.Close() })
 			c := dialEngine(t, e)
 
-			sendPacket(t, c, 33, &packet.Packet{Seq: 1, Kind: packet.KindData, Payload: []byte("not deflate")})
+			sendPacket(t, c, 33, &packet.Packet{Seq: 1, Kind: packet.KindData, Payload: []byte("fail")})
 			deadline := time.Now().Add(2 * time.Second)
-			for e.Stats().ChainErrors == 0 || e.SessionCount() != 0 {
+			for e.Stats().ChainErrors == 0 {
 				if time.Now().After(deadline) {
-					t.Fatalf("dead session never evicted: %+v count=%d", e.Stats(), e.SessionCount())
+					t.Fatalf("dead session never evicted: %+v", e.Stats())
 				}
+				// A failure on the timer surfaces on the next datagram.
+				sendPacket(t, c, 33, &packet.Packet{Seq: 1, Kind: packet.KindData, Payload: []byte("poke")})
 				time.Sleep(5 * time.Millisecond)
 			}
 			if got := e.Stats().ChainErrors; got != 1 {
 				t.Fatalf("ChainErrors = %d, want 1", got)
 			}
-			// Same ID works again on a fresh session (empty payloads pass
-			// decompress untouched).
-			sendPacket(t, c, 33, &packet.Packet{Seq: 2, Kind: packet.KindData})
-			if id, p := readPacket(t, c, 2*time.Second); id != 33 || p.Seq != 2 {
-				t.Fatalf("after eviction: session %d seq %d", id, p.Seq)
+			// Same ID works again on a fresh session: the dead one was evicted.
+			for {
+				sendPacket(t, c, 33, &packet.Packet{Seq: 2, Kind: packet.KindData})
+				if id, p := readPacket(t, c, 2*time.Second); id == 33 && p.Seq == 2 {
+					break
+				}
 			}
 		})
+	}
+}
+
+// TestEngineBadFrameDropsNotEvicts sends a payload that is not a DEFLATE
+// stream into decompress — a protocol-valid datagram any sender can produce.
+// The stage must drop and count it: Drops goes up, no chain error, and the
+// session keeps relaying.
+func TestEngineBadFrameDropsNotEvicts(t *testing.T) {
+	e := newTestEngine(t, Config{Chain: "decompress,counting"})
+	c := dialEngine(t, e)
+	const id = 34
+	sendPacket(t, c, id, &packet.Packet{Seq: 1, Kind: packet.KindData}) // empty payloads pass decompress
+	readPacket(t, c, 2*time.Second)
+	sendPacket(t, c, id, &packet.Packet{Seq: 2, Kind: packet.KindData, Payload: []byte("not deflate")})
+	sendPacket(t, c, id, &packet.Packet{Seq: 3, Kind: packet.KindData})
+	if got, p := readPacket(t, c, 2*time.Second); got != id || p.Seq != 3 {
+		t.Fatalf("after the bad frame: session %d seq %d, want %d/3", got, p.Seq, id)
+	}
+	st := e.Session(id).Stats()
+	if st.Drops != 1 || st.Packets != 3 || e.Stats().ChainErrors != 0 || e.SessionCount() != 1 {
+		t.Fatalf("session stats %+v, chain errors %d, sessions %d: want 1 drop, 3 packets, no error",
+			st, e.Stats().ChainErrors, e.SessionCount())
 	}
 }
 

@@ -43,10 +43,10 @@ func TestEngineARQNackRecovery(t *testing.T) {
 		total  = 400
 		budget = 5 // receiver gives a sequence up after this many NACKs
 	)
-	// A deep inbound queue plus paced sends keep the whole stream inside the
-	// session (an engine-side queue drop never reaches the ARQ history, so it
-	// would be unrecoverable loss the test is not about).
-	e := newTestEngine(t, Config{Chain: "arq", QueueDepth: 2 * total})
+	// Paced sends keep the whole stream inside the session (an engine-side
+	// drop never reaches the ARQ history, so it would be unrecoverable loss
+	// the test is not about).
+	e := newTestEngine(t, Config{Chain: "arq"})
 	c := dialEngine(t, e)
 
 	// The lossy last hop: every echo is "broadcast" onto the simulated medium

@@ -2,14 +2,12 @@ package engine
 
 import (
 	"fmt"
-	"io"
 	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rapidware/internal/compose"
-	"rapidware/internal/endpoint"
 	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
 	"rapidware/internal/multicast"
@@ -64,11 +62,8 @@ type Session struct {
 
 	done chan struct{}
 
-	// exited is set by the engine's exit hook when the chain terminates on
-	// its own. openSession checks it after registering the session: a chain
-	// that died inside the construct→register window would otherwise leave a
-	// dead session in the table (the hook's eviction ran before there was
-	// anything to evict) and blackhole the ID.
+	// exited is set by the first reader to report the chain's failure, so one
+	// failure evicts the session once.
 	exited atomic.Bool
 
 	closeOnce sync.Once
@@ -82,29 +77,14 @@ type Session struct {
 }
 
 // chainState is one incarnation of a session's running machinery: the trunk
-// plan's stage instances on one of two executors, and — when configured — the
-// adaptation plane and the per-receiver delivery tree.
-//
-// The plan picks the executor (compose.Registry.FrameNative): when every stage
-// has a frame form the trunk is a filter.FrameChain and runs to completion on
+// plan's stage instances on a filter.FrameChain, which runs to completion on
 // whichever goroutine delivers the datagram — no goroutine, queue or byte
-// pipe of its own; frames is set and the goroutine-chain fields are nil.
-// Otherwise (a timed stage, a stream-only custom stage) the trunk is the
-// paper's goroutine-per-stage filter.Chain bracketed by UDP endpoints and fed
-// from an inbound queue; frames is nil. A goroutine chain cannot restart once
-// stopped and a frame chain cannot reopen once closed, so park discards the
-// whole incarnation and unpark builds a fresh one from the retained plan.
+// pipe of its own — and, when configured, the adaptation plane and the
+// per-receiver delivery tree. A frame chain cannot reopen once closed, so
+// park discards the whole incarnation and unpark builds a fresh one from the
+// retained plan.
 type chainState struct {
-	// frames is the inline executor of a frame-native plan.
 	frames *filter.FrameChain
-
-	// chain, source, sink, in and stop are the goroutine executor: nil on a
-	// frame-native incarnation.
-	chain  *filter.Chain
-	source *endpoint.UDPSource
-	sink   *endpoint.UDPSink
-	in     chan *packet.Buf
-	stop   chan struct{}
 
 	// live binds the trunk's executor to its composition plan; all structural
 	// mutation — control-plane recompose, responder splices — goes through
@@ -115,20 +95,20 @@ type chainState struct {
 	// runs without the feedback loop.
 	adaptor *sessionAdaptor
 
-	// tree is the session's per-receiver delivery tree: the trunk chain's
-	// output is cloned by reference into one branch tail per fan-out member.
-	// nil on unicast sessions and on plain (branch-less) fan-out.
+	// tree is the session's per-receiver delivery tree: the trunk's output
+	// is dispatched to the delivery cohorts serving the fan-out members. nil
+	// on unicast sessions and on plain (branch-less) fan-out.
 	tree *deliveryTree
 
 	// retired is set (under the session's parkMu) before a deliberate teardown
-	// — park, close, or a rebuild on the other executor — so the failure path
-	// can tell it from a chain dying on its own and skip the eviction.
+	// — park or close — so the failure path can tell it from a chain dying on
+	// its own and skip the eviction.
 	retired atomic.Bool
 }
 
-// newSession builds and starts the chain for one session. It runs with no
-// lock held — the caller registers the finished session in the sharded table
-// afterwards and resolves any construction race there.
+// newSession builds the chain for one session. It runs with no lock held —
+// the caller registers the finished session in the sharded table afterwards
+// and resolves any construction race there.
 func newSession(e *Engine, id uint32, peer netip.AddrPort) (*Session, error) {
 	s := &Session{
 		id:    id,
@@ -140,7 +120,7 @@ func newSession(e *Engine, id uint32, peer netip.AddrPort) (*Session, error) {
 		s.peer.Store(&peer)
 	}
 	s.idleSince.Store(time.Now().UnixNano())
-	cs, err := e.buildChainState(s, e.trunkPlan, nil)
+	cs, err := e.buildChainState(s, e.trunkPlan)
 	if err != nil {
 		return nil, err
 	}
@@ -148,128 +128,49 @@ func newSession(e *Engine, id uint32, peer netip.AddrPort) (*Session, error) {
 	return s, nil
 }
 
-// buildChainState assembles and starts one incarnation of a session's trunk
-// from the given plan: at open time from the engine's configured plan, at
-// unpark time from the plan the session retained when it was parked, and when
-// a recompose moves the session to the other executor from the new plan, with
-// from naming the torn-down incarnation's Live whose matching stage instances
-// carry over.
-func (e *Engine) buildChainState(s *Session, plan compose.Plan, from *compose.Live) (*chainState, error) {
+// buildChainState assembles one incarnation of a session's trunk from the
+// given plan: at open time from the engine's configured plan, at unpark time
+// from the plan the session retained when it was parked. The stages run on
+// the delivering goroutine and what they emit goes straight to send, in the
+// buffer it arrived in whenever the stages kept it.
+func (e *Engine) buildChainState(s *Session, plan compose.Plan) (*chainState, error) {
 	cs := &chainState{}
-	var err error
-	if e.reg.FrameNative(plan) {
-		err = e.buildFrameChain(s, cs, plan, from)
-	} else {
-		err = e.buildGoroutineChain(s, cs, plan, from)
-	}
+	cs.frames = filter.NewFrameChain(func(b *packet.Buf) { s.send(cs, datagram(b)) })
+	live, err := compose.AttachTo(cs.frames, e.reg, s.composeEnv(), e.trunkMode(), plan)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("engine: session %d chain: %w", s.id, err)
 	}
+	cs.live = live
 	if e.adaptOn {
 		a, err := newSessionAdaptor(s, cs, e.policy)
 		if err != nil {
-			// Deliberate teardown of the half-built incarnation: retire it
-			// first so the exit hook doesn't mistake the stop for a chain
-			// death and try to evict a session that was never registered.
-			cs.retired.Store(true)
-			cs.stopExecutor()
+			_ = cs.frames.Close() // nothing has run through it yet
 			return nil, fmt.Errorf("engine: session %d adaptor: %w", s.id, err)
 		}
 		cs.adaptor = a
 	}
 	if e.branching {
-		// Build the delivery tree (and one branch per current fan-out member)
-		// before the session can receive a packet, so the first trunk frame
-		// already fans out through fully primed branches.
+		// Build the delivery tree (and a cohort for every current fan-out
+		// member) before the session can receive a packet, so the first
+		// trunk frame already fans out through fully primed cohorts.
 		cs.tree = newDeliveryTree(s, cs)
 		cs.tree.reconcile()
 	}
 	return cs, nil
 }
 
-// buildFrameChain composes a frame-native plan onto the inline executor: the
-// stages run on the delivering goroutine and what they emit goes straight to
-// send, in the buffer it arrived in whenever the stages kept it.
-func (e *Engine) buildFrameChain(s *Session, cs *chainState, plan compose.Plan, from *compose.Live) error {
-	cs.frames = filter.NewFrameChain(func(b *packet.Buf) {
-		// send wants the session-ID headroom in front of the frame. A
-		// received buffer still has its prefix there and stage-built frames
-		// reserve it (packet.GetFrameBuf); anything else is re-buffered.
-		if !b.Unshift(packet.SessionIDSize) {
-			nb := packet.GetBuf(packet.SessionIDSize + len(b.B))
-			copy(nb.B[packet.SessionIDSize:], b.B)
-			b.Release()
-			b = nb
-		}
-		s.send(cs, b)
-	})
-	live, err := compose.AttachTo(cs.frames, e.reg, s.composeEnv(), e.trunkMode(), plan, from)
-	if err != nil {
-		return fmt.Errorf("engine: session %d chain: %w", s.id, err)
+// datagram returns b with session-ID headroom in front of its frame, the form
+// the shard sends. A received buffer still has its prefix there and
+// stage-built frames reserve it (packet.GetFrameBuf); anything else is
+// re-buffered.
+func datagram(b *packet.Buf) *packet.Buf {
+	if b.Unshift(packet.SessionIDSize) {
+		return b
 	}
-	cs.live = live
-	return nil
-}
-
-// buildGoroutineChain composes a plan with a stage that has no frame form
-// onto the paper's executor: one goroutine per stage joined by detachable
-// streams, a UDPSource feeding it from the session's inbound queue and a
-// UDPSink re-framing its output for send.
-func (e *Engine) buildGoroutineChain(s *Session, cs *chainState, plan compose.Plan, from *compose.Live) error {
-	cs.in = make(chan *packet.Buf, e.cfg.QueueDepth)
-	cs.stop = make(chan struct{})
-	cs.chain = filter.NewChain(fmt.Sprintf("session-%d", s.id))
-	cs.source = endpoint.NewUDPSource(fmt.Sprintf("udp-in:%d", s.id), func() (*packet.Buf, error) {
-		return s.recv(cs)
-	})
-	// The trunk sink always reserves session-ID headroom: on the unicast path
-	// the frame is stamped and sent as-is, and on the delivery-tree path the
-	// tree stamps the same headroom once before teeing so the bypass lane can
-	// forward the shared buffer to the shard writer with no copy at all
-	// (cohort chains read past the stamp at a fixed offset).
-	cs.sink = endpoint.NewUDPSink(fmt.Sprintf("udp-out:%d", s.id), packet.SessionIDSize, func(b *packet.Buf) error {
-		s.send(cs, b)
-		return nil
-	})
-	if err := cs.chain.Append(cs.source); err != nil {
-		return err
-	}
-	if err := cs.chain.Append(cs.sink); err != nil {
-		return err
-	}
-	// Compose the trunk interior between the endpoints from the plan; the
-	// same Live later applies control-plane recompositions and the adaptation
-	// responder's splices to the running chain.
-	live, err := compose.AttachTo(cs.chain, e.reg, s.composeEnv(), e.trunkMode(), plan, from)
-	if err != nil {
-		return fmt.Errorf("engine: session %d chain: %w", s.id, err)
-	}
-	cs.live = live
-	// The sink's exit hook is the session's watchdog: when the chain
-	// terminates on its own the hook evicts the session, without spending a
-	// goroutine per session on a blocking Wait. Registered (and accounted in
-	// the engine's exit WaitGroup) before Start so the hook cannot be missed.
-	tracked := e.trackSessionExit()
-	cs.sink.OnExit(func() { e.sessionExited(s, cs, tracked) })
-	if err := cs.chain.Start(); err != nil {
-		if tracked && !cs.sink.Running() {
-			// The sink goroutine never launched, so the exit hook will never
-			// fire; balance the accounting here.
-			e.exitWg.Done()
-		}
-		return fmt.Errorf("engine: session %d start: %w", s.id, err)
-	}
-	return nil
-}
-
-// stopExecutor force-stops the incarnation's executor: close's teardown (and
-// the bail-out of a half-built incarnation). A frame chain flushes what its
-// stages hold on the way; a goroutine chain discards what is mid-chain.
-func (cs *chainState) stopExecutor() error {
-	if cs.frames != nil {
-		return cs.frames.Close()
-	}
-	return cs.chain.Stop()
+	nb := packet.GetBuf(packet.SessionIDSize + len(b.B))
+	copy(nb.B[packet.SessionIDSize:], b.B)
+	b.Release()
+	return nb
 }
 
 // ID returns the session's wire identifier.
@@ -278,21 +179,9 @@ func (s *Session) ID() uint32 { return s.id }
 // state returns the session's current chain-bound state, nil while parked.
 func (s *Session) state() *chainState { return s.cs.Load() }
 
-// Chain exposes the session's goroutine filter chain for observation: nil
-// while the session is parked, and nil when its plan is frame-native and runs
-// inline with no filter.Chain at all. Structural mutation goes through Live,
-// which keeps the executor and its plan consistent.
-func (s *Session) Chain() *filter.Chain {
-	if cs := s.cs.Load(); cs != nil {
-		return cs.chain
-	}
-	return nil
-}
-
 // Live exposes the session's composed trunk so the control plane (and tests)
 // can observe it. nil while parked. Recompose through the engine's session
-// operations (RecomposeSession and friends), which unpark first and move the
-// session to the other executor when the new plan needs it.
+// operations (RecomposeSession and friends), which unpark first.
 func (s *Session) Live() *compose.Live {
 	if cs := s.cs.Load(); cs != nil {
 		return cs.live
@@ -447,7 +336,7 @@ func historyFor(live *compose.Live) retransmitter {
 
 // handleNack consumes one validated NACK frame, answering each named sequence
 // number out of the session's ARQ retransmission history with a unicast
-// retransmission to the requester. NACKs honor the same off-path gate as
+// retransmission to the requester. NACKs honor the same off-path check as
 // receiver reports; on a fan-out session the requester's own delivery branch
 // is consulted first, so a branch whose responder escalated to ARQ serves its
 // receiver from its own history. Requests for sequence numbers the bounded
@@ -539,21 +428,11 @@ func (s *Session) setPeer(from netip.AddrPort) {
 // session; it takes ownership of b. A datagram for a parked session unparks
 // it first — the rebuild is the slow path.
 //
-// On a frame-native trunk the datagram is processed right here: one atomic
-// load, the executor's lock, then every stage and send run to completion on
-// this goroutine, in the buffer the socket read filled. A false Enter means
-// the executor was retired under us — park or a rebuild on the other
-// executor, both under parkMu, or a close/failure for good — so we wait the
+// The datagram is processed right here: one atomic load, the executor's lock,
+// then every stage and send run to completion on this goroutine, in the
+// buffer the socket read filled. A false Enter means the executor was retired
+// under us — park, under parkMu, or a close/failure for good — so we wait the
 // transition out on parkMu and look again.
-//
-// On a goroutine trunk the datagram is queued for the chain's source,
-// dropping rather than blocking when the queue is full so one slow session
-// cannot stall the engine's shared read loop: one atomic load, the enqueue,
-// and one confirming load. The confirming load closes the park race: if park
-// retired the queue between our load and the enqueue, the datagram could sit
-// in a channel nothing reads, so we reclaim one buffer from the retired queue
-// (ours, or an equivalent predecessor park's drain didn't own) and deliver it
-// through the fresh state.
 func (s *Session) deliver(b *packet.Buf, from netip.AddrPort) {
 	s.setPeer(from)
 	for {
@@ -566,84 +445,45 @@ func (s *Session) deliver(b *packet.Buf, from netip.AddrPort) {
 				return
 			}
 		}
-		n := uint64(len(b.B)) // read before the hand-off: the chain owns b afterwards
-		if fc := cs.frames; fc != nil {
-			if fc.Enter() {
-				s.counters.Packets.Add(1)
-				s.counters.Bytes.Add(n)
-				b.B = b.B[packet.SessionIDSize:]
-				err := fc.Run(b)
-				fc.Exit()
-				if err != nil {
-					s.eng.chainFailed(s, cs, err)
-				}
-				return
-			}
-			s.parkMu.Lock()
-			swapped := s.cs.Load() != cs
-			s.parkMu.Unlock()
-			if swapped {
-				continue
-			}
-			// Still the same incarnation, so it is gone for good: the session
-			// is closing, or a stage failed on another reader's frame.
-			if err := fc.Err(); err != nil {
+		fc := cs.frames
+		if fc.Enter() {
+			s.counters.Packets.Add(1)
+			s.counters.Bytes.Add(uint64(len(b.B)))
+			b.B = b.B[packet.SessionIDSize:]
+			err := fc.Run(b)
+			fc.Exit()
+			if err != nil {
 				s.eng.chainFailed(s, cs, err)
 			}
-			s.counters.Drops.Add(1)
-			b.Release()
 			return
 		}
-		select {
-		case cs.in <- b:
-		default:
-			s.counters.Drops.Add(1)
-			b.Release()
-			return
+		s.parkMu.Lock()
+		swapped := s.cs.Load() != cs
+		s.parkMu.Unlock()
+		if swapped {
+			continue
 		}
-		if s.cs.Load() == cs {
-			s.counters.Packets.Add(1)
-			s.counters.Bytes.Add(n)
-			return
+		// Still the same incarnation, so it is gone for good: the session is
+		// closing, or a stage failed on another reader's frame (or on one a
+		// timed stage released).
+		if err := fc.Err(); err != nil {
+			s.eng.chainFailed(s, cs, err)
 		}
-		select {
-		case b = <-cs.in:
-			// Park raced us; go around with the reclaimed buffer.
-		default:
-			// Park's drain (or the old chain, before it stopped) took
-			// ownership of our datagram; either way it is not lost.
-			s.counters.Packets.Add(1)
-			s.counters.Bytes.Add(n)
-			return
-		}
-	}
-}
-
-// recv feeds a goroutine incarnation's UDPSource: it blocks for the next
-// queued datagram, strips the session-ID prefix, and returns io.EOF once the
-// incarnation is parked or the session is closed.
-func (s *Session) recv(cs *chainState) (*packet.Buf, error) {
-	select {
-	case b := <-cs.in:
-		b.B = b.B[packet.SessionIDSize:]
-		return b, nil
-	case <-cs.stop:
-		return nil, io.EOF
-	case <-s.done:
-		return nil, io.EOF
+		s.counters.Drops.Add(1)
+		b.Release()
+		return
 	}
 }
 
 // send relays one trunk-output frame; b.B starts with SessionIDSize bytes of
 // headroom followed by the frame. On the delivery-tree path the tree stamps
-// the session ID into the headroom once and tees the frame into every
-// delivery cohort by reference; otherwise the session ID is stamped in place
-// and the whole buffer is one datagram for the owning shard's batched writer.
-// Routing every datagram of a session through one shard writer preserves
-// per-session output order; a full writer queue drops (UDP-style, counted)
-// rather than blocking the trunk. send owns b until the enqueue. It runs on
-// the sink goroutine of a goroutine trunk and under the executor's lock of a
-// frame-native one, so calls for one incarnation never overlap.
+// the session ID and dispatches the frame to every delivery cohort; otherwise
+// the session ID is stamped in place and the whole buffer is one datagram for
+// the owning shard's output queue. Routing every datagram of a session
+// through one shard's queue preserves per-session output order; a full queue
+// drops (UDP-style, counted) rather than blocking the trunk. send owns b
+// until the enqueue. It runs under the executor's lock, so calls for one
+// incarnation never overlap.
 func (s *Session) send(cs *chainState, b *packet.Buf) {
 	if cs.tree != nil {
 		cs.tree.dispatch(b)
@@ -668,56 +508,21 @@ func (s *Session) send(cs *chainState, b *packet.Buf) {
 	s.shard.enqueue(outbound{s: s, b: b, dst: dst})
 }
 
-// close terminates the session: the adaptation plane stops first (so no
-// splice can race the teardown), then the trunk's executor stops — a frame
-// chain flushes what its stages hold and closes, a goroutine chain's source
-// observes EOF and its stages stop — the delivery branches drain and stop in
-// turn, and queued buffers are returned to the pool. A parked session closes
-// by just releasing its slot in the parked gauge — there is nothing else left
-// to stop.
+// close terminates the session: the incarnation is retired as park would —
+// adaptation plane first, then the trunk flushes what its stages hold and
+// closes, then the delivery cohorts — and a parked session just releases its
+// slot in the parked gauge.
 func (s *Session) close() error {
 	s.closeOnce.Do(func() {
 		s.parkMu.Lock()
 		defer s.parkMu.Unlock()
-		cs := s.cs.Load()
-		if cs != nil {
-			// Retire before stopping so the failure path recognizes the
-			// deliberate teardown.
-			cs.retired.Store(true)
-			if cs.adaptor != nil {
-				cs.adaptor.stop()
-			}
-		}
 		close(s.done)
-		if cs != nil {
-			s.closeErr = cs.stopExecutor()
-			if cs.tree != nil {
-				// The trunk is stopped, so no dispatch is in flight; tear the
-				// branches down after it so trailing trunk output still fanned
-				// out.
-				cs.tree.close()
-			}
-			for _, b := range cs.drainQueue() {
-				b.Release()
-			}
+		if cs := s.cs.Load(); cs != nil {
+			s.closeErr = s.retireLocked(cs)
 		}
 		if s.parked.CompareAndSwap(true, false) {
 			s.shard.counters.parkedNow.Add(-1)
 		}
 	})
 	return s.closeErr
-}
-
-// drainQueue empties a goroutine incarnation's inbound queue without blocking
-// (nil for a frame-native incarnation, which has none).
-func (cs *chainState) drainQueue() []*packet.Buf {
-	var out []*packet.Buf
-	for {
-		select {
-		case b := <-cs.in:
-			out = append(out, b)
-		default:
-			return out
-		}
-	}
 }

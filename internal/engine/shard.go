@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"net/netip"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,15 +17,15 @@ import (
 // Shard-runtime tuning constants.
 const (
 	// batchSize is the number of datagrams one syscall can move in either
-	// direction: the reader offers this many buffers per ReadBatch and the
-	// writer drains this many queue entries per flush. On the Linux fast
-	// path a full batch costs one recvmmsg/sendmmsg; the portable path
-	// degrades to one syscall per datagram behind the same interface.
+	// direction: the reader offers this many buffers per ReadBatch and a
+	// flush takes this many queue entries. On the Linux fast path a full
+	// batch costs one recvmmsg/sendmmsg; the portable path degrades to one
+	// syscall per datagram behind the same interface.
 	batchSize = netbatch.BatchSize
-	// writeQueueDepth bounds each shard's outbound datagram queue. When the
+	// writeqSize bounds each shard's outbound datagram queue. When the
 	// queue is full new output is dropped and counted, UDP-style, so a
 	// slow socket cannot stall session chains.
-	writeQueueDepth = 1024
+	writeqSize = 1024
 	// maxReadBackoffShift caps the transient-read-error sleep at
 	// 1ms << maxReadBackoffShift (256ms).
 	maxReadBackoffShift = 8
@@ -67,20 +68,20 @@ type shardCounters struct {
 	_          [48]byte // pad so neighboring shards' counters don't false-share
 }
 
-// outbound is one datagram queued on a shard writer. dst is the resolved
+// outbound is one datagram queued on a shard. dst is the resolved
 // unicast destination; fan selects the engine's fan-out group instead (the
-// plain multicast path); grp selects a delivery cohort, expanded to the
-// cohort's current membership — targets plus still-fading migrated members —
-// at flush time, so membership changes apply to queued datagrams too.
-// Per-receiver unicast datagrams (replay priming, NACK retransmissions) set
-// dst with rx pointing at the receiver's counter block.
+// plain multicast path), snapshotted at flush time; view selects a delivery
+// cohort's destinations as they were when the frame was enqueued, so a
+// membership change applies from the next frame on. Per-receiver unicast
+// datagrams (replay priming, NACK retransmissions) set dst with rx pointing
+// at the receiver's counter block.
 type outbound struct {
-	s   *Session
-	b   *packet.Buf
-	dst netip.AddrPort
-	rx  *metrics.ReceiverCounters
-	grp *cohort
-	fan bool
+	s    *Session
+	b    *packet.Buf
+	dst  netip.AddrPort
+	rx   *metrics.ReceiverCounters
+	view *[]target
+	fan  bool
 }
 
 // wmeta carries one batched datagram's accounting targets through the send
@@ -91,27 +92,38 @@ type wmeta struct {
 }
 
 // shard is one slice of the engine's data plane: a reader goroutine pulling
-// datagram batches off its socket, a writer goroutine flushing batched
-// output, and the counter block both report into. In the portable
-// single-socket mode all shards share one net.UDPConn (the kernel serializes
-// receives, but validation, demux and queueing overlap across readers); in
-// SO_REUSEPORT mode each shard owns its own socket and the kernel spreads
-// flows across them.
+// datagram batches off its socket and sending what they produce, a writer
+// goroutine sending the cohort tails' output and what other goroutines queue,
+// and the counter block both report into. In the portable single-socket mode
+// all shards share one net.UDPConn (the kernel serializes receives, but
+// validation, demux and queueing overlap across readers); in SO_REUSEPORT
+// mode each shard owns its own socket and the kernel spreads flows across
+// them.
 type shard struct {
 	idx      int
 	eng      *Engine
 	conn     *net.UDPConn
 	bconn    batchConn // wired by Start unless a test injected one
-	writeq   chan outbound
 	counters shardCounters
 
-	// Writer-side scratch, reused across flushes so fan-out expansion never
-	// allocates in steady state. Only the writer goroutine touches these.
-	wmsgs []ioMsg
-	wacct []wmeta
-	widx  [batchSize]int32
-	wseqs [batchSize]int64
-	whits [batchSize]int32
+	// The output queues. Producers append to wq under wmu and wake the
+	// writer — except while the reader is handling a batch (reading is set):
+	// the reader sends wq itself once done, in one piece, so flush groups
+	// each view's frames into one GSO run per destination. tq holds the
+	// cohort tails' output, which the writer sends (see enqueueTail).
+	wmu     sync.Mutex
+	wq, tq  []outbound // guarded by wmu
+	wake    chan struct{}
+	reading atomic.Bool
+
+	// sendMu serializes sendQueue, so each queue goes out in order, and
+	// guards the scratch below, reused so fan-out expansion never allocates
+	// in steady state.
+	sendMu sync.Mutex
+	spare  []outbound
+	wmsgs  []ioMsg
+	wacct  []wmeta
+	widx   [batchSize]int32
 }
 
 // stats snapshots this shard's counters.
@@ -147,9 +159,12 @@ func (sh *shard) stats() metrics.ShardStats {
 // its session. Buffers are leased from the packet pool a batch at a time;
 // slots the kernel didn't fill keep their buffer for the next batch, so an
 // idle shard holds at most batchSize spare buffers and steady state still
-// allocates nothing. Transient read errors back off exponentially — both the
-// retry pace and the logging — so a persistent socket fault can neither spin
-// a core nor storm the log.
+// allocates nothing. What a batch's sessions emit is queued while the batch
+// runs and sent by the reader once it is done, so one flush carries the whole
+// batch's output and no goroutine handoff sits on the forwarding path (cohort
+// tails' output excepted, see enqueueTail). Transient read errors back off
+// exponentially — both the retry pace and the logging — so a persistent
+// socket fault can neither spin a core nor storm the log.
 func (sh *shard) readLoop() {
 	e := sh.eng
 	defer e.wg.Done()
@@ -190,11 +205,14 @@ func (sh *shard) readLoop() {
 		}
 		errStreak = 0
 		sh.counters.datagrams.Add(uint64(n))
+		sh.reading.Store(true)
 		for i := 0; i < n; i++ {
 			b := bufs[i]
 			bufs[i] = nil // ownership moves to the session (or is released below)
 			sh.handleDatagram(b, ms[i].N, ms[i].Addr)
 		}
+		sh.reading.Store(false)
+		sh.sendQueue(&sh.wq)
 	}
 }
 
@@ -256,71 +274,95 @@ func (sh *shard) handleDatagram(b *packet.Buf, n int, from netip.AddrPort) {
 	s.deliver(b, from)
 }
 
-// enqueue hands one outbound datagram to the shard's writer, dropping
-// (UDP-style, counted) when the queue is full so a saturated socket cannot
-// stall the session chains feeding it. enqueue takes ownership of o.b.
+// enqueue queues one outbound datagram for the shard's socket. Off the
+// reader's batch — a stage's release timer, the control plane — it wakes the
+// writer. enqueue takes ownership of o.b.
 func (sh *shard) enqueue(o outbound) {
-	select {
-	case sh.writeq <- o:
-	default:
-		o.s.counters.Drops.Add(1)
-		if o.rx != nil {
-			o.rx.Drops.Add(1)
-		}
-		if o.grp != nil {
-			// One lost cohort frame is one lost datagram per member. The
-			// frame still consumes its cohort sequence number so fade fences
-			// stay aligned with the frames that actually flush.
-			seq := o.grp.consumed.Add(1) - 1
-			v := o.grp.view.Load()
-			for i := range v.targets {
-				t := &v.targets[i]
-				if t.gate != nil && seq < t.gate.at.Load() {
-					continue // not this member's frame; see flush
-				}
-				t.rx.Drops.Add(1)
-			}
-		}
-		sh.counters.writeDrops.Add(1)
-		o.b.Release()
+	if sh.push(&sh.wq, o) && !sh.reading.Load() {
+		sh.wakeWriter()
 	}
 }
 
-// writeLoop is the shard's batched send path: it blocks for one outbound
-// datagram, opportunistically drains up to batchSize-1 more without
-// blocking, and flushes the batch through the batch conn. Per-session output
-// order is preserved because every session enqueues on exactly one shard and
-// the flush sends in queue order.
+// enqueueTail queues one datagram of a cohort tail's output, which the writer
+// sends: it is the heavy part of a fan-out — an encoded stream, parity
+// included, to every member — and handing it over lets the reader send the
+// trunk's and the bypass lane's output and get back to the socket. It takes
+// ownership of o.b.
+func (sh *shard) enqueueTail(o outbound) {
+	if sh.push(&sh.tq, o) {
+		sh.wakeWriter()
+	}
+}
+
+// push appends o to q, or drops it (UDP-style, counted) when q is full so a
+// saturated socket cannot stall the session chains feeding it.
+func (sh *shard) push(q *[]outbound, o outbound) bool {
+	sh.wmu.Lock()
+	if len(*q) < writeqSize {
+		*q = append(*q, o)
+		sh.wmu.Unlock()
+		return true
+	}
+	sh.wmu.Unlock()
+	o.s.counters.Drops.Add(1)
+	if o.rx != nil {
+		o.rx.Drops.Add(1)
+	}
+	if o.view != nil {
+		// One lost cohort frame is one lost datagram per member.
+		for _, t := range *o.view {
+			t.rx.Drops.Add(1)
+		}
+	}
+	sh.counters.writeDrops.Add(1)
+	o.b.Release()
+	return false
+}
+
+// wakeWriter tells the writer the queue has work; wakes coalesce.
+func (sh *shard) wakeWriter() {
+	select {
+	case sh.wake <- struct{}{}:
+	default:
+	}
+}
+
+// writeLoop sends the cohort tails' output and what is queued off the
+// reader's batches. Output order is preserved per queue — every session
+// enqueues on exactly one shard, and sendQueue sends in queue order — so per
+// destination, as a destination is fed from one queue at a time.
 func (sh *shard) writeLoop() {
 	e := sh.eng
 	defer e.wg.Done()
-	var batch [batchSize]outbound
 	for {
 		select {
-		case o := <-sh.writeq:
-			batch[0] = o
+		case <-sh.wake:
+			sh.sendQueue(&sh.tq)
+			sh.sendQueue(&sh.wq)
 		case <-e.stopWriters:
 			sh.drainWriteQueue()
 			return
 		}
-		n := 1
-	fill:
-		for n < batchSize {
-			select {
-			case o := <-sh.writeq:
-				batch[n] = o
-				n++
-			default:
-				break fill
-			}
-		}
-		sh.flush(batch[:n])
-		for i := 0; i < n; i++ {
-			batch[i] = outbound{}
-		}
-		sh.counters.writes.Add(uint64(n))
+	}
+}
+
+// sendQueue takes the whole of q and flushes it through the batch conn
+// batchSize entries at a time.
+func (sh *shard) sendQueue(q *[]outbound) {
+	sh.sendMu.Lock()
+	defer sh.sendMu.Unlock()
+	sh.wmu.Lock()
+	b := *q
+	*q = sh.spare
+	sh.wmu.Unlock()
+	for i := 0; i < len(b); i += batchSize {
+		batch := b[i:min(i+batchSize, len(b))]
+		sh.flush(batch)
+		sh.counters.writes.Add(uint64(len(batch)))
 		sh.counters.flushes.Add(1)
 	}
+	clear(b)
+	sh.spare = b[:0]
 }
 
 // flush expands one drained batch into the wire-level datagram list — fan-out
@@ -328,7 +370,7 @@ func (sh *shard) writeLoop() {
 // reference — sends it, and releases every buffer. flush owns the batch's
 // buffers.
 //
-// The batch's frames bound for one cohort expand destination-major: all of
+// The batch's frames bound for one cohort view expand destination-major: all of
 // member A's frames, then all of member B's, and so on. Per-destination
 // order is exactly queue order (all UDP promises), and runs of equal-size
 // datagrams to one address are what the batch conn's UDP GSO path folds into
@@ -343,7 +385,7 @@ func (sh *shard) flush(batch []outbound) {
 		if taken[i] {
 			continue
 		}
-		if o.grp == nil {
+		if o.view == nil {
 			if !o.fan {
 				ms = append(ms, ioMsg{Buf: o.b.B, Addr: o.dst})
 				acct = append(acct, wmeta{s: o.s, rx: o.rx})
@@ -361,60 +403,40 @@ func (sh *shard) flush(batch []outbound) {
 			continue
 		}
 		// Cohort fan-out: one payload buffer per frame, one address stamp per
-		// member, plus migrated members whose fade fence a frame's cohort
-		// sequence number still precedes (frames in flight at migration time
-		// reach them; newer frames — which their new cohort delivers — do
-		// not) and minus joined members whose start gate it hasn't reached
-		// (their old cohort still owes them those).
+		// member of the view the frame was enqueued with.
 		//
-		// The run is every frame of this cohort in the batch, adjacent or
-		// not: cohorts feed the queue concurrently (the bypass lane from the
-		// reader, chain cohorts from their sinks), so their frames interleave,
-		// and only what is expanded together can share a GSO send. Pulling a
-		// cohort's later frames forward keeps that cohort's order — which is
-		// each of its destinations' order — and only moves them past other
-		// cohorts' and sessions' frames, with which they were never ordered.
-		grp := o.grp
+		// The run is every frame in the batch with this view, adjacent or
+		// not: cohorts feed the queue concurrently (tails from their release
+		// timers, the bypass lane and tails from dispatch), so their frames
+		// interleave, and only what is expanded together can share a GSO
+		// send. Pulling a view's later frames forward keeps their order —
+		// which is each of its destinations' order — and only moves them past
+		// other views' and sessions' frames, with which they were never
+		// ordered.
+		view := o.view
 		run := 0
 		for j := i; j < len(batch); j++ {
-			if batch[j].grp != grp {
-				continue
+			if batch[j].view == view {
+				taken[j] = true
+				sh.widx[run] = int32(j)
+				run++
 			}
-			taken[j] = true
-			sh.widx[run] = int32(j)
-			sh.wseqs[run] = grp.consumed.Add(1) - 1
-			sh.whits[run] = 0
-			run++
 		}
-		v := grp.view.Load()
-		for j := range v.targets {
-			t := &v.targets[j]
+		targets := *view
+		for _, t := range targets {
 			for k := 0; k < run; k++ {
-				if t.gate != nil && sh.wseqs[k] < t.gate.at.Load() {
-					continue // joined after this frame; its old cohort delivers it
-				}
 				f := &batch[sh.widx[k]]
 				ms = append(ms, ioMsg{Buf: f.b.B, Addr: t.dst})
 				acct = append(acct, wmeta{s: f.s, rx: t.rx})
-				sh.whits[k]++
 			}
 		}
-		for _, fade := range v.fades {
+		switch {
+		case len(targets) == 0:
 			for k := 0; k < run; k++ {
-				if sh.wseqs[k] < fade.expiresAt.Load() {
-					f := &batch[sh.widx[k]]
-					ms = append(ms, ioMsg{Buf: f.b.B, Addr: fade.dst})
-					acct = append(acct, wmeta{s: f.s, rx: fade.rx})
-					sh.whits[k]++
-				}
-			}
-		}
-		for k := 0; k < run; k++ {
-			if sh.whits[k] == 0 {
 				batch[sh.widx[k]].s.counters.Drops.Add(1)
-			} else if sh.whits[k] >= 2 {
-				sh.counters.coalesced.Add(1)
 			}
+		case len(targets) >= 2:
+			sh.counters.coalesced.Add(uint64(run))
 		}
 	}
 	sh.wmsgs, sh.wacct = ms, acct
@@ -472,12 +494,11 @@ func (sh *shard) sendBatch(ms []ioMsg, acct []wmeta) {
 
 // drainWriteQueue releases whatever is still queued at shutdown.
 func (sh *shard) drainWriteQueue() {
-	for {
-		select {
-		case o := <-sh.writeq:
-			o.b.Release()
-		default:
-			return
-		}
+	sh.wmu.Lock()
+	q := append(sh.wq, sh.tq...)
+	sh.wq, sh.tq = nil, nil
+	sh.wmu.Unlock()
+	for _, o := range q {
+		o.b.Release()
 	}
 }

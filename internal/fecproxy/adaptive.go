@@ -1,6 +1,7 @@
 package fecproxy
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -82,6 +83,9 @@ func NewAdaptiveEncoderFilter(name string, policy AdaptivePolicy, streamID uint3
 				return []*packet.Packet{p}, nil
 			}
 			out, err := af.enc.Add(p.Payload)
+			if errors.Is(err, fec.ErrShareSize) {
+				return nil, fmt.Errorf("fecproxy: adaptive encode: %w: %w", filter.ErrBadFrame, err)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("fecproxy: adaptive encode: %w", err)
 			}

@@ -7,6 +7,7 @@
 package fecproxy
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -77,6 +78,9 @@ func NewEncoderFilter(name string, params fec.Params, streamID uint32) (*Encoder
 		}
 		ef.dataIn.Add(1)
 		full, err := enc.Add(b)
+		if errors.Is(err, fec.ErrShareSize) {
+			return fmt.Errorf("fecproxy: encode: %w: %w", filter.ErrBadFrame, err)
+		}
 		if err != nil {
 			return fmt.Errorf("fecproxy: encode: %w", err)
 		}

@@ -127,7 +127,9 @@ func (cf *ChecksumFilter) Sum() (crc uint32, n uint64) {
 // NewRateLimit returns a pass-through filter that shapes throughput to at
 // most bytesPerSecond using a simple token bucket. It models transcoder-style
 // bandwidth reduction for slow wireless links when an actual content
-// transcoder is not needed.
+// transcoder is not needed. Its frame form paces whole frames: each may leave
+// once the bytes before it have drained at the rate, with one refill tick
+// (10 ms) of burst, and frames that must wait are held in order.
 func NewRateLimit(name string, bytesPerSecond int) *Base {
 	if name == "" {
 		name = fmt.Sprintf("ratelimit-%dBps", bytesPerSecond)
@@ -135,7 +137,12 @@ func NewRateLimit(name string, bytesPerSecond int) *Base {
 	if bytesPerSecond <= 0 {
 		bytesPerSecond = 1
 	}
-	return New(name, func(r io.Reader, w io.Writer) error {
+	const burst = 10 * time.Millisecond
+	var (
+		held heldFrames
+		tat  time.Time // when the bytes booked so far will have drained
+	)
+	b := New(name, func(r io.Reader, w io.Writer) error {
 		// Refill granularity of 10 ms keeps shaping smooth for audio-sized
 		// packets without busy waiting.
 		const tick = 10 * time.Millisecond
@@ -168,15 +175,33 @@ func NewRateLimit(name string, bytesPerSecond int) *Base {
 			}
 		}
 	})
+	return b.WithFrame(func(fb *packet.Buf, emit func(*packet.Buf)) error {
+		now := b.Now()
+		due := tat.Add(-burst)
+		if tat.Before(now) {
+			tat = now
+		}
+		tat = tat.Add(time.Duration(len(fb.B)) * time.Second / time.Duration(bytesPerSecond))
+		if len(held.q) == 0 && !due.After(now) {
+			emit(fb)
+			return nil
+		}
+		held.hold(b, fb, due)
+		return nil
+	}, held.flush).WithRelease(func(emit func(*packet.Buf)) time.Duration {
+		return held.release(b.Now(), emit)
+	})
 }
 
 // NewDelay returns a pass-through filter that adds a fixed latency to every
-// chunk, used in experiments to model processing or propagation delay.
+// chunk, used in experiments to model processing or propagation delay. Its
+// frame form holds each frame until d after it arrived.
 func NewDelay(name string, d time.Duration) *Base {
 	if name == "" {
 		name = fmt.Sprintf("delay-%s", d)
 	}
-	return New(name, func(r io.Reader, w io.Writer) error {
+	var held heldFrames
+	b := New(name, func(r io.Reader, w io.Writer) error {
 		buf := make([]byte, copyBufferSize)
 		for {
 			n, err := r.Read(buf)
@@ -191,6 +216,58 @@ func NewDelay(name string, d time.Duration) *Base {
 			}
 		}
 	})
+	return b.WithFrame(func(fb *packet.Buf, _ func(*packet.Buf)) error {
+		held.hold(b, fb, b.Now().Add(d))
+		return nil
+	}, held.flush).WithRelease(func(emit func(*packet.Buf)) time.Duration {
+		return held.release(b.Now(), emit)
+	})
+}
+
+// heldFrames is the state of the delay and ratelimit frame forms: the frames
+// a stage holds, in arrival order, each with the time it falls due. Due times
+// never decrease along the queue.
+type heldFrames struct {
+	q []heldFrame
+}
+
+type heldFrame struct {
+	b   *packet.Buf
+	due time.Time
+}
+
+// hold queues one frame for release at due, or drops it past MaxHeld.
+func (h *heldFrames) hold(stage *Base, b *packet.Buf, due time.Time) {
+	if len(h.q) >= MaxHeld {
+		b.Release()
+		stage.CountDrop()
+		return
+	}
+	h.q = append(h.q, heldFrame{b, due})
+}
+
+// release emits the frames due by now; see ReleaseFunc.
+func (h *heldFrames) release(now time.Time, emit func(*packet.Buf)) time.Duration {
+	for len(h.q) > 0 && !h.q[0].due.After(now) {
+		b := h.q[0].b
+		h.q[0] = heldFrame{}
+		h.q = h.q[1:]
+		emit(b)
+	}
+	if len(h.q) == 0 {
+		return 0
+	}
+	return h.q[0].due.Sub(now)
+}
+
+// flush emits every held frame, due or not.
+func (h *heldFrames) flush(emit func(*packet.Buf)) error {
+	for _, f := range h.q {
+		emit(f.b)
+	}
+	clear(h.q)
+	h.q = h.q[:0]
+	return nil
 }
 
 // NewTransform returns a filter applying fn to every chunk read. fn must be
@@ -218,7 +295,8 @@ func NewTransform(name string, fn func([]byte) []byte) *Base {
 }
 
 // PacketFunc transforms one decoded packet into zero or more packets to
-// forward. Returning an empty slice drops the packet.
+// forward. Returning an empty slice drops the packet; an error wrapping
+// ErrBadFrame drops and counts it.
 type PacketFunc func(*packet.Packet) ([]*packet.Packet, error)
 
 // NewPacketFunc returns a frame-form filter that decodes each frame, applies
@@ -235,7 +313,7 @@ func NewPacketFunc(name string, fn PacketFunc, flush func() []*packet.Packet) *B
 		p, _, err := packet.Unmarshal(b.B)
 		if err != nil {
 			b.Release()
-			return fmt.Errorf("packet: decode frame: %w", err)
+			return fmt.Errorf("packet: decode frame: %w: %w", ErrBadFrame, err)
 		}
 		outs, err := fn(p)
 		if err != nil {

@@ -269,11 +269,13 @@ func (c *Chain) Move(from, to int) error {
 	return c.Insert(f, to)
 }
 
-// respawn returns a fresh Base sharing the original's name and ProcessFunc
+// respawn returns a fresh Base sharing the original's name, bodies and hooks
 // but with new stream endpoints and lifecycle state, allowing a removed
 // filter to be reinserted.
 func (b *Base) respawn() *Base {
-	return New(b.name, b.fn).WithFrame(b.frame, b.flush)
+	r := New(b.name, b.fn).WithFrame(b.frame, b.flush).WithRelease(b.release)
+	r.onDrop, r.now = b.onDrop, b.now
+	return r
 }
 
 // SetInterior atomically replaces the chain's interior (everything between

@@ -4,6 +4,11 @@
 // into a Chain (the paper's ControlThread), which can insert, delete and
 // reorder them on a live stream using the detachable-stream pause/reconnect
 // protocol.
+//
+// Two executors run the same stage bodies. Chain, with one goroutine per
+// stage and the Quiescer drain, serves stream mode (core.Proxy), the paper's
+// figures and bench/layers. FrameChain runs every stage's frame form inline
+// and is the only executor internal/engine builds.
 package filter
 
 import (
@@ -12,6 +17,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"rapidware/internal/stream"
 )
@@ -67,8 +73,14 @@ type Base struct {
 	fn   ProcessFunc
 
 	// frame/flush are the stage's frame form; nil for stream-only stages.
-	frame FrameFunc
-	flush FlushFunc
+	// release is set on timed frame forms (see ReleaseFunc).
+	frame   FrameFunc
+	flush   FlushFunc
+	release ReleaseFunc
+	// onDrop counts frames the stage drops (OnDrop); now is a timed stage's
+	// clock (SetClock). Both are set before the stage carries traffic.
+	onDrop func()
+	now    func() time.Time
 	// inline is set while a FrameChain holds the stage: it is live without a
 	// goroutine of its own.
 	inline atomic.Bool
@@ -148,29 +160,6 @@ func (b *Base) Running() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.started && !b.stopped
-}
-
-// Rearm returns a stage whose processing goroutine has been stopped to the
-// never-started state with fresh stream endpoints, so it can join a chain
-// again. The stage body must keep its state outside the ProcessFunc
-// invocation (every frame-form stage does) for the state to carry; the engine
-// relies on this to move a session's stage instances between its inline and
-// goroutine executors. A running or never-started stage is left alone.
-func (b *Base) Rearm() {
-	b.mu.Lock()
-	done := b.done
-	stopped := b.started && b.stopped
-	b.mu.Unlock()
-	if !stopped {
-		return
-	}
-	<-done // the goroutine takes mu to record its error; wait for it unlocked
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.done == done {
-		b.started, b.stopped, b.done, b.runErr = false, false, nil, nil
-		b.in, b.out = nil, nil
-	}
 }
 
 // OnExit registers fn to run on the processing goroutine after it has

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"rapidware/internal/packet"
 )
@@ -20,9 +21,31 @@ import (
 type FrameFunc func(b *packet.Buf, emit func(*packet.Buf)) error
 
 // FlushFunc emits whatever a stage is still holding — a partially filled FEC
-// group, say — leaving it empty. It runs when the stream ends and when the
-// stage leaves a live chain, so retained frames are never lost with it.
+// group, frames a timed stage has not released yet — leaving it empty. It runs
+// when the stream ends, when the stage leaves a live chain and on
+// FrameChain.Flush, so retained frames are never lost with it.
 type FlushFunc func(emit func(*packet.Buf)) error
+
+// ReleaseFunc is the timer half of a timed stage's frame form (delay,
+// ratelimit, jitter): the frame function holds frames with a due time, and
+// release emits, in order, every held frame that is due and reports how long
+// until the next one is — 0 when the stage holds nothing. A FrameChain calls
+// it under its lock, through the stage's downstream wiring, after a frame
+// enters an idle chain and whenever the chain's timer fires. A stage's next
+// due time may move later as frames arrive but never earlier, so the timer
+// can fire early (release reports the new wait) and never late.
+type ReleaseFunc func(emit func(*packet.Buf)) (wait time.Duration)
+
+// MaxHeld bounds the frames a timed stage holds inline. An inline stage has
+// no queue behind it to push back on, so past the bound new frames are
+// dropped and counted through the stage's OnDrop hook.
+const MaxHeld = 1024
+
+// ErrBadFrame marks a frame a stage cannot process because of what it
+// carries — a payload that is not DEFLATE, an FEC share of no size. Any
+// sender can produce those, so they are not stage failures: both drivers drop
+// the frame, count it through the stage's OnDrop hook, and carry on.
+var ErrBadFrame = errors.New("filter: bad frame")
 
 // Errors of the frame executor.
 var (
@@ -40,7 +63,9 @@ var (
 // Write, so pause/reconnect always lands on a frame boundary). flush may be
 // nil for stages that retain nothing.
 func NewFrame(name string, frame FrameFunc, flush FlushFunc) *Base {
-	return New(name, streamDriver(frame, flush)).WithFrame(frame, flush)
+	b := &Base{name: name}
+	b.fn = streamDriver(frame, flush, b.CountDrop)
+	return b.WithFrame(frame, flush)
 }
 
 // WithFrame attaches a frame form to a filter that keeps its own stream
@@ -50,6 +75,37 @@ func NewFrame(name string, frame FrameFunc, flush FlushFunc) *Base {
 func (b *Base) WithFrame(frame FrameFunc, flush FlushFunc) *Base {
 	b.frame, b.flush = frame, flush
 	return b
+}
+
+// WithRelease makes a frame form timed (see ReleaseFunc). It returns b for
+// chaining and must be called before the filter is used.
+func (b *Base) WithRelease(release ReleaseFunc) *Base {
+	b.release = release
+	return b
+}
+
+// OnDrop registers fn to run for every frame the stage drops — a bad frame,
+// or a timed stage's overflow past MaxHeld — so the chain's owner can count
+// it. Call it before the stage carries traffic.
+func (b *Base) OnDrop(fn func()) { b.onDrop = fn }
+
+// CountDrop reports one dropped frame to the OnDrop hook, if any.
+func (b *Base) CountDrop() {
+	if b.onDrop != nil {
+		b.onDrop()
+	}
+}
+
+// SetClock replaces the clock a timed stage's frame form reads (time.Now by
+// default); tests inject a fake one. Call it before the stage carries traffic.
+func (b *Base) SetClock(now func() time.Time) { b.now = now }
+
+// Now reads the stage's clock.
+func (b *Base) Now() time.Time {
+	if b.now != nil {
+		return b.now()
+	}
+	return time.Now()
 }
 
 // frameBase lets the package reach the Base inside any filter that embeds
@@ -71,8 +127,9 @@ func baseOf(f Filter) *Base {
 // HasFrameForm reports whether a FrameChain can run f inline.
 func HasFrameForm(f Filter) bool { return baseOf(f) != nil }
 
-// streamDriver derives a stage's stream-mode body from its frame form.
-func streamDriver(frame FrameFunc, flush FlushFunc) ProcessFunc {
+// streamDriver derives a stage's stream-mode body from its frame form; bad
+// frames are dropped and reported to drop.
+func streamDriver(frame FrameFunc, flush FlushFunc, drop func()) ProcessFunc {
 	return func(r io.Reader, w io.Writer) error {
 		pr := packet.NewReader(r)
 		var werr error
@@ -97,7 +154,9 @@ func streamDriver(frame FrameFunc, flush FlushFunc) ProcessFunc {
 				}
 				return werr
 			}
-			if err := frame(b, emit); err != nil {
+			if err := frame(b, emit); errors.Is(err, ErrBadFrame) {
+				drop()
+			} else if err != nil {
 				return err
 			}
 			if werr != nil {
@@ -119,11 +178,19 @@ func streamDriver(frame FrameFunc, flush FlushFunc) ProcessFunc {
 // same lock, so it lands between two frames by construction — the paper's
 // frame-boundary guarantee without a pause/drain protocol. The lock is
 // uncontended unless two feeders collide or the control plane is splicing.
+//
+// Timed stages (ReleaseFunc) hold frames past the call that brought them. The
+// chain then arms one runtime timer — a goroutine only while its callback
+// runs — which takes the same lock and releases what fell due through the
+// wiring downstream of each timed stage.
 type FrameChain struct {
 	sink func(*packet.Buf)
 
 	mu     sync.Mutex
 	slots  []frameSlot
+	timed  bool        // some stage has a ReleaseFunc
+	timer  *time.Timer // created on first use
+	armed  bool        // timer pending; its callback clears this under mu
 	err    error
 	closed bool
 }
@@ -144,7 +211,9 @@ func (sl *frameSlot) run(b *packet.Buf) {
 		return
 	}
 	sl.base.bytesIn.Add(uint64(len(b.B)))
-	if err := sl.base.frame(b, sl.emit); err != nil {
+	if err := sl.base.frame(b, sl.emit); errors.Is(err, ErrBadFrame) {
+		sl.base.CountDrop()
+	} else if err != nil {
 		sl.fc.failLocked(fmt.Errorf("filter %q: %w", sl.base.name, err))
 	}
 }
@@ -193,17 +262,56 @@ func (fc *FrameChain) Enter() bool {
 // Exit releases the lock taken by a successful Enter.
 func (fc *FrameChain) Exit() { fc.mu.Unlock() }
 
-// Run pushes one frame through the stages to completion. The caller must be
-// inside Enter/Exit. Run takes ownership of b. A stage error fails the chain
-// for good — the frame in flight is dropped, the chain closes without
-// flushing — and is returned from this and reported by every later Err.
+// Run pushes one frame through the stages to completion — or into a timed
+// stage, which holds it for the chain's timer. The caller must be inside
+// Enter/Exit. Run takes ownership of b. A stage error fails the chain for
+// good — the frame in flight is dropped, the chain closes without flushing —
+// and is returned from this and reported by every later Err.
 func (fc *FrameChain) Run(b *packet.Buf) error {
 	if len(fc.slots) == 0 {
 		fc.sink(b)
 		return nil
 	}
 	fc.slots[0].run(b)
+	if fc.timed && !fc.armed {
+		fc.releaseLocked()
+	}
 	return fc.err
+}
+
+// releaseLocked runs every timed stage's release, upstream first so what one
+// releases may be held by the next, and (re)arms the timer for the earliest
+// next due time. Caller holds fc.mu.
+func (fc *FrameChain) releaseLocked() {
+	var next time.Duration
+	for i := range fc.slots {
+		sl := &fc.slots[i]
+		if sl.base.release == nil || fc.err != nil {
+			continue
+		}
+		if w := sl.base.release(sl.emit); w > 0 && (next == 0 || w < next) {
+			next = w
+		}
+	}
+	if next == 0 || fc.err != nil {
+		return
+	}
+	if fc.timer == nil {
+		fc.timer = time.AfterFunc(next, fc.fire)
+	} else {
+		fc.timer.Reset(next)
+	}
+	fc.armed = true
+}
+
+// fire is the timer's callback.
+func (fc *FrameChain) fire() {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	fc.armed = false
+	if !fc.closed {
+		fc.releaseLocked()
+	}
 }
 
 // Process is Enter, Run, Exit. It returns ErrFrameChainClosed without taking
@@ -276,6 +384,7 @@ func (fc *FrameChain) SetInterior(stages []Filter) error {
 	if fc.err != nil {
 		return fc.err // a leaver's flush failed a downstream stage
 	}
+	fc.timed = false
 	for i := range next {
 		sl := &next[i]
 		if i+1 < len(next) {
@@ -283,8 +392,12 @@ func (fc *FrameChain) SetInterior(stages []Filter) error {
 		}
 		sl.emit = sl.forward
 		sl.base.inline.Store(true)
+		fc.timed = fc.timed || sl.base.release != nil
 	}
 	fc.slots = next
+	if fc.timed {
+		fc.releaseLocked() // a joining stage may fall due before the armed timer
+	}
 	return firstErr
 }
 
@@ -299,17 +412,38 @@ func (fc *FrameChain) indexOf(base *Base) int {
 	return -1
 }
 
-// retire flushes the slot's stage through the current wiring and releases it
-// from the chain.
-func (sl *frameSlot) retire() error {
-	var err error
-	if sl.base.flush != nil && sl.fc.err == nil {
-		if err = sl.base.flush(sl.emit); err != nil {
-			err = fmt.Errorf("filter %q: flush: %w", sl.base.name, err)
-		}
+// flush empties the slot's stage through the current wiring.
+func (sl *frameSlot) flush() error {
+	if sl.base.flush == nil || sl.fc.err != nil {
+		return nil
 	}
+	if err := sl.base.flush(sl.emit); err != nil {
+		return fmt.Errorf("filter %q: flush: %w", sl.base.name, err)
+	}
+	return nil
+}
+
+// retire flushes the slot's stage and releases it from the chain.
+func (sl *frameSlot) retire() error {
+	err := sl.flush()
 	sl.base.inline.Store(false)
 	return err
+}
+
+// Flush emits what every stage is holding — a partial FEC group, frames a
+// timed stage has not released — through the current wiring, upstream first,
+// and leaves the chain open. The engine flushes a delivery cohort before
+// changing who its output goes to. It returns the first flush error.
+func (fc *FrameChain) Flush() error {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	var firstErr error
+	for i := range fc.slots {
+		if err := fc.slots[i].flush(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // Close flushes every stage through the chain, upstream first, retires them
@@ -328,7 +462,17 @@ func (fc *FrameChain) Close() error {
 		}
 	}
 	fc.slots, fc.closed = nil, true
+	fc.stopTimer()
 	return firstErr
+}
+
+// stopTimer cancels a pending release; a callback already waiting on the
+// lock finds the chain closed. Caller holds fc.mu.
+func (fc *FrameChain) stopTimer() {
+	if fc.timer != nil {
+		fc.timer.Stop()
+	}
+	fc.armed = false
 }
 
 // failLocked records the first stage error and closes the chain without
@@ -342,4 +486,5 @@ func (fc *FrameChain) failLocked(err error) {
 	for i := range fc.slots {
 		fc.slots[i].base.inline.Store(false)
 	}
+	fc.stopTimer()
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rapidware/internal/packet"
 )
@@ -176,8 +178,8 @@ func TestFrameChainRejectsStagesItCannotRun(t *testing.T) {
 	if err := fc.SetInterior([]Filter{keep}); err != nil {
 		t.Fatal(err)
 	}
-	streamOnly := NewDelay("delay", 0)
-	if HasFrameForm(streamOnly) || !HasFrameForm(keep) {
+	streamOnly := NewTransform("transform", func(b []byte) []byte { return b })
+	if HasFrameForm(streamOnly) || !HasFrameForm(keep) || !HasFrameForm(NewDelay("delay", 0)) {
 		t.Fatal("HasFrameForm misreports the built-ins")
 	}
 	if err := fc.SetInterior([]Filter{keep, streamOnly}); !errors.Is(err, ErrNoFrameForm) {
@@ -232,6 +234,196 @@ func TestFrameChainStageErrorFailsChain(t *testing.T) {
 	}
 	if err := fc.Close(); err != nil || log.String() != "[]" {
 		t.Fatalf("closing a failed chain flushed its stages: err=%v sink=%s", err, log.String())
+	}
+}
+
+// TestFrameChainDropsBadFrames: a stage rejecting a frame with ErrBadFrame
+// drops and counts it; the chain stays open and the next frame goes through.
+func TestFrameChainDropsBadFrames(t *testing.T) {
+	var log frameLog
+	fc := NewFrameChain(log.sink)
+	picky := NewFrame("picky", func(b *packet.Buf, emit func(*packet.Buf)) error {
+		if packet.FrameSeq(b.B) == 2 {
+			b.Release()
+			return fmt.Errorf("picky: %w", ErrBadFrame)
+		}
+		emit(b)
+		return nil
+	}, nil)
+	var drops atomic.Int32
+	picky.OnDrop(func() { drops.Add(1) })
+	if err := fc.SetInterior([]Filter{picky}); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := fc.Process(testFrame(t, seq, "x")); err != nil {
+			t.Fatalf("frame %d: %v", seq, err)
+		}
+	}
+	if log.String() != "[1 3]" || drops.Load() != 1 || fc.Err() != nil {
+		t.Fatalf("sink %s, drops %d, err %v; want [1 3], 1, nil", log.String(), drops.Load(), fc.Err())
+	}
+}
+
+// fakeClock is a timed stage's clock that moves only when told to.
+type fakeClock struct{ ns atomic.Int64 }
+
+func (c *fakeClock) now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *fakeClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+func (l *frameLog) wait(t *testing.T, want string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for l.String() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("sink saw %s, want %s", l.String(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// timedChain returns a chain of a delay stage on a fake clock feeding a
+// counting stage, and the clock.
+func timedChain(t *testing.T, log *frameLog, d time.Duration) (*FrameChain, *Base, *fakeClock) {
+	t.Helper()
+	clock := &fakeClock{}
+	delay := NewDelay("delay", d)
+	delay.SetClock(clock.now)
+	fc := NewFrameChain(log.sink)
+	if err := fc.SetInterior([]Filter{delay, NewCounting("after")}); err != nil {
+		t.Fatal(err)
+	}
+	return fc, delay, clock
+}
+
+// TestFrameChainTimerReleasesInOrder: a timed stage holds frames until they
+// fall due, and the chain's timer releases them, in order, through what is
+// downstream of the stage.
+func TestFrameChainTimerReleasesInOrder(t *testing.T) {
+	var log frameLog
+	fc, _, clock := timedChain(t, &log, 5*time.Millisecond)
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := fc.Process(testFrame(t, seq, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock.advance(2 * time.Millisecond)
+	for seq := uint64(4); seq <= 5; seq++ {
+		if err := fc.Process(testFrame(t, seq, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(15 * time.Millisecond) // the timer fires, but nothing is due yet
+	if got := log.String(); got != "[]" {
+		t.Fatalf("released %s before anything fell due", got)
+	}
+	clock.advance(3 * time.Millisecond)
+	log.wait(t, "[1 2 3]")
+	clock.advance(2 * time.Millisecond)
+	log.wait(t, "[1 2 3 4 5]")
+	if err := fc.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFrameChainSpliceOutFlushesHeldFrames: a timed stage spliced out of a
+// live chain gives up what it holds, through the wiring it leaves.
+func TestFrameChainSpliceOutFlushesHeldFrames(t *testing.T) {
+	var log frameLog
+	fc, _, _ := timedChain(t, &log, time.Hour)
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := fc.Process(testFrame(t, seq, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := fc.Filters()[1]
+	if err := fc.SetInterior([]Filter{after}); err != nil {
+		t.Fatal(err)
+	}
+	if got := log.String(); got != "[1 2 3]" {
+		t.Fatalf("splice-out flushed %s, want [1 2 3]", got)
+	}
+	if err := fc.Process(testFrame(t, 4, "x")); err != nil || log.String() != "[1 2 3 4]" {
+		t.Fatalf("after the splice: %v, sink %s", err, log.String())
+	}
+}
+
+// TestFrameChainCloseWithTimerArmed: Close flushes what a timed stage holds
+// and disarms the timer; nothing reaches the sink afterwards. Run under -race.
+func TestFrameChainCloseWithTimerArmed(t *testing.T) {
+	var log frameLog
+	fc, _, clock := timedChain(t, &log, time.Millisecond)
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := fc.Process(testFrame(t, seq, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := log.String(); got != "[1 2 3]" {
+		t.Fatalf("Close flushed %s, want [1 2 3]", got)
+	}
+	clock.advance(time.Hour)
+	time.Sleep(10 * time.Millisecond)
+	if got := log.String(); got != "[1 2 3]" {
+		t.Fatalf("the sink saw %s after Close", got)
+	}
+}
+
+// TestFrameChainFlush: Flush empties every stage through the current wiring,
+// upstream first, and leaves the chain open.
+func TestFrameChainFlush(t *testing.T) {
+	var log frameLog
+	clock := &fakeClock{}
+	delay := NewDelay("delay", time.Hour)
+	delay.SetClock(clock.now)
+	fc := NewFrameChain(log.sink)
+	if err := fc.SetInterior([]Filter{delay, holdStage("hold", 100)}); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := fc.Process(testFrame(t, seq, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := log.String(); got != "[1 2 3]" {
+		t.Fatalf("Flush emitted %s, want [1 2 3]", got)
+	}
+	if err := fc.Process(testFrame(t, 4, "x")); err != nil || len(fc.Filters()) != 2 {
+		t.Fatalf("chain after Flush: %v, %d stages", err, len(fc.Filters()))
+	}
+	if err := fc.Close(); err != nil || log.String() != "[1 2 3 4]" {
+		t.Fatalf("Close: %v, sink %s", err, log.String())
+	}
+}
+
+// TestRateLimitFramePacing: the frame form lets a refill tick's worth of
+// bytes through at once, then holds frames and releases them at the rate.
+func TestRateLimitFramePacing(t *testing.T) {
+	var log frameLog
+	clock := &fakeClock{}
+	size := len(testFrame(t, 0, "x").B)
+	rl := NewRateLimit("rl", size*100) // one frame per 10ms: one frame of burst
+	rl.SetClock(clock.now)
+	fc := NewFrameChain(log.sink)
+	if err := fc.SetInterior([]Filter{rl}); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := fc.Process(testFrame(t, seq, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := log.String(); got != "[1 2]" {
+		t.Fatalf("burst let %s through, want [1 2]", got)
+	}
+	clock.advance(10 * time.Millisecond)
+	log.wait(t, "[1 2 3]")
+	if err := fc.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -306,8 +498,7 @@ func TestFrameChainConcurrentFeedersAndSplices(t *testing.T) {
 
 // TestFrameStageMovesBetweenExecutors runs one stage instance inline, then in
 // a goroutine chain through the stream driver derived from its frame form,
-// then inline again: its state carries, and Rearm makes the stopped stage
-// startable again.
+// then inline again: its state carries both ways.
 func TestFrameStageMovesBetweenExecutors(t *testing.T) {
 	counting := NewCounting("c")
 	hold := holdStage("hold", 2)
@@ -335,9 +526,6 @@ func TestFrameStageMovesBetweenExecutors(t *testing.T) {
 			stream.Write(b.B)
 			b.Release()
 		}
-		for _, f := range []*Base{hold, counting.Base} {
-			f.Rearm() // no-op the first time round: never started
-		}
 		sink := newSink("sink")
 		c := NewChain("t")
 		for _, f := range []Filter{sourceFilter("src", stream.Bytes(), 7), hold, counting, sink} {
@@ -359,8 +547,7 @@ func TestFrameStageMovesBetweenExecutors(t *testing.T) {
 	}
 	inline(1, 2, 3)
 	viaStream(4, 5, 6)
-	inline(7)
-	viaStream(8)
+	inline(7, 8)
 	if got := log.String(); got != "[1 2 3 4 5 6 7 8]" {
 		t.Fatalf("frames across executors = %s", got)
 	}

@@ -51,8 +51,8 @@ var gsoCtrlSpace = syscall.CmsgSpace(2)
 var groCtrlSpace = syscall.CmsgSpace(4)
 
 // mmsgConn is the recvmmsg/sendmmsg Conn. All syscall scaffolding (headers,
-// iovecs, name and control buffers) is preallocated at BatchSize width, so
-// steady state does not allocate.
+// iovecs, name and control buffers) is preallocated at BatchSize width — the
+// write iovecs at BatchSize full GSO runs — so steady state does not allocate.
 type mmsgConn struct {
 	rc syscall.RawConn
 	// v4 marks an AF_INET socket: destination names must then be
@@ -102,10 +102,13 @@ func New(conn *net.UDPConn, opts Options) Conn {
 		riovs:     make([]syscall.Iovec, BatchSize),
 		rnames:    make([][sizeofSockaddrAny]byte, BatchSize),
 		whdrs:     make([]mmsghdr, BatchSize),
-		wiovs:     make([]syscall.Iovec, BatchSize),
-		wnames:    make([][sizeofSockaddrAny]byte, BatchSize),
-		wctrl:     make([]byte, BatchSize*gsoCtrlSpace),
-		wsegs:     make([]int, BatchSize),
+		// With iovecs for only BatchSize datagrams, a fan-out flush — each
+		// frame times every member — would cap its runs at a few datagrams
+		// per destination.
+		wiovs:  make([]syscall.Iovec, BatchSize*maxGSOSegs),
+		wnames: make([][sizeofSockaddrAny]byte, BatchSize),
+		wctrl:  make([]byte, BatchSize*gsoCtrlSpace),
+		wsegs:  make([]int, BatchSize),
 	}
 	if la, ok := conn.LocalAddr().(*net.UDPAddr); ok && la.IP.To4() != nil {
 		c.v4 = true

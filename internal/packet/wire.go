@@ -85,6 +85,10 @@ func ValidateFrame(frame []byte) error {
 // must have passed header validation (e.g. come from Reader.ReadFrameBuf).
 func FrameKind(frame []byte) Kind { return Kind(frame[3]) }
 
+// FrameSeq returns the sequence number a marshaled frame declares. The frame
+// must already be validated.
+func FrameSeq(frame []byte) uint64 { return binary.BigEndian.Uint64(frame[4:]) }
+
 // PutFrameHeader encodes p's header fields into hdr, declaring a payload of
 // plen bytes, without touching the payload region — the in-place sibling of
 // AppendFrame for callers that compute (or already hold) the payload directly

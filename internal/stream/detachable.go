@@ -15,7 +15,9 @@
 //
 // This pause → reconnect → resume protocol is exactly the switching sequence
 // the paper's ControlThread uses to insert, delete and reorder filters on a
-// live data stream (§4).
+// live data stream (§4). It serves the goroutine-per-stage filter.Chain —
+// stream mode, the paper's figures and bench/layers; the engine runs its
+// chains on filter.FrameChain and never builds a stream.
 package stream
 
 import (

@@ -190,7 +190,9 @@ func NewCompressFilter(name string, level int) (filter.Filter, error) {
 	}, nil), nil
 }
 
-// NewDecompressFilter returns the inverse of NewCompressFilter.
+// NewDecompressFilter returns the inverse of NewCompressFilter. A payload
+// that is not a DEFLATE stream is a bad frame (filter.ErrBadFrame): dropped
+// and counted, not a stage failure.
 func NewDecompressFilter(name string) filter.Filter {
 	if name == "" {
 		name = "decompress"
@@ -203,7 +205,7 @@ func NewDecompressFilter(name string) filter.Filter {
 		defer r.Close()
 		raw, err := io.ReadAll(r)
 		if err != nil {
-			return nil, fmt.Errorf("transcode: decompress: %w", err)
+			return nil, fmt.Errorf("transcode: decompress: %w: %w", filter.ErrBadFrame, err)
 		}
 		out := p.Clone()
 		out.Payload = raw
