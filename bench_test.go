@@ -142,7 +142,7 @@ func BenchmarkEngineShardedThroughput(b *testing.B) {
 
 // BenchmarkEngineChainDepth is the same windowed echo through one shard as
 // the session chain deepens from a pure relay to eight null stages: the
-// per-stage tax of the engine's executor, which the legacy stream-mode
+// per-stage tax of the engine's executor, which the stream-mode
 // BenchmarkChainDepth cannot see. null is frame-native, so every depth runs
 // inline on the shard reader and a stage should cost two counter updates and
 // a call — the floors are expected to be nearly flat.

@@ -1,6 +1,6 @@
 // Command fecbench regenerates the paper's evaluation figures and the
-// supplementary experiments listed in DESIGN.md, printing the same series and
-// tables the paper reports.
+// supplementary experiments of internal/experiment, printing the same series
+// and tables the paper reports.
 //
 // Usage:
 //

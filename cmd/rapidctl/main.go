@@ -1,28 +1,24 @@
 // Command rapidctl is the ControlManager command-line client: it connects to
-// a rapidproxy's control port and queries or reconfigures its filter chains.
+// a rapidproxy's control port and queries or reconfigures its sessions'
+// filter chains. A stream-mode rapidproxy serves its one stream as session 1.
 //
 // Usage:
 //
-//	rapidctl -addr host:7100 status
 //	rapidctl -addr host:7100 sessions [-json]
 //	rapidctl -addr host:7100 stats [-json]
 //	rapidctl -addr host:7100 kinds
-//	rapidctl -addr host:7100 insert <kind> <position> [key=value ...]
-//	rapidctl -addr host:7100 remove <position|filter-name>
-//	rapidctl -addr host:7100 move <from> <to>
-//	rapidctl -addr host:7100 upload <kind> [key=value ...]
 //	rapidctl -addr host:7100 ping
 //
-// Live engine sessions are recomposed while they carry traffic. The compose
-// command rewrites a session's whole chain to a target spec (the canonical
-// current spec is shown by "sessions"); with -branch it rewrites the
-// delivery-branch tail serving one fan-out receiver instead:
+// Live sessions are recomposed while they carry traffic. The compose command
+// rewrites a session's whole chain to a target spec (the canonical current
+// spec is shown by "sessions"); with -branch it rewrites the delivery-branch
+// tail serving one fan-out receiver instead:
 //
 //	rapidctl -addr host:7100 compose <session> [-branch <receiver>] '<spec>'
 //
-// The single-stage operations take a -session (and optional -branch) flag
-// and then address plan positions (0 = first interior stage) and stage specs
-// rather than registry kinds:
+// The single-stage operations require a -session (and take an optional
+// -branch) flag, and address plan positions (0 = first interior stage) and
+// stage specs:
 //
 //	rapidctl -addr host:7100 -session 7 insert <stage-spec> <position>
 //	rapidctl -addr host:7100 -session 7 remove <position|kind>
@@ -41,8 +37,6 @@ import (
 	"time"
 
 	"rapidware/internal/control"
-	"rapidware/internal/core"
-	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
 )
 
@@ -56,10 +50,9 @@ func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("rapidctl", flag.ContinueOnError)
 	var (
 		addr    = fs.String("addr", "127.0.0.1:7100", "control address of the proxy")
-		proxy   = fs.String("proxy", "", "proxy name (needed only when a server manages several)")
 		timeout = fs.Duration("timeout", 3*time.Second, "dial timeout")
 		asJSON  = fs.Bool("json", false, "sessions/stats: emit machine-readable JSON instead of the table")
-		session = fs.String("session", "", "insert/remove/move: act on this live engine session's chain instead of a proxy")
+		session = fs.String("session", "", "insert/remove/move (required): act on this live session's chain")
 		branch  = fs.String("branch", "", "with -session (or compose): act on the delivery branch serving this receiver address")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -67,7 +60,7 @@ func run(args []string, out *os.File) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("missing command (status|sessions|stats|kinds|compose|insert|remove|move|upload|ping)")
+		return fmt.Errorf("missing command (sessions|stats|kinds|compose|insert|remove|move|ping)")
 	}
 	// Accept the flag after the command too ("rapidctl stats -json"), the
 	// order scripts naturally write. Scoped to the commands that honor it so
@@ -80,6 +73,18 @@ func run(args []string, out *os.File) error {
 		}
 	}
 
+	var id uint32
+	switch rest[0] {
+	case "insert", "remove", "move":
+		if *session == "" {
+			return fmt.Errorf("%s needs -session <id> (a stream-mode proxy serves session 1)", rest[0])
+		}
+		var err error
+		if id, err = parseSessionID(*session); err != nil {
+			return err
+		}
+	}
+
 	client, err := control.Dial(*addr, *timeout)
 	if err != nil {
 		return err
@@ -88,17 +93,10 @@ func run(args []string, out *os.File) error {
 
 	switch rest[0] {
 	case "ping":
-		names, err := client.Ping()
-		if err != nil {
+		if err := client.Ping(); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "ok: proxies %v\n", names)
-	case "status":
-		st, err := client.Status(*proxy)
-		if err != nil {
-			return err
-		}
-		printStatus(out, st)
+		fmt.Fprintln(out, "ok")
 	case "sessions":
 		stats, err := client.Sessions()
 		if err != nil {
@@ -118,7 +116,7 @@ func run(args []string, out *os.File) error {
 		}
 		printStats(out, eng, shards)
 	case "kinds":
-		kinds, err := client.Kinds(*proxy)
+		kinds, err := client.Kinds()
 		if err != nil {
 			return err
 		}
@@ -135,103 +133,48 @@ func run(args []string, out *os.File) error {
 		}
 		printChain(out, id, receiver, chain)
 	case "insert":
-		if len(rest) < 3 {
-			return fmt.Errorf("usage: insert <kind> <position> [key=value ...] (or -session <id> insert <stage-spec> <position>)")
+		if len(rest) != 3 {
+			return fmt.Errorf("usage: -session <id> insert <stage-spec> <position>")
 		}
 		pos, err := strconv.Atoi(rest[2])
 		if err != nil {
 			return fmt.Errorf("invalid position %q: %w", rest[2], err)
 		}
-		if *session != "" {
-			if len(rest) > 3 {
-				// The legacy key=value form does not apply to stage specs;
-				// refusing beats silently installing a stage with defaults.
-				return fmt.Errorf("session insert takes a single stage spec (e.g. thin=4), not key=value parameters: %v", rest[3:])
-			}
-			id, err := parseSessionID(*session)
-			if err != nil {
-				return err
-			}
-			chain, err := client.SessionInsert(id, *branch, rest[1], pos)
-			if err != nil {
-				return err
-			}
-			printChain(out, id, *branch, chain)
-			break
-		}
-		st, err := client.Insert(*proxy, specFromArgs(rest[1], rest[3:]), pos)
+		chain, err := client.SessionInsert(id, *branch, rest[1], pos)
 		if err != nil {
 			return err
 		}
-		printStatus(out, st)
-	case "upload":
-		if len(rest) < 2 {
-			return fmt.Errorf("usage: upload <kind> [key=value ...]")
-		}
-		names, err := client.Upload(*proxy, specFromArgs(rest[1], rest[2:]))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "container: %v\n", names)
+		printChain(out, id, *branch, chain)
 	case "remove":
-		if len(rest) < 2 {
-			return fmt.Errorf("usage: remove <position|filter-name> (or -session <id> remove <position|kind>)")
+		if len(rest) != 2 {
+			return fmt.Errorf("usage: -session <id> remove <position|kind>")
 		}
-		if *session != "" {
-			id, err := parseSessionID(*session)
-			if err != nil {
-				return err
-			}
-			chain, err := client.SessionRemove(id, *branch, rest[1])
-			if err != nil {
-				return err
-			}
-			printChain(out, id, *branch, chain)
-			break
-		}
-		var st *core.Status
-		if pos, convErr := strconv.Atoi(rest[1]); convErr == nil {
-			st, err = client.Remove(*proxy, pos)
-		} else {
-			st, err = client.RemoveByName(*proxy, rest[1])
-		}
+		chain, err := client.SessionRemove(id, *branch, rest[1])
 		if err != nil {
 			return err
 		}
-		printStatus(out, st)
+		printChain(out, id, *branch, chain)
 	case "move":
-		if len(rest) < 3 {
-			return fmt.Errorf("usage: move <from> <to>")
+		if len(rest) != 3 {
+			return fmt.Errorf("usage: -session <id> move <from> <to>")
 		}
 		from, err1 := strconv.Atoi(rest[1])
 		to, err2 := strconv.Atoi(rest[2])
 		if err1 != nil || err2 != nil {
 			return fmt.Errorf("move positions must be integers")
 		}
-		if *session != "" {
-			id, err := parseSessionID(*session)
-			if err != nil {
-				return err
-			}
-			chain, err := client.SessionMove(id, *branch, from, to)
-			if err != nil {
-				return err
-			}
-			printChain(out, id, *branch, chain)
-			break
-		}
-		st, err := client.Move(*proxy, from, to)
+		chain, err := client.SessionMove(id, *branch, from, to)
 		if err != nil {
 			return err
 		}
-		printStatus(out, st)
+		printChain(out, id, *branch, chain)
 	default:
 		return fmt.Errorf("unknown command %q", rest[0])
 	}
 	return nil
 }
 
-// parseSessionID parses a decimal engine session ID.
+// parseSessionID parses a decimal session ID.
 func parseSessionID(s string) (uint32, error) {
 	id, err := strconv.ParseUint(s, 10, 32)
 	if err != nil {
@@ -277,24 +220,6 @@ func printChain(out *os.File, id uint32, receiver, chain string) {
 		chain = "(pure relay)"
 	}
 	fmt.Fprintf(out, "%s chain: %s\n", target, chain)
-}
-
-// specFromArgs builds a filter spec from a kind and key=value parameters. The
-// special key "name" sets the instance name.
-func specFromArgs(kind string, params []string) filter.Spec {
-	spec := filter.Spec{Kind: kind, Params: map[string]string{}}
-	for _, kv := range params {
-		parts := strings.SplitN(kv, "=", 2)
-		if len(parts) != 2 {
-			continue
-		}
-		if parts[0] == "name" {
-			spec.Name = parts[1]
-			continue
-		}
-		spec.Params[parts[0]] = parts[1]
-	}
-	return spec
 }
 
 // printStats renders the engine-level aggregate and the per-shard breakdown.
@@ -358,18 +283,6 @@ func printStatsJSON(out *os.File, eng *metrics.EngineStats, shards []metrics.Sha
 		Engine *metrics.EngineStats `json:"engine"`
 		Shards []metrics.ShardStats `json:"shards"`
 	}{eng, shards})
-}
-
-func printStatus(out *os.File, st *core.Status) {
-	if st == nil {
-		fmt.Fprintln(out, "no proxy status (engine-only server; try the sessions command)")
-		return
-	}
-	fmt.Fprintf(out, "proxy %s  running=%v  uptime=%dms  inserts=%d removes=%d  intact=%v\n",
-		st.Name, st.Running, st.UptimeMs, st.Insertions, st.Removals, st.ChainIntact)
-	for _, f := range st.Filters {
-		fmt.Fprintf(out, "  [%d] %-30s running=%v\n", f.Position, f.Name, f.Running)
-	}
 }
 
 // printSessionsJSON emits the per-session (and per-receiver) snapshot as one

@@ -9,23 +9,39 @@ import (
 	"testing"
 	"time"
 
+	"rapidware/internal/compose"
 	"rapidware/internal/control"
-	"rapidware/internal/core"
 	"rapidware/internal/engine"
 	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
 	"rapidware/internal/packet"
 )
 
-// startTestServer brings up a control server managing one proxy and returns
-// its address.
+// startTestServer brings up a control server serving a stream chain (plan
+// "counting") as session 1, the way rapidproxy -mode stream does, and
+// returns its address. The chain's endpoints neither produce nor consume.
 func startTestServer(t *testing.T) string {
 	t.Helper()
-	p := core.New("ctl-test")
-	if err := p.SetEndpoints(filter.NewNull("in"), filter.NewNull("out")); err != nil {
+	chain := filter.NewChain("ctl-test")
+	for _, f := range []filter.Filter{filter.NewNull("in"), filter.NewNull("out")} {
+		if err := chain.Append(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan, err := compose.Parse("counting", compose.ModeChain)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := control.NewServer(nil, p)
+	live, err := compose.Attach(chain, compose.Default(), compose.Env{StreamID: 1}, compose.ModeChain, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := chain.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { chain.Stop() })
+	s := control.NewServer(nil)
+	s.SetSessionSource(compose.NewStreamSession(live))
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -52,60 +68,47 @@ func captureOutput(t *testing.T, fn func(out *os.File) error) string {
 	return string(data)
 }
 
+// TestStatusKindsPing: a stream proxy's status is its one session's row,
+// plan and per-stage view.
 func TestStatusKindsPing(t *testing.T) {
 	addr := startTestServer(t)
 	out := captureOutput(t, func(f *os.File) error {
-		return run([]string{"-addr", addr, "status"}, f)
+		return run([]string{"-addr", addr, "sessions"}, f)
 	})
-	if !strings.Contains(out, "proxy ctl-test") || !strings.Contains(out, "[0]") {
-		t.Fatalf("status output:\n%s", out)
+	if !strings.Contains(out, "\n1 ") || !strings.Contains(out, "chain counting") || !strings.Contains(out, "[0] counting") {
+		t.Fatalf("sessions output:\n%s", out)
 	}
 	out = captureOutput(t, func(f *os.File) error {
 		return run([]string{"-addr", addr, "kinds"}, f)
 	})
-	if !strings.Contains(out, "null") {
+	if !strings.Contains(out, "null") || !strings.Contains(out, "fec-encode") {
 		t.Fatalf("kinds output:\n%s", out)
 	}
 	out = captureOutput(t, func(f *os.File) error {
 		return run([]string{"-addr", addr, "ping"}, f)
 	})
-	if !strings.Contains(out, "ok:") {
+	if out != "ok\n" {
 		t.Fatalf("ping output:\n%s", out)
 	}
 }
 
 func TestInsertMoveRemoveFlow(t *testing.T) {
 	addr := startTestServer(t)
-	out := captureOutput(t, func(f *os.File) error {
-		return run([]string{"-addr", addr, "insert", "counting", "1", "name=tap"}, f)
-	})
-	if !strings.Contains(out, "tap") {
-		t.Fatalf("insert output:\n%s", out)
-	}
-	out = captureOutput(t, func(f *os.File) error {
-		return run([]string{"-addr", addr, "insert", "checksum", "2", "name=sum"}, f)
-	})
-	if !strings.Contains(out, "sum") {
-		t.Fatalf("second insert output:\n%s", out)
-	}
-	out = captureOutput(t, func(f *os.File) error {
-		return run([]string{"-addr", addr, "move", "1", "2"}, f)
-	})
-	if !strings.Contains(out, "inserts=2") {
-		t.Fatalf("move output:\n%s", out)
-	}
-	// Remove by name, then by position.
-	out = captureOutput(t, func(f *os.File) error {
-		return run([]string{"-addr", addr, "remove", "sum"}, f)
-	})
-	if strings.Count(out, "[") != 3 {
-		t.Fatalf("remove-by-name output:\n%s", out)
-	}
-	out = captureOutput(t, func(f *os.File) error {
-		return run([]string{"-addr", addr, "remove", "1"}, f)
-	})
-	if strings.Count(out, "[") != 2 {
-		t.Fatalf("remove-by-position output:\n%s", out)
+	for _, step := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"insert", "checksum", "0"}, "session 1 chain: checksum,counting\n"},
+		{[]string{"move", "0", "1"}, "session 1 chain: counting,checksum\n"},
+		{[]string{"remove", "checksum"}, "session 1 chain: counting\n"}, // by kind
+		{[]string{"remove", "0"}, "session 1 chain: (pure relay)\n"},    // by position
+	} {
+		out := captureOutput(t, func(f *os.File) error {
+			return run(append([]string{"-addr", addr, "-session", "1"}, step.args...), f)
+		})
+		if out != step.want {
+			t.Fatalf("%v output %q, want %q", step.args, out, step.want)
+		}
 	}
 }
 
@@ -361,27 +364,23 @@ func TestPrintSessionsJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUploadCommand(t *testing.T) {
-	addr := startTestServer(t)
-	out := captureOutput(t, func(f *os.File) error {
-		return run([]string{"-addr", addr, "upload", "delay", "name=later", "ms=2"}, f)
-	})
-	if !strings.Contains(out, "later") {
-		t.Fatalf("upload output:\n%s", out)
-	}
-}
-
 func TestUsageErrors(t *testing.T) {
 	addr := startTestServer(t)
 	cases := [][]string{
 		{"-addr", addr}, // missing command
-		{"-addr", addr, "definitely-not-a-command"}, // unknown command
-		{"-addr", addr, "insert", "null"},           // missing position
-		{"-addr", addr, "insert", "null", "xyz"},    // bad position
-		{"-addr", addr, "remove"},                   // missing operand
-		{"-addr", addr, "move", "1"},                // missing target
-		{"-addr", addr, "move", "a", "b"},           // non-numeric
-		{"-addr", addr, "upload"},                   // missing kind
+		{"-addr", addr, "definitely-not-a-command"},             // unknown command
+		{"-addr", addr, "status"},                               // removed: use sessions
+		{"-addr", addr, "upload", "null"},                       // removed: use -session insert
+		{"-addr", addr, "insert", "null", "0"},                  // no -session
+		{"-addr", addr, "remove", "0"},                          // no -session
+		{"-addr", addr, "move", "0", "1"},                       // no -session
+		{"-addr", addr, "-session", "x", "remove", "0"},         // bad session ID
+		{"-addr", addr, "-session", "1", "insert", "null"},      // missing position
+		{"-addr", addr, "-session", "1", "insert", "null", "x"}, // bad position
+		{"-addr", addr, "-session", "1", "remove"},              // missing operand
+		{"-addr", addr, "-session", "1", "move", "1"},           // missing target
+		{"-addr", addr, "-session", "1", "move", "a", "b"},      // non-numeric
+		{"-addr", addr, "-proxy", "edge", "sessions"},           // removed flag
 	}
 	for _, args := range cases {
 		if err := run(args, os.Stdout); err == nil {
@@ -391,14 +390,14 @@ func TestUsageErrors(t *testing.T) {
 }
 
 func TestDialError(t *testing.T) {
-	if err := run([]string{"-addr", "127.0.0.1:1", "-timeout", "50ms", "status"}, os.Stdout); err == nil {
+	if err := run([]string{"-addr", "127.0.0.1:1", "-timeout", "50ms", "ping"}, os.Stdout); err == nil {
 		t.Fatal("expected dial error")
 	}
 }
 
 func TestServerSideErrorPropagates(t *testing.T) {
 	addr := startTestServer(t)
-	if err := run([]string{"-addr", addr, "insert", "not-a-kind", "1"}, os.Stdout); err == nil {
+	if err := run([]string{"-addr", addr, "-session", "1", "insert", "not-a-kind", "0"}, os.Stdout); err == nil {
 		t.Fatal("expected error for unknown filter kind")
 	}
 }

@@ -25,11 +25,13 @@
 //	    [-fanout rx1:9000,rx2:9000] [-branch 'fec-adapt,ratelimit=64000'] \
 //	    [-report-staleness 30s]
 //
-// The legacy stream mode (-mode stream) bridges a single TCP stream through
-// one filter chain, as in earlier revisions:
+// Stream mode (-mode stream) bridges a single TCP stream through one
+// goroutine-per-stage filter chain built from -chain, the same spec language
+// as engine mode. The control protocol serves the stream as session 1, so
+// rapidctl recomposes it like any engine session (rapidctl -session 1 ...):
 //
 //	rapidproxy -mode stream -name edge -listen :7000 -forward host:8000 \
-//	    [-control 127.0.0.1:7100] [-filters counting,checksum] [-fec 6,4]
+//	    [-control 127.0.0.1:7100] [-chain counting,fec-encode=6/4]
 package main
 
 import (
@@ -48,7 +50,6 @@ import (
 	"rapidware/internal/adapt"
 	"rapidware/internal/compose"
 	"rapidware/internal/control"
-	"rapidware/internal/core"
 	"rapidware/internal/endpoint"
 	"rapidware/internal/engine"
 	"rapidware/internal/filter"
@@ -73,7 +74,7 @@ func run(args []string) error {
 		reusePort   = fs.Bool("reuseport", false, "engine mode: one SO_REUSEPORT socket per shard (linux, 'reuseport' build tag)")
 		gso         = fs.Bool("gso", false, "engine mode: UDP generic segmentation offload on the batched send path (linux fast path only)")
 		pprofAddr   = fs.String("pprof", "", "engine mode: serve net/http/pprof on this address (e.g. localhost:6060)")
-		chainSpec   = fs.String("chain", "", "engine mode: default chain spec for new sessions (e.g. counting,fec-encode=6/4)")
+		chainSpec   = fs.String("chain", "", "chain spec: engine mode's default for new sessions, stream mode's chain (e.g. counting,fec-encode=6/4)")
 		roaming     = fs.Bool("allow-roaming", false, "engine mode: let a session's echo destination follow its most recent sender")
 		adaptOn     = fs.Bool("adapt", false, "engine mode: enable the closed-loop adaptation plane (receiver feedback drives per-session FEC; per-receiver with -fanout)")
 		adaptPolicy = fs.String("adapt-policy", "", "engine mode: load the loss->(n,k) policy ladder from this file (implies -adapt)")
@@ -82,8 +83,6 @@ func run(args []string) error {
 		staleness   = fs.Duration("report-staleness", 0, "engine mode: age out receivers whose last loss report is older than this window (0 disables)")
 		idleTTL     = fs.Duration("idle-ttl", 0, "engine mode: park sessions idle for this long down to a compact record, rebuilt on their next datagram (0 disables)")
 		admission   = fs.String("admission", "", "engine mode: policy at -max-sessions: reject (default) or harvest (evict the oldest-idle session)")
-		filters     = fs.String("filters", "", "stream mode: comma-separated filter kinds to install at startup")
-		fecSpec     = fs.String("fec", "", "stream mode: install an FEC encoder with parameters n,k (e.g. 6,4)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,14 +90,10 @@ func run(args []string) error {
 
 	logger := log.New(os.Stderr, "rapidproxy ", log.LstdFlags)
 
-	// Reject flags that belong to the other mode instead of silently
-	// ignoring them: a stream-mode invocation from an older deployment must
-	// fail loudly, not start a UDP engine that drops its -filters/-fec.
+	// Reject engine-mode flags in stream mode instead of silently ignoring
+	// them.
 	switch *mode {
 	case "engine":
-		if *filters != "" || *fecSpec != "" {
-			return fmt.Errorf("-filters/-fec are stream-mode flags; use -chain in engine mode (or pass -mode stream)")
-		}
 		return runEngine(logger, engineOptions{
 			name:        *name,
 			listen:      *listenAddr,
@@ -120,8 +115,8 @@ func run(args []string) error {
 			admission:   *admission,
 		})
 	case "stream":
-		if *chainSpec != "" || *roaming || *maxSessions != engine.DefaultMaxSessions {
-			return fmt.Errorf("-chain/-max-sessions/-allow-roaming are engine-mode flags; use -filters/-fec in stream mode")
+		if *roaming || *maxSessions != engine.DefaultMaxSessions {
+			return fmt.Errorf("-max-sessions/-allow-roaming are engine-mode flags")
 		}
 		if *adaptOn || *adaptPolicy != "" || *fanout != "" || *branchSpec != "" || *staleness != 0 {
 			return fmt.Errorf("-adapt/-adapt-policy/-fanout/-branch/-report-staleness are engine-mode flags")
@@ -132,7 +127,7 @@ func run(args []string) error {
 		if *shards != 0 || *reusePort || *gso || *pprofAddr != "" {
 			return fmt.Errorf("-shards/-reuseport/-gso/-pprof are engine-mode flags")
 		}
-		return runStream(logger, *name, *listenAddr, *forwardAddr, *controlAddr, *filters, *fecSpec)
+		return runStream(logger, *name, *listenAddr, *forwardAddr, *controlAddr, *chainSpec)
 	default:
 		return fmt.Errorf("unknown -mode %q (want engine or stream)", *mode)
 	}
@@ -229,19 +224,17 @@ func runEngine(logger *log.Logger, opts engineOptions) error {
 	return nil
 }
 
-// runStream bridges one TCP stream through a single filter chain (the
-// original single-session proxy).
-func runStream(logger *log.Logger, name, listen, forward, controlAddr, filters, fecSpec string) error {
+// runStream bridges one TCP stream through a single filter chain whose
+// interior is a compose.Live, served to the control plane as session 1.
+func runStream(logger *log.Logger, name, listen, forward, controlAddr, chainSpec string) error {
 	if forward == "" {
 		return fmt.Errorf("-forward is required in stream mode")
 	}
-
-	// The stream proxy instantiates filters through the same compose
-	// registry the engine composes session chains from — one kind set, one
-	// set of constructors, adapted to the control protocol's spec form.
-	registry := compose.NewFilterRegistry(nil, compose.Env{StreamID: 1})
-
-	proxy := core.New(name, core.WithRegistry(registry))
+	env := compose.Env{StreamID: 1}
+	plan, err := compose.Parse(chainSpec, compose.ModeChain)
+	if err != nil {
+		return err
+	}
 
 	// Wait for the upstream connection, then dial downstream.
 	ln, err := net.Listen("tcp", listen)
@@ -258,37 +251,26 @@ func runStream(logger *log.Logger, name, listen, forward, controlAddr, filters, 
 	if err != nil {
 		return err
 	}
-	if err := proxy.SetEndpoints(
+	chain := filter.NewChain(name)
+	for _, f := range []filter.Filter{
 		endpoint.NewReader("upstream:"+upstream.RemoteAddr().String(), upstream),
 		endpoint.NewWriter("downstream:"+forward, downstream),
-	); err != nil {
-		return err
-	}
-
-	// Pre-install requested filters.
-	pos := 1
-	for _, kind := range splitList(filters) {
-		if _, err := proxy.InsertSpec(filter.Spec{Kind: kind}, pos); err != nil {
-			return fmt.Errorf("install filter %q: %w", kind, err)
-		}
-		pos++
-	}
-	if fecSpec != "" {
-		if _, err := proxy.InsertSpec(filter.Spec{
-			Kind:   "fec-encode",
-			Name:   "fec-encoder(" + fecSpec + ")",
-			Params: map[string]string{"nk": fecSpec},
-		}, pos); err != nil {
-			return fmt.Errorf("install FEC encoder: %w", err)
+	} {
+		if err := chain.Append(f); err != nil {
+			return err
 		}
 	}
-
-	if err := proxy.Start(); err != nil {
+	live, err := compose.Attach(chain, compose.Default(), env, compose.ModeChain, plan)
+	if err != nil {
 		return err
 	}
-	logger.Printf("forwarding %s -> %s with chain %v", listen, forward, proxy.Chain().Names())
+	if err := chain.Start(); err != nil {
+		return err
+	}
+	logger.Printf("forwarding %s -> %s as session %d with chain %q", listen, forward, env.StreamID, live.String())
 
-	server := control.NewServer(logger, proxy)
+	server := control.NewServer(logger)
+	server.SetSessionSource(compose.NewStreamSession(live))
 	boundControl, err := server.Listen(controlAddr)
 	if err != nil {
 		return err
@@ -297,7 +279,7 @@ func runStream(logger *log.Logger, name, listen, forward, controlAddr, filters, 
 	logger.Printf("control protocol on %s", boundControl)
 
 	waitForSignal(logger)
-	return proxy.Stop()
+	return chain.Stop()
 }
 
 func waitForSignal(logger *log.Logger) {

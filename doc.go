@@ -27,7 +27,7 @@
 // recvmmsg filled is the one sendmmsg sends. The timed kinds — delay,
 // ratelimit, jitter — hold frames and release them from one runtime timer
 // per chain, under the same lock. The paper's goroutine-per-stage
-// filter.Chain remains for the legacy stream proxy and the figure
+// filter.Chain remains for rapidproxy's stream mode and the figure
 // benchmarks; most frame stages' stream-mode bodies are derived from their
 // frame functions, so both executors run the same stage code. Pooled buffers
 // travel end to end so the steady-state relay path does not allocate. Socket
@@ -70,8 +70,9 @@
 // Composition itself is a dedicated plane, internal/compose: one validated
 // plan IR for every chain in the system, one parser for the spec language,
 // one canonical pretty-printer, and one stage registry shared by the engine's
-// trunk chains, its delivery-branch tails and the legacy stream proxy. Every
-// live session binds its chain to a compose.Live, whose transactional
+// trunk chains, its delivery-branch tails and the stream proxy. Every live
+// session — the stream proxy's one stream is session 1 — binds its chain to a
+// compose.Live, whose transactional
 // recompose diffs plans, carries matching stage instances across rewrites,
 // and applies the change as a single atomic splice (SetInterior on either
 // executor) — chains are rebuilt mid-traffic without dropping a relayed
@@ -80,7 +81,8 @@
 // what was downstream of them; on the stream proxy's filter.Chain it is the
 // paper's pause-drain-reconnect protocol. The control plane drives it end to end:
 // OpRecompose (rapidctl compose <session> '<spec>'), session-scoped
-// insert/remove/move, and a per-stage counter view in rapidctl sessions.
+// insert/remove/move (rapidctl -session <id> ...), and a per-stage counter
+// view in rapidctl sessions; it is the only way a running chain changes.
 // Adaptation responders express their FEC splices through the same plane via
 // a fec-adapt marker stage in the plan.
 //
@@ -113,8 +115,8 @@
 // control protocol (rapidctl sessions [-json]).
 //
 // See README.md for a tour (including the engine architecture and UDP wire
-// format), DESIGN.md for the system inventory and experiment index, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
+// format); internal/experiment holds one runner per table and figure of the
+// paper. The benchmarks in
 // bench_test.go regenerate every figure of the paper's evaluation plus the
 // engine's micro-benchmarks; bench/ (its own module, see bench/README.md) is
 // the end-to-end benchmark, six wire-level workloads against a live

@@ -1,6 +1,7 @@
 // Quickstart: build a RAPIDware proxy around an in-memory stream, start it as
 // a "null proxy", then insert and remove filters while data is flowing — the
-// paper's core capability in ~60 lines.
+// paper's core capability in ~60 lines. Every change is a plan rewrite that
+// compose.Live splices into the running chain.
 package main
 
 import (
@@ -12,7 +13,7 @@ import (
 	"sync"
 	"time"
 
-	"rapidware/internal/core"
+	"rapidware/internal/compose"
 	"rapidware/internal/endpoint"
 	"rapidware/internal/filter"
 )
@@ -57,49 +58,56 @@ func main() {
 	}
 	total := source.Len()
 
-	// 1. Assemble the null proxy: input endpoint -> output endpoint.
-	proxy := core.New("quickstart")
+	// 1. Assemble the null proxy: input endpoint -> output endpoint, with an
+	//    empty plan attached.
+	chain := filter.NewChain("quickstart")
 	sink := &safeBuffer{}
-	if err := proxy.SetEndpoints(
+	for _, f := range []filter.Filter{
 		endpoint.NewReader("source", slowReader{&source}),
 		endpoint.NewWriter("sink", sink),
-	); err != nil {
+	} {
+		if err := chain.Append(f); err != nil {
+			log.Fatal(err)
+		}
+	}
+	live, err := compose.Attach(chain, compose.Default(), compose.Env{}, compose.ModeChain, compose.Plan{})
+	if err != nil {
 		log.Fatal(err)
 	}
-	if err := proxy.Start(); err != nil {
+	if err := chain.Start(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("started null proxy:", strings.Join(proxy.Chain().Names(), " -> "))
+	fmt.Println("started null proxy:", strings.Join(chain.Names(), " -> "))
 
-	// 2. While the stream flows, insert a counting filter (position 1).
-	counter := filter.NewCounting("tap")
-	if err := proxy.InsertFilter(counter, 1); err != nil {
-		log.Fatal(err)
+	// 2. While the stream flows, recompose it: insert a counting filter,
+	//    then a checksum filter after it. Stages both plans share keep their
+	//    running instance; each rewrite is one live splice.
+	recompose := func(spec string) {
+		plan, err := compose.Parse(spec, compose.ModeChain)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := live.Recompose(plan); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("recomposed live:    %s\n", strings.Join(chain.Names(), " -> "))
 	}
-	fmt.Println("inserted live:     ", strings.Join(proxy.Chain().Names(), " -> "))
+	recompose("counting")
+	counter := live.Instance("counting").(*filter.CountingFilter)
+	recompose("counting,checksum")
 
-	// 3. Insert a registry-built checksum filter after the counter.
-	if _, err := proxy.InsertSpec(filter.Spec{Kind: "checksum", Name: "integrity"}, 2); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("inserted live:     ", strings.Join(proxy.Chain().Names(), " -> "))
-
-	// 4. Let some traffic flow through the new filters, then remove the
+	// 3. Let some traffic flow through the new filters, then remove the
 	//    counter again, still without stopping the stream.
 	time.Sleep(50 * time.Millisecond)
-	if _, err := proxy.RemoveFilterByName("tap"); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("removed live:      ", strings.Join(proxy.Chain().Names(), " -> "))
+	recompose("checksum")
 
-	// 5. Wait for the stream to drain and report.
+	// 4. Wait for the stream to drain and report.
 	for sink.Len() < total {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if err := proxy.Stop(); err != nil {
+	if err := chain.Stop(); err != nil {
 		log.Fatal(err)
 	}
-	st := proxy.Status()
-	fmt.Printf("delivered %d/%d bytes, filter saw %d bytes, insertions=%d removals=%d\n",
-		sink.Len(), total, counter.Bytes(), st.Insertions, st.Removals)
+	fmt.Printf("delivered %d/%d bytes, filter saw %d bytes, final plan %q\n",
+		sink.Len(), total, counter.Bytes(), live.String())
 }

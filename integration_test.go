@@ -7,22 +7,21 @@ import (
 	"testing"
 	"time"
 
+	"rapidware/internal/compose"
 	"rapidware/internal/control"
-	"rapidware/internal/core"
 	"rapidware/internal/endpoint"
-	"rapidware/internal/fec"
-	"rapidware/internal/fecproxy"
 	"rapidware/internal/filter"
 	"rapidware/internal/packet"
 )
 
 // TestEndToEndProxyOverTCPWithControlPlane wires the whole system together
-// the way cmd/rapidproxy does, but in-process: a producer streams framed
-// packets over a real TCP connection into a proxy, the proxy forwards them
-// over a second TCP connection to a consumer, and while the stream is flowing
-// a control client (the ControlManager role) splices an FEC encoder, a lossy
-// "wireless" hop and an FEC decoder into the chain. Every packet must still
-// arrive exactly once despite the injected loss.
+// the way rapidproxy -mode stream does, but in-process: a producer streams
+// framed packets over a real TCP connection into a proxy whose chain is a
+// compose.Live served to the control plane as session 1, the proxy forwards
+// them over a second TCP connection to a consumer, and while the stream is
+// flowing a control client (the ControlManager role) splices an FEC decoder,
+// an FEC encoder and a lossy "wireless" hop into the session's plan. Every
+// packet must still arrive exactly once despite the injected loss.
 func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 	const totalPackets = 3000
 
@@ -69,17 +68,7 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 	}
 	defer upstreamLn.Close()
 
-	registry := filter.NewRegistry()
-	if err := registry.Register("fec-encoder", func(s filter.Spec) (filter.Filter, error) {
-		return fecproxy.NewEncoderFilter(s.Name, fec.Params{K: 4, N: 6}, 1)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := registry.Register("fec-decoder", func(s filter.Spec) (filter.Filter, error) {
-		return fecproxy.NewDecoderFilter(s.Name, nil), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	registry := compose.Default().Clone()
 	// The lossy hop drops one data packet out of every FEC group that carries
 	// parity — a loss pattern the (6,4) code always repairs, so the
 	// end-to-end check stays deterministic while forcing the decoder to do
@@ -87,7 +76,7 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 	// applies the drop once it has seen the group's parity, so the final,
 	// partial group (which is flushed without parity when the stream ends) is
 	// never exposed to unrepairable loss, no matter when the splice happened.
-	if err := registry.Register("wireless-hop", func(s filter.Spec) (filter.Filter, error) {
+	if err := registry.Register(compose.Definition{Kind: "wireless-hop", Build: func(env compose.Env, _ string) (filter.Filter, error) {
 		var pend []*packet.Packet
 		flushGroup := func() []*packet.Packet {
 			if len(pend) == 0 {
@@ -110,7 +99,7 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 			pend = nil
 			return out
 		}
-		return filter.NewPacketFunc(s.Name, func(p *packet.Packet) ([]*packet.Packet, error) {
+		return filter.NewPacketFunc(env.StageName("wireless-hop"), func(p *packet.Packet) ([]*packet.Packet, error) {
 			if !p.IsFEC() {
 				return append(flushGroup(), p), nil
 			}
@@ -122,11 +111,12 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 			pend = append(pend, p)
 			return nil, nil
 		}, flushGroup), nil
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 
-	proxy := core.New("integration-proxy", core.WithRegistry(registry))
+	chain := filter.NewChain("integration-proxy")
+	ctrl := control.NewServer(nil)
 	proxyReady := make(chan error, 1)
 	go func() {
 		upConn, err := upstreamLn.Accept()
@@ -151,14 +141,21 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 			}
 			return p, nil
 		})
-		if err := proxy.SetEndpoints(in, endpoint.NewWriter("downstream", downConn)); err != nil {
+		for _, f := range []filter.Filter{in, endpoint.NewWriter("downstream", downConn)} {
+			if err := chain.Append(f); err != nil {
+				proxyReady <- err
+				return
+			}
+		}
+		live, err := compose.Attach(chain, registry, compose.Env{StreamID: 1}, compose.ModeChain, compose.Plan{})
+		if err != nil {
 			proxyReady <- err
 			return
 		}
-		proxyReady <- proxy.Start()
+		ctrl.SetSessionSource(compose.NewStreamSession(live))
+		proxyReady <- chain.Start()
 	}()
 
-	ctrl := control.NewServer(nil, proxy)
 	ctrlAddr, err := ctrl.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +170,7 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 	if err := <-proxyReady; err != nil {
 		t.Fatal(err)
 	}
-	defer proxy.Stop()
+	defer chain.Stop()
 
 	producerDone := make(chan error, 1)
 	go func() {
@@ -209,21 +206,23 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 	// only then the lossy hop, so no frame is ever exposed to loss without
 	// protection.
 	time.Sleep(5 * time.Millisecond)
-	if _, err := client.Insert("", filter.Spec{Kind: "fec-decoder", Name: "dec"}, 1); err != nil {
-		t.Fatal(err)
+	for _, splice := range []struct {
+		stage string
+		pos   int
+	}{{"fec-decode", 0}, {"fec-encode=6/4", 0}, {"wireless-hop", 1}} {
+		if _, err := client.SessionInsert(1, "", splice.stage, splice.pos); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := client.Insert("", filter.Spec{Kind: "fec-encoder", Name: "enc"}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Insert("", filter.Spec{Kind: "wireless-hop", Name: "wlan"}, 2); err != nil {
-		t.Fatal(err)
-	}
-	st, err := client.Status("")
+	sessions, err := client.Sessions()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Filters) != 5 || !st.ChainIntact {
-		t.Fatalf("unexpected proxy state after splices: %+v", st)
+	if len(sessions) != 1 || sessions[0].Chain != "fec-encode=6/4,wireless-hop,fec-decode" || len(sessions[0].Stages) != 3 {
+		t.Fatalf("unexpected session state after splices: %+v", sessions)
+	}
+	if err := chain.Validate(); err != nil {
+		t.Fatal(err)
 	}
 
 	if err := <-producerDone; err != nil {

@@ -2,8 +2,8 @@
 // wireless multicast. It is the natural baseline the paper's FEC approach is
 // an alternative to: instead of sending proactive parity, receivers detect
 // gaps in the sequence space and ask the sender to retransmit. The experiment
-// harness compares the two over the same simulated channel (EXPERIMENTS.md
-// E7): ARQ pays less bandwidth when loss is rare but adds at least a round
+// harness compares the two over the same simulated channel
+// (experiment.RunRepairComparison): ARQ pays less bandwidth when loss is rare but adds at least a round
 // trip of delay to every repaired packet and scales poorly as independent
 // losses at different receivers each trigger their own retransmissions —
 // exactly the argument the paper makes for parity-based repair of multicast.

@@ -135,14 +135,28 @@ func (l *Live) String() string {
 // against.
 func (l *Live) Mode() Mode { return l.mode }
 
+// Registry returns the registry the chain's stages are built through.
+func (l *Live) Registry() *Registry { return l.reg }
+
 // Recompose atomically rewrites the chain to the target plan. Stages whose
 // kind and argument match a current stage keep their live filter instance
 // (counters, FEC group state and all); an active marker instance survives as
 // long as the target retains the marker. Everything else is built fresh
 // through the registry, and stages that fall out of the plan are stopped.
 func (l *Live) Recompose(target Plan) error {
+	return l.Edit(func(Plan) (Plan, error) { return target, nil })
+}
+
+// Edit is Recompose with the target derived from the current plan under the
+// same splice lock, so a single-stage insert, remove or move never loses a
+// rewrite that landed between reading the plan and applying the edit.
+func (l *Live) Edit(edit func(cur Plan) (Plan, error)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	target, err := edit(l.plan.Clone())
+	if err != nil {
+		return err
+	}
 	return l.recomposeLocked(target)
 }
 

@@ -270,67 +270,3 @@ func TestLiveMarkerActivateDeactivate(t *testing.T) {
 		t.Fatal("payload corrupted across marker operations")
 	}
 }
-
-func TestNewFilterRegistryAdaptsComposeKinds(t *testing.T) {
-	fr := NewFilterRegistry(nil, Env{StreamID: 3})
-	kinds := fr.Kinds()
-	for _, want := range []string{"null", "fec-encode", "fec-decode", "transcode"} {
-		found := false
-		for _, k := range kinds {
-			if k == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("adapted registry missing %q: %v", want, kinds)
-		}
-	}
-	for _, k := range kinds {
-		if k == KindFECAdapt {
-			t.Fatal("marker kind leaked into the filter registry")
-		}
-	}
-	f, err := fr.Build(filter.Spec{Kind: "fec-encode", Params: map[string]string{"arg": "6/4"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Name() != "fec-encoder" {
-		t.Fatalf("built name = %q", f.Name())
-	}
-	// Legacy parameter keys still work.
-	if _, err := fr.Build(filter.Spec{Kind: "fec-encode", Params: map[string]string{"nk": "6,4"}}); err != nil {
-		t.Fatalf("legacy nk param: %v", err)
-	}
-	if _, err := fr.Build(filter.Spec{Kind: "delay", Params: map[string]string{"ms": "5"}}); err != nil {
-		t.Fatalf("legacy ms param: %v", err)
-	}
-	if _, err := fr.Build(filter.Spec{Kind: "ratelimit", Params: map[string]string{"bps": "4096"}}); err != nil {
-		t.Fatalf("legacy bps param: %v", err)
-	}
-	// ... as do the historical kind names and the old parameterless defaults.
-	for _, spec := range []filter.Spec{
-		{Kind: "fec-encoder", Params: map[string]string{"nk": "6,4"}},
-		{Kind: "fec-decoder"},
-		{Kind: "downsample", Params: map[string]string{"factor": "4"}},
-		{Kind: "mono"},
-		{Kind: "compress", Params: map[string]string{"level": "6"}},
-		{Kind: "compress"},
-		{Kind: "decompress"},
-		{Kind: "ratelimit"}, // defaulted to 1 MiB/s pre-compose
-		{Kind: "delay"},     // defaulted to 0ms pre-compose
-	} {
-		if _, err := fr.Build(spec); err != nil {
-			t.Fatalf("legacy surface %+v: %v", spec, err)
-		}
-	}
-	named, err := fr.Build(filter.Spec{Kind: "counting", Name: "my-counter"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if named.Name() != "my-counter" {
-		t.Fatalf("spec name not honored: %q", named.Name())
-	}
-	if _, err := fr.Build(filter.Spec{Kind: "ratelimit", Params: map[string]string{"bps": "-1"}}); err == nil {
-		t.Fatal("invalid legacy param accepted")
-	}
-}

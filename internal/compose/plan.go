@@ -5,15 +5,17 @@
 //
 // A Plan is an ordered list of stage specs — the paper's "composition of
 // proxylets" lifted into a first-class value. The engine's trunk chains,
-// its per-receiver delivery-branch tails and the legacy single-stream proxy
+// its per-receiver delivery-branch tails and rapidproxy's single-stream mode
 // all build their interiors from plans, and a Live wraps a running chain so
 // the whole composition can be rewritten transactionally while traffic
-// flows: the control plane's recompose operation and the adaptation plane's
-// responder splices are both plan rewrites applied under one splice lock.
+// flows: the control plane's recompose and single-stage operations and the
+// adaptation plane's responder splices are all plan rewrites applied under
+// one splice lock.
 package compose
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -144,6 +146,19 @@ func (p Plan) WithMove(from, to int) (Plan, error) {
 	return q.WithInsert(to, st)
 }
 
+// WithRemoveSelected returns a copy of the plan without the stage sel
+// selects: a plan position ("1") or a stage kind (its first occurrence). It
+// is the control plane's remove operation.
+func (p Plan) WithRemoveSelected(sel string) (Plan, error) {
+	pos, err := strconv.Atoi(sel)
+	if err != nil {
+		if pos = p.Index(sel); pos < 0 {
+			return Plan{}, fmt.Errorf("%w: %q", ErrNoStage, sel)
+		}
+	}
+	return p.WithRemove(pos)
+}
+
 // Mode says which stage classes a plan may legally contain, distinguishing
 // trunk chains from delivery-branch tails (and, for live recomposition,
 // chains whose adaptation plane manages a marker stage).
@@ -193,4 +208,17 @@ func ParseWith(reg *Registry, spec string, mode Mode) (Plan, error) {
 		return Plan{}, err
 	}
 	return p, nil
+}
+
+// ParseStage parses a spec that must contain exactly one stage — the stage
+// argument of the control plane's insert operation.
+func ParseStage(reg *Registry, spec string, mode Mode) (Stage, error) {
+	plan, err := ParseWith(reg, spec, mode)
+	if err != nil {
+		return Stage{}, err
+	}
+	if plan.Len() != 1 {
+		return Stage{}, fmt.Errorf("compose: want exactly one stage, got %q", spec)
+	}
+	return plan.Stages[0], nil
 }

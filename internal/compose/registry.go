@@ -225,7 +225,7 @@ var (
 )
 
 // Default returns the shared registry holding every built-in stage kind. It
-// is the single source of truth for what the engine, the legacy proxy and
+// is the single source of truth for what the engine, the stream proxy and
 // the control plane's kind listing can compose; extend a Clone rather than
 // the shared instance.
 func Default() *Registry {

@@ -9,28 +9,33 @@ import (
 	"sync"
 	"time"
 
-	"rapidware/internal/core"
-	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
 )
+
+// roundTripTimeout bounds one request/reply exchange, so a server that
+// accepts and never answers fails the call instead of hanging it. It is well
+// above the server's own writeTimeout: a slow but live server still answers.
+const roundTripTimeout = 30 * time.Second
 
 // Client is the programmatic ControlManager: it connects to a proxy's control
 // server and drives the management operations. A Client is safe for
 // concurrent use; requests are serialized over the single connection.
 type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
+	mu      sync.Mutex
+	conn    net.Conn
+	enc     *json.Encoder
+	dec     *json.Decoder
+	timeout time.Duration // per round trip; roundTripTimeout
 }
 
-// Dial connects to a control server.
+// Dial connects to a control server. timeout bounds the connect; every
+// request after it is bounded by roundTripTimeout.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("control: dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}, nil
+	return &Client{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn), timeout: roundTripTimeout}, nil
 }
 
 // Close closes the connection.
@@ -40,15 +45,22 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// roundTrip sends one request and decodes its response.
+// roundTrip sends one request and decodes its response. A transport failure
+// (the deadline included) closes the connection: a reply that arrives late
+// must never be read as the answer to the next request.
 func (c *Client) roundTrip(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
+		return Response{}, fmt.Errorf("control: %w", err)
+	}
 	if err := c.enc.Encode(req); err != nil {
+		c.conn.Close()
 		return Response{}, fmt.Errorf("control: send: %w", err)
 	}
 	var resp Response
 	if err := c.dec.Decode(&resp); err != nil {
+		c.conn.Close()
 		return Response{}, fmt.Errorf("control: receive: %w", err)
 	}
 	if !resp.OK {
@@ -57,26 +69,15 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	return resp, nil
 }
 
-// Ping verifies the server is reachable and returns the managed proxy names.
-func (c *Client) Ping() ([]string, error) {
-	resp, err := c.roundTrip(Request{Op: OpPing})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Names, nil
+// Ping verifies the server is reachable.
+func (c *Client) Ping() error {
+	_, err := c.roundTrip(Request{Op: OpPing})
+	return err
 }
 
-// Status fetches the status of the named proxy ("" selects the only proxy).
-func (c *Client) Status(proxy string) (*core.Status, error) {
-	resp, err := c.roundTrip(Request{Op: OpStatus, Name: proxy})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Status, nil
-}
-
-// Sessions fetches the per-session relay counters of the engine attached to
-// the server (empty when the server has no engine or no live sessions).
+// Sessions fetches the per-session counters of the engine (or stream)
+// attached to the server (empty when nothing is attached or no session is
+// live).
 func (c *Client) Sessions() ([]metrics.SessionStats, error) {
 	resp, err := c.roundTrip(Request{Op: OpSessions})
 	if err != nil {
@@ -95,58 +96,13 @@ func (c *Client) Stats() (*metrics.EngineStats, []metrics.ShardStats, error) {
 	return resp.Engine, resp.Shards, nil
 }
 
-// Kinds lists the filter kinds the named proxy can instantiate.
-func (c *Client) Kinds(proxy string) ([]string, error) {
-	resp, err := c.roundTrip(Request{Op: OpKinds, Name: proxy})
+// Kinds lists the stage kinds the server's composer can instantiate.
+func (c *Client) Kinds() ([]string, error) {
+	resp, err := c.roundTrip(Request{Op: OpKinds})
 	if err != nil {
 		return nil, err
 	}
 	return resp.Kinds, nil
-}
-
-// Insert builds spec on the proxy and splices it in at position pos.
-func (c *Client) Insert(proxy string, spec filter.Spec, pos int) (*core.Status, error) {
-	resp, err := c.roundTrip(Request{Op: OpInsert, Name: proxy, Spec: spec, Position: pos})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Status, nil
-}
-
-// Upload stores spec in the proxy's filter container without inserting it.
-func (c *Client) Upload(proxy string, spec filter.Spec) ([]string, error) {
-	resp, err := c.roundTrip(Request{Op: OpUpload, Name: proxy, Spec: spec})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Names, nil
-}
-
-// Remove removes the filter at position pos.
-func (c *Client) Remove(proxy string, pos int) (*core.Status, error) {
-	resp, err := c.roundTrip(Request{Op: OpRemove, Name: proxy, Position: pos})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Status, nil
-}
-
-// RemoveByName removes the first filter with the given instance name.
-func (c *Client) RemoveByName(proxy, filterName string) (*core.Status, error) {
-	resp, err := c.roundTrip(Request{Op: OpRemove, Name: proxy, Position: -1, Spec: filter.Spec{Name: filterName}})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Status, nil
-}
-
-// Move relocates a filter from one interior position to another.
-func (c *Client) Move(proxy string, from, to int) (*core.Status, error) {
-	resp, err := c.roundTrip(Request{Op: OpMove, Name: proxy, Position: from, Target: to})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Status, nil
 }
 
 // sessionKey renders a session ID for the wire (decimal, so ID 0 is
@@ -155,7 +111,7 @@ func sessionKey(session uint32) string {
 	return strconv.FormatUint(uint64(session), 10)
 }
 
-// Compose atomically rewrites a live engine session's chain to the full
+// Compose atomically rewrites a live session's chain to the full
 // target spec; receiver (optional) narrows the rewrite to the delivery
 // branch serving that fan-out member. It returns the canonical plan string
 // after the rewrite.
@@ -168,7 +124,7 @@ func (c *Client) Compose(session uint32, receiver, spec string) (string, error) 
 }
 
 // SessionInsert splices one stage (spec syntax, e.g. "delay=5ms") into a
-// live engine session's chain at the given plan position.
+// live session's chain at the given plan position.
 func (c *Client) SessionInsert(session uint32, receiver, stage string, pos int) (string, error) {
 	resp, err := c.roundTrip(Request{Op: OpInsert, Session: sessionKey(session), Receiver: receiver, Stage: stage, Position: pos})
 	if err != nil {
@@ -177,8 +133,8 @@ func (c *Client) SessionInsert(session uint32, receiver, stage string, pos int) 
 	return resp.Chain, nil
 }
 
-// SessionRemove removes a stage from a live engine session's chain; sel is a
-// plan position or a stage kind.
+// SessionRemove removes a stage from a live session's chain; sel is a plan
+// position or a stage kind.
 func (c *Client) SessionRemove(session uint32, receiver, sel string) (string, error) {
 	resp, err := c.roundTrip(Request{Op: OpRemove, Session: sessionKey(session), Receiver: receiver, Stage: sel})
 	if err != nil {
@@ -187,71 +143,12 @@ func (c *Client) SessionRemove(session uint32, receiver, sel string) (string, er
 	return resp.Chain, nil
 }
 
-// SessionMove relocates a stage between plan positions of a live engine
-// session's chain, preserving its running instance.
+// SessionMove relocates a stage between plan positions of a live session's
+// chain, preserving its running instance.
 func (c *Client) SessionMove(session uint32, receiver string, from, to int) (string, error) {
 	resp, err := c.roundTrip(Request{Op: OpMove, Session: sessionKey(session), Receiver: receiver, Position: from, Target: to})
 	if err != nil {
 		return "", err
 	}
 	return resp.Chain, nil
-}
-
-// Manager aggregates clients for several proxies, the multi-proxy management
-// view of the paper's ControlManager GUI.
-type Manager struct {
-	mu      sync.Mutex
-	clients map[string]*Client
-}
-
-// NewManager returns an empty manager.
-func NewManager() *Manager {
-	return &Manager{clients: make(map[string]*Client)}
-}
-
-// Connect dials a control server and registers it under the given label.
-func (m *Manager) Connect(label, addr string, timeout time.Duration) error {
-	c, err := Dial(addr, timeout)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if old, ok := m.clients[label]; ok {
-		old.Close()
-	}
-	m.clients[label] = c
-	return nil
-}
-
-// Client returns the client registered under label.
-func (m *Manager) Client(label string) (*Client, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.clients[label]
-	if !ok {
-		return nil, fmt.Errorf("control: no proxy registered as %q", label)
-	}
-	return c, nil
-}
-
-// Labels returns the registered labels.
-func (m *Manager) Labels() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.clients))
-	for l := range m.clients {
-		out = append(out, l)
-	}
-	return out
-}
-
-// Close closes every registered client.
-func (m *Manager) Close() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, c := range m.clients {
-		c.Close()
-	}
-	m.clients = make(map[string]*Client)
 }

@@ -3,28 +3,19 @@ package control
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
-	"rapidware/internal/core"
+	"rapidware/internal/compose"
 	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
 )
 
-func newManagedProxy(name string) *core.Proxy {
-	p := core.New(name)
-	// Endpoints that neither produce nor consume keep the chain valid for
-	// management-plane tests without moving data.
-	if err := p.SetEndpoints(filter.NewNull("in"), filter.NewNull("out")); err != nil {
-		panic(err)
-	}
-	return p
-}
-
-func startServer(t *testing.T, proxies ...*core.Proxy) (*Server, string) {
+func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
-	s := NewServer(nil, proxies...)
+	s := NewServer(nil)
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -43,21 +34,47 @@ func dialClient(t *testing.T, addr string) *Client {
 	return c
 }
 
+// startStreamServer serves one compose.Live as session 1 the way rapidproxy
+// -mode stream does. Its endpoints neither produce nor consume, which keeps
+// the chain valid for management-plane tests without moving data.
+func startStreamServer(t *testing.T) (*Server, *Client) {
+	t.Helper()
+	chain := filter.NewChain("stream")
+	for _, f := range []filter.Filter{filter.NewNull("in"), filter.NewNull("out")} {
+		if err := chain.Append(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, err := compose.Attach(chain, compose.Default(), compose.Env{StreamID: 1}, compose.ModeChain, compose.Plan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := chain.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { chain.Stop() })
+	s, addr := startServer(t)
+	s.SetSessionSource(compose.NewStreamSession(live))
+	return s, dialClient(t, addr)
+}
+
 func TestRequestValidate(t *testing.T) {
 	cases := []struct {
 		req Request
 		ok  bool
 	}{
-		{Request{Op: OpStatus}, true},
 		{Request{Op: OpPing}, true},
 		{Request{Op: OpKinds}, true},
-		{Request{Op: OpInsert, Spec: filter.Spec{Kind: "null"}}, true},
-		{Request{Op: OpInsert}, false},
-		{Request{Op: OpUpload}, false},
-		{Request{Op: OpRemove, Position: 1}, true},
-		{Request{Op: OpRemove, Position: -1}, false},
-		{Request{Op: OpRemove, Position: -1, Spec: filter.Spec{Name: "x"}}, true},
-		{Request{Op: OpMove}, true},
+		{Request{Op: OpSessions}, true},
+		{Request{Op: OpStats}, true},
+		{Request{Op: OpInsert, Session: "1", Stage: "null"}, true},
+		{Request{Op: OpInsert, Stage: "null"}, false}, // no session
+		{Request{Op: OpRemove, Session: "1", Stage: "0"}, true},
+		{Request{Op: OpRemove, Stage: "0"}, false}, // no session
+		{Request{Op: OpMove, Session: "1", Position: 1}, true},
+		{Request{Op: OpMove, Position: 1, Target: 2}, false}, // no session
+		{Request{Op: Op("status")}, false},
+		{Request{Op: Op("upload")}, false},
 		{Request{Op: Op("bogus")}, false},
 	}
 	for _, c := range cases {
@@ -68,151 +85,104 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
+// TestHandleUnknownOpAndProxy: the server answers only for its one attached
+// session source — unknown ops and sessions it does not serve both fail.
 func TestHandleUnknownOpAndProxy(t *testing.T) {
-	s := NewServer(nil, newManagedProxy("p1"))
+	s, _ := startStreamServer(t)
 	if resp := s.Handle(Request{Op: Op("bogus")}); resp.OK {
 		t.Fatal("unknown op should fail")
 	}
-	if resp := s.Handle(Request{Op: OpStatus, Name: "missing"}); resp.OK {
-		t.Fatal("unknown proxy should fail")
-	}
-	// Two proxies and no name is ambiguous.
-	s.AddProxy(newManagedProxy("p2"))
-	if resp := s.Handle(Request{Op: OpStatus}); resp.OK {
-		t.Fatal("ambiguous proxy selection should fail")
+	if resp := s.Handle(Request{Op: OpInsert, Session: "2", Stage: "counting"}); resp.OK || !strings.Contains(resp.Error, "unknown session") {
+		t.Fatalf("insert into a session the stream does not serve = %+v", resp)
 	}
 }
 
 func TestClientServerStatusAndKinds(t *testing.T) {
-	p := newManagedProxy("edge-proxy")
-	_, addr := startServer(t, p)
-	c := dialClient(t, addr)
-
-	names, err := c.Ping()
+	_, c := startStreamServer(t)
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	sessions, err := c.Sessions()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 1 || names[0] != "edge-proxy" {
-		t.Fatalf("Ping names = %v", names)
+	if len(sessions) != 1 || sessions[0].ID != 1 || sessions[0].Chain != "" {
+		t.Fatalf("Sessions = %+v", sessions)
 	}
-	st, err := c.Status("")
+	kinds, err := c.Kinds()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Name != "edge-proxy" || len(st.Filters) != 2 {
-		t.Fatalf("Status = %+v", st)
-	}
-	kinds, err := c.Kinds("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kinds) == 0 || !contains(kinds, "null") {
+	if !contains(kinds, "null") || !contains(kinds, "fec-encode") {
 		t.Fatalf("Kinds = %v", kinds)
 	}
 }
 
 func TestClientServerInsertRemoveMove(t *testing.T) {
-	p := newManagedProxy("edge")
-	_, addr := startServer(t, p)
-	c := dialClient(t, addr)
-
-	st, err := c.Insert("", filter.Spec{Kind: "counting", Name: "tap"}, 1)
-	if err != nil {
-		t.Fatal(err)
+	_, c := startStreamServer(t)
+	steps := []struct {
+		op   func() (string, error)
+		want string
+	}{
+		{func() (string, error) { return c.SessionInsert(1, "", "counting", 0) }, "counting"},
+		{func() (string, error) { return c.SessionInsert(1, "", "checksum", 1) }, "counting,checksum"},
+		{func() (string, error) { return c.SessionMove(1, "", 0, 1) }, "checksum,counting"},
+		{func() (string, error) { return c.SessionRemove(1, "", "checksum") }, "counting"},
+		{func() (string, error) { return c.SessionRemove(1, "", "0") }, ""},
 	}
-	if len(st.Filters) != 3 || st.Filters[1].Name != "tap" {
-		t.Fatalf("after insert: %+v", st.Filters)
-	}
-	st, err = c.Insert("", filter.Spec{Kind: "checksum", Name: "sum"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Filters[2].Name != "sum" {
-		t.Fatalf("after second insert: %+v", st.Filters)
-	}
-	st, err = c.Move("", 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Filters[1].Name != "sum" || st.Filters[2].Name != "tap" {
-		t.Fatalf("after move: %+v", st.Filters)
-	}
-	st, err = c.RemoveByName("", "sum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Filters) != 3 {
-		t.Fatalf("after remove by name: %+v", st.Filters)
-	}
-	st, err = c.Remove("", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Filters) != 2 {
-		t.Fatalf("after remove: %+v", st.Filters)
+	for i, st := range steps {
+		chain, err := st.op()
+		if err != nil || chain != st.want {
+			t.Fatalf("step %d = %q, %v; want %q", i, chain, err, st.want)
+		}
 	}
 	// Errors propagate as errors with the server's message.
-	if _, err := c.Insert("", filter.Spec{Kind: "no-such-kind"}, 1); err == nil {
-		t.Fatal("expected error for unknown kind")
-	} else if !strings.Contains(err.Error(), "unknown filter kind") {
-		t.Fatalf("err = %v", err)
+	if _, err := c.SessionInsert(1, "", "no-such-kind", 0); err == nil || !strings.Contains(err.Error(), "unknown chain stage") {
+		t.Fatalf("unknown kind err = %v", err)
 	}
-	if _, err := c.Remove("", 99); err == nil {
+	if _, err := c.SessionRemove(1, "", "99"); err == nil {
 		t.Fatal("expected error for bad position")
 	}
 }
 
-func TestClientServerUpload(t *testing.T) {
-	p := newManagedProxy("up")
-	_, addr := startServer(t, p)
-	c := dialClient(t, addr)
-	names, err := c.Upload("", filter.Spec{Kind: "delay", Name: "later", Params: map[string]string{"ms": "1"}})
+// TestClientRoundTripDeadline: a server that accepts and never replies fails
+// the call rather than hanging it, and the connection is not reused.
+func TestClientRoundTripDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 1 || names[0] != "later" {
-		t.Fatalf("Upload names = %v", names)
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var sink [1024]byte
+		for {
+			if _, err := conn.Read(sink[:]); err != nil {
+				return
+			}
+		}
+	}()
+	c := dialClient(t, ln.Addr().String())
+	c.timeout = 100 * time.Millisecond
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.Stats()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Stats succeeded against a silent server")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stats blocked on a silent server")
 	}
-	if p.Container().Count() != 1 {
-		t.Fatal("uploaded filter not in container")
-	}
-}
-
-func TestManagerMultipleProxies(t *testing.T) {
-	pa, pb := newManagedProxy("proxy-a"), newManagedProxy("proxy-b")
-	_, addrA := startServer(t, pa)
-	_, addrB := startServer(t, pb)
-
-	m := NewManager()
-	defer m.Close()
-	if err := m.Connect("a", addrA, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Connect("b", addrB, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Labels()) != 2 {
-		t.Fatalf("Labels = %v", m.Labels())
-	}
-	ca, err := m.Client("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := ca.Status("")
-	if err != nil || st.Name != "proxy-a" {
-		t.Fatalf("Status via manager = %+v, %v", st, err)
-	}
-	if _, err := m.Client("missing"); err == nil {
-		t.Fatal("expected error for unknown label")
-	}
-	// Reconnecting under the same label replaces the old client.
-	if err := m.Connect("a", addrB, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	ca, _ = m.Client("a")
-	st, _ = ca.Status("")
-	if st.Name != "proxy-b" {
-		t.Fatalf("relabelled client status = %+v", st)
+	if _, err := c.Sessions(); err == nil {
+		t.Fatal("a timed-out connection was reused")
 	}
 }
 
@@ -222,16 +192,8 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
-func TestManagerConnectFailure(t *testing.T) {
-	m := NewManager()
-	defer m.Close()
-	if err := m.Connect("x", "127.0.0.1:1", 50*time.Millisecond); err == nil {
-		t.Fatal("expected connect error")
-	}
-}
-
 func TestServerCloseIdempotent(t *testing.T) {
-	s, _ := startServer(t, newManagedProxy("p"))
+	s, _ := startServer(t)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +221,7 @@ func TestSessionsOverTheWire(t *testing.T) {
 		{ID: 1, Packets: 10, Bytes: 1000, OutPackets: 9, OutBytes: 900, Repairs: 2, Drops: 1},
 		{ID: 7, Packets: 3, Bytes: 300},
 	}
-	s, addr := startServer(t, newManagedProxy("p1"))
+	s, addr := startServer(t)
 	s.SetSessionSource(stats)
 	c := dialClient(t, addr)
 
@@ -269,11 +231,6 @@ func TestSessionsOverTheWire(t *testing.T) {
 	}
 	if len(got) != 2 || got[0].ID != 1 || got[0].Repairs != 2 || got[1].ID != 7 {
 		t.Fatalf("Sessions = %+v", got)
-	}
-	// Status replies fold the session stats in alongside the proxy status.
-	resp := s.Handle(Request{Op: OpStatus, Name: "p1"})
-	if !resp.OK || resp.Status == nil || len(resp.Sessions) != 2 {
-		t.Fatalf("status reply missing sessions: %+v", resp)
 	}
 }
 
@@ -292,7 +249,7 @@ func TestStatsOverTheWire(t *testing.T) {
 		engine: metrics.EngineStats{ActiveSessions: 2, TotalSessions: 5, Datagrams: 100, Shards: 4, BatchedWrites: 90, WriteFlushes: 30},
 		shards: []metrics.ShardStats{{Shard: 0, Sessions: 1, Datagrams: 60}, {Shard: 1, Sessions: 1, Datagrams: 40}},
 	}
-	s, addr := startServer(t, newManagedProxy("p1"))
+	s, addr := startServer(t)
 	s.SetSessionSource(src)
 	c := dialClient(t, addr)
 
@@ -310,7 +267,7 @@ func TestStatsOverTheWire(t *testing.T) {
 
 func TestStatsWithoutEngine(t *testing.T) {
 	// A plain SessionSource (no shard plane) cannot answer stats.
-	s, addr := startServer(t, newManagedProxy("p1"))
+	s, addr := startServer(t)
 	s.SetSessionSource(stubSessions{{ID: 1}})
 	c := dialClient(t, addr)
 	if _, _, err := c.Stats(); err == nil {
@@ -319,7 +276,7 @@ func TestStatsWithoutEngine(t *testing.T) {
 }
 
 func TestSessionsWithoutSource(t *testing.T) {
-	_, addr := startServer(t, newManagedProxy("p1"))
+	_, addr := startServer(t)
 	c := dialClient(t, addr)
 	got, err := c.Sessions()
 	if err != nil {
@@ -327,16 +284,6 @@ func TestSessionsWithoutSource(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("Sessions = %+v, want empty", got)
-	}
-}
-
-func TestEngineOnlyStatus(t *testing.T) {
-	// A server with no proxies but a session source still answers status.
-	s := NewServer(nil)
-	s.SetSessionSource(stubSessions{{ID: 3, Packets: 1}})
-	resp := s.Handle(Request{Op: OpStatus})
-	if !resp.OK || len(resp.Sessions) != 1 || resp.Sessions[0].ID != 3 {
-		t.Fatalf("engine-only status = %+v", resp)
 	}
 }
 
@@ -415,8 +362,8 @@ func TestSessionComposeOverTheWire(t *testing.T) {
 		t.Fatalf("move dispatch: %q", comp.lastCall)
 	}
 
-	// Engine-only servers answer the kind listing from the composer.
-	kinds, err := c.Kinds("")
+	// The kind listing comes from the composer.
+	kinds, err := c.Kinds()
 	if err != nil {
 		t.Fatalf("Kinds: %v", err)
 	}
@@ -432,7 +379,7 @@ func TestSessionComposeOverTheWire(t *testing.T) {
 }
 
 func TestSessionComposeWithoutComposer(t *testing.T) {
-	s, _ := startServer(t, newManagedProxy("p1"))
+	s, _ := startServer(t)
 	resp := s.Handle(Request{Op: OpRecompose, Session: "1", Chain: "counting"})
 	if resp.OK || !strings.Contains(resp.Error, "no composable engine") {
 		t.Fatalf("recompose without composer = %+v", resp)

@@ -41,7 +41,7 @@ func serve(t testing.TB, s *Server, data []byte) []byte {
 // request larger than maxRequestBytes.
 func FuzzControlRequest(f *testing.F) {
 	f.Add([]byte(`{"op":"ping"}` + "\n"))
-	f.Add([]byte(`{"op":"status"}{"op":"kinds"}{"op":"stats"}`))
+	f.Add([]byte(`{"op":"sessions"}{"op":"kinds"}{"op":"stats"}`))
 	f.Add([]byte(`{"op":"recompose","session":"7","chain":"counting"}`))
 	f.Add([]byte(`{"op":"insert","session":"x","stage":"delay=1ms","position":-1}`))
 	f.Add([]byte(`[[[[[[[[[[[[[[[[[[[[`))
@@ -53,7 +53,7 @@ func FuzzControlRequest(f *testing.F) {
 // TestServeConnCapsRequestSize: a request over the cap gets no reply and a
 // closed connection, while a legal one before it is answered.
 func TestServeConnCapsRequestSize(t *testing.T) {
-	huge := `{"op":"ping","name":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	huge := `{"op":"ping","chain":"` + strings.Repeat("x", maxRequestBytes) + `"}`
 	replies := serve(t, NewServer(nil), []byte(`{"op":"ping"}`+"\n"+huge+"\n"+`{"op":"ping"}`))
 	if n := bytes.Count(replies, []byte("\n")); n != 1 {
 		t.Fatalf("server sent %d replies, want 1 (the oversized request must end the connection): %q", n, replies)

@@ -1,20 +1,24 @@
 // Package control implements the RAPIDware management plane: a JSON-over-TCP
 // control protocol through which an administrator (the paper's Swing-based
 // ControlManager GUI, here a programmatic client and the rapidctl CLI) or an
-// application can query a proxy's state and insert, remove and reorder
-// filters on its running streams.
+// application can query a proxy's sessions and insert, remove, reorder and
+// recompose the stages of their running chains.
+//
+// Every chain the protocol changes is a session: an engine session, or the
+// single stream of rapidproxy's stream mode served as one session through
+// compose.StreamSession. Both implement Composer, and every change is a plan
+// rewrite applied through compose.Live.
 //
 // The paper delivered new filters by Java object serialization; Go cannot
-// load code at run time, so the protocol transports filter *specs* (a
-// registered kind plus parameters) that the proxy instantiates locally. See
-// DESIGN.md for the substitution note.
+// load code at run time, so the protocol carries stage specs in the compose
+// spec language (a registered kind plus its argument, e.g. "fec-encode=6/4")
+// that the proxy instantiates from its compose registry. README.md's "Live
+// composition" section shows the operations end to end.
 package control
 
 import (
 	"fmt"
 
-	"rapidware/internal/core"
-	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
 )
 
@@ -23,19 +27,17 @@ type Op string
 
 // Control operations.
 const (
-	// OpStatus returns the proxy's Status.
-	OpStatus Op = "status"
-	// OpKinds lists the filter kinds the proxy can instantiate.
+	// OpKinds lists the stage kinds the attached composer can instantiate.
 	OpKinds Op = "kinds"
-	// OpInsert builds a filter from Spec and inserts it at Position.
+	// OpInsert splices the one-stage spec Stage into Session's chain at plan
+	// position Position.
 	OpInsert Op = "insert"
-	// OpRemove removes the filter at Position (or by Name when Position < 0).
+	// OpRemove removes the stage Stage selects (a plan position or a kind)
+	// from Session's chain.
 	OpRemove Op = "remove"
-	// OpMove relocates a filter from Position to Target.
+	// OpMove relocates a stage of Session's chain from plan position Position
+	// to Target.
 	OpMove Op = "move"
-	// OpUpload stores a filter spec in the proxy's container without
-	// inserting it, mirroring the paper's upload-then-insert workflow.
-	OpUpload Op = "upload"
 	// OpPing verifies liveness.
 	OpPing Op = "ping"
 	// OpSessions returns the per-session relay counters of the attached
@@ -49,31 +51,28 @@ const (
 	// OpStats returns the attached engine's aggregate counters and a
 	// per-shard breakdown of its data plane.
 	OpStats Op = "stats"
-	// OpRecompose atomically rewrites a live engine session's chain to the
-	// full target spec in Chain (Session selects the session; Receiver
-	// optionally selects one delivery branch). Stages the current plan
-	// already contains keep their running instances; the rest are built and
-	// the drop-outs stopped, in one splice that never drops relayed data.
+	// OpRecompose atomically rewrites a live session's chain to the full
+	// target spec in Chain (Session selects the session; Receiver optionally
+	// selects one delivery branch). Stages the current plan already contains
+	// keep their running instances; the rest are built and the drop-outs
+	// stopped, in one splice that never drops relayed data.
 	OpRecompose Op = "recompose"
 )
 
 // Request is one control-plane command.
 type Request struct {
-	Op       Op          `json:"op"`
-	Spec     filter.Spec `json:"spec,omitempty"`
-	Position int         `json:"position,omitempty"`
-	Target   int         `json:"target,omitempty"`
-	Name     string      `json:"name,omitempty"`
-	// Session addresses a live engine session by wire ID (decimal string, so
-	// session 0 is distinguishable from "no session"). When set, OpInsert,
-	// OpRemove, OpMove and OpRecompose act on that session's composed chain
-	// instead of a legacy proxy.
+	Op       Op  `json:"op"`
+	Position int `json:"position,omitempty"`
+	Target   int `json:"target,omitempty"`
+	// Session addresses a live session by wire ID (decimal string, so session
+	// 0 is distinguishable from "no session"). OpInsert, OpRemove, OpMove and
+	// OpRecompose require it.
 	Session string `json:"session,omitempty"`
 	// Receiver optionally narrows a session-scoped operation to the delivery
 	// branch serving one fan-out receiver (its UDP address).
 	Receiver string `json:"receiver,omitempty"`
-	// Stage is a one-stage spec ("kind" or "kind=arg") for session-scoped
-	// OpInsert, or a stage selector (plan position or kind) for OpRemove.
+	// Stage is a one-stage spec ("kind" or "kind=arg") for OpInsert, or a
+	// stage selector (plan position or kind) for OpRemove.
 	Stage string `json:"stage,omitempty"`
 	// Chain is OpRecompose's full target spec (may be empty: a pure relay).
 	Chain string `json:"chain,omitempty"`
@@ -83,55 +82,30 @@ type Request struct {
 type Response struct {
 	OK       bool                   `json:"ok"`
 	Error    string                 `json:"error,omitempty"`
-	Status   *core.Status           `json:"status,omitempty"`
 	Kinds    []string               `json:"kinds,omitempty"`
-	Names    []string               `json:"names,omitempty"`
 	Sessions []metrics.SessionStats `json:"sessions,omitempty"`
 	Engine   *metrics.EngineStats   `json:"engine,omitempty"`
 	Shards   []metrics.ShardStats   `json:"shards,omitempty"`
 	// Chain is the canonical plan string of the addressed session chain
-	// after a session-scoped composition operation.
+	// after a composition operation.
 	Chain string `json:"chain,omitempty"`
 }
 
 // Validate checks a request for obvious problems before dispatch.
 func (r Request) Validate() error {
 	switch r.Op {
-	case OpStatus, OpKinds, OpPing, OpSessions, OpStats:
+	case OpKinds, OpPing, OpSessions, OpStats:
 		return nil
-	case OpRecompose:
+	case OpRecompose, OpInsert, OpRemove, OpMove:
 		if r.Session == "" {
-			return fmt.Errorf("control: recompose requires a session ID")
+			return fmt.Errorf("control: %s requires a session ID", r.Op)
 		}
-		return nil
-	case OpInsert:
-		if r.Session != "" {
-			if r.Stage == "" {
-				return fmt.Errorf("control: session insert requires a stage spec")
-			}
-			return nil
+		if r.Op == OpInsert && r.Stage == "" {
+			return fmt.Errorf("control: insert requires a stage spec")
 		}
-		if r.Spec.Kind == "" {
-			return fmt.Errorf("control: %s requires a filter spec", r.Op)
+		if r.Op == OpRemove && r.Stage == "" {
+			return fmt.Errorf("control: remove requires a stage selector (position or kind)")
 		}
-		return nil
-	case OpUpload:
-		if r.Spec.Kind == "" {
-			return fmt.Errorf("control: %s requires a filter spec", r.Op)
-		}
-		return nil
-	case OpRemove:
-		if r.Session != "" {
-			if r.Stage == "" {
-				return fmt.Errorf("control: session remove requires a stage selector (position or kind)")
-			}
-			return nil
-		}
-		if r.Position < 0 && r.Spec.Name == "" {
-			return fmt.Errorf("control: remove requires a position or a filter name")
-		}
-		return nil
-	case OpMove:
 		return nil
 	default:
 		return fmt.Errorf("control: unknown op %q", r.Op)

@@ -11,12 +11,11 @@ import (
 	"sync"
 	"time"
 
-	"rapidware/internal/core"
 	"rapidware/internal/metrics"
 )
 
-// SessionSource provides per-session relay statistics for status replies; it
-// is implemented by the multi-session proxy engine.
+// SessionSource provides per-session statistics for OpSessions; it is
+// implemented by the multi-session proxy engine and by compose.StreamSession.
 type SessionSource interface {
 	SessionStats() []metrics.SessionStats
 }
@@ -31,10 +30,11 @@ type EngineSource interface {
 }
 
 // Composer is implemented by session sources whose live sessions can be
-// recomposed through the control plane (the proxy engine): every method
-// addresses one session — and optionally one delivery branch, by receiver
-// address — and returns the canonical plan string after the rewrite.
-// Session-scoped OpInsert/OpRemove/OpMove and OpRecompose require it.
+// recomposed through the control plane (the proxy engine, and
+// compose.StreamSession for stream mode): every method addresses one session
+// — and optionally one delivery branch, by receiver address — and returns
+// the canonical plan string after the rewrite. OpKinds, OpInsert, OpRemove,
+// OpMove and OpRecompose require it.
 type Composer interface {
 	SessionSource
 	Kinds() []string
@@ -44,12 +44,11 @@ type Composer interface {
 	MoveSessionStage(id uint32, receiver string, from, to int) (string, error)
 }
 
-// Server exposes one or more proxies over the control protocol. Each accepted
-// connection carries a sequence of newline-delimited JSON requests and
-// responses.
+// Server exposes one session source over the control protocol. Each
+// accepted connection carries a sequence of newline-delimited JSON requests
+// and responses.
 type Server struct {
 	mu       sync.Mutex
-	proxies  map[string]*core.Proxy
 	sessions SessionSource
 	ln       net.Listener
 	wg       sync.WaitGroup
@@ -57,24 +56,13 @@ type Server struct {
 	logger   *log.Logger
 }
 
-// NewServer returns a server managing the given proxies, keyed by name.
-func NewServer(logger *log.Logger, proxies ...*core.Proxy) *Server {
-	s := &Server{proxies: make(map[string]*core.Proxy), logger: logger}
-	for _, p := range proxies {
-		s.proxies[p.Name()] = p
-	}
-	return s
+// NewServer returns a server with no session source attached.
+func NewServer(logger *log.Logger) *Server {
+	return &Server{logger: logger}
 }
 
-// AddProxy registers an additional proxy.
-func (s *Server) AddProxy(p *core.Proxy) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.proxies[p.Name()] = p
-}
-
-// SetSessionSource attaches a multi-session engine whose per-session counters
-// are served by OpSessions and folded into status replies.
+// SetSessionSource attaches the engine (or stream session) the server
+// answers for.
 func (s *Server) SetSessionSource(src SessionSource) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -105,33 +93,6 @@ func (s *Server) engineStats() (*metrics.EngineStats, []metrics.ShardStats) {
 	}
 	stats := es.EngineStats()
 	return &stats, es.ShardStats()
-}
-
-// proxyNames returns the registered proxy names.
-func (s *Server) proxyNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.proxies))
-	for n := range s.proxies {
-		names = append(names, n)
-	}
-	return names
-}
-
-// lookup returns the proxy for the request's Name field; when only one proxy
-// is registered an empty name selects it.
-func (s *Server) lookup(name string) (*core.Proxy, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if name == "" && len(s.proxies) == 1 {
-		for _, p := range s.proxies {
-			return p, nil
-		}
-	}
-	if p, ok := s.proxies[name]; ok {
-		return p, nil
-	}
-	return nil, fmt.Errorf("control: unknown proxy %q", name)
 }
 
 // Listen starts accepting control connections on addr ("host:port"; use
@@ -222,13 +183,9 @@ func (s *Server) composer() Composer {
 	return c
 }
 
-// handleSessionOp dispatches a session-scoped composition request to the
-// attached engine.
-func (s *Server) handleSessionOp(req Request) Response {
-	comp := s.composer()
-	if comp == nil {
-		return Response{Error: "control: no composable engine attached"}
-	}
+// handleSessionOp dispatches a composition request to the attached
+// composer. Validate has already checked the request's shape.
+func (s *Server) handleSessionOp(comp Composer, req Request) Response {
 	id64, err := strconv.ParseUint(req.Session, 10, 32)
 	if err != nil {
 		return Response{Error: fmt.Sprintf("control: session ID %q: %v", req.Session, err)}
@@ -242,10 +199,8 @@ func (s *Server) handleSessionOp(req Request) Response {
 		chain, err = comp.InsertSessionStage(id, req.Receiver, req.Stage, req.Position)
 	case OpRemove:
 		chain, err = comp.RemoveSessionStage(id, req.Receiver, req.Stage)
-	case OpMove:
+	default: // OpMove
 		chain, err = comp.MoveSessionStage(id, req.Receiver, req.Position, req.Target)
-	default:
-		return Response{Error: fmt.Sprintf("control: op %q does not take a session", req.Op)}
 	}
 	if err != nil {
 		return Response{Error: err.Error()}
@@ -253,83 +208,33 @@ func (s *Server) handleSessionOp(req Request) Response {
 	return Response{OK: true, Chain: chain}
 }
 
-// Handle executes one request against the managed proxies. It is exported so
-// in-process callers (tests, raplets) can use the same dispatch logic as the
-// network path.
+// Handle executes one request against the attached session source. It is
+// exported so in-process callers (tests, raplets) can use the same dispatch
+// logic as the network path.
 func (s *Server) Handle(req Request) Response {
 	if err := req.Validate(); err != nil {
 		return Response{Error: err.Error()}
 	}
-	if req.Op == OpPing {
-		return Response{OK: true, Names: s.proxyNames()}
-	}
-	if req.Op == OpSessions {
+	switch req.Op {
+	case OpPing:
+		return Response{OK: true}
+	case OpSessions:
 		return Response{OK: true, Sessions: s.sessionStats()}
-	}
-	if req.Op == OpStats {
+	case OpStats:
 		eng, shards := s.engineStats()
 		if eng == nil {
 			return Response{Error: "control: no engine attached"}
 		}
 		return Response{OK: true, Engine: eng, Shards: shards}
 	}
-	if req.Session != "" || req.Op == OpRecompose {
-		return s.handleSessionOp(req)
+	comp := s.composer()
+	if comp == nil {
+		return Response{Error: "control: no composable engine attached"}
 	}
-	p, err := s.lookup(req.Name)
-	if err != nil {
-		// An engine-only server has no proxies, but status and the kind
-		// listing are still meaningful: reply from the engine.
-		if req.Op == OpStatus && req.Name == "" {
-			if stats := s.sessionStats(); stats != nil {
-				return Response{OK: true, Sessions: stats}
-			}
-		}
-		if req.Op == OpKinds && req.Name == "" {
-			if comp := s.composer(); comp != nil {
-				return Response{OK: true, Kinds: comp.Kinds()}
-			}
-		}
-		return Response{Error: err.Error()}
+	if req.Op == OpKinds {
+		return Response{OK: true, Kinds: comp.Kinds()}
 	}
-	switch req.Op {
-	case OpStatus:
-		st := p.Status()
-		return Response{OK: true, Status: &st, Sessions: s.sessionStats()}
-	case OpKinds:
-		return Response{OK: true, Kinds: p.Registry().Kinds()}
-	case OpInsert:
-		if _, err := p.InsertSpec(req.Spec, req.Position); err != nil {
-			return Response{Error: err.Error()}
-		}
-		st := p.Status()
-		return Response{OK: true, Status: &st}
-	case OpUpload:
-		f, err := p.Registry().Build(req.Spec)
-		if err != nil {
-			return Response{Error: err.Error()}
-		}
-		p.Container().Add(f)
-		return Response{OK: true, Names: p.Container().Names()}
-	case OpRemove:
-		if req.Spec.Name != "" {
-			if _, err := p.RemoveFilterByName(req.Spec.Name); err != nil {
-				return Response{Error: err.Error()}
-			}
-		} else if _, err := p.RemoveFilter(req.Position); err != nil {
-			return Response{Error: err.Error()}
-		}
-		st := p.Status()
-		return Response{OK: true, Status: &st}
-	case OpMove:
-		if err := p.MoveFilter(req.Position, req.Target); err != nil {
-			return Response{Error: err.Error()}
-		}
-		st := p.Status()
-		return Response{OK: true, Status: &st}
-	default:
-		return Response{Error: fmt.Sprintf("control: unknown op %q", req.Op)}
-	}
+	return s.handleSessionOp(comp, req)
 }
 
 // Close stops accepting connections and waits for in-flight handlers.

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"net/netip"
-	"strconv"
 
 	"rapidware/internal/compose"
 	"rapidware/internal/multicast"
@@ -93,7 +92,7 @@ func (e *Engine) RecomposeSession(id uint32, receiver, target string) (string, e
 func (e *Engine) InsertSessionStage(id uint32, receiver, stage string, pos int) (string, error) {
 	if receiver != "" {
 		return e.memberPlanOp(id, receiver, func(p compose.Plan) (compose.Plan, error) {
-			st, err := parseOneStage(e.reg, stage, compose.ModeBranch)
+			st, err := compose.ParseStage(e.reg, stage, compose.ModeBranch)
 			if err != nil {
 				return compose.Plan{}, err
 			}
@@ -101,7 +100,7 @@ func (e *Engine) InsertSessionStage(id uint32, receiver, stage string, pos int) 
 		})
 	}
 	return e.recomposeTrunk(id, func(cur compose.Plan, mode compose.Mode) (compose.Plan, error) {
-		st, err := parseOneStage(e.reg, stage, mode)
+		st, err := compose.ParseStage(e.reg, stage, mode)
 		if err != nil {
 			return compose.Plan{}, err
 		}
@@ -112,20 +111,13 @@ func (e *Engine) InsertSessionStage(id uint32, receiver, stage string, pos int) 
 // RemoveSessionStage removes a stage from a live session chain. sel is a
 // plan position or a stage kind (first match).
 func (e *Engine) RemoveSessionStage(id uint32, receiver, sel string) (string, error) {
-	remove := func(p compose.Plan) (compose.Plan, error) {
-		pos, convErr := strconv.Atoi(sel)
-		if convErr != nil {
-			if pos = p.Index(sel); pos < 0 {
-				return compose.Plan{}, fmt.Errorf("%w: %q", compose.ErrNoStage, sel)
-			}
-		}
-		return p.WithRemove(pos)
-	}
 	if receiver != "" {
-		return e.memberPlanOp(id, receiver, remove)
+		return e.memberPlanOp(id, receiver, func(p compose.Plan) (compose.Plan, error) {
+			return p.WithRemoveSelected(sel)
+		})
 	}
 	return e.recomposeTrunk(id, func(cur compose.Plan, _ compose.Mode) (compose.Plan, error) {
-		return remove(cur)
+		return cur.WithRemoveSelected(sel)
 	})
 }
 
@@ -140,16 +132,4 @@ func (e *Engine) MoveSessionStage(id uint32, receiver string, from, to int) (str
 	return e.recomposeTrunk(id, func(cur compose.Plan, _ compose.Mode) (compose.Plan, error) {
 		return cur.WithMove(from, to)
 	})
-}
-
-// parseOneStage parses a spec that must contain exactly one stage.
-func parseOneStage(reg *compose.Registry, spec string, mode compose.Mode) (compose.Stage, error) {
-	plan, err := compose.ParseWith(reg, spec, mode)
-	if err != nil {
-		return compose.Stage{}, err
-	}
-	if plan.Len() != 1 {
-		return compose.Stage{}, fmt.Errorf("engine: want exactly one stage, got %q", spec)
-	}
-	return plan.Stages[0], nil
 }

@@ -1,5 +1,6 @@
 // Package experiment contains the reproducible experiment harness: one runner
-// per table/figure of the paper (plus the ablations listed in DESIGN.md),
+// per table/figure of the paper, plus the supplementary runs (distance and
+// group-size sweeps, repair comparison, live insertion, the adaptive walk),
 // each returning structured results and a formatted table matching what the
 // paper plots. The cmd/fecbench binary and the top-level benchmarks are thin
 // wrappers around these runners.

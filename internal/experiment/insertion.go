@@ -9,7 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"rapidware/internal/core"
+	"rapidware/internal/compose"
 	"rapidware/internal/endpoint"
 	"rapidware/internal/fec"
 	"rapidware/internal/filter"
@@ -48,7 +48,8 @@ type LiveInsertionResult struct {
 	RemoveLatency  *metrics.Histogram
 }
 
-// RunLiveInsertion reproduces experiment E3 using a full Proxy.
+// RunLiveInsertion reproduces experiment E3 on a stream chain managed by a
+// compose.Live: every splice is a plan rewrite applied by Live.Recompose.
 func RunLiveInsertion(cfg LiveInsertionConfig) (*LiveInsertionResult, error) {
 	if cfg.StreamBytes <= 0 {
 		cfg.StreamBytes = 1 << 20
@@ -65,13 +66,10 @@ func RunLiveInsertion(cfg LiveInsertionConfig) (*LiveInsertionResult, error) {
 	}
 
 	var sink lockedBuffer
-	proxy := core.New("live-insertion")
-	in := endpoint.NewReader("in", &pacedReader{payload: payload, chunk: cfg.ChunkSize})
-	out := endpoint.NewWriter("out", &sink)
-	if err := proxy.SetEndpoints(in, out); err != nil {
-		return nil, err
-	}
-	if err := proxy.Start(); err != nil {
+	chain, live, err := newStreamChain("live-insertion",
+		endpoint.NewReader("in", &pacedReader{payload: payload, chunk: cfg.ChunkSize}),
+		endpoint.NewWriter("out", &sink))
+	if err != nil {
 		return nil, err
 	}
 
@@ -80,18 +78,17 @@ func RunLiveInsertion(cfg LiveInsertionConfig) (*LiveInsertionResult, error) {
 		InsertLatency: &metrics.Histogram{},
 		RemoveLatency: &metrics.Histogram{},
 	}
+	spliced := compose.Plan{Stages: []compose.Stage{{Kind: "counting"}}}
 	for i := 0; i < cfg.Splices; i++ {
-		name := fmt.Sprintf("splice-%d", i)
-		f := filter.NewCounting(name)
 		start := time.Now()
-		if err := proxy.InsertFilter(f, 1); err != nil {
+		if err := live.Recompose(spliced); err != nil {
 			return nil, fmt.Errorf("experiment: insert %d: %w", i, err)
 		}
 		result.InsertLatency.Observe(time.Since(start))
 		result.Insertions++
 
 		start = time.Now()
-		if _, err := proxy.RemoveFilterByName(name); err != nil {
+		if err := live.Recompose(compose.Plan{}); err != nil {
 			return nil, fmt.Errorf("experiment: remove %d: %w", i, err)
 		}
 		result.RemoveLatency.Observe(time.Since(start))
@@ -103,13 +100,29 @@ func RunLiveInsertion(cfg LiveInsertionConfig) (*LiveInsertionResult, error) {
 	for time.Now().Before(deadline) && sink.Len() < len(payload) {
 		time.Sleep(time.Millisecond)
 	}
-	if err := proxy.Stop(); err != nil {
+	if err := chain.Stop(); err != nil {
 		return nil, err
 	}
 	got := sink.Bytes()
 	result.BytesDelivered = len(got)
 	result.Intact = bytes.Equal(got, payload)
 	return result, nil
+}
+
+// newStreamChain starts in -> out with an empty plan attached, the shape of
+// rapidproxy's stream mode.
+func newStreamChain(name string, in, out filter.Filter) (*filter.Chain, *compose.Live, error) {
+	chain := filter.NewChain(name)
+	for _, f := range []filter.Filter{in, out} {
+		if err := chain.Append(f); err != nil {
+			return nil, nil, err
+		}
+	}
+	live, err := compose.Attach(chain, compose.Default(), compose.Env{StreamID: 1}, compose.ModeChain, compose.Plan{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return chain, live, chain.Start()
 }
 
 // Format renders the E3 report.
@@ -182,8 +195,8 @@ type AdaptiveWalkResult struct {
 
 // RunAdaptiveWalk reproduces the demand-driven FEC scenario: the proxy starts
 // as a null proxy; as the simulated user walks away and loss climbs past the
-// threshold, the responder inserts the FEC encoder into the live chain, and
-// removes it again when the user walks back.
+// threshold, the responder inserts the FEC encoder into the live chain's
+// plan, and removes it again when the user walks back.
 func RunAdaptiveWalk(cfg AdaptiveWalkConfig) (*AdaptiveWalkResult, error) {
 	if len(cfg.Path) == 0 {
 		cfg = DefaultAdaptiveWalkConfig()
@@ -192,17 +205,15 @@ func RunAdaptiveWalk(cfg AdaptiveWalkConfig) (*AdaptiveWalkResult, error) {
 		cfg.Window = 200
 	}
 
-	proxy := core.New("adaptive-proxy")
-	if err := proxy.SetEndpoints(filter.NewNull("wired-in"), filter.NewNull("wireless-out")); err != nil {
+	chain, live, err := newStreamChain("adaptive-proxy", filter.NewNull("wired-in"), filter.NewNull("wireless-out"))
+	if err != nil {
 		return nil, err
 	}
-	if err := proxy.Start(); err != nil {
-		return nil, err
-	}
-	defer proxy.Stop()
+	defer chain.Stop()
 
 	bus := raplet.NewBus(256)
-	responder, err := raplet.NewFECResponder("demand-fec", proxy, cfg.FEC, 1, cfg.Threshold)
+	encoder := fmt.Sprintf("fec-encode=%d/%d", cfg.FEC.N, cfg.FEC.K)
+	responder, err := raplet.NewThresholdResponder("demand-fec", live, encoder, 0, cfg.Threshold, true)
 	if err != nil {
 		return nil, err
 	}

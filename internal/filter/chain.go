@@ -9,25 +9,15 @@ import (
 	"rapidware/internal/stream"
 )
 
-// Chain errors.
-var (
-	// ErrPosition is returned when an index is outside the valid range for
-	// the requested operation.
-	ErrPosition = errors.New("filter: position out of range")
-	// ErrNotFound is returned when a named filter is not in the chain.
-	ErrNotFound = errors.New("filter: not found")
-	// ErrChainTooShort is returned for operations that need at least two
-	// stages (an upstream and a downstream of the affected position).
-	ErrChainTooShort = errors.New("filter: chain needs at least two stages")
-	// ErrEndpointPosition is returned when an operation would displace the
-	// chain's first or last stage, which are reserved for endpoints.
-	ErrEndpointPosition = errors.New("filter: cannot modify an endpoint position")
-)
+// ErrChainTooShort is returned by SetInterior on a chain that does not yet
+// hold its two endpoint stages.
+var ErrChainTooShort = errors.New("filter: chain needs at least two stages")
 
 // Chain is the paper's ControlThread: it owns the ordered vector of filters
-// on one data stream and implements live insertion, removal and reordering
-// using the detachable-stream pause/reconnect protocol. Positions 0 and
-// len-1 conventionally hold the input and output endpoints.
+// on one data stream and rewrites it live — insertion, removal and
+// reordering alike — through one transactional splice, SetInterior, built on
+// the detachable-stream pause/reconnect protocol. Positions 0 and len-1 hold
+// the input and output endpoints.
 //
 // All methods are safe for concurrent use; structural operations are
 // serialized so at most one splice is in progress at a time.
@@ -38,8 +28,7 @@ type Chain struct {
 	started bool
 }
 
-// NewChain returns an empty chain with the given name (used in control
-// protocol listings).
+// NewChain returns an empty chain with the given name.
 func NewChain(name string) *Chain {
 	return &Chain{name: name}
 }
@@ -73,31 +62,9 @@ func (c *Chain) Filters() []Filter {
 	return append([]Filter(nil), c.stages...)
 }
 
-// At returns the stage at position pos.
-func (c *Chain) At(pos int) (Filter, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if pos < 0 || pos >= len(c.stages) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrPosition, pos, len(c.stages))
-	}
-	return c.stages[pos], nil
-}
-
-// Find returns the position of the first stage with the given name.
-func (c *Chain) Find(name string) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, f := range c.stages {
-		if f.Name() == name {
-			return i, nil
-		}
-	}
-	return -1, fmt.Errorf("%w: %q", ErrNotFound, name)
-}
-
 // Append adds a stage to the end of the chain, connecting its input to the
 // output of the previous stage. Append is intended for initial assembly
-// (before Start); to add a filter to a running chain use Insert.
+// (before Start); to change a running chain use SetInterior.
 func (c *Chain) Append(f Filter) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -150,134 +117,6 @@ func (c *Chain) Stop() error {
 	return firstErr
 }
 
-// Insert splices filter f into the running chain at position pos (so that it
-// ends up between the current stages pos-1 and pos), following the paper's
-// ControlThread.add() protocol:
-//
-//  1. pause the left neighbour's output stream (drains in-flight data),
-//  2. reconnect left.Out -> f.In and f.Out -> right.In,
-//  3. start f,
-//  4. record f in the filter vector.
-//
-// pos must satisfy 1 <= pos <= Len()-1 so the endpoints remain at the ends.
-func (c *Chain) Insert(f Filter, pos int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.stages) < 2 {
-		return ErrChainTooShort
-	}
-	if pos < 1 || pos > len(c.stages)-1 {
-		return fmt.Errorf("%w: insert at %d of %d", ErrPosition, pos, len(c.stages))
-	}
-	left := c.stages[pos-1]
-	right := c.stages[pos]
-
-	// Step 1: pause the left stage's output. This drains the left→right
-	// buffer and detaches both left.Out and right.In.
-	if err := left.Out().Pause(); err != nil {
-		return fmt.Errorf("filter: pause %q: %w", left.Name(), err)
-	}
-	// Step 2: rewire through the new filter.
-	if err := stream.Reconnect(left.Out(), f.In()); err != nil {
-		return fmt.Errorf("filter: reconnect %q->%q: %w", left.Name(), f.Name(), err)
-	}
-	if err := stream.Reconnect(f.Out(), right.In()); err != nil {
-		return fmt.Errorf("filter: reconnect %q->%q: %w", f.Name(), right.Name(), err)
-	}
-	// Step 3: start the new filter so data begins to flow again.
-	if c.started {
-		if err := f.Start(); err != nil {
-			return fmt.Errorf("filter: start %q: %w", f.Name(), err)
-		}
-	}
-	// Step 4: record it in the vector.
-	c.stages = append(c.stages, nil)
-	copy(c.stages[pos+1:], c.stages[pos:])
-	c.stages[pos] = f
-	return nil
-}
-
-// Remove splices the stage at position pos out of the running chain and
-// stops it. The stage's upstream buffer is drained into it and its own output
-// buffer is drained downstream before it is disconnected, so no bytes are
-// lost. Endpoints (positions 0 and Len()-1) cannot be removed.
-func (c *Chain) Remove(pos int) (Filter, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.stages) < 3 {
-		return nil, ErrChainTooShort
-	}
-	if pos <= 0 || pos >= len(c.stages)-1 {
-		return nil, fmt.Errorf("%w: remove at %d of %d", ErrEndpointPosition, pos, len(c.stages))
-	}
-	left := c.stages[pos-1]
-	victim := c.stages[pos]
-	right := c.stages[pos+1]
-
-	// Stop new data from entering the victim and drain what is in flight
-	// between left and victim.
-	if err := left.Out().Pause(); err != nil {
-		return nil, fmt.Errorf("filter: pause %q: %w", left.Name(), err)
-	}
-	// Let the victim finish pushing what it has already emitted, then detach
-	// it from the right neighbour.
-	if err := victim.Out().Pause(); err != nil && !errors.Is(err, stream.ErrNotConnected) {
-		return nil, fmt.Errorf("filter: pause %q: %w", victim.Name(), err)
-	}
-	// Reconnect around the victim and resume the flow.
-	if err := stream.Reconnect(left.Out(), right.In()); err != nil {
-		return nil, fmt.Errorf("filter: reconnect %q->%q: %w", left.Name(), right.Name(), err)
-	}
-	// Stop the victim now that it is isolated.
-	if err := victim.Stop(); err != nil && !errors.Is(err, ErrNotStarted) {
-		return nil, fmt.Errorf("filter: stop %q: %w", victim.Name(), err)
-	}
-	c.stages = append(c.stages[:pos], c.stages[pos+1:]...)
-	return victim, nil
-}
-
-// RemoveByName removes the first stage with the given name.
-func (c *Chain) RemoveByName(name string) (Filter, error) {
-	pos, err := c.Find(name)
-	if err != nil {
-		return nil, err
-	}
-	return c.Remove(pos)
-}
-
-// Move relocates the stage at position from to position to (both interior
-// positions), preserving the live-splice guarantees. It is implemented as a
-// Remove followed by an Insert of the same filter instance.
-func (c *Chain) Move(from, to int) error {
-	if from == to {
-		return nil
-	}
-	f, err := c.Remove(from)
-	if err != nil {
-		return err
-	}
-	// The removed filter was stopped; restart happens inside Insert only when
-	// the chain is started, but a stopped Base cannot be restarted. Wrap it in
-	// a fresh runner if needed by the caller; for built-in pass-through
-	// filters reinsertion of the same instance is supported by resetting via
-	// Insert because Base.Start on a stopped filter returns ErrAlreadyStarted.
-	// To keep Move dependable for any Filter implementation we require the
-	// filter to be restartable; Base is not, so Move re-wraps it.
-	if b, ok := f.(*Base); ok {
-		f = b.respawn()
-	}
-	return c.Insert(f, to)
-}
-
-// respawn returns a fresh Base sharing the original's name, bodies and hooks
-// but with new stream endpoints and lifecycle state, allowing a removed
-// filter to be reinserted.
-func (b *Base) respawn() *Base {
-	r := New(b.name, b.fn).WithFrame(b.frame, b.flush).WithRelease(b.release)
-	r.onDrop, r.now = b.onDrop, b.now
-	return r
-}
-
 // SetInterior atomically replaces the chain's interior (everything between
 // the endpoint stages) with the given stages, under one acquisition of the
 // chain lock — the transactional splice beneath the compose plane's live
@@ -291,8 +130,8 @@ func (b *Base) respawn() *Base {
 // until the full target wiring is connected, and the old interior is drained
 // left to right — pausing each stage's output only after everything upstream
 // of it has been pushed at least one stage downstream — so no relayed frame
-// is lost. (As with Remove, data a *removed* stage has consumed but not yet
-// emitted — e.g. an FEC encoder's partially filled group — leaves with it.)
+// is lost. (Data a *removed* stage has consumed but not yet emitted — e.g. an
+// FEC encoder's partially filled group — leaves with it.)
 //
 // A stage may appear in the target at most once, and the chain must already
 // have its two endpoints.
@@ -435,8 +274,8 @@ func (c *Chain) rollbackInterior(source, sink Filter, old, attempted, started []
 // no consumed-but-unemitted data. Only meaningful once the stage's inflow is
 // frozen: with no new input, quiescence is permanent. Stages that cannot
 // report quiescence, and stages that stay busy past the bound (a rate
-// limiter starved of tokens mid-chunk), fall back to the legacy splice
-// semantics — their in-flight chunk leaves with them if they are removed.
+// limiter starved of tokens mid-chunk), are detached without the wait: their
+// in-flight chunk leaves with them if they are removed.
 func waitQuiescent(f Filter) {
 	q, ok := f.(Quiescer)
 	if !ok {
@@ -453,8 +292,7 @@ func waitQuiescent(f Filter) {
 }
 
 // Validate checks the chain's internal wiring: every adjacent pair must be
-// connected writer-to-reader. It is used by tests and by the control
-// protocol's status reporting.
+// connected writer-to-reader.
 func (c *Chain) Validate() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

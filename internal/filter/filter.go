@@ -1,14 +1,15 @@
 // Package filter defines the proxy filter abstraction from the paper: active
 // components that read a byte stream from a DetachableInputStream, transform
 // it, and write the result to a DetachableOutputStream. Filters are composed
-// into a Chain (the paper's ControlThread), which can insert, delete and
-// reorder them on a live stream using the detachable-stream pause/reconnect
-// protocol.
+// into a Chain (the paper's ControlThread), whose one splice, SetInterior,
+// inserts, deletes and reorders them on a live stream using the
+// detachable-stream pause/reconnect protocol.
 //
 // Two executors run the same stage bodies. Chain, with one goroutine per
-// stage and the Quiescer drain, serves stream mode (core.Proxy), the paper's
-// figures and bench/layers. FrameChain runs every stage's frame form inline
-// and is the only executor internal/engine builds.
+// stage and the Quiescer drain, serves rapidproxy's stream mode (a
+// compose.Live over TCP endpoints), the paper's figures and bench/layers.
+// FrameChain runs every stage's frame form inline and is the only executor
+// internal/engine builds.
 package filter
 
 import (

@@ -6,8 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"rapidware/internal/core"
-	"rapidware/internal/fec"
+	"rapidware/internal/compose"
 	"rapidware/internal/filter"
 )
 
@@ -208,121 +207,121 @@ func TestPollingObserverPublishesPeriodically(t *testing.T) {
 	}
 }
 
-func newAdaptiveProxy(t *testing.T) *core.Proxy {
+// newAdaptiveLive attaches plan to a started chain whose endpoints neither
+// produce nor consume: the responder tests watch the plan, not the data.
+func newAdaptiveLive(t *testing.T, plan string) *compose.Live {
 	t.Helper()
-	p := core.New("adaptive")
-	if err := p.SetEndpoints(filter.NewNull("in"), filter.NewNull("out")); err != nil {
-		t.Fatal(err)
+	chain := filter.NewChain("adaptive")
+	for _, f := range []filter.Filter{filter.NewNull("in"), filter.NewNull("out")} {
+		if err := chain.Append(f); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return p
-}
-
-func TestFECResponderInsertAndRemove(t *testing.T) {
-	p := newAdaptiveProxy(t)
-	r, err := NewFECResponder("", p, fec.Params{K: 4, N: 6}, 1, 0.05)
+	p, err := compose.Parse(plan, compose.ModeChain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Name() == "" {
-		t.Fatal("default name empty")
-	}
-	// Irrelevant event types are ignored.
-	if err := r.Handle(Event{Type: EventBandwidth, Value: 1}); err != nil {
+	live, err := compose.Attach(chain, compose.Default(), compose.Env{StreamID: 1}, compose.ModeChain, p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Active() {
-		t.Fatal("responder active without a loss event")
-	}
-	// Loss above threshold inserts the encoder.
-	if err := r.Handle(Event{Type: EventLossRate, Value: 0.10}); err != nil {
+	if err := chain.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Active() {
-		t.Fatal("responder not active after high-loss event")
+	t.Cleanup(func() { chain.Stop() })
+	return live
+}
+
+// TestThresholdResponder drives one responder per direction: an FEC encoder
+// switched in while loss is above the threshold, and a rate limiter switched
+// in while bandwidth is below it.
+func TestThresholdResponder(t *testing.T) {
+	type step struct {
+		value  float64
+		active bool
+		plan   string
 	}
-	if p.Chain().Len() != 3 {
-		t.Fatalf("chain length = %d, want 3", p.Chain().Len())
+	cases := []struct {
+		name      string
+		plan      string
+		stage     string
+		position  int
+		threshold float64
+		above     bool
+		steps     []step
+	}{
+		{"fec-above", "", "fec-encode=6/4", 0, 0.05, true, []step{
+			{0.01, false, ""},
+			{0.10, true, "fec-encode=6/4"},
+			{0.20, true, "fec-encode=6/4"}, // no second insertion
+			{0.01, false, ""},
+		}},
+		{"ratelimit-below", "counting", "ratelimit=32000", 1, 64_000, false, []step{
+			{1e6, false, "counting"},
+			{32_000, true, "counting,ratelimit=32000"},
+			{5e6, false, "counting"},
+		}},
 	}
-	// A second high-loss event must not insert twice.
-	if err := r.Handle(Event{Type: EventLossRate, Value: 0.20}); err != nil {
-		t.Fatal(err)
-	}
-	if p.Chain().Len() != 3 {
-		t.Fatal("duplicate insertion")
-	}
-	// Loss below threshold removes it.
-	if err := r.Handle(Event{Type: EventLossRate, Value: 0.01}); err != nil {
-		t.Fatal(err)
-	}
-	if r.Active() || p.Chain().Len() != 2 {
-		t.Fatalf("encoder not removed: active=%v len=%d", r.Active(), p.Chain().Len())
-	}
-	ins, rem := r.Stats()
-	if ins != 1 || rem != 1 {
-		t.Fatalf("Stats = %d/%d", ins, rem)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			live := newAdaptiveLive(t, c.plan)
+			r, err := NewThresholdResponder("", live, c.stage, c.position, c.threshold, c.above)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Name() == "" {
+				t.Fatal("default name empty")
+			}
+			for i, st := range c.steps {
+				if err := r.Handle(Event{Type: EventLossRate, Value: st.value}); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				if r.Active() != st.active || live.String() != st.plan {
+					t.Fatalf("step %d (value %v): active=%v plan=%q, want %v %q", i, st.value, r.Active(), live.String(), st.active, st.plan)
+				}
+			}
+			if ins, rem := r.Stats(); ins != 1 || rem != 1 {
+				t.Fatalf("Stats = %d/%d, want 1/1", ins, rem)
+			}
+		})
 	}
 }
 
+// TestFECResponderValidation checks the constructor of a threshold responder
+// that switches in an FEC encoder.
 func TestFECResponderValidation(t *testing.T) {
-	if _, err := NewFECResponder("x", nil, fec.Params{K: 4, N: 6}, 1, 0.1); err == nil {
-		t.Fatal("expected error for nil proxy")
+	if _, err := NewThresholdResponder("x", nil, "fec-encode=6/4", 0, 0.1, true); err == nil {
+		t.Fatal("expected error for nil live chain")
 	}
-	p := newAdaptiveProxy(t)
-	if _, err := NewFECResponder("x", p, fec.Params{K: 9, N: 3}, 1, 0.1); err == nil {
-		t.Fatal("expected error for invalid params")
-	}
-}
-
-func TestSpecResponderInsertBelowThreshold(t *testing.T) {
-	// Bandwidth responder: insert a rate limiter when bandwidth drops BELOW
-	// the threshold (insertWhenAbove=false).
-	p := newAdaptiveProxy(t)
-	r, err := NewSpecResponder("bw", p, filter.Spec{Kind: "ratelimit", Params: map[string]string{"bps": "32000"}}, 1, 64_000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Handle(Event{Type: EventBandwidth, Value: 1e6}); err != nil {
-		t.Fatal(err)
-	}
-	if r.Active() {
-		t.Fatal("inserted despite plentiful bandwidth")
-	}
-	if err := r.Handle(Event{Type: EventBandwidth, Value: 32_000}); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Active() || p.Chain().Len() != 3 {
-		t.Fatal("rate limiter not inserted on low bandwidth")
-	}
-	if err := r.Handle(Event{Type: EventBandwidth, Value: 5e6}); err != nil {
-		t.Fatal(err)
-	}
-	if r.Active() || p.Chain().Len() != 2 {
-		t.Fatal("rate limiter not removed on recovery")
+	live := newAdaptiveLive(t, "")
+	for _, stage := range []string{"fec-encode=3/9", "fec-adapt"} {
+		if _, err := NewThresholdResponder("x", live, stage, 0, 0.1, true); err == nil {
+			t.Fatalf("stage %q accepted", stage)
+		}
 	}
 }
 
+// TestSpecResponderValidation checks the constructor of a threshold responder
+// for stage specs in general.
 func TestSpecResponderValidation(t *testing.T) {
-	p := newAdaptiveProxy(t)
-	if _, err := NewSpecResponder("x", nil, filter.Spec{Kind: "null"}, 1, 0, true); err == nil {
-		t.Fatal("expected error for nil proxy")
+	if _, err := NewThresholdResponder("x", nil, "null", 0, 0, true); err == nil {
+		t.Fatal("expected error for nil live chain")
 	}
-	if _, err := NewSpecResponder("x", p, filter.Spec{}, 1, 0, true); err == nil {
-		t.Fatal("expected error for empty spec")
+	live := newAdaptiveLive(t, "")
+	for _, stage := range []string{"", "bogus", "null,null"} {
+		if _, err := NewThresholdResponder("x", live, stage, 0, 0, true); err == nil {
+			t.Fatalf("stage %q accepted", stage)
+		}
 	}
 }
 
 // TestEndToEndAdaptiveFEC wires the whole adaptation loop together: an
-// observer feeding a bus, an FEC responder reconfiguring a live proxy, and a
-// simulated walk away from the access point that degrades the link.
+// observer feeding a bus, a threshold responder reconfiguring a live chain,
+// and a simulated walk away from the access point that degrades the link.
 func TestEndToEndAdaptiveFEC(t *testing.T) {
-	p := newAdaptiveProxy(t)
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer p.Stop()
-
+	live := newAdaptiveLive(t, "")
 	bus := NewBus(64)
-	responder, err := NewFECResponder("adaptive-fec", p, fec.Params{K: 4, N: 6}, 1, 0.05)
+	responder, err := NewThresholdResponder("adaptive-fec", live, "fec-encode=6/4", 0, 0.05, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,9 +345,8 @@ func TestEndToEndAdaptiveFEC(t *testing.T) {
 	if !responder.Active() {
 		t.Fatal("FEC filter was not inserted when the link degraded")
 	}
-	st := p.Status()
-	if len(st.Filters) != 3 {
-		t.Fatalf("chain = %+v", st.Filters)
+	if live.String() != "fec-encode=6/4" {
+		t.Fatalf("plan = %q", live.String())
 	}
 
 	// Walk back: loss disappears, the filter is removed.

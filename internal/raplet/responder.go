@@ -8,134 +8,51 @@ import (
 	"rapidware/internal/adapt"
 	"rapidware/internal/arq"
 	"rapidware/internal/compose"
-	"rapidware/internal/core"
 	"rapidware/internal/fec"
 	"rapidware/internal/fecproxy"
-	"rapidware/internal/filter"
 )
 
-// FECResponder implements the paper's demand-driven FEC scenario: when the
-// loss rate on a wireless link rises above a threshold it inserts an FEC
-// encoder filter into the proxy's chain, and when the loss subsides it
-// removes the filter again, all on the live stream.
-type FECResponder struct {
+// ThresholdResponder implements the paper's demand-driven reconfiguration
+// on a live composed chain: when an event's value crosses a threshold it
+// splices one stage into the chain's plan at a fixed position, and when the
+// value falls back it removes that stage again, all on the running stream.
+// Loss above a threshold switching an FEC encoder in (the paper's §3
+// scenario) and bandwidth below one switching a rate limiter in are two
+// configurations of it. Every change is a compose.Live plan edit, so it
+// serializes with control-plane recompositions of the same chain.
+type ThresholdResponder struct {
 	name      string
-	proxy     *core.Proxy
-	params    fec.Params
-	threshold float64
+	live      *compose.Live
+	stage     compose.Stage
 	position  int
+	threshold float64
+	above     bool // insert when value >= threshold (true) or <= threshold (false)
 
 	mu         sync.Mutex
-	filterName string
 	inserted   bool
 	insertions uint64
 	removals   uint64
 }
 
-// NewFECResponder returns a responder managing an FEC encoder in proxy.
-// position is the chain position at which the encoder is inserted (typically
-// 1, immediately after the input endpoint); threshold is the loss rate above
-// which FEC is enabled.
-func NewFECResponder(name string, proxy *core.Proxy, params fec.Params, position int, threshold float64) (*FECResponder, error) {
-	if proxy == nil {
-		return nil, errors.New("raplet: FEC responder requires a proxy")
+// NewThresholdResponder returns a responder that inserts the one-stage spec
+// stage (e.g. "fec-encode=6/4") at plan position when an event's value
+// crosses threshold in the configured direction, and removes it when the
+// value falls back.
+func NewThresholdResponder(name string, live *compose.Live, stage string, position int, threshold float64, insertWhenAbove bool) (*ThresholdResponder, error) {
+	if live == nil {
+		return nil, errors.New("raplet: threshold responder requires a live chain")
 	}
-	if err := params.Validate(); err != nil {
+	st, err := compose.ParseStage(live.Registry(), stage, live.Mode())
+	if err != nil {
 		return nil, err
 	}
 	if name == "" {
-		name = "fec-responder"
+		name = "threshold-responder:" + st.Kind
 	}
-	return &FECResponder{
-		name:       name,
-		proxy:      proxy,
-		params:     params,
-		threshold:  threshold,
-		position:   position,
-		filterName: fmt.Sprintf("%s-encoder%s", name, params.String()),
-	}, nil
-}
-
-// Name implements Responder.
-func (r *FECResponder) Name() string { return r.name }
-
-// Active reports whether the FEC encoder is currently inserted.
-func (r *FECResponder) Active() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.inserted
-}
-
-// Stats returns how many times the responder inserted and removed the filter.
-func (r *FECResponder) Stats() (insertions, removals uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.insertions, r.removals
-}
-
-// Handle implements Responder: it reacts to loss-rate events by inserting or
-// removing the FEC encoder.
-func (r *FECResponder) Handle(e Event) error {
-	if e.Type != EventLossRate {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch {
-	case e.Value >= r.threshold && !r.inserted:
-		enc, err := fecproxy.NewEncoderFilter(r.filterName, r.params, 1)
-		if err != nil {
-			return err
-		}
-		if err := r.proxy.InsertFilter(enc, r.position); err != nil {
-			return fmt.Errorf("raplet: insert FEC filter: %w", err)
-		}
-		r.inserted = true
-		r.insertions++
-	case e.Value < r.threshold && r.inserted:
-		if _, err := r.proxy.RemoveFilterByName(r.filterName); err != nil {
-			return fmt.Errorf("raplet: remove FEC filter: %w", err)
-		}
-		r.inserted = false
-		r.removals++
-	}
-	return nil
-}
-
-// SpecResponder inserts an arbitrary registry-built filter when an event's
-// value crosses a threshold and removes it when it falls back, generalizing
-// the FEC scenario to transcoders, compressors and caches.
-type SpecResponder struct {
-	name      string
-	proxy     *core.Proxy
-	spec      filter.Spec
-	position  int
-	threshold float64
-	above     bool // insert when value >= threshold (true) or <= (false)
-
-	mu       sync.Mutex
-	inserted bool
-}
-
-// NewSpecResponder returns a responder that inserts spec at position when the
-// event value crosses threshold in the configured direction.
-func NewSpecResponder(name string, proxy *core.Proxy, spec filter.Spec, position int, threshold float64, insertWhenAbove bool) (*SpecResponder, error) {
-	if proxy == nil {
-		return nil, errors.New("raplet: spec responder requires a proxy")
-	}
-	if spec.Kind == "" {
-		return nil, errors.New("raplet: spec responder requires a filter spec")
-	}
-	if name == "" {
-		name = "spec-responder:" + spec.Kind
-	}
-	if spec.Name == "" {
-		spec.Name = name + "-filter"
-	}
-	return &SpecResponder{
+	return &ThresholdResponder{
 		name:      name,
-		proxy:     proxy,
-		spec:      spec,
+		live:      live,
+		stage:     st,
 		position:  position,
 		threshold: threshold,
 		above:     insertWhenAbove,
@@ -143,17 +60,25 @@ func NewSpecResponder(name string, proxy *core.Proxy, spec filter.Spec, position
 }
 
 // Name implements Responder.
-func (r *SpecResponder) Name() string { return r.name }
+func (r *ThresholdResponder) Name() string { return r.name }
 
-// Active reports whether the managed filter is currently inserted.
-func (r *SpecResponder) Active() bool {
+// Active reports whether the managed stage is currently inserted.
+func (r *ThresholdResponder) Active() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.inserted
 }
 
-// Handle implements Responder.
-func (r *SpecResponder) Handle(e Event) error {
+// Stats returns how many times the responder inserted and removed the stage.
+func (r *ThresholdResponder) Stats() (insertions, removals uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.insertions, r.removals
+}
+
+// Handle implements Responder: it inserts or removes the stage as the event
+// value crosses the threshold.
+func (r *ThresholdResponder) Handle(e Event) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	trigger := e.Value >= r.threshold
@@ -162,17 +87,41 @@ func (r *SpecResponder) Handle(e Event) error {
 	}
 	switch {
 	case trigger && !r.inserted:
-		if _, err := r.proxy.InsertSpec(r.spec, r.position); err != nil {
-			return err
+		if err := r.live.Edit(func(cur compose.Plan) (compose.Plan, error) {
+			return cur.WithInsert(r.position, r.stage)
+		}); err != nil {
+			return fmt.Errorf("raplet: insert %s: %w", r.stage, err)
 		}
 		r.inserted = true
+		r.insertions++
 	case !trigger && r.inserted:
-		if _, err := r.proxy.RemoveFilterByName(r.spec.Name); err != nil {
-			return err
+		if err := r.live.Edit(func(cur compose.Plan) (compose.Plan, error) {
+			if pos := r.find(cur); pos >= 0 {
+				return cur.WithRemove(pos)
+			}
+			return cur, nil // an operator already removed it
+		}); err != nil {
+			return fmt.Errorf("raplet: remove %s: %w", r.stage, err)
 		}
 		r.inserted = false
+		r.removals++
 	}
 	return nil
+}
+
+// find returns the plan position of the responder's stage: where it was
+// inserted if it is still there, else its first occurrence (an operator
+// moved it), else -1.
+func (r *ThresholdResponder) find(p compose.Plan) int {
+	if r.position < p.Len() && p.Stages[r.position] == r.stage {
+		return r.position
+	}
+	for i, st := range p.Stages {
+		if st == r.stage {
+			return i
+		}
+	}
+	return -1
 }
 
 // ChainFECResponder drives demand-driven repair on a composed live chain —
@@ -375,8 +324,7 @@ func (r *ChainFECResponder) Handle(e Event) error {
 }
 
 var (
-	_ Responder = (*FECResponder)(nil)
-	_ Responder = (*SpecResponder)(nil)
+	_ Responder = (*ThresholdResponder)(nil)
 	_ Responder = (*ChainFECResponder)(nil)
 	_ Responder = ResponderFunc{}
 )

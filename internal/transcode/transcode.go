@@ -212,51 +212,3 @@ func NewDecompressFilter(name string) filter.Filter {
 		return []*packet.Packet{out}, nil
 	}, nil)
 }
-
-// RegisterKinds adds the transcoding filter kinds to a registry so they can
-// be instantiated through the control protocol: "downsample" (param
-// "factor"), "mono", "thin" (param "factor"), "compress" (param "level"),
-// "decompress".
-func RegisterKinds(r *filter.Registry, f audio.Format) error {
-	if err := r.Register("downsample", func(s filter.Spec) (filter.Filter, error) {
-		factor := 2
-		if v, ok := s.Params["factor"]; ok {
-			if _, err := fmt.Sscanf(v, "%d", &factor); err != nil {
-				return nil, fmt.Errorf("transcode: bad factor %q: %w", v, err)
-			}
-		}
-		return NewDownsampleFilter(s.Name, f, factor)
-	}); err != nil {
-		return err
-	}
-	if err := r.Register("mono", func(s filter.Spec) (filter.Filter, error) {
-		return NewMonoFilter(s.Name, f)
-	}); err != nil {
-		return err
-	}
-	if err := r.Register("thin", func(s filter.Spec) (filter.Filter, error) {
-		keep := 2
-		if v, ok := s.Params["factor"]; ok {
-			if _, err := fmt.Sscanf(v, "%d", &keep); err != nil {
-				return nil, fmt.Errorf("transcode: bad factor %q: %w", v, err)
-			}
-		}
-		return NewThinningFilter(s.Name, keep)
-	}); err != nil {
-		return err
-	}
-	if err := r.Register("compress", func(s filter.Spec) (filter.Filter, error) {
-		level := flate.DefaultCompression
-		if v, ok := s.Params["level"]; ok {
-			if _, err := fmt.Sscanf(v, "%d", &level); err != nil {
-				return nil, fmt.Errorf("transcode: bad level %q: %w", v, err)
-			}
-		}
-		return NewCompressFilter(s.Name, level)
-	}); err != nil {
-		return err
-	}
-	return r.Register("decompress", func(s filter.Spec) (filter.Filter, error) {
-		return NewDecompressFilter(s.Name), nil
-	})
-}

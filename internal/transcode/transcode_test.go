@@ -262,31 +262,3 @@ func TestCompressionPipelineEndToEnd(t *testing.T) {
 		t.Fatal("compress/decompress pipeline corrupted data")
 	}
 }
-
-func TestRegisterKinds(t *testing.T) {
-	r := filter.NewRegistry()
-	if err := RegisterKinds(r, audio.PaperFormat()); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"downsample", "mono", "thin", "compress", "decompress"} {
-		if _, err := r.Build(filter.Spec{Kind: k}); err != nil {
-			t.Fatalf("Build(%q): %v", k, err)
-		}
-	}
-	if _, err := r.Build(filter.Spec{Kind: "thin", Params: map[string]string{"factor": "x"}}); err == nil {
-		t.Fatal("expected error for bad thin factor param")
-	}
-	if _, err := r.Build(filter.Spec{Kind: "downsample", Params: map[string]string{"factor": "4"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Build(filter.Spec{Kind: "downsample", Params: map[string]string{"factor": "x"}}); err == nil {
-		t.Fatal("expected error for bad factor param")
-	}
-	if _, err := r.Build(filter.Spec{Kind: "compress", Params: map[string]string{"level": "x"}}); err == nil {
-		t.Fatal("expected error for bad level param")
-	}
-	// Registering twice fails cleanly.
-	if err := RegisterKinds(r, audio.PaperFormat()); err == nil {
-		t.Fatal("expected duplicate registration error")
-	}
-}

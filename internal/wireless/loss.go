@@ -7,7 +7,7 @@
 // loss *process* the receivers observed — ≈1.5 % mostly-isolated losses at
 // 25 m, rising sharply with distance — so the FEC filters and adaptive
 // raplets exercise the same code paths against the same packet-level
-// behaviour. See DESIGN.md for the substitution rationale.
+// behaviour.
 package wireless
 
 import (
