@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"net/netip"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -53,73 +54,123 @@ func BenchmarkFigure7FECAudioTrace(b *testing.B) {
 // Engine — multi-session UDP relay: the steady-state per-packet path.
 // ---------------------------------------------------------------------------
 
+// benchPayload is the payload of the engine benchmarks' datagrams: one
+// paper-sized audio packet.
+const benchPayload = 320
+
+// benchDgramSize is the wire size of one engine benchmark datagram.
+const benchDgramSize = packet.SessionIDSize + packet.HeaderSize + benchPayload
+
+// The engine benchmarks' setup helpers below are shared with the allocation
+// bounds in alloc_test.go: each builds the benchmark's engine and clients,
+// primes them, and returns the one operation the benchmark times.
+
+// startEngine builds and starts an engine from cfg on a loopback port; it is
+// closed when tb finishes.
+func startEngine(tb testing.TB, cfg engine.Config) *engine.Engine {
+	tb.Helper()
+	cfg.ListenAddr = "127.0.0.1:0"
+	eng, err := engine.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := eng.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { eng.Close() })
+	return eng
+}
+
+// listenLoopback opens an unconnected loopback UDP socket, closed when tb
+// finishes.
+func listenLoopback(tb testing.TB) *net.UDPConn {
+	tb.Helper()
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	return c
+}
+
+// dialEngine opens a UDP socket connected to eng, closed when tb finishes.
+func dialEngine(tb testing.TB, eng *engine.Engine) *net.UDPConn {
+	tb.Helper()
+	c, err := net.DialUDP("udp", nil, eng.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	return c
+}
+
+// benchDatagram frames one data packet of session id.
+func benchDatagram(tb testing.TB, id uint32, seq uint64, payload []byte) []byte {
+	tb.Helper()
+	dgram, err := packet.AppendDatagram(nil, id, &packet.Packet{Seq: seq, StreamID: id, Kind: packet.KindData, Payload: payload})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dgram
+}
+
+// roundTrip writes dgram on c and reads one reply into recv.
+func roundTrip(tb testing.TB, c *net.UDPConn, dgram, recv []byte) {
+	if _, err := c.Write(dgram); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := c.Read(recv); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// primeRoundTrip is roundTrip bounded by a short deadline, after which c
+// gets one generous absolute deadline: per-op SetReadDeadline calls would put
+// deadline bookkeeping in the measured path.
+func primeRoundTrip(tb testing.TB, c *net.UDPConn, dgram, recv []byte) {
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	roundTrip(tb, c, dgram, recv)
+	c.SetReadDeadline(time.Now().Add(10 * time.Minute))
+}
+
 // BenchmarkEngineMultiSession measures the engine's steady-state relay path
 // with 256 concurrent UDP sessions on one socket. Each op is one full round
 // trip: client datagram -> engine demux -> session chain -> echoed datagram.
-// The path is pooled end to end, so allocs/op must stay at (near) zero; the
-// acceptance bound for this benchmark is <= 2 allocs/op.
+// The path is pooled end to end, so allocs/op must stay at (near) zero;
+// TestEngineMultiSessionAllocs bounds it at 2.
 func BenchmarkEngineMultiSession(b *testing.B) {
+	op := multiSessionEcho(b)
+	b.SetBytes(benchDgramSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// multiSessionEcho primes 256 sessions, one client socket each, and returns
+// one round trip, cycling over the sessions.
+func multiSessionEcho(tb testing.TB) func() {
 	const sessions = 256
-	eng, err := engine.New(engine.Config{ListenAddr: "127.0.0.1:0", MaxSessions: sessions})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	addr := eng.LocalAddr().(*net.UDPAddr)
-
-	payload := make([]byte, 320) // one paper-sized audio packet
+	eng := startEngine(tb, engine.Config{MaxSessions: sessions})
+	payload := make([]byte, benchPayload)
 	rand.New(rand.NewSource(42)).Read(payload)
-
 	conns := make([]*net.UDPConn, sessions)
 	dgrams := make([][]byte, sessions)
 	recv := make([]byte, packet.MaxDatagram)
 	for i := range conns {
-		c, err := net.DialUDP("udp", nil, addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		conns[i] = c
-		id := uint32(i + 1)
-		dgram, err := packet.AppendDatagram(nil, id, &packet.Packet{
-			Seq: uint64(i), StreamID: id, Kind: packet.KindData, Payload: payload,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dgrams[i] = dgram
+		conns[i] = dialEngine(tb, eng)
+		dgrams[i] = benchDatagram(tb, uint32(i+1), uint64(i), payload)
 		// Prime the session (and warm the pools) with one round trip.
-		if _, err := c.Write(dgram); err != nil {
-			b.Fatal(err)
-		}
-		c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := c.Read(recv); err != nil {
-			b.Fatalf("session %d never echoed: %v", id, err)
-		}
+		primeRoundTrip(tb, conns[i], dgrams[i], recv)
 	}
 	if n := eng.SessionCount(); n != sessions {
-		b.Fatalf("primed %d sessions, want %d", n, sessions)
+		tb.Fatalf("primed %d sessions, want %d", n, sessions)
 	}
-	// One generous absolute deadline per socket instead of a per-op
-	// SetReadDeadline keeps deadline bookkeeping out of the measured path.
-	for _, c := range conns {
-		c.SetReadDeadline(time.Now().Add(10 * time.Minute))
-	}
-
-	b.SetBytes(int64(len(dgrams[0])))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := conns[i%sessions]
-		if _, err := c.Write(dgrams[i%sessions]); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Read(recv); err != nil {
-			b.Fatal(err)
-		}
+	next := 0
+	return func() {
+		roundTrip(tb, conns[next], dgrams[next], recv)
+		next = (next + 1) % sessions
 	}
 }
 
@@ -140,131 +191,160 @@ func BenchmarkEngineShardedThroughput(b *testing.B) {
 	}
 }
 
+// chainDepths are BenchmarkEngineChainDepth's session chain depths.
+var chainDepths = []int{0, 1, 2, 4, 8}
+
+// chainDepthConfig is a one-shard engine whose session chain is depth null
+// stages.
+func chainDepthConfig(depth int) engine.Config {
+	return engine.Config{Shards: 1, Chain: strings.TrimSuffix(strings.Repeat("null,", depth), ",")}
+}
+
 // BenchmarkEngineChainDepth is the same windowed echo through one shard as
 // the session chain deepens from a pure relay to eight null stages: the
 // per-stage tax of the engine's executor, which the stream-mode
 // BenchmarkChainDepth cannot see. null is frame-native, so every depth runs
 // inline on the shard reader and a stage should cost two counter updates and
-// a call — the floors are expected to be nearly flat.
+// a call — the timings are expected to be nearly flat.
 func BenchmarkEngineChainDepth(b *testing.B) {
-	for _, depth := range []int{0, 1, 2, 4, 8} {
+	for _, depth := range chainDepths {
 		b.Run(fmt.Sprintf("stages-%d", depth), func(b *testing.B) {
-			chain := strings.TrimSuffix(strings.Repeat("null,", depth), ",")
-			benchWindowedEcho(b, engine.Config{Shards: 1, Chain: chain})
+			benchWindowedEcho(b, chainDepthConfig(depth))
 		})
 	}
 }
 
-// benchWindowedEcho drives an engine built from cfg (listen address and GSO
-// filled in here) with GOMAXPROCS batched clients, one session each, a window
-// of datagrams in flight per client. One pb.Next() is one echoed datagram.
+// startEchoEngine starts an engine from cfg with GSO where the kernel has it
+// and returns its address.
+func startEchoEngine(tb testing.TB, cfg engine.Config) netip.AddrPort {
+	cfg.GSO = netbatch.GSOAvailable
+	return startEngine(tb, cfg).LocalAddr().(*net.UDPAddr).AddrPort()
+}
+
+// benchWindowedEcho drives an engine built from cfg with GOMAXPROCS
+// windowed clients, one session each. One pb.Next() is one echoed datagram.
 func benchWindowedEcho(b *testing.B, cfg engine.Config) {
-	cfg.ListenAddr, cfg.GSO = "127.0.0.1:0", netbatch.GSOAvailable
-	eng, err := engine.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	dst := eng.LocalAddr().(*net.UDPAddr).AddrPort()
-
-	payload := make([]byte, 320)
-	rand.New(rand.NewSource(7)).Read(payload)
+	dst := startEchoEngine(b, cfg)
 	var nextID atomic.Uint32
-
-	b.SetBytes(int64(packet.SessionIDSize + packet.HeaderSize + len(payload)))
+	b.SetBytes(benchDgramSize)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		// Unconnected socket: WriteBatch addresses every datagram
-		// explicitly, which works identically on the mmsg fast path
-		// and the portable fallback.
-		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		w, err := newEchoClient(dst, nextID.Add(1))
 		if err != nil {
 			b.Error(err)
 			return
 		}
-		defer c.Close()
-		bc := netbatch.New(c, netbatch.Options{GSO: netbatch.GSOAvailable})
-		id := nextID.Add(1)
-		dgram, err := packet.AppendDatagram(nil, id, &packet.Packet{
-			Seq: uint64(id), StreamID: id, Kind: packet.KindData, Payload: payload,
-		})
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		wmsgs := make([]netbatch.Msg, netbatch.BatchSize)
-		for i := range wmsgs {
-			wmsgs[i] = netbatch.Msg{Buf: dgram, Addr: dst}
-		}
-		rbufs := make([][]byte, netbatch.BatchSize)
-		for i := range rbufs {
-			rbufs[i] = make([]byte, packet.MaxDatagram)
-		}
-		rmsgs := make([]netbatch.Msg, netbatch.BatchSize)
-		readBatch := func(deadline time.Duration) (int, error) {
-			for i := range rmsgs {
-				rmsgs[i].Buf = rbufs[i]
-			}
-			c.SetReadDeadline(time.Now().Add(deadline))
-			return bc.ReadBatch(rmsgs)
-		}
-		// Prime the session (bounded retries: the first datagram can
-		// race the session open under heavy parallelism).
-		primed := false
-		for attempt := 0; attempt < 10 && !primed; attempt++ {
-			if _, err := bc.WriteBatch(wmsgs[:1]); err != nil {
+		defer w.close()
+		for pb.Next() {
+			if err := w.step(); err != nil {
 				b.Error(err)
 				return
 			}
-			if _, err := readBatch(time.Second); err == nil {
-				primed = true
-			}
-		}
-		if !primed {
-			b.Error("session never echoed during priming")
-			return
-		}
-		// Keep a window of datagrams in flight, topped up and drained
-		// a batch at a time. A timed-out window is re-primed and the
-		// iteration still counts (UDP loss under overload must not
-		// wedge the benchmark); echoes beyond the current iteration
-		// are banked against future pb.Next() calls.
-		const window = 4 * netbatch.BatchSize
-		inflight, banked := 0, 0
-		for pb.Next() {
-			if banked > 0 {
-				banked--
-				continue
-			}
-			for inflight < window {
-				k := min(len(wmsgs), window-inflight)
-				n, err := bc.WriteBatch(wmsgs[:k])
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				inflight += n
-			}
-			n, err := readBatch(500 * time.Millisecond)
-			if err != nil {
-				inflight = 0
-				continue
-			}
-			inflight -= n
-			banked = n - 1
-		}
-		// Drain stragglers so the next sub-benchmark starts clean.
-		for inflight > 0 {
-			n, err := readBatch(50 * time.Millisecond)
-			if err != nil {
-				break
-			}
-			inflight -= n
 		}
 	})
+}
+
+// echoWindow is how many datagrams an echoClient keeps in flight.
+const echoWindow = 4 * netbatch.BatchSize
+
+// echoClient is one batched client socket carrying one session, keeping a
+// window of datagrams in flight, topped up and drained a batch at a time.
+// The socket is unconnected: WriteBatch addresses every datagram explicitly,
+// which works identically on the mmsg fast path and the portable fallback.
+type echoClient struct {
+	c        *net.UDPConn
+	bc       netbatch.Conn
+	wmsgs    []netbatch.Msg
+	rbufs    [][]byte
+	rmsgs    []netbatch.Msg
+	inflight int
+	banked   int
+}
+
+// newEchoClient opens a client for session id against dst and primes the
+// session, with bounded retries: the first datagram can race the session
+// open under heavy parallelism.
+func newEchoClient(dst netip.AddrPort, id uint32) (*echoClient, error) {
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		return nil, err
+	}
+	payload := make([]byte, benchPayload)
+	rand.New(rand.NewSource(7)).Read(payload)
+	dgram, err := packet.AppendDatagram(nil, id, &packet.Packet{Seq: uint64(id), StreamID: id, Kind: packet.KindData, Payload: payload})
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	w := &echoClient{
+		c:     c,
+		bc:    netbatch.New(c, netbatch.Options{GSO: netbatch.GSOAvailable}),
+		wmsgs: make([]netbatch.Msg, netbatch.BatchSize),
+		rbufs: make([][]byte, netbatch.BatchSize),
+		rmsgs: make([]netbatch.Msg, netbatch.BatchSize),
+	}
+	for i := range w.wmsgs {
+		w.wmsgs[i] = netbatch.Msg{Buf: dgram, Addr: dst}
+		w.rbufs[i] = make([]byte, packet.MaxDatagram)
+	}
+	for attempt := 0; attempt < 10; attempt++ {
+		if _, err := w.bc.WriteBatch(w.wmsgs[:1]); err != nil {
+			c.Close()
+			return nil, err
+		}
+		if _, err := w.readBatch(time.Second); err == nil {
+			return w, nil
+		}
+	}
+	c.Close()
+	return nil, fmt.Errorf("session %d never echoed during priming", id)
+}
+
+func (w *echoClient) readBatch(deadline time.Duration) (int, error) {
+	for i := range w.rmsgs {
+		w.rmsgs[i].Buf = w.rbufs[i]
+	}
+	w.c.SetReadDeadline(time.Now().Add(deadline))
+	return w.bc.ReadBatch(w.rmsgs)
+}
+
+// step accounts for one echoed datagram. A timed-out window is re-primed and
+// the step still counts (UDP loss under overload must not wedge the
+// benchmark); echoes beyond the current step are banked against later ones.
+func (w *echoClient) step() error {
+	if w.banked > 0 {
+		w.banked--
+		return nil
+	}
+	for w.inflight < echoWindow {
+		k := min(len(w.wmsgs), echoWindow-w.inflight)
+		n, err := w.bc.WriteBatch(w.wmsgs[:k])
+		if err != nil {
+			return err
+		}
+		w.inflight += n
+	}
+	n, err := w.readBatch(500 * time.Millisecond)
+	if err != nil {
+		w.inflight = 0
+		return nil
+	}
+	w.inflight -= n
+	w.banked = n - 1
+	return nil
+}
+
+// close drains stragglers, so the next sub-benchmark starts clean, and
+// closes the socket.
+func (w *echoClient) close() {
+	for w.inflight > 0 {
+		n, err := w.readBatch(50 * time.Millisecond)
+		if err != nil {
+			break
+		}
+		w.inflight -= n
+	}
+	w.c.Close()
 }
 
 // BenchmarkEngineFanoutBranches measures the delivery-tree fan-out path: one
@@ -279,192 +359,182 @@ func benchWindowedEcho(b *testing.B, cfg engine.Config) {
 // datagram relayed through the tree and read back from a clean receiver; the
 // remaining receivers are drained concurrently.
 func BenchmarkEngineFanoutBranches(b *testing.B) {
-	for _, tc := range []struct {
-		receivers int
-		mixed     bool
-	}{{1, false}, {8, false}, {64, false}, {8, true}, {64, true}} {
-		name := fmt.Sprintf("receivers-%d", tc.receivers)
-		if tc.mixed {
-			name += "-mixed"
-		}
-		b.Run(name, func(b *testing.B) {
-			receivers := tc.receivers
-			rxs := make([]*net.UDPConn, receivers)
-			fanout := make([]string, receivers)
-			for i := range rxs {
-				rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer rx.Close()
-				rxs[i] = rx
-				fanout[i] = rx.LocalAddr().String()
-			}
-			eng, err := engine.New(engine.Config{ListenAddr: "127.0.0.1:0", Adapt: true, Fanout: fanout, GSO: netbatch.GSOAvailable})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := eng.Start(); err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			engAddr := eng.LocalAddr().(*net.UDPAddr)
-
-			c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			cw := netbatch.New(c, netbatch.Options{})
-
-			payload := make([]byte, 320)
-			rand.New(rand.NewSource(9)).Read(payload)
-			dgram, err := packet.AppendDatagram(nil, 1, &packet.Packet{
-				Seq: 1, StreamID: 1, Kind: packet.KindData, Payload: payload,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			wmsgs := make([]netbatch.Msg, netbatch.BatchSize)
-			for i := range wmsgs {
-				wmsgs[i] = netbatch.Msg{Buf: dgram, Addr: engAddr.AddrPort()}
-			}
-
-			// Prime the session: every receiver sees the first packet.
-			if _, err := cw.WriteBatch(wmsgs[:1]); err != nil {
-				b.Fatal(err)
-			}
-			recv := make([]byte, packet.MaxDatagram)
-			for _, rx := range rxs {
-				rx.SetReadDeadline(time.Now().Add(5 * time.Second))
-				if _, err := rx.Read(recv); err != nil {
-					b.Fatalf("receiver never got the primed packet: %v", err)
-				}
-			}
-
-			if tc.mixed {
-				// Heterogeneous channels: odd receivers report 10% loss
-				// (their cohort splices in the (8,4) encoder), even
-				// receivers are clean and stay on the bypass lane.
-				lossyBranches := 0
-				for i, rx := range rxs {
-					rep := packet.Report{Received: 100, Window: 100}
-					if i%2 == 1 {
-						rep = packet.Report{Received: 90, Lost: 10, Window: 100}
-						lossyBranches++
-					}
-					rdgram, err := packet.AppendReportDatagram(nil, 1, 0, 0, rep)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := rx.WriteToUDP(rdgram, engAddr); err != nil {
-						b.Fatal(err)
-					}
-				}
-				s := eng.Session(1)
-				if s == nil {
-					b.Fatal("session missing after prime")
-				}
-				deadline := time.Now().Add(5 * time.Second)
-				for {
-					active := 0
-					for _, rs := range s.Stats().Receivers {
-						if rs.Active {
-							active++
-						}
-					}
-					if active == lossyBranches {
-						break
-					}
-					if time.Now().After(deadline) {
-						b.Fatalf("only %d of %d lossy branches converged", active, lossyBranches)
-					}
-					time.Sleep(2 * time.Millisecond)
-				}
-			}
-
-			// Drain every receiver but the first (clean) one concurrently —
-			// in batches with GRO, so 63 drain goroutines on a small host
-			// don't serve one syscall per datagram while the timed loop runs.
-			// With the engine sending GSO super-datagrams and the drains
-			// opted into GRO, a whole run of same-size frames crosses
-			// loopback unsegmented and lands in one slot, so the buffers are
-			// sized for coalesced (64 KiB) delivery.
-			for _, rx := range rxs[1:] {
-				go func(rx *net.UDPConn) {
-					br := netbatch.New(rx, netbatch.Options{GRO: true})
-					bufs := make([][]byte, netbatch.BatchSize)
-					for i := range bufs {
-						bufs[i] = make([]byte, 64<<10)
-					}
-					ms := make([]netbatch.Msg, netbatch.BatchSize)
-					for {
-						for i := range ms {
-							ms[i].Buf = bufs[i]
-						}
-						rx.SetReadDeadline(time.Now().Add(10 * time.Second))
-						if _, err := br.ReadBatch(ms); err != nil {
-							return
-						}
-					}
-				}(rx)
-			}
-			// Throughput, not ping-pong: keep a window of datagrams in flight
-			// so the engine's batched I/O engages — trunk frames arrive in
-			// recvmmsg batches and the shard writer stamps every destination
-			// in coalesced sendmmsg flushes. Each op is one frame observed
-			// back at the first (clean, bypass-lane) receiver; a timed-out
-			// window is re-primed and the iteration still counts, since UDP
-			// loss under overload must not wedge the benchmark.
-			// The counting receiver opts into GRO as well: one slot may then
-			// hold a coalesced run of frames, each Seg bytes long, and counts
-			// for that many ops.
-			rx0 := netbatch.New(rxs[0], netbatch.Options{GRO: true})
-			rbufs := make([][]byte, netbatch.BatchSize)
-			for i := range rbufs {
-				rbufs[i] = make([]byte, packet.MaxDatagram)
-			}
-			rmsgs := make([]netbatch.Msg, netbatch.BatchSize)
-			const window = 2 * netbatch.BatchSize
-
-			b.SetBytes(int64(len(dgram)))
+	for _, tc := range fanoutCases {
+		b.Run(tc.String(), func(b *testing.B) {
+			op := fanoutDelivery(b, tc)
+			b.SetBytes(benchDgramSize)
 			b.ReportAllocs()
 			b.ResetTimer()
-			inflight, banked := 0, 0
 			for i := 0; i < b.N; i++ {
-				if banked > 0 {
-					banked--
-					continue
-				}
-				for inflight < window {
-					k := min(len(wmsgs), window-inflight)
-					n, err := cw.WriteBatch(wmsgs[:k])
-					if err != nil {
-						b.Fatal(err)
-					}
-					inflight += n
-				}
-				for j := range rmsgs {
-					rmsgs[j].Buf = rbufs[j]
-				}
-				rxs[0].SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-				n, err := rx0.ReadBatch(rmsgs)
-				if err != nil {
-					inflight = 0
-					continue
-				}
-				got := 0
-				for j := 0; j < n; j++ {
-					if rmsgs[j].Seg > 0 {
-						got += (rmsgs[j].N + rmsgs[j].Seg - 1) / rmsgs[j].Seg
-					} else {
-						got++
-					}
-				}
-				inflight -= got
-				banked = got - 1
+				op()
 			}
 		})
+	}
+}
+
+// fanoutCase is one shape of BenchmarkEngineFanoutBranches.
+type fanoutCase struct {
+	receivers int
+	mixed     bool
+}
+
+var fanoutCases = []fanoutCase{{1, false}, {8, false}, {64, false}, {8, true}, {64, true}}
+
+func (tc fanoutCase) String() string {
+	if tc.mixed {
+		return fmt.Sprintf("receivers-%d-mixed", tc.receivers)
+	}
+	return fmt.Sprintf("receivers-%d", tc.receivers)
+}
+
+// fanoutDelivery stands up a fan-out session of tc's shape, converges its
+// cohorts, starts the drains of every receiver but the first, and returns one
+// frame observed back at that first (clean, bypass-lane) receiver.
+func fanoutDelivery(tb testing.TB, tc fanoutCase) func() {
+	rxs := make([]*net.UDPConn, tc.receivers)
+	fanout := make([]string, tc.receivers)
+	for i := range rxs {
+		rxs[i] = listenLoopback(tb)
+		fanout[i] = rxs[i].LocalAddr().String()
+	}
+	eng := startEngine(tb, engine.Config{Adapt: true, Fanout: fanout, GSO: netbatch.GSOAvailable})
+	engAddr := eng.LocalAddr().(*net.UDPAddr)
+	cw := netbatch.New(listenLoopback(tb), netbatch.Options{})
+
+	payload := make([]byte, benchPayload)
+	rand.New(rand.NewSource(9)).Read(payload)
+	dgram := benchDatagram(tb, 1, 1, payload)
+	wmsgs := make([]netbatch.Msg, netbatch.BatchSize)
+	for i := range wmsgs {
+		wmsgs[i] = netbatch.Msg{Buf: dgram, Addr: engAddr.AddrPort()}
+	}
+
+	// Prime the session: every receiver sees the first packet.
+	if _, err := cw.WriteBatch(wmsgs[:1]); err != nil {
+		tb.Fatal(err)
+	}
+	recv := make([]byte, packet.MaxDatagram)
+	for _, rx := range rxs {
+		rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := rx.Read(recv); err != nil {
+			tb.Fatalf("receiver never got the primed packet: %v", err)
+		}
+	}
+
+	if tc.mixed {
+		// Heterogeneous channels: odd receivers report 10% loss (their
+		// cohort splices in the (8,4) encoder), even receivers are clean and
+		// stay on the bypass lane.
+		lossyBranches := 0
+		for i, rx := range rxs {
+			rep := packet.Report{Received: 100, Window: 100}
+			if i%2 == 1 {
+				rep = packet.Report{Received: 90, Lost: 10, Window: 100}
+				lossyBranches++
+			}
+			rdgram, err := packet.AppendReportDatagram(nil, 1, 0, 0, rep)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := rx.WriteToUDP(rdgram, engAddr); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		s := eng.Session(1)
+		if s == nil {
+			tb.Fatal("session missing after prime")
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			active := 0
+			for _, rs := range s.Stats().Receivers {
+				if rs.Active {
+					active++
+				}
+			}
+			if active == lossyBranches {
+				break
+			}
+			if time.Now().After(deadline) {
+				tb.Fatalf("only %d of %d lossy branches converged", active, lossyBranches)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+
+	// Drain every receiver but the first (clean) one concurrently, until its
+	// socket closes — in batches with GRO, so 63 drain goroutines on a small
+	// host don't serve one syscall per datagram while the timed loop runs.
+	// With the engine sending GSO super-datagrams and the drains opted into
+	// GRO, a whole run of same-size frames crosses loopback unsegmented and
+	// lands in one slot, so the buffers are sized for coalesced (64 KiB)
+	// delivery. They are allocated here, before the op is timed.
+	for _, rx := range rxs[1:] {
+		br := netbatch.New(rx, netbatch.Options{GRO: true})
+		bufs := make([][]byte, netbatch.BatchSize)
+		for i := range bufs {
+			bufs[i] = make([]byte, 64<<10)
+		}
+		ms := make([]netbatch.Msg, netbatch.BatchSize)
+		go func() {
+			for {
+				for i := range ms {
+					ms[i].Buf = bufs[i]
+				}
+				rx.SetReadDeadline(time.Now().Add(10 * time.Second))
+				if _, err := br.ReadBatch(ms); err != nil {
+					return
+				}
+			}
+		}()
+	}
+	// Throughput, not ping-pong: keep a window of datagrams in flight so the
+	// engine's batched I/O engages — trunk frames arrive in recvmmsg batches
+	// and the shard writer stamps every destination in coalesced sendmmsg
+	// flushes. A timed-out window is re-primed and the op still counts, since
+	// UDP loss under overload must not wedge the benchmark. The counting
+	// receiver opts into GRO as well: one slot may then hold a coalesced run
+	// of frames, each Seg bytes long, and counts for that many ops.
+	rx0 := netbatch.New(rxs[0], netbatch.Options{GRO: true})
+	rbufs := make([][]byte, netbatch.BatchSize)
+	for i := range rbufs {
+		rbufs[i] = make([]byte, packet.MaxDatagram)
+	}
+	rmsgs := make([]netbatch.Msg, netbatch.BatchSize)
+	const window = 2 * netbatch.BatchSize
+	inflight, banked := 0, 0
+	return func() {
+		if banked > 0 {
+			banked--
+			return
+		}
+		for inflight < window {
+			k := min(len(wmsgs), window-inflight)
+			n, err := cw.WriteBatch(wmsgs[:k])
+			if err != nil {
+				tb.Fatal(err)
+			}
+			inflight += n
+		}
+		for j := range rmsgs {
+			rmsgs[j].Buf = rbufs[j]
+		}
+		rxs[0].SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+		n, err := rx0.ReadBatch(rmsgs)
+		if err != nil {
+			inflight = 0
+			return
+		}
+		got := 0
+		for j := 0; j < n; j++ {
+			if rmsgs[j].Seg > 0 {
+				got += (rmsgs[j].N + rmsgs[j].Seg - 1) / rmsgs[j].Seg
+			} else {
+				got++
+			}
+		}
+		inflight -= got
+		banked = got - 1
 	}
 }
 
@@ -476,56 +546,43 @@ func BenchmarkEngineFanoutBranches(b *testing.B) {
 // level). This is the control path; its cost bounds how fast the closed loop
 // can react, not how fast packets relay.
 func BenchmarkAdaptiveRetune(b *testing.B) {
-	eng, err := engine.New(engine.Config{ListenAddr: "127.0.0.1:0", Adapt: true})
-	if err != nil {
-		b.Fatal(err)
+	op := adaptiveRetune(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
-	if err := eng.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	c, err := net.DialUDP("udp", nil, eng.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+}
 
-	// Prime the session with one echoed packet.
-	dgram, err := packet.AppendDatagram(nil, 1, &packet.Packet{Kind: packet.KindData, Payload: []byte("prime")})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := c.Write(dgram); err != nil {
-		b.Fatal(err)
-	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Read(make([]byte, packet.MaxDatagram)); err != nil {
-		b.Fatalf("session never echoed: %v", err)
-	}
+// adaptiveRetune primes one adaptive session and returns one report ->
+// retune round trip.
+func adaptiveRetune(tb testing.TB) func() {
+	eng := startEngine(tb, engine.Config{Adapt: true})
+	c := dialEngine(tb, eng)
+	primeRoundTrip(tb, c, benchDatagram(tb, 1, 0, []byte("prime")), make([]byte, packet.MaxDatagram))
 	s := eng.Session(1)
 	if s == nil {
-		b.Fatal("session missing after prime")
+		tb.Fatal("session missing after prime")
 	}
 
 	lossy, err := packet.AppendReportDatagram(nil, 1, 0, 0, packet.Report{Received: 90, Lost: 10, Window: 100})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	clean, err := packet.AppendReportDatagram(nil, 1, 0, 0, packet.Report{Received: 100, Lost: 0, Window: 100})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	n := 0
+	return func() {
 		d := lossy
-		if i%2 == 1 {
+		if n%2 == 1 {
 			d = clean
 		}
+		n++
+		want := s.AdaptRetunes() + 1
 		if _, err := c.Write(d); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		want := uint64(i + 1)
 		deadline := time.Now().Add(5 * time.Second)
 		// Park (don't spin) while waiting: a Gosched busy-wait keeps the
 		// runqueue non-empty on a small GOMAXPROCS, which starves the
@@ -534,7 +591,7 @@ func BenchmarkAdaptiveRetune(b *testing.B) {
 		// read loop wakes the moment the datagram lands.
 		for spin := 0; s.AdaptRetunes() < want; spin++ {
 			if spin%1024 == 1023 && time.Now().After(deadline) {
-				b.Fatalf("retune %d never landed", want)
+				tb.Fatalf("retune %d never landed", want)
 			}
 			if spin < 16 {
 				runtime.Gosched()
@@ -877,37 +934,14 @@ func BenchmarkAudioSynthesis(b *testing.B) {
 // cost lands on the control path; the figure of merit is how little the relay
 // path notices.
 func BenchmarkLiveRecompose(b *testing.B) {
-	eng, err := engine.New(engine.Config{ListenAddr: "127.0.0.1:0", Chain: "counting"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	addr := eng.LocalAddr().(*net.UDPAddr)
-
-	payload := make([]byte, 320)
+	eng := startEngine(b, engine.Config{Chain: "counting"})
+	c := dialEngine(b, eng)
+	payload := make([]byte, benchPayload)
 	rand.New(rand.NewSource(7)).Read(payload)
-	c, err := net.DialUDP("udp", nil, addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
 	const id = 1
-	dgram, err := packet.AppendDatagram(nil, id, &packet.Packet{Seq: 1, StreamID: id, Kind: packet.KindData, Payload: payload})
-	if err != nil {
-		b.Fatal(err)
-	}
+	dgram := benchDatagram(b, id, 1, payload)
 	recv := make([]byte, packet.MaxDatagram)
-	if _, err := c.Write(dgram); err != nil {
-		b.Fatal(err)
-	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Read(recv); err != nil {
-		b.Fatalf("session never echoed: %v", err)
-	}
-	c.SetReadDeadline(time.Now().Add(10 * time.Minute))
+	primeRoundTrip(b, c, dgram, recv)
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -931,16 +965,11 @@ func BenchmarkLiveRecompose(b *testing.B) {
 		}
 	}()
 
-	b.SetBytes(int64(len(dgram)))
+	b.SetBytes(benchDgramSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Write(dgram); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Read(recv); err != nil {
-			b.Fatal(err)
-		}
+		roundTrip(b, c, dgram, recv)
 	}
 	b.StopTimer()
 	close(stop)
@@ -957,103 +986,82 @@ func BenchmarkLiveRecompose(b *testing.B) {
 // one NACK datagram answered with one retransmitted frame out of the bounded
 // history — the per-repair cost a receiver pays after reporting a gap.
 func BenchmarkEngineARQRecovery(b *testing.B) {
-	eng, err := engine.New(engine.Config{ListenAddr: "127.0.0.1:0", Chain: "arq"})
-	if err != nil {
-		b.Fatal(err)
+	op := arqRecovery(b)
+	b.SetBytes(benchDgramSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
-	if err := eng.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	c, err := net.DialUDP("udp", nil, eng.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+}
+
+// arqRecovery primes an arq session's history and returns one NACK ->
+// retransmission round trip, cycling over the history.
+func arqRecovery(tb testing.TB) func() {
+	eng := startEngine(tb, engine.Config{Chain: "arq"})
+	c := dialEngine(tb, eng)
 
 	const id = 1
 	const primed = 256
-	payload := make([]byte, 320)
+	payload := make([]byte, benchPayload)
 	rand.New(rand.NewSource(3)).Read(payload)
 	recv := make([]byte, packet.MaxDatagram)
 	// Prime the history one round trip at a time so nothing is dropped on
 	// either socket.
 	for seq := uint64(0); seq < primed; seq++ {
-		dgram, err := packet.AppendDatagram(nil, id, &packet.Packet{Seq: seq, StreamID: id, Kind: packet.KindData, Payload: payload})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Write(dgram); err != nil {
-			b.Fatal(err)
-		}
-		c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := c.Read(recv); err != nil {
-			b.Fatalf("seq %d never echoed: %v", seq, err)
-		}
+		primeRoundTrip(tb, c, benchDatagram(tb, id, seq, payload), recv)
 	}
 	nacks := make([][]byte, primed)
 	for i := range nacks {
 		d, err := packet.AppendNackDatagram(nil, id, 0, 0, []uint64{uint64(i)})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		nacks[i] = d
 	}
-	c.SetReadDeadline(time.Now().Add(10 * time.Minute))
-
-	b.SetBytes(int64(packet.SessionIDSize + packet.HeaderSize + len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Write(nacks[i%primed]); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Read(recv); err != nil {
-			b.Fatal(err)
-		}
+	next := 0
+	return func() {
+		roundTrip(tb, c, nacks[next], recv)
+		next = (next + 1) % primed
 	}
 }
 
 // BenchmarkBranchReplayPrime measures the late-join catch-up path: a fan-out
 // session whose trunk retains a 32-deep replay window, with one op being one
-// station joining the group, having its fresh delivery branch primed with the
-// full retained history, and leaving again.
+// station joining the group and having its fresh delivery branch primed with
+// the full retained history. It leaves again between ops, untimed.
 func BenchmarkBranchReplayPrime(b *testing.B) {
-	const depth = 32
-	rxA, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		b.Fatal(err)
+	join, leave := branchReplayPrime(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		join()
+		b.StopTimer()
+		leave()
+		b.StartTimer()
 	}
-	defer rxA.Close()
-	rxB, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rxB.Close()
-	eng, err := engine.New(engine.Config{
-		ListenAddr: "127.0.0.1:0",
-		Chain:      fmt.Sprintf("replay=%d", depth),
-		Fanout:     []string{rxA.LocalAddr().String()},
-		Branch:     "null",
+	b.ReportMetric(replayDepth, "primed/op")
+}
+
+// replayDepth is BenchmarkBranchReplayPrime's replay window.
+const replayDepth = 32
+
+// branchReplayPrime fills a fan-out session's replay window through one
+// permanent member and returns a second station's join (its branch primed
+// and every primed frame read back) and its leave.
+func branchReplayPrime(tb testing.TB) (join, leave func()) {
+	rxA, rxB := listenLoopback(tb), listenLoopback(tb)
+	eng := startEngine(tb, engine.Config{
+		Chain:  fmt.Sprintf("replay=%d", replayDepth),
+		Fanout: []string{rxA.LocalAddr().String()},
+		Branch: "null",
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	c, err := net.DialUDP("udp", nil, eng.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+	c := dialEngine(tb, eng)
 
 	const id = 1
-	payload := make([]byte, 320)
+	payload := make([]byte, benchPayload)
 	rand.New(rand.NewSource(5)).Read(payload)
-	// Fill the replay ring through the permanent member; rxA is drained in the
-	// background for the whole benchmark.
+	// rxA is drained in the background until its socket closes.
 	go func() {
 		buf := make([]byte, packet.MaxDatagram)
 		for {
@@ -1065,22 +1073,18 @@ func BenchmarkBranchReplayPrime(b *testing.B) {
 	}()
 	seq := uint64(0)
 	send := func() {
-		dgram, err := packet.AppendDatagram(nil, id, &packet.Packet{Seq: seq, StreamID: id, Kind: packet.KindData, Payload: payload})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Write(dgram); err != nil {
-			b.Fatal(err)
+		if _, err := c.Write(benchDatagram(tb, id, seq, payload)); err != nil {
+			tb.Fatal(err)
 		}
 		seq++
 	}
-	for i := 0; i < depth; i++ {
+	for i := 0; i < replayDepth; i++ {
 		send()
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for eng.Session(id) == nil {
 		if time.Now().After(deadline) {
-			b.Fatal("session never appeared")
+			tb.Fatal("session never appeared")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -1088,37 +1092,30 @@ func BenchmarkBranchReplayPrime(b *testing.B) {
 	recv := make([]byte, packet.MaxDatagram)
 	rxB.SetReadDeadline(time.Now().Add(10 * time.Minute))
 
-	// leave tears the joiner's branch back down between ops (outside the
-	// timed region): membership changes only apply at the next dispatch, so
-	// push one trunk frame through and wait until the branch is gone.
-	leave := func() {
+	join = func() {
+		eng.FanoutGroup().Add(member)
+		send() // the next trunk frame reconciles the tree, building and priming the branch
+		// The joiner sees the retained window plus the live frame.
+		for got := 0; got < replayDepth+1; got++ {
+			if _, err := rxB.Read(recv); err != nil {
+				tb.Fatalf("read %d of %d primed frames: %v", got, replayDepth+1, err)
+			}
+		}
+	}
+	// Membership changes only apply at the next dispatch, so leave pushes
+	// one trunk frame through and waits until the branch is gone.
+	leave = func() {
 		eng.FanoutGroup().Remove(member)
 		send()
 		deadline := time.Now().Add(5 * time.Second)
 		for len(eng.Session(id).Stats().Receivers) > 1 {
 			if time.Now().After(deadline) {
-				b.Fatal("branch never torn down")
+				tb.Fatal("branch never torn down")
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.FanoutGroup().Add(member)
-		send() // the next trunk frame reconciles the tree, building and priming the branch
-		// The joiner sees the retained window plus the live frame.
-		for got := 0; got < depth+1; got++ {
-			if _, err := rxB.Read(recv); err != nil {
-				b.Fatalf("op %d: read %d of %d primed frames: %v", i, got, depth+1, err)
-			}
-		}
-		b.StopTimer()
-		leave()
-		b.StartTimer()
-	}
-	b.ReportMetric(depth, "primed/op")
+	return join, leave
 }
 
 // ---------------------------------------------------------------------------
@@ -1131,49 +1128,27 @@ func BenchmarkBranchReplayPrime(b *testing.B) {
 // datagram after an idle period — the entire cost of parking, since every
 // other datagram takes the normal hot path.
 func BenchmarkSessionParkUnpark(b *testing.B) {
-	eng, err := engine.New(engine.Config{ListenAddr: "127.0.0.1:0", IdleTTL: time.Hour})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	addr := eng.LocalAddr().(*net.UDPAddr)
-
-	c, err := net.DialUDP("udp", nil, addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	const id = 1
-	dgram, err := packet.AppendDatagram(nil, id, &packet.Packet{
-		Seq: 1, StreamID: id, Kind: packet.KindData, Payload: make([]byte, 320),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	recv := make([]byte, packet.MaxDatagram)
-	c.SetReadDeadline(time.Now().Add(10 * time.Minute))
-	if _, err := c.Write(dgram); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := c.Read(recv); err != nil {
-		b.Fatalf("prime echo: %v", err)
-	}
-
+	op := sessionParkUnpark(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// sessionParkUnpark primes one session and returns one park, wake and echo.
+func sessionParkUnpark(tb testing.TB) func() {
+	eng := startEngine(tb, engine.Config{IdleTTL: time.Hour})
+	c := dialEngine(tb, eng)
+	const id = 1
+	dgram := benchDatagram(tb, id, 1, make([]byte, benchPayload))
+	recv := make([]byte, packet.MaxDatagram)
+	primeRoundTrip(tb, c, dgram, recv)
+	return func() {
 		if err := eng.ParkSession(id); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if _, err := c.Write(dgram); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Read(recv); err != nil {
-			b.Fatalf("wake echo: %v", err)
-		}
+		roundTrip(tb, c, dgram, recv)
 	}
 }
 
@@ -1184,70 +1159,51 @@ func BenchmarkSessionParkUnpark(b *testing.B) {
 // arrival/retirement cycle a million-session deployment lives in; the table
 // holds MaxSessions parked records throughout.
 func BenchmarkEngineIdleChurn(b *testing.B) {
+	op := idleChurn(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// idleChurn fills a harvest-admission table with parked sessions and returns
+// one fresh session's admission, echo and park.
+func idleChurn(tb testing.TB) func() {
 	const capSessions = 1024
-	eng, err := engine.New(engine.Config{
-		ListenAddr:  "127.0.0.1:0",
+	eng := startEngine(tb, engine.Config{
 		IdleTTL:     time.Hour,
 		MaxSessions: capSessions,
 		Admission:   engine.AdmitHarvest,
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	addr := eng.LocalAddr().(*net.UDPAddr)
-
-	c, err := net.DialUDP("udp", nil, addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+	c := dialEngine(tb, eng)
 	recv := make([]byte, packet.MaxDatagram)
-	c.SetReadDeadline(time.Now().Add(10 * time.Minute))
-
-	payload := make([]byte, 320)
-	dgram := make([]byte, 0, packet.SessionIDSize+packet.HeaderSize+len(payload))
+	payload := make([]byte, benchPayload)
+	dgram := make([]byte, 0, benchDgramSize)
+	// churn admits, echoes and parks session id, framing into dgram's
+	// storage so the op itself does not allocate a datagram.
+	churn := func(id uint32) {
+		var err error
+		if dgram, err = packet.AppendDatagram(dgram[:0], id, &packet.Packet{
+			Seq: 1, StreamID: id, Kind: packet.KindData, Payload: payload,
+		}); err != nil {
+			tb.Fatal(err)
+		}
+		roundTrip(tb, c, dgram, recv)
+		if err := eng.ParkSession(id); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	// Fill the table with parked sessions so every measured op churns at
 	// capacity rather than into free slots.
-	for id := uint32(1); id <= capSessions; id++ {
-		dgram = dgram[:0]
-		if dgram, err = packet.AppendDatagram(dgram, id, &packet.Packet{
-			Seq: 1, StreamID: id, Kind: packet.KindData, Payload: payload,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Write(dgram); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Read(recv); err != nil {
-			b.Fatalf("session %d: prime echo: %v", id, err)
-		}
-		if err := eng.ParkSession(id); err != nil {
-			b.Fatal(err)
-		}
+	c.SetReadDeadline(time.Now().Add(10 * time.Minute))
+	id := uint32(0)
+	for id < capSessions {
+		id++
+		churn(id)
 	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := uint32(capSessions + i + 1)
-		dgram = dgram[:0]
-		if dgram, err = packet.AppendDatagram(dgram, id, &packet.Packet{
-			Seq: 1, StreamID: id, Kind: packet.KindData, Payload: payload,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Write(dgram); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Read(recv); err != nil {
-			b.Fatalf("op %d: churn echo: %v", i, err)
-		}
-		if err := eng.ParkSession(id); err != nil {
-			b.Fatal(err)
-		}
+	return func() {
+		id++
+		churn(id)
 	}
 }

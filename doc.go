@@ -41,10 +41,7 @@
 // per-shard and per-session counters — including syscall and batch-fill
 // economics — are exposed through the control protocol. cmd/rapidproxy serves
 // the engine (with -pprof for live profiling and graceful signal-driven
-// drain); cmd/rapidctl inspects it (sessions, stats, stats -json);
-// cmd/rapidbench saturates it over loopback and reports pps and syscalls per
-// packet; cmd/benchguard holds every PR to the committed benchmark floor in
-// BENCH_engine.json.
+// drain); cmd/rapidctl inspects it (sessions, stats, stats -json).
 //
 // Scale past the hot set comes from idle-session parking: a session with no
 // traffic for Config.IdleTTL is drained losslessly and torn down to a compact
@@ -53,10 +50,7 @@
 // datagram or control operation. One engine-wide maintenance ticker drives harvesting and
 // stale-receiver sweeps; admission (Config.MaxSessions, default 1M, with
 // reject or harvest-oldest-idle policy at the cap) and Stats() read atomic
-// gauges rather than walking the table. cmd/rapidload is the churn harness:
-// thousands of sessions, configurable replacement rate, an independent
-// wireless loss process per receiver, and feedback reports, against an
-// in-process or remote engine.
+// gauges rather than walking the table.
 //
 // The engine also hosts a closed-loop adaptation plane: downstream receivers
 // report observed loss upstream as feedback datagrams (packet.Report), each
@@ -118,7 +112,10 @@
 // format); internal/experiment holds one runner per table and figure of the
 // paper. The benchmarks in
 // bench_test.go regenerate every figure of the paper's evaluation plus the
-// engine's micro-benchmarks; bench/ (its own module, see bench/README.md) is
-// the end-to-end benchmark, six wire-level workloads against a live
-// rapidproxy; cmd/fecbench prints the paper tables from the command line.
+// engine's micro-benchmarks, whose allocation bounds are tests
+// (alloc_test.go); bench/ (its own module, see bench/README.md) is the one
+// load generator and end-to-end benchmark, six wire-level workloads against
+// a live rapidproxy — relay saturation, session churn and parking, fan-out
+// feedback among them; cmd/fecbench prints the paper tables from the
+// command line.
 package rapidware

@@ -200,7 +200,10 @@ func (a *sessionAdaptor) removeLoop(l *receiverLoop) {
 // report datagram's (canonicalized) source address on fan-out sessions, the
 // trunk loop otherwise — then sweeps every loop for receivers whose last
 // report has gone stale, so a crashed station decays back to the clean-link
-// path while any of its siblings still report.
+// path while any of its siblings still report. The observer records the
+// report under the loop's key, not the source address: authorization already
+// pinned the loop's one legitimate receiver, and a unicast session that roams
+// must not keep the address it left as a second receiver.
 func (a *sessionAdaptor) report(from netip.AddrPort, rep packet.Report) {
 	key := trunkReceiver
 	if a.s.eng.branching {
@@ -221,7 +224,7 @@ func (a *sessionAdaptor) report(from netip.AddrPort, rep packet.Report) {
 	loop := a.loops[key]
 	a.mu.Unlock()
 	if loop != nil {
-		loop.report(from.String(), rep)
+		loop.report(rep)
 	}
 	if aging {
 		a.sweepAll()
@@ -229,14 +232,14 @@ func (a *sessionAdaptor) report(from netip.AddrPort, rep packet.Report) {
 }
 
 // report feeds one report into the loop.
-func (l *receiverLoop) report(receiver string, rep packet.Report) {
+func (l *receiverLoop) report(rep packet.Report) {
 	l.mu.Lock()
 	l.reports++
 	if rep.HighestSeq >= l.lastReport.HighestSeq {
 		l.lastReport = rep
 	}
 	l.mu.Unlock()
-	l.obs.ReportLink(receiver, rep.LossFraction(), rep.RTTMillis)
+	l.obs.ReportLink(l.key, rep.LossFraction(), rep.RTTMillis)
 }
 
 // snapshot returns the loop's report counters.

@@ -319,6 +319,31 @@ func TestEngineSpoofedFeedbackIgnored(t *testing.T) {
 	waitAdapt(t, e, 44, "owner upgrade", func(a *metrics.AdaptStats) bool { return a.Active })
 }
 
+// TestEngineRoamedPeerReportDoesNotPin checks that under AllowRoaming the
+// address a unicast session roamed away from stops counting as a receiver:
+// its last lossy report must not hold the code once the new address reports
+// a clean link, even with report aging off.
+func TestEngineRoamedPeerReportDoesNotPin(t *testing.T) {
+	e := newTestEngine(t, Config{Adapt: true, AllowRoaming: true})
+	first := dialEngine(t, e)
+	second := dialEngine(t, e)
+
+	sendPacket(t, first, 45, &packet.Packet{Seq: 1, Kind: packet.KindData, Payload: []byte("a")})
+	readPacket(t, first, 2*time.Second)
+	sendReport(t, first, 45, packet.Report{Received: 80, Lost: 20, Window: 100})
+	waitAdapt(t, e, 45, "upgrade", func(a *metrics.AdaptStats) bool { return a.Active })
+
+	// The encoder holds this frame for its group, so wait for the roam itself.
+	sendPacket(t, second, 45, &packet.Packet{Seq: 2, Kind: packet.KindData, Payload: []byte("b")})
+	roamed := second.LocalAddr().(*net.UDPAddr).AddrPort()
+	waitFor(t, "session to roam", func() bool { return e.Session(45).Peer() == roamed })
+	sendReport(t, second, 45, packet.Report{Received: 100, Window: 100})
+	st := waitAdapt(t, e, 45, "roamed clean", func(a *metrics.AdaptStats) bool { return !a.Active })
+	if st.N != 1 || st.Receivers != 1 {
+		t.Fatalf("after roaming: %+v, want 1/1 over one receiver", st)
+	}
+}
+
 // TestEngineFanoutRemovalUnpinsWorstReceiver checks that removing the worst
 // receiver from the fan-out group releases the code on the next report.
 func TestEngineFanoutRemovalUnpinsWorstReceiver(t *testing.T) {

@@ -377,8 +377,8 @@ func TestSoakSyscallAmortization(t *testing.T) {
 
 	// The figure depends on how the client's bursts and the engine's reads
 	// interleave, which on a busy or two-CPU host is occasionally unlucky for
-	// a whole run; like benchguard, take the best of a few runs so noise can
-	// only make the data plane look worse, never fail it.
+	// a whole run; take the best of a few runs so noise can only make the
+	// data plane look worse, never fail it.
 	const rounds, attempts = 100, 3
 	received := 0
 	best := 1.0

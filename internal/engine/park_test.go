@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rapidware/internal/packet"
+	"rapidware/internal/race"
 )
 
 // dialConn is a soak-test client socket: one *net.UDPConn carrying many
@@ -547,7 +548,7 @@ func TestEngineChurnSoak(t *testing.T) {
 		t.Skip("churn soak skipped in -short mode")
 	}
 	sessions, wave := 100_000, 4_000
-	if raceEnabled {
+	if race.Enabled {
 		sessions, wave = 8_000, 2_000
 	}
 	const clients = 50

@@ -3,7 +3,7 @@
 // returns a recvmmsg/sendmmsg implementation that can also fold runs of
 // equal-size datagrams into single UDP GSO super-datagrams; everywhere else
 // it returns a portable fallback that moves one datagram per syscall behind
-// the same interface. The proxy engine's shard loops, the rapidbench load
+// the same interface. The proxy engine's shard loops, the bench/ load
 // generator and the throughput benchmarks all drive their sockets through
 // this package, so client and server side batch alike.
 package netbatch

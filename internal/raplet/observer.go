@@ -206,16 +206,7 @@ func (o *WorstLossObserver) reportLink(receiver string, loss float64, rttMillis 
 		Source:    o.name,
 		Value:     worst,
 		RTTMillis: worstRTT,
-		Attrs:     map[string]string{"receiver": worstRx},
 	})
-}
-
-// RTT returns the last reported round-trip estimate for a receiver (0 when
-// unknown or never reported).
-func (o *WorstLossObserver) RTT(receiver string) uint32 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.rtt[receiver]
 }
 
 // Forget drops a receiver (e.g. after it leaves the multicast group) so a
@@ -249,7 +240,6 @@ func (o *WorstLossObserver) Sweep() int {
 			Source:    o.name,
 			Value:     worst,
 			RTTMillis: worstRTT,
-			Attrs:     map[string]string{"receiver": worstRx},
 		})
 	}
 	return removed
@@ -279,25 +269,6 @@ func (o *WorstLossObserver) expireLocked() int {
 		}
 	}
 	o.expired += uint64(removed)
-	return removed
-}
-
-// Prune drops every receiver keep rejects, returning how many were removed.
-// Callers with a dynamic receiver set (the engine's fan-out group) run this
-// as membership changes so a departed station's last report cannot pin the
-// code, and so the tracked set cannot grow beyond the legitimate receivers.
-func (o *WorstLossObserver) Prune(keep func(receiver string) bool) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	removed := 0
-	for rx := range o.loss {
-		if !keep(rx) {
-			delete(o.loss, rx)
-			delete(o.rtt, rx)
-			delete(o.seen, rx)
-			removed++
-		}
-	}
 	return removed
 }
 
@@ -339,79 +310,7 @@ func (o *WorstLossObserver) Reports() uint64 {
 	return o.reports
 }
 
-// PollingObserver periodically samples a measurement function and publishes
-// its value, for conditions that are polled rather than event driven (e.g.
-// bandwidth estimates, battery level, user preference files).
-type PollingObserver struct {
-	name     string
-	bus      *Bus
-	etype    EventType
-	interval time.Duration
-	sample   func() float64
-
-	mu      sync.Mutex
-	stopCh  chan struct{}
-	doneCh  chan struct{}
-	started bool
-}
-
-// NewPollingObserver returns an observer publishing sample() every interval.
-func NewPollingObserver(name string, bus *Bus, etype EventType, interval time.Duration, sample func() float64) *PollingObserver {
-	if name == "" {
-		name = "polling-observer"
-	}
-	if interval <= 0 {
-		interval = time.Second
-	}
-	return &PollingObserver{name: name, bus: bus, etype: etype, interval: interval, sample: sample}
-}
-
-// Name implements Observer.
-func (o *PollingObserver) Name() string { return o.name }
-
-// Start implements Observer.
-func (o *PollingObserver) Start() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.started {
-		return nil
-	}
-	o.started = true
-	o.stopCh = make(chan struct{})
-	o.doneCh = make(chan struct{})
-	go func() {
-		defer close(o.doneCh)
-		ticker := time.NewTicker(o.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-o.stopCh:
-				return
-			case <-ticker.C:
-				o.bus.Publish(Event{Type: o.etype, Source: o.name, Value: o.sample()})
-			}
-		}
-	}()
-	return nil
-}
-
-// Stop implements Observer.
-func (o *PollingObserver) Stop() error {
-	o.mu.Lock()
-	if !o.started {
-		o.mu.Unlock()
-		return nil
-	}
-	o.started = false
-	stop, done := o.stopCh, o.doneCh
-	o.mu.Unlock()
-	close(stop)
-	<-done
-	return nil
-}
-
 var (
 	_ Observer = (*LossRateObserver)(nil)
 	_ Observer = (*WorstLossObserver)(nil)
-	_ Observer = (*PollingObserver)(nil)
 )

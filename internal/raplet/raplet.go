@@ -44,8 +44,6 @@ type Event struct {
 	RTTMillis uint32
 	// Time is when the observation was made.
 	Time time.Time
-	// Attrs carries any additional string attributes.
-	Attrs map[string]string
 }
 
 // Responder reacts to events by reconfiguring the system, the paper's

@@ -179,34 +179,6 @@ func TestLossRateObserverNeedsMinimumSignal(t *testing.T) {
 	}
 }
 
-func TestPollingObserverPublishesPeriodically(t *testing.T) {
-	bus := NewBus(64)
-	rec := &recorder{}
-	bus.Subscribe(EventBandwidth, rec)
-	bus.Start()
-	defer bus.Stop()
-
-	obs := NewPollingObserver("", bus, EventBandwidth, 5*time.Millisecond, func() float64 { return 2e6 })
-	if err := obs.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.Start(); err != nil {
-		t.Fatal("second Start should be a no-op")
-	}
-	rec.waitFor(t, 3)
-	if err := obs.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.Stop(); err != nil {
-		t.Fatal("second Stop should be a no-op")
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if rec.events[0].Value != 2e6 {
-		t.Fatalf("sampled value = %v", rec.events[0].Value)
-	}
-}
-
 // newAdaptiveLive attaches plan to a started chain whose endpoints neither
 // produce nor consume: the responder tests watch the plan, not the data.
 func newAdaptiveLive(t *testing.T, plan string) *compose.Live {
