@@ -539,9 +539,9 @@ func fanoutDelivery(tb testing.TB, tc fanoutCase) func() {
 }
 
 // BenchmarkAdaptiveRetune measures the engine's control-path retune: one
-// receiver report crossing a policy threshold, dispatched over the session's
-// raplet bus to the FEC responder, which splices the adaptive encoder into or
-// out of the live chain. Each op is one full report -> splice round trip
+// receiver report crossing a policy threshold, decided by the session's trunk
+// loop on the shard reader that reads it, which splices the adaptive encoder
+// into or out of the live chain. Each op is one full report -> splice round trip
 // (reports alternate 10% loss and clean, so every op changes the protection
 // level). This is the control path; its cost bounds how fast the closed loop
 // can react, not how fast packets relay.

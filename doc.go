@@ -53,13 +53,16 @@
 // gauges rather than walking the table.
 //
 // The engine also hosts a closed-loop adaptation plane: downstream receivers
-// report observed loss upstream as feedback datagrams (packet.Report), each
-// session's raplet bus routes every receiver's loss to its own FEC
-// responder, and the responder splices an adaptive encoder into the live
-// chain, retunes its (n,k), or removes it, following the loss→code policy
-// ladder in the transport-agnostic internal/adapt package — the same policy
-// engine that drives the legacy single-stream adaptive proxy in
-// internal/fecproxy.
+// report observed loss upstream as feedback datagrams (packet.Report), and
+// the shard reader that reads a report hands it to that receiver's own
+// adaptation loop, which decides and applies it there: a unicast trunk's
+// loop splices an adaptive encoder into the live chain, retunes its (n,k), or
+// removes it; a fan-out member's loop moves the member to the delivery cohort
+// its decision selects. Decisions follow the loss→code policy ladder in the
+// transport-agnostic internal/adapt package — the same policy engine that
+// drives the legacy single-stream adaptive proxy in internal/fecproxy. The
+// observer/bus/responder raplets of internal/raplet remain the paper's
+// demonstrator (experiment E2b); the engine does not use them.
 //
 // Composition itself is a dedicated plane, internal/compose: one validated
 // plan IR for every chain in the system, one parser for the spec language,
@@ -77,8 +80,8 @@
 // OpRecompose (rapidctl compose <session> '<spec>'), session-scoped
 // insert/remove/move (rapidctl -session <id> ...), and a per-stage counter
 // view in rapidctl sessions; it is the only way a running chain changes.
-// Adaptation responders express their FEC splices through the same plane via
-// a fec-adapt marker stage in the plan.
+// Adaptation loops express their FEC splices through the same plane via a
+// fec-adapt marker stage in the plan.
 //
 // Reliability spans a spectrum, not just FEC. The compose plane registers
 // the ARQ stages (internal/arq) and the replay cache (internal/cache) as
@@ -89,7 +92,7 @@
 // and "replay=<n>" retains the recent past so a station that joins a fan-out
 // session mid-stream has its fresh branch primed with the retained window —
 // the collaborative session's late-join catch-up. With adaptation on, each
-// receiver's responder escalates across mechanisms from the full report
+// receiver's loop escalates across mechanisms from the full report
 // (loss and RTT): clean links run the pure relay, moderate loss splices
 // proactive parity, and rare loss on a high-RTT feedback path swaps the
 // encoder for a retransmission history, all through the same live-recompose

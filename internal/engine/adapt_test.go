@@ -2,10 +2,13 @@ package engine
 
 import (
 	"net"
+	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
 	"rapidware/internal/adapt"
+	"rapidware/internal/compose"
 	"rapidware/internal/fec"
 	"rapidware/internal/metrics"
 	"rapidware/internal/packet"
@@ -218,10 +221,11 @@ func TestEngineFeedbackIgnoredWithoutAdapt(t *testing.T) {
 	}
 }
 
-// TestEngineSweepAllExpiresStaleReceivers exercises the sweep machinery with
-// an injected fake clock: a receiver whose last report predates the staleness
-// window is expired by sweepAll regardless of whether any report arrives to
-// trigger it.
+// TestEngineSweepAllExpiresStaleReceivers drives staleness aging by the
+// maintenance tick's clock: a sweep inside the window leaves the receiver
+// alone, one past it expires the receiver and decays the session to the
+// clean-link path without any report arriving, and a sweep with nothing left
+// to expire changes nothing.
 func TestEngineSweepAllExpiresStaleReceivers(t *testing.T) {
 	const window = time.Minute
 	e := newTestEngine(t, Config{Adapt: true, ReportStaleness: window})
@@ -231,22 +235,96 @@ func TestEngineSweepAllExpiresStaleReceivers(t *testing.T) {
 	readPacket(t, c, 2*time.Second)
 	sendReport(t, c, 55, packet.Report{Received: 90, Lost: 10, Window: 100})
 	waitAdapt(t, e, 55, "upgrade", func(a *metrics.AdaptStats) bool { return a.Active })
-
-	// Re-arm the trunk loop's observer on a fake clock and jump past the
-	// window; nothing else reports, so only a sweep can expire the receiver.
 	s := e.Session(55)
-	a := s.state().adaptor
-	a.mu.Lock()
-	loop := a.loops[trunkReceiver]
-	a.mu.Unlock()
-	now := time.Now()
-	loop.obs.SetStaleness(window, func() time.Time { return now })
-	now = now.Add(window + time.Second)
-	a.sweepAll()
 
-	st := waitAdapt(t, e, 55, "decay", func(st *metrics.AdaptStats) bool { return !st.Active })
-	if st.Expired == 0 {
-		t.Fatalf("Expired = 0 after sweeping past the window, want > 0")
+	e.maintain(time.Now().Add(window / 2))
+	if st := s.Stats().Adapt; !st.Active || st.Receivers != 1 || st.Expired != 0 {
+		t.Fatalf("sweep inside the window: %+v, want the receiver kept", st)
+	}
+	e.maintain(time.Now().Add(window + time.Second))
+	st := s.Stats().Adapt
+	if st.Active || st.N != 1 || st.Receivers != 0 || st.Expired != 1 {
+		t.Fatalf("sweep past the window: %+v, want inactive 1/1, no receivers, 1 expired", st)
+	}
+	e.maintain(time.Now().Add(3 * window))
+	if again := s.Stats().Adapt; again.Expired != 1 || again.Retunes != st.Retunes {
+		t.Fatalf("idle sweep: %+v, want nothing more expired or retuned", again)
+	}
+}
+
+// TestEngineSweepAgesOutDeadWorstReceiver fans a session out to two stations
+// and lets the worst one crash: once its report crosses the staleness window
+// the session view follows the live station instead of the dead one, and when
+// the live station goes silent too the session decays to the clean link.
+func TestEngineSweepAgesOutDeadWorstReceiver(t *testing.T) {
+	const window = time.Hour
+	rxDead, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rxDead.Close()
+	rxLive, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rxLive.Close()
+
+	e := newTestEngine(t, Config{
+		Adapt:           true,
+		ReportStaleness: window,
+		Fanout:          []string{rxDead.LocalAddr().String(), rxLive.LocalAddr().String()},
+	})
+	c := dialEngine(t, e)
+	sendPacket(t, c, 57, &packet.Packet{Seq: 1, Kind: packet.KindData, Payload: []byte("fanout")})
+	for _, rx := range []*net.UDPConn{rxDead, rxLive} {
+		rx.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := rx.Read(make([]byte, packet.MaxDatagram)); err != nil {
+			t.Fatalf("receiver read: %v", err)
+		}
+	}
+	engAddr := e.LocalAddr().(*net.UDPAddr)
+	reportFrom := func(rx *net.UDPConn, rep packet.Report) {
+		dgram, err := packet.AppendReportDatagram(nil, 57, 0, 0, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rx.WriteToUDP(dgram, engAddr); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The station that will crash reports first and worst; deadBy bounds the
+	// moment its report was stamped, and the live station reports after it.
+	reportFrom(rxDead, packet.Report{Received: 70, Lost: 30, Window: 100})
+	waitAdapt(t, e, 57, "dead report", func(a *metrics.AdaptStats) bool { return a.Reports == 1 })
+	deadBy := time.Now()
+	time.Sleep(10 * time.Millisecond)
+	reportFrom(rxLive, packet.Report{Received: 98, Lost: 2, Window: 100})
+	st := waitAdapt(t, e, 57, "live report", func(a *metrics.AdaptStats) bool { return a.Reports == 2 })
+	if st.LossRate != 0.30 || st.Receivers != 2 {
+		t.Fatalf("before aging: %+v, want the dead station's 0.30 over 2 receivers", st)
+	}
+	s := e.Session(57)
+
+	// Inside the window nothing ages out.
+	e.maintain(deadBy.Add(window / 2))
+	if st := s.Stats().Adapt; st.Receivers != 2 || st.Expired != 0 {
+		t.Fatalf("sweep inside the window: %+v, want both receivers kept", st)
+	}
+
+	// The dead station's report crosses the window, the live one's does not:
+	// the session view no longer follows the dead station.
+	e.maintain(deadBy.Add(window + 5*time.Millisecond))
+	st = s.Stats().Adapt
+	if st.LossRate != 0.02 || st.Receivers != 1 || st.Expired != 1 {
+		t.Fatalf("after aging: %+v, want the live station's 0.02, 1 receiver, 1 expired", st)
+	}
+
+	// The last station going silent decays the session to the clean link.
+	e.maintain(deadBy.Add(3 * window))
+	st = s.Stats().Adapt
+	if st.Active || st.N != 1 || st.LossRate != 0 || st.Receivers != 0 || st.Expired != 2 {
+		t.Fatalf("after the last station aged out: %+v, want inactive 1/1, clean, 0 receivers, 2 expired", st)
 	}
 }
 
@@ -422,5 +500,216 @@ func TestEngineAlwaysOnPolicyEngagesImmediately(t *testing.T) {
 	st := waitAdapt(t, e, 12, "always-on", func(a *metrics.AdaptStats) bool { return a.Active })
 	if st.N != 6 || st.K != 4 {
 		t.Fatalf("always-on code = %d/%d, want 6/4", st.N, st.K)
+	}
+}
+
+// openTrunkLoop opens unicast session id without a socket and returns it with
+// its trunk loop, so a test can feed the loop reports directly.
+func openTrunkLoop(t *testing.T, e *Engine, id uint32) (*Session, *receiverLoop) {
+	t.Helper()
+	s, err := e.openSession(id, netip.MustParseAddrPort("10.9.0.1:4000"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, s.state().trunk
+}
+
+// reportLoss feeds a loop one report of lostPct percent loss.
+func reportLoss(l *receiverLoop, lostPct uint32) {
+	l.report(packet.Report{Received: 100 - lostPct, Lost: lostPct, Window: 100}, time.Now().UnixNano())
+}
+
+// TestEngineTrunkReconcileLifecycle drives a unicast trunk's loop through a
+// protection cycle: loss splices the adaptive encoder in at the fec-adapt
+// marker, a move between FEC levels retunes it in place, the same level again
+// is no retune, a clean link splices it out, and loss returning splices in a
+// fresh one. Every report is applied before report returns.
+func TestEngineTrunkReconcileLifecycle(t *testing.T) {
+	e := newTestEngine(t, Config{Adapt: true})
+	s, l := openTrunkLoop(t, e, 7)
+	encoder := func() any { return s.Live().Instance(compose.KindFECAdapt) }
+	check := func(step string, active bool, k, n int, retunes uint64) {
+		t.Helper()
+		st := s.Stats().Adapt
+		if st.Active != active || (encoder() != nil) != active || st.K != k || st.N != n ||
+			st.Retunes != retunes || s.AdaptRetunes() != retunes {
+			t.Fatalf("%s: %+v (AdaptRetunes %d), want active=%v %d/%d after %d retunes",
+				step, st, s.AdaptRetunes(), active, n, k, retunes)
+		}
+	}
+	check("clean start", false, 1, 1, 0)
+	reportLoss(l, 10)
+	check("10% loss", true, 4, 8, 1)
+	enc := encoder()
+	reportLoss(l, 30)
+	check("30% loss", true, 4, 12, 2)
+	if encoder() != enc {
+		t.Fatal("a level change replaced the encoder instead of retuning it in place")
+	}
+	reportLoss(l, 28)
+	check("28% loss", true, 4, 12, 2)
+	if loss := s.Stats().Adapt.LossRate; loss != 0.28 {
+		t.Fatalf("LossRate = %v, want the 0.28 last acted on", loss)
+	}
+	reportLoss(l, 0)
+	check("clean link", false, 1, 1, 3)
+	reportLoss(l, 5)
+	check("5% loss", true, 4, 6, 4)
+	if encoder() == enc {
+		t.Fatal("loss returning reused the stopped encoder")
+	}
+	if plan := s.Live().String(); plan != compose.KindFECAdapt {
+		t.Fatalf("plan = %q, want the marker alone throughout", plan)
+	}
+}
+
+// TestEngineTrunkReconcileFECOnlyPolicy guards reconciling against the chain
+// rather than the previous decision: with a policy that has no clean rung,
+// the first decision already matches the ladder's only level, and the encoder
+// must still be spliced in — at priming, before any report.
+func TestEngineTrunkReconcileFECOnlyPolicy(t *testing.T) {
+	policy := adapt.Policy{Levels: []adapt.Level{{LossAtLeast: 0.10, Params: fec.Params{K: 4, N: 8}}}}
+	e := newTestEngine(t, Config{Adapt: true, AdaptPolicy: policy})
+	s, l := openTrunkLoop(t, e, 1)
+	if st := s.Stats().Adapt; !st.Active || st.N != 8 || st.Retunes != 1 {
+		t.Fatalf("FEC-only policy at priming: %+v, want the (8,4) encoder after 1 retune", st)
+	}
+	reportLoss(l, 20)
+	if st := s.Stats().Adapt; !st.Active || st.N != 8 || st.Retunes != 1 {
+		t.Fatalf("FEC-only policy after a report at its level: %+v, want no further retune", st)
+	}
+}
+
+// TestEngineAdaptPolicyValidation checks that a ladder the loops could not
+// apply is refused when the engine is built, and that the zero policy selects
+// the default ladder.
+func TestEngineAdaptPolicyValidation(t *testing.T) {
+	for _, level := range []adapt.Level{
+		{LossAtLeast: 0.1, Params: fec.Params{K: 8, N: 4}},
+		{LossAtLeast: 1.5, Params: fec.Params{K: 4, N: 6}},
+	} {
+		if _, err := New(Config{Adapt: true, AdaptPolicy: adapt.Policy{Levels: []adapt.Level{level}}}); err == nil {
+			t.Fatalf("policy level %+v accepted", level)
+		}
+	}
+	e, err := New(Config{ListenAddr: "127.0.0.1:0", Adapt: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.policy.String(), adapt.DefaultPolicy().String(); got != want {
+		t.Fatalf("zero policy resolved to %q, want the default %q", got, want)
+	}
+}
+
+// TestEngineTrunkReconcileDormantWithoutMarker pins the recompose-vs-loop
+// contract on a unicast trunk: when an operator recomposes the fec-adapt
+// marker away, the encoder goes with it and the loop goes dormant — reports
+// are decided and recorded but engage nothing — until a recompose restores
+// the marker and the next report re-engages it.
+func TestEngineTrunkReconcileDormantWithoutMarker(t *testing.T) {
+	e := newTestEngine(t, Config{Adapt: true})
+	s, l := openTrunkLoop(t, e, 7)
+	reportLoss(l, 10)
+	if st := s.Stats().Adapt; !st.Active {
+		t.Fatalf("encoder not spliced before the recompose: %+v", st)
+	}
+
+	if _, err := e.RecomposeSession(7, "", "counting"); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats().Adapt; st.Active {
+		t.Fatalf("recompose without the marker left the encoder active: %+v", st)
+	}
+	reportLoss(l, 30)
+	if st := s.Stats().Adapt; st.Active || st.N != 12 || s.Live().String() != "counting" {
+		t.Fatalf("dormant loop: %+v on %q, want the 12/4 decision recorded and the plan untouched", st, s.Live().String())
+	}
+
+	if _, err := e.RecomposeSession(7, "", "fec-adapt,counting"); err != nil {
+		t.Fatal(err)
+	}
+	reportLoss(l, 30)
+	if st := s.Stats().Adapt; !st.Active || s.Live().Instance(compose.KindFECAdapt) == nil {
+		t.Fatalf("loop did not resume after the marker returned: %+v", st)
+	}
+}
+
+// TestEngineRetireVsReportStorm races a unicast trunk's loop against the
+// session's retirement: reports stream in from the peer while the maintenance
+// tick parks the session, a data packet unparks it, and CloseSession finally
+// ends it. No decision may land on a retired incarnation — its retune count
+// and its loop's state stay as they were when it retired — so every parked
+// snapshot is exactly the last decision applied. Run under -race.
+func TestEngineRetireVsReportStorm(t *testing.T) {
+	const ttl = time.Hour // parking is driven by explicit maintain calls
+	e := newTestEngine(t, Config{Adapt: true, IdleTTL: ttl})
+	const id = 21
+	c := openEchoSession(t, e, id)
+	s := e.Session(id)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := uint32(0); ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			lost := []uint32{0, 10, 30}[n%3] // none, (8,4), (12,4): every report retunes
+			dgram, err := packet.AppendReportDatagram(nil, id, 0, 0, packet.Report{HighestSeq: uint64(n), Received: 100 - lost, Lost: lost, Window: 100})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := c.Write(dgram); err != nil {
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+
+	type retired struct {
+		cs      *chainState
+		snap    metrics.AdaptStats
+		retunes uint64
+	}
+	var gone []retired
+	now := time.Now()
+	for round := 0; round < 30; round++ {
+		cs := s.state()
+		waitFor(t, "the storm to retune this incarnation", func() bool { return cs.retunes.Load() > 0 })
+		now = now.Add(ttl)
+		e.maintain(now) // observes the unparking packet
+		now = now.Add(ttl)
+		e.maintain(now) // parks
+		if !s.Parked() {
+			t.Fatalf("round %d: session not parked", round)
+		}
+		gone = append(gone, retired{cs: cs, snap: *s.Stats().Adapt, retunes: cs.retunes.Load()})
+		packets := s.Counters().Packets.Load()
+		sendPacket(t, c, id, &packet.Packet{Seq: uint64(round), Kind: packet.KindData, Payload: []byte("unpark")})
+		waitFor(t, "the unparking packet", func() bool { return s.Counters().Packets.Load() > packets })
+	}
+	last := s.state()
+	if err := e.CloseSession(id); err != nil {
+		t.Fatal(err)
+	}
+	closedRetunes := last.retunes.Load()
+	close(stop)
+	wg.Wait()
+
+	for i, g := range gone {
+		if got := g.cs.retunes.Load(); got != g.retunes {
+			t.Fatalf("round %d: %d retunes counted after parking, %d at retirement", i, got, g.retunes)
+		}
+		if got := *adaptStats(g.cs.trunk); got != g.snap {
+			t.Fatalf("round %d: parked snapshot %+v, last decision applied %+v", i, g.snap, got)
+		}
+	}
+	if got := last.retunes.Load(); got != closedRetunes {
+		t.Fatalf("%d retunes counted after close, %d at retirement", got, closedRetunes)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"rapidware/internal/adapt"
 	"rapidware/internal/arq"
@@ -56,9 +57,8 @@ type member struct {
 	// cohort is the cohort currently serving this member (guarded by
 	// tree.mu); nil only when cohort construction failed.
 	cohort *cohort
-	// resp/loop are the member's adaptation state; nil without the
-	// per-receiver feedback plane.
-	resp *memberResponder
+	// loop is the member's adaptation loop, set at join and never replaced;
+	// nil without the feedback plane.
 	loop *receiverLoop
 }
 
@@ -89,8 +89,8 @@ type cohort struct {
 type deliveryTree struct {
 	s *Session
 	// cs is the chain incarnation this tree belongs to: member priming reads
-	// its live trunk's replay stage and member adaptation loops join its
-	// adaptor's bus. A parked session has no tree; unpark builds a fresh one.
+	// its live trunk's replay stage, and members' retunes count toward it. A
+	// parked session has no tree; unpark builds a fresh one.
 	cs *chainState
 
 	mu      sync.Mutex // held by dispatch for every frame, and by every membership change
@@ -211,22 +211,22 @@ func (t *deliveryTree) reconcileLocked() {
 // addMemberLocked admits one new fan-out member: it is placed into the cohort
 // selected by the engine's branch plan and the policy's clean-link decision
 // (so always-on protection ladders get their encoder cohort from the first
-// frame), its adaptation loop joins the session bus, and its delivery is
-// primed from the trunk's replay history. Joins are rare, so a cohort they
-// need is built under the lock. Caller holds t.mu.
+// frame), it gets its adaptation loop, and its delivery is primed from the
+// trunk's replay history. Joins are rare, so a cohort they need is built
+// under the lock. Caller holds t.mu.
 func (t *deliveryTree) addMemberLocked(ap netip.AddrPort) {
 	e := t.s.eng
 	m := &member{ap: ap, plan: e.branchPlan}
-	mech, params := adapt.MechanismNone, fec.Params{K: 1, N: 1}
+	d := decision{mech: adapt.MechanismNone, params: fec.Params{K: 1, N: 1}}
 	if e.adaptOn {
-		mech, params = e.policy.Decide(0, 0)
+		d.mech, d.params = e.policy.Decide(0, 0)
 	}
-	effective := effectiveMech(m.plan, mech)
-	key := cohortKeyFor(m.plan, effective, params)
+	effective := effectiveMech(m.plan, d.mech)
+	key := cohortKeyFor(m.plan, effective, d.params)
 	c := t.cohorts[key]
 	if c == nil {
 		var err error
-		if c, err = t.newCohort(key, m.plan, effective, params); err != nil {
+		if c, err = t.newCohort(key, m.plan, effective, d.params); err != nil {
 			// The member gets nothing until membership changes again; branch
 			// specs are validated at engine construction, so this is a
 			// resource-level failure worth surfacing.
@@ -236,34 +236,17 @@ func (t *deliveryTree) addMemberLocked(ap netip.AddrPort) {
 		}
 		t.cohorts[key] = c
 	}
+	if e.adaptOn {
+		m.loop = &receiverLoop{s: t.s, cs: t.cs, m: m, decided: d}
+	}
 	t.members[ap] = m
 	t.moveLocked(m, c)
-	if e.adaptOn {
-		m.resp = &memberResponder{
-			name:    fmt.Sprintf("adapt:%d:%s", t.s.id, ap),
-			tree:    t,
-			m:       m,
-			current: params,
-			mech:    mech,
-			active:  effective != adapt.MechanismNone,
-		}
-		loop, err := t.cs.adaptor.addMemberLoop(ap.String(), m.resp)
-		if err != nil {
-			e.logf("session %d: member %s adaptor: %v", t.s.id, ap, err)
-		} else {
-			m.loop = loop
-		}
-	}
 	t.primeLocked(m)
 }
 
-// removeMemberLocked evicts a departed member: its loop leaves the bus and it
-// leaves its cohort. Caller holds t.mu.
+// removeMemberLocked evicts a departed member from its cohort; a decision its
+// loop is still applying finds it gone. Caller holds t.mu.
 func (t *deliveryTree) removeMemberLocked(m *member) {
-	if m.loop != nil {
-		t.cs.adaptor.removeLoop(m.loop)
-		m.loop = nil
-	}
 	t.moveLocked(m, nil)
 	delete(t.members, m.ap)
 }
@@ -299,13 +282,16 @@ func (t *deliveryTree) moveLocked(m *member, to *cohort) {
 	}
 }
 
-// assign moves m into the cohort its plan and the given decision select. A
-// cohort the tree does not have yet is built with t.mu released — a chain
-// build is the slow part of a retune, and dispatch must not wait behind it —
-// so the choice is re-made once the lock is back, and a cohort built for a
-// choice that went stale meanwhile is discarded. It returns the effective
-// mechanism and whether m moved; errDeparted if m left the tree.
-func (t *deliveryTree) assign(m *member, mech adapt.Mechanism, params fec.Params) (effective adapt.Mechanism, moved bool, err error) {
+// assign moves m into the cohort its plan and decision d select, and records
+// d on m's loop in the same critical section, so the tree's stats and the
+// parked snapshot never disagree with the membership; retune counts a move as
+// a retune of the loop (a policy decision, not a plan rewrite). A cohort the
+// tree does not have yet is built with t.mu released — a chain build is the
+// slow part of a retune, and dispatch must not wait behind it — so the choice
+// is re-made once the lock is back, and a cohort built for a choice that went
+// stale meanwhile is discarded. It returns errDeparted if m left the tree or
+// the tree's incarnation is retiring.
+func (t *deliveryTree) assign(m *member, d decision, retune bool) error {
 	var spare *cohort
 	defer func() {
 		if spare != nil {
@@ -315,52 +301,40 @@ func (t *deliveryTree) assign(m *member, mech adapt.Mechanism, params fec.Params
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		if t.closed || t.members[m.ap] != m {
-			return adapt.MechanismNone, false, errDeparted
+		if t.closed || t.cs.retired.Load() || t.members[m.ap] != m {
+			return errDeparted
 		}
-		effective = effectiveMech(m.plan, mech)
-		key := cohortKeyFor(m.plan, effective, params)
-		if m.cohort != nil && m.cohort.key == key {
-			return effective, false, nil
-		}
-		c := t.cohorts[key]
-		if c == nil && spare != nil && spare.key == key {
-			c, spare = spare, nil
-			t.cohorts[key] = c
-		}
-		if c != nil {
+		effective := effectiveMech(m.plan, d.mech)
+		key := cohortKeyFor(m.plan, effective, d.params)
+		moved := false
+		if m.cohort == nil || m.cohort.key != key {
+			c := t.cohorts[key]
+			if c == nil && spare != nil && spare.key == key {
+				c, spare = spare, nil
+				t.cohorts[key] = c
+			}
+			if c == nil {
+				plan := m.plan
+				t.mu.Unlock()
+				if spare != nil {
+					spare.drain(true)
+				}
+				var err error
+				spare, err = t.newCohort(key, plan, effective, d.params)
+				t.mu.Lock()
+				if err != nil {
+					return err
+				}
+				continue
+			}
 			t.moveLocked(m, c)
-			return effective, true, nil
+			moved = true
 		}
-		plan := m.plan
-		t.mu.Unlock()
-		if spare != nil {
-			spare.drain(true)
+		if m.loop != nil {
+			m.loop.record(d, moved && retune)
 		}
-		spare, err = t.newCohort(key, plan, effective, params)
-		t.mu.Lock()
-		if err != nil {
-			return effective, false, err
-		}
+		return nil
 	}
-}
-
-// retune is the member adaptation loops' entry point: re-decide the repair
-// mechanism from the receiver's reported loss and RTT and move the member to
-// the matching cohort (the decided level is recorded for stats even when the
-// plan has no marker to engage it). Runs on the session bus's dispatch
-// goroutine.
-func (t *deliveryTree) retune(m *member, loss float64, rttMillis uint32) error {
-	mech, params := t.s.eng.policy.Decide(loss, rttMillis)
-	effective, moved, err := t.assign(m, mech, params)
-	if errors.Is(err, errDeparted) {
-		return nil // departed while the event was queued
-	}
-	if err != nil {
-		return err
-	}
-	m.resp.set(params, mech, loss, effective != adapt.MechanismNone, moved)
-	return nil
 }
 
 // rewriteMemberPlan applies a control-plane plan rewrite to one member's tail
@@ -386,16 +360,15 @@ func (t *deliveryTree) rewriteMemberPlan(ap netip.AddrPort, op func(compose.Plan
 	if err != nil {
 		return "", err
 	}
-	mech, params := adapt.MechanismNone, fec.Params{K: 1, N: 1}
-	if m.resp != nil {
-		mech, params = m.resp.decision()
+	d := decision{mech: adapt.MechanismNone, params: fec.Params{K: 1, N: 1}}
+	if l := m.loop; l != nil {
+		// The receiver's own retunes wait until the move is done.
+		l.applyMu.Lock()
+		defer l.applyMu.Unlock()
+		d = l.decided
 	}
-	effective, _, err := t.assign(m, mech, params)
-	if err != nil {
+	if err := t.assign(m, d, false); err != nil {
 		return "", err
-	}
-	if m.resp != nil {
-		m.resp.setActive(effective != adapt.MechanismNone)
 	}
 	return plan.String(), nil
 }
@@ -484,55 +457,90 @@ func (t *deliveryTree) memberRepair(ap netip.AddrPort) (*metrics.ReceiverCounter
 	return &m.counters, nil
 }
 
-// cohortCount returns the number of cohorts; every one has a member.
-func (t *deliveryTree) cohortCount() int {
+// loopFor reconciles membership — a departed member cannot be reported for,
+// and one that joined silently gets its loop before its first report — and
+// returns the adaptation loop of the member at ap, nil if there is none.
+func (t *deliveryTree) loopFor(ap netip.AddrPort) *receiverLoop {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.cohorts)
+	t.reconcileLocked()
+	if m := t.members[ap]; m != nil {
+		return m.loop
+	}
+	return nil
 }
 
-// close tears the tree down, flushing what the cohorts hold to their members.
-// The trunk must already be closed so no dispatch is in flight.
-func (t *deliveryTree) close() {
+// sweep expires members whose last report is older than window at now.
+func (t *deliveryTree) sweep(now int64, window time.Duration) {
+	t.mu.Lock()
+	var stale []*receiverLoop
+	for _, m := range t.members {
+		if m.loop != nil && m.loop.stale(now, window) {
+			stale = append(stale, m.loop)
+		}
+	}
+	t.mu.Unlock()
+	for _, l := range stale {
+		l.sweep(now, window)
+	}
+}
+
+// close tears the tree down, flushing what the cohorts hold to their members,
+// and returns the members' final adaptation view (nil without the feedback
+// plane): closed is set in the same critical section, so no decision lands
+// after it. The trunk must already be closed so no dispatch is in flight.
+func (t *deliveryTree) close() *metrics.AdaptStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.closed = true
-	for ap, m := range t.members {
-		if m.loop != nil {
-			t.cs.adaptor.removeLoop(m.loop)
-		}
-		delete(t.members, ap)
-	}
+	snap := t.adaptLocked()
+	clear(t.members)
 	for key, c := range t.cohorts {
 		c.drain(true)
 		delete(t.cohorts, key)
 	}
 	t.list = nil
+	return snap
 }
 
-// stats snapshots every member, ordered by receiver address for deterministic
-// control-plane output. Counters are exact per receiver even though delivery
-// is shared: the shard's flush credits each fanned datagram to its member's
+// adaptLocked aggregates the members' loops, nil without the feedback plane.
+// Caller holds t.mu.
+func (t *deliveryTree) adaptLocked() *metrics.AdaptStats {
+	if !t.s.eng.adaptOn {
+		return nil
+	}
+	loops := make([]*receiverLoop, 0, len(t.members))
+	for _, m := range t.members {
+		loops = append(loops, m.loop)
+	}
+	return adaptStats(loops...)
+}
+
+// stats fills the session's tree columns: every member, ordered by receiver
+// address for deterministic control-plane output, the cohort count and the
+// adaptation view. Counters are exact per receiver even though delivery is
+// shared: the shard's flush credits each fanned datagram to its member's
 // counter block.
-func (t *deliveryTree) stats() []metrics.ReceiverStats {
+func (t *deliveryTree) stats(st *metrics.SessionStats) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]metrics.ReceiverStats, 0, len(t.members))
+	st.Receivers = make([]metrics.ReceiverStats, 0, len(t.members))
 	for _, m := range t.members {
-		st := m.counters.Snapshot(m.ap.String())
-		st.Chain = m.plan.String()
+		rs := m.counters.Snapshot(m.ap.String())
+		rs.Chain = m.plan.String()
 		if c := m.cohort; c != nil && c.frames != nil {
 			for _, f := range c.frames.Filters() {
-				st.Stages = append(st.Stages, f.Name())
+				rs.Stages = append(rs.Stages, f.Name())
 			}
 		}
 		if m.loop != nil {
-			m.loop.fill(&st)
+			m.loop.fill(&rs)
 		}
-		out = append(out, st)
+		st.Receivers = append(st.Receivers, rs)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Receiver < out[j].Receiver })
-	return out
+	sort.Slice(st.Receivers, func(i, j int) bool { return st.Receivers[i].Receiver < st.Receivers[j].Receiver })
+	st.Cohorts = len(t.cohorts)
+	st.Adapt = t.adaptLocked()
 }
 
 // deliver takes one stamped trunk datagram. The bypass lane enqueues it as

@@ -12,7 +12,7 @@ import (
 // optionally one of its fan-out receivers) and rewrites its chain while
 // traffic flows. Trunk operations compute the target plan and apply it
 // through the session's compose.Live under its splice lock, serialized with
-// the session's adaptation responder. Receiver operations rewrite the
+// the trunk's adaptation loop. Receiver operations rewrite the
 // member's tail *plan* and reassign its delivery cohort — under cohort
 // delivery a receiver's tail is shared state, so a per-receiver rewrite is a
 // membership move, never surgery on a chain other receivers are using. The

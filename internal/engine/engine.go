@@ -30,7 +30,7 @@
 // registry, every session binds its chain to a compose.Live, and the
 // control plane can atomically recompose any live session's chain — full
 // target-spec rewrites (RecomposeSession) or single-stage surgery — while
-// it carries traffic, serialized with the adaptation responders on the same
+// it carries traffic, serialized with the trunk's adaptation loop on the same
 // splice lock.
 //
 // The data plane is sharded: Config.Shards reader goroutines (default one
@@ -83,12 +83,21 @@
 // super-datagrams; the BypassHits and CoalescedSends counters
 // (metrics.ShardStats) expose both fast paths. See branch.go.
 //
+// Receiver reports (packet.KindFeedback) close the adaptation loop on the
+// read path. The shard reader that reads a report consumes it — it never
+// enters a chain or opens a session, and is honored only from a legitimate
+// receiver — and hands it to that receiver's own loop, which decides
+// (adapt.Policy) and applies the decision right there: a splice at a unicast
+// trunk's fec-adapt marker, or a fan-out member's move between cohorts. The
+// maintenance tick ages out receivers that stopped reporting. An adaptive
+// session owns no goroutine, queue or timer of its own. See adapt.go.
+//
 // Reliability stages close two more loops on the read path. NACK datagrams
 // (packet.KindNack) are consumed like feedback — never entering a chain,
 // never opening a session, honored only from legitimate receivers — and
 // answered out of the session's ARQ retransmission history (an "arq" chain
-// stage, or the history an adaptation responder spliced in), unicast back to
-// the requester. And when a session's trunk carries a "replay=<n>" stage, a
+// stage, or the history an adaptation loop spliced in), unicast back to the
+// requester. And when a session's trunk carries a "replay=<n>" stage, a
 // station joining the fan-out group mid-stream is primed with the retained
 // window — replayed directly to it, as recorded — when it is admitted.
 package engine
@@ -198,13 +207,13 @@ type Config struct {
 	Branch string
 	// Adapt enables the closed-loop adaptation plane, driven by receiver
 	// reports (KindFeedback datagrams sent upstream on the engine socket).
-	// On unicast (echo/forward) sessions an FEC responder splices an
+	// On unicast (echo/forward) sessions the receiver's loop splices an
 	// adaptive encoder into the session's live chain as loss appears,
 	// retunes its (n,k) as loss moves between policy levels, and removes it
 	// again on a clean link. On fan-out sessions adaptation is per receiver:
-	// every member of the group gets its own delivery branch and its own
-	// observer/responder pair, so one station's bad radio link no longer
-	// taxes the whole group with worst-case parity.
+	// every member of the group gets its own loop, which moves it to the
+	// delivery cohort its own loss calls for, so one station's bad radio
+	// link no longer taxes the whole group with worst-case parity.
 	Adapt bool
 	// AdaptPolicy is the loss → (n,k) ladder used when the adaptation plane
 	// is on (Adapt, or a Branch spec naming fec-adapt); the zero value
@@ -257,7 +266,7 @@ type Engine struct {
 	// session's trunk chain and delivery-branch tails start from. When the
 	// adaptation plane manages a chain, its plan carries a fec-adapt marker
 	// stage (injected for adaptive trunks, from the Branch spec or injected
-	// for branches) at the position the responder splices the encoder.
+	// for branches) at the position the repair stage is spliced in.
 	reg       *compose.Registry
 	trunkPlan compose.Plan
 
@@ -369,7 +378,7 @@ func New(cfg Config) (*Engine, error) {
 	// multicast write path — one batched write per receiver.
 	e.branching = e.group != nil && (cfg.Adapt || cfg.Branch != "")
 	// Chains owned by the adaptation plane carry a fec-adapt marker in their
-	// plan: the position the responder's encoder activates at, visible in
+	// plan: the position the repair stage activates at, visible in
 	// (and preserved by) control-plane recomposition. Specs without an
 	// explicit marker get one injected right after the chain source, the
 	// historical default splice position.
@@ -596,10 +605,10 @@ func (e *Engine) shardFor(id uint32) *shard {
 // openSession creates, registers and starts a session for id. The first
 // datagram's source becomes the session's initial peer. The slow path runs
 // lock-free: admission is one atomic against the global cap, the session —
-// chain build, raplet bus and all — is constructed with no lock held, and
-// only the final registration takes the owning table shard's lock. When two
-// readers race to open the same ID, the loser tears its construction down
-// and adopts the winner.
+// chain build and adaptation loop included — is constructed with no lock
+// held, and only the final registration takes the owning table shard's lock.
+// When two readers race to open the same ID, the loser tears its construction
+// down and adopts the winner.
 func (e *Engine) openSession(id uint32, peer netip.AddrPort) (*Session, error) {
 	if e.closed.Load() {
 		return nil, ErrEngineClosed

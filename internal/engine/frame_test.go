@@ -14,14 +14,24 @@ import (
 )
 
 // TestFrameSessionFootprint pins what a live session costs: a plain struct.
-// Opening sessions adds no goroutines at all — not even for a timed plan,
-// whose held frames are released by a runtime timer armed only while it
-// holds some — and the bytes each one holds are reported for the record.
+// Opening sessions adds no goroutines at all — not for a timed plan, whose
+// held frames are released by a runtime timer armed only while it holds
+// some, and not for an adaptive one, unicast or fan-out, whose receivers'
+// loops run on the goroutine that reads their reports — and the bytes each
+// one holds are reported for the record.
 func TestFrameSessionFootprint(t *testing.T) {
 	const sessions = 256
 	peer := netip.MustParseAddrPort("10.9.0.1:4000")
-	for _, chain := range []string{"counting,checksum,null,null", "counting,delay=1ms"} {
-		e := newTestEngine(t, Config{Chain: chain})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"counting,checksum,null,null", Config{Chain: "counting,checksum,null,null"}},
+		{"counting,delay=1ms", Config{Chain: "counting,delay=1ms"}},
+		{"adaptive unicast", Config{Adapt: true}},
+		{"adaptive fan-out to two receivers", Config{Adapt: true, Fanout: []string{"127.0.0.1:9", "127.0.0.1:10"}}},
+	} {
+		e := newTestEngine(t, tc.cfg)
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -39,11 +49,11 @@ func TestFrameSessionFootprint(t *testing.T) {
 			b = (after.HeapAlloc - before.HeapAlloc) / sessions
 		}
 		if got := e.SessionCount(); got != sessions {
-			t.Fatalf("%q: %d sessions registered, want %d", chain, got, sessions)
+			t.Fatalf("%s: %d sessions registered, want %d", tc.name, got, sessions)
 		}
-		t.Logf("%q: %d goroutines and ~%d heap bytes per live session", chain, g/sessions, b)
+		t.Logf("%s: %d goroutines and ~%d heap bytes per live session", tc.name, g/sessions, b)
 		if g != 0 {
-			t.Fatalf("%d %q sessions added %d goroutines, want 0", sessions, chain, g)
+			t.Fatalf("%d %s sessions added %d goroutines, want 0", sessions, tc.name, g)
 		}
 	}
 }

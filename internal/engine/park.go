@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"rapidware/internal/metrics"
 )
 
 // Idle-session parking: the mechanism that lets the engine hold a million
 // mostly-idle sessions. A live session holds its trunk's stage instances and
 // whatever they retain (FEC groups, retransmission and replay windows) and,
-// with adaptation, a bus goroutine. After Config.IdleTTL with no traffic the
+// on fan-out, its delivery cohorts. After Config.IdleTTL with no traffic the
 // engine's maintenance tick *parks* the session: its trunk is flushed and
 // dropped, and all that remains is the Session struct — identity, counters,
 // peer — plus the canonical compose.Plan and an adaptation snapshot. The
@@ -39,11 +41,8 @@ func (s *Session) park() bool {
 	if cs == nil {
 		return false
 	}
-	var snap = s.parkedAdapt
-	if cs.adaptor != nil {
-		snap = cs.adaptor.stats()
-	}
-	if err := s.retireLocked(cs); err != nil {
+	snap, err := s.retireLocked(cs)
+	if err != nil {
 		s.eng.logf("session %d: park: %v", s.id, err)
 	}
 	s.parkedPlan = cs.live.Plan()
@@ -56,21 +55,26 @@ func (s *Session) park() bool {
 }
 
 // retireLocked stops one incarnation without losing what it holds — the
-// teardown park and close share. The adaptation plane goes first, so no
-// responder splice races the teardown; then the trunk flushes every stage
-// through send and closes, under its own lock, and the delivery cohorts flush
-// and close after it. The retired flag tells the failure path this teardown
-// is deliberate. Caller holds parkMu.
-func (s *Session) retireLocked(cs *chainState) error {
+// teardown park and close share — and returns its final adaptation snapshot
+// (nil without the feedback plane). The retired flag goes first: it tells the
+// failure path this teardown is deliberate, and no adaptation decision is
+// applied after it. A trunk loop's decision in flight is waited out before
+// the snapshot; then the trunk flushes every stage through send and closes,
+// under its own lock, and the delivery tree flushes, closes and snapshots its
+// members after it. Caller holds parkMu.
+func (s *Session) retireLocked(cs *chainState) (*metrics.AdaptStats, error) {
 	cs.retired.Store(true)
-	if cs.adaptor != nil {
-		cs.adaptor.stop()
+	var snap *metrics.AdaptStats
+	if l := cs.trunk; l != nil {
+		l.applyMu.Lock()
+		snap = adaptStats(l)
+		l.applyMu.Unlock()
 	}
 	err := cs.frames.Close()
 	if cs.tree != nil {
-		cs.tree.close()
+		snap = cs.tree.close()
 	}
-	return err
+	return snap, err
 }
 
 // unpark rebuilds a parked session's chain from its retained plan. It is the
@@ -177,13 +181,14 @@ func (e *Engine) maintenanceLoop(interval time.Duration) {
 }
 
 // maintain runs one maintenance tick at the given time: every live session's
-// observers are swept for stale receivers (when aging is on), and every live
-// session whose activity sum hasn't moved since the previous tick for at
-// least IdleTTL is parked. Taking `now` as a parameter keeps the tick
-// deterministic under test. Parked sessions are skipped — they cost nothing
-// and have nothing to sweep.
+// receivers whose last report is older than ReportStaleness are expired (when
+// aging is on), and every live session whose activity sum hasn't moved since
+// the previous tick for at least IdleTTL is parked. Taking `now` as a
+// parameter keeps the tick deterministic under test. Parked sessions are
+// skipped — they cost nothing and have nothing to sweep.
 func (e *Engine) maintain(now time.Time) {
-	sweep := e.adaptOn && e.cfg.ReportStaleness > 0
+	window := e.cfg.ReportStaleness
+	sweep := e.adaptOn && window > 0
 	harvest := e.cfg.IdleTTL > 0
 	if !sweep && !harvest {
 		return
@@ -194,11 +199,11 @@ func (e *Engine) maintain(now time.Time) {
 		if cs == nil {
 			continue
 		}
-		if sweep && cs.adaptor != nil {
-			// Stamp lastSweep so the report path's opportunistic sweep backs
-			// off past this one.
-			cs.adaptor.lastSweep.Store(nanos)
-			cs.adaptor.sweepAll()
+		if sweep && cs.trunk != nil {
+			cs.trunk.sweep(nanos, window)
+		}
+		if sweep && cs.tree != nil {
+			cs.tree.sweep(nanos, window)
 		}
 		if harvest {
 			if sum := s.activitySum(); sum != s.idleSeen.Load() {

@@ -218,9 +218,11 @@ func TestEngineRecomposeUnderLoad(t *testing.T) {
 }
 
 // TestEngineRecomposeVsResponderRetune interleaves control-plane branch
-// recompositions with the branch responder's own feedback-driven retunes on
-// a fan-out delivery branch: the two writers share the branch's splice lock,
-// so neither may corrupt the chain or deadlock.
+// recompositions with the member loop's own feedback-driven retunes on a
+// fan-out receiver, while SessionStats polls throughout: both writers move
+// the member under the tree's lock, serialized per receiver by the loop, and
+// the stats read the loop's state under that same lock, so nothing may
+// corrupt the membership or deadlock.
 func TestEngineRecomposeVsResponderRetune(t *testing.T) {
 	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -246,8 +248,8 @@ func TestEngineRecomposeVsResponderRetune(t *testing.T) {
 		wg   sync.WaitGroup
 		stop = make(chan struct{})
 	)
-	// Feedback storm: alternating lossy and clean reports drive the branch
-	// responder through insert/retune/remove cycles on the bus goroutine.
+	// Feedback storm: alternating lossy and clean reports drive the member's
+	// loop through cohort moves on the shard reader.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -278,12 +280,12 @@ func TestEngineRecomposeVsResponderRetune(t *testing.T) {
 		}
 	}()
 	// Branch recomposer: rewrites the tail, sometimes removing the marker
-	// (sending the responder dormant) and restoring it again.
+	// (sending the loop dormant) and restoring it again.
 	branchSpecs := []string{
 		"fec-adapt,thin=1",
 		"thin=1,fec-adapt",
 		"fec-adapt",
-		"thin=1", // marker gone: responder must go dormant, not fail
+		"thin=1", // marker gone: the loop must go dormant, not fail
 		"fec-adapt,null",
 	}
 	wg.Add(1)
@@ -302,7 +304,21 @@ func TestEngineRecomposeVsResponderRetune(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	// Trunk traffic keeps the tee and branch queue busy throughout.
+	// Stats poller: holds the tree's lock while it reads the member's loop.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e.SessionStats()
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	// Trunk traffic keeps the trunk and the cohort tails busy throughout.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -17,11 +17,12 @@ import (
 // Session is one proxied stream inside an Engine. Its identity, counters and
 // peer pinning live directly on the struct and survive for the session's
 // whole registered lifetime; everything bound to the trunk's current plan —
-// the stage instances and their executor, the adaptation bus and the delivery
-// tree — lives behind one atomic pointer to a chainState, so an idle session
-// can be parked down to this struct plus a retained plan and later rebuilt
-// transparently (see park.go). Sessions are created on demand by the engine's
-// read loop when a datagram with an unknown session ID arrives.
+// the stage instances and their executor, the adaptation loops and the
+// delivery tree — lives behind one atomic pointer to a chainState, so an
+// idle session can be parked down to this struct plus a retained plan and
+// later rebuilt transparently (see park.go). Sessions are created on demand
+// by the engine's read loop when a datagram with an unknown session ID
+// arrives.
 type Session struct {
 	id  uint32
 	eng *Engine
@@ -79,7 +80,7 @@ type Session struct {
 // chainState is one incarnation of a session's running machinery: the trunk
 // plan's stage instances on a filter.FrameChain, which runs to completion on
 // whichever goroutine delivers the datagram — no goroutine, queue or byte
-// pipe of its own — and, when configured, the adaptation plane and the
+// pipe of its own — and, when configured, the adaptation loops and the
 // per-receiver delivery tree. A frame chain cannot reopen once closed, so
 // park discards the whole incarnation and unpark builds a fresh one from the
 // retained plan.
@@ -87,22 +88,28 @@ type chainState struct {
 	frames *filter.FrameChain
 
 	// live binds the trunk's executor to its composition plan; all structural
-	// mutation — control-plane recompose, responder splices — goes through
-	// it, serialized by its splice lock.
+	// mutation — control-plane recompose, the trunk loop's splices — goes
+	// through it, serialized by its splice lock.
 	live *compose.Live
 
-	// adaptor is the session's closed adaptation plane; nil when the engine
-	// runs without the feedback loop.
-	adaptor *sessionAdaptor
+	// trunk is the adaptation loop of a unicast session's one receiver; nil
+	// without the feedback plane and on fan-out sessions, whose members carry
+	// their own loops in the tree.
+	trunk *receiverLoop
 
 	// tree is the session's per-receiver delivery tree: the trunk's output
 	// is dispatched to the delivery cohorts serving the fan-out members. nil
 	// on unicast sessions and on plain (branch-less) fan-out.
 	tree *deliveryTree
 
+	// retunes counts every retune this incarnation's loops applied, departed
+	// members' included.
+	retunes atomic.Uint64
+
 	// retired is set (under the session's parkMu) before a deliberate teardown
 	// — park or close — so the failure path can tell it from a chain dying on
-	// its own and skip the eviction.
+	// its own and skip the eviction, and no adaptation decision is applied
+	// after it (adapt.go).
 	retired atomic.Bool
 }
 
@@ -141,13 +148,11 @@ func (e *Engine) buildChainState(s *Session, plan compose.Plan) (*chainState, er
 		return nil, fmt.Errorf("engine: session %d chain: %w", s.id, err)
 	}
 	cs.live = live
-	if e.adaptOn {
-		a, err := newSessionAdaptor(s, cs, e.policy)
-		if err != nil {
+	if e.adaptOn && !e.branching {
+		if cs.trunk, err = newTrunkLoop(s, cs); err != nil {
 			_ = cs.frames.Close() // nothing has run through it yet
-			return nil, fmt.Errorf("engine: session %d adaptor: %w", s.id, err)
+			return nil, fmt.Errorf("engine: session %d adaptation: %w", s.id, err)
 		}
-		cs.adaptor = a
 	}
 	if e.branching {
 		// Build the delivery tree (and a cohort for every current fan-out
@@ -216,13 +221,14 @@ func (s *Session) addRepairHook(fn func() uint64) {
 func (s *Session) Counters() *metrics.SessionCounters { return &s.counters }
 
 // AdaptRetunes returns how many retune decisions the session's adaptation
-// plane has applied across all of its loops (encoder splices on unicast
-// trunks, cohort moves on fan-out members). Zero when the plane is off or the
-// session is parked. Cheap enough for benchmarks and tests to poll, unlike a
-// full Stats snapshot.
+// loops have applied since its chain was last built (encoder splices on
+// unicast trunks, cohort moves on fan-out members, departed members'
+// included). Zero when the plane is off or the session is parked. One atomic
+// load, cheap enough for benchmarks and tests to poll, unlike a full Stats
+// snapshot.
 func (s *Session) AdaptRetunes() uint64 {
-	if cs := s.cs.Load(); cs != nil && cs.adaptor != nil {
-		return cs.adaptor.retunes()
+	if cs := s.cs.Load(); cs != nil {
+		return cs.retunes.Load()
 	}
 	return 0
 }
@@ -251,12 +257,11 @@ func (s *Session) Stats() metrics.SessionStats {
 	if cs := s.cs.Load(); cs != nil {
 		st.Chain = cs.live.String()
 		st.Stages = cs.live.StageStats()
-		if cs.adaptor != nil {
-			st.Adapt = cs.adaptor.stats()
+		if cs.trunk != nil {
+			st.Adapt = adaptStats(cs.trunk)
 		}
 		if cs.tree != nil {
-			st.Receivers = cs.tree.stats()
-			st.Cohorts = cs.tree.cohortCount()
+			cs.tree.stats(&st)
 		}
 	} else {
 		st.Parked = true
@@ -277,19 +282,19 @@ func (s *Session) Stats() metrics.SessionStats {
 
 // handleFeedback consumes one validated receiver-report frame. The report's
 // source address identifies the receiver, so on a fan-out session each
-// downstream station steers only its own delivery branch. Reports from
-// addresses that are not legitimate receivers of this session are dropped —
-// the feedback plane honors the same off-path protections as the data path.
+// downstream station steers only its own delivery. Reports from addresses
+// that are not legitimate receivers of this session are dropped — the
+// feedback plane honors the same off-path protections as the data path.
 // Reports for a parked session are dropped too: feedback describes a stream
 // that is not flowing, and a chatty reporter must not keep an idle session's
-// chain alive (nor rebuild it). Called from the engine's read loop; the heavy
-// lifting happens on the bus goroutine.
+// chain alive (nor rebuild it). Called from the engine's read loop, which
+// also decides and applies the report (adapt.go).
 func (s *Session) handleFeedback(from netip.AddrPort, frame []byte) {
 	cs := s.cs.Load()
-	if cs == nil || cs.adaptor == nil {
+	if cs == nil || !s.eng.adaptOn {
 		return
 	}
-	// Canonicalize once: authorization and the receiver key both compare
+	// Canonicalize once: authorization and the member lookup both compare
 	// unmapped forms (a dual-stack socket may report the same station as
 	// 1.2.3.4 or ::ffff:1.2.3.4 depending on how it sent).
 	from = multicast.UnmapAddrPort(from)
@@ -300,14 +305,15 @@ func (s *Session) handleFeedback(from netip.AddrPort, frame []byte) {
 	if err != nil {
 		return
 	}
+	// A unicast trunk's one receiver is already pinned by authorization, so
+	// a session that roamed reports into the same loop.
+	l := cs.trunk
 	if cs.tree != nil {
-		// Membership may have changed since the last packet: a departed
-		// member's branch (and loop) is torn down before routing, so its last
-		// report cannot pin anything, and a member that joined silently gets
-		// its branch before its first report would be dropped on the floor.
-		cs.tree.reconcile()
+		l = cs.tree.loopFor(from)
 	}
-	cs.adaptor.report(from, rep)
+	if l != nil {
+		l.report(rep, time.Now().UnixNano())
+	}
 }
 
 // retransmitter is what a NACK is answered from: any stage instance holding a
@@ -338,8 +344,8 @@ func historyFor(live *compose.Live) retransmitter {
 // number out of the session's ARQ retransmission history with a unicast
 // retransmission to the requester. NACKs honor the same off-path check as
 // receiver reports; on a fan-out session the requester's own delivery branch
-// is consulted first, so a branch whose responder escalated to ARQ serves its
-// receiver from its own history. Requests for sequence numbers the bounded
+// is consulted first, so a member whose loop escalated to ARQ is served from
+// its cohort's own history. Requests for sequence numbers the bounded
 // history no longer holds are silently unanswerable — the receiver's give-up
 // accounting owns that loss, and a parked session's history went with its
 // chain. Called from the engine's read loop.
@@ -509,16 +515,16 @@ func (s *Session) send(cs *chainState, b *packet.Buf) {
 }
 
 // close terminates the session: the incarnation is retired as park would —
-// adaptation plane first, then the trunk flushes what its stages hold and
-// closes, then the delivery cohorts — and a parked session just releases its
-// slot in the parked gauge.
+// adaptation first, then the trunk flushes what its stages hold and closes,
+// then the delivery cohorts — and a parked session just releases its slot in
+// the parked gauge.
 func (s *Session) close() error {
 	s.closeOnce.Do(func() {
 		s.parkMu.Lock()
 		defer s.parkMu.Unlock()
 		close(s.done)
 		if cs := s.cs.Load(); cs != nil {
-			s.closeErr = s.retireLocked(cs)
+			_, s.closeErr = s.retireLocked(cs)
 		}
 		if s.parked.CompareAndSwap(true, false) {
 			s.shard.counters.parkedNow.Add(-1)

@@ -16,8 +16,8 @@ func ParseChain(spec string) (compose.Plan, error) {
 
 // ParseBranch validates a delivery-branch tail spec — the same syntax plus
 // the branch-only fec-adapt marker stage, which reserves the position where
-// the branch's adaptation responder splices its FEC encoder — and returns
-// its plan. The marker position, when present, is plan.Index(compose.KindFECAdapt).
+// the cohort serving a receiver carries its repair stage — and returns its
+// plan. The marker position, when present, is plan.Index(compose.KindFECAdapt).
 func ParseBranch(spec string) (compose.Plan, error) {
 	return compose.Parse(spec, compose.ModeBranch)
 }

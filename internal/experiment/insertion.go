@@ -211,17 +211,13 @@ func RunAdaptiveWalk(cfg AdaptiveWalkConfig) (*AdaptiveWalkResult, error) {
 	}
 	defer chain.Stop()
 
-	bus := raplet.NewBus(256)
+	bus := raplet.NewBus()
 	encoder := fmt.Sprintf("fec-encode=%d/%d", cfg.FEC.N, cfg.FEC.K)
 	responder, err := raplet.NewThresholdResponder("demand-fec", live, encoder, 0, cfg.Threshold, true)
 	if err != nil {
 		return nil, err
 	}
 	bus.Subscribe(raplet.EventLossRate, responder)
-	if err := bus.Start(); err != nil {
-		return nil, err
-	}
-	defer bus.Stop()
 	observer := raplet.NewLossRateObserver("link-observer", bus, cfg.Window, cfg.Threshold, cfg.Threshold/2)
 
 	result := &AdaptiveWalkResult{Config: cfg}
@@ -236,9 +232,6 @@ func RunAdaptiveWalk(cfg AdaptiveWalkConfig) (*AdaptiveWalkResult, error) {
 			}
 			observer.ObservePacket(!dropped)
 		}
-		// Give the bus time to dispatch the threshold-crossing events before
-		// sampling the responder state for this leg.
-		waitForDispatch(bus)
 		result.Points = append(result.Points, AdaptiveWalkPoint{
 			Leg:       leg,
 			LossRate:  float64(lost) / float64(leg.Packets),
@@ -262,13 +255,6 @@ func (r *AdaptiveWalkResult) Format() string {
 	}
 	fmt.Fprintf(&b, "FEC filter insertions=%d removals=%d\n", r.Insertions, r.Removals)
 	return b.String()
-}
-
-// waitForDispatch gives the bus a short, bounded window to drain its queue
-// before the caller samples responder state.
-func waitForDispatch(bus *raplet.Bus) {
-	_ = bus
-	time.Sleep(25 * time.Millisecond)
 }
 
 // --- helpers -----------------------------------------------------------------

@@ -4,10 +4,14 @@
 // FEC: a loss-rate observer watches the quality of a wireless link and a
 // responder inserts or removes an FEC encoder filter in the proxy's chain as
 // the loss rate crosses configured thresholds.
+//
+// The package is the paper's demonstrator, driven by experiment E2b
+// (experiment.RunAdaptiveWalk). The multi-session engine does not use it: it
+// runs one adaptation loop of its own per receiver (internal/engine/adapt.go),
+// which decides and applies each receiver report where it is read.
 package raplet
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -38,17 +42,14 @@ type Event struct {
 	Source string
 	// Value is the numeric payload (loss rate, bandwidth, ...).
 	Value float64
-	// RTTMillis carries the reporting link's round-trip estimate in
-	// milliseconds alongside loss-rate events, 0 when unknown. Responders
-	// that choose among repair mechanisms (FEC vs ARQ) consult it.
-	RTTMillis uint32
 	// Time is when the observation was made.
 	Time time.Time
 }
 
 // Responder reacts to events by reconfiguring the system, the paper's
-// "responder raplet". Handle is called synchronously by the Bus dispatch
-// goroutine, so implementations should not block for long periods.
+// "responder raplet". Handle is called synchronously by Publish, so
+// implementations should not block for long periods, and must not publish on
+// the bus that called them.
 type Responder interface {
 	// Name identifies the responder.
 	Name() string
@@ -56,138 +57,50 @@ type Responder interface {
 	Handle(Event) error
 }
 
-// ResponderFunc adapts a function to the Responder interface.
-type ResponderFunc struct {
-	RName string
-	Fn    func(Event) error
-}
-
-// Name implements Responder.
-func (r ResponderFunc) Name() string { return r.RName }
-
-// Handle implements Responder.
-func (r ResponderFunc) Handle(e Event) error { return r.Fn(e) }
-
 // Bus routes events from observers to the responders subscribed to their
-// type. Dispatch happens on a single background goroutine (started by Start)
-// so responders never race with one another, mirroring the single
-// ControlThread managing a proxy.
+// type. Publish delivers each event before it returns, under one dispatch
+// lock, so responders never race with one another — the single ControlThread
+// managing a proxy.
 type Bus struct {
-	mu          sync.Mutex
+	dispatch sync.Mutex // held while a published event is delivered
+
+	mu          sync.Mutex // guards the fields below
 	subscribers map[EventType][]Responder
-	queue       chan Event
-	done        chan struct{}
-	started     bool
-	stopped     bool
-	dropped     uint64
 	errs        []error
 }
 
-// NewBus returns a bus with the given queue depth (<=0 selects a default).
-func NewBus(depth int) *Bus {
-	if depth <= 0 {
-		depth = 128
-	}
-	return &Bus{
-		subscribers: make(map[EventType][]Responder),
-		queue:       make(chan Event, depth),
-		done:        make(chan struct{}),
-	}
+// NewBus returns an empty bus.
+func NewBus() *Bus {
+	return &Bus{subscribers: make(map[EventType][]Responder)}
 }
 
-// Subscribe registers a responder for an event type. Subscriptions may be
-// added before or after Start.
+// Subscribe registers a responder for an event type. It takes effect from the
+// next Publish.
 func (b *Bus) Subscribe(t EventType, r Responder) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.subscribers[t] = append(b.subscribers[t], r)
 }
 
-// Unsubscribe removes the first responder with the given name from an event
-// type's subscription list and reports whether one was found. Matching is by
-// name (not identity) so function-valued responders, which are not
-// comparable, can be unsubscribed too.
-func (b *Bus) Unsubscribe(t EventType, name string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	subs := b.subscribers[t]
-	for i, r := range subs {
-		if r.Name() == name {
-			b.subscribers[t] = append(append([]Responder(nil), subs[:i]...), subs[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Publish enqueues an event for dispatch. Events published when the queue is
-// full are counted as dropped rather than blocking the observer. The
-// stopped-check and the (non-blocking) send happen under one critical
-// section, and Stop closes the queue under the same lock, so Publish racing
-// Stop from another goroutine can never send on a closed channel.
+// Publish delivers an event to the responders subscribed to its type, in
+// subscription order, and returns when they have handled it. Responder errors
+// are collected for Errors.
 func (b *Bus) Publish(e Event) {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
+	b.dispatch.Lock()
+	defer b.dispatch.Unlock()
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.stopped {
-		return
-	}
-	select {
-	case b.queue <- e:
-	default:
-		b.dropped++
-	}
-}
-
-// Start launches the dispatch goroutine.
-func (b *Bus) Start() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.started {
-		return errors.New("raplet: bus already started")
-	}
-	b.started = true
-	go b.dispatch()
-	return nil
-}
-
-func (b *Bus) dispatch() {
-	defer close(b.done)
-	for e := range b.queue {
-		b.mu.Lock()
-		subs := append([]Responder(nil), b.subscribers[e.Type]...)
-		b.mu.Unlock()
-		for _, r := range subs {
-			if err := r.Handle(e); err != nil {
-				b.mu.Lock()
-				b.errs = append(b.errs, fmt.Errorf("raplet: responder %q: %w", r.Name(), err))
-				b.mu.Unlock()
-			}
+	subs := b.subscribers[e.Type] // Subscribe only appends, so this stays valid
+	b.mu.Unlock()
+	for _, r := range subs {
+		if err := r.Handle(e); err != nil {
+			b.mu.Lock()
+			b.errs = append(b.errs, fmt.Errorf("raplet: responder %q: %w", r.Name(), err))
+			b.mu.Unlock()
 		}
 	}
-}
-
-// Stop stops dispatch after draining queued events. It is idempotent and
-// safe against concurrent Publish calls (see Publish).
-func (b *Bus) Stop() {
-	b.mu.Lock()
-	if !b.started || b.stopped {
-		b.mu.Unlock()
-		return
-	}
-	b.stopped = true
-	close(b.queue)
-	b.mu.Unlock()
-	<-b.done
-}
-
-// Dropped returns the number of events discarded because the queue was full.
-func (b *Bus) Dropped() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
 }
 
 // Errors returns the responder errors collected so far.

@@ -2,9 +2,9 @@ package raplet
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"rapidware/internal/compose"
 	"rapidware/internal/filter"
@@ -32,31 +32,14 @@ func (r *recorder) count() int {
 	return len(r.events)
 }
 
-func (r *recorder) waitFor(t *testing.T, n int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if r.count() >= n {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("recorder saw %d events, want %d", r.count(), n)
-}
-
 func TestBusDispatchesToSubscribers(t *testing.T) {
-	bus := NewBus(16)
+	bus := NewBus()
 	rec := &recorder{}
 	bus.Subscribe(EventLossRate, rec)
-	if err := bus.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer bus.Stop()
 	bus.Publish(Event{Type: EventLossRate, Value: 0.1})
 	bus.Publish(Event{Type: EventBandwidth, Value: 1e6}) // no subscriber
-	rec.waitFor(t, 1)
 	if rec.count() != 1 {
-		t.Fatalf("events = %d, want 1", rec.count())
+		t.Fatalf("events = %d, want 1 delivered before Publish returned", rec.count())
 	}
 	if got := bus.SubscriberTypes(); len(got) != 1 || got[0] != EventLossRate {
 		t.Fatalf("SubscriberTypes = %v", got)
@@ -64,74 +47,88 @@ func TestBusDispatchesToSubscribers(t *testing.T) {
 }
 
 func TestBusSetsTimestamp(t *testing.T) {
-	bus := NewBus(4)
+	bus := NewBus()
 	rec := &recorder{}
 	bus.Subscribe(EventPreference, rec)
-	bus.Start()
-	defer bus.Stop()
 	bus.Publish(Event{Type: EventPreference})
-	rec.waitFor(t, 1)
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if rec.events[0].Time.IsZero() {
-		t.Fatal("event delivered without a timestamp")
+	if len(rec.events) != 1 || rec.events[0].Time.IsZero() {
+		t.Fatalf("events %+v, want one with a timestamp", rec.events)
 	}
-}
-
-func TestBusDoubleStartAndStop(t *testing.T) {
-	bus := NewBus(4)
-	if err := bus.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := bus.Start(); err == nil {
-		t.Fatal("expected error on second Start")
-	}
-	bus.Stop()
-	bus.Stop()                              // idempotent
-	bus.Publish(Event{Type: EventLossRate}) // must not panic after stop
 }
 
 func TestBusCollectsResponderErrors(t *testing.T) {
-	bus := NewBus(4)
+	bus := NewBus()
 	rec := &recorder{err: errors.New("responder failure")}
 	bus.Subscribe(EventLossRate, rec)
-	bus.Start()
 	bus.Publish(Event{Type: EventLossRate, Value: 0.5})
-	rec.waitFor(t, 1)
-	bus.Stop()
 	if len(bus.Errors()) != 1 {
 		t.Fatalf("Errors = %v", bus.Errors())
 	}
 }
 
-func TestBusDropsWhenQueueFull(t *testing.T) {
-	bus := NewBus(1)
-	// Not started: the queue fills and further publishes are dropped.
-	bus.Publish(Event{Type: EventLossRate})
-	bus.Publish(Event{Type: EventLossRate})
-	bus.Publish(Event{Type: EventLossRate})
-	if bus.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", bus.Dropped())
+// TestBusConcurrentPublishSubscribe exercises the bus under simultaneous
+// publishers, subscribers and readers; it exists to be run with -race.
+// Deliveries must never overlap.
+func TestBusConcurrentPublishSubscribe(t *testing.T) {
+	bus := NewBus()
+	const goroutines = 4
+	const iterations = 200
+	var inside, overlaps sync.Mutex
+	overlapped := false
+	handler := func(Event) error {
+		if !inside.TryLock() {
+			overlaps.Lock()
+			overlapped = true
+			overlaps.Unlock()
+			return nil
+		}
+		inside.Unlock()
+		return nil
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(3)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iterations; i++ {
+				bus.Publish(Event{Type: EventLossRate, Source: fmt.Sprintf("pub-%d", g), Value: float64(i) / iterations})
+			}
+		}(g)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iterations; i++ {
+				bus.Subscribe(EventLossRate, funcResponder(handler))
+			}
+		}(g)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iterations; i++ {
+				bus.Errors()
+				bus.SubscriberTypes()
+			}
+		}()
+	}
+	wg.Wait()
+	if overlapped {
+		t.Fatal("two deliveries ran at once")
+	}
+	if errs := bus.Errors(); len(errs) != 0 {
+		t.Fatalf("responder errors: %v", errs)
 	}
 }
 
-func TestResponderFunc(t *testing.T) {
-	called := false
-	rf := ResponderFunc{RName: "fn", Fn: func(Event) error { called = true; return nil }}
-	if rf.Name() != "fn" {
-		t.Fatalf("Name = %q", rf.Name())
-	}
-	if err := rf.Handle(Event{}); err != nil || !called {
-		t.Fatal("Handle did not invoke the function")
-	}
-}
+// funcResponder adapts a function to Responder for tests.
+type funcResponder func(Event) error
+
+func (f funcResponder) Name() string         { return "func" }
+func (f funcResponder) Handle(e Event) error { return f(e) }
 
 func TestLossRateObserverThresholdCrossing(t *testing.T) {
-	bus := NewBus(32)
+	bus := NewBus()
 	rec := &recorder{}
 	bus.Subscribe(EventLossRate, rec)
-	bus.Start()
-	defer bus.Stop()
 
 	obs := NewLossRateObserver("", bus, 20, 0.10, 0.05)
 	if obs.Name() == "" {
@@ -163,10 +160,9 @@ func TestLossRateObserverThresholdCrossing(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		obs.ObservePacket(true)
 	}
-	if obs.Events() != 2 {
-		t.Fatalf("events = %d after recovery, want 2", obs.Events())
+	if obs.Events() != 2 || rec.count() != 2 {
+		t.Fatalf("events = %d (%d delivered) after recovery, want 2", obs.Events(), rec.count())
 	}
-	rec.waitFor(t, 2)
 }
 
 func TestLossRateObserverNeedsMinimumSignal(t *testing.T) {
@@ -292,14 +288,12 @@ func TestSpecResponderValidation(t *testing.T) {
 // and a simulated walk away from the access point that degrades the link.
 func TestEndToEndAdaptiveFEC(t *testing.T) {
 	live := newAdaptiveLive(t, "")
-	bus := NewBus(64)
+	bus := NewBus()
 	responder, err := NewThresholdResponder("adaptive-fec", live, "fec-encode=6/4", 0, 0.05, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bus.Subscribe(EventLossRate, responder)
-	bus.Start()
-	defer bus.Stop()
 	observer := NewLossRateObserver("link-monitor", bus, 50, 0.05, 0.02)
 
 	// Near the access point: essentially no loss.
@@ -309,10 +303,6 @@ func TestEndToEndAdaptiveFEC(t *testing.T) {
 	// Walk down the hall: loss climbs to ~20%.
 	for i := 0; i < 200; i++ {
 		observer.ObservePacket(i%5 != 0)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && !responder.Active() {
-		time.Sleep(time.Millisecond)
 	}
 	if !responder.Active() {
 		t.Fatal("FEC filter was not inserted when the link degraded")
@@ -324,10 +314,6 @@ func TestEndToEndAdaptiveFEC(t *testing.T) {
 	// Walk back: loss disappears, the filter is removed.
 	for i := 0; i < 400; i++ {
 		observer.ObservePacket(true)
-	}
-	deadline = time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && responder.Active() {
-		time.Sleep(time.Millisecond)
 	}
 	if responder.Active() {
 		t.Fatal("FEC filter was not removed when the link recovered")
