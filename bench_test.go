@@ -214,10 +214,8 @@ func BenchmarkEngineChainDepth(b *testing.B) {
 	}
 }
 
-// startEchoEngine starts an engine from cfg with GSO where the kernel has it
-// and returns its address.
+// startEchoEngine starts an engine from cfg and returns its address.
 func startEchoEngine(tb testing.TB, cfg engine.Config) netip.AddrPort {
-	cfg.GSO = netbatch.GSOAvailable
 	return startEngine(tb, cfg).LocalAddr().(*net.UDPAddr).AddrPort()
 }
 
@@ -397,7 +395,7 @@ func fanoutDelivery(tb testing.TB, tc fanoutCase) func() {
 		rxs[i] = listenLoopback(tb)
 		fanout[i] = rxs[i].LocalAddr().String()
 	}
-	eng := startEngine(tb, engine.Config{Adapt: true, Fanout: fanout, GSO: netbatch.GSOAvailable})
+	eng := startEngine(tb, engine.Config{Adapt: true, Fanout: fanout})
 	engAddr := eng.LocalAddr().(*net.UDPAddr)
 	cw := netbatch.New(listenLoopback(tb), netbatch.Options{})
 

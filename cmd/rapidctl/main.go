@@ -241,10 +241,11 @@ func printStats(out *os.File, eng *metrics.EngineStats, shards []metrics.ShardSt
 	fmt.Fprintf(out, "writes %d in %d flushes (%.1f/flush)  write-drops %d\n",
 		eng.BatchedWrites, eng.WriteFlushes, perFlush, eng.WriteDrops)
 	fmt.Fprintf(out, "bypass-hits %d  coalesced-sends %d\n", eng.BypassHits, eng.CoalescedSends)
-	fmt.Fprintf(out, "syscalls %d (recv %d, send %d)  per-packet %s  batch-fill %s\n",
+	fmt.Fprintf(out, "syscalls %d (recv %d, send %d)  per-packet %s  batch-fill %s  gso %d\n",
 		eng.RecvCalls+eng.SendCalls, eng.RecvCalls, eng.SendCalls,
 		perPacket(eng.Datagrams+eng.BatchedWrites, eng.RecvCalls+eng.SendCalls),
-		fillRatio(eng.Datagrams+eng.BatchedWrites, eng.RecvCalls+eng.SendCalls))
+		fillRatio(eng.Datagrams+eng.BatchedWrites, eng.RecvCalls+eng.SendCalls),
+		eng.GSODatagrams)
 	fmt.Fprintf(out, "%-5s %8s %6s %10s %9s %8s %8s %6s %7s %10s %10s %8s %7s %7s %6s %7s %7s %9s %10s\n",
 		"shard", "sessions", "parked", "datagrams", "malformed", "rejected", "feedback", "nacks", "rexmits", "chain-errs", "writes", "flushes", "wdrops", "harvest", "adrops", "bypass", "coalsc", "syscalls", "batch-fill")
 	for _, sh := range shards {

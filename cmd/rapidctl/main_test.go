@@ -572,8 +572,8 @@ func TestPrintSessionsReceiverChain(t *testing.T) {
 	}
 }
 
-// TestPrintStatsGolden pins the exact stats rendering — the syscalls and
-// batch-fill columns included — so accidental format drift is caught.
+// TestPrintStatsGolden pins the exact stats rendering — the syscalls,
+// batch-fill and gso figures included — so accidental format drift is caught.
 func TestPrintStatsGolden(t *testing.T) {
 	eng := &metrics.EngineStats{
 		ActiveSessions: 3, LiveSessions: 2, ParkedSessions: 1, TotalSessions: 5, Shards: 2,
@@ -581,7 +581,7 @@ func TestPrintStatsGolden(t *testing.T) {
 		Retransmits: 5, ChainErrors: 6,
 		Parks: 9, Unparks: 8, Harvested: 1, AdmissionDrops: 2,
 		BatchedWrites: 6400, WriteFlushes: 400, WriteDrops: 7,
-		RecvCalls: 200, SendCalls: 200,
+		RecvCalls: 200, SendCalls: 200, GSODatagrams: 5200,
 		BypassHits: 11, CoalescedSends: 12,
 	}
 	shards := []metrics.ShardStats{
@@ -603,7 +603,7 @@ datagrams 6400  malformed 1  rejected 2  feedback 3  nacks 4  retransmits 5  cha
 parks 9  unparks 8  harvested 1  admission-drops 2
 writes 6400 in 400 flushes (16.0/flush)  write-drops 7
 bypass-hits 11  coalesced-sends 12
-syscalls 400 (recv 200, send 200)  per-packet 0.031  batch-fill 32.0
+syscalls 400 (recv 200, send 200)  per-packet 0.031  batch-fill 32.0  gso 5200
 shard sessions parked  datagrams malformed rejected feedback  nacks rexmits chain-errs     writes  flushes  wdrops harvest adrops  bypass  coalsc  syscalls batch-fill
 0            2      1       3200         1        2        3      4       5          6       3200      200       7       1      2      11      12       200       32.0
 1            1      0       3200         0        0        0      0       0          0       3200      200       0       0      0       0       0       200       32.0

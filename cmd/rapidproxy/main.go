@@ -72,7 +72,9 @@ func run(args []string) error {
 		maxSessions = fs.Int("max-sessions", engine.DefaultMaxSessions, "engine mode: maximum concurrent sessions")
 		shards      = fs.Int("shards", 0, "engine mode: data-plane shards (readers/table shards/writers); 0 = one per CPU")
 		reusePort   = fs.Bool("reuseport", false, "engine mode: one SO_REUSEPORT socket per shard (linux, 'reuseport' build tag)")
-		gso         = fs.Bool("gso", false, "engine mode: UDP generic segmentation offload on the batched send path (linux fast path only)")
+		// -gso still parses so existing command lines (bench/'s fanout-mixed
+		// among them) keep working.
+		_           = fs.Bool("gso", false, "deprecated, no effect: GSO is always attempted")
 		pprofAddr   = fs.String("pprof", "", "engine mode: serve net/http/pprof on this address (e.g. localhost:6060)")
 		chainSpec   = fs.String("chain", "", "chain spec: engine mode's default for new sessions, stream mode's chain (e.g. counting,fec-encode=6/4)")
 		roaming     = fs.Bool("allow-roaming", false, "engine mode: let a session's echo destination follow its most recent sender")
@@ -102,7 +104,6 @@ func run(args []string) error {
 			maxSessions: *maxSessions,
 			shards:      *shards,
 			reusePort:   *reusePort,
-			gso:         *gso,
 			pprof:       *pprofAddr,
 			chain:       *chainSpec,
 			roaming:     *roaming,
@@ -124,8 +125,8 @@ func run(args []string) error {
 		if *idleTTL != 0 || *admission != "" {
 			return fmt.Errorf("-idle-ttl/-admission are engine-mode flags")
 		}
-		if *shards != 0 || *reusePort || *gso || *pprofAddr != "" {
-			return fmt.Errorf("-shards/-reuseport/-gso/-pprof are engine-mode flags")
+		if *shards != 0 || *reusePort || *pprofAddr != "" {
+			return fmt.Errorf("-shards/-reuseport/-pprof are engine-mode flags")
 		}
 		return runStream(logger, *name, *listenAddr, *forwardAddr, *controlAddr, *chainSpec)
 	default:
@@ -139,7 +140,6 @@ type engineOptions struct {
 	maxSessions                    int
 	shards                         int
 	reusePort                      bool
-	gso                            bool
 	pprof                          string
 	chain                          string
 	roaming                        bool
@@ -169,7 +169,6 @@ func runEngine(logger *log.Logger, opts engineOptions) error {
 		MaxSessions:     opts.maxSessions,
 		Shards:          opts.shards,
 		ReusePort:       opts.reusePort,
-		GSO:             opts.gso,
 		Chain:           opts.chain,
 		Forward:         opts.forward,
 		AllowRoaming:    opts.roaming,

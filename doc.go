@@ -33,8 +33,9 @@
 // travel end to end so the steady-state relay path does not allocate. Socket
 // I/O itself is batched
 // (internal/netbatch): on Linux each shard moves up to 32 datagrams per
-// recvmmsg/sendmmsg call — optionally coalescing equal-size runs further with
-// UDP GSO (Config.GSO, rapidproxy -gso) — with a portable single-datagram
+// recvmmsg/sendmmsg call — coalescing equal-size runs further with UDP GSO,
+// always attempted and dropped per socket when the kernel refuses it, without
+// losing the refused batch — with a portable single-datagram
 // fallback elsewhere, holding the data plane under 0.25 syscalls per packet
 // at steady state. Linux builds tagged "reuseport" can bind one SO_REUSEPORT
 // socket per shard so the kernel spreads flows across readers. Engine,

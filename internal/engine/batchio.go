@@ -16,6 +16,7 @@ type batchConn = netbatch.Conn
 const (
 	// batchIOAvailable reports whether this build batches syscalls.
 	batchIOAvailable = netbatch.Available
-	// gsoAvailable reports whether Config.GSO can be honored.
+	// gsoAvailable reports whether this build can attempt UDP GSO sends;
+	// where it can, every shard does.
 	gsoAvailable = netbatch.GSOAvailable
 )

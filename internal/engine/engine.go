@@ -39,16 +39,18 @@
 // touch a global lock, and each shard runs a writer goroutine that sends the
 // delivery-cohort tails' output and what goroutines other than its reader
 // queue (timed stages' releases, the control plane). Socket I/O is batched at
-// the syscall
-// level where the platform allows: on linux/amd64 and linux/arm64 the shard
-// loops move up to 32 datagrams per recvmmsg/sendmmsg call (optionally
-// folding runs of equal-size datagrams into single UDP GSO super-datagrams,
-// Config.GSO), and every other platform — or any build with the "purego"
-// tag — transparently falls back to one datagram per syscall behind the
-// same interface. The portable path runs every reader over one net.UDPConn;
-// on Linux, builds tagged "reuseport" can give each shard its own
-// SO_REUSEPORT socket instead (Config.ReusePort). Per-shard RecvCalls and
-// SendCalls counters expose the achieved syscall amortization (see
+// the syscall level where the platform allows: on linux/amd64 and
+// linux/arm64 the shard loops move up to 32 datagrams per recvmmsg/sendmmsg
+// call and fold runs of equal-size datagrams to one destination into single
+// UDP GSO super-datagrams. GSO is always attempted there; a socket whose
+// kernel or route refuses it turns it off for itself and sends the refused
+// batch down the plain path in the same call, losing nothing. Every other
+// platform — or any build with the "purego" tag — transparently falls back
+// to one datagram per syscall behind the same interface. The portable path
+// runs every reader over one net.UDPConn; on Linux, builds tagged
+// "reuseport" can give each shard its own SO_REUSEPORT socket instead
+// (Config.ReusePort). Per-shard RecvCalls, SendCalls and GSODatagrams
+// counters expose the achieved syscall amortization (see
 // metrics.EngineStats).
 //
 // The steady-state relay path is allocation-free: datagrams travel in pooled
@@ -170,14 +172,6 @@ type Config struct {
 	// on one socket lock. Requires Linux and the "reuseport" build tag; New
 	// fails otherwise.
 	ReusePort bool
-	// GSO enables UDP generic segmentation offload on the batched send path:
-	// runs of equal-size datagrams to one destination are handed to the
-	// kernel as a single super-datagram with a UDP_SEGMENT header, so the
-	// stack is traversed once per run instead of once per datagram. Requires
-	// the Linux batched-I/O fast path (linux amd64/arm64, non-purego build);
-	// New fails otherwise. If the running kernel turns out to lack UDP GSO,
-	// the engine falls back to plain batched sends on first use.
-	GSO bool
 	// Chain is the default chain spec instantiated for every new session; see
 	// ParseChain for the syntax. Empty means a pure relay (no interior
 	// filters).
@@ -314,9 +308,6 @@ func New(cfg Config) (*Engine, error) {
 	cfg.Shards = resolveShards(cfg.Shards)
 	if cfg.ReusePort && !reusePortAvailable {
 		return nil, errors.New("engine: ReusePort requires linux and the 'reuseport' build tag")
-	}
-	if cfg.GSO && !gsoAvailable {
-		return nil, errors.New("engine: GSO requires the linux batched-I/O fast path (amd64/arm64, non-purego build)")
 	}
 	reg := compose.Default()
 	trunkPlan, err := compose.ParseWith(reg, cfg.Chain, compose.ModeChain)
@@ -484,9 +475,10 @@ func (e *Engine) Start() error {
 		}
 		if sh.bconn == nil { // tests may have injected a scripted conn
 			sh.bconn = netbatch.New(sh.conn, netbatch.Options{
-				GSO:       e.cfg.GSO,
+				GSO:       gsoAvailable,
 				RecvCalls: &sh.counters.recvCalls,
 				SendCalls: &sh.counters.sendCalls,
+				Segmented: &sh.counters.gsoDatagrams,
 			})
 		}
 		e.wg.Add(2)
@@ -506,10 +498,7 @@ func (e *Engine) Start() error {
 	}
 	io := "single-datagram I/O"
 	if batchIOAvailable {
-		io = "batched mmsg I/O"
-		if e.cfg.GSO {
-			io = "batched mmsg I/O + GSO"
-		}
+		io = "batched mmsg I/O + GSO where the kernel accepts it"
 	}
 	e.logf("serving UDP on %s (%d shards over %s, %s, max %d sessions, chain %q)",
 		e.conns[0].LocalAddr(), len(e.shards), mode, io, e.cfg.MaxSessions, e.cfg.Chain)
@@ -727,6 +716,7 @@ func (e *Engine) Stats() Stats {
 		st.WriteDrops += c.writeDrops.Load()
 		st.RecvCalls += c.recvCalls.Load()
 		st.SendCalls += c.sendCalls.Load()
+		st.GSODatagrams += c.gsoDatagrams.Load()
 		st.BypassHits += c.bypassHits.Load()
 		st.CoalescedSends += c.coalesced.Load()
 		parked += c.parkedNow.Load()

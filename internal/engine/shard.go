@@ -34,9 +34,9 @@ const (
 // shardCounters is one shard's counter block. Reader-side counters
 // (datagrams, malformed, rejected, feedback, recvCalls) are incremented by
 // the shard's reader goroutine; opened and chainErrors are attributed to the
-// shard that owns the session; writes, flushes, writeDrops and sendCalls
-// belong to the shard's writer. Everything is atomic so Stats can aggregate
-// without stopping the data plane.
+// shard that owns the session; writes, flushes, writeDrops, sendCalls and
+// gsoDatagrams belong to the shard's writer. Everything is atomic so Stats
+// can aggregate without stopping the data plane.
 type shardCounters struct {
 	datagrams   atomic.Uint64
 	malformed   atomic.Uint64
@@ -65,7 +65,11 @@ type shardCounters struct {
 	// chain instead of one per receiver.
 	bypassHits atomic.Uint64
 	coalesced  atomic.Uint64
-	_          [48]byte // pad so neighboring shards' counters don't false-share
+	// gsoDatagrams counts datagrams the kernel accepted inside multi-segment
+	// GSO sends (netbatch.Options.Segmented). It takes 8 bytes of the pad, so
+	// every other counter keeps its offset.
+	gsoDatagrams atomic.Uint64
+	_            [40]byte // pad so neighboring shards' counters don't false-share
 }
 
 // outbound is one datagram queued on a shard. dst is the resolved
@@ -143,6 +147,8 @@ func (sh *shard) stats() metrics.ShardStats {
 		WriteDrops:  sh.counters.writeDrops.Load(),
 		RecvCalls:   sh.counters.recvCalls.Load(),
 		SendCalls:   sh.counters.sendCalls.Load(),
+
+		GSODatagrams: sh.counters.gsoDatagrams.Load(),
 
 		Parked:         int(sh.counters.parkedNow.Load()),
 		Parks:          sh.counters.parks.Load(),
@@ -481,7 +487,8 @@ func (sh *shard) sendBatch(ms []ioMsg, acct []wmeta) {
 			drop(&acct[sent])
 			sent++
 		} else if n == 0 {
-			// No progress and no error: a conn contract violation. Bail out
+			// No progress and no error: a violation of netbatch.Conn's
+			// contract, which only a broken or scripted conn commits. Bail out
 			// rather than spin, accounting the remainder like any other send
 			// failure so every datagram still ends in a counted outcome.
 			for i := sent; i < len(ms); i++ {

@@ -219,6 +219,11 @@ type EngineStats struct {
 	// is the syscalls-per-packet figure the batching exists to shrink.
 	RecvCalls uint64 `json:"recv_calls"`
 	SendCalls uint64 `json:"send_calls"`
+	// GSODatagrams counts the BatchedWrites the kernel accepted inside
+	// multi-segment UDP GSO sends: its share of BatchedWrites is the send
+	// side's GSO coverage, and 0 under traffic means GSO was refused or the
+	// platform lacks it.
+	GSODatagrams uint64 `json:"gso_datagrams"`
 	// BypassHits counts trunk frames delivered through a cohort bypass lane
 	// (no chain, no copy); CoalescedSends counts cohort frames the writers
 	// fanned to two or more receivers off one shared chain traversal.
@@ -250,6 +255,8 @@ type ShardStats struct {
 	// readings.
 	RecvCalls uint64 `json:"recv_calls"`
 	SendCalls uint64 `json:"send_calls"`
+	// GSODatagrams is this shard's share of EngineStats.GSODatagrams.
+	GSODatagrams uint64 `json:"gso_datagrams"`
 	// Parked gauges this shard's currently parked sessions (a subset of
 	// Sessions); Parks/Unparks/Harvested/AdmissionDrops count the park and
 	// admission lifecycle events attributed to this shard.

@@ -44,7 +44,9 @@ type Conn interface {
 	// WriteBatch sends datagrams in order and returns how many were fully
 	// sent. A non-nil error means ms[n] failed and was not sent; the caller
 	// decides its fate and re-offers the rest. Partial progress without an
-	// error is legal — the caller simply calls again with the remainder.
+	// error is legal — the caller simply calls again with the remainder. On
+	// a non-empty batch a call either makes progress or returns an error: it
+	// never returns (0, nil).
 	WriteBatch(ms []Msg) (int, error)
 }
 
@@ -52,9 +54,9 @@ type Conn interface {
 type Options struct {
 	// GSO enables UDP generic segmentation offload on the write side of the
 	// fast path (no effect on the fallback): runs of equal-size datagrams to
-	// one destination become a single kernel traversal. If the running
-	// kernel rejects the GSO control message the connection permanently
-	// falls back to plain batched sends.
+	// one destination become a single kernel traversal. If the kernel rejects
+	// the GSO control message the connection permanently falls back to plain
+	// batched sends, starting with the rejected batch, so no datagram is lost.
 	GSO bool
 	// GRO enables UDP generic receive offload on the read side of the fast
 	// path (no effect on the fallback): datagrams from one peer that the
@@ -69,6 +71,10 @@ type Options struct {
 	// syscalls-per-packet and batch-fill figures.
 	RecvCalls *atomic.Uint64
 	SendCalls *atomic.Uint64
+	// Segmented, when non-nil, counts the datagrams the kernel accepted
+	// inside multi-segment GSO entries; it stays zero while GSO is off or
+	// refused.
+	Segmented *atomic.Uint64
 }
 
 // counter is a nil-safe syscall tally.

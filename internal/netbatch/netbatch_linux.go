@@ -62,6 +62,7 @@ type mmsgConn struct {
 	gro       bool
 	recvCalls *atomic.Uint64
 	sendCalls *atomic.Uint64
+	segmented *atomic.Uint64
 
 	rhdrs  []mmsghdr
 	riovs  []syscall.Iovec
@@ -98,6 +99,7 @@ func New(conn *net.UDPConn, opts Options) Conn {
 		rc:        rc,
 		recvCalls: opts.RecvCalls,
 		sendCalls: opts.SendCalls,
+		segmented: opts.Segmented,
 		rhdrs:     make([]mmsghdr, BatchSize),
 		riovs:     make([]syscall.Iovec, BatchSize),
 		rnames:    make([][sizeofSockaddrAny]byte, BatchSize),
@@ -221,7 +223,14 @@ func (c *mmsgConn) WriteBatch(ms []Msg) (int, error) {
 		return 0, nil
 	}
 	if c.gso.Load() {
-		return c.writeBatchGSO(ms)
+		n, err := c.writeBatchGSO(ms)
+		if n > 0 || c.wsegs[0] == 1 || !gsoRejected(err) {
+			return n, err
+		}
+		// The kernel refused the first entry's UDP_SEGMENT and sent nothing:
+		// GSO goes off for this conn for good, and the same batch goes down
+		// the plain path in this call, so a refusal loses no datagram.
+		c.gso.Store(false)
 	}
 	n := min(len(ms), len(c.whdrs))
 	for i := 0; i < n; i++ {
@@ -282,9 +291,7 @@ func (c *mmsgConn) writeBatchGSO(ms []Msg) (int, error) {
 
 // send issues one sendmmsg over the first n prepared headers and translates
 // the result back to datagram counts (segs maps each header to the number of
-// datagrams folded into it; nil means one each). A kernel that rejects the
-// GSO cmsg turns the feature off for good and reports a clean zero so the
-// caller simply retries down the plain path.
+// datagrams folded into it; nil means one each).
 func (c *mmsgConn) send(n int, segs []int) (int, error) {
 	if n == 0 {
 		return 0, nil
@@ -294,13 +301,15 @@ func (c *mmsgConn) send(n int, segs []int) (int, error) {
 	sent, operr := c.wsent, c.woperr
 	if segs != nil {
 		// sendmmsg counts entries; the caller counts datagrams.
-		total := 0
+		total, segmented := 0, 0
 		for _, s := range segs[:sent] {
 			total += s
+			if s > 1 {
+				segmented += s
+			}
 		}
-		if operr != nil && sent == 0 && segs[0] > 1 && gsoRejected(operr) {
-			c.gso.Store(false)
-			return 0, nil
+		if c.segmented != nil && segmented > 0 {
+			c.segmented.Add(uint64(segmented))
 		}
 		sent = total
 	}

@@ -13,18 +13,24 @@ import (
 // pair binds two loopback sockets and wraps each in a batch conn.
 func pair(t *testing.T, opts Options) (a, b *net.UDPConn, ba, bb Conn) {
 	t.Helper()
-	var err error
-	a, err = net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close() })
-	b, err = net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close() })
+	a, b = listen(t, "127.0.0.1:0"), listen(t, "127.0.0.1:0")
 	return a, b, New(a, opts), New(b, Options{})
+}
+
+// listen binds a UDP socket on addr, skipping the test when addr is IPv6 and
+// the host has no IPv6.
+func listen(t *testing.T, addr string) *net.UDPConn {
+	t.Helper()
+	ap := netip.MustParseAddrPort(addr)
+	c, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(ap))
+	if err != nil {
+		if ap.Addr().Is6() {
+			t.Skipf("IPv6 unavailable: %v", err)
+		}
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 // drain reads until want datagrams arrived (in however many batches the
@@ -134,55 +140,74 @@ func TestWriteBatchInterleavedDestinations(t *testing.T) {
 	}
 }
 
+// TestGSOCoalescedSend sends GSO runs from a v4 socket, and from the
+// dual-stack [::] socket rapidproxy's default listen address opens, both to
+// an IPv6 destination and to a v4-mapped one.
 func TestGSOCoalescedSend(t *testing.T) {
 	if !GSOAvailable {
 		t.Skip("UDP GSO not available in this build")
 	}
-	var sendCalls atomic.Uint64
-	a, b, ba, bb := pair(t, Options{GSO: true, SendCalls: &sendCalls})
-	_ = a
-	dst := b.LocalAddr().(*net.UDPAddr).AddrPort()
+	for _, tc := range []struct{ name, from, to string }{
+		{"v4", "127.0.0.1:0", "127.0.0.1:0"},
+		{"dual-stack to v6", "[::]:0", "[::1]:0"},
+		{"dual-stack to v4-mapped", "[::]:0", "127.0.0.1:0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sendCalls, segmented atomic.Uint64
+			a, b := listen(t, tc.from), listen(t, tc.to)
+			ba, bb := New(a, Options{GSO: true, SendCalls: &sendCalls, Segmented: &segmented}), New(b, Options{})
+			// As16 spells a v4 destination 4-in-6 mapped, the form a
+			// dual-stack socket reports its v4 peers in.
+			dst := b.LocalAddr().(*net.UDPAddr).AddrPort()
+			if a.LocalAddr().(*net.UDPAddr).IP.To4() == nil {
+				dst = netip.AddrPortFrom(netip.AddrFrom16(dst.Addr().As16()), dst.Port())
+			}
 
-	// A run of equal-size datagrams to one destination, then a size change
-	// (ends the run), then a final run. The receiver must see every datagram
-	// at its original boundary.
-	payloads := make([][]byte, 0, 24)
-	var ms []Msg
-	for i := 0; i < 20; i++ {
-		p := bytes.Repeat([]byte{byte(i + 1)}, 512)
-		payloads = append(payloads, p)
-		ms = append(ms, Msg{Buf: p, Addr: dst})
-	}
-	small := []byte("odd-one-out")
-	payloads = append(payloads, small)
-	ms = append(ms, Msg{Buf: small, Addr: dst})
-	for i := 0; i < 3; i++ {
-		p := bytes.Repeat([]byte{0xAA ^ byte(i)}, 256)
-		payloads = append(payloads, p)
-		ms = append(ms, Msg{Buf: p, Addr: dst})
-	}
+			// A run of equal-size datagrams to one destination, then a size
+			// change (ends the run), then a final run. The receiver must see
+			// every datagram at its original boundary.
+			payloads := make([][]byte, 0, 24)
+			var ms []Msg
+			for i := 0; i < 20; i++ {
+				p := bytes.Repeat([]byte{byte(i + 1)}, 512)
+				payloads = append(payloads, p)
+				ms = append(ms, Msg{Buf: p, Addr: dst})
+			}
+			small := []byte("odd-one-out")
+			payloads = append(payloads, small)
+			ms = append(ms, Msg{Buf: small, Addr: dst})
+			for i := 0; i < 3; i++ {
+				p := bytes.Repeat([]byte{0xAA ^ byte(i)}, 256)
+				payloads = append(payloads, p)
+				ms = append(ms, Msg{Buf: p, Addr: dst})
+			}
 
-	sent := 0
-	for sent < len(ms) {
-		n, err := ba.WriteBatch(ms[sent:])
-		if err != nil {
-			t.Fatalf("WriteBatch: %v", err)
-		}
-		if n == 0 {
-			t.Fatal("WriteBatch made no progress")
-		}
-		sent += n
+			sent := 0
+			for sent < len(ms) {
+				n, err := ba.WriteBatch(ms[sent:])
+				if err != nil {
+					t.Fatalf("WriteBatch: %v", err)
+				}
+				if n == 0 {
+					t.Fatal("WriteBatch made no progress")
+				}
+				sent += n
+			}
+			got := drain(t, b, bb, len(payloads))
+			for i, m := range got {
+				if !bytes.Equal(m.Buf[:m.N], payloads[i]) {
+					t.Fatalf("datagram %d: %d bytes, want %d (segmentation boundary lost)", i, m.N, len(payloads[i]))
+				}
+			}
+			// Both runs (20 + 3 datagrams) went out as GSO entries; a kernel
+			// that refused UDP_SEGMENT would have delivered them all the same
+			// but left the counter at 0.
+			if got := segmented.Load(); got != 23 {
+				t.Fatalf("Segmented = %d, want 23: the kernel refused GSO on this socket", got)
+			}
+			t.Logf("sent %d datagrams in %d send syscalls", len(payloads), sendCalls.Load())
+		})
 	}
-	got := drain(t, b, bb, len(payloads))
-	for i, m := range got {
-		if !bytes.Equal(m.Buf[:m.N], payloads[i]) {
-			t.Fatalf("datagram %d: %d bytes, want %d (segmentation boundary lost)", i, m.N, len(payloads[i]))
-		}
-	}
-	// Unless the kernel rejected GSO (auto-disable), 24 datagrams must cost
-	// far fewer than 24 syscall entries; with coalescing the whole list fits
-	// in one sendmmsg.
-	t.Logf("sent %d datagrams in %d send syscalls", len(payloads), sendCalls.Load())
 }
 
 func TestGROCoalescedReceive(t *testing.T) {
