@@ -688,7 +688,7 @@ func BenchmarkRepairComparison(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E5 — detachable-stream / chain-depth overhead (ablation).
+// E5 — pump / chain-depth overhead (ablation).
 // ---------------------------------------------------------------------------
 
 // onceReader serves its payload once and then reports EOF.
@@ -716,13 +716,11 @@ func benchChainThroughput(b *testing.B, depth int, size int) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		chain := filter.NewChain(fmt.Sprintf("depth-%d", depth))
-		in := endpoint.NewReader("in", &onceReader{payload: payload})
-		out := endpoint.NewWriter("out", io.Discard)
-		stages := []filter.Filter{in}
+		stages := []filter.Stage{endpoint.NewReader("in", &onceReader{payload: payload})}
 		for d := 0; d < depth; d++ {
 			stages = append(stages, filter.NewNull(fmt.Sprintf("null-%d", d)))
 		}
-		stages = append(stages, out)
+		stages = append(stages, endpoint.NewWriter("out", io.Discard))
 		for _, s := range stages {
 			if err := chain.Append(s); err != nil {
 				b.Fatal(err)
@@ -732,15 +730,14 @@ func benchChainThroughput(b *testing.B, depth int, size int) {
 		if err := chain.Start(); err != nil {
 			b.Fatal(err)
 		}
-		out.Wait()
-		b.StopTimer()
-		chain.Stop()
-		b.StartTimer()
+		if err := chain.Wait(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkNullProxyThroughput measures the cost of the full proxy data path
-// (two endpoints, detachable streams, no interior filters).
+// (two endpoints and the pump, no interior filters).
 func BenchmarkNullProxyThroughput(b *testing.B) {
 	benchChainThroughput(b, 0, 1<<20)
 }
@@ -754,9 +751,9 @@ func BenchmarkChainDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkDetachableStreamCopy measures raw detachable-pipe bandwidth, the
-// primitive underlying every chain hop, for comparison with BenchmarkIOPipe.
-func BenchmarkDetachableStreamCopy(b *testing.B) {
+// BenchmarkStreamPipeCopy measures stream.Pipe bandwidth, for comparison with
+// BenchmarkIOPipe.
+func BenchmarkStreamPipeCopy(b *testing.B) {
 	payload := make([]byte, 64*1024)
 	b.SetBytes(int64(len(payload)))
 	for i := 0; i < b.N; i++ {
@@ -771,7 +768,7 @@ func BenchmarkDetachableStreamCopy(b *testing.B) {
 	}
 }
 
-// BenchmarkIOPipe is the stdlib baseline for BenchmarkDetachableStreamCopy.
+// BenchmarkIOPipe is the stdlib baseline for BenchmarkStreamPipeCopy.
 func BenchmarkIOPipe(b *testing.B) {
 	payload := make([]byte, 64*1024)
 	b.SetBytes(int64(len(payload)))
@@ -787,17 +784,17 @@ func BenchmarkIOPipe(b *testing.B) {
 	}
 }
 
-// BenchmarkPauseReconnect measures the cost of the pause/reconnect splice
-// primitive itself on an idle stream.
-func BenchmarkPauseReconnect(b *testing.B) {
-	r, w := stream.Pipe()
-	go io.Copy(io.Discard, r)
+// BenchmarkSetInteriorSplice measures the splice primitive itself on an idle
+// chain: one stage in, then out again.
+func BenchmarkSetInteriorSplice(b *testing.B) {
+	fc := filter.NewFrameChain((*packet.Buf).Release)
+	stage := filter.NewNull("spliced")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := w.Pause(); err != nil {
+		if err := fc.SetInterior([]filter.Filter{stage}); err != nil {
 			b.Fatal(err)
 		}
-		if err := stream.Reconnect(w, r); err != nil {
+		if err := fc.SetInterior(nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,27 +19,18 @@ import (
 
 // startTestServer brings up a control server serving a stream chain (plan
 // "counting") as session 1, the way rapidproxy -mode stream does, and
-// returns its address. The chain's endpoints neither produce nor consume.
+// returns its address. No data moves, so the plan's executor is a bare
+// FrameChain.
 func startTestServer(t *testing.T) string {
 	t.Helper()
-	chain := filter.NewChain("ctl-test")
-	for _, f := range []filter.Filter{filter.NewNull("in"), filter.NewNull("out")} {
-		if err := chain.Append(f); err != nil {
-			t.Fatal(err)
-		}
-	}
 	plan, err := compose.Parse("counting", compose.ModeChain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := compose.Attach(chain, compose.Default(), compose.Env{StreamID: 1}, compose.ModeChain, plan)
+	live, err := compose.Attach(filter.NewFrameChain((*packet.Buf).Release), compose.Default(), compose.Env{StreamID: 1}, compose.ModeChain, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chain.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { chain.Stop() })
 	s := control.NewServer(nil)
 	s.SetSessionSource(compose.NewStreamSession(live))
 	addr, err := s.Listen("127.0.0.1:0")

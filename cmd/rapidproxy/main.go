@@ -25,10 +25,13 @@
 //	    [-fanout rx1:9000,rx2:9000] [-branch 'fec-adapt,ratelimit=64000'] \
 //	    [-report-staleness 30s]
 //
-// Stream mode (-mode stream) bridges a single TCP stream through one
-// goroutine-per-stage filter chain built from -chain, the same spec language
-// as engine mode. The control protocol serves the stream as session 1, so
-// rapidctl recomposes it like any engine session (rapidctl -session 1 ...):
+// Stream mode (-mode stream) bridges a single TCP stream of wire-format
+// packet frames through one filter chain built from -chain, the same spec
+// language and the same executor as engine mode: one goroutine reads each
+// frame from the upstream connection, runs it through the chain and writes
+// what comes out downstream. The control protocol serves the stream as
+// session 1, so rapidctl recomposes it like any engine session (rapidctl
+// -session 1 ...):
 //
 //	rapidproxy -mode stream -name edge -listen :7000 -forward host:8000 \
 //	    [-control 127.0.0.1:7100] [-chain counting,fec-encode=6/4]
@@ -223,8 +226,8 @@ func runEngine(logger *log.Logger, opts engineOptions) error {
 	return nil
 }
 
-// runStream bridges one TCP stream through a single filter chain whose
-// interior is a compose.Live, served to the control plane as session 1.
+// runStream bridges one TCP stream of frames through a single filter chain
+// whose interior is a compose.Live, served to the control plane as session 1.
 func runStream(logger *log.Logger, name, listen, forward, controlAddr, chainSpec string) error {
 	if forward == "" {
 		return fmt.Errorf("-forward is required in stream mode")
@@ -251,11 +254,11 @@ func runStream(logger *log.Logger, name, listen, forward, controlAddr, chainSpec
 		return err
 	}
 	chain := filter.NewChain(name)
-	for _, f := range []filter.Filter{
-		endpoint.NewReader("upstream:"+upstream.RemoteAddr().String(), upstream),
+	for _, s := range []filter.Stage{
+		endpoint.NewFrameReader("upstream:"+upstream.RemoteAddr().String(), upstream),
 		endpoint.NewWriter("downstream:"+forward, downstream),
 	} {
-		if err := chain.Append(f); err != nil {
+		if err := chain.Append(s); err != nil {
 			return err
 		}
 	}

@@ -2,12 +2,13 @@
 // Filters for Heterogeneous Mobile Computing" (McKinley & Padmanabhan, IEEE
 // Workshop on Wireless Networks and Mobile Computing / ICDCS-21, 2001).
 //
-// The library implements the paper's detachable streams (pausable,
-// reconnectable pipes), composable proxy filter chains with live insertion,
-// removal and reordering, the (n,k) block-erasure FEC filters used for audio
-// multicast over lossy wireless LANs, the RAPIDware observer/responder
-// adaptation components, the Pavilion collaborative-session substrate, and a
-// wireless channel simulator that stands in for the paper's WaveLAN testbed.
+// The library implements the paper's composable proxy filter chains with live
+// insertion, removal and reordering (with the loss-free, frame-boundary splice
+// the paper built from detachable streams), the (n,k) block-erasure FEC
+// filters used for audio multicast over lossy wireless LANs, the RAPIDware
+// observer/responder adaptation components, the Pavilion collaborative-session
+// substrate, and a wireless channel simulator that stands in for the paper's
+// WaveLAN testbed.
 //
 // Beyond the reproduction, internal/engine scales the proxy to thousands of
 // concurrent sessions over real UDP datagrams on a sharded data plane:
@@ -26,17 +27,16 @@
 // and no re-parse, so a live session is a plain struct and the buffer
 // recvmmsg filled is the one sendmmsg sends. The timed kinds — delay,
 // ratelimit, jitter — hold frames and release them from one runtime timer
-// per chain, under the same lock. The paper's goroutine-per-stage
-// filter.Chain remains for rapidproxy's stream mode and the figure
-// benchmarks; most frame stages' stream-mode bodies are derived from their
-// frame functions, so both executors run the same stage code. Pooled buffers
-// travel end to end so the steady-state relay path does not allocate. Socket
-// I/O itself is batched
-// (internal/netbatch): on Linux each shard moves up to 32 datagrams per
-// recvmmsg/sendmmsg call — coalescing equal-size runs further with UDP GSO,
-// always attempted and dropped per socket when the kernel refuses it, without
-// losing the refused batch — with a portable single-datagram
-// fallback elsewhere, holding the data plane under 0.25 syscalls per packet
+// per chain, under the same lock. FrameChain is the only executor in the
+// repository: rapidproxy's stream mode and the figure benchmarks run
+// filter.Chain, a pump that reads frames from a source endpoint through a
+// FrameChain into a sink endpoint on one goroutine. Pooled buffers travel end
+// to end so the steady-state relay path does not allocate. Socket I/O itself
+// is batched (internal/netbatch): on Linux each shard moves up to 32
+// datagrams per recvmmsg/sendmmsg call — coalescing equal-size runs further
+// with UDP GSO, always attempted and dropped per socket when the kernel
+// refuses it, without losing the refused batch — with a portable
+// single-datagram fallback elsewhere, holding the data plane under 0.25 syscalls per packet
 // at steady state. Linux builds tagged "reuseport" can bind one SO_REUSEPORT
 // socket per shard so the kernel spreads flows across readers. Engine,
 // per-shard and per-session counters — including syscall and batch-fill
@@ -72,12 +72,12 @@
 // session — the stream proxy's one stream is session 1 — binds its chain to a
 // compose.Live, whose transactional
 // recompose diffs plans, carries matching stage instances across rewrites,
-// and applies the change as a single atomic splice (SetInterior on either
-// executor) — chains are rebuilt mid-traffic without dropping a relayed
-// packet. In the engine the splice is a slice swap under the session's lock,
-// between two frames by construction, with departing stages flushed through
-// what was downstream of them; on the stream proxy's filter.Chain it is the
-// paper's pause-drain-reconnect protocol. The control plane drives it end to end:
+// and applies the change as a single atomic splice (FrameChain.SetInterior)
+// — chains are rebuilt mid-traffic without dropping a relayed packet. The
+// splice is a slice swap under the chain's lock, between two frames by
+// construction, with departing stages flushed through what was downstream of
+// them: the guarantee the paper's pause-drain-reconnect protocol gave, held
+// by the design. The control plane drives it end to end:
 // OpRecompose (rapidctl compose <session> '<spec>'), session-scoped
 // insert/remove/move (rapidctl -session <id> ...), and a per-stage counter
 // view in rapidctl sessions; it is the only way a running chain changes.
@@ -101,8 +101,9 @@
 //
 // Fan-out sessions deliver through a per-receiver delivery tree, the
 // paper's heterogeneity claim at engine scale: the session's shared trunk
-// chain feeds a short filter tail per protection level, run inline behind
-// it, whose output the shard's flush stamps for every member of the
+// chain feeds a short filter tail per protection level (none at all for the
+// clean-link bypass lane, where plain fan-out puts every member), run inline
+// behind it, whose output the shard's flush stamps for every member of the
 // multicast group (multicast.AddrGroup) at that level; each receiver's level
 // is driven by its own loss reports, so one degraded station no longer taxes
 // the whole group with worst-case parity. Branch tails are

@@ -10,7 +10,6 @@ import (
 	"io"
 	"log"
 	"strings"
-	"sync"
 	"time"
 
 	"rapidware/internal/compose"
@@ -32,24 +31,6 @@ func (s slowReader) Read(p []byte) (int, error) {
 	return s.r.Read(p)
 }
 
-// safeBuffer is a goroutine-safe sink for the proxy's output endpoint.
-type safeBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (s *safeBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.buf.Write(p)
-}
-
-func (s *safeBuffer) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.buf.Len()
-}
-
 func main() {
 	// A stream of numbered lines stands in for the live data stream.
 	var source bytes.Buffer
@@ -59,14 +40,16 @@ func main() {
 	total := source.Len()
 
 	// 1. Assemble the null proxy: input endpoint -> output endpoint, with an
-	//    empty plan attached.
+	//    empty plan attached. The lines are a raw byte stream: each read of
+	//    the source enters the chain as one buffer, which the pass-through
+	//    stages below accept as they do packet frames.
 	chain := filter.NewChain("quickstart")
-	sink := &safeBuffer{}
-	for _, f := range []filter.Filter{
+	var sink bytes.Buffer // written by the chain, read once it is done
+	for _, s := range []filter.Stage{
 		endpoint.NewReader("source", slowReader{&source}),
-		endpoint.NewWriter("sink", sink),
+		endpoint.NewWriter("sink", &sink),
 	} {
-		if err := chain.Append(f); err != nil {
+		if err := chain.Append(s); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -102,10 +85,7 @@ func main() {
 	recompose("checksum")
 
 	// 4. Wait for the stream to drain and report.
-	for sink.Len() < total {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := chain.Stop(); err != nil {
+	if err := chain.Wait(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("delivered %d/%d bytes, filter saw %d bytes, final plan %q\n",

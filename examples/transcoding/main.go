@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"sync"
 	"time"
 
 	"rapidware/internal/audio"
@@ -55,34 +54,30 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var mu sync.Mutex
+	// The sink runs on the chain's goroutine; its counts are read once the
+	// chain is done.
 	outBytes, outPackets := 0, 0
 	sink := endpoint.NewPacketSink("palmtop", func(p *packet.Packet) error {
-		mu.Lock()
-		defer mu.Unlock()
 		outBytes += len(p.Payload)
 		outPackets++
 		return nil
 	})
 
 	chain := filter.NewChain("transcoding-proxy")
-	for _, f := range []filter.Filter{src, mono, down, compress, sink} {
-		if err := chain.Append(f); err != nil {
+	for _, s := range []filter.Stage{src, mono, down, compress, sink} {
+		if err := chain.Append(s); err != nil {
 			log.Fatal(err)
 		}
 	}
+	fmt.Println("transcoding proxy chain:", chain.Names())
 	if err := chain.Start(); err != nil {
 		log.Fatal(err)
 	}
-	sink.Wait()
-	if err := chain.Stop(); err != nil {
+	if err := chain.Wait(); err != nil {
 		log.Fatal(err)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
 	inBytes := len(pcm)
-	fmt.Println("transcoding proxy chain:", chain.Names())
 	fmt.Printf("input : %7d bytes (%d packets, %s)\n", inBytes, len(payloads), format)
 	fmt.Printf("output: %7d bytes (%d packets) after mono + 2x downsample + deflate\n", outBytes, outPackets)
 	fmt.Printf("bandwidth reduction: %.1fx (%.1f%% of the original)\n",

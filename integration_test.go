@@ -129,9 +129,9 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 			proxyReady <- err
 			return
 		}
-		// The input endpoint is frame-aware: it re-emits each incoming frame
-		// with a single atomic write, so live splices always happen on frame
-		// boundaries (the paper's requirement for format-specific filters).
+		// The input endpoint is frame-aware: it hands the chain one whole
+		// frame at a time, so live splices always happen on frame boundaries
+		// (the paper's requirement for format-specific filters).
 		frameReader := packet.NewReader(upConn)
 		in := endpoint.NewPacketSource("upstream", func() (*packet.Packet, error) {
 			p, err := frameReader.ReadPacket()
@@ -141,8 +141,8 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 			}
 			return p, nil
 		})
-		for _, f := range []filter.Filter{in, endpoint.NewWriter("downstream", downConn)} {
-			if err := chain.Append(f); err != nil {
+		for _, s := range []filter.Stage{in, endpoint.NewWriter("downstream", downConn)} {
+			if err := chain.Append(s); err != nil {
 				proxyReady <- err
 				return
 			}
@@ -221,9 +221,6 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 	if len(sessions) != 1 || sessions[0].Chain != "fec-encode=6/4,wireless-hop,fec-decode" || len(sessions[0].Stages) != 3 {
 		t.Fatalf("unexpected session state after splices: %+v", sessions)
 	}
-	if err := chain.Validate(); err != nil {
-		t.Fatal(err)
-	}
 
 	if err := <-producerDone; err != nil {
 		t.Fatal(err)
@@ -260,5 +257,106 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 		if seen[want] != 1 {
 			t.Fatalf("frame %d delivered %d times, want exactly once", i, seen[want])
 		}
+	}
+}
+
+// TestStreamModeRateLimitIsLossless: in rapidproxy's stream mode, a producer
+// far faster than a ratelimit stage is pushed back over TCP instead of losing
+// frames, and the stream stays shaped to its end.
+func TestStreamModeRateLimitIsLossless(t *testing.T) {
+	const total, payloadSize = 2000, 128
+	const rate = total * (packet.HeaderSize + payloadSize) * 3 // ~330ms of stream
+	upstreamLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer upstreamLn.Close()
+	downstreamLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer downstreamLn.Close()
+
+	consumed := make(chan []uint64, 1)
+	go func() {
+		conn, err := downstreamLn.Accept()
+		if err != nil {
+			consumed <- nil
+			return
+		}
+		defer conn.Close()
+		pr := packet.NewReader(conn)
+		var seqs []uint64
+		for {
+			p, err := pr.ReadPacket()
+			if err != nil {
+				consumed <- seqs
+				return
+			}
+			seqs = append(seqs, p.Seq)
+		}
+	}()
+
+	chain := filter.NewChain("stream-ratelimit")
+	proxyReady := make(chan error, 1)
+	go func() {
+		upConn, err := upstreamLn.Accept()
+		if err != nil {
+			proxyReady <- err
+			return
+		}
+		downConn, err := net.Dial("tcp", downstreamLn.Addr().String())
+		if err != nil {
+			proxyReady <- err
+			return
+		}
+		for _, s := range []filter.Stage{endpoint.NewFrameReader("upstream", upConn), endpoint.NewWriter("downstream", downConn)} {
+			if err := chain.Append(s); err != nil {
+				proxyReady <- err
+				return
+			}
+		}
+		plan, err := compose.Parse(fmt.Sprintf("ratelimit=%d", rate), compose.ModeChain)
+		if err != nil {
+			proxyReady <- err
+			return
+		}
+		if _, err := compose.Attach(chain, compose.Default(), compose.Env{StreamID: 1}, compose.ModeChain, plan); err != nil {
+			proxyReady <- err
+			return
+		}
+		proxyReady <- chain.Start()
+	}()
+
+	upConn, err := net.Dial("tcp", upstreamLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-proxyReady; err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	pw := packet.NewWriter(upConn)
+	for i := 0; i < total; i++ {
+		if err := pw.WritePacket(&packet.Packet{Seq: uint64(i), Kind: packet.KindData, Payload: make([]byte, payloadSize)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	upConn.Close()
+	if err := chain.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	seqs := <-consumed
+	elapsed := time.Since(start)
+	if len(seqs) != total {
+		t.Fatalf("downstream received %d frames, want all %d", len(seqs), total)
+	}
+	for i, seq := range seqs {
+		if seq != uint64(i) {
+			t.Fatalf("frame %d arrived as seq %d", i, seq)
+		}
+	}
+	if elapsed < 200*time.Millisecond {
+		t.Fatalf("the stream ended after %v, want ~330ms of shaping", elapsed)
 	}
 }

@@ -2,7 +2,6 @@ package arq
 
 import (
 	"container/heap"
-	"io"
 	"sync"
 	"time"
 
@@ -109,12 +108,7 @@ func (h *jitterHeap) Pop() interface{} {
 // spectrum, which gives ARQ repairs a window to slot retransmissions back
 // into sequence before delivery. Non-data frames (parity, control, feedback)
 // pass straight through, and past filter.MaxHeld held frames new data is
-// dropped and counted.
-//
-// Both drivers share one state machine (hold, release, flush). The frame
-// form is timed: a FrameChain's timer calls release. The stream body runs a
-// ticker goroutine beside its reader loop instead, the two serializing their
-// writes so frames are never interleaved mid-frame.
+// dropped and counted. The stage is timed: its chain's timer calls release.
 type JitterFilter struct {
 	*filter.Base
 	delay time.Duration
@@ -135,65 +129,15 @@ func NewJitterFilter(name string, delay time.Duration) *JitterFilter {
 		delay = time.Millisecond
 	}
 	f := &JitterFilter{delay: delay}
-	f.Base = filter.New(name, func(r io.Reader, w io.Writer) error {
-		pr := packet.NewReader(r)
-		var (
-			wmu  sync.Mutex
-			werr error
-		)
-		emit := func(b *packet.Buf) {
-			wmu.Lock()
-			if werr == nil {
-				_, werr = w.Write(b.B)
-			}
-			wmu.Unlock()
-			b.Release()
-		}
-		failed := func() error {
-			wmu.Lock()
-			defer wmu.Unlock()
-			return werr
-		}
-		done := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := delay / 4
-			if tick <= 0 {
-				tick = time.Millisecond
-			}
-			t := time.NewTicker(tick)
-			defer t.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-t.C:
-					f.release(emit)
-				}
-			}
-		}()
-		defer func() {
-			close(done)
-			wg.Wait()
-		}()
-		for {
-			b, err := pr.ReadFrameBuf(0)
-			if err == io.EOF {
-				f.flush(emit) // everything still held, in sequence order
-				return failed()
-			}
-			if err != nil {
-				return err
-			}
-			f.hold(b, emit)
-			if err := failed(); err != nil {
-				return err
-			}
-		}
-	}).WithFrame(f.hold, f.flush).WithRelease(f.release)
+	f.Base = filter.NewFrame(name, f.hold, f.flush).WithRelease(f.release, f.depth)
 	return f
+}
+
+// depth returns how many data packets are held.
+func (f *JitterFilter) depth() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.heap)
 }
 
 // hold is the frame body: non-data frames pass straight through, data frames

@@ -1,54 +1,46 @@
 package arq
 
 import (
-	"io"
 	"testing"
 	"time"
 
+	"rapidware/internal/filter"
 	"rapidware/internal/packet"
-	"rapidware/internal/stream"
 )
 
-// runPackets pushes a sequence of packets through a started filter and
-// returns every packet that comes out, in output order.
-func runPackets(t *testing.T, f interface {
-	In() *stream.DetachableReader
-	Out() *stream.DetachableWriter
-	Start() error
-}, in []*packet.Packet) []*packet.Packet {
+// runPackets pushes a sequence of packets through f on a frame chain,
+// closes the chain — which flushes what f holds — and returns every packet
+// that came out, in output order.
+func runPackets(t *testing.T, f filter.Filter, in []*packet.Packet) []*packet.Packet {
 	t.Helper()
-	src := stream.NewDetachableWriter()
-	dst := stream.NewDetachableReader()
-	if err := stream.Connect(src, f.In()); err != nil {
-		t.Fatal(err)
-	}
-	if err := stream.Connect(f.Out(), dst); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Start(); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		pw := packet.NewWriter(src)
-		for _, p := range in {
-			if err := pw.WritePacket(p); err != nil {
-				return
-			}
-		}
-		src.Close()
-	}()
 	var out []*packet.Packet
-	pr := packet.NewReader(dst)
-	for {
-		p, err := pr.ReadPacket()
+	fc := filter.NewFrameChain(func(b *packet.Buf) {
+		p, _, err := packet.Unmarshal(b.B)
+		b.Release()
 		if err != nil {
-			if err != io.EOF {
-				t.Fatalf("ReadPacket: %v", err)
-			}
-			return out
+			t.Errorf("Unmarshal: %v", err)
+			return
 		}
 		out = append(out, p)
+	})
+	if err := fc.SetInterior([]filter.Filter{f}); err != nil {
+		t.Fatal(err)
 	}
+	for _, p := range in {
+		frame, err := packet.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := packet.GetBuf(len(frame))
+		copy(b.B, frame)
+		if err := fc.Process(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestSenderFilterRecordsAndRetransmits(t *testing.T) {
@@ -146,8 +138,8 @@ func TestJitterFilterReordersIntoSequence(t *testing.T) {
 }
 
 func TestJitterFilterPassesNonDataImmediately(t *testing.T) {
-	// A long delay: if the parity frame were buffered the test would hang on
-	// the EOF drain instead of seeing it first.
+	// A long delay: the parity frame must pass at once, ahead of the data
+	// frame the closing flush releases.
 	f := NewJitterFilter("jitter", time.Second)
 	in := []*packet.Packet{
 		{Seq: 0, Kind: packet.KindData, Payload: []byte("held")},
@@ -160,7 +152,7 @@ func TestJitterFilterPassesNonDataImmediately(t *testing.T) {
 	if out[0].Kind != packet.KindParity {
 		t.Fatalf("first release kind = %v, want the pass-through parity frame", out[0].Kind)
 	}
-	// The data frame arrived via the EOF drain, still well before the 1s hold.
+	// The data frame arrived via the closing flush, well before the 1s hold.
 	if out[1].Kind != packet.KindData || out[1].Seq != 0 {
 		t.Fatalf("second release = %+v, want the drained data frame", out[1])
 	}

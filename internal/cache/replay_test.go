@@ -1,49 +1,44 @@
 package cache
 
 import (
-	"io"
 	"testing"
 
+	"rapidware/internal/filter"
 	"rapidware/internal/packet"
-	"rapidware/internal/stream"
 )
 
-// runReplay pushes packets through a started ReplayFilter and returns what
-// comes out.
+// runReplay pushes packets through f on a frame chain and returns what comes
+// out.
 func runReplay(t *testing.T, f *ReplayFilter, in []*packet.Packet) []*packet.Packet {
 	t.Helper()
-	src := stream.NewDetachableWriter()
-	dst := stream.NewDetachableReader()
-	if err := stream.Connect(src, f.In()); err != nil {
-		t.Fatal(err)
-	}
-	if err := stream.Connect(f.Out(), dst); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Start(); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		pw := packet.NewWriter(src)
-		for _, p := range in {
-			if err := pw.WritePacket(p); err != nil {
-				return
-			}
-		}
-		src.Close()
-	}()
 	var out []*packet.Packet
-	pr := packet.NewReader(dst)
-	for {
-		p, err := pr.ReadPacket()
+	fc := filter.NewFrameChain(func(b *packet.Buf) {
+		p, _, err := packet.Unmarshal(b.B)
+		b.Release()
 		if err != nil {
-			if err != io.EOF {
-				t.Fatalf("ReadPacket: %v", err)
-			}
-			return out
+			t.Errorf("Unmarshal: %v", err)
+			return
 		}
 		out = append(out, p)
+	})
+	if err := fc.SetInterior([]filter.Filter{f}); err != nil {
+		t.Fatal(err)
 	}
+	for _, p := range in {
+		frame, err := packet.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := packet.GetBuf(len(frame))
+		copy(b.B, frame)
+		if err := fc.Process(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestNewReplayFilterValidation(t *testing.T) {

@@ -21,10 +21,8 @@ var (
 )
 
 // Interior is the executor beneath a Live: whatever runs the plan's stage
-// instances and can swap its whole interior in one transaction. The
-// goroutine-per-stage *filter.Chain and the run-to-completion
-// *filter.FrameChain both implement it; Live never needs to know which one it
-// drives.
+// instances and can swap its whole interior in one transaction — a
+// *filter.FrameChain, or the *filter.Chain stream proxy around one.
 type Interior interface {
 	// SetInterior atomically replaces the executor's stages: instances present
 	// before and after keep their state, drop-outs are flushed downstream and
@@ -57,8 +55,8 @@ type Live struct {
 	// view is the last successfully applied (plan, instances) pair,
 	// republished after every mutation. Read paths — Plan, String, Instance,
 	// StageStats, the control plane's session listing — load it without
-	// taking mu, so a recompose mid-drain (which can legitimately take as
-	// long as the old interior needs to flush) never stalls observation.
+	// taking mu, so a recompose (which waits for the executor's lock and for
+	// departing stages to flush) never stalls observation.
 	view atomic.Pointer[liveView]
 }
 
@@ -85,19 +83,9 @@ func (l *Live) snapshot() *liveView {
 	return &liveView{}
 }
 
-// Attach builds plan's interior into chain (which must already hold its two
-// endpoint stages) and returns the Live managing it. mode governs which
-// stages later rewrites may contain.
-func Attach(chain *filter.Chain, reg *Registry, env Env, mode Mode, plan Plan) (*Live, error) {
-	if chain == nil {
-		return nil, errors.New("compose: attach requires a chain")
-	}
-	return AttachTo(chain, reg, env, mode, plan)
-}
-
-// AttachTo is Attach for any executor; the engine attaches its
-// filter.FrameChains with it.
-func AttachTo(exec Interior, reg *Registry, env Env, mode Mode, plan Plan) (*Live, error) {
+// Attach builds plan's interior into exec and returns the Live managing it.
+// mode governs which stages later rewrites may contain.
+func Attach(exec Interior, reg *Registry, env Env, mode Mode, plan Plan) (*Live, error) {
 	if exec == nil {
 		return nil, errors.New("compose: attach requires an executor")
 	}
@@ -111,13 +99,6 @@ func AttachTo(exec Interior, reg *Registry, env Env, mode Mode, plan Plan) (*Liv
 		return nil, err
 	}
 	return l, nil
-}
-
-// Chain returns the underlying filter chain, or nil when the Live drives a
-// frame executor.
-func (l *Live) Chain() *filter.Chain {
-	chain, _ := l.exec.(*filter.Chain)
-	return chain
 }
 
 // Plan returns a copy of the current plan. Like all read paths it serves
@@ -142,7 +123,8 @@ func (l *Live) Registry() *Registry { return l.reg }
 // kind and argument match a current stage keep their live filter instance
 // (counters, FEC group state and all); an active marker instance survives as
 // long as the target retains the marker. Everything else is built fresh
-// through the registry, and stages that fall out of the plan are stopped.
+// through the registry, and stages that fall out of the plan are flushed and
+// retired.
 func (l *Live) Recompose(target Plan) error {
 	return l.Edit(func(Plan) (Plan, error) { return target, nil })
 }
@@ -186,7 +168,7 @@ func (l *Live) Activate(kind string, f filter.Filter) error {
 	return nil
 }
 
-// Deactivate removes the marker stage's live instance (stopping it), leaving
+// Deactivate removes the marker stage's live instance (retiring it), leaving
 // the marker in the plan for a later Activate. It reports whether an
 // instance was actually removed; a plan without the marker is not an error —
 // there is nothing to deactivate.
@@ -244,9 +226,7 @@ func (l *Live) StageStats() []metrics.StageStats {
 		if f := v.inst[i]; f != nil {
 			s.Name = f.Name()
 			s.Active = f.Running()
-			if io, ok := f.(interface{ IOBytes() (uint64, uint64) }); ok {
-				s.InBytes, s.OutBytes = io.IOBytes()
-			}
+			s.InBytes, s.OutBytes = f.IOBytes()
 		}
 		out[i] = s
 	}

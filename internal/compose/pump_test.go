@@ -5,20 +5,25 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rapidware/internal/endpoint"
 	"rapidware/internal/filter"
 	"rapidware/internal/packet"
 )
 
-// Every stage body runs under two drivers — the stream driver inside a
-// goroutine filter.Chain and the run-to-completion filter.FrameChain. The
-// tests below hold them to the same answer: the same seeded frame sequence
-// through the same plan must come out byte-identical whichever executor ran
-// it, however the stream side's writes and reads happen to be chunked. The
-// timed stages read a frozen clock, so nothing they hold falls due before the
-// end of the stream flushes it.
+// Every stage body runs on one executor, filter.FrameChain, which a stream
+// proxy (filter.Chain) feeds from a byte stream. The tests below hold the two
+// entry points to the same answer: the same seeded frame sequence through the
+// same plan must come out byte-identical whether each frame was handed to the
+// FrameChain directly or written as a byte stream into a framed reader and
+// pumped — however the stream's writes and reads happen to be chunked. The
+// timed stages read a frozen clock, so nothing they hold falls due while the
+// stream flows. Direct frames then leave on the FrameChain's closing flush;
+// the pumped stream's clock jumps an hour ahead once its source has ended,
+// and they leave on the timer the pump waits out, in the same order.
 
 // diffArgs supplies an argument for every registered kind that needs one. A
 // kind registered without an entry here fails canonicalization below, which is
@@ -69,9 +74,37 @@ func diffFrames(seed int64, n int) [][]byte {
 // frozen is the clock every stage reads in these tests.
 func frozen() time.Time { return time.Unix(1e9, 0) }
 
-// buildPlan instantiates fresh stage instances for a spec, on the frozen
-// clock.
-func buildPlan(t *testing.T, spec string) []filter.Filter {
+// thawingClock is frozen until thaw, then runs from an hour past it.
+type thawingClock struct{ thawedAt atomic.Pointer[time.Time] }
+
+func (c *thawingClock) now() time.Time {
+	if at := c.thawedAt.Load(); at != nil {
+		return frozen().Add(time.Hour + time.Since(*at))
+	}
+	return frozen()
+}
+
+func (c *thawingClock) thaw() {
+	now := time.Now()
+	c.thawedAt.Store(&now)
+}
+
+// eofReader calls atEOF when its reader returns io.EOF.
+type eofReader struct {
+	io.Reader
+	atEOF func()
+}
+
+func (r eofReader) Read(p []byte) (int, error) {
+	n, err := r.Reader.Read(p)
+	if err == io.EOF {
+		r.atEOF()
+	}
+	return n, err
+}
+
+// buildPlan instantiates fresh stage instances for a spec on the given clock.
+func buildPlan(t *testing.T, spec string, clock func() time.Time) []filter.Filter {
 	t.Helper()
 	plan, err := Parse(spec, ModeChain)
 	if err != nil {
@@ -83,13 +116,13 @@ func buildPlan(t *testing.T, spec string) []filter.Filter {
 		if err != nil {
 			t.Fatalf("build %s: %v", st, err)
 		}
-		f.(interface{ SetClock(func() time.Time) }).SetClock(frozen)
+		f.(interface{ SetClock(func() time.Time) }).SetClock(clock)
 		stages = append(stages, f)
 	}
 	return stages
 }
 
-// runFrames pushes frames through spec on the frame executor and returns the
+// runFrames hands frames to a FrameChain running spec and returns the
 // concatenated output, end-of-stream flush included.
 func runFrames(t *testing.T, spec string, frames [][]byte) []byte {
 	t.Helper()
@@ -98,7 +131,7 @@ func runFrames(t *testing.T, spec string, frames [][]byte) []byte {
 		out.Write(b.B)
 		b.Release()
 	})
-	if err := fc.SetInterior(buildPlan(t, spec)); err != nil {
+	if err := fc.SetInterior(buildPlan(t, spec, frozen)); err != nil {
 		t.Fatalf("frame executor rejected %q: %v", spec, err)
 	}
 	for _, f := range frames {
@@ -114,10 +147,10 @@ func runFrames(t *testing.T, spec string, frames [][]byte) []byte {
 	return out.Bytes()
 }
 
-// chunking is one cell of the slow-writer/fast-reader matrix the stream side
-// is fed through: the source writes the byte stream writeSize bytes at a time
-// (0: one frame per write), pausing every pauseEvery writes, and the far end
-// reads readSize bytes at a time.
+// chunking is one cell of the slow-writer/fast-reader matrix the pumped side
+// is fed through: the producer writes the byte stream writeSize bytes at a
+// time (0: one frame per write), pausing every pauseEvery writes, and the
+// consumer reads the proxy's output readSize bytes at a time.
 type chunking struct {
 	writeSize, readSize, pauseEvery int
 }
@@ -130,81 +163,78 @@ var diffChunkings = []chunking{
 	{writeSize: 7, readSize: 4096, pauseEvery: 512},
 }
 
-// runStream pushes the same frames through spec on a goroutine chain, the
-// stream written and read in the given chunking, and returns everything that
-// reached the far end by the time the EOF cascade finished.
-func runStream(t *testing.T, spec string, frames [][]byte, ch chunking) []byte {
+// runPumped writes the same frames as one byte stream, in the given chunking,
+// into a filter.Chain reading it framed and running spec, and returns
+// everything that reached the far end once the stream was done.
+func runPumped(t *testing.T, spec string, frames [][]byte, ch chunking) []byte {
 	t.Helper()
-	var writes [][]byte
-	if ch.writeSize == 0 {
-		writes = frames
-	} else {
+	writes := frames
+	if ch.writeSize > 0 {
+		writes = nil
 		all := bytes.Join(frames, nil)
 		for off := 0; off < len(all); off += ch.writeSize {
 			writes = append(writes, all[off:min(off+ch.writeSize, len(all))])
 		}
 	}
-	src := filter.New("src", func(_ io.Reader, w io.Writer) error {
-		for i, chunk := range writes {
-			if _, err := w.Write(chunk); err != nil {
-				return err
+	inR, inW := io.Pipe()
+	outR, outW := io.Pipe()
+	go func() {
+		for i, w := range writes {
+			if _, err := inW.Write(w); err != nil {
+				return
 			}
 			if ch.pauseEvery > 0 && i%ch.pauseEvery == ch.pauseEvery-1 {
 				time.Sleep(50 * time.Microsecond)
 			}
 		}
-		return nil // EOF cascades down the chain, flushing every stage
-	})
-	var out bytes.Buffer
-	dst := filter.New("dst", func(r io.Reader, _ io.Writer) error {
+		inW.Close() // the end of the stream thaws the clock
+	}()
+	got := make(chan []byte, 1)
+	go func() {
+		var out bytes.Buffer
 		buf := make([]byte, ch.readSize)
 		for {
-			n, err := r.Read(buf)
+			n, err := outR.Read(buf)
 			out.Write(buf[:n])
 			if err != nil {
-				return err
+				got <- out.Bytes()
+				return
 			}
 		}
-	})
+	}()
+	clock := &thawingClock{}
 	chain := filter.NewChain("diff")
-	for _, f := range append(append([]filter.Filter{src}, buildPlan(t, spec)...), dst) {
-		if err := chain.Append(f); err != nil {
+	stages := []filter.Stage{endpoint.NewFrameReader("in", eofReader{inR, clock.thaw})}
+	for _, f := range buildPlan(t, spec, clock.now) {
+		stages = append(stages, f)
+	}
+	for _, s := range append(stages, endpoint.NewWriter("out", outW)) {
+		if err := chain.Append(s); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := chain.Start(); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() { dst.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatalf("%q %+v: stream side never finished", spec, ch)
+	if err := chain.Wait(); err != nil {
+		t.Fatalf("%q %+v: pumped stream: %v", spec, ch, err)
 	}
-	if err := dst.Err(); err != nil {
-		t.Fatalf("%q %+v: stream side: %v", spec, ch, err)
-	}
-	_ = chain.Stop() // everything already exited
-	return out.Bytes()
+	return <-got
 }
 
 // splitFrames cuts a byte stream back into frames.
 func splitFrames(t *testing.T, stream []byte) [][]byte {
 	t.Helper()
 	var frames [][]byte
-	pr := packet.NewReader(bytes.NewReader(stream))
-	for {
-		b, err := pr.ReadFrameBuf(0)
-		if err == io.EOF {
-			return frames
-		}
+	for len(stream) > 0 {
+		_, n, err := packet.Unmarshal(stream)
 		if err != nil {
 			t.Fatalf("re-framing: %v", err)
 		}
-		frames = append(frames, append([]byte(nil), b.B...))
-		b.Release()
+		frames = append(frames, stream[:n])
+		stream = stream[n:]
 	}
+	return frames
 }
 
 // diffInput is the input a plan is differentially tested on. Stages that only
@@ -252,34 +282,24 @@ func testDifferential(t *testing.T, spec string) {
 		t.Fatalf("%q produced no output at all", spec)
 	}
 	for _, ch := range diffChunkings {
-		if got := runStream(t, spec, frames, ch); !bytes.Equal(got, want) {
-			t.Errorf("%q: stream driver (%+v) produced %d bytes, frame executor %d; outputs differ",
+		if got := runPumped(t, spec, frames, ch); !bytes.Equal(got, want) {
+			t.Errorf("%q: pumped stream (%+v) produced %d bytes, direct frames %d; outputs differ",
 				spec, ch, len(got), len(want))
 		}
 	}
 }
 
-// TestDifferentialEveryKind runs each registered kind on its own through both
-// drivers, and pins that every kind has a frame form.
+// TestDifferentialEveryKind runs each registered kind on its own both ways.
 func TestDifferentialEveryKind(t *testing.T) {
-	var streamOnly []string
 	for _, kind := range Default().Kinds() {
-		d, _ := Default().Lookup(kind)
-		if d.Marker {
+		if d, _ := Default().Lookup(kind); d.Marker {
 			continue // no instance of its own
 		}
 		st, err := Default().CanonStage(kind, diffArgs[kind])
 		if err != nil {
 			t.Fatalf("kind %q needs an argument in diffArgs: %v", kind, err)
 		}
-		if f, err := Default().Build(Env{}, st); err != nil || !filter.HasFrameForm(f) {
-			streamOnly = append(streamOnly, kind)
-			continue
-		}
 		t.Run(kind, func(t *testing.T) { testDifferential(t, st.String()) })
-	}
-	if len(streamOnly) > 0 {
-		t.Errorf("kinds without a frame form = %v, want none", streamOnly)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"rapidware/internal/compose"
 	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
+	"rapidware/internal/packet"
 )
 
 func startServer(t *testing.T) (*Server, string) {
@@ -35,24 +36,14 @@ func dialClient(t *testing.T, addr string) *Client {
 }
 
 // startStreamServer serves one compose.Live as session 1 the way rapidproxy
-// -mode stream does. Its endpoints neither produce nor consume, which keeps
-// the chain valid for management-plane tests without moving data.
+// -mode stream does. The management-plane tests move no data, so the plan's
+// executor is a bare FrameChain.
 func startStreamServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	chain := filter.NewChain("stream")
-	for _, f := range []filter.Filter{filter.NewNull("in"), filter.NewNull("out")} {
-		if err := chain.Append(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	live, err := compose.Attach(chain, compose.Default(), compose.Env{StreamID: 1}, compose.ModeChain, compose.Plan{})
+	live, err := compose.Attach(filter.NewFrameChain((*packet.Buf).Release), compose.Default(), compose.Env{StreamID: 1}, compose.ModeChain, compose.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chain.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { chain.Stop() })
 	s, addr := startServer(t)
 	s.SetSessionSource(compose.NewStreamSession(live))
 	return s, dialClient(t, addr)

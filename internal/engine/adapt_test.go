@@ -293,14 +293,25 @@ func TestEngineSweepAgesOutDeadWorstReceiver(t *testing.T) {
 		}
 	}
 
+	// A report is counted before its decision is applied (the member's move
+	// to its cohort), so wait for each station's own row to carry the
+	// decision: a sweep must not overtake a move still in flight.
+	applied := func(rx *net.UDPConn, loss float64) {
+		t.Helper()
+		receiverStat(t, e, 57, rx.LocalAddr().String(), "decision applied", func(r metrics.ReceiverStats) bool {
+			return r.Reports == 1 && r.LossRate == loss
+		})
+	}
+
 	// The station that will crash reports first and worst; deadBy bounds the
 	// moment its report was stamped, and the live station reports after it.
 	reportFrom(rxDead, packet.Report{Received: 70, Lost: 30, Window: 100})
-	waitAdapt(t, e, 57, "dead report", func(a *metrics.AdaptStats) bool { return a.Reports == 1 })
+	applied(rxDead, 0.30)
 	deadBy := time.Now()
 	time.Sleep(10 * time.Millisecond)
 	reportFrom(rxLive, packet.Report{Received: 98, Lost: 2, Window: 100})
-	st := waitAdapt(t, e, 57, "live report", func(a *metrics.AdaptStats) bool { return a.Reports == 2 })
+	applied(rxLive, 0.02)
+	st := e.Session(57).Stats().Adapt
 	if st.LossRate != 0.30 || st.Receivers != 2 {
 		t.Fatalf("before aging: %+v, want the dead station's 0.30 over 2 receivers", st)
 	}

@@ -395,7 +395,7 @@ func (t *deliveryTree) newCohort(key string, plan compose.Plan, mech adapt.Mecha
 		Name:     func(kind string) string { return fmt.Sprintf("%s:%d:c%d", kind, s.id, serial) },
 		OnDrop:   func() { s.counters.Drops.Add(1) },
 	}
-	live, err := compose.AttachTo(c.frames, e.reg, env, compose.ModeBranch, plan)
+	live, err := compose.Attach(c.frames, e.reg, env, compose.ModeBranch, plan)
 	if err != nil {
 		return nil, fmt.Errorf("cohort tail: %w", err)
 	}

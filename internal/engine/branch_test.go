@@ -315,6 +315,37 @@ func TestEngineStaleReceiverDecays(t *testing.T) {
 	}
 }
 
+// TestEnginePlainFanoutRunsOnTheTree: fan-out without adaptation or a Branch
+// spec takes the one delivery path as well — every member shares the bypass
+// cohort, receives every frame, and has its own exact receiver row.
+func TestEnginePlainFanoutRunsOnTheTree(t *testing.T) {
+	rxs := []*net.UDPConn{listenReceiver(t), listenReceiver(t)}
+	e := newTestEngine(t, Config{Fanout: []string{rxs[0].LocalAddr().String(), rxs[1].LocalAddr().String()}})
+	c := dialEngine(t, e)
+	const frames = 3
+	for seq := uint64(0); seq < frames; seq++ {
+		sendPacket(t, c, 9, &packet.Packet{Seq: seq, Kind: packet.KindData, Payload: []byte("plain")})
+	}
+	for _, rx := range rxs {
+		for seq := uint64(0); seq < frames; seq++ {
+			if id, p := readFrame(t, rx, 2*time.Second); id != 9 || p.Seq != seq {
+				t.Fatalf("receiver %s got session %d seq %d, want 9/%d", rx.LocalAddr(), id, p.Seq, seq)
+			}
+		}
+		receiverStat(t, e, 9, rx.LocalAddr().String(), "plain fan-out row", func(rs metrics.ReceiverStats) bool {
+			return rs.OutPackets == frames && rs.Drops == 0
+		})
+	}
+	st := e.Session(9).Stats()
+	if len(st.Receivers) != len(rxs) || st.Cohorts != 1 || st.Adapt != nil {
+		t.Fatalf("plain fan-out session: %d receiver rows, %d cohorts, adapt %+v; want 2, 1, none",
+			len(st.Receivers), st.Cohorts, st.Adapt)
+	}
+	if hits := e.Stats().BypassHits; hits != frames {
+		t.Fatalf("BypassHits = %d, want one per trunk frame (%d)", hits, frames)
+	}
+}
+
 func TestEngineBranchConfigValidation(t *testing.T) {
 	// Branch tails are fan-out machinery; Forward conflicts.
 	if _, err := New(Config{Forward: "127.0.0.1:1", Branch: "thin=2"}); err == nil {
@@ -332,8 +363,8 @@ func TestEngineBranchConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fec-adapt branch rejected: %v", err)
 	}
-	if !e.adaptOn || !e.branching {
-		t.Fatalf("fec-adapt branch: adaptOn=%v branching=%v", e.adaptOn, e.branching)
+	if !e.adaptOn || e.group == nil {
+		t.Fatalf("fec-adapt branch: adaptOn=%v fan-out=%v", e.adaptOn, e.group != nil)
 	}
 	// A Branch spec without configured fan-out members still builds a group
 	// for runtime joins.
@@ -341,7 +372,7 @@ func TestEngineBranchConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Branch without Fanout rejected: %v", err)
 	}
-	if e.FanoutGroup() == nil || !e.branching {
+	if e.FanoutGroup() == nil {
 		t.Fatal("Branch without Fanout did not set up the delivery tree")
 	}
 }

@@ -67,10 +67,9 @@
 // admission policy (Config.Admission) chooses between rejecting new sessions
 // at capacity and harvesting the oldest-idle one to make room.
 //
-// Fan-out sessions with adaptation (or a Branch spec) relay through a
-// delivery tree instead of a single chain: the shared trunk's output is
-// dispatched to delivery *cohorts* — one shared tail per distinct protection
-// level, not one per receiver. Receivers whose tail plans and decided repair
+// Fan-out sessions relay through a delivery tree instead of a single chain:
+// the shared trunk's output is dispatched to delivery *cohorts* — one shared
+// tail per distinct protection level, not one per receiver. Receivers whose tail plans and decided repair
 // mechanisms match share one tail traversal and one FEC encode, fanned to all
 // of them by the shard's flush (same payload, N address stamps); receivers
 // needing no tail at all ride a bypass lane straight into the shard's queue.
@@ -192,11 +191,11 @@ type Config struct {
 	Fanout []string
 	// Branch is the per-receiver filter-tail spec of a fan-out session's
 	// delivery tree; see ParseBranch for the syntax (chain stages plus the
-	// branch-only "fec-adapt"). Setting it turns the fan-out path into a
-	// delivery tree — the shared trunk chain's output is cloned (by
-	// reference, never copying payload bytes) into one short tail per
-	// receiver, so each station can get FEC strength and media fidelity
-	// matched to its own channel. Requires fan-out (Fanout, or members added
+	// branch-only "fec-adapt"). The shared trunk chain's output runs through
+	// one short tail per distinct plan and protection level, so each station
+	// can get FEC strength and media fidelity matched to its own channel;
+	// with no Branch spec and no adaptation every member shares the bypass
+	// lane. Setting it enables fan-out (members come from Fanout or are added
 	// through FanoutGroup at run time); mutually exclusive with Forward.
 	Branch string
 	// Adapt enables the closed-loop adaptation plane, driven by receiver
@@ -264,17 +263,15 @@ type Engine struct {
 	reg       *compose.Registry
 	trunkPlan compose.Plan
 
-	// Per-receiver delivery-branch configuration, resolved by New. branching
-	// selects the delivery-tree fan-out path (trunk + per-receiver tails)
-	// over the plain multicast write; adaptOn enables the feedback plane at
-	// all (trunk loop on unicast sessions, per-branch loops when branching).
+	// Per-receiver delivery-branch configuration, resolved by New. adaptOn
+	// enables the feedback plane at all: the trunk loop on unicast sessions,
+	// per-member loops on fan-out.
 	branchPlan compose.Plan
-	branching  bool
 	adaptOn    bool
 
 	conns   []*net.UDPConn       // one per shard in ReusePort mode, else one shared
 	forward netip.AddrPort       // zero value when echoing to senders
-	group   *multicast.AddrGroup // non-nil when fanning out to receivers
+	group   *multicast.AddrGroup // non-nil when fanning out to receivers, through a delivery tree
 
 	table  *table
 	shards []shard
@@ -363,18 +360,13 @@ func New(cfg Config) (*Engine, error) {
 			e.group.Add(udp.AddrPort())
 		}
 	}
-	// The delivery tree engages whenever fan-out needs per-receiver tails:
-	// adaptation (each member's own loss reports drive its own branch) or an
-	// explicit Branch spec. Plain fan-out without either keeps the direct
-	// multicast write path — one batched write per receiver.
-	e.branching = e.group != nil && (cfg.Adapt || cfg.Branch != "")
 	// Chains owned by the adaptation plane carry a fec-adapt marker in their
 	// plan: the position the repair stage activates at, visible in
 	// (and preserved by) control-plane recomposition. Specs without an
 	// explicit marker get one injected right after the chain source, the
 	// historical default splice position.
 	if e.adaptOn {
-		if e.branching {
+		if e.group != nil {
 			if !e.branchPlan.Has(compose.KindFECAdapt) {
 				e.branchPlan, _ = e.branchPlan.WithInsert(0, compose.Stage{Kind: compose.KindFECAdapt})
 			}
@@ -390,7 +382,7 @@ func New(cfg Config) (*Engine, error) {
 // adaptation loop.
 func (e *Engine) trunkMode() compose.Mode {
 	mode := compose.ModeChain
-	if e.adaptOn && !e.branching {
+	if e.adaptOn && e.group == nil {
 		mode.AllowMarker = true
 	}
 	return mode
@@ -509,12 +501,7 @@ func (e *Engine) Start() error {
 		e.logf("idle harvester on (TTL %s, admission %s)", e.cfg.IdleTTL, e.cfg.Admission)
 	}
 	if e.group != nil {
-		if e.branching {
-			e.logf("fanning out to %d receivers through per-receiver delivery branches (branch spec %q)",
-				e.group.Len(), e.cfg.Branch)
-		} else {
-			e.logf("fanning out to %d receivers", e.group.Len())
-		}
+		e.logf("fanning out to %d receivers through delivery cohorts (branch spec %q)", e.group.Len(), e.cfg.Branch)
 	}
 	return nil
 }

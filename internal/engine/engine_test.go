@@ -2,9 +2,9 @@ package engine
 
 import (
 	"errors"
-	"io"
 	"net"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -282,19 +282,20 @@ func TestEngineMalformedDatagramsCounted(t *testing.T) {
 }
 
 func TestEngineChainDyingDuringOpenDoesNotBlackholeID(t *testing.T) {
-	// A custom kind with only a stream body cannot run on the engine's frame
-	// executor: building the session fails cleanly (filter.ErrNoFrameForm)
-	// before it is registered. The ID must never be blackholed by a dead
-	// session, and the admission slot must be released.
+	// A custom kind whose builder hands out one instance that another chain
+	// already runs cannot be spliced into a session's executor: building the
+	// session fails cleanly at the splice, before it is registered. The ID
+	// must never be blackholed by a dead session, and the admission slot must
+	// be released.
 	e := newTestEngine(t, Config{MaxSessions: 2})
+	shared := filter.NewNull("insta-fail")
+	if err := filter.NewFrameChain((*packet.Buf).Release).SetInterior([]filter.Filter{shared}); err != nil {
+		t.Fatal(err)
+	}
 	reg := compose.Default().Clone()
 	if err := reg.Register(compose.Definition{
-		Kind: "insta-fail",
-		Build: func(compose.Env, string) (filter.Filter, error) {
-			return filter.New("insta-fail", func(io.Reader, io.Writer) error {
-				return errors.New("boom")
-			}), nil
-		},
+		Kind:  "insta-fail",
+		Build: func(compose.Env, string) (filter.Filter, error) { return shared, nil },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -306,8 +307,8 @@ func TestEngineChainDyingDuringOpenDoesNotBlackholeID(t *testing.T) {
 	e.trunkPlan = failPlan
 	peer := netip.MustParseAddrPort("127.0.0.1:9")
 	for i := 0; i < 30; i++ {
-		if _, err := e.openSession(77, peer); !errors.Is(err, filter.ErrNoFrameForm) {
-			t.Fatalf("iteration %d: openSession = %v, want ErrNoFrameForm", i, err)
+		if _, err := e.openSession(77, peer); err == nil || !strings.Contains(err.Error(), "already running") {
+			t.Fatalf("iteration %d: openSession = %v, want the splice refused", i, err)
 		}
 		deadline := time.Now().Add(2 * time.Second)
 		for e.SessionCount() != 0 {

@@ -99,7 +99,7 @@ type chainState struct {
 
 	// tree is the session's per-receiver delivery tree: the trunk's output
 	// is dispatched to the delivery cohorts serving the fan-out members. nil
-	// on unicast sessions and on plain (branch-less) fan-out.
+	// on unicast sessions.
 	tree *deliveryTree
 
 	// retunes counts every retune this incarnation's loops applied, departed
@@ -143,18 +143,18 @@ func newSession(e *Engine, id uint32, peer netip.AddrPort) (*Session, error) {
 func (e *Engine) buildChainState(s *Session, plan compose.Plan) (*chainState, error) {
 	cs := &chainState{}
 	cs.frames = filter.NewFrameChain(func(b *packet.Buf) { s.send(cs, datagram(b)) })
-	live, err := compose.AttachTo(cs.frames, e.reg, s.composeEnv(), e.trunkMode(), plan)
+	live, err := compose.Attach(cs.frames, e.reg, s.composeEnv(), e.trunkMode(), plan)
 	if err != nil {
 		return nil, fmt.Errorf("engine: session %d chain: %w", s.id, err)
 	}
 	cs.live = live
-	if e.adaptOn && !e.branching {
+	if e.adaptOn && e.group == nil {
 		if cs.trunk, err = newTrunkLoop(s, cs); err != nil {
 			_ = cs.frames.Close() // nothing has run through it yet
 			return nil, fmt.Errorf("engine: session %d adaptation: %w", s.id, err)
 		}
 	}
-	if e.branching {
+	if e.group != nil {
 		// Build the delivery tree (and a cohort for every current fan-out
 		// member) before the session can receive a packet, so the first
 		// trunk frame already fans out through fully primed cohorts.
@@ -482,10 +482,10 @@ func (s *Session) deliver(b *packet.Buf, from netip.AddrPort) {
 }
 
 // send relays one trunk-output frame; b.B starts with SessionIDSize bytes of
-// headroom followed by the frame. On the delivery-tree path the tree stamps
-// the session ID and dispatches the frame to every delivery cohort; otherwise
-// the session ID is stamped in place and the whole buffer is one datagram for
-// the owning shard's output queue. Routing every datagram of a session
+// headroom followed by the frame. On a fan-out session the tree stamps the
+// session ID and dispatches the frame to every delivery cohort; otherwise the
+// session ID is stamped in place and the whole buffer is one datagram for the
+// owning shard's output queue. Routing every datagram of a session
 // through one shard's queue preserves per-session output order; a full queue
 // drops (UDP-style, counted) rather than blocking the trunk. send owns b
 // until the enqueue. It runs under the executor's lock, so calls for one
@@ -496,12 +496,6 @@ func (s *Session) send(cs *chainState, b *packet.Buf) {
 		return
 	}
 	packet.PutSessionID(b.B, s.id)
-	if s.eng.group != nil {
-		// Fan-out: the writer snapshots the receiver group at flush time so
-		// membership changes apply to queued datagrams too.
-		s.shard.enqueue(outbound{s: s, b: b, fan: true})
-		return
-	}
 	dst := s.eng.forward
 	if !dst.IsValid() {
 		dst = s.Peer()

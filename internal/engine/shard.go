@@ -73,10 +73,9 @@ type shardCounters struct {
 }
 
 // outbound is one datagram queued on a shard. dst is the resolved
-// unicast destination; fan selects the engine's fan-out group instead (the
-// plain multicast path), snapshotted at flush time; view selects a delivery
-// cohort's destinations as they were when the frame was enqueued, so a
-// membership change applies from the next frame on. Per-receiver unicast
+// unicast destination; view selects a delivery cohort's destinations instead,
+// as they were when the frame was enqueued, so a membership change applies
+// from the next frame on. Per-receiver unicast
 // datagrams (replay priming, NACK retransmissions) set dst with rx pointing
 // at the receiver's counter block.
 type outbound struct {
@@ -85,7 +84,6 @@ type outbound struct {
 	dst  netip.AddrPort
 	rx   *metrics.ReceiverCounters
 	view *[]target
-	fan  bool
 }
 
 // wmeta carries one batched datagram's accounting targets through the send
@@ -371,9 +369,9 @@ func (sh *shard) sendQueue(q *[]outbound) {
 	sh.spare = b[:0]
 }
 
-// flush expands one drained batch into the wire-level datagram list — fan-out
-// entries become one datagram per group member, sharing the payload buffer by
-// reference — sends it, and releases every buffer. flush owns the batch's
+// flush expands one drained batch into the wire-level datagram list — cohort
+// entries become one datagram per member of their view, sharing the payload
+// buffer by reference — sends it, and releases every buffer. flush owns the batch's
 // buffers.
 //
 // The batch's frames bound for one cohort view expand destination-major: all of
@@ -392,20 +390,8 @@ func (sh *shard) flush(batch []outbound) {
 			continue
 		}
 		if o.view == nil {
-			if !o.fan {
-				ms = append(ms, ioMsg{Buf: o.b.B, Addr: o.dst})
-				acct = append(acct, wmeta{s: o.s, rx: o.rx})
-				continue
-			}
-			targets := o.s.eng.group.Snapshot()
-			if len(targets) == 0 {
-				o.s.counters.Drops.Add(1)
-				continue
-			}
-			for _, dst := range targets {
-				ms = append(ms, ioMsg{Buf: o.b.B, Addr: dst})
-				acct = append(acct, wmeta{s: o.s})
-			}
+			ms = append(ms, ioMsg{Buf: o.b.B, Addr: o.dst})
+			acct = append(acct, wmeta{s: o.s, rx: o.rx})
 			continue
 		}
 		// Cohort fan-out: one payload buffer per frame, one address stamp per

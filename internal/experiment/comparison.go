@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -197,18 +198,18 @@ func RunRepairComparison(cfg RepairComparisonConfig) (*RepairComparisonResult, e
 	}
 	// Repair rounds: the union of all receivers' NACKs is retransmitted (a
 	// single multicast retransmission can serve several receivers, the best
-	// case for ARQ).
+	// case for ARQ), in sequence order, so every run draws the receivers'
+	// losses in the same order.
 	for round = 1; round <= cfg.MaxNACKRounds; round++ {
-		want := map[uint64]bool{}
+		var want []uint64
 		for _, r := range receivers {
-			for _, seq := range r.proto.Missing() {
-				want[seq] = true
-			}
+			want = append(want, r.proto.Missing()...)
 		}
 		if len(want) == 0 {
 			break
 		}
-		for seq := range want {
+		slices.Sort(want)
+		for _, seq := range slices.Compact(want) {
 			if err := sender.Retransmit(seq); err != nil {
 				return nil, err
 			}

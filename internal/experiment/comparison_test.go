@@ -95,3 +95,22 @@ func TestRunRepairComparisonDefaults(t *testing.T) {
 		t.Fatalf("points = %d", len(res.Points))
 	}
 }
+
+// TestRunRepairComparisonReproducible: one seed, one table — the ARQ arm's
+// retransmissions draw the receivers' losses in a fixed order.
+func TestRunRepairComparisonReproducible(t *testing.T) {
+	cfg := DefaultRepairComparisonConfig()
+	cfg.AudioSeconds = 4
+	cfg.DistanceMetres = 38 // enough loss for two NACK rounds with many holes
+	var tables []string
+	for run := 0; run < 2; run++ {
+		res, err := RunRepairComparison(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables = append(tables, res.Format())
+	}
+	if tables[0] != tables[1] {
+		t.Fatalf("two runs of one seed differ:\n%s\n%s", tables[0], tables[1])
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"rapidware/internal/compose"
@@ -14,6 +13,7 @@ import (
 	"rapidware/internal/fec"
 	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
+	"rapidware/internal/packet"
 	"rapidware/internal/raplet"
 	"rapidware/internal/wireless"
 )
@@ -65,11 +65,23 @@ func RunLiveInsertion(cfg LiveInsertionConfig) (*LiveInsertionResult, error) {
 		payload[i] = byte(i*131 + i>>9)
 	}
 
-	var sink lockedBuffer
-	chain, live, err := newStreamChain("live-insertion",
+	// The paced payload is a raw byte stream: it enters the chain one buffer
+	// per read, which the spliced counting stage accepts as it does frames.
+	var sink bytes.Buffer // written by the chain's pump, read once it is done
+	chain := filter.NewChain("live-insertion")
+	for _, s := range []filter.Stage{
 		endpoint.NewReader("in", &pacedReader{payload: payload, chunk: cfg.ChunkSize}),
-		endpoint.NewWriter("out", &sink))
+		endpoint.NewWriter("out", &sink),
+	} {
+		if err := chain.Append(s); err != nil {
+			return nil, err
+		}
+	}
+	live, err := compose.Attach(chain, compose.Default(), compose.Env{StreamID: 1}, compose.ModeChain, compose.Plan{})
 	if err != nil {
+		return nil, err
+	}
+	if err := chain.Start(); err != nil {
 		return nil, err
 	}
 
@@ -96,33 +108,13 @@ func RunLiveInsertion(cfg LiveInsertionConfig) (*LiveInsertionResult, error) {
 	}
 
 	// Wait for the stream to finish, then verify integrity.
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) && sink.Len() < len(payload) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := chain.Stop(); err != nil {
+	if err := chain.Wait(); err != nil {
 		return nil, err
 	}
 	got := sink.Bytes()
 	result.BytesDelivered = len(got)
 	result.Intact = bytes.Equal(got, payload)
 	return result, nil
-}
-
-// newStreamChain starts in -> out with an empty plan attached, the shape of
-// rapidproxy's stream mode.
-func newStreamChain(name string, in, out filter.Filter) (*filter.Chain, *compose.Live, error) {
-	chain := filter.NewChain(name)
-	for _, f := range []filter.Filter{in, out} {
-		if err := chain.Append(f); err != nil {
-			return nil, nil, err
-		}
-	}
-	live, err := compose.Attach(chain, compose.Default(), compose.Env{StreamID: 1}, compose.ModeChain, compose.Plan{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return chain, live, chain.Start()
 }
 
 // Format renders the E3 report.
@@ -205,11 +197,12 @@ func RunAdaptiveWalk(cfg AdaptiveWalkConfig) (*AdaptiveWalkResult, error) {
 		cfg.Window = 200
 	}
 
-	chain, live, err := newStreamChain("adaptive-proxy", filter.NewNull("wired-in"), filter.NewNull("wireless-out"))
+	// The responder splices the encoder into the live plan; the walk carries
+	// no traffic, so the plan's executor is a bare FrameChain.
+	live, err := compose.Attach(filter.NewFrameChain((*packet.Buf).Release), compose.Default(), compose.Env{StreamID: 1}, compose.ModeChain, compose.Plan{})
 	if err != nil {
 		return nil, err
 	}
-	defer chain.Stop()
 
 	bus := raplet.NewBus()
 	encoder := fmt.Sprintf("fec-encode=%d/%d", cfg.FEC.N, cfg.FEC.K)
@@ -258,32 +251,6 @@ func (r *AdaptiveWalkResult) Format() string {
 }
 
 // --- helpers -----------------------------------------------------------------
-
-// lockedBuffer is a concurrency-safe bytes.Buffer sink.
-type lockedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (l *lockedBuffer) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.buf.Write(p)
-}
-
-// Len returns the number of bytes written so far.
-func (l *lockedBuffer) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.buf.Len()
-}
-
-// Bytes returns a copy of the collected bytes.
-func (l *lockedBuffer) Bytes() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]byte(nil), l.buf.Bytes()...)
-}
 
 // pacedReader emits a payload in fixed-size chunks with a tiny pause between
 // them so the stream stays live while filters are spliced.

@@ -90,7 +90,7 @@ type AudioProxyResult struct {
 //	audio source -> packetizer -> [FEC encoder filter] -> wireless channel
 //	  -> per-receiver: [FEC decoder filter] -> audio reassembler
 //
-// The sender side runs as a real filter chain (packet source, FEC encoder,
+// The sender side runs as a filter chain (packet source, FEC encoder,
 // channel broadcaster); each receiver runs its own chain fed from its channel
 // buffer. When cfg.FEC.N == cfg.FEC.K the run degenerates to the "no FEC"
 // baseline used for the raw-receipt series of Figure 7.
@@ -142,33 +142,19 @@ func RunAudioProxy(cfg AudioProxyConfig, pcm []byte) (*AudioProxyResult, error) 
 		return p, nil
 	})
 
-	var stages []filter.Filter
-	stages = append(stages, source)
-	var encoder *EncoderFilter
+	stages := []filter.Stage{source}
 	if cfg.FEC.N > cfg.FEC.K {
-		encoder, err = NewEncoderFilter("fec-encoder", cfg.FEC, 1)
+		encoder, err := NewEncoderFilter("fec-encoder", cfg.FEC, 1)
 		if err != nil {
 			return nil, err
 		}
 		stages = append(stages, encoder)
 	}
-	broadcaster := endpoint.NewPacketSink("wireless-sender", func(p *packet.Packet) error {
+	stages = append(stages, endpoint.NewPacketSink("wireless-sender", func(p *packet.Packet) error {
 		_, berr := channel.Broadcast(p)
 		return berr
-	})
-	stages = append(stages, broadcaster)
-
-	sendChain := filter.NewChain("fec-audio-proxy")
-	for _, s := range stages {
-		if err := sendChain.Append(s); err != nil {
-			return nil, err
-		}
-	}
-	if err := sendChain.Start(); err != nil {
-		return nil, err
-	}
-	broadcaster.Wait()
-	if err := sendChain.Stop(); err != nil {
+	}))
+	if err := runChain("fec-audio-proxy", stages...); err != nil {
 		return nil, err
 	}
 
@@ -221,17 +207,7 @@ func runReceiver(r *wireless.Receiver, cfg AudioProxyConfig, trace *metrics.Trac
 		return nil
 	})
 
-	chain := filter.NewChain("fec-audio-receiver")
-	for _, s := range []filter.Filter{source, decoder, sink} {
-		if err := chain.Append(s); err != nil {
-			return ReceiverResult{}, err
-		}
-	}
-	if err := chain.Start(); err != nil {
-		return ReceiverResult{}, err
-	}
-	sink.Wait()
-	if err := chain.Stop(); err != nil {
+	if err := runChain("fec-audio-receiver", source, decoder, sink); err != nil {
 		return ReceiverResult{}, err
 	}
 	rx, rc, _, _ := decoder.Stats()
@@ -245,6 +221,20 @@ func runReceiver(r *wireless.Receiver, cfg AudioProxyConfig, trace *metrics.Trac
 		Trace:         trace,
 		Audio:         reasm,
 	}, nil
+}
+
+// runChain assembles stages into a chain and pumps its stream to the end.
+func runChain(name string, stages ...filter.Stage) error {
+	chain := filter.NewChain(name)
+	for _, s := range stages {
+		if err := chain.Append(s); err != nil {
+			return err
+		}
+	}
+	if err := chain.Start(); err != nil {
+		return err
+	}
+	return chain.Wait()
 }
 
 func withDefaults(cfg AudioProxyConfig) AudioProxyConfig {

@@ -44,8 +44,9 @@ func pumpPackets(t *testing.T, middle []filter.Filter, payloads [][]byte) []*pac
 	if err := chain.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sink.Wait()
-	chain.Stop()
+	if err := chain.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	return got
@@ -144,8 +145,9 @@ func TestEncoderFilterPassesNonDataThrough(t *testing.T) {
 	chain.Append(enc)
 	chain.Append(sink)
 	chain.Start()
-	sink.Wait()
-	chain.Stop()
+	if err := chain.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 1 || got[0].Kind != packet.KindControl {
 		t.Fatalf("control packet not passed through: %v", got)
 	}

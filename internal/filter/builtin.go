@@ -3,7 +3,6 @@ package filter
 import (
 	"fmt"
 	"hash/crc32"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,19 +10,13 @@ import (
 	"rapidware/internal/packet"
 )
 
-// copyBufferSize is the chunk size used by the streaming built-in filters.
-const copyBufferSize = 32 * 1024
-
-// NewNull returns the identity filter: bytes pass through unmodified. Two
+// NewNull returns the identity filter: frames pass through unmodified. Two
 // endpoints plus a null filter form the paper's "null proxy".
 func NewNull(name string) *Base {
 	if name == "" {
 		name = "null"
 	}
-	return New(name, func(r io.Reader, w io.Writer) error {
-		_, err := io.Copy(w, r)
-		return err
-	}).WithFrame(func(b *packet.Buf, emit func(*packet.Buf)) error {
+	return NewFrame(name, func(b *packet.Buf, emit func(*packet.Buf)) error {
 		emit(b)
 		return nil
 	}, nil)
@@ -43,22 +36,7 @@ func NewCounting(name string) *CountingFilter {
 		name = "counting"
 	}
 	cf := &CountingFilter{}
-	cf.Base = New(name, func(r io.Reader, w io.Writer) error {
-		buf := make([]byte, copyBufferSize)
-		for {
-			n, err := r.Read(buf)
-			if n > 0 {
-				cf.bytes.Add(uint64(n))
-				cf.chunks.Add(1)
-				if _, werr := w.Write(buf[:n]); werr != nil {
-					return werr
-				}
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}).WithFrame(func(b *packet.Buf, emit func(*packet.Buf)) error {
+	cf.Base = NewFrame(name, func(b *packet.Buf, emit func(*packet.Buf)) error {
 		cf.bytes.Add(uint64(len(b.B)))
 		cf.chunks.Add(1)
 		emit(b)
@@ -70,8 +48,8 @@ func NewCounting(name string) *CountingFilter {
 // Bytes returns the total number of bytes forwarded.
 func (cf *CountingFilter) Bytes() uint64 { return cf.bytes.Load() }
 
-// Chunks returns the number of chunks forwarded: stream reads in stream
-// mode, frames when the filter runs inline.
+// Chunks returns the number of buffers forwarded: frames, or the chunks of a
+// raw byte stream (see package endpoint).
 func (cf *CountingFilter) Chunks() uint64 { return cf.chunks.Load() }
 
 // ChecksumFilter passes data through while maintaining a CRC-32 of everything
@@ -89,24 +67,7 @@ func NewChecksum(name string) *ChecksumFilter {
 		name = "checksum"
 	}
 	cf := &ChecksumFilter{}
-	cf.Base = New(name, func(r io.Reader, w io.Writer) error {
-		buf := make([]byte, copyBufferSize)
-		for {
-			n, err := r.Read(buf)
-			if n > 0 {
-				cf.mu.Lock()
-				cf.crc = crc32.Update(cf.crc, crc32.IEEETable, buf[:n])
-				cf.n += uint64(n)
-				cf.mu.Unlock()
-				if _, werr := w.Write(buf[:n]); werr != nil {
-					return werr
-				}
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}).WithFrame(func(b *packet.Buf, emit func(*packet.Buf)) error {
+	cf.Base = NewFrame(name, func(b *packet.Buf, emit func(*packet.Buf)) error {
 		cf.mu.Lock()
 		cf.crc = crc32.Update(cf.crc, crc32.IEEETable, b.B)
 		cf.n += uint64(len(b.B))
@@ -125,11 +86,11 @@ func (cf *ChecksumFilter) Sum() (crc uint32, n uint64) {
 }
 
 // NewRateLimit returns a pass-through filter that shapes throughput to at
-// most bytesPerSecond using a simple token bucket. It models transcoder-style
-// bandwidth reduction for slow wireless links when an actual content
-// transcoder is not needed. Its frame form paces whole frames: each may leave
-// once the bytes before it have drained at the rate, with one refill tick
-// (10 ms) of burst, and frames that must wait are held in order.
+// most bytesPerSecond. It models transcoder-style bandwidth reduction for slow
+// wireless links when an actual content transcoder is not needed. It paces
+// whole frames: each may leave once the bytes before it have drained at the
+// rate, with one refill tick (10 ms) of burst, and frames that must wait are
+// held in order.
 func NewRateLimit(name string, bytesPerSecond int) *Base {
 	if name == "" {
 		name = fmt.Sprintf("ratelimit-%dBps", bytesPerSecond)
@@ -139,43 +100,11 @@ func NewRateLimit(name string, bytesPerSecond int) *Base {
 	}
 	const burst = 10 * time.Millisecond
 	var (
+		b    *Base
 		held heldFrames
 		tat  time.Time // when the bytes booked so far will have drained
 	)
-	b := New(name, func(r io.Reader, w io.Writer) error {
-		// Refill granularity of 10 ms keeps shaping smooth for audio-sized
-		// packets without busy waiting.
-		const tick = 10 * time.Millisecond
-		budget := 0
-		perTick := bytesPerSecond / int(time.Second/tick)
-		if perTick < 1 {
-			perTick = 1
-		}
-		buf := make([]byte, 4096)
-		ticker := time.NewTicker(tick)
-		defer ticker.Stop()
-		for {
-			if budget <= 0 {
-				<-ticker.C
-				budget += perTick
-			}
-			limit := len(buf)
-			if budget < limit {
-				limit = budget
-			}
-			n, err := r.Read(buf[:limit])
-			if n > 0 {
-				budget -= n
-				if _, werr := w.Write(buf[:n]); werr != nil {
-					return werr
-				}
-			}
-			if err != nil {
-				return err
-			}
-		}
-	})
-	return b.WithFrame(func(fb *packet.Buf, emit func(*packet.Buf)) error {
+	b = NewFrame(name, func(fb *packet.Buf, emit func(*packet.Buf)) error {
 		now := b.Now()
 		due := tat.Add(-burst)
 		if tat.Before(now) {
@@ -190,38 +119,28 @@ func NewRateLimit(name string, bytesPerSecond int) *Base {
 		return nil
 	}, held.flush).WithRelease(func(emit func(*packet.Buf)) time.Duration {
 		return held.release(b.Now(), emit)
-	})
+	}, held.len)
+	return b
 }
 
 // NewDelay returns a pass-through filter that adds a fixed latency to every
-// chunk, used in experiments to model processing or propagation delay. Its
-// frame form holds each frame until d after it arrived.
+// frame, used in experiments to model processing or propagation delay: it
+// holds each frame until d after it arrived.
 func NewDelay(name string, d time.Duration) *Base {
 	if name == "" {
 		name = fmt.Sprintf("delay-%s", d)
 	}
-	var held heldFrames
-	b := New(name, func(r io.Reader, w io.Writer) error {
-		buf := make([]byte, copyBufferSize)
-		for {
-			n, err := r.Read(buf)
-			if n > 0 {
-				time.Sleep(d)
-				if _, werr := w.Write(buf[:n]); werr != nil {
-					return werr
-				}
-			}
-			if err != nil {
-				return err
-			}
-		}
-	})
-	return b.WithFrame(func(fb *packet.Buf, _ func(*packet.Buf)) error {
+	var (
+		b    *Base
+		held heldFrames
+	)
+	b = NewFrame(name, func(fb *packet.Buf, _ func(*packet.Buf)) error {
 		held.hold(b, fb, b.Now().Add(d))
 		return nil
 	}, held.flush).WithRelease(func(emit func(*packet.Buf)) time.Duration {
 		return held.release(b.Now(), emit)
-	})
+	}, held.len)
+	return b
 }
 
 // heldFrames is the state of the delay and ratelimit frame forms: the frames
@@ -260,6 +179,9 @@ func (h *heldFrames) release(now time.Time, emit func(*packet.Buf)) time.Duratio
 	return h.q[0].due.Sub(now)
 }
 
+// len returns how many frames are held.
+func (h *heldFrames) len() int { return len(h.q) }
+
 // flush emits every held frame, due or not.
 func (h *heldFrames) flush(emit func(*packet.Buf)) error {
 	for _, f := range h.q {
@@ -270,41 +192,15 @@ func (h *heldFrames) flush(emit func(*packet.Buf)) error {
 	return nil
 }
 
-// NewTransform returns a filter applying fn to every chunk read. fn must be
-// a pure byte transformation that does not depend on chunk boundaries (e.g.
-// byte-wise mapping); for frame-aware transformations use NewPacketFunc.
-func NewTransform(name string, fn func([]byte) []byte) *Base {
-	if name == "" {
-		name = "transform"
-	}
-	return New(name, func(r io.Reader, w io.Writer) error {
-		buf := make([]byte, copyBufferSize)
-		for {
-			n, err := r.Read(buf)
-			if n > 0 {
-				out := fn(buf[:n])
-				if _, werr := w.Write(out); werr != nil {
-					return werr
-				}
-			}
-			if err != nil {
-				return err
-			}
-		}
-	})
-}
-
 // PacketFunc transforms one decoded packet into zero or more packets to
 // forward. Returning an empty slice drops the packet; an error wrapping
 // ErrBadFrame drops and counts it.
 type PacketFunc func(*packet.Packet) ([]*packet.Packet, error)
 
-// NewPacketFunc returns a frame-form filter that decodes each frame, applies
-// fn to the packet, and re-frames the results — in stream mode each output
-// frame is written with a single Write call, so downstream pause/reconnect
-// operations always happen on frame boundaries. flush, if non-nil, is invoked
-// at EOF (and when the stage leaves a live chain) and may emit trailing
-// packets (e.g. a partially filled FEC group).
+// NewPacketFunc returns a filter that decodes each frame, applies fn to the
+// packet, and re-frames the results. flush, if non-nil, is invoked at the end
+// of the stream (and when the stage leaves a live chain) and may emit
+// trailing packets (e.g. a partially filled FEC group).
 func NewPacketFunc(name string, fn PacketFunc, flush func() []*packet.Packet) *Base {
 	if name == "" {
 		name = "packetfunc"

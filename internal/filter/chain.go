@@ -3,306 +3,285 @@ package filter
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"rapidware/internal/stream"
+	"rapidware/internal/packet"
 )
 
-// ErrChainTooShort is returned by SetInterior on a chain that does not yet
-// hold its two endpoint stages.
-var ErrChainTooShort = errors.New("filter: chain needs at least two stages")
+// ErrChainTooShort is returned by Start on a chain that does not hold both
+// of its endpoints.
+var ErrChainTooShort = errors.New("filter: chain needs a source and a sink")
 
-// Chain is the paper's ControlThread: it owns the ordered vector of filters
-// on one data stream and rewrites it live — insertion, removal and
-// reordering alike — through one transactional splice, SetInterior, built on
-// the detachable-stream pause/reconnect protocol. Positions 0 and len-1 hold
-// the input and output endpoints.
+const (
+	// pumpHeld is how many frames a Chain's timed stages may hold before the
+	// pump stops reading, so a source faster than a ratelimit or delay waits
+	// instead of overflowing MaxHeld.
+	pumpHeld = MaxHeld / 4
+	// stopGrace is how long Stop waits for the pump to flush into the sink
+	// before closing the sink under a write that does not return.
+	stopGrace = time.Second
+)
+
+// Source is a Chain's input endpoint. ReadFrame returns the next frame in a
+// pooled buffer the chain takes ownership of, or io.EOF once the stream has
+// ended. Close ends the stream early: it releases what the source reads from,
+// which unblocks a ReadFrame in progress where the source allows it.
+type Source interface {
+	Name() string
+	ReadFrame() (*packet.Buf, error)
+	Close() error
+}
+
+// Sink is a Chain's output endpoint. WriteFrame takes ownership of one frame;
+// Close ends the stream downstream once the chain has flushed into it. When
+// Stop gives up on a WriteFrame that does not return, Close runs while it is
+// in progress and should make it return.
+type Sink interface {
+	Name() string
+	WriteFrame(*packet.Buf) error
+	Close() error
+}
+
+// Stage is what a Chain is assembled from: a Source, then Filters, then a
+// Sink.
+type Stage interface{ Name() string }
+
+// Chain is the paper's ControlThread with its filter vector, as a stream
+// proxy: a Source endpoint, a FrameChain holding the interior, and a Sink
+// endpoint the FrameChain delivers to. One goroutine, the pump, reads frames
+// from the source and runs each through the interior to the sink. SetInterior
+// is the FrameChain's splice, so a live insertion, removal or reorder lands
+// between two frames and loses nothing. The pump stops reading while the
+// timed stages hold pumpHeld frames, so a slow stage pushes back on the
+// source instead of dropping. When the source ends, the timed stages release
+// what they hold on their timer, every stage is flushed into the sink and the
+// sink is closed.
 //
-// All methods are safe for concurrent use; structural operations are
-// serialized so at most one splice is in progress at a time.
+// All methods are safe for concurrent use.
 type Chain struct {
-	mu      sync.Mutex
-	name    string
-	stages  []Filter
-	started bool
+	name   string
+	frames *FrameChain
+	quit   chan struct{} // closed by Stop
+	done   chan struct{} // closed when the pump returns
+	// sinkFailed is set once a WriteFrame has failed; the pump stops reading
+	// and what stages still emit is dropped.
+	sinkFailed atomic.Bool
+	// splice serializes Append's read-modify-write of the interior with
+	// SetInterior. It is taken before the FrameChain's lock, never under c.mu.
+	splice    sync.Mutex
+	closeSink sync.Once
+
+	mu       sync.Mutex
+	source   Source
+	sink     Sink // set before Start and never after, so the pump reads it unlocked
+	started  bool
+	stopping bool
+	err      error // the stream's first error
 }
 
 // NewChain returns an empty chain with the given name.
 func NewChain(name string) *Chain {
-	return &Chain{name: name}
+	c := &Chain{name: name, quit: make(chan struct{}), done: make(chan struct{})}
+	c.frames = NewFrameChain(c.deliver)
+	return c
 }
 
 // Name returns the chain's name.
 func (c *Chain) Name() string { return c.name }
 
-// Len returns the number of stages currently in the chain.
-func (c *Chain) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.stages)
-}
-
-// Names returns the ordered list of stage names, the enumeration the paper's
-// ControlManager queries to render proxy state.
+// Names returns the ordered stage names, endpoints included — the listing the
+// paper's ControlManager renders.
 func (c *Chain) Names() []string {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, len(c.stages))
-	for i, f := range c.stages {
-		names[i] = f.Name()
+	source, sink := c.source, c.sink
+	c.mu.Unlock()
+	var names []string
+	if source != nil {
+		names = append(names, source.Name())
+	}
+	for _, f := range c.frames.Filters() {
+		names = append(names, f.Name())
+	}
+	if sink != nil {
+		names = append(names, sink.Name())
 	}
 	return names
 }
 
-// Filters returns a snapshot of the chain's stages in order.
-func (c *Chain) Filters() []Filter {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Filter(nil), c.stages...)
+// Append adds the next stage: first a Source, then any Filters, which form the
+// initial interior, then a Sink. A Filter appended after the Sink joins the
+// end of the interior, just ahead of the Sink; on a running chain that is a
+// live splice (SetInterior), which starts the filter. The endpoints are fixed
+// once the chain starts.
+func (c *Chain) Append(s Stage) error {
+	if taken, err := c.appendEndpoint(s); taken || err != nil {
+		return err
+	}
+	// The FrameChain's lock is never taken under c.mu: deliver takes c.mu
+	// under it.
+	c.splice.Lock()
+	defer c.splice.Unlock()
+	return c.frames.SetInterior(append(c.frames.Filters(), s.(Filter)))
 }
 
-// Append adds a stage to the end of the chain, connecting its input to the
-// output of the previous stage. Append is intended for initial assembly
-// (before Start); to change a running chain use SetInterior.
-func (c *Chain) Append(f Filter) error {
+// appendEndpoint takes s as the chain's source or its sink when that is the
+// endpoint due, reporting whether it did. It fails for an endpoint that is
+// not due, and lets any Filter after the source through.
+func (c *Chain) appendEndpoint(s Stage) (taken bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.stages) > 0 {
-		prev := c.stages[len(c.stages)-1]
-		if err := stream.Connect(prev.Out(), f.In()); err != nil {
-			return fmt.Errorf("filter: connect %q to %q: %w", prev.Name(), f.Name(), err)
+	if c.source == nil {
+		src, ok := s.(Source)
+		if !ok {
+			return false, fmt.Errorf("filter: chain %q must start with a source, not %q", c.name, s.Name())
 		}
+		c.source = src
+		return true, nil
 	}
-	c.stages = append(c.stages, f)
-	if c.started {
-		if err := f.Start(); err != nil {
-			return err
-		}
+	if _, ok := s.(Filter); ok {
+		return false, nil
 	}
-	return nil
+	sink, ok := s.(Sink)
+	switch {
+	case c.started:
+		return false, ErrAlreadyStarted
+	case c.sink != nil:
+		return false, fmt.Errorf("filter: chain %q already ends in %q", c.name, c.sink.Name())
+	case !ok:
+		return false, fmt.Errorf("filter: %q is neither a filter nor a sink", s.Name())
+	}
+	c.sink = sink
+	return true, nil
 }
 
-// Start launches every stage of the chain. Stages appended later are started
-// automatically.
+// SetInterior atomically replaces everything between the endpoints; see
+// FrameChain.SetInterior. Once the stream has ended it returns
+// ErrFrameChainClosed.
+func (c *Chain) SetInterior(stages []Filter) error {
+	c.splice.Lock()
+	defer c.splice.Unlock()
+	return c.frames.SetInterior(stages)
+}
+
+// Start launches the pump.
 func (c *Chain) Start() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.started {
+	if c.started || c.stopping {
 		return ErrAlreadyStarted
 	}
-	for _, f := range c.stages {
-		if err := f.Start(); err != nil {
-			return fmt.Errorf("filter: start %q: %w", f.Name(), err)
-		}
-	}
-	c.started = true
-	return nil
-}
-
-// Stop stops every stage of the chain, upstream first.
-func (c *Chain) Stop() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.started {
-		return ErrNotStarted
-	}
-	var firstErr error
-	for _, f := range c.stages {
-		if err := f.Stop(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("filter: stop %q: %w", f.Name(), err)
-		}
-	}
-	c.started = false
-	return firstErr
-}
-
-// SetInterior atomically replaces the chain's interior (everything between
-// the endpoint stages) with the given stages, under one acquisition of the
-// chain lock — the transactional splice beneath the compose plane's live
-// recomposition. Stages already in the chain are rewired in place (their
-// processing goroutines and state survive); stages that drop out are stopped
-// once isolated; stages new to the chain are started when the chain is
-// running.
-//
-// The switch never exposes a half-built chain to traffic: the source
-// endpoint's output is paused first, so no new data enters the interior
-// until the full target wiring is connected, and the old interior is drained
-// left to right — pausing each stage's output only after everything upstream
-// of it has been pushed at least one stage downstream — so no relayed frame
-// is lost. (Data a *removed* stage has consumed but not yet emitted — e.g. an
-// FEC encoder's partially filled group — leaves with it.)
-//
-// A stage may appear in the target at most once, and the chain must already
-// have its two endpoints.
-func (c *Chain) SetInterior(stages []Filter) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.stages) < 2 {
+	if c.source == nil || c.sink == nil {
 		return ErrChainTooShort
 	}
-	source := c.stages[0]
-	sink := c.stages[len(c.stages)-1]
-	old := c.stages[1 : len(c.stages)-1]
-	keep := make(map[Filter]bool, len(stages))
-	inOld := make(map[Filter]bool, len(old))
-	for _, f := range old {
-		inOld[f] = true
-	}
-	for _, f := range stages {
-		if f == nil {
-			return fmt.Errorf("filter: nil interior stage")
-		}
-		if f == source || f == sink || keep[f] {
-			return fmt.Errorf("filter: stage %q appears twice in the target interior", f.Name())
-		}
-		keep[f] = true
-		if inOld[f] {
-			continue
-		}
-		// Preflight incoming stages before any wiring is disturbed: a stage
-		// that is already running elsewhere, still wired to something, or
-		// was stopped once (a Base cannot be restarted) would fail the
-		// splice midway, and failing here keeps the error path trivial —
-		// nothing has been touched yet.
-		if f.Running() {
-			return fmt.Errorf("filter: incoming stage %q is already running", f.Name())
-		}
-		if f.In().Connected() || f.Out().Connected() {
-			return fmt.Errorf("filter: incoming stage %q is still wired to another chain", f.Name())
-		}
-		if f.In().Closed() || f.Out().Closed() {
-			return fmt.Errorf("filter: incoming stage %q was stopped and cannot be restarted", f.Name())
-		}
-	}
-
-	// Phase 1: freeze inflow, then drain the old interior left to right. Each
-	// Pause detaches one link after its reader has consumed every buffered
-	// byte, and before a stage's own output freezes we additionally wait for
-	// the stage to go quiescent — its goroutine done transforming what it
-	// consumed and parked on its (already frozen and drained) input — so by
-	// the time a stage detaches, everything it was ever handed has moved on
-	// downstream. (Data a stage *deliberately* retains — an FEC encoder's
-	// partially filled group, a thinning filter's dropped packets — is filter
-	// state, and leaves with the stage if it is removed.)
-	if err := source.Out().Pause(); err != nil && !errors.Is(err, stream.ErrNotConnected) {
-		return fmt.Errorf("filter: pause %q: %w", source.Name(), err)
-	}
-	for _, f := range old {
-		waitQuiescent(f)
-		if err := f.Out().Pause(); err != nil && !errors.Is(err, stream.ErrNotConnected) {
-			return fmt.Errorf("filter: pause %q: %w", f.Name(), err)
-		}
-	}
-
-	// Phase 2: rewire source -> stages... -> sink. Every link involved was
-	// detached above (new stages come with fresh, unconnected endpoints).
-	// Preflight makes failure here mean the chain's own endpoints are
-	// closing (the session is being torn down); rollbackInterior still
-	// restores the original wiring best-effort so an aborted splice never
-	// leaves a half-wired chain behind c.stages' back.
-	prev := source
-	for _, f := range stages {
-		if err := stream.Reconnect(prev.Out(), f.In()); err != nil {
-			c.rollbackInterior(source, sink, old, stages, nil)
-			return fmt.Errorf("filter: reconnect %q->%q: %w", prev.Name(), f.Name(), err)
-		}
-		prev = f
-	}
-	if err := stream.Reconnect(prev.Out(), sink.In()); err != nil {
-		c.rollbackInterior(source, sink, old, stages, nil)
-		return fmt.Errorf("filter: reconnect %q->%q: %w", prev.Name(), sink.Name(), err)
-	}
-
-	// Phase 3: bring the target interior to life, then stop the stages that
-	// fell out of the chain (now fully isolated).
-	if c.started {
-		started := make([]Filter, 0, len(stages))
-		for _, f := range stages {
-			if f.Running() {
-				continue
-			}
-			if err := f.Start(); err != nil {
-				c.rollbackInterior(source, sink, old, stages, started)
-				return fmt.Errorf("filter: start %q: %w", f.Name(), err)
-			}
-			started = append(started, f)
-		}
-	}
-	var firstErr error
-	for _, f := range old {
-		if keep[f] {
-			continue
-		}
-		if err := f.Stop(); err != nil && !errors.Is(err, ErrNotStarted) && firstErr == nil {
-			firstErr = fmt.Errorf("filter: stop %q: %w", f.Name(), err)
-		}
-	}
-
-	next := make([]Filter, 0, len(stages)+2)
-	next = append(next, source)
-	next = append(next, stages...)
-	next = append(next, sink)
-	c.stages = next
-	return firstErr
+	c.started = true
+	go c.pump()
+	return nil
 }
 
-// rollbackInterior is SetInterior's undo path: it detaches whatever the
-// aborted splice managed to wire, restores the original
-// source -> old... -> sink wiring, and stops the new stages the splice had
-// already started. Best-effort by design — it only runs when the chain's
-// endpoints are closing underneath the splice, where the subsequent
-// teardown reconciles whatever cannot be restored — so errors are ignored.
-// Caller holds c.mu; c.stages still names the original interior.
-func (c *Chain) rollbackInterior(source, sink Filter, old, attempted, started []Filter) {
-	_ = source.Out().Pause()
-	for _, f := range attempted {
-		_ = f.Out().Pause()
+// Stop ends the stream now: it closes the source and waits for the pump to
+// flush every stage into the sink, held frames included, and close it. A
+// source that cannot be interrupted (a generator) is not read again. If the
+// sink has not taken the flush within stopGrace — its peer stopped reading —
+// Stop closes it, and what the stages still emit is dropped. Stop returns the
+// error closing the source reported.
+func (c *Chain) Stop() error {
+	c.mu.Lock()
+	if !c.started || c.stopping {
+		c.mu.Unlock()
+		return ErrNotStarted
 	}
-	for _, f := range started {
-		_ = f.Stop()
+	c.stopping = true
+	c.mu.Unlock()
+	close(c.quit)
+	err := c.source.Close()
+	select {
+	case <-c.done:
+	case <-time.After(stopGrace):
+		c.closeSinkOnce()
+		<-c.done
 	}
-	prev := source
-	for _, f := range old {
-		_ = stream.Reconnect(prev.Out(), f.In())
-		prev = f
-	}
-	_ = stream.Reconnect(prev.Out(), sink.In())
+	return err
 }
 
-// waitQuiescent blocks (bounded) until a stage's processing goroutine holds
-// no consumed-but-unemitted data. Only meaningful once the stage's inflow is
-// frozen: with no new input, quiescence is permanent. Stages that cannot
-// report quiescence, and stages that stay busy past the bound (a rate
-// limiter starved of tokens mid-chunk), are detached without the wait: their
-// in-flight chunk leaves with them if they are removed.
-func waitQuiescent(f Filter) {
-	q, ok := f.(Quiescer)
-	if !ok {
-		return
-	}
-	const bound = 2 * time.Second
-	deadline := time.Now().Add(bound)
-	for !q.Quiescent() {
-		if time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
-// Validate checks the chain's internal wiring: every adjacent pair must be
-// connected writer-to-reader.
-func (c *Chain) Validate() error {
+// Wait blocks until the stream has ended — the source ran dry or was closed,
+// a stage failed, or the sink refused a frame — and everything was flushed.
+// It returns the stream's first error: the source's (other than its end, or
+// the close Stop caused), a stage's, or the sink's.
+func (c *Chain) Wait() error {
+	<-c.done
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := 0; i+1 < len(c.stages); i++ {
-		w := c.stages[i].Out()
-		r := c.stages[i+1].In()
-		if w.Sink() != r || r.Source() != w {
-			return fmt.Errorf("filter: stages %d (%q) and %d (%q) are not wired together",
-				i, c.stages[i].Name(), i+1, c.stages[i+1].Name())
+	return c.err
+}
+
+// fail records err as the stream's error unless one is already recorded.
+func (c *Chain) fail(err error) {
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = err
+	}
+	c.mu.Unlock()
+}
+
+// pump is the chain's one goroutine.
+func (c *Chain) pump() {
+	defer close(c.done)
+	for c.frames.AwaitHeld(pumpHeld, c.quit) && !c.sinkFailed.Load() {
+		b, err := c.source.ReadFrame()
+		if errors.Is(err, io.EOF) {
+			// The stream ended: the timed stages release what they hold on
+			// their timer, unless Stop cuts that short.
+			if !c.sinkFailed.Load() {
+				c.frames.AwaitHeld(1, c.quit)
+			}
+			break
+		}
+		if err != nil {
+			select {
+			case <-c.quit: // the close Stop caused
+			default:
+				c.fail(fmt.Errorf("filter: source %q: %w", c.source.Name(), err))
+			}
+			break
+		}
+		if err := c.frames.Process(b); err != nil {
+			if errors.Is(err, ErrFrameChainClosed) {
+				b.Release() // a stage failed on a frame its timer released
+			}
+			break // the stage error is the chain's Err
 		}
 	}
-	return nil
+	if err := c.frames.Err(); err != nil {
+		c.fail(err)
+	}
+	if err := c.frames.Close(); err != nil {
+		c.fail(err)
+	}
+	c.closeSinkOnce()
+}
+
+// closeSinkOnce closes the sink the first time it is called: at the end of
+// the pump, or from Stop under a write that does not return.
+func (c *Chain) closeSinkOnce() {
+	c.closeSink.Do(func() {
+		if err := c.sink.Close(); err != nil {
+			c.fail(fmt.Errorf("filter: sink %q: %w", c.sink.Name(), err))
+		}
+	})
+}
+
+// deliver is the FrameChain's sink. It runs under the FrameChain's lock, so
+// writes never interleave.
+func (c *Chain) deliver(b *packet.Buf) {
+	if c.sinkFailed.Load() {
+		b.Release()
+		return
+	}
+	if err := c.sink.WriteFrame(b); err != nil {
+		c.fail(fmt.Errorf("filter: sink %q: %w", c.sink.Name(), err))
+		c.sinkFailed.Store(true)
+	}
 }

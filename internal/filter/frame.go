@@ -3,7 +3,6 @@ package filter
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -36,142 +35,28 @@ type FlushFunc func(emit func(*packet.Buf)) error
 // can fire early (release reports the new wait) and never late.
 type ReleaseFunc func(emit func(*packet.Buf)) (wait time.Duration)
 
-// MaxHeld bounds the frames a timed stage holds inline. An inline stage has
+// MaxHeld bounds the frames a timed stage holds inline. An engine session has
 // no queue behind it to push back on, so past the bound new frames are
-// dropped and counted through the stage's OnDrop hook.
+// dropped and counted through the stage's OnDrop hook. A Chain pushes back
+// instead: its pump stops reading while its timed stages hold a quarter of
+// the bound, so even a full FEC group emitted at once stays under it.
 const MaxHeld = 1024
 
 // ErrBadFrame marks a frame a stage cannot process because of what it
 // carries — a payload that is not DEFLATE, an FEC share of no size. Any
-// sender can produce those, so they are not stage failures: both drivers drop
-// the frame, count it through the stage's OnDrop hook, and carry on.
+// sender can produce those, so they are not stage failures: the FrameChain
+// drops the frame, counts it through the stage's OnDrop hook, and carries on.
 var ErrBadFrame = errors.New("filter: bad frame")
 
-// Errors of the frame executor.
-var (
-	// ErrNoFrameForm is returned when a stage that only has a stream body is
-	// offered to a FrameChain.
-	ErrNoFrameForm = errors.New("filter: stage has no frame form")
-	// ErrFrameChainClosed is returned by operations on a FrameChain that was
-	// closed or has failed.
-	ErrFrameChainClosed = errors.New("filter: frame chain closed")
-)
+// ErrFrameChainClosed is returned by operations on a FrameChain that was
+// closed or has failed.
+var ErrFrameChainClosed = errors.New("filter: frame chain closed")
 
-// NewFrame returns a filter whose one body is the frame function: a
-// FrameChain calls it directly, and the stream-mode ProcessFunc is derived
-// from it (read one frame, call, write each emitted frame with a single
-// Write, so pause/reconnect always lands on a frame boundary). flush may be
-// nil for stages that retain nothing.
-func NewFrame(name string, frame FrameFunc, flush FlushFunc) *Base {
-	b := &Base{name: name}
-	b.fn = streamDriver(frame, flush, b.CountDrop)
-	return b.WithFrame(frame, flush)
-}
-
-// WithFrame attaches a frame form to a filter that keeps its own stream
-// body — the chunk-oriented pass-through built-ins, whose stream form must
-// also serve unframed byte streams. It returns b for chaining and must be
-// called before the filter is used.
-func (b *Base) WithFrame(frame FrameFunc, flush FlushFunc) *Base {
-	b.frame, b.flush = frame, flush
-	return b
-}
-
-// WithRelease makes a frame form timed (see ReleaseFunc). It returns b for
-// chaining and must be called before the filter is used.
-func (b *Base) WithRelease(release ReleaseFunc) *Base {
-	b.release = release
-	return b
-}
-
-// OnDrop registers fn to run for every frame the stage drops — a bad frame,
-// or a timed stage's overflow past MaxHeld — so the chain's owner can count
-// it. Call it before the stage carries traffic.
-func (b *Base) OnDrop(fn func()) { b.onDrop = fn }
-
-// CountDrop reports one dropped frame to the OnDrop hook, if any.
-func (b *Base) CountDrop() {
-	if b.onDrop != nil {
-		b.onDrop()
-	}
-}
-
-// SetClock replaces the clock a timed stage's frame form reads (time.Now by
-// default); tests inject a fake one. Call it before the stage carries traffic.
-func (b *Base) SetClock(now func() time.Time) { b.now = now }
-
-// Now reads the stage's clock.
-func (b *Base) Now() time.Time {
-	if b.now != nil {
-		return b.now()
-	}
-	return time.Now()
-}
-
-// frameBase lets the package reach the Base inside any filter that embeds
-// one.
-func (b *Base) frameBase() *Base { return b }
-
-// baseOf returns the Base carrying f's frame form, or nil when f has none.
-func baseOf(f Filter) *Base {
-	fb, ok := f.(interface{ frameBase() *Base })
-	if !ok {
-		return nil
-	}
-	if b := fb.frameBase(); b != nil && b.frame != nil {
-		return b
-	}
-	return nil
-}
-
-// HasFrameForm reports whether a FrameChain can run f inline.
-func HasFrameForm(f Filter) bool { return baseOf(f) != nil }
-
-// streamDriver derives a stage's stream-mode body from its frame form; bad
-// frames are dropped and reported to drop.
-func streamDriver(frame FrameFunc, flush FlushFunc, drop func()) ProcessFunc {
-	return func(r io.Reader, w io.Writer) error {
-		pr := packet.NewReader(r)
-		var werr error
-		emit := func(b *packet.Buf) {
-			if werr == nil {
-				if _, err := w.Write(b.B); err != nil {
-					werr = fmt.Errorf("filter: write frame: %w", err)
-				}
-			}
-			b.Release()
-		}
-		for {
-			b, err := pr.ReadFrameBuf(0)
-			if err != nil {
-				if err != io.EOF {
-					return err
-				}
-				if flush != nil {
-					if ferr := flush(emit); ferr != nil {
-						return ferr
-					}
-				}
-				return werr
-			}
-			if err := frame(b, emit); errors.Is(err, ErrBadFrame) {
-				drop()
-			} else if err != nil {
-				return err
-			}
-			if werr != nil {
-				return werr
-			}
-		}
-	}
-}
-
-// FrameChain is the run-to-completion executor for chains whose every stage
-// has a frame form: Run pushes one frame depth-first through the stages on
-// the caller's goroutine and hands what comes out to the sink — no goroutine
-// per stage, no byte pipe between them, no copy. It is the frame-native
-// counterpart of Chain and implements the same SetInterior contract for the
-// compose plane.
+// FrameChain is the run-to-completion executor: Run pushes one frame
+// depth-first through the stages on the caller's goroutine and hands what
+// comes out to the sink — no goroutine per stage, no byte pipe between them,
+// no copy. Its SetInterior is the splice the compose plane drives, for the
+// engine's sessions and a Chain's interior alike.
 //
 // One mutex serializes everything: frames enter one at a time (several
 // goroutines may feed one chain), and a splice is a slice swap under the
@@ -182,7 +67,8 @@ func streamDriver(frame FrameFunc, flush FlushFunc, drop func()) ProcessFunc {
 // Timed stages (ReleaseFunc) hold frames past the call that brought them. The
 // chain then arms one runtime timer — a goroutine only while its callback
 // runs — which takes the same lock and releases what fell due through the
-// wiring downstream of each timed stage.
+// wiring downstream of each timed stage. A feeder that must not outrun them
+// waits in AwaitHeld.
 type FrameChain struct {
 	sink func(*packet.Buf)
 
@@ -193,6 +79,9 @@ type FrameChain struct {
 	armed  bool        // timer pending; its callback clears this under mu
 	err    error
 	closed bool
+	// released is signalled whenever held frames may have left the timed
+	// stages; created by the first AwaitHeld.
+	released chan struct{}
 }
 
 // frameSlot is one stage's position in a FrameChain's current wiring.
@@ -311,7 +200,50 @@ func (fc *FrameChain) fire() {
 	fc.armed = false
 	if !fc.closed {
 		fc.releaseLocked()
+		fc.signalLocked()
 	}
+}
+
+// signalLocked wakes an AwaitHeld. Caller holds fc.mu.
+func (fc *FrameChain) signalLocked() {
+	select {
+	case fc.released <- struct{}{}:
+	default: // no waiter yet, or a wake-up already pending
+	}
+}
+
+// AwaitHeld blocks while the chain's timed stages hold max frames or more
+// between them, until their timer releases some, a splice or flush empties
+// them, the chain closes or quit is closed. It reports whether the chain is
+// open and holds fewer than max frames; false after quit.
+func (fc *FrameChain) AwaitHeld(max int, quit <-chan struct{}) bool {
+	fc.mu.Lock()
+	if fc.released == nil {
+		fc.released = make(chan struct{}, 1)
+	}
+	for !fc.closed && fc.heldLocked() >= max {
+		fc.mu.Unlock()
+		select {
+		case <-fc.released:
+		case <-quit:
+			return false
+		}
+		fc.mu.Lock()
+	}
+	open := !fc.closed
+	fc.mu.Unlock()
+	return open
+}
+
+// heldLocked returns the frames every timed stage holds. Caller holds fc.mu.
+func (fc *FrameChain) heldLocked() int {
+	n := 0
+	for i := range fc.slots {
+		if held := fc.slots[i].base.held; held != nil {
+			n += held()
+		}
+	}
+	return n
 }
 
 // Process is Enter, Run, Exit. It returns ErrFrameChainClosed without taking
@@ -331,12 +263,12 @@ func (fc *FrameChain) Err() error {
 	return fc.err
 }
 
-// SetInterior atomically replaces the chain's stages, with Chain.SetInterior's
-// semantics: stages present before and after keep their state, and a stage
-// that leaves is first flushed through the old wiring downstream of it (so a
-// partial FEC group or a retained window is delivered, not lost) and then
-// retired. Every stage must have a frame form; a stage without one fails the
-// call with ErrNoFrameForm before anything is touched.
+// SetInterior atomically replaces the chain's stages: stages present before
+// and after keep their state, and a stage that leaves is first flushed through
+// the old wiring downstream of it (so a partial FEC group or a retained window
+// is delivered, not lost) and then retired. A stage may appear once, and one
+// another chain holds is refused; either way the call fails before anything
+// is touched.
 func (fc *FrameChain) SetInterior(stages []Filter) error {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
@@ -348,10 +280,7 @@ func (fc *FrameChain) SetInterior(stages []Filter) error {
 		if f == nil {
 			return fmt.Errorf("filter: nil interior stage")
 		}
-		base := baseOf(f)
-		if base == nil {
-			return fmt.Errorf("%w: %q", ErrNoFrameForm, f.Name())
-		}
+		base := f.frameBase()
 		for j := 0; j < i; j++ {
 			if next[j].base == base {
 				return fmt.Errorf("filter: stage %q appears twice in the target interior", f.Name())
@@ -398,6 +327,7 @@ func (fc *FrameChain) SetInterior(stages []Filter) error {
 	if fc.timed {
 		fc.releaseLocked() // a joining stage may fall due before the armed timer
 	}
+	fc.signalLocked() // a leaver's held frames are gone
 	return firstErr
 }
 
@@ -443,6 +373,7 @@ func (fc *FrameChain) Flush() error {
 			firstErr = err
 		}
 	}
+	fc.signalLocked()
 	return firstErr
 }
 
@@ -463,6 +394,7 @@ func (fc *FrameChain) Close() error {
 	}
 	fc.slots, fc.closed = nil, true
 	fc.stopTimer()
+	fc.signalLocked()
 	return firstErr
 }
 
@@ -487,4 +419,5 @@ func (fc *FrameChain) failLocked(err error) {
 		fc.slots[i].base.inline.Store(false)
 	}
 	fc.stopTimer()
+	fc.signalLocked()
 }

@@ -1,7 +1,6 @@
 package filter
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -177,13 +176,6 @@ func TestFrameChainRejectsStagesItCannotRun(t *testing.T) {
 	keep := NewCounting("keep")
 	if err := fc.SetInterior([]Filter{keep}); err != nil {
 		t.Fatal(err)
-	}
-	streamOnly := NewTransform("transform", func(b []byte) []byte { return b })
-	if HasFrameForm(streamOnly) || !HasFrameForm(keep) || !HasFrameForm(NewDelay("delay", 0)) {
-		t.Fatal("HasFrameForm misreports the built-ins")
-	}
-	if err := fc.SetInterior([]Filter{keep, streamOnly}); !errors.Is(err, ErrNoFrameForm) {
-		t.Fatalf("stream-only stage: %v, want ErrNoFrameForm", err)
 	}
 	if err := fc.SetInterior([]Filter{keep, keep}); err == nil {
 		t.Fatal("a stage was accepted twice")
@@ -496,9 +488,9 @@ func TestFrameChainConcurrentFeedersAndSplices(t *testing.T) {
 	}
 }
 
-// TestFrameStageMovesBetweenExecutors runs one stage instance inline, then in
-// a goroutine chain through the stream driver derived from its frame form,
-// then inline again: its state carries both ways.
+// TestFrameStageMovesBetweenExecutors runs one stage instance on a bare frame
+// chain, then in a Chain's pump, then on a bare frame chain again: its state
+// carries both ways, and the end of the pumped stream flushes what it holds.
 func TestFrameStageMovesBetweenExecutors(t *testing.T) {
 	counting := NewCounting("c")
 	hold := holdStage("hold", 2)
@@ -518,35 +510,23 @@ func TestFrameStageMovesBetweenExecutors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	viaStream := func(seqs ...uint64) {
+	pumped := func(seqs ...uint64) {
 		t.Helper()
-		var stream bytes.Buffer
+		var frames [][]byte
 		for _, seq := range seqs {
 			b := testFrame(t, seq, "x")
-			stream.Write(b.B)
+			frames = append(frames, append([]byte(nil), b.B...))
 			b.Release()
 		}
-		sink := newSink("sink")
-		c := NewChain("t")
-		for _, f := range []Filter{sourceFilter("src", stream.Bytes(), 7), hold, counting, sink} {
-			if err := c.Append(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := c.Start(); err != nil {
+		sink := &collectSink{}
+		c := startChain(t, newListSource(frames), sink, hold, counting)
+		if err := c.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		// The source ends the stream; EOF flushes the hold stage.
-		sink.Wait()
-		for _, f := range splitTestFrames(t, sink.bytesCopy()) {
-			log.seqs = append(log.seqs, f)
-		}
-		if err := c.Stop(); err != nil {
-			t.Fatal(err)
-		}
+		log.seqs = append(log.seqs, splitTestFrames(t, sink.bytesCopy())...)
 	}
 	inline(1, 2, 3)
-	viaStream(4, 5, 6)
+	pumped(4, 5, 6)
 	inline(7, 8)
 	if got := log.String(); got != "[1 2 3 4 5 6 7 8]" {
 		t.Fatalf("frames across executors = %s", got)

@@ -41,7 +41,7 @@ type SessionStats struct {
 	Adapt *AdaptStats `json:"adapt,omitempty"`
 	// Receivers is the per-receiver breakdown of a fan-out session's delivery
 	// tree: one entry per member, ordered by receiver address. Empty for
-	// unicast (echo/forward) sessions and for plain fan-out without branches.
+	// unicast (echo/forward) sessions.
 	Receivers []ReceiverStats `json:"receivers,omitempty"`
 	// Cohorts counts the session's distinct delivery cohorts: groups of
 	// receivers at the same protection level sharing one branch chain and one

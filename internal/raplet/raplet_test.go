@@ -8,6 +8,7 @@ import (
 
 	"rapidware/internal/compose"
 	"rapidware/internal/filter"
+	"rapidware/internal/packet"
 )
 
 // recorder collects the events a responder receives.
@@ -175,28 +176,18 @@ func TestLossRateObserverNeedsMinimumSignal(t *testing.T) {
 	}
 }
 
-// newAdaptiveLive attaches plan to a started chain whose endpoints neither
-// produce nor consume: the responder tests watch the plan, not the data.
+// newAdaptiveLive attaches plan to a bare FrameChain: the responder tests
+// watch the plan, not the data.
 func newAdaptiveLive(t *testing.T, plan string) *compose.Live {
 	t.Helper()
-	chain := filter.NewChain("adaptive")
-	for _, f := range []filter.Filter{filter.NewNull("in"), filter.NewNull("out")} {
-		if err := chain.Append(f); err != nil {
-			t.Fatal(err)
-		}
-	}
 	p, err := compose.Parse(plan, compose.ModeChain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := compose.Attach(chain, compose.Default(), compose.Env{StreamID: 1}, compose.ModeChain, p)
+	live, err := compose.Attach(filter.NewFrameChain((*packet.Buf).Release), compose.Default(), compose.Env{StreamID: 1}, compose.ModeChain, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chain.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { chain.Stop() })
 	return live
 }
 

@@ -113,8 +113,9 @@ func runPacketFilter(t *testing.T, f filter.Filter, in []*packet.Packet) []*pack
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sink.Wait()
-	c.Stop()
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	return out
@@ -250,12 +251,13 @@ func TestCompressionPipelineEndToEnd(t *testing.T) {
 		return nil
 	})
 	c := filter.NewChain("zip")
-	for _, f := range []filter.Filter{src, cf, df, sink} {
+	for _, f := range []filter.Stage{src, cf, df, sink} {
 		c.Append(f)
 	}
 	c.Start()
-	sink.Wait()
-	c.Stop()
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(out) != 1 || !bytes.Equal(out[0].Payload, payload) {

@@ -106,7 +106,7 @@ type Channel struct {
 	realTime bool
 
 	mu        sync.Mutex
-	receivers map[string]*Receiver
+	receivers []*Receiver // in attach order
 	closed    bool
 	sent      uint64
 }
@@ -123,7 +123,7 @@ func WithRealTime() Option {
 
 // NewChannel returns a channel with the given link configuration.
 func NewChannel(cfg LinkConfig, opts ...Option) *Channel {
-	c := &Channel{cfg: cfg, receivers: make(map[string]*Receiver)}
+	c := &Channel{cfg: cfg}
 	for _, o := range opts {
 		o(c)
 	}
@@ -146,7 +146,7 @@ func (c *Channel) Attach(name string, model LossModel, rng *rand.Rand, bufferSiz
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.receivers[name]; ok {
+	if c.indexOf(name) >= 0 {
 		return nil, fmt.Errorf("%w: %q", ErrReceiverExists, name)
 	}
 	r := &Receiver{
@@ -155,29 +155,36 @@ func (c *Channel) Attach(name string, model LossModel, rng *rand.Rand, bufferSiz
 		rng:    rng,
 		buffer: packet.NewBuffer(bufferSize),
 	}
-	c.receivers[name] = r
+	c.receivers = append(c.receivers, r)
 	return r, nil
+}
+
+// indexOf returns the position of the receiver called name, or -1. Caller
+// holds c.mu.
+func (c *Channel) indexOf(name string) int {
+	for i, r := range c.receivers {
+		if r.name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Detach removes a receiver and closes its buffer.
 func (c *Channel) Detach(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if r, ok := c.receivers[name]; ok {
-		r.buffer.Close()
-		delete(c.receivers, name)
+	if i := c.indexOf(name); i >= 0 {
+		c.receivers[i].buffer.Close()
+		c.receivers = append(c.receivers[:i], c.receivers[i+1:]...)
 	}
 }
 
-// Receivers returns the attached receivers.
+// Receivers returns the attached receivers in attach order.
 func (c *Channel) Receivers() []*Receiver {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*Receiver, 0, len(c.receivers))
-	for _, r := range c.receivers {
-		out = append(out, r)
-	}
-	return out
+	return append([]*Receiver(nil), c.receivers...)
 }
 
 // Sent returns the number of packets broadcast so far.
@@ -188,7 +195,7 @@ func (c *Channel) Sent() uint64 {
 }
 
 // Broadcast transmits p to every attached receiver and returns the per
-// receiver outcomes. In real-time mode it sleeps for the serialization plus
+// receiver outcomes, in attach order. In real-time mode it sleeps for the serialization plus
 // propagation delay once per broadcast (the medium is shared).
 func (c *Channel) Broadcast(p *packet.Packet) ([]Delivery, error) {
 	c.mu.Lock()
@@ -197,10 +204,7 @@ func (c *Channel) Broadcast(p *packet.Packet) ([]Delivery, error) {
 		return nil, ErrChannelClosed
 	}
 	c.sent++
-	receivers := make([]*Receiver, 0, len(c.receivers))
-	for _, r := range c.receivers {
-		receivers = append(receivers, r)
-	}
+	receivers := append([]*Receiver(nil), c.receivers...)
 	c.mu.Unlock()
 
 	serialization := c.cfg.SerializationDelay(packet.HeaderSize + len(p.Payload))

@@ -39,8 +39,9 @@ func TestLossFilterDropsAccordingToModel(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sink.Wait()
-	c.Stop()
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
 
 	mu.Lock()
 	defer mu.Unlock()
