@@ -13,6 +13,7 @@ import (
 var (
 	ErrGroupMismatch = errors.New("fec: packet belongs to a different group or code")
 	ErrDuplicate     = errors.New("fec: duplicate share for group")
+	ErrUndecodable   = errors.New("fec: group cannot be reconstructed")
 )
 
 // shareHeaderSize is the per-share prefix recording the original payload
@@ -170,6 +171,10 @@ type groupState struct {
 // when packets are missing but at least k shares of the group arrive, the
 // missing packets are reconstructed. BlockDecoder is not safe for concurrent
 // use.
+//
+// The proxy's decoder stage runs FrameDecoder instead. BlockDecoder stays as
+// the straightforward reference FrameDecoder is differentially tested
+// against, and as the oracle for the benchmark generator's erasure fates.
 type BlockDecoder struct {
 	groups map[uint32]*groupState
 	// Recovered counts packets reconstructed from parity rather than received.
@@ -204,8 +209,8 @@ func (d *BlockDecoder) Add(p *packet.Packet) ([]*packet.Packet, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if int(p.Index) >= params.N {
-		return nil, fmt.Errorf("%w: index %d for %s", ErrShareIndex, p.Index, params)
+	if int(p.Index) >= params.N || (p.Kind == packet.KindData) != (int(p.Index) < params.K) {
+		return nil, fmt.Errorf("%w: %s share at index %d for %s", ErrShareIndex, p.Kind, p.Index, params)
 	}
 	g, ok := d.groups[p.Group]
 	if !ok {
@@ -281,11 +286,11 @@ func (d *BlockDecoder) Add(p *packet.Packet) ([]*packet.Packet, error) {
 		for _, idx := range missing {
 			share := sources[idx]
 			if len(share) < shareHeaderSize {
-				return nil, fmt.Errorf("fec: reconstructed share %d too short", idx)
+				return nil, fmt.Errorf("%w: reconstructed share %d too short", ErrUndecodable, idx)
 			}
 			plen := int(binary.BigEndian.Uint16(share))
 			if plen > len(share)-shareHeaderSize {
-				return nil, fmt.Errorf("fec: reconstructed share %d has invalid length %d", idx, plen)
+				return nil, fmt.Errorf("%w: reconstructed share %d has invalid length %d", ErrUndecodable, idx, plen)
 			}
 			rp := &packet.Packet{
 				StreamID: p.StreamID,

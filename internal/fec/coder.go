@@ -13,10 +13,11 @@
 // parity rows into a gf256.EncodePlan, so EncodeParityInto walks every source
 // share exactly once, scattering into all parity shares in cache-sized tiles
 // through the SIMD kernel hierarchy (see the gf256 package doc), instead of
-// re-reading the sources once per parity row. Encode and the decode-side
-// matrix inversion are allocation-free at steady state (scratch matrices are
-// pooled), which is what keeps the proxy's FEC chains off the garbage
-// collector.
+// re-reading the sources once per parity row. EncodeParityInto and
+// ReconstructInto, the one decode kernel, are allocation-free at steady state
+// (scratch matrices are pooled), and FrameEncoder and FrameDecoder carry whole
+// wire frames through them in pooled buffers, which is what keeps the proxy's
+// FEC chains off the garbage collector.
 package fec
 
 import (
@@ -220,75 +221,105 @@ func (c *Coder) EncodeParityInto(sources, parity [][]byte) error {
 // Decode reconstructs the k source shares from any k (or more) of the n
 // encoded shares. The have map is keyed by share index (0..n-1). Extra shares
 // beyond k are ignored. The returned slice has exactly k entries in source
-// order.
+// order: surviving data shares are copied, and the missing ones are computed
+// by ReconstructInto, the one decode kernel.
 func (c *Coder) Decode(have map[int][]byte) ([][]byte, error) {
 	k, n := c.params.K, c.params.N
 	if len(have) < k {
 		return nil, fmt.Errorf("%w: have %d of %d required", ErrNotEnoughShares, len(have), k)
 	}
-	// Validate indices and sizes; collect available indices in ascending
-	// order, preferring data shares so that the decode matrix is as close to
-	// the identity as possible (cheapest inversion).
-	size := -1
-	for idx, s := range have {
+	for idx := range have {
 		if idx < 0 || idx >= n {
 			return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrShareIndex, idx, n)
 		}
-		if len(s) == 0 {
-			return nil, fmt.Errorf("%w: share %d is empty", ErrShareSize, idx)
-		}
-		if size == -1 {
-			size = len(s)
-		} else if len(s) != size {
-			return nil, fmt.Errorf("%w: share %d has %d bytes, want %d", ErrShareSize, idx, len(s), size)
-		}
 	}
+	// Choose the first k available indices in ascending order, preferring data
+	// shares so that the decode matrix is as close to the identity as
+	// possible; every surviving data share is then among the chosen.
 	chosen := make([]int, 0, k)
+	shares := make([][]byte, 0, k)
 	for idx := 0; idx < n && len(chosen) < k; idx++ {
-		if _, ok := have[idx]; ok {
-			chosen = append(chosen, idx)
-		}
-	}
-	// Fast path: all k data shares survive.
-	allData := true
-	for i, idx := range chosen {
-		if idx != i {
-			allData = false
-			break
+		if s, ok := have[idx]; ok {
+			chosen, shares = append(chosen, idx), append(shares, s)
 		}
 	}
 	out := make([][]byte, k)
-	if allData {
-		for i := 0; i < k; i++ {
-			out[i] = append([]byte(nil), have[i]...)
+	var rows []int
+	var outs [][]byte
+	for i := 0; i < k; i++ {
+		if s, ok := have[i]; ok {
+			out[i] = append([]byte(nil), s...)
+			continue
 		}
-		return out, nil
+		out[i] = make([]byte, len(shares[0]))
+		rows, outs = append(rows, i), append(outs, out[i])
 	}
-	// General path: invert the k×k submatrix of the generator corresponding
-	// to the chosen shares, then multiply it into the received shares. Both
-	// matrix temporaries come from the gf256 scratch pool so repeated
-	// reconstructions under loss churn allocate only the returned shares.
+	if err := c.ReconstructInto(chosen, shares, rows, outs); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReconstructInto computes the source rows listed in rows from k received
+// shares, writing source row rows[i] into outs[i]: the allocation-free decode
+// kernel. chosen holds the k distinct share indices (0..n-1) and shares[j] the
+// share received at index chosen[j]; every share and every output must have
+// the same non-zero length. Only the requested rows are computed, so a group
+// that lost one data share costs one row of work, not k.
+//
+// The k×k submatrix of the generator selected by chosen is inverted in
+// pooled matrices, then the multiply is source-major, mirroring the encode
+// side: each received share streams once through a column of inverse
+// coefficients into every output, the first overwriting (MulSliceN) and the
+// rest accumulating (AddMulSliceN).
+func (c *Coder) ReconstructInto(chosen []int, shares [][]byte, rows []int, outs [][]byte) error {
+	k, n := c.params.K, c.params.N
+	if len(chosen) != k || len(shares) != k {
+		return fmt.Errorf("%w: have %d shares for %d indices, need %d", ErrNotEnoughShares, len(shares), len(chosen), k)
+	}
+	if len(rows) != len(outs) {
+		return fmt.Errorf("%w: %d rows for %d outputs", ErrShareSize, len(rows), len(outs))
+	}
+	size := len(shares[0])
+	for j, s := range shares {
+		if chosen[j] < 0 || chosen[j] >= n {
+			return fmt.Errorf("%w: %d not in [0,%d)", ErrShareIndex, chosen[j], n)
+		}
+		if len(s) == 0 || len(s) != size {
+			return fmt.Errorf("%w: share %d has %d bytes, want %d", ErrShareSize, chosen[j], len(s), size)
+		}
+	}
+	for i, r := range rows {
+		if r < 0 || r >= k {
+			return fmt.Errorf("%w: source row %d not in [0,%d)", ErrShareIndex, r, k)
+		}
+		if len(outs[i]) != size {
+			return fmt.Errorf("%w: output %d has %d bytes, want %d", ErrShareSize, r, len(outs[i]), size)
+		}
+	}
+	if len(rows) == 0 {
+		return nil
+	}
 	sub := gf256.GetMatrix(k, k)
 	defer gf256.PutMatrix(sub)
 	if err := c.enc.SelectRowsInto(chosen, sub); err != nil {
-		return nil, fmt.Errorf("fec: decode matrix selection failed: %w", err)
+		return fmt.Errorf("fec: decode matrix selection failed: %w", err)
 	}
 	inv := gf256.GetMatrix(k, k)
 	defer gf256.PutMatrix(inv)
 	if err := sub.InvertInto(inv); err != nil {
-		return nil, fmt.Errorf("fec: decode matrix singular: %w", err)
-	}
-	// Source-major multiply, mirroring the encode side: stream each received
-	// share once through a column of inverse coefficients into all k outputs.
-	for i := 0; i < k; i++ {
-		out[i] = make([]byte, size)
+		return fmt.Errorf("fec: decode matrix singular: %w", err)
 	}
 	var coefs [MaxShares]byte
-	for j, idx := range chosen {
-		for i := 0; i < k; i++ {
-			coefs[i] = inv.At(i, j)
+	for j, s := range shares {
+		for i, r := range rows {
+			coefs[i] = inv.At(r, j)
 		}
-		gf256.AddMulSliceN(coefs[:k], have[idx], out)
+		if j == 0 {
+			gf256.MulSliceN(coefs[:len(rows)], s, outs)
+		} else {
+			gf256.AddMulSliceN(coefs[:len(rows)], s, outs)
+		}
 	}
-	return out, nil
+	return nil
 }

@@ -9,7 +9,6 @@ package fecproxy
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"rapidware/internal/fec"
@@ -117,18 +116,31 @@ func (ef *EncoderFilter) Overhead() float64 {
 // DecoderFilter reassembles FEC blocks and reconstructs missing data packets,
 // the "FEC Decoder" stage of Figure 6. Parity packets are consumed; only data
 // packets (original or reconstructed) are forwarded downstream.
+//
+// The stage body is a frame function over fec.FrameDecoder: intact data
+// frames go on as the buffers they arrived in, repaired ones are decoded into
+// pooled frame buffers, and no share is ever unmarshaled into a packet, so the
+// steady-state decode path performs no heap allocations. A share the decoder
+// refuses — a duplicate, one whose header disagrees with its group, one that
+// makes its group undecodable — is dropped as a filter.ErrBadFrame and
+// counted through the stage's OnDrop hook: any sender can produce those, and
+// failing the stage would let one datagram take the whole stream down.
 type DecoderFilter struct {
 	*filter.Base
 
-	mu    sync.Mutex
-	dec   *fec.BlockDecoder
+	dec   *fec.FrameDecoder
 	trace *metrics.TraceRecorder
+	// emit is the chain's emit for the frame in flight and forward the bound
+	// method handed to the decoder in its place; keys collects the trace keys
+	// of what one frame released.
+	emit    func(*packet.Buf)
+	forward func(*packet.Buf)
+	keys    []uint64
 
-	received      uint64
-	reconstructed uint64
-	forwarded     uint64
-	dropped       uint64
-	onDrop        func()
+	received      atomic.Uint64
+	reconstructed atomic.Uint64
+	forwarded     atomic.Uint64
+	dropped       atomic.Uint64
 }
 
 // NewDecoderFilter returns a decoder filter. trace may be nil; when provided,
@@ -137,51 +149,56 @@ func NewDecoderFilter(name string, trace *metrics.TraceRecorder) *DecoderFilter 
 	if name == "" {
 		name = "fec-decoder"
 	}
-	df := &DecoderFilter{dec: fec.NewBlockDecoder(0), trace: trace}
-	df.Base = filter.NewPacketFunc(name, func(p *packet.Packet) ([]*packet.Packet, error) {
-		df.mu.Lock()
-		defer df.mu.Unlock()
-		if p.Kind == packet.KindData {
-			df.received++
-		}
-		before := df.dec.Recovered()
-		outs, err := df.dec.Add(p)
-		if err != nil {
-			// Every decode error is a property of the share that just arrived
-			// — a duplicate, one whose header disagrees with its group, one
-			// that makes the group undecodable. Any sender can produce those,
-			// so the share is dropped and counted; failing the stage would let
-			// one datagram take the whole stream down.
-			df.dropped++
-			if df.onDrop != nil {
-				df.onDrop()
-			}
-			return nil, nil
-		}
-		newlyRecovered := df.dec.Recovered() - before
-		df.reconstructed += newlyRecovered
-		// Forward only data packets; parity has served its purpose.
-		forward := outs[:0]
-		for _, op := range outs {
-			if op.Kind == packet.KindData {
-				forward = append(forward, op)
-			}
-		}
-		df.forwarded += uint64(len(forward))
-		if df.trace != nil {
-			for _, op := range forward {
-				// The only packets in the output that are not the input packet
-				// itself are the ones the decoder reconstructed from parity.
-				outcome := metrics.OutcomeReceived
-				if op != p {
-					outcome = metrics.OutcomeReconstructed
-				}
-				df.trace.Record(traceKey(op), outcome)
-			}
-		}
-		return forward, nil
-	}, nil)
+	df := &DecoderFilter{dec: fec.NewFrameDecoder(0), trace: trace}
+	df.forward = df.forwardFrame
+	df.Base = filter.NewFrame(name, df.decode, func(func(*packet.Buf)) error {
+		// Held shares are copies only a repair could use; nothing is owed.
+		df.dec.Discard()
+		return nil
+	})
 	return df
+}
+
+// decode is the stage's frame function.
+func (df *DecoderFilter) decode(b *packet.Buf, emit func(*packet.Buf)) error {
+	switch packet.FrameKind(b.B) {
+	case packet.KindData:
+		df.received.Add(1)
+	default:
+		if _, _, _, n := packet.FrameBlock(b.B); n == 0 {
+			b.Release() // forward only data: a blockless non-data frame ends here
+			return nil
+		}
+	}
+	before := df.dec.Recovered()
+	df.emit, df.keys = emit, df.keys[:0]
+	err := df.dec.Add(b, df.forward)
+	df.emit = nil
+	repaired := df.dec.Recovered() - before
+	df.reconstructed.Add(repaired)
+	if err != nil {
+		df.dropped.Add(1)
+		return fmt.Errorf("fecproxy: decode: %w: %w", filter.ErrBadFrame, err)
+	}
+	// The decoder emits a frame's intact data first and its group's repairs
+	// after it, so the last `repaired` frames are the reconstructed ones.
+	for i, key := range df.keys {
+		outcome := metrics.OutcomeReceived
+		if uint64(len(df.keys)-i) <= repaired {
+			outcome = metrics.OutcomeReconstructed
+		}
+		df.trace.Record(key, outcome)
+	}
+	return nil
+}
+
+// forwardFrame carries one decoder output downstream.
+func (df *DecoderFilter) forwardFrame(b *packet.Buf) {
+	df.forwarded.Add(1)
+	if df.trace != nil {
+		df.keys = append(df.keys, frameTraceKey(b.B))
+	}
+	df.emit(b)
 }
 
 // traceKey derives a stable per-packet key from block coordinates when
@@ -193,13 +210,10 @@ func traceKey(p *packet.Packet) uint64 {
 	return p.Seq
 }
 
-// OnDrop registers fn to run (under the decoder's lock) for every share the
-// decoder drops; the engine folds it into the owning session's drop counter.
-// Call before the filter carries traffic.
-func (df *DecoderFilter) OnDrop(fn func()) {
-	df.mu.Lock()
-	df.onDrop = fn
-	df.mu.Unlock()
+// frameTraceKey is traceKey read off a marshaled frame's header.
+func frameTraceKey(frame []byte) uint64 {
+	group, index, k, n := packet.FrameBlock(frame)
+	return traceKey(&packet.Packet{Seq: packet.FrameSeq(frame), Group: group, Index: index, K: k, N: n})
 }
 
 // Stats returns the decoder's packet accounting: data packets received off
@@ -207,10 +221,13 @@ func (df *DecoderFilter) OnDrop(fn func()) {
 // shares dropped because the decoder could not accept them (duplicates,
 // group-parameter mismatches, undecodable groups).
 func (df *DecoderFilter) Stats() (received, reconstructed, forwarded, dropped uint64) {
-	df.mu.Lock()
-	defer df.mu.Unlock()
-	return df.received, df.reconstructed, df.forwarded, df.dropped
+	return df.received.Load(), df.reconstructed.Load(), df.forwarded.Load(), df.dropped.Load()
 }
+
+// Held returns how many share buffers the decoder holds for groups it may
+// still repair. Call it from the goroutine that drives the stage's chain, or
+// once the stage has left it.
+func (df *DecoderFilter) Held() int { return df.dec.Held() }
 
 var (
 	_ filter.Filter = (*EncoderFilter)(nil)

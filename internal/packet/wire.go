@@ -89,6 +89,17 @@ func FrameKind(frame []byte) Kind { return Kind(frame[3]) }
 // must already be validated.
 func FrameSeq(frame []byte) uint64 { return binary.BigEndian.Uint64(frame[4:]) }
 
+// FrameBlock returns the FEC block coordinates a marshaled frame declares:
+// its group, its index within the group and the group's (n,k) code, n = 0 on
+// frames outside any block. The frame must already be validated.
+func FrameBlock(frame []byte) (group uint32, index, k, n uint8) {
+	return binary.BigEndian.Uint32(frame[16:]), frame[20], frame[21], frame[22]
+}
+
+// FrameStreamID returns the stream ID a marshaled frame declares. The frame
+// must already be validated.
+func FrameStreamID(frame []byte) uint32 { return binary.BigEndian.Uint32(frame[12:]) }
+
 // PutFrameHeader encodes p's header fields into hdr, declaring a payload of
 // plen bytes, without touching the payload region — the in-place sibling of
 // AppendFrame for callers that compute (or already hold) the payload directly
