@@ -241,11 +241,11 @@ func printStats(out *os.File, eng *metrics.EngineStats, shards []metrics.ShardSt
 	fmt.Fprintf(out, "writes %d in %d flushes (%.1f/flush)  write-drops %d\n",
 		eng.BatchedWrites, eng.WriteFlushes, perFlush, eng.WriteDrops)
 	fmt.Fprintf(out, "bypass-hits %d  coalesced-sends %d\n", eng.BypassHits, eng.CoalescedSends)
-	fmt.Fprintf(out, "syscalls %d (recv %d, send %d)  per-packet %s  batch-fill %s  gso %d\n",
+	fmt.Fprintf(out, "syscalls %d (recv %d, send %d)  per-packet %s  batch-fill %s  gso %d  per-entry %s\n",
 		eng.RecvCalls+eng.SendCalls, eng.RecvCalls, eng.SendCalls,
 		perPacket(eng.Datagrams+eng.BatchedWrites, eng.RecvCalls+eng.SendCalls),
 		fillRatio(eng.Datagrams+eng.BatchedWrites, eng.RecvCalls+eng.SendCalls),
-		eng.GSODatagrams)
+		eng.GSODatagrams, fillRatio(eng.SentDatagrams, eng.SendEntries))
 	fmt.Fprintf(out, "%-5s %8s %6s %10s %9s %8s %8s %6s %7s %10s %10s %8s %7s %7s %6s %7s %7s %9s %10s\n",
 		"shard", "sessions", "parked", "datagrams", "malformed", "rejected", "feedback", "nacks", "rexmits", "chain-errs", "writes", "flushes", "wdrops", "harvest", "adrops", "bypass", "coalsc", "syscalls", "batch-fill")
 	for _, sh := range shards {
@@ -257,9 +257,10 @@ func printStats(out *os.File, eng *metrics.EngineStats, shards []metrics.ShardSt
 	}
 }
 
-// fillRatio renders packets-per-syscall (the batch amortization actually
-// achieved; BatchSize is the ceiling). A plane that has not moved traffic yet
-// renders a dash rather than a division by zero.
+// fillRatio renders packets per call: per syscall (the batch amortization
+// actually achieved; BatchSize is the ceiling), or per kernel send entry (the
+// GSO amortization). A plane that has not moved traffic yet renders a dash
+// rather than a division by zero.
 func fillRatio(packets, calls uint64) string {
 	if calls == 0 {
 		return "-"

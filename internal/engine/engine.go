@@ -49,9 +49,9 @@
 // to one datagram per syscall behind the same interface. The portable path
 // runs every reader over one net.UDPConn; on Linux, builds tagged
 // "reuseport" can give each shard its own SO_REUSEPORT socket instead
-// (Config.ReusePort). Per-shard RecvCalls, SendCalls and GSODatagrams
-// counters expose the achieved syscall amortization (see
-// metrics.EngineStats).
+// (Config.ReusePort). Per-shard RecvCalls, SendCalls, GSODatagrams,
+// SentDatagrams and SendEntries counters expose the achieved syscall and
+// kernel-traversal amortization (see metrics.EngineStats).
 //
 // The steady-state relay path is allocation-free: datagrams travel in pooled
 // buffers (packet.GetBuf) from the socket read, through the chain, to the
@@ -471,6 +471,7 @@ func (e *Engine) Start() error {
 				RecvCalls: &sh.counters.recvCalls,
 				SendCalls: &sh.counters.sendCalls,
 				Segmented: &sh.counters.gsoDatagrams,
+				Entries:   &sh.counters.sendEntries,
 			})
 		}
 		e.wg.Add(2)
@@ -704,6 +705,8 @@ func (e *Engine) Stats() Stats {
 		st.RecvCalls += c.recvCalls.Load()
 		st.SendCalls += c.sendCalls.Load()
 		st.GSODatagrams += c.gsoDatagrams.Load()
+		st.SendEntries += c.sendEntries.Load()
+		st.SentDatagrams += c.sentDatagrams.Load()
 		st.BypassHits += c.bypassHits.Load()
 		st.CoalescedSends += c.coalesced.Load()
 		parked += c.parkedNow.Load()

@@ -17,15 +17,23 @@ import (
 // Shard-runtime tuning constants.
 const (
 	// batchSize is the number of datagrams one syscall can move in either
-	// direction: the reader offers this many buffers per ReadBatch and a
-	// flush takes this many queue entries. On the Linux fast path a full
-	// batch costs one recvmmsg/sendmmsg; the portable path degrades to one
-	// syscall per datagram behind the same interface.
+	// direction: the reader offers this many buffers per ReadBatch. On the
+	// Linux fast path a full batch costs one recvmmsg/sendmmsg; the portable
+	// path degrades to one syscall per datagram behind the same interface.
 	batchSize = netbatch.BatchSize
 	// writeqSize bounds each shard's outbound datagram queue. When the
 	// queue is full new output is dropped and counted, UDP-style, so a
 	// slow socket cannot stall session chains.
 	writeqSize = 1024
+	// flushSize is the number of queue entries one flush expands, and so the
+	// window inside which flush sends a cohort's parity frames after its
+	// data frames (see flush). 64 entries hold frames of at most 64 FEC
+	// groups, so a group's parity trails at most 63 other groups' data to a
+	// member: within the 64 groups a receiver's FEC decoder tracks
+	// (fec.NewFrameDecoder's default), which therefore still has the group
+	// when its parity arrives. It also bounds flush's per-view scan and the
+	// expansion scratch, which peaks at flushSize x members datagrams.
+	flushSize = 64
 	// maxReadBackoffShift caps the transient-read-error sleep at
 	// 1ms << maxReadBackoffShift (256ms).
 	maxReadBackoffShift = 8
@@ -34,9 +42,10 @@ const (
 // shardCounters is one shard's counter block. Reader-side counters
 // (datagrams, malformed, rejected, feedback, recvCalls) are incremented by
 // the shard's reader goroutine; opened and chainErrors are attributed to the
-// shard that owns the session; writes, flushes, writeDrops, sendCalls and
-// gsoDatagrams belong to the shard's writer. Everything is atomic so Stats
-// can aggregate without stopping the data plane.
+// shard that owns the session; writes, flushes, writeDrops, sendCalls,
+// gsoDatagrams, sendEntries and sentDatagrams belong to the shard's writer.
+// Everything is atomic so Stats can aggregate without stopping the data
+// plane.
 type shardCounters struct {
 	datagrams   atomic.Uint64
 	malformed   atomic.Uint64
@@ -66,10 +75,15 @@ type shardCounters struct {
 	bypassHits atomic.Uint64
 	coalesced  atomic.Uint64
 	// gsoDatagrams counts datagrams the kernel accepted inside multi-segment
-	// GSO sends (netbatch.Options.Segmented). It takes 8 bytes of the pad, so
-	// every other counter keeps its offset.
-	gsoDatagrams atomic.Uint64
-	_            [40]byte // pad so neighboring shards' counters don't false-share
+	// GSO sends (netbatch.Options.Segmented); sendEntries counts the send
+	// entries it accepted, a GSO run once (netbatch.Options.Entries), and
+	// sentDatagrams the datagrams it accepted, a cohort frame once per
+	// member. They take 24 bytes of the pad, so every other counter keeps
+	// its offset.
+	gsoDatagrams  atomic.Uint64
+	sendEntries   atomic.Uint64
+	sentDatagrams atomic.Uint64
+	_             [24]byte // pad so neighboring shards' counters don't false-share
 }
 
 // outbound is one datagram queued on a shard. dst is the resolved
@@ -111,7 +125,7 @@ type shard struct {
 	// The output queues. Producers append to wq under wmu and wake the
 	// writer — except while the reader is handling a batch (reading is set):
 	// the reader sends wq itself once done, in one piece, so flush groups
-	// each view's frames into one GSO run per destination. tq holds the
+	// each view's frames into GSO runs per destination. tq holds the
 	// cohort tails' output, which the writer sends (see enqueueTail).
 	wmu     sync.Mutex
 	wq, tq  []outbound // guarded by wmu
@@ -120,12 +134,14 @@ type shard struct {
 
 	// sendMu serializes sendQueue, so each queue goes out in order, and
 	// guards the scratch below, reused so fan-out expansion never allocates
-	// in steady state.
+	// in steady state. widx and pidx hold one cohort run's data and parity
+	// frames (see flush).
 	sendMu sync.Mutex
 	spare  []outbound
 	wmsgs  []ioMsg
 	wacct  []wmeta
-	widx   [batchSize]int32
+	widx   [flushSize]int32
+	pidx   [flushSize]int32
 }
 
 // stats snapshots this shard's counters.
@@ -146,7 +162,9 @@ func (sh *shard) stats() metrics.ShardStats {
 		RecvCalls:   sh.counters.recvCalls.Load(),
 		SendCalls:   sh.counters.sendCalls.Load(),
 
-		GSODatagrams: sh.counters.gsoDatagrams.Load(),
+		GSODatagrams:  sh.counters.gsoDatagrams.Load(),
+		SendEntries:   sh.counters.sendEntries.Load(),
+		SentDatagrams: sh.counters.sentDatagrams.Load(),
 
 		Parked:         int(sh.counters.parkedNow.Load()),
 		Parks:          sh.counters.parks.Load(),
@@ -332,9 +350,11 @@ func (sh *shard) wakeWriter() {
 }
 
 // writeLoop sends the cohort tails' output and what is queued off the
-// reader's batches. Output order is preserved per queue — every session
-// enqueues on exactly one shard, and sendQueue sends in queue order — so per
-// destination, as a destination is fed from one queue at a time.
+// reader's batches. Every session enqueues on exactly one shard, sendQueue
+// sends one queue at a time, and flush keeps queue order per destination for
+// unicast datagrams and per destination and kind for cohort frames (see
+// flush), so that order holds per destination as it is fed from one queue at
+// a time.
 func (sh *shard) writeLoop() {
 	e := sh.eng
 	defer e.wg.Done()
@@ -350,8 +370,8 @@ func (sh *shard) writeLoop() {
 	}
 }
 
-// sendQueue takes the whole of q and flushes it through the batch conn
-// batchSize entries at a time.
+// sendQueue takes the whole of q and flushes it flushSize entries at a time;
+// sendBatch splits each flush's expansion into syscalls.
 func (sh *shard) sendQueue(q *[]outbound) {
 	sh.sendMu.Lock()
 	defer sh.sendMu.Unlock()
@@ -359,8 +379,8 @@ func (sh *shard) sendQueue(q *[]outbound) {
 	b := *q
 	*q = sh.spare
 	sh.wmu.Unlock()
-	for i := 0; i < len(b); i += batchSize {
-		batch := b[i:min(i+batchSize, len(b))]
+	for i := 0; i < len(b); i += flushSize {
+		batch := b[i:min(i+flushSize, len(b))]
 		sh.flush(batch)
 		sh.counters.writes.Add(uint64(len(batch)))
 		sh.counters.flushes.Add(1)
@@ -369,21 +389,27 @@ func (sh *shard) sendQueue(q *[]outbound) {
 	sh.spare = b[:0]
 }
 
-// flush expands one drained batch into the wire-level datagram list — cohort
-// entries become one datagram per member of their view, sharing the payload
-// buffer by reference — sends it, and releases every buffer. flush owns the batch's
-// buffers.
+// flush expands at most flushSize drained queue entries into the wire-level
+// datagram list — unicast entries stay as they are, cohort entries become one
+// datagram per member of their view, sharing the payload buffer by reference
+// — sends it, and releases every buffer. flush owns the batch's buffers.
 //
-// The batch's frames bound for one cohort view expand destination-major: all of
-// member A's frames, then all of member B's, and so on. Per-destination
-// order is exactly queue order (all UDP promises), and runs of equal-size
-// datagrams to one address are what the batch conn's UDP GSO path folds into
-// single segmented sends — so a busy fan-out session pays per-burst, not
-// per-datagram, kernel cost at every destination.
+// The frames bound for one cohort view expand destination-major: all of
+// member A's frames, then all of member B's, and so on. Each member gets the
+// view's data frames in queue order, then its parity frames in queue order:
+// a parity frame is two bytes longer than its group's data (the FEC share
+// length prefix), so interleaving them would cut every member's run of
+// equal-size datagrams — what the batch conn's UDP GSO path folds into one
+// segmented send — at each group boundary, while kind-major runs span the
+// whole batch. A group's parity may thus trail later groups' data to the same
+// member, within one batch: flushSize keeps that inside the groups a
+// receiver's FEC decoder tracks. The contract is: per destination and
+// session, unicast datagrams keep queue order, and a cohort's data frames
+// keep queue order and its parity frames keep queue order.
 func (sh *shard) flush(batch []outbound) {
 	ms := sh.wmsgs[:0]
 	acct := sh.wacct[:0]
-	var taken [batchSize]bool // cohort frames already expanded with an earlier run
+	var taken [flushSize]bool // cohort frames already expanded with an earlier run
 	for i := range batch {
 		o := &batch[i]
 		if taken[i] {
@@ -401,19 +427,27 @@ func (sh *shard) flush(batch []outbound) {
 		// not: cohorts feed the queue concurrently (tails from their release
 		// timers, the bypass lane and tails from dispatch), so their frames
 		// interleave, and only what is expanded together can share a GSO
-		// send. Pulling a view's later frames forward keeps their order —
-		// which is each of its destinations' order — and only moves them past
+		// send. Pulling a view's later frames forward only moves them past
 		// other views' and sessions' frames, with which they were never
-		// ordered.
+		// ordered. One scan collects the run's data frames in widx and its
+		// parity frames in pidx; their concatenation is replayed for every
+		// member.
 		view := o.view
-		run := 0
+		run, parity := 0, 0
 		for j := i; j < len(batch); j++ {
-			if batch[j].view == view {
-				taken[j] = true
+			if batch[j].view != view {
+				continue
+			}
+			taken[j] = true
+			if packet.FrameKind(batch[j].b.B[packet.SessionIDSize:]) == packet.KindParity {
+				sh.pidx[parity] = int32(j)
+				parity++
+			} else {
 				sh.widx[run] = int32(j)
 				run++
 			}
 		}
+		run += copy(sh.widx[run:], sh.pidx[:parity])
 		targets := *view
 		for _, t := range targets {
 			for k := 0; k < run; k++ {
@@ -439,12 +473,12 @@ func (sh *shard) flush(batch []outbound) {
 }
 
 // sendBatch pushes a prepared datagram list through the batch conn, crediting
-// each success to its session (and receiver branch, when present). Failures
-// follow UDP's fire-and-forget contract: a conn error names exactly one
-// datagram, which is dropped and counted, and the remainder is re-offered —
-// so a transient send error can never stall the queue or discard the
-// datagrams behind it. The loop terminates because every round either sends
-// or drops at least one datagram.
+// each success to the shard's sent datagrams and to its session (and receiver
+// branch, when present). Failures follow UDP's fire-and-forget contract: a
+// conn error names exactly one datagram, which is dropped and counted, and
+// the remainder is re-offered — so a transient send error can never stall
+// the queue or discard the datagrams behind it. The loop terminates because
+// every round either sends or drops at least one datagram.
 func (sh *shard) sendBatch(ms []ioMsg, acct []wmeta) {
 	drop := func(m *wmeta) {
 		m.s.counters.Drops.Add(1)
@@ -456,6 +490,7 @@ func (sh *shard) sendBatch(ms []ioMsg, acct []wmeta) {
 	sent := 0
 	for sent < len(ms) {
 		n, err := sh.bconn.WriteBatch(ms[sent:])
+		sh.counters.sentDatagrams.Add(uint64(n))
 		for i := sent; i < sent+n; i++ {
 			m := &acct[i]
 			m.s.counters.OutPackets.Add(1)

@@ -205,10 +205,14 @@ type EngineStats struct {
 	// Shards is the width of the engine's data plane: the number of reader
 	// goroutines, session-table shards and batched writers.
 	Shards int `json:"shards"`
-	// BatchedWrites counts datagrams sent through the shard writers;
-	// WriteFlushes counts writer wakeups, so BatchedWrites/WriteFlushes is
-	// the mean batch size. WriteDrops counts datagrams discarded because a
-	// shard's outbound queue was full.
+	// BatchedWrites counts the queue entries sent through the shard writers,
+	// a cohort frame once however many members it goes to; WriteFlushes
+	// counts flushes of at most 64 entries each, so
+	// BatchedWrites/WriteFlushes is the mean flush size. Within a flush, per
+	// destination and session, unicast datagrams keep queue order and a
+	// cohort's data frames and its parity frames each keep queue order, the
+	// parity after the data. WriteDrops counts datagrams discarded because a
+	// shard's outbound queue was full or a send failed.
 	BatchedWrites uint64 `json:"batched_writes"`
 	WriteFlushes  uint64 `json:"write_flushes"`
 	WriteDrops    uint64 `json:"write_drops"`
@@ -224,6 +228,13 @@ type EngineStats struct {
 	// side's GSO coverage, and 0 under traffic means GSO was refused or the
 	// platform lacks it.
 	GSODatagrams uint64 `json:"gso_datagrams"`
+	// SentDatagrams counts the datagrams the kernel accepted, a cohort frame
+	// once per member, and SendEntries the send entries that carried them, a
+	// GSO run once: SentDatagrams/SendEntries is the mean number of
+	// datagrams per kernel traversal, the figure cohort fan-out flushing
+	// raises.
+	SentDatagrams uint64 `json:"sent_datagrams"`
+	SendEntries   uint64 `json:"send_entries"`
 	// BypassHits counts trunk frames delivered through a cohort bypass lane
 	// (no chain, no copy); CoalescedSends counts cohort frames the writers
 	// fanned to two or more receivers off one shared chain traversal.
@@ -255,8 +266,11 @@ type ShardStats struct {
 	// readings.
 	RecvCalls uint64 `json:"recv_calls"`
 	SendCalls uint64 `json:"send_calls"`
-	// GSODatagrams is this shard's share of EngineStats.GSODatagrams.
-	GSODatagrams uint64 `json:"gso_datagrams"`
+	// GSODatagrams, SentDatagrams and SendEntries are this shard's shares of
+	// the EngineStats figures.
+	GSODatagrams  uint64 `json:"gso_datagrams"`
+	SentDatagrams uint64 `json:"sent_datagrams"`
+	SendEntries   uint64 `json:"send_entries"`
 	// Parked gauges this shard's currently parked sessions (a subset of
 	// Sessions); Parks/Unparks/Harvested/AdmissionDrops count the park and
 	// admission lifecycle events attributed to this shard.

@@ -75,6 +75,10 @@ type Options struct {
 	// inside multi-segment GSO entries; it stays zero while GSO is off or
 	// refused.
 	Segmented *atomic.Uint64
+	// Entries, when non-nil, counts the send entries the kernel accepted: a
+	// GSO run counts once, a plain datagram once. Datagrams sent over
+	// Entries is the mean number of datagrams per kernel traversal.
+	Entries *atomic.Uint64
 }
 
 // counter is a nil-safe syscall tally.
@@ -91,6 +95,12 @@ type simpleConn struct {
 	conn      *net.UDPConn
 	recvCalls *atomic.Uint64
 	sendCalls *atomic.Uint64
+	entries   *atomic.Uint64
+}
+
+// newSimpleConn is the portable Conn over conn.
+func newSimpleConn(conn *net.UDPConn, opts Options) *simpleConn {
+	return &simpleConn{conn: conn, recvCalls: opts.RecvCalls, sendCalls: opts.SendCalls, entries: opts.Entries}
 }
 
 func (c *simpleConn) ReadBatch(ms []Msg) (int, error) {
@@ -111,6 +121,7 @@ func (c *simpleConn) WriteBatch(ms []Msg) (int, error) {
 		if _, err := c.conn.WriteToUDPAddrPort(ms[i].Buf, ms[i].Addr); err != nil {
 			return i, err
 		}
+		count(c.entries)
 	}
 	return len(ms), nil
 }

@@ -13,5 +13,5 @@ const (
 
 // New wraps conn in the portable one-datagram-per-syscall Conn.
 func New(conn *net.UDPConn, opts Options) Conn {
-	return &simpleConn{conn: conn, recvCalls: opts.RecvCalls, sendCalls: opts.SendCalls}
+	return newSimpleConn(conn, opts)
 }

@@ -63,6 +63,7 @@ type mmsgConn struct {
 	recvCalls *atomic.Uint64
 	sendCalls *atomic.Uint64
 	segmented *atomic.Uint64
+	entries   *atomic.Uint64
 
 	rhdrs  []mmsghdr
 	riovs  []syscall.Iovec
@@ -93,13 +94,14 @@ type mmsgConn struct {
 func New(conn *net.UDPConn, opts Options) Conn {
 	rc, err := conn.SyscallConn()
 	if err != nil {
-		return &simpleConn{conn: conn, recvCalls: opts.RecvCalls, sendCalls: opts.SendCalls}
+		return newSimpleConn(conn, opts)
 	}
 	c := &mmsgConn{
 		rc:        rc,
 		recvCalls: opts.RecvCalls,
 		sendCalls: opts.SendCalls,
 		segmented: opts.Segmented,
+		entries:   opts.Entries,
 		rhdrs:     make([]mmsghdr, BatchSize),
 		riovs:     make([]syscall.Iovec, BatchSize),
 		rnames:    make([][sizeofSockaddrAny]byte, BatchSize),
@@ -299,6 +301,9 @@ func (c *mmsgConn) send(n int, segs []int) (int, error) {
 	c.wn, c.wsent, c.woperr = n, 0, nil
 	err := c.rc.Write(c.writeFn)
 	sent, operr := c.wsent, c.woperr
+	if c.entries != nil && sent > 0 {
+		c.entries.Add(uint64(sent))
+	}
 	if segs != nil {
 		// sendmmsg counts entries; the caller counts datagrams.
 		total, segmented := 0, 0

@@ -15,8 +15,8 @@ import (
 // and pins that the refused batch still goes out whole, in order, within the
 // same WriteBatch call, and that later calls take the plain path directly.
 func TestGSORejectedFallsBackInSameCall(t *testing.T) {
-	var sendCalls, segmented atomic.Uint64
-	a, b, ba, bb := pair(t, Options{GSO: true, SendCalls: &sendCalls, Segmented: &segmented})
+	var sendCalls, segmented, entries atomic.Uint64
+	a, b, ba, bb := pair(t, Options{GSO: true, SendCalls: &sendCalls, Segmented: &segmented, Entries: &entries})
 	rc, err := a.SyscallConn()
 	if err != nil {
 		t.Fatal(err)
@@ -54,5 +54,9 @@ func TestGSORejectedFallsBackInSameCall(t *testing.T) {
 	}
 	if got := segmented.Load(); got != 0 {
 		t.Fatalf("Segmented = %d after a refusal, want 0", got)
+	}
+	// The refused attempt sent nothing, so only the plain entries count.
+	if got := entries.Load(); got != 2*count {
+		t.Fatalf("Entries = %d after a refusal, want %d (one per plain datagram)", got, 2*count)
 	}
 }

@@ -153,9 +153,9 @@ func TestGSOCoalescedSend(t *testing.T) {
 		{"dual-stack to v4-mapped", "[::]:0", "127.0.0.1:0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var sendCalls, segmented atomic.Uint64
+			var sendCalls, segmented, entries atomic.Uint64
 			a, b := listen(t, tc.from), listen(t, tc.to)
-			ba, bb := New(a, Options{GSO: true, SendCalls: &sendCalls, Segmented: &segmented}), New(b, Options{})
+			ba, bb := New(a, Options{GSO: true, SendCalls: &sendCalls, Segmented: &segmented, Entries: &entries}), New(b, Options{})
 			// As16 spells a v4 destination 4-in-6 mapped, the form a
 			// dual-stack socket reports its v4 peers in.
 			dst := b.LocalAddr().(*net.UDPAddr).AddrPort()
@@ -204,6 +204,10 @@ func TestGSOCoalescedSend(t *testing.T) {
 			// but left the counter at 0.
 			if got := segmented.Load(); got != 23 {
 				t.Fatalf("Segmented = %d, want 23: the kernel refused GSO on this socket", got)
+			}
+			// Three kernel entries: the 20-run, the odd one out, the 3-run.
+			if got := entries.Load(); got != 3 {
+				t.Fatalf("Entries = %d, want 3 (one per GSO run or plain datagram)", got)
 			}
 			t.Logf("sent %d datagrams in %d send syscalls", len(payloads), sendCalls.Load())
 		})

@@ -170,7 +170,10 @@ func TestPauseWaitsForTrackedHandoff(t *testing.T) {
 
 // TestMidWritePauseLosesNothing splices a stage in while one large write is
 // in flight, blocked on a slow consumer: the bytes before the splice and after
-// it arrive in order, with nothing lost or duplicated.
+// it arrive in order, with nothing lost or duplicated. The consumer keeps
+// reading, slowly, while the splice is issued: the pump writes to its sink
+// under the chain's lock, so a splice issued while nobody drains the output
+// would wait on that blocked write for ever.
 func TestMidWritePauseLosesNothing(t *testing.T) {
 	outR, outW := stream.Pipe()
 	defer outR.Close() // a test that fails early must not leave the pump blocked
@@ -195,11 +198,44 @@ func TestMidWritePauseLosesNothing(t *testing.T) {
 		t.Fatal("the write finished before the consumer read past its first bytes")
 	default:
 	}
+	spliced := make(chan struct{})
+	type result struct {
+		rest []byte
+		err  error
+	}
+	consumed := make(chan result, 1)
+	go func() {
+		// Slow until the splice is in, so most of the payload is still to
+		// come when it lands; then the rest at full speed.
+		var rest []byte
+		chunk := make([]byte, 1024)
+		for {
+			select {
+			case <-spliced:
+				tail, err := io.ReadAll(outR)
+				consumed <- result{append(rest, tail...), err}
+				return
+			default:
+			}
+			n, err := outR.Read(chunk)
+			rest = append(rest, chunk[:n]...)
+			if err != nil {
+				if err == io.EOF {
+					err = nil
+				}
+				consumed <- result{rest, err}
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
 	counting := filter.NewCounting("inserted")
 	if err := chain.SetInterior([]filter.Filter{counting}); err != nil {
 		t.Fatal(err)
 	}
-	rest, err := io.ReadAll(outR)
+	close(spliced)
+	res := <-consumed
+	rest, err := res.rest, res.err
 	if err != nil {
 		t.Fatal(err)
 	}
