@@ -78,11 +78,13 @@
 // costs one tail per *level*, not per station. Migration is exact by
 // construction: dispatch and every membership change take the tree's lock,
 // and a frame's destinations are fixed when it is enqueued, so a member gets
-// each frame from exactly one cohort. Cohort output is flushed
-// destination-major, a view's frames gathered from across the flushed batch,
-// so the batch conn can fold one traversal's fan-out into GSO
-// super-datagrams; the BypassHits and CoalescedSends counters
-// (metrics.ShardStats) expose both fast paths. See branch.go.
+// each frame from exactly one cohort. Every flush is laid out
+// destination-major — each receiver's datagrams, unicast or cohort, from any
+// session, together — under one contract: per destination, data frames keep
+// queue order and parity frames keep queue order. The batch conn folds each
+// receiver's share of a flush into one GSO super-datagram per frame kind;
+// the BypassHits and CoalescedSends counters (metrics.ShardStats) expose the
+// fan-out fast paths. See branch.go and shard.flush.
 //
 // Receiver reports (packet.KindFeedback) close the adaptation loop on the
 // read path. The shard reader that reads a report consumes it — it never

@@ -51,12 +51,12 @@ func isParity(dgram []byte) bool {
 // TestFlushKeepsPerKindOrderOnRandomBatches drives random drained queues —
 // unicast entries between the frames of several cohort views of two
 // sessions, data and parity of varying sizes, views with no, one and several
-// members — through sendQueue onto a conn that takes a random prefix of each
-// call, and checks flush's contract: every (member, frame) pair is sent
-// exactly once; per destination and session, cohort data frames keep queue
-// order and parity frames keep queue order; unicast datagrams keep queue
-// order outright; and the coalesced, drop, write, flush and sent-datagram
-// counters are exact.
+// members, unicast entries addressed to those members — through sendQueue
+// onto a conn that takes a random prefix of each call, and checks flush's
+// contract: every (destination, frame) pair is sent exactly once; per
+// destination, data frames keep queue order and parity frames keep queue
+// order, whichever session, view or unicast entry they came from; and the
+// coalesced, drop, write, flush and sent-datagram counters are exact.
 func TestFlushKeepsPerKindOrderOnRandomBatches(t *testing.T) {
 	dsts := make([]netip.AddrPort, 8)
 	for i := range dsts {
@@ -67,7 +67,8 @@ func TestFlushKeepsPerKindOrderOnRandomBatches(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		sessions := []*Session{{id: 1}, {id: 2}}
 		// Each session's views have disjoint members, as a session's cohorts
-		// do; the two sessions share destinations.
+		// do; the two sessions' views share members, and unicast entries of
+		// both sessions go to the same destinations.
 		type viewInfo struct {
 			s    *Session
 			view *[]target
@@ -93,13 +94,6 @@ func TestFlushKeepsPerKindOrderOnRandomBatches(t *testing.T) {
 		sh.bconn, sh.counters = conn, shardCounters{}
 		queue := make([]outbound, size)
 		for pos := range queue {
-			if rng.Intn(4) == 0 {
-				s := sessions[rng.Intn(len(sessions))]
-				queue[pos] = outbound{s: s, b: flushFrame(t, s.id, packet.KindData, pos, 40+rng.Intn(60)),
-					dst: dsts[rng.Intn(len(dsts))]}
-				continue
-			}
-			v := views[rng.Intn(len(views))]
 			kind, frameSize := packet.KindData, 100
 			if rng.Intn(3) == 0 {
 				kind, frameSize = packet.KindParity, 102
@@ -107,6 +101,13 @@ func TestFlushKeepsPerKindOrderOnRandomBatches(t *testing.T) {
 			if rng.Intn(5) == 0 {
 				frameSize = 40 + rng.Intn(200)
 			}
+			if rng.Intn(4) == 0 {
+				s := sessions[rng.Intn(len(sessions))]
+				queue[pos] = outbound{s: s, b: flushFrame(t, s.id, kind, pos, frameSize),
+					dst: dsts[rng.Intn(len(dsts))]}
+				continue
+			}
+			v := views[rng.Intn(len(views))]
 			queue[pos] = outbound{s: v.s, b: flushFrame(t, v.s.id, kind, pos, frameSize), view: v.view}
 		}
 		parity := make([]bool, size)
@@ -125,29 +126,30 @@ func TestFlushKeepsPerKindOrderOnRandomBatches(t *testing.T) {
 			defer o.b.Release()
 		}
 
-		// What the queue promises: the frames each (destination, session)
-		// must receive per class, in queue order, and the exact counters.
+		// What the queue promises: the frames each destination must receive
+		// per kind, in queue order, and the exact counters.
 		type key struct {
 			dst   netip.AddrPort
-			id    uint32
 			class string
 		}
+		classOf := func(pos int) string {
+			if parity[pos] {
+				return "parity"
+			}
+			return "data"
+		}
 		want := map[key][]int{}
-		var unicast []int
 		var coalesced uint64
 		drops := map[*Session]uint64{}
 		for pos, o := range queue {
 			if o.view == nil {
-				want[key{o.dst, o.s.id, "unicast"}] = append(want[key{o.dst, o.s.id, "unicast"}], pos)
-				unicast = append(unicast, pos)
+				k := key{o.dst, classOf(pos)}
+				want[k] = append(want[k], pos)
 				continue
 			}
-			class := "data"
-			if parity[pos] {
-				class = "parity"
-			}
 			for _, tg := range *o.view {
-				want[key{tg.dst, o.s.id, class}] = append(want[key{tg.dst, o.s.id, class}], pos)
+				k := key{tg.dst, classOf(pos)}
+				want[k] = append(want[k], pos)
 			}
 			switch n := len(*o.view); {
 			case n == 0:
@@ -157,31 +159,22 @@ func TestFlushKeepsPerKindOrderOnRandomBatches(t *testing.T) {
 			}
 		}
 		got := map[key][]int{}
-		var gotUnicast []int
 		for _, m := range conn.sent {
-			id := binary.BigEndian.Uint32(m.Buf)
 			pos := int(packet.FrameSeq(m.Buf[packet.SessionIDSize:]))
-			class := "data"
-			switch {
-			case queue[pos].view == nil:
-				class = "unicast"
-				gotUnicast = append(gotUnicast, pos)
-			case parity[pos]:
-				class = "parity"
+			if id := binary.BigEndian.Uint32(m.Buf); id != queue[pos].s.id {
+				t.Fatalf("seed %d: queue entry %d sent with session ID %d, want %d", seed, pos, id, queue[pos].s.id)
 			}
-			got[key{m.Addr, id, class}] = append(got[key{m.Addr, id, class}], pos)
+			k := key{m.Addr, classOf(pos)}
+			got[k] = append(got[k], pos)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d (destination, session, kind) streams sent, want %d", seed, len(got), len(want))
+			t.Fatalf("seed %d: %d (destination, kind) streams sent, want %d", seed, len(got), len(want))
 		}
 		for k, w := range want {
 			if fmt.Sprint(got[k]) != fmt.Sprint(w) {
-				t.Fatalf("seed %d: %v session %d %s frames sent as %v, want %v (queue order, each once)",
-					seed, k.dst, k.id, k.class, got[k], w)
+				t.Fatalf("seed %d: %v %s frames sent as %v, want %v (queue order, each once)",
+					seed, k.dst, k.class, got[k], w)
 			}
-		}
-		if fmt.Sprint(gotUnicast) != fmt.Sprint(unicast) {
-			t.Fatalf("seed %d: unicast sent as %v, want queue order %v", seed, gotUnicast, unicast)
 		}
 		if c := sh.counters.coalesced.Load(); c != coalesced {
 			t.Fatalf("seed %d: coalesced = %d, want %d", seed, c, coalesced)
@@ -276,28 +269,41 @@ func repairAll(t *testing.T, who string, dgrams [][]byte, wantData, wantRepairs 
 }
 
 // TestFlushFullQueueKeepsFECRepairable fills a queue with real FEC groups for
-// a cohort of three, with another session's unicast datagrams at random
-// places between them so flush boundaries fall anywhere in a group, and
-// sends it. The codes are the adaptive policy's first, (5,4), and (8,4); in
-// the last case ten of every eleven (5,4) groups lost all but their first
-// data frame upstream, so a flush spans as many groups as it holds frames.
-// flush sends a group's parity after later groups' data; per member, a
-// 64-group decoder losing data frame 1 of every group must still hold each
-// complete group when its parity arrives, and so repair all of them.
+// three receivers — as one cohort entry per frame, or as one unicast entry
+// per frame and receiver — with another session's unicast datagrams at random
+// places between them so flush boundaries fall anywhere in a group, and sends
+// it. The codes are the adaptive policy's first, (5,4), and (8,4); in the
+// last case ten of every eleven (5,4) groups lost all but their first data
+// frame upstream, so a flush spans as many groups as it holds frames. flush
+// sends a group's parity after later groups' data; per receiver, a 64-group
+// decoder losing data frame 1 of every group must still hold each complete
+// group when its parity arrives, and so repair all of them.
 func TestFlushFullQueueKeepsFECRepairable(t *testing.T) {
 	for _, tc := range []struct {
-		p    fec.Params
-		lone int // groups reduced to one data frame after each complete one
-	}{{fec.Params{K: 4, N: 5}, 0}, {fec.Params{K: 4, N: 8}, 0}, {fec.Params{K: 4, N: 5}, 10}} {
-		t.Run(fmt.Sprintf("%v/lone=%d", tc.p, tc.lone), func(t *testing.T) {
+		p       fec.Params
+		lone    int  // groups reduced to one data frame after each complete one
+		unicast bool // one unicast entry per receiver instead of a cohort entry
+	}{
+		{fec.Params{K: 4, N: 5}, 0, false}, {fec.Params{K: 4, N: 8}, 0, false}, {fec.Params{K: 4, N: 5}, 10, false},
+		{fec.Params{K: 4, N: 5}, 0, true}, {fec.Params{K: 4, N: 8}, 0, true}, {fec.Params{K: 4, N: 5}, 10, true},
+	} {
+		name := fmt.Sprintf("%v/lone=%d", tc.p, tc.lone)
+		if tc.unicast {
+			name += "/unicast"
+		}
+		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tc.p.N + tc.lone)))
 			view := make([]target, 3)
 			for i := range view {
 				view[i] = target{dst: netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 7, 0, byte(i + 1)}), 9000),
 					rx: &metrics.ReceiverCounters{}}
 			}
+			perFrame := 1 // queue entries per frame
+			if tc.unicast {
+				perFrame = len(view)
+			}
 			s, other := &Session{id: 1}, &Session{id: 2}
-			complete := writeqSize * 7 / 8 / (tc.p.N + tc.lone)
+			complete := writeqSize * 7 / 8 / (perFrame * (tc.p.N + tc.lone))
 			groups := complete * (tc.lone + 1)
 			var frames []*packet.Buf
 			g := -1
@@ -315,9 +321,17 @@ func TestFlushFullQueueKeepsFECRepairable(t *testing.T) {
 			sh := &shard{bconn: conn}
 			queue := make([]outbound, 0, writeqSize)
 			for len(queue) < writeqSize {
-				if len(frames) > 0 && rng.Intn(writeqSize-len(queue)) < len(frames) {
-					queue = append(queue, outbound{s: s, b: frames[0], view: &view})
+				if len(frames) > 0 && rng.Intn(writeqSize-len(queue)) < perFrame*len(frames) {
+					b := frames[0]
 					frames = frames[1:]
+					if !tc.unicast {
+						queue = append(queue, outbound{s: s, b: b, view: &view})
+						continue
+					}
+					b.Retain(len(view) - 1) // one reference per entry
+					for _, tg := range view {
+						queue = append(queue, outbound{s: s, b: b, dst: tg.dst, rx: tg.rx})
+					}
 					continue
 				}
 				queue = append(queue, outbound{s: other, b: flushFrame(t, other.id, packet.KindData, len(queue), 64),
@@ -404,5 +418,122 @@ func TestShardFlushFullQueueAllocs(t *testing.T) {
 	op() // grows the reused expansion scratch to its steady size
 	if n := testing.AllocsPerRun(20, op); n != 0 {
 		t.Fatalf("%v allocs per full-queue flush, want 0", n)
+	}
+}
+
+// unicastPeersFlush returns one op that queues one flush of flushSize unicast
+// entries — FEC (8,4) shares, data then parity, the parity two bytes longer —
+// spread round-robin over peers distinct destinations, and sends it.
+func unicastPeersFlush(tb testing.TB, peers int) func() {
+	s := &Session{id: 1}
+	sh := &shard{bconn: discardConn{}}
+	queue := make([]outbound, flushSize)
+	for i := range queue {
+		kind, size := packet.KindData, 200
+		if i%8 >= 4 {
+			kind, size = packet.KindParity, 202
+		}
+		queue[i] = outbound{s: s, b: flushFrame(tb, 1, kind, i, size),
+			dst: netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 8, byte(i % peers), 1}), 9000)}
+	}
+	tb.Cleanup(func() {
+		for _, o := range queue {
+			o.b.Release()
+		}
+	})
+	return func() {
+		for _, o := range queue {
+			o.b.Retain(1) // the flush releases one reference per entry
+			sh.push(&sh.wq, o)
+		}
+		sh.sendQueue(&sh.wq)
+	}
+}
+
+// BenchmarkShardFlushUnicastPeers times one flush of unicast entries to 2 and
+// to 64 distinct peers, reported per datagram. TestShardFlushUnicastPeersAllocs
+// holds it allocation-free.
+func BenchmarkShardFlushUnicastPeers(b *testing.B) {
+	for _, peers := range []int{2, 64} {
+		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
+			op := unicastPeersFlush(b, peers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*flushSize), "ns/datagram")
+		})
+	}
+}
+
+func TestShardFlushUnicastPeersAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, peers := range []int{2, 64} {
+		op := unicastPeersFlush(t, peers)
+		op() // grows the reused expansion scratch to its steady size
+		if n := testing.AllocsPerRun(20, op); n != 0 {
+			t.Fatalf("%v allocs per unicast flush to %d peers, want 0", n, peers)
+		}
+	}
+}
+
+// TestDrainWriteQueueCountsDiscards queues unicast and cohort entries on both
+// of a shard's queues and drains them as the writer does at shutdown: every
+// discarded entry must be released and counted like a full-queue drop — to
+// its session, to its receiver or to every member of its view, and to the
+// shard's write drops.
+func TestDrainWriteQueueCountsDiscards(t *testing.T) {
+	sh := &shard{}
+	s1, s2 := &Session{id: 1}, &Session{id: 2}
+	rx := &metrics.ReceiverCounters{}
+	view := []target{
+		{dst: netip.MustParseAddrPort("10.9.0.1:9000"), rx: &metrics.ReceiverCounters{}},
+		{dst: netip.MustParseAddrPort("10.9.0.2:9000"), rx: &metrics.ReceiverCounters{}},
+	}
+	empty := []target{}
+	u := netip.MustParseAddrPort("10.9.0.3:9000")
+	var frames []*packet.Buf
+	queue := func(q *[]outbound, o outbound) {
+		o.b = flushFrame(t, o.s.id, packet.KindData, len(frames), 64)
+		o.b.Retain(1) // keeps the buffer checkable after the drain
+		frames = append(frames, o.b)
+		if !sh.push(q, o) {
+			t.Fatal("queue refused an entry")
+		}
+	}
+	queue(&sh.wq, outbound{s: s1, dst: u})
+	queue(&sh.wq, outbound{s: s1, dst: u, rx: rx})
+	queue(&sh.wq, outbound{s: s2, view: &view})
+	queue(&sh.tq, outbound{s: s2, view: &view})
+	queue(&sh.tq, outbound{s: s2, view: &empty})
+	queue(&sh.tq, outbound{s: s1, dst: u, rx: rx})
+	sh.drainWriteQueue()
+
+	for _, b := range frames {
+		if b.Refs() != 1 {
+			t.Fatalf("a drained frame holds %d references, want the test's 1", b.Refs())
+		}
+		b.Release()
+	}
+	for _, c := range []struct {
+		what      string
+		got, want uint64
+	}{
+		{"session 1 drops", s1.counters.Drops.Load(), 3},
+		{"session 2 drops", s2.counters.Drops.Load(), 3},
+		{"unicast receiver drops", rx.Drops.Load(), 2},
+		{"member 1 drops", view[0].rx.Drops.Load(), 2},
+		{"member 2 drops", view[1].rx.Drops.Load(), 2},
+		{"shard write drops", sh.counters.writeDrops.Load(), 6},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.what, c.got, c.want)
+		}
+	}
+	if len(sh.wq) != 0 || len(sh.tq) != 0 {
+		t.Fatalf("queues hold %d and %d entries after the drain, want none", len(sh.wq), len(sh.tq))
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"net"
 	"net/netip"
 	"sync"
@@ -26,13 +27,13 @@ const (
 	// slow socket cannot stall session chains.
 	writeqSize = 1024
 	// flushSize is the number of queue entries one flush expands, and so the
-	// window inside which flush sends a cohort's parity frames after its
+	// window inside which flush sends a destination's parity frames after its
 	// data frames (see flush). 64 entries hold frames of at most 64 FEC
-	// groups, so a group's parity trails at most 63 other groups' data to a
-	// member: within the 64 groups a receiver's FEC decoder tracks
-	// (fec.NewFrameDecoder's default), which therefore still has the group
-	// when its parity arrives. It also bounds flush's per-view scan and the
-	// expansion scratch, which peaks at flushSize x members datagrams.
+	// groups, so a group's parity, unicast or cohort, trails at most 63 other
+	// groups' data to a receiver: within the 64 groups a receiver's FEC
+	// decoder tracks (fec.NewFrameDecoder's default), which therefore still
+	// has the group when its parity arrives. It also bounds the expansion
+	// scratch, which peaks at flushSize x members datagrams.
 	flushSize = 64
 	// maxReadBackoffShift caps the transient-read-error sleep at
 	// 1ms << maxReadBackoffShift (256ms).
@@ -125,23 +126,47 @@ type shard struct {
 	// The output queues. Producers append to wq under wmu and wake the
 	// writer — except while the reader is handling a batch (reading is set):
 	// the reader sends wq itself once done, in one piece, so flush groups
-	// each view's frames into GSO runs per destination. tq holds the
-	// cohort tails' output, which the writer sends (see enqueueTail).
+	// the whole batch's datagrams into GSO runs per destination. tq holds
+	// the cohort tails' output, which the writer sends (see enqueueTail).
 	wmu     sync.Mutex
 	wq, tq  []outbound // guarded by wmu
 	wake    chan struct{}
 	reading atomic.Bool
 
 	// sendMu serializes sendQueue, so each queue goes out in order, and
-	// guards the scratch below, reused so fan-out expansion never allocates
-	// in steady state. widx and pidx hold one cohort run's data and parity
-	// frames (see flush).
+	// guards the scratch below, reused so a flush never allocates in steady
+	// state. dests holds one flush's destinations, dtab finds them by
+	// address, views lists the flush's distinct cohort views and vdests
+	// their members' dests indices (see flush).
 	sendMu sync.Mutex
 	spare  []outbound
 	wmsgs  []ioMsg
 	wacct  []wmeta
-	widx   [flushSize]int32
-	pidx   [flushSize]int32
+	dests  [][2]int32
+	dtab   []dtabEntry
+	dgen   uint32
+	views  []flushView
+	vdests []int32
+}
+
+// dtabEntry is one slot of the open-addressed table that maps a flush's
+// destinations to their index in shard.dests. A slot whose gen is not the
+// current flush's is empty, so the table resets in O(1). The key is the
+// address's 16-byte form, as two words, and the port, without an IPv6 zone:
+// destinations that differ only in zone share a dests entry, which keeps each
+// one's order.
+type dtabEntry struct {
+	hi, lo uint64
+	port   uint16
+	gen    uint32
+	idx    int32
+}
+
+// flushView is one distinct cohort view of a flush: its members' dests
+// indices are vdests[off : off+len(*v)].
+type flushView struct {
+	v   *[]target
+	off int32
 }
 
 // stats snapshots this shard's counters.
@@ -326,6 +351,14 @@ func (sh *shard) push(q *[]outbound, o outbound) bool {
 		return true
 	}
 	sh.wmu.Unlock()
+	sh.discard(o)
+	return false
+}
+
+// discard drops one queue entry that will never be sent — the queue was full,
+// or the engine is closing — counting it to its session, its receiver or
+// every member of its view, and the shard's write drops, and releases it.
+func (sh *shard) discard(o outbound) {
 	o.s.counters.Drops.Add(1)
 	if o.rx != nil {
 		o.rx.Drops.Add(1)
@@ -338,7 +371,6 @@ func (sh *shard) push(q *[]outbound, o outbound) bool {
 	}
 	sh.counters.writeDrops.Add(1)
 	o.b.Release()
-	return false
 }
 
 // wakeWriter tells the writer the queue has work; wakes coalesce.
@@ -350,11 +382,10 @@ func (sh *shard) wakeWriter() {
 }
 
 // writeLoop sends the cohort tails' output and what is queued off the
-// reader's batches. Every session enqueues on exactly one shard, sendQueue
-// sends one queue at a time, and flush keeps queue order per destination for
-// unicast datagrams and per destination and kind for cohort frames (see
-// flush), so that order holds per destination as it is fed from one queue at
-// a time.
+// reader's batches. Every session enqueues on exactly one shard and sendQueue
+// sends one queue at a time, so flush's contract — per destination, data
+// frames keep queue order and parity frames keep queue order — holds per
+// destination as it is fed from one queue at a time.
 func (sh *shard) writeLoop() {
 	e := sh.eng
 	defer e.wg.Done()
@@ -389,86 +420,184 @@ func (sh *shard) sendQueue(q *[]outbound) {
 	sh.spare = b[:0]
 }
 
+// frameClass is a datagram's class in flush's layout: 1 for an FEC parity
+// frame, 0 (data) for every other kind.
+func frameClass(dgram []byte) int {
+	if packet.FrameKind(dgram[packet.SessionIDSize:]) == packet.KindParity {
+		return 1
+	}
+	return 0
+}
+
 // flush expands at most flushSize drained queue entries into the wire-level
-// datagram list — unicast entries stay as they are, cohort entries become one
-// datagram per member of their view, sharing the payload buffer by reference
-// — sends it, and releases every buffer. flush owns the batch's buffers.
+// datagram list — a unicast entry is one datagram to its dst, a cohort entry
+// one datagram per member of its view, sharing the payload buffer by
+// reference — sends it, and releases every buffer. flush owns the batch's
+// buffers.
 //
-// The frames bound for one cohort view expand destination-major: all of
-// member A's frames, then all of member B's, and so on. Each member gets the
-// view's data frames in queue order, then its parity frames in queue order:
-// a parity frame is two bytes longer than its group's data (the FEC share
-// length prefix), so interleaving them would cut every member's run of
-// equal-size datagrams — what the batch conn's UDP GSO path folds into one
-// segmented send — at each group boundary, while kind-major runs span the
-// whole batch. A group's parity may thus trail later groups' data to the same
-// member, within one batch: flushSize keeps that inside the groups a
-// receiver's FEC decoder tracks. The contract is: per destination and
-// session, unicast datagrams keep queue order, and a cohort's data frames
-// keep queue order and its parity frames keep queue order.
+// The list is destination-major: each destination's datagrams are adjacent,
+// whichever sessions, views and unicast entries they came from, and within a
+// destination its data frames come first, in queue order, then its FEC parity
+// frames, in queue order. A parity frame is two bytes longer than its group's
+// data (the FEC share length prefix), so keeping queue order across kinds
+// would cut every run of equal-size datagrams to a destination — what the
+// batch conn's UDP GSO path folds into one segmented send — at each group
+// boundary; as laid out, a receiver's share of the flush is one data run and
+// one parity run. The contract is one sentence: per destination, data frames
+// keep queue order and parity frames keep queue order. A group's parity may
+// thus trail later groups' data to the same receiver, within one flush:
+// flushSize keeps that inside the groups a receiver's FEC decoder tracks.
+//
+// One pass resolves every entry's destinations — a view's members once per
+// flush, a unicast dst through dtab — and counts each destination's data and
+// parity datagrams; prefix sums turn the counts into positions, and a second
+// pass places every (destination, frame) pair. A frame's kind is read once.
 func (sh *shard) flush(batch []outbound) {
-	ms := sh.wmsgs[:0]
-	acct := sh.wacct[:0]
-	var taken [flushSize]bool // cohort frames already expanded with an earlier run
+	var (
+		class [flushSize]uint8 // each entry's frameClass
+		at    [flushSize]int32 // unicast: its dests index; cohort: its view's vdests offset
+	)
+	sh.dgen++
+	if sh.dgen == 0 { // wrapped: stale slots could look current
+		clear(sh.dtab)
+		sh.dgen = 1
+	}
+	sh.dests, sh.views, sh.vdests = sh.dests[:0], sh.views[:0], sh.vdests[:0]
+	last := -1 // the views index of the previous cohort entry
 	for i := range batch {
 		o := &batch[i]
-		if taken[i] {
-			continue
-		}
+		c := frameClass(o.b.B)
+		class[i] = uint8(c)
 		if o.view == nil {
-			ms = append(ms, ioMsg{Buf: o.b.B, Addr: o.dst})
-			acct = append(acct, wmeta{s: o.s, rx: o.rx})
+			d := sh.destIndex(o.dst)
+			at[i] = d
+			sh.dests[d][c]++
 			continue
 		}
-		// Cohort fan-out: one payload buffer per frame, one address stamp per
-		// member of the view the frame was enqueued with.
-		//
-		// The run is every frame in the batch with this view, adjacent or
-		// not: cohorts feed the queue concurrently (tails from their release
-		// timers, the bypass lane and tails from dispatch), so their frames
-		// interleave, and only what is expanded together can share a GSO
-		// send. Pulling a view's later frames forward only moves them past
-		// other views' and sessions' frames, with which they were never
-		// ordered. One scan collects the run's data frames in widx and its
-		// parity frames in pidx; their concatenation is replayed for every
-		// member.
-		view := o.view
-		run, parity := 0, 0
-		for j := i; j < len(batch); j++ {
-			if batch[j].view != view {
-				continue
-			}
-			taken[j] = true
-			if packet.FrameKind(batch[j].b.B[packet.SessionIDSize:]) == packet.KindParity {
-				sh.pidx[parity] = int32(j)
-				parity++
-			} else {
-				sh.widx[run] = int32(j)
-				run++
-			}
+		if last < 0 || sh.views[last].v != o.view {
+			last = sh.viewIndex(o.view)
 		}
-		run += copy(sh.widx[run:], sh.pidx[:parity])
-		targets := *view
-		for _, t := range targets {
-			for k := 0; k < run; k++ {
-				f := &batch[sh.widx[k]]
-				ms = append(ms, ioMsg{Buf: f.b.B, Addr: t.dst})
-				acct = append(acct, wmeta{s: f.s, rx: t.rx})
-			}
+		off := sh.views[last].off
+		at[i] = off
+		for _, d := range sh.vdests[off : off+int32(len(*o.view))] {
+			sh.dests[d][c]++
 		}
-		switch {
-		case len(targets) == 0:
-			for k := 0; k < run; k++ {
-				batch[sh.widx[k]].s.counters.Drops.Add(1)
-			}
-		case len(targets) >= 2:
-			sh.counters.coalesced.Add(uint64(run))
+		switch n := len(*o.view); {
+		case n == 0:
+			o.s.counters.Drops.Add(1)
+		case n >= 2:
+			sh.counters.coalesced.Add(1)
 		}
 	}
-	sh.wmsgs, sh.wacct = ms, acct
+	total := int32(0)
+	for i := range sh.dests {
+		n := &sh.dests[i]
+		data, parity := n[0], n[1]
+		n[0], n[1] = total, total+data
+		total += data + parity
+	}
+	if int(total) > cap(sh.wmsgs) {
+		sh.wmsgs, sh.wacct = make([]ioMsg, total), make([]wmeta, total)
+	}
+	// Placed field by field: a composite literal is built on the stack and
+	// copied in 16-byte moves that stall on store forwarding. The send side
+	// reads only Buf and Addr.
+	ms, acct := sh.wmsgs[:total], sh.wacct[:total]
+	for i := range batch {
+		o := &batch[i]
+		c := class[i]
+		if o.view == nil {
+			n := &sh.dests[at[i]][c]
+			m, a := &ms[*n], &acct[*n]
+			m.Buf, m.Addr, a.s, a.rx = o.b.B, o.dst, o.s, o.rx
+			*n++
+			continue
+		}
+		for k, t := range *o.view {
+			n := &sh.dests[sh.vdests[at[i]+int32(k)]][c]
+			m, a := &ms[*n], &acct[*n]
+			m.Buf, m.Addr, a.s, a.rx = o.b.B, t.dst, o.s, t.rx
+			*n++
+		}
+	}
 	sh.sendBatch(ms, acct)
 	for i := range batch {
 		batch[i].b.Release()
+	}
+	clear(sh.views) // drop the views' references until the next flush
+}
+
+// viewIndex returns v's index in the flush's views, resolving its members'
+// destinations on first sight. A flush holds few distinct views — one per
+// cohort, and a new one only when membership changes — so a scan finds it.
+func (sh *shard) viewIndex(v *[]target) int {
+	for i := range sh.views {
+		if sh.views[i].v == v {
+			return i
+		}
+	}
+	off := int32(len(sh.vdests))
+	for _, t := range *v {
+		sh.vdests = append(sh.vdests, sh.destIndex(t.dst))
+	}
+	sh.views = append(sh.views, flushView{v: v, off: off})
+	return len(sh.views) - 1
+}
+
+// destIndex returns addr's index in the flush's dests, adding it on first
+// sight; dests[i] counts destination i's data and parity datagrams until
+// flush lays the flush out, and then holds where the next of each goes. dtab
+// stays at most half full, so a lookup probes O(1) slots.
+func (sh *shard) destIndex(addr netip.AddrPort) int32 {
+	if 2*(len(sh.dests)+1) > len(sh.dtab) {
+		sh.growDtab()
+	}
+	hi, lo := addrWords(addr.Addr())
+	port := addr.Port()
+	e := sh.probe(hi, lo, port)
+	if e.gen != sh.dgen {
+		// Field by field, as flush places datagrams.
+		e.hi, e.lo, e.port, e.gen, e.idx = hi, lo, port, sh.dgen, int32(len(sh.dests))
+		sh.dests = append(sh.dests, [2]int32{})
+	}
+	return e.idx
+}
+
+// addrWords returns a's 16-byte form as two words.
+func addrWords(a netip.Addr) (hi, lo uint64) {
+	if a.Is4() {
+		// The common case, and cheaper: reading both words back from As16's
+		// array stalls on store forwarding.
+		b := a.As4()
+		return 0, 0xffff<<32 | uint64(binary.BigEndian.Uint32(b[:]))
+	}
+	b := a.As16()
+	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
+}
+
+// probe returns the dtab slot for (hi, lo, port): the slot holding it, or
+// the empty one where it goes.
+func (sh *shard) probe(hi, lo uint64, port uint16) *dtabEntry {
+	h := hi ^ lo ^ uint64(port)<<16
+	h ^= h >> 32
+	h *= 0x9e3779b97f4a7c15 // Fibonacci hashing: the top bits pick the slot
+	mask := uint64(len(sh.dtab) - 1)
+	for i := h >> bits.LeadingZeros64(mask); ; i = (i + 1) & mask {
+		if e := &sh.dtab[i]; e.gen != sh.dgen || (e.lo == lo && e.hi == hi && e.port == port) {
+			return e
+		}
+	}
+}
+
+// growDtab doubles dtab (to at least 2 x flushSize slots) and re-enters the
+// flush's destinations so far.
+func (sh *shard) growDtab() {
+	old := sh.dtab
+	sh.dtab = make([]dtabEntry, max(2*len(old), 2*flushSize))
+	for _, e := range old {
+		if e.gen == sh.dgen {
+			*sh.probe(e.hi, e.lo, e.port) = e
+		}
 	}
 }
 
@@ -520,13 +649,14 @@ func (sh *shard) sendBatch(ms []ioMsg, acct []wmeta) {
 	}
 }
 
-// drainWriteQueue releases whatever is still queued at shutdown.
+// drainWriteQueue discards whatever is still queued at shutdown, counting
+// each entry as a write drop.
 func (sh *shard) drainWriteQueue() {
 	sh.wmu.Lock()
 	q := append(sh.wq, sh.tq...)
 	sh.wq, sh.tq = nil, nil
 	sh.wmu.Unlock()
 	for _, o := range q {
-		o.b.Release()
+		sh.discard(o)
 	}
 }

@@ -209,10 +209,10 @@ type EngineStats struct {
 	// a cohort frame once however many members it goes to; WriteFlushes
 	// counts flushes of at most 64 entries each, so
 	// BatchedWrites/WriteFlushes is the mean flush size. Within a flush, per
-	// destination and session, unicast datagrams keep queue order and a
-	// cohort's data frames and its parity frames each keep queue order, the
-	// parity after the data. WriteDrops counts datagrams discarded because a
-	// shard's outbound queue was full or a send failed.
+	// destination, data frames keep queue order and parity frames keep queue
+	// order, the parity after the data. WriteDrops counts datagrams discarded
+	// because a shard's outbound queue was full, a send failed, or they were
+	// still queued when the engine closed.
 	BatchedWrites uint64 `json:"batched_writes"`
 	WriteFlushes  uint64 `json:"write_flushes"`
 	WriteDrops    uint64 `json:"write_drops"`
@@ -231,7 +231,7 @@ type EngineStats struct {
 	// SentDatagrams counts the datagrams the kernel accepted, a cohort frame
 	// once per member, and SendEntries the send entries that carried them, a
 	// GSO run once: SentDatagrams/SendEntries is the mean number of
-	// datagrams per kernel traversal, the figure cohort fan-out flushing
+	// datagrams per kernel traversal, the figure destination-major flushing
 	// raises.
 	SentDatagrams uint64 `json:"sent_datagrams"`
 	SendEntries   uint64 `json:"send_entries"`
