@@ -80,10 +80,14 @@ func TestEngineARQRecoveryAllocs(t *testing.T) {
 }
 
 // TestAdaptiveRetuneAllocs bounds one report -> splice round trip, which
-// reads 10 allocations per op (a fresh encoder or a splice-out, and the
-// chain's plan republished); the bound leaves 60% headroom.
+// reads 11 allocations per op (a fresh encoder or a splice-out, and the
+// chain's plan republished); the bound leaves 45% headroom.
 func TestAdaptiveRetuneAllocs(t *testing.T) {
 	requireAllocs(t, 16, 100, adaptiveRetune)
+}
+
+func TestEngineAdaptiveTrunkFECAllocs(t *testing.T) {
+	requireAllocs(t, 0, 2000, adaptiveTrunkFEC)
 }
 
 func TestSessionParkUnparkAllocs(t *testing.T) {

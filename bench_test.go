@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rapidware/internal/adapt"
 	"rapidware/internal/audio"
 	"rapidware/internal/endpoint"
 	"rapidware/internal/engine"
@@ -538,8 +539,8 @@ func fanoutDelivery(tb testing.TB, tc fanoutCase) func() {
 
 // BenchmarkAdaptiveRetune measures the engine's control-path retune: one
 // receiver report crossing a policy threshold, decided by the session's trunk
-// loop on the shard reader that reads it, which splices the adaptive encoder
-// into or out of the live chain. Each op is one full report -> splice round trip
+// loop on the shard reader that reads it, which splices an FEC encoder into
+// or out of the live chain. Each op is one full report -> splice round trip
 // (reports alternate 10% loss and clean, so every op changes the protection
 // level). This is the control path; its cost bounds how fast the closed loop
 // can react, not how fast packets relay.
@@ -598,6 +599,56 @@ func adaptiveRetune(tb testing.TB) func() {
 			}
 		}
 	}
+}
+
+// BenchmarkEngineAdaptiveTrunkFEC measures a unicast adaptive trunk with FEC
+// engaged: the policy's one rung, (6,4), has the trunk's loop splice an
+// encoder in at the fec-adapt marker before the first datagram, the same
+// fixed-code encoder it swaps in on every level change. Each op is one client
+// datagram; every fourth completes a group, whose six shares are read back.
+// TestEngineAdaptiveTrunkFECAllocs bounds it at 0 allocs/op.
+func BenchmarkEngineAdaptiveTrunkFEC(b *testing.B) {
+	op := adaptiveTrunkFEC(b)
+	b.SetBytes(benchDgramSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// adaptiveTrunkFEC primes one adaptive session under the one-rung policy
+// 0:6/4 with a full group and returns one datagram's op.
+func adaptiveTrunkFEC(tb testing.TB) func() {
+	const k, n = 4, 6
+	policy, err := adapt.ParsePolicy("0:6/4")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng := startEngine(tb, engine.Config{Adapt: true, AdaptPolicy: policy})
+	c := dialEngine(tb, eng)
+	dgram := benchDatagram(tb, 1, 0, make([]byte, benchPayload))
+	recv := make([]byte, packet.MaxDatagram)
+	sent := 0
+	op := func() {
+		if _, err := c.Write(dgram); err != nil {
+			tb.Fatal(err)
+		}
+		if sent++; sent%k != 0 {
+			return
+		}
+		for i := 0; i < n; i++ {
+			if _, err := c.Read(recv); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i := 0; i < k; i++ {
+		op()
+	}
+	c.SetReadDeadline(time.Now().Add(10 * time.Minute))
+	return op
 }
 
 // ---------------------------------------------------------------------------

@@ -57,12 +57,14 @@
 // report observed loss upstream as feedback datagrams (packet.Report), and
 // the shard reader that reads a report hands it to that receiver's own
 // adaptation loop, which decides and applies it there: a unicast trunk's
-// loop splices an adaptive encoder into the live chain, retunes its (n,k), or
-// removes it; a fan-out member's loop moves the member to the delivery cohort
-// its decision selects. Decisions follow the loss→code policy ladder in the
-// transport-agnostic internal/adapt package — the same policy engine that
-// drives the legacy single-stream adaptive proxy in internal/fecproxy. The
-// observer/bus/responder raplets of internal/raplet remain the paper's
+// loop splices an FEC encoder into the live chain or removes it; a fan-out
+// member's loop moves the member to the delivery cohort its decision selects.
+// Every level change is an encoder swap — a fresh fixed-code
+// fecproxy.EncoderFilter at the trunk's marker, or the cohort's own — and
+// every encoder of a session numbers its FEC groups from one session-wide
+// counter. Decisions follow the loss→code policy ladder in the
+// transport-agnostic internal/adapt package. The observer/bus/responder
+// raplets of internal/raplet remain the paper's
 // demonstrator (experiment E2b); the engine does not use them.
 //
 // Composition itself is a dedicated plane, internal/compose: one validated

@@ -3,9 +3,10 @@
 // (n,k) erasure code that should protect a stream, as explored by the paper's
 // companion adaptive-FEC work ([16]). The policy knows nothing about proxies,
 // chains or sockets — observers feed it loss rates, responders apply the code
-// it selects — so the same ladder drives the legacy single-stream adaptive
-// proxy (internal/fecproxy), the responder raplets (internal/raplet) and the
-// multi-session engine's per-session controllers (internal/engine).
+// it selects — so the same ladder drives the responder raplets
+// (internal/raplet) and the multi-session engine's per-receiver adaptation
+// loops (internal/engine), which apply every level change by swapping in an
+// FEC encoder with the selected code.
 package adapt
 
 import (

@@ -146,8 +146,8 @@ func (l *Live) Edit(edit func(cur Plan) (Plan, error)) error {
 // given kind — the adaptation responder's way of expressing "protection on"
 // as a plan operation. It fails with ErrNoStage when the plan carries no such
 // marker (an operator recomposed it away) and ErrMarkerActive when an
-// instance is already live. The instance counts its drops through the
-// Live's Env.OnDrop, as built stages do.
+// instance is already live. The instance counts its drops into the Live's
+// Env.Counters, as built stages do.
 func (l *Live) Activate(kind string, f filter.Filter) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

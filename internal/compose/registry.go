@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rapidware/internal/arq"
@@ -15,6 +16,7 @@ import (
 	"rapidware/internal/fec"
 	"rapidware/internal/fecproxy"
 	"rapidware/internal/filter"
+	"rapidware/internal/metrics"
 	"rapidware/internal/transcode"
 )
 
@@ -28,22 +30,36 @@ type Env struct {
 	// Name derives an instance name for a stage kind; nil uses the kind
 	// itself.
 	Name func(kind string) string
-	// OnRepairs registers a hook reporting an FEC decoder stage's cumulative
-	// reconstruction count, folded into the owning session's repair counter.
-	// May be nil when the chain has no session to account to.
-	OnRepairs func(func() uint64)
-	// OnDrop is called for every frame a stage discards because it cannot
-	// accept it (a bad frame, an FEC decoder's duplicate or mismatched
-	// shares, a timed stage's overflow), so the owning session can count the
-	// drop. May be nil.
-	OnDrop func()
+	// Counters is the owning session's counter block: an FEC decoder stage
+	// adds every packet it reconstructs to Repairs, and every stage counts a
+	// frame it discards because it cannot accept it (a bad frame, an FEC
+	// decoder's duplicate or mismatched shares, a timed stage's overflow)
+	// into Drops. Counts land directly in the block, so they outlive the
+	// stage. nil counts nothing.
+	Counters *metrics.SessionCounters
+	// Groups is the owning session's FEC group numbering: every FEC encoder
+	// built for the session draws its group numbers from it, so an encoder
+	// that replaces another never repeats a number a receiver's decoder may
+	// still remember. nil numbers each encoder's groups from 0.
+	Groups *atomic.Uint32
 }
 
-// countDrops hands a stage instance the OnDrop hook, when both exist.
+// countDrops points a stage instance's drop hook at Counters.Drops, when both
+// exist.
 func (e Env) countDrops(f filter.Filter) {
-	if d, ok := f.(interface{ OnDrop(func()) }); ok && e.OnDrop != nil {
-		d.OnDrop(e.OnDrop)
+	if d, ok := f.(interface{ OnDrop(func()) }); ok && e.Counters != nil {
+		drops := &e.Counters.Drops
+		d.OnDrop(func() { drops.Add(1) })
 	}
+}
+
+// repairs is where an FEC decoder stage adds its repairs, nil without
+// Counters.
+func (e Env) repairs() *atomic.Uint64 {
+	if e.Counters == nil {
+		return nil
+	}
+	return &e.Counters.Repairs
 }
 
 // StageName resolves the instance name for a stage kind.
@@ -158,7 +174,7 @@ func (r *Registry) CanonStage(kind, arg string) (Stage, error) {
 // the mode, that no marker kind appears more than once, that a plan never
 // carries both the fec-adapt marker and a static fec-encode stage — the
 // adaptation responder owns FEC encoding on marker-bearing chains, and a
-// static encoder beside it would re-encode the adaptive encoder's output
+// static encoder beside it would re-encode the responder's encoder output
 // (parity-of-parity) the moment loss appears — and that an arq history never
 // sits downstream of fec-encode, where it would record parity frames'
 // sequence space instead of the data stream receivers NACK against. (arq
@@ -200,9 +216,9 @@ func (r *Registry) Validate(p Plan, mode Mode) error {
 	return nil
 }
 
-// Build instantiates the stage through its registered builder and hands the
-// instance env.OnDrop when it counts drops. Marker stages have no builder;
-// their instances come from the adaptation plane.
+// Build instantiates the stage through its registered builder and points the
+// instance's drop hook at env.Counters when it counts drops. Marker stages
+// have no builder; their instances come from the adaptation plane.
 func (r *Registry) Build(env Env, st Stage) (filter.Filter, error) {
 	d, ok := r.Lookup(st.Kind)
 	if !ok {
@@ -397,7 +413,7 @@ func newDefaultRegistry() *Registry {
 			if err != nil {
 				return nil, err
 			}
-			return fecproxy.NewEncoderFilter(env.StageName("fec-encoder"), p, env.StreamID)
+			return fecproxy.NewEncoderFilter(env.StageName("fec-encoder"), p, env.StreamID, env.Groups)
 		},
 	}))
 	must(r.Register(Definition{
@@ -405,14 +421,7 @@ func newDefaultRegistry() *Registry {
 		Canon:     noArg,
 		ChainOnly: true,
 		Build: func(env Env, _ string) (filter.Filter, error) {
-			df := fecproxy.NewDecoderFilter(env.StageName("fec-decoder"), nil)
-			if env.OnRepairs != nil {
-				env.OnRepairs(func() uint64 {
-					_, reconstructed, _, _ := df.Stats()
-					return reconstructed
-				})
-			}
-			return df, nil
+			return fecproxy.NewDecoderFilter(env.StageName("fec-decoder"), nil, env.repairs()), nil
 		},
 	}))
 	must(r.Register(Definition{

@@ -23,8 +23,8 @@ import (
 // that read it:
 //
 //   - a unicast trunk's loop reconciles the fec-adapt marker on the session's
-//     compose.Live, splicing an adaptive FEC encoder or an ARQ history in or
-//     out, or retuning the encoder in place;
+//     compose.Live, splicing an FEC encoder or an ARQ history in or out; a
+//     level change swaps in a fresh fixed-code encoder;
 //   - a fan-out member's loop moves the member to the delivery cohort its
 //     decision selects (deliveryTree.assign), so one station's bad radio link
 //     retunes only its own delivery.
@@ -151,7 +151,10 @@ func (l *receiverLoop) apply(loss float64, rttMillis uint32) error {
 // protection level changed. It follows the chain's actual state — what
 // occupies the marker — never the previous decision, so a policy whose
 // cleanest rung is FEC still gets its encoder on the first decision, and a
-// mechanism change swaps the marker's occupant. When an operator has
+// mechanism or level change swaps the marker's occupant: every FEC encoder
+// has a fixed code, and the one leaving flushes its partial group as plain
+// data frames. Every encoder numbers its groups from the session's counter,
+// so the fresh one never repeats a group number. When an operator has
 // recomposed the marker away the loop is dormant: decisions are recorded but
 // engage nothing until a recompose restores it.
 func (l *receiverLoop) reconcile(d decision) (changed bool, err error) {
@@ -166,20 +169,18 @@ func (l *receiverLoop) reconcile(d decision) (changed bool, err error) {
 		}
 		fresh = arq.NewSenderFilter(fmt.Sprintf("arq:%d", l.s.id), 0)
 	case adapt.MechanismFEC:
-		if enc, ok := live.Instance(compose.KindFECAdapt).(*fecproxy.AdaptiveEncoderFilter); ok {
-			// A level change retunes in place, from the next group boundary.
-			enc.SetLossRate(d.loss)
-			return d.params != l.decided.params, nil
+		if enc, ok := live.Instance(compose.KindFECAdapt).(*fecproxy.EncoderFilter); ok && enc.Params() == d.params {
+			return false, nil
 		}
-		enc, err := fecproxy.NewAdaptiveEncoderFilter(fmt.Sprintf("fec:%d", l.s.id), l.s.eng.policy, l.s.id)
+		enc, err := fecproxy.NewEncoderFilter(fmt.Sprintf("fec:%d", l.s.id), d.params, l.s.id, &l.s.groups)
 		if err != nil {
 			return false, err
 		}
-		enc.SetLossRate(d.loss)
 		fresh = enc
 	}
-	// Swap out whatever holds the marker (the other mechanism's stage) and
-	// splice in a fresh one: a stopped stage cannot restart.
+	// Swap out whatever holds the marker (the other mechanism's stage, or
+	// another level's encoder) and splice in a fresh one: a stopped stage
+	// cannot restart.
 	if _, err := live.Deactivate(compose.KindFECAdapt); err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"net"
 	"net/netip"
 	"sync"
@@ -10,7 +11,9 @@ import (
 	"rapidware/internal/adapt"
 	"rapidware/internal/compose"
 	"rapidware/internal/fec"
+	"rapidware/internal/fecproxy"
 	"rapidware/internal/metrics"
+	"rapidware/internal/netbatch"
 	"rapidware/internal/packet"
 )
 
@@ -531,10 +534,11 @@ func reportLoss(l *receiverLoop, lostPct uint32) {
 }
 
 // TestEngineTrunkReconcileLifecycle drives a unicast trunk's loop through a
-// protection cycle: loss splices the adaptive encoder in at the fec-adapt
-// marker, a move between FEC levels retunes it in place, the same level again
-// is no retune, a clean link splices it out, and loss returning splices in a
-// fresh one. Every report is applied before report returns.
+// protection cycle: loss splices an FEC encoder in at the fec-adapt marker, a
+// move between FEC levels swaps in a fresh encoder with the new level's code,
+// the same level again is no retune, a clean link splices it out, and loss
+// returning splices in a fresh one. Every report is applied before report
+// returns.
 func TestEngineTrunkReconcileLifecycle(t *testing.T) {
 	e := newTestEngine(t, Config{Adapt: true})
 	s, l := openTrunkLoop(t, e, 7)
@@ -554,11 +558,16 @@ func TestEngineTrunkReconcileLifecycle(t *testing.T) {
 	enc := encoder()
 	reportLoss(l, 30)
 	check("30% loss", true, 4, 12, 2)
-	if encoder() != enc {
-		t.Fatal("a level change replaced the encoder instead of retuning it in place")
+	swapped, ok := encoder().(*fecproxy.EncoderFilter)
+	if !ok || swapped == enc || swapped.Params() != (fec.Params{K: 4, N: 12}) {
+		t.Fatalf("a level change left %T at the marker, want a fresh encoder with the (12,4) code", encoder())
 	}
+	enc = swapped
 	reportLoss(l, 28)
 	check("28% loss", true, 4, 12, 2)
+	if encoder() != enc {
+		t.Fatal("a report at the same level replaced the encoder")
+	}
 	if loss := s.Stats().Adapt.LossRate; loss != 0.28 {
 		t.Fatalf("LossRate = %v, want the 0.28 last acted on", loss)
 	}
@@ -722,5 +731,103 @@ func TestEngineRetireVsReportStorm(t *testing.T) {
 	}
 	if got := last.retunes.Load(); got != closedRetunes {
 		t.Fatalf("%d retunes counted after close, %d at retirement", got, closedRetunes)
+	}
+}
+
+// TestEngineLevelChangesNeverRepeatGroupNumbers changes a receiver's
+// protection level while data flows: reports of 10% and 30% loss, a clean
+// link, 10% again and a clean link again. It runs on a unicast trunk, whose
+// loop swaps a fresh encoder in at its marker on every change, and on a
+// fan-out member, which moves between FEC cohorts. A receiver's frame decoder
+// remembers 64 groups and refuses a share for a remembered group under
+// another code or an index it already has, so every encoder the session
+// builds must number its groups past the ones before it: the decoder must
+// take every share and deliver every data frame exactly once.
+func TestEngineLevelChangesNeverRepeatGroupNumbers(t *testing.T) {
+	const id = 5
+	src := netip.MustParseAddrPort("10.9.1.1:4000")
+	member := netip.MustParseAddrPort("10.9.1.2:4000")
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		receiver netip.AddrPort
+	}{
+		{"unicast retune", Config{Adapt: true}, src},
+		{"fan-out cohort move", Config{Adapt: true, Fanout: []string{member.String()}}, member},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, sc := newScriptedEngine(t, tc.cfg)
+			sent := 0
+			feed := func(n int) {
+				for n > 0 {
+					batch := make([]scriptedDgram, min(n, netbatch.BatchSize))
+					for i := range batch {
+						payload := make([]byte, 160)
+						binary.BigEndian.PutUint32(payload, uint32(sent))
+						batch[i] = scriptedDgram{data: mustDatagram(t, id, uint64(sent), payload), from: src}
+						sent++
+					}
+					sc.in <- batch
+					n -= len(batch)
+				}
+			}
+			report := func(lostPct uint32) {
+				d, err := packet.AppendReportDatagram(nil, id, 0, 0, packet.Report{Received: 100 - lostPct, Lost: lostPct, Window: 100})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc.in <- []scriptedDgram{{data: d, from: tc.receiver}}
+			}
+			// The last clean report splices the last encoder out, or moves
+			// the member off its cohort, which flushes the partial group.
+			feed(20)
+			report(10)
+			feed(37)
+			report(30)
+			feed(23)
+			report(0)
+			feed(21)
+			report(10)
+			feed(35)
+			report(0)
+			dataSent := func() int {
+				n := 0
+				for _, d := range sc.sentTo(tc.receiver) {
+					if packet.FrameKind(d[packet.SessionIDSize:]) == packet.KindData {
+						n++
+					}
+				}
+				return n
+			}
+			waitFor(t, "every data frame sent", func() bool { return dataSent() >= sent })
+			if got := e.Session(id).AdaptRetunes(); got != 5 {
+				t.Fatalf("%d retunes, want 5: the loss reports did not all change the level", got)
+			}
+
+			dec := fec.NewFrameDecoder(0)
+			delivered := make([]int, sent)
+			refused := 0
+			for _, d := range sc.sentTo(tc.receiver) {
+				frame := d[packet.SessionIDSize:]
+				b := packet.GetBuf(len(frame))
+				copy(b.B, frame)
+				if err := dec.Add(b, func(out *packet.Buf) {
+					delivered[binary.BigEndian.Uint32(out.B[packet.HeaderSize:])]++
+					out.Release()
+				}); err != nil {
+					refused++
+				}
+			}
+			wrong := 0
+			for _, n := range delivered {
+				if n != 1 {
+					wrong++
+				}
+			}
+			if wrong != 0 || refused != 0 {
+				t.Fatalf("%d of %d data frames not delivered exactly once and %d shares refused, want 0 and 0",
+					wrong, sent, refused)
+			}
+		})
 	}
 }

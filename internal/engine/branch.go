@@ -376,10 +376,11 @@ func (t *deliveryTree) rewriteMemberPlan(ap netip.AddrPort, op func(compose.Plan
 // newCohort builds the shared tail for one protection level. The clean-link
 // cohort of an all-marker plan is the bypass lane (no chain); any other key
 // gets a FrameChain with the plan's stages and — for FEC or ARQ — the level's
-// repair stage activated at the fec-adapt marker. Cohort tails use a *fixed*
-// FEC code: a level change is a membership move to another cohort, never an
-// in-place retune, so one encode always serves every member. It takes no
-// lock.
+// repair stage activated at the fec-adapt marker. A cohort's FEC code is
+// fixed: a level change is a membership move to another cohort, so one encode
+// always serves every member, and the encoder numbers its groups from the
+// session's counter, so a member moving between cohorts never sees a group
+// number twice. It takes no lock.
 func (t *deliveryTree) newCohort(key string, plan compose.Plan, mech adapt.Mechanism, params fec.Params) (*cohort, error) {
 	s := t.s
 	e := s.eng
@@ -390,12 +391,7 @@ func (t *deliveryTree) newCohort(key string, plan compose.Plan, mech adapt.Mecha
 	}
 	serial := t.serial.Add(1)
 	c.frames = filter.NewFrameChain(c.send)
-	env := compose.Env{
-		StreamID: s.id,
-		Name:     func(kind string) string { return fmt.Sprintf("%s:%d:c%d", kind, s.id, serial) },
-		OnDrop:   func() { s.counters.Drops.Add(1) },
-	}
-	live, err := compose.Attach(c.frames, e.reg, env, compose.ModeBranch, plan)
+	live, err := compose.Attach(c.frames, e.reg, s.composeEnv(fmt.Sprintf(":c%d", serial)), compose.ModeBranch, plan)
 	if err != nil {
 		return nil, fmt.Errorf("cohort tail: %w", err)
 	}
@@ -403,7 +399,7 @@ func (t *deliveryTree) newCohort(key string, plan compose.Plan, mech adapt.Mecha
 	var repair filter.Filter
 	switch mech {
 	case adapt.MechanismFEC:
-		if repair, err = fecproxy.NewEncoderFilter(fmt.Sprintf("fec:%d:c%d", s.id, serial), params, s.id); err != nil {
+		if repair, err = fecproxy.NewEncoderFilter(fmt.Sprintf("fec:%d:c%d", s.id, serial), params, s.id, &s.groups); err != nil {
 			c.drain(true)
 			return nil, fmt.Errorf("cohort fec: %w", err)
 		}

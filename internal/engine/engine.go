@@ -202,10 +202,10 @@ type Config struct {
 	Branch string
 	// Adapt enables the closed-loop adaptation plane, driven by receiver
 	// reports (KindFeedback datagrams sent upstream on the engine socket).
-	// On unicast (echo/forward) sessions the receiver's loop splices an
-	// adaptive encoder into the session's live chain as loss appears,
-	// retunes its (n,k) as loss moves between policy levels, and removes it
-	// again on a clean link. On fan-out sessions adaptation is per receiver:
+	// On unicast (echo/forward) sessions the receiver's loop splices an FEC
+	// encoder into the session's live chain as loss appears, swaps in a
+	// fresh encoder with the new (n,k) as loss moves between policy levels,
+	// and removes it again on a clean link. On fan-out sessions adaptation is per receiver:
 	// every member of the group gets its own loop, which moves it to the
 	// delivery cohort its own loss calls for, so one station's bad radio
 	// link no longer taxes the whole group with worst-case parity.
@@ -323,7 +323,7 @@ func New(cfg Config) (*Engine, error) {
 	adaptOn := cfg.Adapt || branchPlan.Has(compose.KindFECAdapt)
 	if adaptOn && trunkPlan.Has("fec-encode") {
 		// A static encoder under the adaptation plane would re-encode the
-		// adaptive encoder's output (parity-of-parity) the moment loss
+		// plane's own encoder's output (parity-of-parity) the moment loss
 		// appears. The plane owns FEC encoding; fail fast instead.
 		return nil, errors.New("engine: the adaptation plane manages the FEC encoder itself; remove fec-encode from Chain")
 	}

@@ -11,30 +11,59 @@ import (
 
 	"rapidware/internal/filter"
 	"rapidware/internal/packet"
+	"rapidware/internal/race"
 )
 
-// TestFrameSessionFootprint pins what a live session costs: a plain struct.
-// Opening sessions adds no goroutines at all — not for a timed plan, whose
-// held frames are released by a runtime timer armed only while it holds
-// some, and not for an adaptive one, unicast or fan-out, whose receivers'
-// loops run on the goroutine that reads their reports — and the bytes each
-// one holds are reported for the record.
+// heapBytes returns the live heap after a full collection; the second one
+// empties the pools' victim caches, so pooled buffers do not count.
+func heapBytes() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// perUnit is the heap growth from before to after, spread over n.
+func perUnit(before, after uint64, n int) uint64 {
+	if after < before {
+		return 0
+	}
+	return (after - before) / uint64(n)
+}
+
+// TestFrameSessionFootprint pins what a session costs. Live, it is a plain
+// struct: opening sessions adds no goroutines at all — not for a timed plan,
+// whose held frames are released by a runtime timer armed only while it
+// holds some, and not for an adaptive one, unicast or fan-out, whose
+// receivers' loops run on the goroutine that reads their reports. Its heap
+// bytes, live and parked, stay within per-chain bounds; parking keeps only
+// the session struct and its plan, whatever stages the chain had. And a
+// session's heap does not grow with its history: parking and unparking it,
+// or recomposing its FEC decoder away and back, leaves nothing behind. The
+// bounds sit about 1.5x over what a 64-bit host reads. Heap counts are not
+// meaningful under -race.
 func TestFrameSessionFootprint(t *testing.T) {
-	const sessions = 256
+	if race.Enabled {
+		t.Skip("heap footprints are not meaningful under -race")
+	}
+	const sessions = 1024
 	peer := netip.MustParseAddrPort("10.9.0.1:4000")
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name         string
+		cfg          Config
+		live, parked uint64 // bounds, heap bytes per session
 	}{
-		{"counting,checksum,null,null", Config{Chain: "counting,checksum,null,null"}},
-		{"counting,delay=1ms", Config{Chain: "counting,delay=1ms"}},
-		{"adaptive unicast", Config{Adapt: true}},
-		{"adaptive fan-out to two receivers", Config{Adapt: true, Fanout: []string{"127.0.0.1:9", "127.0.0.1:10"}}},
+		{"relay", Config{}, 1200, 600},
+		{"counting,checksum,null,null", Config{Chain: "counting,checksum,null,null"}, 3000, 800},
+		{"counting,delay=1ms", Config{Chain: "counting,delay=1ms"}, 2300, 700},
+		{"fec-encode=6/4", Config{Chain: "fec-encode=6/4"}, 2400, 650},
+		{"fec-decode,fec-encode=6/4", Config{Chain: "fec-decode,fec-encode=6/4"}, 17500, 700},
+		{"adaptive unicast", Config{Adapt: true}, 1500, 800},
+		{"adaptive fan-out to two receivers", Config{Adapt: true, Fanout: []string{"127.0.0.1:9", "127.0.0.1:10"}}, 3400, 750},
 	} {
 		e := newTestEngine(t, tc.cfg)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
+		before := heapBytes()
 		g0 := runtime.NumGoroutine()
 		for id := uint32(1); id <= sessions; id++ {
 			if _, err := e.openSession(id, peer); err != nil {
@@ -42,18 +71,64 @@ func TestFrameSessionFootprint(t *testing.T) {
 			}
 		}
 		g := runtime.NumGoroutine() - g0
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		var b uint64
-		if after.HeapAlloc > before.HeapAlloc {
-			b = (after.HeapAlloc - before.HeapAlloc) / sessions
-		}
+		live := perUnit(before, heapBytes(), sessions)
 		if got := e.SessionCount(); got != sessions {
 			t.Fatalf("%s: %d sessions registered, want %d", tc.name, got, sessions)
 		}
-		t.Logf("%s: %d goroutines and ~%d heap bytes per live session", tc.name, g/sessions, b)
+		for id := uint32(1); id <= sessions; id++ {
+			if !e.Session(id).park() {
+				t.Fatalf("%s: session %d did not park", tc.name, id)
+			}
+		}
+		parked := perUnit(before, heapBytes(), sessions)
+		t.Logf("%s: %d goroutines, ~%d heap bytes per live session and ~%d per parked one", tc.name, g/sessions, live, parked)
 		if g != 0 {
 			t.Fatalf("%d %s sessions added %d goroutines, want 0", sessions, tc.name, g)
+		}
+		if live > tc.live || parked > tc.parked {
+			t.Fatalf("%s: %d heap bytes per live session and %d per parked one, bounds %d and %d",
+				tc.name, live, parked, tc.live, tc.parked)
+		}
+		e.Close()
+	}
+
+	// Cycles on one session whose chain decodes and re-encodes FEC.
+	const cycles, perCycle = 512, 256
+	e := newTestEngine(t, Config{Chain: "fec-decode,fec-encode=6/4"})
+	s, err := e.openSession(1, peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		cycle func() error
+	}{
+		{"park/unpark", func() error {
+			s.park()
+			_, err := s.unpark()
+			return err
+		}},
+		{"recompose", func() error {
+			if _, err := e.RecomposeSession(1, "", "counting,fec-encode=6/4"); err != nil {
+				return err
+			}
+			_, err := e.RecomposeSession(1, "", "fec-decode,fec-encode=6/4")
+			return err
+		}},
+	} {
+		if err := tc.cycle(); err != nil { // warm up
+			t.Fatal(err)
+		}
+		before := heapBytes()
+		for i := 0; i < cycles; i++ {
+			if err := tc.cycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		grown := perUnit(before, heapBytes(), cycles)
+		t.Logf("%s: ~%d heap bytes per cycle over %d cycles", tc.name, grown, cycles)
+		if grown > perCycle {
+			t.Fatalf("%s: the session's heap grew %d bytes per cycle over %d cycles, bound %d", tc.name, grown, cycles, perCycle)
 		}
 	}
 }

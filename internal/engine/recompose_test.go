@@ -2,12 +2,14 @@ package engine
 
 import (
 	"net"
+	"net/netip"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rapidware/internal/fec"
 	"rapidware/internal/metrics"
 	"rapidware/internal/packet"
 )
@@ -354,4 +356,50 @@ func TestEngineRecomposeVsResponderRetune(t *testing.T) {
 	if len(st.Receivers) != 1 || st.Receivers[0].Chain != "fec-adapt,thin=1" {
 		t.Fatalf("final branch plan = %+v", st.Receivers)
 	}
+}
+
+// TestSessionRepairsSurviveRecomposeAndPark counts FEC repairs across every
+// way a session's decoder stage can be replaced: recomposed away and back,
+// and parked and unparked. Each decoder adds its repairs to the session's
+// counter block as it makes them, so Stats keeps counting with no record of
+// the decoders it no longer has.
+func TestSessionRepairsSurviveRecomposeAndPark(t *testing.T) {
+	e, _ := newScriptedEngine(t, Config{Chain: "fec-decode"})
+	peer := netip.MustParseAddrPort("10.9.0.3:4000")
+	s, err := e.openSession(3, peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// repairTwo delivers two (6,4) groups that lost data frame 1 each.
+	repairTwo := func() {
+		encodeGroups(t, s, fec.Params{K: 4, N: 6}, 2, func(b *packet.Buf) {
+			if _, index, _, _ := packet.FrameBlock(b.B[packet.SessionIDSize:]); index == 1 {
+				b.Release()
+				return
+			}
+			s.deliver(b, peer)
+		})
+	}
+	check := func(step string, want uint64) {
+		t.Helper()
+		if got := s.Stats().Repairs; got != want {
+			t.Fatalf("%s: Stats().Repairs = %d, want %d", step, got, want)
+		}
+	}
+	repairTwo()
+	check("first decoder", 2)
+	for _, plan := range []string{"counting", "fec-decode"} {
+		if _, err := e.RecomposeSession(3, "", plan); err != nil {
+			t.Fatal(err)
+		}
+		check("recomposed to "+plan, 2)
+	}
+	repairTwo()
+	check("second decoder", 4)
+	if !s.park() {
+		t.Fatal("session did not park")
+	}
+	check("parked", 4)
+	repairTwo() // the first datagram unparks
+	check("unparked decoder", 6)
 }

@@ -45,6 +45,11 @@ type Session struct {
 	parkedAdapt *metrics.AdaptStats // last adaptation snapshot, for stats while parked (guarded by parkMu)
 
 	counters metrics.SessionCounters
+	// groups numbers the FEC groups of every encoder ever built for the
+	// session — trunk stages, the adaptation loop's encoder, cohort tails —
+	// across recompositions, retunes and parking, so no two groups a receiver
+	// sees share a number (compose.Env.Groups).
+	groups atomic.Uint32
 
 	// ctlActivity counts control-plane touches (recompose and friends) so an
 	// operator working on a session keeps it from being harvested; together
@@ -53,13 +58,6 @@ type Session struct {
 	ctlActivity atomic.Uint64
 	idleSeen    atomic.Uint64 // activity sum at the last maintenance observation
 	idleSince   atomic.Int64  // unix nanos of the last observed activity change
-
-	// repairs reports FEC reconstruction counts from decoder stages built
-	// into the chain (past and present — a recomposed-away decoder's final
-	// count still tells the truth about the session's history); read at
-	// snapshot time, never on the data path.
-	repairsMu sync.Mutex
-	repairs   []func() uint64
 
 	done chan struct{}
 
@@ -143,7 +141,7 @@ func newSession(e *Engine, id uint32, peer netip.AddrPort) (*Session, error) {
 func (e *Engine) buildChainState(s *Session, plan compose.Plan) (*chainState, error) {
 	cs := &chainState{}
 	cs.frames = filter.NewFrameChain(func(b *packet.Buf) { s.send(cs, datagram(b)) })
-	live, err := compose.Attach(cs.frames, e.reg, s.composeEnv(), e.trunkMode(), plan)
+	live, err := compose.Attach(cs.frames, e.reg, s.composeEnv(""), e.trunkMode(), plan)
 	if err != nil {
 		return nil, fmt.Errorf("engine: session %d chain: %w", s.id, err)
 	}
@@ -197,24 +195,17 @@ func (s *Session) Live() *compose.Live {
 // Parked reports whether the session is currently parked.
 func (s *Session) Parked() bool { return s.parked.Load() }
 
-// composeEnv is the build environment trunk plan stages are instantiated
-// with.
-func (s *Session) composeEnv() compose.Env {
+// composeEnv is the build environment the session's stages are instantiated
+// with; suffix tells a cohort tail's instance names from the trunk's. Every
+// stage counts into the session's counter block and numbers FEC groups from
+// its one counter.
+func (s *Session) composeEnv(suffix string) compose.Env {
 	return compose.Env{
-		StreamID:  s.id,
-		Name:      func(kind string) string { return fmt.Sprintf("%s:%d", kind, s.id) },
-		OnRepairs: s.addRepairHook,
-		OnDrop:    func() { s.counters.Drops.Add(1) },
+		StreamID: s.id,
+		Name:     func(kind string) string { return fmt.Sprintf("%s:%d%s", kind, s.id, suffix) },
+		Counters: &s.counters,
+		Groups:   &s.groups,
 	}
-}
-
-// addRepairHook registers one decoder stage's reconstruction counter. Hooks
-// accumulate across recompositions so Stats stays monotonic; the slice only
-// grows on control-path chain builds.
-func (s *Session) addRepairHook(fn func() uint64) {
-	s.repairsMu.Lock()
-	s.repairs = append(s.repairs, fn)
-	s.repairsMu.Unlock()
 }
 
 // Counters returns the session's counter block.
@@ -241,19 +232,13 @@ func (s *Session) activitySum() uint64 {
 	return s.counters.Packets.Load() + s.counters.Drops.Load() + s.ctlActivity.Load()
 }
 
-// Stats snapshots the session's counters, folding in FEC repair counts from
-// any decoder stages and the adaptation loop's state when the plane is on.
-// On a parked session the chain columns come from the retained plan and the
-// adaptation snapshot taken at park time.
+// Stats snapshots the session's counters — FEC decoder stages add their
+// repairs to them directly — and the adaptation loop's state when the plane
+// is on. On a parked session the chain columns come from the retained plan
+// and the adaptation snapshot taken at park time.
 func (s *Session) Stats() metrics.SessionStats {
 	st := s.counters.Snapshot(s.id)
 	st.Shard = s.shard.idx
-	s.repairsMu.Lock()
-	hooks := append([]func() uint64(nil), s.repairs...)
-	s.repairsMu.Unlock()
-	for _, fn := range hooks {
-		st.Repairs += fn()
-	}
 	if cs := s.cs.Load(); cs != nil {
 		st.Chain = cs.live.String()
 		st.Stages = cs.live.StageStats()

@@ -3,6 +3,7 @@ package fec
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"rapidware/internal/packet"
 )
@@ -19,7 +20,8 @@ import (
 type FrameEncoder struct {
 	coder    *Coder
 	streamID uint32
-	group    uint32
+	group    uint32         // the next group's number, when groups is nil
+	groups   *atomic.Uint32 // the shared group numbering; see NumberGroupsFrom
 	seq      uint64
 	pending  []*packet.Buf // held data frames, len < k between Encode calls
 
@@ -45,6 +47,22 @@ func NewFrameEncoder(coder *Coder, streamID uint32) *FrameEncoder {
 		parity:   make([][]byte, n-k),
 		pbufs:    make([]*packet.Buf, n-k),
 	}
+}
+
+// NumberGroupsFrom makes the encoder draw every group's number from groups
+// instead of counting its own from 0. Encoders that take turns on one stream
+// share one counter, so a fresh encoder never reuses a group number a
+// receiver's decoder still remembers for a different code. nil keeps the
+// encoder's own count. Call it before the first Add.
+func (e *FrameEncoder) NumberGroupsFrom(groups *atomic.Uint32) { e.groups = groups }
+
+// nextGroup hands out the number of the group being emitted.
+func (e *FrameEncoder) nextGroup() uint32 {
+	if e.groups != nil {
+		return e.groups.Add(1) - 1
+	}
+	e.group++
+	return e.group - 1
 }
 
 // Params returns the encoder's code parameters.
@@ -132,12 +150,12 @@ func (e *FrameEncoder) EncodeBufs(emit func(*packet.Buf)) error {
 	if err != nil {
 		e.releaseParity()
 		e.Discard()
-		return fmt.Errorf("fec: encode group %d: %w", e.group, err)
+		return fmt.Errorf("fec: encode group: %w", err)
 	}
 	// Stamp everything before emitting anything, so a header error (there is
 	// none a validated group can produce) cannot leave half a group on the
 	// wire.
-	hdr := packet.Packet{StreamID: e.streamID, Group: e.group, K: uint8(k), N: uint8(n)}
+	hdr := packet.Packet{StreamID: e.streamID, Group: e.nextGroup(), K: uint8(k), N: uint8(n)}
 	for i := 0; i < n; i++ {
 		b, kind := (*packet.Buf)(nil), packet.KindParity
 		if i < k {
@@ -153,7 +171,6 @@ func (e *FrameEncoder) EncodeBufs(emit func(*packet.Buf)) error {
 		}
 	}
 	e.seq += uint64(n)
-	e.group++
 	for i, b := range e.pending {
 		e.pending[i] = nil
 		emit(b)
@@ -192,7 +209,7 @@ func (e *FrameEncoder) FlushBufs(emit func(*packet.Buf)) error {
 	params := e.coder.Params()
 	hdr := packet.Packet{
 		StreamID: e.streamID, Kind: packet.KindData,
-		Group: e.group, K: uint8(params.K), N: uint8(params.N),
+		Group: e.nextGroup(), K: uint8(params.K), N: uint8(params.N),
 	}
 	for i, b := range e.pending {
 		hdr.Seq, hdr.Index = e.seq+uint64(i), uint8(i)
@@ -202,7 +219,6 @@ func (e *FrameEncoder) FlushBufs(emit func(*packet.Buf)) error {
 		}
 	}
 	e.seq += uint64(len(e.pending))
-	e.group++
 	for i, b := range e.pending {
 		e.pending[i] = nil
 		emit(b)

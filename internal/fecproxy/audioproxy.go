@@ -144,7 +144,7 @@ func RunAudioProxy(cfg AudioProxyConfig, pcm []byte) (*AudioProxyResult, error) 
 
 	stages := []filter.Stage{source}
 	if cfg.FEC.N > cfg.FEC.K {
-		encoder, err := NewEncoderFilter("fec-encoder", cfg.FEC, 1)
+		encoder, err := NewEncoderFilter("fec-encoder", cfg.FEC, 1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +199,7 @@ func runReceiver(r *wireless.Receiver, cfg AudioProxyConfig, trace *metrics.Trac
 		}
 		return p, nil
 	})
-	decoder := NewDecoderFilter("fec-decoder", trace)
+	decoder := NewDecoderFilter("fec-decoder", trace, nil)
 	var received, reconstructed int
 	sink := endpoint.NewPacketSink("wired-sender", func(p *packet.Packet) error {
 		key := int(traceKey(p))

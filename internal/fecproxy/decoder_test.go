@@ -3,6 +3,7 @@ package fecproxy
 import (
 	"encoding/binary"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"rapidware/internal/fec"
@@ -67,8 +68,8 @@ type transcodeFixture struct {
 func newTranscodeFixture(tb testing.TB) *transcodeFixture {
 	tb.Helper()
 	uplink := fec.Params{K: 8, N: 12}
-	f := &transcodeFixture{dec: NewDecoderFilter("", nil), groups: encodeFrames(tb, uplink, 16, 1200, 1)}
-	enc, err := NewEncoderFilter("", fec.Params{K: 4, N: 6}, 1)
+	f := &transcodeFixture{dec: NewDecoderFilter("", nil, nil), groups: encodeFrames(tb, uplink, 16, 1200, 1)}
+	enc, err := NewEncoderFilter("", fec.Params{K: 4, N: 6}, 1, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -146,8 +147,8 @@ func TestDecoderHoldsNoSharesAfterLeaving(t *testing.T) {
 	group := encodeFrames(t, fec.Params{K: 4, N: 6}, 1, 64, 2)[0]
 	for _, leave := range []string{"splice-out", "close"} {
 		t.Run(leave, func(t *testing.T) {
-			dec := NewDecoderFilter("", nil)
-			enc, err := NewEncoderFilter("", fec.Params{K: 2, N: 3}, 1)
+			dec := NewDecoderFilter("", nil, nil)
+			enc, err := NewEncoderFilter("", fec.Params{K: 2, N: 3}, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +192,7 @@ func TestDecoderRefusedShareIsCountedDrop(t *testing.T) {
 	group := encodeFrames(t, fec.Params{K: 4, N: 6}, 1, 32, 3)[0]
 	mismatched := append([]byte(nil), group[5]...)
 	mismatched[21], mismatched[22] = 3, 6 // k=3: index 5 is still parity
-	dec := NewDecoderFilter("", nil)
+	dec := NewDecoderFilter("", nil, nil)
 	drops := 0
 	dec.OnDrop(func() { drops++ })
 	delivered := 0
@@ -210,5 +211,64 @@ func TestDecoderRefusedShareIsCountedDrop(t *testing.T) {
 	}
 	if received != 3 || repaired != 2 || forwarded != 4 || delivered != 4 {
 		t.Fatalf("received %d repaired %d forwarded %d delivered %d, want 3/2/4/4", received, repaired, forwarded, delivered)
+	}
+}
+
+// TestAdaptiveStreamDecodableByStandardDecoder changes the code mid-stream
+// the way the adaptation plane does — a fresh encoder with the new code is
+// spliced in for the old one, and every encoder numbers its groups from the
+// stream's one counter — and checks that the ordinary decoder delivers every
+// payload exactly once through a hop that loses data frame 0 of every group,
+// and adds each repair to the counter it was given. The last encoder returns
+// to the first one's code: with groups numbered from 0 again, the decoder
+// would refuse its shares as duplicates.
+func TestAdaptiveStreamDecodableByStandardDecoder(t *testing.T) {
+	var groups atomic.Uint32
+	var repairs atomic.Uint64
+	dec := NewDecoderFilter("", nil, &repairs)
+	lossy := filter.NewFrame("drop-index-0", func(b *packet.Buf, emit func(*packet.Buf)) error {
+		if _, index, _, _ := packet.FrameBlock(b.B); index == 0 && packet.FrameKind(b.B) == packet.KindData {
+			b.Release()
+			return nil
+		}
+		emit(b)
+		return nil
+	}, nil)
+	seen := make(map[string]int)
+	fc := filter.NewFrameChain(func(b *packet.Buf) {
+		seen[string(b.B[packet.HeaderSize:])]++
+		b.Release()
+	})
+	payloads := makePayloads(48, 12)
+	for i, code := range []fec.Params{{K: 4, N: 6}, {K: 4, N: 8}, {K: 4, N: 6}} {
+		enc, err := NewEncoderFilter("", code, 1, &groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fc.SetInterior([]filter.Filter{enc, lossy, dec}); err != nil {
+			t.Fatal(err)
+		}
+		for j, pl := range payloads[i*16 : (i+1)*16] {
+			frame, err := packet.Marshal(&packet.Packet{Seq: uint64(i*16 + j), Kind: packet.KindData, Payload: pl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fc.Process(receiveBuf(frame)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := fc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range payloads {
+		if seen[string(pl)] != 1 {
+			t.Fatalf("payload %q delivered %d times, want once", pl, seen[string(pl)])
+		}
+	}
+	_, repaired, _, dropped := dec.Stats()
+	if repaired != 12 || repairs.Load() != repaired || dropped != 0 || groups.Load() != 12 {
+		t.Fatalf("repaired %d, counted %d, dropped %d, groups numbered %d; want 12, 12, 0, 12",
+			repaired, repairs.Load(), dropped, groups.Load())
 	}
 }

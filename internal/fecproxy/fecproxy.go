@@ -36,8 +36,11 @@ type EncoderFilter struct {
 }
 
 // NewEncoderFilter returns an encoder filter using the given (n,k) code.
-// streamID is stamped on emitted packets.
-func NewEncoderFilter(name string, params fec.Params, streamID uint32) (*EncoderFilter, error) {
+// streamID is stamped on emitted packets. groups, when not nil, is the
+// stream's group numbering, shared by every encoder that ever serves it (see
+// fec.FrameEncoder.NumberGroupsFrom); nil numbers this encoder's groups from
+// 0.
+func NewEncoderFilter(name string, params fec.Params, streamID uint32, groups *atomic.Uint32) (*EncoderFilter, error) {
 	coder, err := fec.CoderFor(params)
 	if err != nil {
 		return nil, err
@@ -48,6 +51,7 @@ func NewEncoderFilter(name string, params fec.Params, streamID uint32) (*Encoder
 	ef := &EncoderFilter{params: params}
 	k, n := params.K, params.N
 	enc := fec.NewFrameEncoder(coder, streamID)
+	enc.NumberGroupsFrom(groups)
 	// flush emits a partially filled group as plain data frames, at end of
 	// stream, when the stage leaves a live chain, and ahead of control frames.
 	flush := func(emit func(*packet.Buf)) error {
@@ -128,8 +132,9 @@ func (ef *EncoderFilter) Overhead() float64 {
 type DecoderFilter struct {
 	*filter.Base
 
-	dec   *fec.FrameDecoder
-	trace *metrics.TraceRecorder
+	dec     *fec.FrameDecoder
+	trace   *metrics.TraceRecorder
+	repairs *atomic.Uint64
 	// emit is the chain's emit for the frame in flight and forward the bound
 	// method handed to the decoder in its place; keys collects the trace keys
 	// of what one frame released.
@@ -145,11 +150,13 @@ type DecoderFilter struct {
 
 // NewDecoderFilter returns a decoder filter. trace may be nil; when provided,
 // every forwarded packet's outcome is recorded for Figure 7-style series.
-func NewDecoderFilter(name string, trace *metrics.TraceRecorder) *DecoderFilter {
+// repairs may be nil; when provided, every reconstructed packet is also added
+// to it, so an owner's repair count outlives the stage.
+func NewDecoderFilter(name string, trace *metrics.TraceRecorder, repairs *atomic.Uint64) *DecoderFilter {
 	if name == "" {
 		name = "fec-decoder"
 	}
-	df := &DecoderFilter{dec: fec.NewFrameDecoder(0), trace: trace}
+	df := &DecoderFilter{dec: fec.NewFrameDecoder(0), trace: trace, repairs: repairs}
 	df.forward = df.forwardFrame
 	df.Base = filter.NewFrame(name, df.decode, func(func(*packet.Buf)) error {
 		// Held shares are copies only a repair could use; nothing is owed.
@@ -175,7 +182,12 @@ func (df *DecoderFilter) decode(b *packet.Buf, emit func(*packet.Buf)) error {
 	err := df.dec.Add(b, df.forward)
 	df.emit = nil
 	repaired := df.dec.Recovered() - before
-	df.reconstructed.Add(repaired)
+	if repaired != 0 {
+		df.reconstructed.Add(repaired)
+		if df.repairs != nil {
+			df.repairs.Add(repaired)
+		}
+	}
 	if err != nil {
 		df.dropped.Add(1)
 		return fmt.Errorf("fecproxy: decode: %w: %w", filter.ErrBadFrame, err)

@@ -61,13 +61,13 @@ func makePayloads(n, size int) [][]byte {
 }
 
 func TestNewEncoderFilterRejectsBadParams(t *testing.T) {
-	if _, err := NewEncoderFilter("", fec.Params{K: 5, N: 2}, 1); err == nil {
+	if _, err := NewEncoderFilter("", fec.Params{K: 5, N: 2}, 1, nil); err == nil {
 		t.Fatal("expected error for invalid params")
 	}
 }
 
 func TestEncoderFilterEmitsParity(t *testing.T) {
-	enc, err := NewEncoderFilter("", fec.Params{K: 4, N: 6}, 1)
+	enc, err := NewEncoderFilter("", fec.Params{K: 4, N: 6}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestEncoderFilterEmitsParity(t *testing.T) {
 }
 
 func TestEncoderFilterFlushesPartialGroupAtEOF(t *testing.T) {
-	enc, _ := NewEncoderFilter("", fec.Params{K: 4, N: 6}, 1)
+	enc, _ := NewEncoderFilter("", fec.Params{K: 4, N: 6}, 1, nil)
 	payloads := makePayloads(6, 16) // one full group + 2 leftover
 	got := pumpPackets(t, []filter.Filter{enc}, payloads)
 	// 6 data (4 from the full group, 2 flushed) + 2 parity.
@@ -123,7 +123,7 @@ func TestEncoderFilterFlushesPartialGroupAtEOF(t *testing.T) {
 }
 
 func TestEncoderFilterPassesNonDataThrough(t *testing.T) {
-	enc, _ := NewEncoderFilter("", fec.Params{K: 2, N: 3}, 1)
+	enc, _ := NewEncoderFilter("", fec.Params{K: 2, N: 3}, 1, nil)
 	i := 0
 	src := endpoint.NewPacketSource("src", func() (*packet.Packet, error) {
 		if i >= 1 {
@@ -154,8 +154,8 @@ func TestEncoderFilterPassesNonDataThrough(t *testing.T) {
 }
 
 func TestEncodeDecodeChainNoLoss(t *testing.T) {
-	enc, _ := NewEncoderFilter("", fec.Params{K: 4, N: 6}, 1)
-	dec := NewDecoderFilter("", nil)
+	enc, _ := NewEncoderFilter("", fec.Params{K: 4, N: 6}, 1, nil)
+	dec := NewDecoderFilter("", nil, nil)
 	payloads := makePayloads(40, 20)
 	got := pumpPackets(t, []filter.Filter{enc, dec}, payloads)
 	if len(got) != len(payloads) {
@@ -178,9 +178,9 @@ func TestEncodeDecodeChainNoLoss(t *testing.T) {
 func TestEncodeLossyDecodeRecovers(t *testing.T) {
 	// Insert a deterministic lossy hop between encoder and decoder that drops
 	// one packet per FEC group; the decoder must reconstruct everything.
-	enc, _ := NewEncoderFilter("", fec.Params{K: 4, N: 6}, 1)
+	enc, _ := NewEncoderFilter("", fec.Params{K: 4, N: 6}, 1, nil)
 	trace := metrics.NewTraceRecorder()
-	dec := NewDecoderFilter("", trace)
+	dec := NewDecoderFilter("", trace, nil)
 	drop := filter.NewPacketFunc("drop-one-per-group", func(p *packet.Packet) ([]*packet.Packet, error) {
 		if p.IsFEC() && p.Index == 1 {
 			return nil, nil // drop data packet 1 of every group
@@ -216,7 +216,7 @@ func TestEncodeLossyDecodeRecovers(t *testing.T) {
 }
 
 func TestDecoderWithoutFECPassesThrough(t *testing.T) {
-	dec := NewDecoderFilter("", nil)
+	dec := NewDecoderFilter("", nil, nil)
 	payloads := makePayloads(10, 8)
 	got := pumpPackets(t, []filter.Filter{dec}, payloads)
 	if len(got) != len(payloads) {

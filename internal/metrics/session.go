@@ -163,7 +163,7 @@ type AdaptStats struct {
 	Reports   uint64 `json:"reports"`
 	Receivers int    `json:"receivers"`
 	// Retunes counts protection-level changes: encoder insertions, removals
-	// and in-place (n,k) switches.
+	// and swaps to another (n,k), or a fan-out member's cohort moves.
 	Retunes uint64 `json:"retunes"`
 	// Expired counts receivers aged out by the report-staleness window (a
 	// station that stopped reporting without leaving the group).
