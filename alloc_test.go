@@ -1,10 +1,10 @@
 package rapidware
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
+	"rapidware/internal/engine"
 	"rapidware/internal/race"
 )
 
@@ -49,10 +49,10 @@ func TestEngineMultiSessionAllocs(t *testing.T) {
 }
 
 func TestEngineChainDepthAllocs(t *testing.T) {
-	for _, depth := range chainDepths {
-		t.Run(fmt.Sprintf("stages-%d", depth), func(t *testing.T) {
-			requireAllocs(t, 0, 20000, func(tb testing.TB) func() {
-				w, err := newEchoClient(startEchoEngine(tb, chainDepthConfig(depth)), 1)
+	for _, tc := range chainCases {
+		t.Run(tc.name, func(t *testing.T) {
+			requireAllocs(t, tc.allocs, 20000, func(tb testing.TB) func() {
+				w, err := newEchoClient(startEchoEngine(tb, engine.Config{Shards: 1, Chain: tc.spec}), 1)
 				if err != nil {
 					tb.Fatal(err)
 				}

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -192,25 +191,37 @@ func BenchmarkEngineShardedThroughput(b *testing.B) {
 	}
 }
 
-// chainDepths are BenchmarkEngineChainDepth's session chain depths.
-var chainDepths = []int{0, 1, 2, 4, 8}
-
-// chainDepthConfig is a one-shard engine whose session chain is depth null
-// stages.
-func chainDepthConfig(depth int) engine.Config {
-	return engine.Config{Shards: 1, Chain: strings.TrimSuffix(strings.Repeat("null,", depth), ",")}
+// chainCases are the one-shard session chains BenchmarkEngineChainDepth
+// times and TestEngineChainDepthAllocs bounds, with the steady-state
+// allocations per echo each must stay within: a pure relay deepening to eight
+// null stages, the frame-native kinds that keep a frame history (arq, replay)
+// or drop frames (thin), and a DEFLATE round trip.
+var chainCases = []struct {
+	name, spec string
+	allocs     float64
+}{
+	{"stages-0", "", 0},
+	{"stages-1", "null", 0},
+	{"stages-2", "null,null", 0},
+	{"stages-4", "null,null,null,null", 0},
+	{"stages-8", "null,null,null,null,null,null,null,null", 0},
+	{"arq", "arq", 0},
+	{"replay=64", "replay=64", 0},
+	{"thin=1", "thin=1", 0},
+	{"counting,arq,replay=64", "counting,arq,replay=64", 0},
+	{"compress,decompress", "compress,decompress", 0},
 }
 
-// BenchmarkEngineChainDepth is the same windowed echo through one shard as
-// the session chain deepens from a pure relay to eight null stages: the
-// per-stage tax of the engine's executor, which the stream-mode
-// BenchmarkChainDepth cannot see. null is frame-native, so every depth runs
-// inline on the shard reader and a stage should cost two counter updates and
-// a call — the timings are expected to be nearly flat.
+// BenchmarkEngineChainDepth is the same windowed echo through one shard over
+// each of chainCases' chains. The null depths are the per-stage tax of the
+// engine's executor, which the stream-mode BenchmarkChainDepth cannot see:
+// every stage runs inline on the shard reader and should cost two counter
+// updates and a call, so those timings are expected to be nearly flat.
 func BenchmarkEngineChainDepth(b *testing.B) {
-	for _, depth := range chainDepths {
-		b.Run(fmt.Sprintf("stages-%d", depth), func(b *testing.B) {
-			benchWindowedEcho(b, chainDepthConfig(depth))
+	for _, tc := range chainCases {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			benchWindowedEcho(b, engine.Config{Shards: 1, Chain: tc.spec})
 		})
 	}
 }

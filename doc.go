@@ -19,7 +19,10 @@
 //
 // A session's chain runs to completion on the reader that received the
 // datagram. Every stage body is a frame function (filter.FrameFunc: one
-// validated frame in a pooled buffer in, any number emitted) and the engine
+// validated frame in a pooled buffer in, any number emitted) that reads the
+// header fields it needs in place — a payload rewrite (transcode, mono,
+// compress, decompress) writes the input header and its new payload into one
+// pooled frame, packet.Reframe — and the engine
 // has one executor, filter.FrameChain: demux, every stage in order, send and
 // the shard's output queue, all on one goroutine under one per-session lock
 // (several readers may serve one session, and the control plane splices from
@@ -87,14 +90,17 @@
 // fec-adapt marker stage in the plan.
 //
 // Reliability spans a spectrum, not just FEC. The compose plane registers
-// the ARQ stages (internal/arq) and the replay cache (internal/cache) as
-// first-class chain stages: "arq" keeps a bounded retransmission history the
-// engine answers receiver NACKs from (packet.KindNack, consumed on the read
-// loop like feedback, authorized like feedback), "jitter=<ms>" is the
-// receiver-side smoothing buffer that lets a repair slot back into sequence,
-// and "replay=<n>" retains the recent past so a station that joins a fan-out
-// session mid-stream has its fresh branch primed with the retained window —
-// the collaborative session's late-join catch-up. With adaptation on, each
+// the ARQ stages (internal/arq) as first-class chain stages: "arq" keeps a
+// bounded retransmission history the engine answers receiver NACKs from
+// (packet.KindNack, consumed on the read loop like feedback, authorized like
+// feedback), "jitter=<ms>" is the receiver-side smoothing buffer that lets a
+// repair slot back into sequence, and "replay=<n>" retains the recent past so
+// a station that joins a fan-out session mid-stream has its fresh branch
+// primed with the retained window — the collaborative session's late-join
+// catch-up. arq and replay are one frame history, arq.SenderFilter: each data
+// frame is copied into a reused slot keyed by sequence number; a NACK is
+// answered with a pooled copy (Lookup), a late joiner primed by a walk of the
+// window, oldest first (Visit). With adaptation on, each
 // receiver's loop escalates across mechanisms from the full report
 // (loss and RTT): clean links run the pure relay, moderate loss splices
 // proactive parity, and rare loss on a high-RTT feedback path swaps the

@@ -77,39 +77,40 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 	// partial group (which is flushed without parity when the stream ends) is
 	// never exposed to unrepairable loss, no matter when the splice happened.
 	if err := registry.Register(compose.Definition{Kind: "wireless-hop", Build: func(env compose.Env, _ string) (filter.Filter, error) {
-		var pend []*packet.Packet
-		flushGroup := func() []*packet.Packet {
-			if len(pend) == 0 {
-				return nil
-			}
+		var pend []*packet.Buf
+		flushGroup := func(emit func(*packet.Buf)) error {
 			hasParity := false
-			for _, q := range pend {
-				if q.Kind == packet.KindParity {
+			for _, b := range pend {
+				if packet.FrameKind(b.B) == packet.KindParity {
 					hasParity = true
 					break
 				}
 			}
-			out := make([]*packet.Packet, 0, len(pend))
-			for _, q := range pend {
-				if hasParity && q.Kind == packet.KindData && q.Index == 1 {
-					continue // the injected loss
+			for _, b := range pend {
+				if _, index, _, _ := packet.FrameBlock(b.B); hasParity && packet.FrameKind(b.B) == packet.KindData && index == 1 {
+					b.Release() // the injected loss
+					continue
 				}
-				out = append(out, q)
+				emit(b)
 			}
-			pend = nil
-			return out
+			clear(pend)
+			pend = pend[:0]
+			return nil
 		}
-		return filter.NewPacketFunc(env.StageName("wireless-hop"), func(p *packet.Packet) ([]*packet.Packet, error) {
-			if !p.IsFEC() {
-				return append(flushGroup(), p), nil
+		return filter.NewFrame(env.StageName("wireless-hop"), func(b *packet.Buf, emit func(*packet.Buf)) error {
+			group, _, _, n := packet.FrameBlock(b.B)
+			if n == 0 {
+				flushGroup(emit)
+				emit(b)
+				return nil
 			}
-			if len(pend) > 0 && pend[0].Group != p.Group {
-				out := flushGroup()
-				pend = append(pend, p)
-				return out, nil
+			if len(pend) > 0 {
+				if first, _, _, _ := packet.FrameBlock(pend[0].B); first != group {
+					flushGroup(emit)
+				}
 			}
-			pend = append(pend, p)
-			return nil, nil
+			pend = append(pend, b)
+			return nil
 		}, flushGroup), nil
 	}}); err != nil {
 		t.Fatal(err)

@@ -9,11 +9,12 @@
 // exactly the argument the paper makes for parity-based repair of multicast.
 //
 // Beyond the experiment harness, the package provides the engine-facing
-// reliability stages registered with the compose plane: SenderFilter (the
-// "arq" stage, a pass-through that keeps a bounded retransmission history the
-// engine answers KindNack requests from) and JitterFilter (the "jitter=<ms>"
-// stage, a reorder/smoothing buffer that re-sequences data packets within a
-// bounded delay).
+// reliability stages registered with the compose plane: SenderFilter (a
+// pass-through keeping a bounded frame history, which is both the "arq" stage
+// the engine answers KindNack requests from and the "replay=<n>" stage it
+// primes late joiners from) and JitterFilter (the "jitter=<ms>" stage, a
+// reorder/smoothing buffer that re-sequences data packets within a bounded
+// delay).
 package arq
 
 import (

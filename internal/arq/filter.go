@@ -9,25 +9,32 @@ import (
 	"rapidware/internal/packet"
 )
 
-// SenderFilter is the compose-plane "arq" stage: a pass-through filter that
-// records every data frame it forwards in a bounded ring keyed by sequence
-// number. The engine answers KindNack feedback from this history — the
-// retransmission path never re-enters the chain, so repairs reach only the
-// receiver that asked (unicast), exactly as the paper's ARQ baseline does.
-// The hot path adds one mutex-guarded pointer store per data packet; history
-// eviction is implicit in the ring overwrite.
+// SenderFilter is the engine's retained frame history, the one structure
+// behind two compose-plane stages: "arq", whose history the engine answers
+// KindNack feedback from — the retransmission path never re-enters the chain,
+// so repairs reach only the receiver that asked (unicast), exactly as the
+// paper's ARQ baseline does — and "replay=<n>", whose window primes a station
+// joining a fan-out session mid-stream with recent history, the paper's
+// collaborative-session catch-up. Either way it is a pass-through that copies
+// each data frame it forwards into a slot keyed by sequence number, never
+// holding on to the buffer the frame arrived in. Slot storage is reused, so
+// the hot path is one mutex-guarded copy; eviction is the slot's overwrite.
+// The slots are allocated with the first data frame: an idle session's
+// history costs nothing.
 type SenderFilter struct {
 	*filter.Base
+	depth int
 
 	mu      sync.Mutex
-	ring    []*packet.Packet // ring[seq%len] holds the frame iff .Seq == seq
+	slots   [][]byte // slots[seq%depth] holds frame seq iff its header says so
+	newest  uint64   // the sequence number of the last data frame admitted
 	tracked uint64
 	served  uint64
 	misses  uint64
 }
 
-// NewSenderFilter returns an ARQ history stage keeping the last historyLimit
-// data packets available for retransmission (<=0 selects DefaultHistory).
+// NewSenderFilter returns a history stage keeping the last historyLimit data
+// frames (<=0 selects DefaultHistory).
 func NewSenderFilter(name string, historyLimit int) *SenderFilter {
 	if name == "" {
 		name = "arq"
@@ -35,42 +42,93 @@ func NewSenderFilter(name string, historyLimit int) *SenderFilter {
 	if historyLimit <= 0 {
 		historyLimit = DefaultHistory
 	}
-	f := &SenderFilter{ring: make([]*packet.Packet, historyLimit)}
-	f.Base = filter.NewPacketFunc(name, func(p *packet.Packet) ([]*packet.Packet, error) {
-		if p.Kind == packet.KindData {
-			f.mu.Lock()
-			f.ring[p.Seq%uint64(len(f.ring))] = p
-			f.tracked++
-			f.mu.Unlock()
-		}
-		return []*packet.Packet{p}, nil
-	}, nil)
+	f := &SenderFilter{depth: historyLimit}
+	f.Base = filter.NewFrame(name, f.admit, nil)
 	return f
 }
 
-// Lookup returns the buffered packet for seq, or nil when the history no
-// longer (or never) held it. Ring entries are replaced, never mutated, so the
-// returned packet is safe to read without the filter's lock; callers marshal
-// it themselves, which lets the repair path serialize straight into a pooled
-// wire buffer instead of paying a fresh frame allocation per retransmission.
-func (f *SenderFilter) Lookup(seq uint64) *packet.Packet {
+// admit is the frame body: it forwards every frame and copies data frames
+// into their slot.
+func (f *SenderFilter) admit(b *packet.Buf, emit func(*packet.Buf)) error {
+	if err := filter.CheckFrame(b); err != nil {
+		return err
+	}
+	if packet.FrameKind(b.B) == packet.KindData {
+		seq := packet.FrameSeq(b.B)
+		f.mu.Lock()
+		if f.slots == nil {
+			f.slots = make([][]byte, f.depth)
+		}
+		sl := &f.slots[seq%uint64(f.depth)]
+		*sl = append((*sl)[:0], b.B...)
+		f.newest = seq
+		f.tracked++
+		f.mu.Unlock()
+	}
+	emit(b)
+	return nil
+}
+
+// heldLocked returns the retained frame with sequence number seq, or nil.
+// Caller holds f.mu.
+func (f *SenderFilter) heldLocked(seq uint64) []byte {
+	if f.slots == nil {
+		return nil
+	}
+	if frame := f.slots[seq%uint64(f.depth)]; len(frame) > 0 && packet.FrameSeq(frame) == seq {
+		return frame
+	}
+	return nil
+}
+
+// Lookup returns a copy of the data frame with sequence number seq in a
+// pooled frame buffer (packet.GetFrameBuf, so the engine can prepend its
+// session ID in place) that the caller owns, or nil when the history no
+// longer (or never) held it.
+func (f *SenderFilter) Lookup(seq uint64) *packet.Buf {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	p := f.ring[seq%uint64(len(f.ring))]
-	if p == nil || p.Seq != seq {
+	frame := f.heldLocked(seq)
+	if frame == nil {
 		f.misses++
 		return nil
 	}
 	f.served++
-	return p
+	b := packet.GetFrameBuf(len(frame))
+	copy(b.B, frame)
+	return b
 }
 
-// HistoryLimit returns the ring depth.
-func (f *SenderFilter) HistoryLimit() int { return len(f.ring) }
+// Visit calls visit with each frame of the retained window, oldest first: the
+// frames held for the HistoryLimit sequence numbers up to the newest one
+// admitted. It runs under the history's lock, so visit sees the frames in
+// place and must neither keep nor modify them past the call (copy them into
+// pooled storage instead), nor call back into the filter.
+func (f *SenderFilter) Visit(visit func(frame []byte)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.tracked == 0 {
+		return
+	}
+	seq := uint64(0)
+	if depth := uint64(f.depth); f.newest >= depth {
+		seq = f.newest - depth + 1
+	}
+	for ; ; seq++ {
+		if frame := f.heldLocked(seq); frame != nil {
+			visit(frame)
+		}
+		if seq == f.newest {
+			return
+		}
+	}
+}
 
-// Stats returns how many data packets were admitted to the history, how many
-// retransmissions were served, and how many requests missed (already
-// evicted or never sent).
+// HistoryLimit returns how many sequence numbers the history spans.
+func (f *SenderFilter) HistoryLimit() int { return f.depth }
+
+// Stats returns how many data frames were admitted to the history, how many
+// lookups were served, and how many missed (already evicted or never sent).
 func (f *SenderFilter) Stats() (tracked, served, misses uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -143,6 +201,9 @@ func (f *JitterFilter) depth() int {
 // hold is the frame body: non-data frames pass straight through, data frames
 // are held until their deadline.
 func (f *JitterFilter) hold(b *packet.Buf, emit func(*packet.Buf)) error {
+	if err := filter.CheckFrame(b); err != nil {
+		return err
+	}
 	if packet.FrameKind(b.B) != packet.KindData {
 		emit(b)
 		return nil

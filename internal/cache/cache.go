@@ -1,6 +1,8 @@
 // Package cache implements the byte-bounded LRU object cache the paper lists
 // among proxy duties ("data caching for memory-limited handheld devices"),
-// plus a caching proxy layer keyed by request URL.
+// plus a caching proxy layer keyed by request URL. It holds objects, not
+// stream frames: the chain stage that retains recent frames for late joiners
+// ("replay=<n>") is the frame history in package arq.
 package cache
 
 import (
@@ -61,25 +63,6 @@ func (c *LRU) Get(key string) ([]byte, bool) {
 	c.order.MoveToFront(el)
 	v := el.Value.(*entry).value
 	return append([]byte(nil), v...), true
-}
-
-// View invokes visit with the cached value in place — no copy — and marks the
-// entry recently used. The slice is only valid for the duration of the call
-// and must not be mutated or retained; callers that need the bytes afterwards
-// copy them into their own (typically pooled) storage. This is the
-// allocation-free read path the engine's replay priming drains.
-func (c *LRU) View(key string, visit func(value []byte)) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return false
-	}
-	c.hits++
-	c.order.MoveToFront(el)
-	visit(el.Value.(*entry).value)
-	return true
 }
 
 // Put stores a copy of value under key, evicting least-recently-used entries

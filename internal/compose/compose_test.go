@@ -3,6 +3,8 @@ package compose
 import (
 	"strings"
 	"testing"
+
+	"rapidware/internal/arq"
 )
 
 func TestParseCanonicalFixpoint(t *testing.T) {
@@ -76,6 +78,7 @@ func TestParseRejections(t *testing.T) {
 		{"jitter", ModeChain},   // delay is required
 		{"jitter=0", ModeChain}, // ... and positive
 		{"replay", ModeChain},
+		{"replay=0", ModeChain},
 		{"replay=-1", ModeChain},
 		// The retransmission history must record the data stream, not parity.
 		{"fec-encode=6/4,arq", ModeChain},
@@ -189,5 +192,28 @@ func TestBuildMarkerFails(t *testing.T) {
 	}
 	if _, err := Default().Build(Env{}, Stage{Kind: "nope"}); err == nil {
 		t.Fatal("building an unknown stage must fail")
+	}
+}
+
+func TestReplayStageValidation(t *testing.T) {
+	for _, arg := range []string{"", "0", "-1", "x"} {
+		if _, err := Default().CanonStage(KindReplay, arg); err == nil {
+			t.Errorf("CanonStage(replay, %q) succeeded, want error", arg)
+		}
+	}
+	st, err := Default().CanonStage(KindReplay, "4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Default().Build(Env{}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, ok := f.(*arq.SenderFilter)
+	if !ok {
+		t.Fatalf("replay=4 built %T, want *arq.SenderFilter", f)
+	}
+	if sf.Name() != "replay" || sf.HistoryLimit() != 4 {
+		t.Fatalf("defaults = (%q, %d), want (replay, 4)", sf.Name(), sf.HistoryLimit())
 	}
 }

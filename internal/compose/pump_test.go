@@ -242,9 +242,8 @@ func splitFrames(t *testing.T, stream []byte) [][]byte {
 // compressed payloads, and fec-decode an encoded stream with one erasure per
 // group plus the hostile shares a decoder must shrug off (a duplicate, and a
 // share whose header disagrees with its group).
-func diffInput(t *testing.T, spec string, seed int64) [][]byte {
+func diffInput(t *testing.T, spec string, plain [][]byte) [][]byte {
 	t.Helper()
-	plain := diffFrames(seed, 200)
 	switch first, _, _ := strings.Cut(spec, ","); first {
 	case "decompress":
 		return splitFrames(t, runFrames(t, "compress=6", plain))
@@ -276,7 +275,7 @@ func diffInput(t *testing.T, spec string, seed int64) [][]byte {
 }
 
 func testDifferential(t *testing.T, spec string) {
-	frames := diffInput(t, spec, 42)
+	frames := diffInput(t, spec, diffFrames(42, 200))
 	want := runFrames(t, spec, frames)
 	if len(want) == 0 {
 		t.Fatalf("%q produced no output at all", spec)
@@ -306,17 +305,21 @@ func TestDifferentialEveryKind(t *testing.T) {
 // TestDifferentialPlans does the same for multi-stage plans, where one
 // stage's output framing is the next one's input.
 func TestDifferentialPlans(t *testing.T) {
-	for _, spec := range []string{
-		"counting,checksum,null,null",
-		"fec-encode=6/4,fec-decode",
-		"fec-decode,fec-encode=6/4",
-		"compress=6,decompress",
-		"thin=3,fec-encode=5/3",
-		"arq,replay=8,counting",
-		"transcode=2,mono,compress",
-		"null,fec-encode=12/8,checksum,thin=2",
-		"jitter=1,delay=1ms,ratelimit=100000000,counting",
-	} {
+	for _, spec := range diffPlans {
 		t.Run(spec, func(t *testing.T) { testDifferential(t, spec) })
 	}
+}
+
+// diffPlans are the multi-stage plans TestDifferentialPlans and
+// TestGoldenOutput run.
+var diffPlans = []string{
+	"counting,checksum,null,null",
+	"fec-encode=6/4,fec-decode",
+	"fec-decode,fec-encode=6/4",
+	"compress=6,decompress",
+	"thin=3,fec-encode=5/3",
+	"arq,replay=8,counting",
+	"transcode=2,mono,compress",
+	"null,fec-encode=12/8,checksum,thin=2",
+	"jitter=1,delay=1ms,ratelimit=100000000,counting",
 }

@@ -12,7 +12,6 @@ import (
 
 	"rapidware/internal/arq"
 	"rapidware/internal/audio"
-	"rapidware/internal/cache"
 	"rapidware/internal/fec"
 	"rapidware/internal/fecproxy"
 	"rapidware/internal/filter"
@@ -275,8 +274,9 @@ func Default() *Registry {
 //	                      the default depth); never downstream of fec-encode
 //	jitter=<ms>           reorder/smoothing buffer: hold data packets <ms>
 //	                      milliseconds, release in sequence order
-//	replay=<n>            LRU-backed catch-up cache of the last <n> data
-//	                      frames, primed into late-joining delivery branches
+//	replay=<n>            catch-up history of the last <n> data frames (the
+//	                      arq stage's structure), primed into late-joining
+//	                      delivery branches
 func newDefaultRegistry() *Registry {
 	r := NewRegistry()
 	must := func(err error) {
@@ -478,7 +478,7 @@ func newDefaultRegistry() *Registry {
 			if err != nil {
 				return nil, err
 			}
-			return cache.NewReplayFilter(env.StageName("replay"), n)
+			return arq.NewSenderFilter(env.StageName("replay"), n), nil
 		},
 	}))
 	must(r.Register(Definition{

@@ -12,9 +12,11 @@
 //     rapidproxy's stream mode reads this way (NewFrameReader), and so do
 //     NewPacketSource and NewUDPSource. Every stage kind accepts framed input.
 //   - raw: an unframed byte stream (NewReader) enters as one buffer per Read
-//     of the source, whatever its length. Only the kinds that never parse a
-//     frame accept such buffers: null, counting, checksum, delay and
-//     ratelimit.
+//     of the source, whatever its length. Only the kinds that never read a
+//     frame header pass such buffers on: null, counting, checksum, delay and
+//     ratelimit. Every other kind checks each buffer (filter.CheckFrame) and
+//     drops one that is not exactly one frame as a bad frame, counted, so a
+//     raw stream through them loses its chunks but never fails the chain.
 package endpoint
 
 import (

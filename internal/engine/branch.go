@@ -11,7 +11,6 @@ import (
 
 	"rapidware/internal/adapt"
 	"rapidware/internal/arq"
-	"rapidware/internal/cache"
 	"rapidware/internal/compose"
 	"rapidware/internal/fec"
 	"rapidware/internal/fecproxy"
@@ -424,12 +423,12 @@ func (t *deliveryTree) newCohort(key string, plan compose.Plan, mech adapt.Mecha
 // FEC group state — and enqueues straight onto the shard's queue, one pooled
 // copy per frame and nothing else. Caller holds t.mu.
 func (t *deliveryTree) primeLocked(m *member) {
-	rf, ok := t.cs.live.Instance(compose.KindReplay).(*cache.ReplayFilter)
+	rf, ok := t.cs.live.Instance(compose.KindReplay).(*arq.SenderFilter)
 	if !ok {
 		return
 	}
 	s := t.s
-	rf.VisitFrames(func(frame []byte) {
+	rf.Visit(func(frame []byte) {
 		b := packet.GetBuf(packet.SessionIDSize + len(frame))
 		packet.PutSessionID(b.B, s.id)
 		copy(b.B[packet.SessionIDSize:], frame)

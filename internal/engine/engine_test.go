@@ -495,11 +495,13 @@ func failingRegistry(t *testing.T, e *Engine) *compose.Registry {
 	if err := reg.Register(compose.Definition{
 		Kind: "fail",
 		Build: func(compose.Env, string) (filter.Filter, error) {
-			return filter.NewPacketFunc("fail", func(p *packet.Packet) ([]*packet.Packet, error) {
-				if string(p.Payload) == "fail" {
-					return nil, errors.New("boom")
+			return filter.NewFrame("fail", func(b *packet.Buf, emit func(*packet.Buf)) error {
+				if string(b.B[packet.HeaderSize:]) == "fail" {
+					b.Release()
+					return errors.New("boom")
 				}
-				return []*packet.Packet{p}, nil
+				emit(b)
+				return nil
 			}, nil), nil
 		},
 	}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"net/netip"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +23,25 @@ func heapBytes() uint64 {
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
+}
+
+// awaitReadersReading waits until every shard reader in the process is inside
+// a read. A reader leases its receive slots (32 x 64 KiB) right after Start,
+// on its own goroutine, before its first read: a lease landing between two
+// heap readings would count as per-session heap.
+func awaitReadersReading(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		leasing := false
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			leasing = leasing || strings.Contains(g, ").readLoop(") && !strings.Contains(g, ".ReadBatch(")
+		}
+		if !leasing {
+			return
+		}
+	}
+	t.Fatal("the shard readers never reached a read")
 }
 
 // perUnit is the heap growth from before to after, spread over n.
@@ -59,10 +79,17 @@ func TestFrameSessionFootprint(t *testing.T) {
 		{"counting,delay=1ms", Config{Chain: "counting,delay=1ms"}, 2300, 700},
 		{"fec-encode=6/4", Config{Chain: "fec-encode=6/4"}, 2400, 650},
 		{"fec-decode,fec-encode=6/4", Config{Chain: "fec-decode,fec-encode=6/4"}, 17500, 700},
+		// A frame history allocates its slots with its first data frame, and
+		// the DEFLATE stages borrow their codec state from process-wide pools
+		// (a flate.Writer alone is ~600 KB).
+		{"arq", Config{Chain: "arq"}, 1750, 650},
+		{"replay=64", Config{Chain: "replay=64"}, 1750, 650},
+		{"compress", Config{Chain: "compress"}, 1650, 650},
 		{"adaptive unicast", Config{Adapt: true}, 1500, 800},
 		{"adaptive fan-out to two receivers", Config{Adapt: true, Fanout: []string{"127.0.0.1:9", "127.0.0.1:10"}}, 3400, 750},
 	} {
 		e := newTestEngine(t, tc.cfg)
+		awaitReadersReading(t)
 		before := heapBytes()
 		g0 := runtime.NumGoroutine()
 		for id := uint32(1); id <= sessions; id++ {

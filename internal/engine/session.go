@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rapidware/internal/arq"
 	"rapidware/internal/compose"
 	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
@@ -301,28 +302,16 @@ func (s *Session) handleFeedback(from netip.AddrPort, frame []byte) {
 	}
 }
 
-// retransmitter is what a NACK is answered from: any stage instance holding a
-// bounded retransmission history keyed by sequence number. arq.SenderFilter
-// implements it; the lookup is structural so a future stage kind (or a custom
-// registry's) can serve NACKs without touching the engine.
-type retransmitter interface {
-	// Lookup returns the buffered packet for seq (nil when evicted or never
-	// sent). The returned packet must be treated as read-only.
-	Lookup(seq uint64) *packet.Packet
-}
-
 // historyFor resolves the retransmission history a NACK against the given
 // live composition should be answered from: a static arq stage if the plan
 // has one, else whatever the fec-adapt marker currently holds (the adaptation
 // plane splices an ARQ history there on high-RTT low-loss links).
-func historyFor(live *compose.Live) retransmitter {
-	if h, ok := live.Instance(compose.KindARQ).(retransmitter); ok {
+func historyFor(live *compose.Live) *arq.SenderFilter {
+	if h, ok := live.Instance(compose.KindARQ).(*arq.SenderFilter); ok {
 		return h
 	}
-	if h, ok := live.Instance(compose.KindFECAdapt).(retransmitter); ok {
-		return h
-	}
-	return nil
+	h, _ := live.Instance(compose.KindFECAdapt).(*arq.SenderFilter)
+	return h
 }
 
 // handleNack consumes one validated NACK frame, answering each named sequence
@@ -349,7 +338,7 @@ func (s *Session) handleNack(from netip.AddrPort, frame []byte) {
 		return
 	}
 	var rx *metrics.ReceiverCounters
-	var h retransmitter
+	var h *arq.SenderFilter
 	if cs.tree != nil {
 		// Same reconcile-before-routing rule as reports: a silently joined
 		// member gets its membership before its first NACK is dropped.
@@ -367,20 +356,12 @@ func (s *Session) handleNack(from netip.AddrPort, frame []byte) {
 		return
 	}
 	for _, seq := range seqs {
-		p := h.Lookup(seq)
-		if p == nil {
+		b := h.Lookup(seq)
+		if b == nil {
 			continue
 		}
-		// Serialize the stored packet straight into a pooled wire buffer:
-		// session prefix first, then the frame appended in place.
-		b := packet.GetBuf(packet.SessionIDSize + packet.HeaderSize + len(p.Payload))
+		b = datagram(b)
 		packet.PutSessionID(b.B, s.id)
-		dgram, err := packet.AppendFrame(b.B[:packet.SessionIDSize], p)
-		if err != nil {
-			b.Release()
-			continue
-		}
-		b.B = dgram
 		s.shard.enqueue(outbound{s: s, b: b, dst: from, rx: rx})
 		s.shard.counters.retransmits.Add(1)
 	}

@@ -63,6 +63,9 @@ func NewEncoderFilter(name string, params fec.Params, streamID uint32, groups *a
 		return nil
 	}
 	ef.Base = filter.NewFrame(name, func(b *packet.Buf, emit func(*packet.Buf)) error {
+		if err := filter.CheckFrame(b); err != nil {
+			return err
+		}
 		// Parity and control packets pass through untouched; only data
 		// packets are (re)grouped into FEC blocks. Control packets act as
 		// group barriers: a partially filled group is flushed (without
@@ -168,6 +171,9 @@ func NewDecoderFilter(name string, trace *metrics.TraceRecorder, repairs *atomic
 
 // decode is the stage's frame function.
 func (df *DecoderFilter) decode(b *packet.Buf, emit func(*packet.Buf)) error {
+	if err := filter.CheckFrame(b); err != nil {
+		return err
+	}
 	switch packet.FrameKind(b.B) {
 	case packet.KindData:
 		df.received.Add(1)

@@ -181,11 +181,13 @@ func TestEncodeLossyDecodeRecovers(t *testing.T) {
 	enc, _ := NewEncoderFilter("", fec.Params{K: 4, N: 6}, 1, nil)
 	trace := metrics.NewTraceRecorder()
 	dec := NewDecoderFilter("", trace, nil)
-	drop := filter.NewPacketFunc("drop-one-per-group", func(p *packet.Packet) ([]*packet.Packet, error) {
-		if p.IsFEC() && p.Index == 1 {
-			return nil, nil // drop data packet 1 of every group
+	drop := filter.NewFrame("drop-one-per-group", func(b *packet.Buf, emit func(*packet.Buf)) error {
+		if _, index, _, n := packet.FrameBlock(b.B); n > 0 && index == 1 {
+			b.Release() // drop data packet 1 of every group
+			return nil
 		}
-		return []*packet.Packet{p}, nil
+		emit(b)
+		return nil
 	}, nil)
 
 	payloads := makePayloads(40, 24)

@@ -191,64 +191,3 @@ func (h *heldFrames) flush(emit func(*packet.Buf)) error {
 	h.q = h.q[:0]
 	return nil
 }
-
-// PacketFunc transforms one decoded packet into zero or more packets to
-// forward. Returning an empty slice drops the packet; an error wrapping
-// ErrBadFrame drops and counts it.
-type PacketFunc func(*packet.Packet) ([]*packet.Packet, error)
-
-// NewPacketFunc returns a filter that decodes each frame, applies fn to the
-// packet, and re-frames the results. flush, if non-nil, is invoked at the end
-// of the stream (and when the stage leaves a live chain) and may emit
-// trailing packets (e.g. a partially filled FEC group).
-func NewPacketFunc(name string, fn PacketFunc, flush func() []*packet.Packet) *Base {
-	if name == "" {
-		name = "packetfunc"
-	}
-	frame := func(b *packet.Buf, emit func(*packet.Buf)) error {
-		p, _, err := packet.Unmarshal(b.B)
-		if err != nil {
-			b.Release()
-			return fmt.Errorf("packet: decode frame: %w: %w", ErrBadFrame, err)
-		}
-		outs, err := fn(p)
-		if err != nil {
-			b.Release()
-			return err
-		}
-		// A stage that forwards its input keeps the buffer it arrived in
-		// (re-encoded in place, in case fn edited the packet); everything else
-		// is marshaled into fresh frame buffers.
-		if len(outs) == 1 && outs[0] == p && packet.HeaderSize+len(p.Payload) == len(b.B) {
-			if err := packet.PutFrameHeader(b.B, p, len(p.Payload)); err != nil {
-				b.Release()
-				return fmt.Errorf("packet: marshal: %w", err)
-			}
-			copy(b.B[packet.HeaderSize:], p.Payload)
-			emit(b)
-			return nil
-		}
-		b.Release()
-		return emitPackets(outs, emit)
-	}
-	var flushFrames FlushFunc
-	if flush != nil {
-		flushFrames = func(emit func(*packet.Buf)) error { return emitPackets(flush(), emit) }
-	}
-	return NewFrame(name, frame, flushFrames)
-}
-
-// emitPackets marshals packets into pooled frame buffers and emits them.
-func emitPackets(ps []*packet.Packet, emit func(*packet.Buf)) error {
-	for _, p := range ps {
-		b := packet.GetFrameBuf(packet.HeaderSize + len(p.Payload))
-		frame, err := packet.AppendFrame(b.B[:0], p)
-		if err != nil {
-			b.Release()
-			return fmt.Errorf("packet: marshal: %w", err)
-		}
-		b.B = frame
-		emit(b)
-	}
-	return nil
-}

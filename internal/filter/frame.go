@@ -48,6 +48,18 @@ const MaxHeld = 1024
 // drops the frame, counts it through the stage's OnDrop hook, and carries on.
 var ErrBadFrame = errors.New("filter: bad frame")
 
+// CheckFrame reports whether b holds exactly one well-formed frame, as a stage
+// that reads header fields must before it does: a raw-stream chunk or a short
+// buffer can reach a Chain's stages. On failure it releases b and returns an
+// error wrapping ErrBadFrame, which the stage returns as its own.
+func CheckFrame(b *packet.Buf) error {
+	if err := packet.ValidateFrame(b.B); err != nil {
+		b.Release()
+		return fmt.Errorf("%w: %w", ErrBadFrame, err)
+	}
+	return nil
+}
+
 // ErrFrameChainClosed is returned by operations on a FrameChain that was
 // closed or has failed.
 var ErrFrameChainClosed = errors.New("filter: frame chain closed")

@@ -95,7 +95,7 @@ type ReceiverCounters struct {
 	// overflow, writer queue overflow and send errors.
 	Drops atomic.Uint64
 	// Primed counts historical frames replayed into this receiver's branch
-	// from the trunk's replay cache when the branch was built (late join).
+	// from the trunk's replay history when the branch was built (late join).
 	Primed atomic.Uint64
 }
 
@@ -110,7 +110,7 @@ type ReceiverStats struct {
 	OutBytes   uint64 `json:"out_bytes"`
 	Drops      uint64 `json:"drops"`
 	// Primed counts historical frames replayed into this branch when it was
-	// built, priming a late-joining station from the trunk's replay cache.
+	// built, priming a late-joining station from the trunk's replay history.
 	Primed uint64 `json:"primed,omitempty"`
 	// Stages lists the branch tail's interior filter stages, in order.
 	Stages []string `json:"stages,omitempty"`

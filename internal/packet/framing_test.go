@@ -124,3 +124,35 @@ func (s *syncBuffer) Write(p []byte) (int, error) {
 	defer s.mu.Unlock()
 	return s.buf.Write(p)
 }
+
+func TestReframe(t *testing.T) {
+	frame, err := Marshal(&Packet{Seq: 9, StreamID: 3, Kind: KindData, Group: 4, Index: 1, K: 4, N: 6, Payload: []byte("abcdef")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[23] = 0xff // a pad byte a sender set: the rewrite writes it as 0
+	b, err := Reframe(frame, 6, func(dst []byte) []byte { return append(dst, "xyz"...) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, n, err := Unmarshal(b.B)
+	if err != nil || n != len(b.B) {
+		t.Fatalf("Unmarshal = %d bytes of %d, %v", n, len(b.B), err)
+	}
+	if p.Seq != 9 || p.StreamID != 3 || p.Kind != KindData || p.Group != 4 || p.Index != 1 || p.K != 4 || p.N != 6 || string(p.Payload) != "xyz" {
+		t.Fatalf("reframed packet %v, payload %q", p, p.Payload)
+	}
+	if b.B[23] != 0 {
+		t.Fatalf("pad byte %#x, want 0", b.B[23])
+	}
+	if !b.Unshift(SessionIDSize) {
+		t.Fatal("reframed buffer has no session-ID headroom")
+	}
+	b.Release()
+	if _, err := Reframe(frame, 2, func(dst []byte) []byte { return append(dst, "xyz"...) }); err == nil {
+		t.Fatal("Reframe accepted a fill past its max")
+	}
+	if _, err := Reframe(frame, MaxPayload+1, func(dst []byte) []byte { return dst }); err == nil {
+		t.Fatal("Reframe accepted a max past MaxPayload")
+	}
+}

@@ -68,7 +68,7 @@ func GetBuf(n int) *Buf {
 // GetFrameBuf returns a pooled buffer whose B has length exactly n with
 // SessionIDSize bytes of headroom in front of it: a frame built in B can be
 // turned into an engine datagram by Unshift, without a copy. Stages that
-// originate frames (FEC parity, re-marshaled packets) allocate them this way
+// originate frames (FEC parity, rewritten payloads) allocate them this way
 // so the engine's inline trunk path never has to re-buffer their output.
 func GetFrameBuf(n int) *Buf {
 	b := GetBuf(SessionIDSize + n)

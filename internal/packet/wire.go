@@ -128,6 +128,30 @@ func PutFrameHeader(hdr []byte, p *Packet, plen int) error {
 	return nil
 }
 
+// Reframe returns a pooled frame buffer (see GetFrameBuf) carrying frame's
+// header and the payload fill appends to dst, an empty slice with room for
+// max bytes — how a stage that rewrites payloads (a transcoder, a
+// compressor) emits its output without decoding the frame. The header
+// declares the new payload's length, and its pad byte is zeroed, as
+// AppendFrame writes it. frame must already be validated. A max past
+// MaxPayload is refused, and so is a fill that appends more than max bytes.
+func Reframe(frame []byte, max int, fill func(dst []byte) []byte) (*Buf, error) {
+	if max > MaxPayload {
+		return nil, ErrPayloadRange
+	}
+	b := GetFrameBuf(HeaderSize + max)
+	copy(b.B, frame[:HeaderSize])
+	payload := fill(b.B[HeaderSize:HeaderSize])
+	if len(payload) > max {
+		b.Release()
+		return nil, ErrShortBuffer // what fill appended lives elsewhere
+	}
+	b.B = b.B[:HeaderSize+len(payload)]
+	b.B[23] = 0
+	binary.BigEndian.PutUint32(b.B[24:], uint32(len(payload)))
+	return b, nil
+}
+
 // AppendFrame appends the wire encoding of p to dst and returns the extended
 // slice, allowing callers to marshal into pooled or stack buffers without the
 // allocation made by Marshal.

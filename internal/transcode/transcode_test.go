@@ -2,6 +2,7 @@ package transcode
 
 import (
 	"bytes"
+	"compress/flate"
 	"io"
 	"sync"
 	"testing"
@@ -262,5 +263,78 @@ func TestCompressionPipelineEndToEnd(t *testing.T) {
 	defer mu.Unlock()
 	if len(out) != 1 || !bytes.Equal(out[0].Payload, payload) {
 		t.Fatal("compress/decompress pipeline corrupted data")
+	}
+}
+
+// TestCompressMatchesFreshWriter holds the pooled compressors to what a
+// fresh flate.Writer emits, at every level and on a reused writer: the
+// second and third payload are compressed by a writer the first left in
+// the pool.
+func TestCompressMatchesFreshWriter(t *testing.T) {
+	payloads := [][]byte{
+		bytes.Repeat([]byte("compressible content "), 300),
+		[]byte("short"),
+		bytes.Repeat([]byte{7, 1, 9, 3}, 2000),
+	}
+	for level := flate.HuffmanOnly; level <= flate.BestCompression; level++ {
+		cf, err := NewCompressFilter("", level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var in []*packet.Packet
+		for i, p := range payloads {
+			in = append(in, &packet.Packet{Seq: uint64(i), Kind: packet.KindData, Payload: p})
+		}
+		out := runPacketFilter(t, cf, in)
+		if len(out) != len(payloads) {
+			t.Fatalf("level %d: %d packets out, want %d", level, len(out), len(payloads))
+		}
+		for i, p := range payloads {
+			var want bytes.Buffer
+			w, _ := flate.NewWriter(&want, level)
+			w.Write(p)
+			w.Close()
+			if !bytes.Equal(out[i].Payload, want.Bytes()) {
+				t.Fatalf("level %d payload %d: pooled writer emitted %d bytes unlike a fresh writer's %d", level, i, len(out[i].Payload), want.Len())
+			}
+		}
+	}
+}
+
+// TestDecompressDropsOversizedPayload feeds decompress a DEFLATE stream that
+// inflates one byte past packet.MaxPayload, and one that is not DEFLATE at
+// all: each is a counted drop, and the chain keeps decompressing.
+func TestDecompressDropsOversizedPayload(t *testing.T) {
+	deflate := func(raw []byte) []byte {
+		var buf bytes.Buffer
+		w, _ := flate.NewWriter(&buf, flate.BestSpeed)
+		w.Write(raw)
+		w.Close()
+		return buf.Bytes()
+	}
+	df := NewDecompressFilter("")
+	drops := 0
+	df.(interface{ OnDrop(func()) }).OnDrop(func() { drops++ })
+	var out [][]byte
+	fc := filter.NewFrameChain(func(b *packet.Buf) {
+		out = append(out, append([]byte(nil), b.B[packet.HeaderSize:]...))
+		b.Release()
+	})
+	if err := fc.SetInterior([]filter.Filter{df}); err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range [][]byte{deflate(make([]byte, packet.MaxPayload+1)), []byte("not deflate"), deflate([]byte("fits"))} {
+		frame, err := packet.Marshal(&packet.Packet{Kind: packet.KindData, Payload: payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := packet.GetFrameBuf(len(frame))
+		copy(b.B, frame)
+		if err := fc.Process(b); err != nil {
+			t.Fatalf("decompress failed the chain: %v", err)
+		}
+	}
+	if drops != 2 || len(out) != 1 || string(out[0]) != "fits" {
+		t.Fatalf("%d drops, output %q; want 2 drops and \"fits\"", drops, out)
 	}
 }

@@ -24,7 +24,7 @@ type LossFilter struct {
 	passed  uint64
 }
 
-// NewLossFilter returns a loss-emulating packet filter. cfg may be the zero
+// NewLossFilter returns a loss-emulating frame filter. cfg may be the zero
 // value to disable pacing; realTime selects whether serialization delay is
 // actually slept. rng drives the loss model and must be provided explicitly
 // (never the global math/rand source) so experiments and race tests are
@@ -40,9 +40,12 @@ func NewLossFilter(name string, model LossModel, cfg LinkConfig, realTime bool, 
 		rng:   rng,
 		model: model,
 	}
-	lf.Base = filter.NewPacketFunc(name, func(p *packet.Packet) ([]*packet.Packet, error) {
+	lf.Base = filter.NewFrame(name, func(b *packet.Buf, emit func(*packet.Buf)) error {
+		if err := filter.CheckFrame(b); err != nil {
+			return err
+		}
 		if realTime {
-			time.Sleep(cfg.SerializationDelay(packet.HeaderSize+len(p.Payload)) + cfg.PropagationDelay)
+			time.Sleep(cfg.SerializationDelay(len(b.B)) + cfg.PropagationDelay)
 		}
 		lf.mu.Lock()
 		lost := lf.model.Lost(lf.rng)
@@ -53,9 +56,11 @@ func NewLossFilter(name string, model LossModel, cfg LinkConfig, realTime bool, 
 		}
 		lf.mu.Unlock()
 		if lost {
-			return nil, nil
+			b.Release()
+			return nil
 		}
-		return []*packet.Packet{p}, nil
+		emit(b)
+		return nil
 	}, nil)
 	return lf
 }
