@@ -13,6 +13,7 @@ import (
 
 	"rapidware/internal/adapt"
 	"rapidware/internal/audio"
+	"rapidware/internal/compose"
 	"rapidware/internal/endpoint"
 	"rapidware/internal/engine"
 	"rapidware/internal/experiment"
@@ -1014,7 +1015,7 @@ func BenchmarkLiveRecompose(b *testing.B) {
 				return
 			case <-ticker.C:
 			}
-			if _, err := eng.RecomposeSession(id, "", specs[n%len(specs)]); err != nil {
+			if _, err := eng.EditSession(id, "", compose.Replace(specs[n%len(specs)])); err != nil {
 				b.Errorf("recompose: %v", err)
 				return
 			}

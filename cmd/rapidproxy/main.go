@@ -74,7 +74,7 @@ func run(args []string) error {
 		controlAddr = fs.String("control", "127.0.0.1:7100", "address for the management (control) protocol; it has no authentication, so expose it beyond loopback deliberately")
 		maxSessions = fs.Int("max-sessions", engine.DefaultMaxSessions, "engine mode: maximum concurrent sessions")
 		shards      = fs.Int("shards", 0, "engine mode: data-plane shards (readers/table shards/writers); 0 = one per CPU")
-		reusePort   = fs.Bool("reuseport", false, "engine mode: one SO_REUSEPORT socket per shard (linux, 'reuseport' build tag)")
+		reusePort   = fs.Bool("reuseport", false, "engine mode: one SO_REUSEPORT socket per shard (linux/amd64 and linux/arm64, not with the 'purego' tag)")
 		// -gso still parses so existing command lines (bench/'s fanout-mixed
 		// among them) keep working.
 		_           = fs.Bool("gso", false, "deprecated, no effect: GSO is always attempted")

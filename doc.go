@@ -40,8 +40,9 @@
 // with UDP GSO, always attempted and dropped per socket when the kernel
 // refuses it, without losing the refused batch — with a portable
 // single-datagram fallback elsewhere, holding the data plane under 0.25 syscalls per packet
-// at steady state. Linux builds tagged "reuseport" can bind one SO_REUSEPORT
-// socket per shard so the kernel spreads flows across readers. Engine,
+// at steady state. Where the batched path runs (linux/amd64 and linux/arm64
+// without "purego") the engine can also bind one SO_REUSEPORT socket per
+// shard so the kernel spreads flows across readers. Engine,
 // per-shard and per-session counters — including syscall and batch-fill
 // economics — are exposed through the control protocol. cmd/rapidproxy serves
 // the engine (with -pprof for live profiling and graceful signal-driven

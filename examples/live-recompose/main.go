@@ -11,10 +11,11 @@
 //	rapidctl -session 7 insert delay=2ms 2         # add a stage at position 2
 //	rapidctl -session 7 remove delay               # and take it out again
 //
-// Every rewrite happens while datagrams are in flight; the engine's atomic
-// splice pauses, drains and rewires without dropping a relayed packet, and
-// stages shared between the old and new plan (the counting stage here) keep
-// their instances — watch its byte counter keep climbing across the rewrite.
+// Every rewrite happens while datagrams are in flight; a splice swaps the
+// chain's stage slice under the lock each frame takes, so it lands between
+// two frames without dropping a relayed packet, and stages shared between the
+// old and new plan (the counting stage here) keep their instances — watch its
+// byte counter keep climbing across the rewrite.
 package main
 
 import (

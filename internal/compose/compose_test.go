@@ -100,6 +100,52 @@ func TestParseRejections(t *testing.T) {
 	}
 }
 
+// TestParseChain and TestParseBranch hold the spec cases of the engine's
+// Config.Chain and Config.Branch that the tables above do not already cover.
+func TestParseChain(t *testing.T) {
+	for _, spec := range []string{"counting,checksum", "fec-encode=6/4", "transcode=2", "thin=3", "counting,thin=2,transcode=4"} {
+		if _, err := Parse(spec, ModeChain); err != nil {
+			t.Errorf("Parse(%q, ModeChain) = %v, want nil", spec, err)
+		}
+	}
+	for _, spec := range []string{"thin=-1", "transcode=x"} {
+		if _, err := Parse(spec, ModeChain); err == nil {
+			t.Errorf("Parse(%q, ModeChain) succeeded, want error", spec)
+		}
+	}
+}
+
+func TestParseBranch(t *testing.T) {
+	cases := []struct {
+		spec      string
+		stages    int
+		markerIdx int
+	}{
+		{"", 0, -1},
+		{"thin=2", 1, -1},
+		{"fec-adapt", 1, 0},
+		{"fec-adapt,ratelimit=64000", 2, 0},
+		{"ratelimit=64000,fec-adapt", 2, 1},
+		{"thin=2,fec-adapt,ratelimit=1000", 3, 1},
+	}
+	for _, tc := range cases {
+		plan, err := Parse(tc.spec, ModeBranch)
+		if err != nil {
+			t.Errorf("Parse(%q, ModeBranch) = %v", tc.spec, err)
+			continue
+		}
+		if plan.Len() != tc.stages || plan.Index(KindFECAdapt) != tc.markerIdx {
+			t.Errorf("Parse(%q, ModeBranch) = %d stages, marker %d; want %d, %d",
+				tc.spec, plan.Len(), plan.Index(KindFECAdapt), tc.stages, tc.markerIdx)
+		}
+	}
+	for _, spec := range []string{"bogus", "thin=0"} {
+		if _, err := Parse(spec, ModeBranch); err == nil {
+			t.Errorf("Parse(%q, ModeBranch) succeeded, want error", spec)
+		}
+	}
+}
+
 func TestParseMarkerAllowedOnAdaptiveTrunk(t *testing.T) {
 	mode := ModeChain
 	mode.AllowMarker = true

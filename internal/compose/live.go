@@ -32,11 +32,10 @@ type Interior interface {
 
 // Live binds a running filter chain to its plan and keeps the two consistent
 // under one mutex — the chain's splice lock. Every structural mutation of the
-// chain (a control-plane recompose, a single-stage insert/remove/move, an
-// adaptation responder activating or deactivating its marker instance) is a
-// plan rewrite applied here as one atomic step: instances that survive the
-// rewrite keep their state, and the executor's SetInterior never exposes a
-// half-built chain to traffic.
+// chain (a control-plane Edit, an adaptation responder activating or
+// deactivating its marker instance) is a plan rewrite applied here as one
+// atomic step: instances that survive the rewrite keep their state, and the
+// executor's SetInterior never exposes a half-built chain to traffic.
 //
 // The relay hot path never touches a Live; recomposition cost is paid only on
 // the control path.
@@ -126,16 +125,17 @@ func (l *Live) Registry() *Registry { return l.reg }
 // through the registry, and stages that fall out of the plan are flushed and
 // retired.
 func (l *Live) Recompose(target Plan) error {
-	return l.Edit(func(Plan) (Plan, error) { return target, nil })
+	return l.Edit(func(*Registry, Mode, Plan) (Plan, error) { return target, nil })
 }
 
-// Edit is Recompose with the target derived from the current plan under the
-// same splice lock, so a single-stage insert, remove or move never loses a
-// rewrite that landed between reading the plan and applying the edit.
-func (l *Live) Edit(edit func(cur Plan) (Plan, error)) error {
+// Edit is Recompose with the target derived by e from the current plan —
+// in the chain's own registry and mode — under the same splice lock, so an
+// insert, remove or move never loses a rewrite that landed between reading
+// the plan and applying the edit.
+func (l *Live) Edit(e Edit) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	target, err := edit(l.plan.Clone())
+	target, err := e(l.reg, l.mode, l.plan.Clone())
 	if err != nil {
 		return err
 	}
@@ -202,17 +202,6 @@ func (l *Live) Instance(kind string) filter.Filter {
 		}
 	}
 	return nil
-}
-
-// HasMarker reports whether the plan contains a marker stage of the given
-// kind.
-func (l *Live) HasMarker(kind string) bool {
-	for _, st := range l.snapshot().plan.Stages {
-		if d, ok := l.reg.Lookup(st.Kind); ok && d.Marker && st.Kind == kind {
-			return true
-		}
-	}
-	return false
 }
 
 // StageStats snapshots the per-stage view the control plane reports: one

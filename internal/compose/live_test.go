@@ -218,7 +218,7 @@ func TestLiveMarkerActivateDeactivate(t *testing.T) {
 	if live.Instance(KindFECAdapt) != nil {
 		t.Fatal("marker active before activation")
 	}
-	if !live.HasMarker(KindFECAdapt) {
+	if live.Plan().Index(KindFECAdapt) != 0 {
 		t.Fatal("marker not found")
 	}
 	stats := live.StageStats()

@@ -8,14 +8,13 @@
 // its per-receiver delivery-branch tails and rapidproxy's single-stream mode
 // all build their interiors from plans, and a Live wraps a running chain so
 // the whole composition can be rewritten transactionally while traffic
-// flows: the control plane's recompose and single-stage operations and the
+// flows: the control plane's Edits (replace, insert, remove, move) and the
 // adaptation plane's responder splices are all plan rewrites applied under
 // one splice lock.
 package compose
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -146,19 +145,6 @@ func (p Plan) WithMove(from, to int) (Plan, error) {
 	return q.WithInsert(to, st)
 }
 
-// WithRemoveSelected returns a copy of the plan without the stage sel
-// selects: a plan position ("1") or a stage kind (its first occurrence). It
-// is the control plane's remove operation.
-func (p Plan) WithRemoveSelected(sel string) (Plan, error) {
-	pos, err := strconv.Atoi(sel)
-	if err != nil {
-		if pos = p.Index(sel); pos < 0 {
-			return Plan{}, fmt.Errorf("%w: %q", ErrNoStage, sel)
-		}
-	}
-	return p.WithRemove(pos)
-}
-
 // Mode says which stage classes a plan may legally contain, distinguishing
 // trunk chains from delivery-branch tails (and, for live recomposition,
 // chains whose adaptation plane manages a marker stage).
@@ -188,8 +174,8 @@ func Parse(spec string, mode Mode) (Plan, error) {
 // ParseWith validates a comma-separated spec string ("kind" or "kind=arg"
 // stages) against reg and returns the canonicalized plan. An empty spec
 // yields the empty plan. This is the single parser for every chain spec in
-// the system; engine.ParseChain, engine.ParseBranch and the recompose
-// control operation all delegate here.
+// the system: the engine's Config.Chain and Config.Branch, stream mode's
+// -chain, and the stage specs a live Edit carries all go through it.
 func ParseWith(reg *Registry, spec string, mode Mode) (Plan, error) {
 	var p Plan
 	for _, part := range strings.Split(spec, ",") {

@@ -24,16 +24,16 @@ func TestStreamSession(t *testing.T) {
 	}
 
 	// Misaddressed operations fail without touching the plan.
-	if _, err := s.InsertSessionStage(8, "", "checksum", 0); err == nil || !strings.Contains(err.Error(), "unknown session 8") {
+	if _, err := s.EditSession(8, "", Insert("checksum", 0)); err == nil || !strings.Contains(err.Error(), "unknown session 8") {
 		t.Fatalf("wrong session ID: %v", err)
 	}
-	if _, err := s.RemoveSessionStage(7, "10.0.0.1:9000", "counting"); err == nil || !strings.Contains(err.Error(), "no delivery branches") {
+	if _, err := s.EditSession(7, "10.0.0.1:9000", Remove("counting")); err == nil || !strings.Contains(err.Error(), "no delivery branches") {
 		t.Fatalf("receiver on a stream: %v", err)
 	}
-	if _, err := s.InsertSessionStage(7, "", "checksum,null", 0); err == nil {
+	if _, err := s.EditSession(7, "", Insert("checksum,null", 0)); err == nil {
 		t.Fatal("a two-stage insert was accepted")
 	}
-	if _, err := s.RecomposeSession(7, "", KindFECAdapt); err == nil {
+	if _, err := s.EditSession(7, "", Replace(KindFECAdapt)); err == nil {
 		t.Fatal("a marker was accepted on a stream chain")
 	}
 	if live.String() != "counting" {
@@ -45,13 +45,13 @@ func TestStreamSession(t *testing.T) {
 		op   func() (string, error)
 		want string
 	}{
-		{func() (string, error) { return s.InsertSessionStage(7, "", "checksum", 0) }, "checksum,counting"},
-		{func() (string, error) { return s.InsertSessionStage(7, "", "null", 2) }, "checksum,counting,null"},
-		{func() (string, error) { return s.MoveSessionStage(7, "", 2, 0) }, "null,checksum,counting"},
-		{func() (string, error) { return s.RemoveSessionStage(7, "", "checksum") }, "null,counting"}, // by kind
-		{func() (string, error) { return s.RemoveSessionStage(7, "", "0") }, "counting"},             // by position
-		{func() (string, error) { return s.RecomposeSession(7, "", "checksum,counting,null") }, "checksum,counting,null"},
-		{func() (string, error) { return s.RecomposeSession(7, "", "counting") }, "counting"},
+		{func() (string, error) { return s.EditSession(7, "", Insert("checksum", 0)) }, "checksum,counting"},
+		{func() (string, error) { return s.EditSession(7, "", Insert("null", 2)) }, "checksum,counting,null"},
+		{func() (string, error) { return s.EditSession(7, "", Move(2, 0)) }, "null,checksum,counting"},
+		{func() (string, error) { return s.EditSession(7, "", Remove("checksum")) }, "null,counting"}, // by kind
+		{func() (string, error) { return s.EditSession(7, "", Remove("0")) }, "counting"},             // by position
+		{func() (string, error) { return s.EditSession(7, "", Replace("checksum,counting,null")) }, "checksum,counting,null"},
+		{func() (string, error) { return s.EditSession(7, "", Replace("counting")) }, "counting"},
 	}
 	for i, st := range steps {
 		chain, err := st.op()
@@ -59,7 +59,7 @@ func TestStreamSession(t *testing.T) {
 			t.Fatalf("step %d = %q, %v; want %q", i, chain, err, st.want)
 		}
 	}
-	if _, err := s.RemoveSessionStage(7, "", "null"); err == nil {
+	if _, err := s.EditSession(7, "", Remove("null")); err == nil {
 		t.Fatal("removed a kind the plan does not hold")
 	}
 	if live.Instance("counting") != counting {

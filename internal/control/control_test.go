@@ -278,7 +278,8 @@ func TestSessionsWithoutSource(t *testing.T) {
 	}
 }
 
-// stubComposer records session-scoped composition calls.
+// stubComposer records session-scoped composition calls. It applies each
+// edit to a fixed probe plan and names the edit by the change it made there.
 type stubComposer struct {
 	stubSessions
 	kinds    []string
@@ -290,27 +291,40 @@ type stubComposer struct {
 
 func (s *stubComposer) Kinds() []string { return s.kinds }
 
-func (s *stubComposer) RecomposeSession(id uint32, receiver, target string) (string, error) {
-	s.lastCall, s.lastID, s.lastRx = "recompose:"+target, id, receiver
+func (s *stubComposer) EditSession(id uint32, receiver string, e compose.Edit) (string, error) {
+	s.lastID, s.lastRx = id, receiver
 	if s.failWith != nil {
 		return "", s.failWith
 	}
-	return target, nil
-}
-
-func (s *stubComposer) InsertSessionStage(id uint32, receiver, stage string, pos int) (string, error) {
-	s.lastCall, s.lastID, s.lastRx = fmt.Sprintf("insert:%s@%d", stage, pos), id, receiver
-	return stage, nil
-}
-
-func (s *stubComposer) RemoveSessionStage(id uint32, receiver, sel string) (string, error) {
-	s.lastCall, s.lastID, s.lastRx = "remove:"+sel, id, receiver
-	return "", nil
-}
-
-func (s *stubComposer) MoveSessionStage(id uint32, receiver string, from, to int) (string, error) {
-	s.lastCall, s.lastID, s.lastRx = fmt.Sprintf("move:%d->%d", from, to), id, receiver
-	return "moved", nil
+	probe, err := compose.Parse("null,checksum,counting", compose.ModeChain)
+	if err != nil {
+		return "", err
+	}
+	got, err := e(compose.Default(), compose.ModeChain, probe)
+	if err != nil {
+		return "", err
+	}
+	is := func(want compose.Plan) func(compose.Plan, error) bool {
+		return func(p compose.Plan, err error) bool { return err == nil && p.String() == want.String() }
+	}
+	for i := 0; i <= probe.Len(); i++ {
+		if is(probe)(got.WithRemove(i)) {
+			s.lastCall = fmt.Sprintf("insert:%s@%d", got.Stages[i], i)
+			return got.Stages[i].String(), nil
+		}
+		if is(got)(probe.WithRemove(i)) {
+			s.lastCall = "remove:" + probe.Stages[i].Kind
+			return "", nil
+		}
+		for j := 0; j < probe.Len(); j++ {
+			if i != j && is(got)(compose.Move(i, j)(nil, compose.ModeChain, probe)) {
+				s.lastCall = fmt.Sprintf("move:%d->%d", i, j)
+				return "moved", nil
+			}
+		}
+	}
+	s.lastCall = "recompose:" + got.String()
+	return got.String(), nil
 }
 
 func TestSessionComposeOverTheWire(t *testing.T) {

@@ -6,8 +6,11 @@
 //
 // Every chain the protocol changes is a session: an engine session, or the
 // single stream of rapidproxy's stream mode served as one session through
-// compose.StreamSession. Both implement Composer, and every change is a plan
-// rewrite applied through compose.Live.
+// compose.StreamSession. Both implement Composer. The server turns each
+// change request into one compose.Edit — Replace, Insert, Remove or Move —
+// and hands it to Composer.EditSession, which applies it as a plan rewrite
+// through compose.Live (or, for a fan-out receiver, to that receiver's tail
+// plan).
 //
 // The paper delivered new filters by Java object serialization; Go cannot
 // load code at run time, so the protocol carries stage specs in the compose

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"rapidware/internal/compose"
 	"rapidware/internal/metrics"
 )
 
@@ -30,18 +31,17 @@ type EngineSource interface {
 }
 
 // Composer is implemented by session sources whose live sessions can be
-// recomposed through the control plane (the proxy engine, and
-// compose.StreamSession for stream mode): every method addresses one session
-// — and optionally one delivery branch, by receiver address — and returns
-// the canonical plan string after the rewrite. OpKinds, OpInsert, OpRemove,
-// OpMove and OpRecompose require it.
+// edited through the control plane (the proxy engine, and
+// compose.StreamSession for stream mode). EditSession applies one
+// compose.Edit to one session — and, with a receiver address, to that
+// delivery branch — and returns the canonical plan string after it; the
+// server builds the Edit from the request, so every composer shares one
+// vocabulary of changes. OpKinds, OpInsert, OpRemove, OpMove and OpRecompose
+// require it.
 type Composer interface {
 	SessionSource
 	Kinds() []string
-	RecomposeSession(id uint32, receiver, target string) (string, error)
-	InsertSessionStage(id uint32, receiver, stage string, pos int) (string, error)
-	RemoveSessionStage(id uint32, receiver, sel string) (string, error)
-	MoveSessionStage(id uint32, receiver string, from, to int) (string, error)
+	EditSession(id uint32, receiver string, e compose.Edit) (string, error)
 }
 
 // Server exposes one session source over the control protocol. Each
@@ -183,25 +183,26 @@ func (s *Server) composer() Composer {
 	return c
 }
 
-// handleSessionOp dispatches a composition request to the attached
-// composer. Validate has already checked the request's shape.
+// handleSessionOp turns a composition request into its compose.Edit and
+// applies it through the attached composer. Validate has already checked the
+// request's shape.
 func (s *Server) handleSessionOp(comp Composer, req Request) Response {
-	id64, err := strconv.ParseUint(req.Session, 10, 32)
+	id, err := strconv.ParseUint(req.Session, 10, 32)
 	if err != nil {
 		return Response{Error: fmt.Sprintf("control: session ID %q: %v", req.Session, err)}
 	}
-	id := uint32(id64)
-	var chain string
+	var edit compose.Edit
 	switch req.Op {
 	case OpRecompose:
-		chain, err = comp.RecomposeSession(id, req.Receiver, req.Chain)
+		edit = compose.Replace(req.Chain)
 	case OpInsert:
-		chain, err = comp.InsertSessionStage(id, req.Receiver, req.Stage, req.Position)
+		edit = compose.Insert(req.Stage, req.Position)
 	case OpRemove:
-		chain, err = comp.RemoveSessionStage(id, req.Receiver, req.Stage)
+		edit = compose.Remove(req.Stage)
 	default: // OpMove
-		chain, err = comp.MoveSessionStage(id, req.Receiver, req.Position, req.Target)
+		edit = compose.Move(req.Position, req.Target)
 	}
+	chain, err := comp.EditSession(uint32(id), req.Receiver, edit)
 	if err != nil {
 		return Response{Error: err.Error()}
 	}

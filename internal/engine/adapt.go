@@ -159,24 +159,22 @@ func (l *receiverLoop) apply(loss float64, rttMillis uint32) error {
 // engage nothing until a recompose restores it.
 func (l *receiverLoop) reconcile(d decision) (changed bool, err error) {
 	live := l.cs.live
-	var fresh filter.Filter
-	switch d.mech {
-	case adapt.MechanismNone:
+	if d.mech == adapt.MechanismNone {
 		return live.Deactivate(compose.KindFECAdapt)
-	case adapt.MechanismARQ:
-		if _, ok := live.Instance(compose.KindFECAdapt).(*arq.SenderFilter); ok {
+	}
+	switch cur := live.Instance(compose.KindFECAdapt).(type) {
+	case *arq.SenderFilter:
+		if d.mech == adapt.MechanismARQ {
 			return false, nil
 		}
-		fresh = arq.NewSenderFilter(fmt.Sprintf("arq:%d", l.s.id), 0)
-	case adapt.MechanismFEC:
-		if enc, ok := live.Instance(compose.KindFECAdapt).(*fecproxy.EncoderFilter); ok && enc.Params() == d.params {
+	case *fecproxy.EncoderFilter:
+		if d.mech == adapt.MechanismFEC && cur.Params() == d.params {
 			return false, nil
 		}
-		enc, err := fecproxy.NewEncoderFilter(fmt.Sprintf("fec:%d", l.s.id), d.params, l.s.id, &l.s.groups)
-		if err != nil {
-			return false, err
-		}
-		fresh = enc
+	}
+	fresh, err := l.s.repairStage(d.mech, d.params, "")
+	if err != nil {
+		return false, err
 	}
 	// Swap out whatever holds the marker (the other mechanism's stage, or
 	// another level's encoder) and splice in a fresh one: a stopped stage
@@ -191,6 +189,26 @@ func (l *receiverLoop) reconcile(d decision) (changed bool, err error) {
 		return false, err
 	}
 	return true, nil
+}
+
+// repairStage builds the stage a decision activates at a fec-adapt marker —
+// an FEC encoder at code params or an ARQ history — named "fec:<id><suffix>"
+// or "arq:<id><suffix>"; nil for a clean link. It is the one mapping from a
+// decision to a stage, for a unicast trunk's marker (no suffix) and for a
+// delivery cohort's tail (":c<n>"). Every encoder numbers its FEC groups from
+// the session's counter, so a level change never repeats a group number.
+func (s *Session) repairStage(mech adapt.Mechanism, params fec.Params, suffix string) (filter.Filter, error) {
+	switch mech {
+	case adapt.MechanismFEC:
+		enc, err := fecproxy.NewEncoderFilter(fmt.Sprintf("fec:%d%s", s.id, suffix), params, s.id, &s.groups)
+		if err != nil {
+			return nil, err
+		}
+		return enc, nil
+	case adapt.MechanismARQ:
+		return arq.NewSenderFilter(fmt.Sprintf("arq:%d%s", s.id, suffix), 0), nil
+	}
+	return nil, nil
 }
 
 // record stores an applied decision; retuned counts it as a protection

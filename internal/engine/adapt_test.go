@@ -634,7 +634,7 @@ func TestEngineTrunkReconcileDormantWithoutMarker(t *testing.T) {
 		t.Fatalf("encoder not spliced before the recompose: %+v", st)
 	}
 
-	if _, err := e.RecomposeSession(7, "", "counting"); err != nil {
+	if _, err := e.EditSession(7, "", compose.Replace("counting")); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats().Adapt; st.Active {
@@ -645,7 +645,7 @@ func TestEngineTrunkReconcileDormantWithoutMarker(t *testing.T) {
 		t.Fatalf("dormant loop: %+v on %q, want the 12/4 decision recorded and the plan untouched", st, s.Live().String())
 	}
 
-	if _, err := e.RecomposeSession(7, "", "fec-adapt,counting"); err != nil {
+	if _, err := e.EditSession(7, "", compose.Replace("fec-adapt,counting")); err != nil {
 		t.Fatal(err)
 	}
 	reportLoss(l, 30)

@@ -13,7 +13,6 @@ import (
 	"rapidware/internal/arq"
 	"rapidware/internal/compose"
 	"rapidware/internal/fec"
-	"rapidware/internal/fecproxy"
 	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
 	"rapidware/internal/packet"
@@ -336,21 +335,21 @@ func (t *deliveryTree) assign(m *member, d decision, retune bool) error {
 	}
 }
 
-// rewriteMemberPlan applies a control-plane plan rewrite to one member's tail
-// and reassigns its cohort: per-receiver recompose is a membership move, not
-// chain surgery. op maps the member's current plan to the target plan; the
-// result is validated against the branch dialect. Returns the canonical plan
-// string after the rewrite.
-func (t *deliveryTree) rewriteMemberPlan(ap netip.AddrPort, op func(compose.Plan) (compose.Plan, error)) (string, error) {
+// editMember applies a control-plane edit to one member's tail plan, in the
+// branch dialect, and reassigns its cohort: a per-receiver edit is a
+// membership move, not chain surgery. Returns the canonical plan string after
+// the edit.
+func (t *deliveryTree) editMember(ap netip.AddrPort, edit compose.Edit) (string, error) {
 	t.mu.Lock()
 	m := t.members[ap]
 	if m == nil {
 		t.mu.Unlock()
 		return "", fmt.Errorf("engine: session %d has no branch for receiver %s", t.s.id, ap)
 	}
-	plan, err := op(m.plan)
+	reg := t.s.eng.reg
+	plan, err := edit(reg, compose.ModeBranch, m.plan)
 	if err == nil {
-		err = t.s.eng.reg.Validate(plan, compose.ModeBranch)
+		err = reg.Validate(plan, compose.ModeBranch)
 	}
 	if err == nil {
 		m.plan = plan
@@ -388,22 +387,17 @@ func (t *deliveryTree) newCohort(key string, plan compose.Plan, mech adapt.Mecha
 	if mech == adapt.MechanismNone && e.allMarkers(plan) {
 		return c, nil
 	}
-	serial := t.serial.Add(1)
+	suffix := fmt.Sprintf(":c%d", t.serial.Add(1))
 	c.frames = filter.NewFrameChain(c.send)
-	live, err := compose.Attach(c.frames, e.reg, s.composeEnv(fmt.Sprintf(":c%d", serial)), compose.ModeBranch, plan)
+	live, err := compose.Attach(c.frames, e.reg, s.composeEnv(suffix), compose.ModeBranch, plan)
 	if err != nil {
 		return nil, fmt.Errorf("cohort tail: %w", err)
 	}
 	c.live = live
-	var repair filter.Filter
-	switch mech {
-	case adapt.MechanismFEC:
-		if repair, err = fecproxy.NewEncoderFilter(fmt.Sprintf("fec:%d:c%d", s.id, serial), params, s.id, &s.groups); err != nil {
-			c.drain(true)
-			return nil, fmt.Errorf("cohort fec: %w", err)
-		}
-	case adapt.MechanismARQ:
-		repair = arq.NewSenderFilter(fmt.Sprintf("arq:%d:c%d", s.id, serial), 0)
+	repair, err := s.repairStage(mech, params, suffix)
+	if err != nil {
+		c.drain(true)
+		return nil, fmt.Errorf("cohort fec: %w", err)
 	}
 	if repair != nil {
 		if err := live.Activate(compose.KindFECAdapt, repair); err != nil {

@@ -28,8 +28,8 @@
 // Chains are built on the composition plane (internal/compose): the trunk
 // and branch specs parse to plan IRs instantiated through the shared stage
 // registry, every session binds its chain to a compose.Live, and the
-// control plane can atomically recompose any live session's chain — full
-// target-spec rewrites (RecomposeSession) or single-stage surgery — while
+// control plane can atomically edit any live session's chain — one
+// compose.Edit (replace, insert, remove or move) through EditSession — while
 // it carries traffic, serialized with the trunk's adaptation loop on the same
 // splice lock.
 //
@@ -47,9 +47,8 @@
 // batch down the plain path in the same call, losing nothing. Every other
 // platform — or any build with the "purego" tag — transparently falls back
 // to one datagram per syscall behind the same interface. The portable path
-// runs every reader over one net.UDPConn; on Linux, builds tagged
-// "reuseport" can give each shard its own SO_REUSEPORT socket instead
-// (Config.ReusePort). Per-shard RecvCalls, SendCalls, GSODatagrams,
+// runs every reader over one net.UDPConn; where the batched path runs, each
+// shard can have its own SO_REUSEPORT socket instead (Config.ReusePort). Per-shard RecvCalls, SendCalls, GSODatagrams,
 // SentDatagrams and SendEntries counters expose the achieved syscall and
 // kernel-traversal amortization (see metrics.EngineStats).
 //
@@ -170,12 +169,13 @@ type Config struct {
 	Shards int
 	// ReusePort gives each shard its own socket bound with SO_REUSEPORT so
 	// the kernel spreads flows across shards instead of serializing receives
-	// on one socket lock. Requires Linux and the "reuseport" build tag; New
-	// fails otherwise.
+	// on one socket lock. Available where the batched socket path is —
+	// linux/amd64 and linux/arm64 builds without the "purego" tag; New fails
+	// elsewhere.
 	ReusePort bool
-	// Chain is the default chain spec instantiated for every new session; see
-	// ParseChain for the syntax. Empty means a pure relay (no interior
-	// filters).
+	// Chain is the default chain spec instantiated for every new session, in
+	// the compose spec language (compose.ParseWith, compose.ModeChain). Empty
+	// means a pure relay (no interior filters).
 	Chain string
 	// Forward, when non-empty, is the downstream UDP address all relayed
 	// datagrams are sent to. When empty the engine echoes each session's
@@ -192,8 +192,8 @@ type Config struct {
 	// FanoutGroup.
 	Fanout []string
 	// Branch is the per-receiver filter-tail spec of a fan-out session's
-	// delivery tree; see ParseBranch for the syntax (chain stages plus the
-	// branch-only "fec-adapt"). The shared trunk chain's output runs through
+	// delivery tree, in the compose spec language's branch dialect
+	// (compose.ModeBranch: chain stages plus the branch-only "fec-adapt"). The shared trunk chain's output runs through
 	// one short tail per distinct plan and protection level, so each station
 	// can get FEC strength and media fidelity matched to its own channel;
 	// with no Branch spec and no adaptation every member shares the bypass
@@ -306,7 +306,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	cfg.Shards = resolveShards(cfg.Shards)
 	if cfg.ReusePort && !reusePortAvailable {
-		return nil, errors.New("engine: ReusePort requires linux and the 'reuseport' build tag")
+		return nil, errors.New("engine: ReusePort requires linux/amd64 or linux/arm64 without the 'purego' tag")
 	}
 	reg := compose.Default()
 	trunkPlan, err := compose.ParseWith(reg, cfg.Chain, compose.ModeChain)
@@ -368,12 +368,13 @@ func New(cfg Config) (*Engine, error) {
 	// explicit marker get one injected right after the chain source, the
 	// historical default splice position.
 	if e.adaptOn {
+		marker := []compose.Stage{{Kind: compose.KindFECAdapt}}
 		if e.group != nil {
 			if !e.branchPlan.Has(compose.KindFECAdapt) {
-				e.branchPlan, _ = e.branchPlan.WithInsert(0, compose.Stage{Kind: compose.KindFECAdapt})
+				e.branchPlan.Stages = append(marker, e.branchPlan.Stages...)
 			}
 		} else {
-			e.trunkPlan, _ = e.trunkPlan.WithInsert(0, compose.Stage{Kind: compose.KindFECAdapt})
+			e.trunkPlan.Stages = append(marker, e.trunkPlan.Stages...)
 		}
 	}
 	return e, nil

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rapidware/internal/compose"
 	"rapidware/internal/filter"
 	"rapidware/internal/packet"
 	"rapidware/internal/race"
@@ -136,10 +137,10 @@ func TestFrameSessionFootprint(t *testing.T) {
 			return err
 		}},
 		{"recompose", func() error {
-			if _, err := e.RecomposeSession(1, "", "counting,fec-encode=6/4"); err != nil {
+			if _, err := e.EditSession(1, "", compose.Replace("counting,fec-encode=6/4")); err != nil {
 				return err
 			}
-			_, err := e.RecomposeSession(1, "", "fec-decode,fec-encode=6/4")
+			_, err := e.EditSession(1, "", compose.Replace("fec-decode,fec-encode=6/4"))
 			return err
 		}},
 	} {
@@ -172,7 +173,7 @@ func TestFrameSessionOwnsNoChain(t *testing.T) {
 	}
 	cs := s.state()
 	for _, plan := range []string{"counting,delay=1ms", "jitter=5,counting,ratelimit=1000", "counting"} {
-		if _, err := e.RecomposeSession(1, "", plan); err != nil {
+		if _, err := e.EditSession(1, "", compose.Replace(plan)); err != nil {
 			t.Fatal(err)
 		}
 		if s.state() != cs || s.state().live.String() != plan {
@@ -293,7 +294,7 @@ func TestEngineRecomposeAcrossExecutorBoundary(t *testing.T) {
 		if seq%(total/uint64(len(plans)+1)) == 0 && len(plans) > 0 {
 			plan := plans[0]
 			plans = plans[1:]
-			if got, err := e.RecomposeSession(id, "", plan); err != nil || got != plan {
+			if got, err := e.EditSession(id, "", compose.Replace(plan)); err != nil || got != plan {
 				t.Fatalf("recompose to %q = %q, %v", plan, got, err)
 			}
 			if s.Live().Instance("counting") != counting {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rapidware/internal/compose"
 	"rapidware/internal/packet"
 	"rapidware/internal/race"
 )
@@ -278,8 +279,8 @@ func TestParkRetainsRecomposedPlan(t *testing.T) {
 
 	sendPacket(t, c, id, &packet.Packet{Seq: 1, Kind: packet.KindData, Payload: []byte("open")})
 	readPacket(t, c, 2*time.Second)
-	if got, err := e.RecomposeSession(id, "", "counting"); err != nil || got != "counting" {
-		t.Fatalf("RecomposeSession = %q, %v", got, err)
+	if got, err := e.EditSession(id, "", compose.Replace("counting")); err != nil || got != "counting" {
+		t.Fatalf("EditSession(Replace) = %q, %v", got, err)
 	}
 	if err := e.ParkSession(id); err != nil {
 		t.Fatalf("ParkSession: %v", err)
@@ -310,8 +311,8 @@ func TestParkRetainsRecomposedPlan(t *testing.T) {
 	if err := e.ParkSession(id); err != nil {
 		t.Fatalf("ParkSession: %v", err)
 	}
-	if got, err := e.RecomposeSession(id, "", ""); err != nil || got != "" {
-		t.Fatalf("RecomposeSession on parked session = %q, %v", got, err)
+	if got, err := e.EditSession(id, "", compose.Replace("")); err != nil || got != "" {
+		t.Fatalf("EditSession(Replace) on parked session = %q, %v", got, err)
 	}
 	if s.Parked() {
 		t.Fatal("control operation left the session parked")
@@ -412,7 +413,7 @@ func TestParkVsRecomposeRace(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := e.RecomposeSession(id, "", specs[i%len(specs)]); err == nil {
+			if _, err := e.EditSession(id, "", compose.Replace(specs[i%len(specs)])); err == nil {
 				recomposed.Add(1)
 			}
 			// Yield like the parker does, so the recomposer cannot starve
@@ -447,8 +448,8 @@ func TestParkVsRecomposeRace(t *testing.T) {
 		t.Fatal("no recompose ever succeeded during the race")
 	}
 	// The session must still compose and still relay.
-	if _, err := e.RecomposeSession(id, "", "counting"); err != nil {
-		t.Fatalf("RecomposeSession after race: %v", err)
+	if _, err := e.EditSession(id, "", compose.Replace("counting")); err != nil {
+		t.Fatalf("EditSession(Replace) after race: %v", err)
 	}
 	for attempt := 0; ; attempt++ {
 		if attempt >= 10 {

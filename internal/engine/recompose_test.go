@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"rapidware/internal/compose"
 	"rapidware/internal/fec"
 	"rapidware/internal/metrics"
 	"rapidware/internal/packet"
@@ -33,9 +34,9 @@ func TestEngineRecomposeSession(t *testing.T) {
 
 	// Full rewrite: the counting instance survives (same kind+arg), a
 	// checksum stage joins.
-	chain, err := e.RecomposeSession(7, "", "checksum,counting")
+	chain, err := e.EditSession(7, "", compose.Replace("checksum,counting"))
 	if err != nil {
-		t.Fatalf("RecomposeSession: %v", err)
+		t.Fatalf("EditSession(Replace): %v", err)
 	}
 	if chain != "checksum,counting" {
 		t.Fatalf("chain after recompose = %q", chain)
@@ -52,33 +53,33 @@ func TestEngineRecomposeSession(t *testing.T) {
 	}
 
 	// Single-stage operations address plan positions.
-	if chain, err = e.InsertSessionStage(7, "", "delay=1ms", 1); err != nil || chain != "checksum,delay=1ms,counting" {
-		t.Fatalf("InsertSessionStage = %q, %v", chain, err)
+	if chain, err = e.EditSession(7, "", compose.Insert("delay=1ms", 1)); err != nil || chain != "checksum,delay=1ms,counting" {
+		t.Fatalf("EditSession(Insert) = %q, %v", chain, err)
 	}
-	if chain, err = e.MoveSessionStage(7, "", 1, 0); err != nil || chain != "delay=1ms,checksum,counting" {
-		t.Fatalf("MoveSessionStage = %q, %v", chain, err)
+	if chain, err = e.EditSession(7, "", compose.Move(1, 0)); err != nil || chain != "delay=1ms,checksum,counting" {
+		t.Fatalf("EditSession(Move) = %q, %v", chain, err)
 	}
-	if chain, err = e.RemoveSessionStage(7, "", "delay"); err != nil || chain != "checksum,counting" {
-		t.Fatalf("RemoveSessionStage by kind = %q, %v", chain, err)
+	if chain, err = e.EditSession(7, "", compose.Remove("delay")); err != nil || chain != "checksum,counting" {
+		t.Fatalf("EditSession(Remove) by kind = %q, %v", chain, err)
 	}
-	if chain, err = e.RemoveSessionStage(7, "", "0"); err != nil || chain != "counting" {
-		t.Fatalf("RemoveSessionStage by position = %q, %v", chain, err)
+	if chain, err = e.EditSession(7, "", compose.Remove("0")); err != nil || chain != "counting" {
+		t.Fatalf("EditSession(Remove) by position = %q, %v", chain, err)
 	}
 
 	// Errors: unknown session, unknown receiver, invalid stage, bad selector.
-	if _, err := e.RecomposeSession(404, "", ""); err == nil {
+	if _, err := e.EditSession(404, "", compose.Replace("")); err == nil {
 		t.Fatal("recompose of an unknown session succeeded")
 	}
-	if _, err := e.RecomposeSession(7, "127.0.0.1:9", ""); err == nil {
+	if _, err := e.EditSession(7, "127.0.0.1:9", compose.Replace("")); err == nil {
 		t.Fatal("branch recompose on a unicast session succeeded")
 	}
-	if _, err := e.InsertSessionStage(7, "", "bogus", 0); err == nil {
+	if _, err := e.EditSession(7, "", compose.Insert("bogus", 0)); err == nil {
 		t.Fatal("insert of an unknown stage kind succeeded")
 	}
-	if _, err := e.InsertSessionStage(7, "", "counting,checksum", 0); err == nil {
+	if _, err := e.EditSession(7, "", compose.Insert("counting,checksum", 0)); err == nil {
 		t.Fatal("insert of a multi-stage spec succeeded")
 	}
-	if _, err := e.RecomposeSession(7, "", "fec-adapt"); err == nil {
+	if _, err := e.EditSession(7, "", compose.Replace("fec-adapt")); err == nil {
 		t.Fatal("marker accepted on a non-adaptive trunk")
 	}
 }
@@ -89,12 +90,12 @@ func TestEngineRecomposeSession(t *testing.T) {
 func TestEngineRecomposeRejectsStaticFECBesideMarker(t *testing.T) {
 	e := newTestEngine(t, Config{Adapt: true})
 	openEchoSession(t, e, 3)
-	if _, err := e.RecomposeSession(3, "", "fec-adapt,fec-encode=6/4"); err == nil {
+	if _, err := e.EditSession(3, "", compose.Replace("fec-adapt,fec-encode=6/4")); err == nil {
 		t.Fatal("live recompose accepted fec-encode beside the fec-adapt marker")
 	}
 	// The injected marker is preserved by a legal rewrite, so adaptation
 	// keeps working after operator recompositions.
-	chain, err := e.RecomposeSession(3, "", "fec-adapt,counting")
+	chain, err := e.EditSession(3, "", compose.Replace("fec-adapt,counting"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestEngineRecomposeUnderLoad(t *testing.T) {
 						return
 					default:
 					}
-					if _, err := e.RecomposeSession(id, "", specs[n%len(specs)]); err != nil {
+					if _, err := e.EditSession(id, "", compose.Replace(specs[n%len(specs)])); err != nil {
 						// A session evicted mid-storm is tolerable churn, not a
 						// composition bug; anything else fails the test.
 						if !strings.Contains(err.Error(), "unknown session") {
@@ -200,7 +201,7 @@ func TestEngineRecomposeUnderLoad(t *testing.T) {
 	// deterministic recompose.
 	for i := 0; i < sessions; i++ {
 		id := uint32(i + 1)
-		if chain, err := e.RecomposeSession(id, "", "counting"); err != nil || chain != "counting" {
+		if chain, err := e.EditSession(id, "", compose.Replace("counting")); err != nil || chain != "counting" {
 			t.Fatalf("session %d final recompose = %q, %v", id, chain, err)
 		}
 		sendPacket(t, conns[i], id, &packet.Packet{Seq: 1 << 30, Kind: packet.KindData, Payload: []byte("fin")})
@@ -299,7 +300,7 @@ func TestEngineRecomposeVsResponderRetune(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := e.RecomposeSession(id, receiver, branchSpecs[n%len(branchSpecs)]); err != nil {
+			if _, err := e.EditSession(id, receiver, compose.Replace(branchSpecs[n%len(branchSpecs)])); err != nil {
 				t.Errorf("branch recompose: %v", err)
 				return
 			}
@@ -341,7 +342,7 @@ func TestEngineRecomposeVsResponderRetune(t *testing.T) {
 
 	// Settle on a marker-bearing tail and verify the loop still closes: a
 	// lossy report upgrades the branch, a clean one releases it.
-	if _, err := e.RecomposeSession(id, receiver, "fec-adapt,thin=1"); err != nil {
+	if _, err := e.EditSession(id, receiver, compose.Replace("fec-adapt,thin=1")); err != nil {
 		t.Fatalf("final branch recompose: %v", err)
 	}
 	reportFrom(t, rx, e, id, packet.Report{HighestSeq: 1 << 20, Received: 90, Lost: 10, Window: 100})
@@ -389,7 +390,7 @@ func TestSessionRepairsSurviveRecomposeAndPark(t *testing.T) {
 	repairTwo()
 	check("first decoder", 2)
 	for _, plan := range []string{"counting", "fec-decode"} {
-		if _, err := e.RecomposeSession(3, "", plan); err != nil {
+		if _, err := e.EditSession(3, "", compose.Replace(plan)); err != nil {
 			t.Fatal(err)
 		}
 		check("recomposed to "+plan, 2)

@@ -1,4 +1,4 @@
-//go:build linux && reuseport
+//go:build linux && (amd64 || arm64) && !purego
 
 package engine
 
@@ -9,8 +9,8 @@ import (
 	"syscall"
 )
 
-// reusePortAvailable gates Config.ReusePort: true only on Linux builds
-// tagged "reuseport".
+// reusePortAvailable gates Config.ReusePort: true on the Linux builds that
+// carry netbatch's batched fast path (amd64 and arm64, without "purego").
 const reusePortAvailable = true
 
 // soReusePort is SO_REUSEPORT on Linux; the stdlib syscall package does not

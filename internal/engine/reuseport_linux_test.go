@@ -1,4 +1,4 @@
-//go:build linux && reuseport
+//go:build linux && (amd64 || arm64) && !purego
 
 package engine
 
@@ -67,13 +67,5 @@ func TestEngineReusePortEchoAcrossShards(t *testing.T) {
 	}
 	if n := e.SessionCount(); n != sessions {
 		t.Fatalf("SessionCount = %d, want %d", n, sessions)
-	}
-}
-
-// TestEngineReusePortAvailable pins the build-tag gate from the supported
-// side: New must accept ReusePort here.
-func TestEngineReusePortAvailable(t *testing.T) {
-	if !reusePortAvailable {
-		t.Fatal("reuseport build without reusePortAvailable")
 	}
 }

@@ -1,4 +1,4 @@
-//go:build !linux || !reuseport
+//go:build !linux || purego || !(amd64 || arm64)
 
 package engine
 
@@ -14,5 +14,5 @@ const reusePortAvailable = false
 // listenReusePort is unreachable in this build (New fails first); it exists
 // so the portable compilation stays closed.
 func listenReusePort(string) (*net.UDPConn, error) {
-	return nil, errors.New("engine: SO_REUSEPORT support requires linux and the 'reuseport' build tag")
+	return nil, errors.New("engine: SO_REUSEPORT support requires linux/amd64 or linux/arm64 without the 'purego' tag")
 }

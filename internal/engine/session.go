@@ -184,8 +184,8 @@ func (s *Session) ID() uint32 { return s.id }
 func (s *Session) state() *chainState { return s.cs.Load() }
 
 // Live exposes the session's composed trunk so the control plane (and tests)
-// can observe it. nil while parked. Recompose through the engine's session
-// operations (RecomposeSession and friends), which unpark first.
+// can observe it. nil while parked. Edit it through Engine.EditSession,
+// which unparks first.
 func (s *Session) Live() *compose.Live {
 	if cs := s.cs.Load(); cs != nil {
 		return cs.live

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rapidware/internal/compose"
 	"rapidware/internal/packet"
 )
 
@@ -382,10 +383,10 @@ func testLiveFilterSpliceUnderTraffic(t *testing.T, chain string) {
 	want := e.Session(id).Live().String()
 	const splices = 50
 	for i := 0; i < splices; i++ {
-		if _, err := e.InsertSessionStage(id, "", "counting", 0); err != nil {
+		if _, err := e.EditSession(id, "", compose.Insert("counting", 0)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
-		if got, err := e.RemoveSessionStage(id, "", "0"); err != nil || got != want {
+		if got, err := e.EditSession(id, "", compose.Remove("0")); err != nil || got != want {
 			t.Fatalf("remove %d = %q, %v; want %q", i, got, err, want)
 		}
 	}

@@ -1,6 +1,6 @@
 // Package metrics provides the measurement primitives used across the
-// RAPIDware reproduction: counters, sliding-window rates, latency histograms,
-// and the packet trace recorder that regenerates the paper's Figure 7 series
+// RAPIDware reproduction: sliding-window rates, latency histograms, and the
+// packet trace recorder that regenerates the paper's Figure 7 series
 // (percentage of packets received vs. reconstructed by sequence number).
 package metrics
 
@@ -11,63 +11,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Counter is a monotonically increasing counter safe for concurrent use.
-type Counter struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds delta to the counter.
-func (c *Counter) Add(delta uint64) {
-	c.mu.Lock()
-	c.n += delta
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// Ratio is a success/total ratio tracker (e.g. packets received / sent).
-type Ratio struct {
-	mu      sync.Mutex
-	success uint64
-	total   uint64
-}
-
-// Observe records one trial with the given outcome.
-func (r *Ratio) Observe(ok bool) {
-	r.mu.Lock()
-	r.total++
-	if ok {
-		r.success++
-	}
-	r.mu.Unlock()
-}
-
-// Value returns the ratio in [0,1]; it returns 1 when nothing was observed.
-func (r *Ratio) Value() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total == 0 {
-		return 1
-	}
-	return float64(r.success) / float64(r.total)
-}
-
-// Counts returns the raw success and total counts.
-func (r *Ratio) Counts() (success, total uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.success, r.total
-}
 
 // SlidingRate tracks the fraction of successful outcomes over the most recent
 // window observations. It is the primitive the loss-rate observer raplet uses

@@ -1,60 +1,10 @@
 package metrics
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 )
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatalf("zero value = %d", c.Value())
-	}
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("Value = %d, want 5", c.Value())
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 10_000 {
-		t.Fatalf("Value = %d, want 10000", c.Value())
-	}
-}
-
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Value() != 1 {
-		t.Fatalf("empty ratio = %v, want 1", r.Value())
-	}
-	for i := 0; i < 98; i++ {
-		r.Observe(true)
-	}
-	r.Observe(false)
-	r.Observe(false)
-	if got := r.Value(); got != 0.98 {
-		t.Fatalf("Value = %v, want 0.98", got)
-	}
-	s, total := r.Counts()
-	if s != 98 || total != 100 {
-		t.Fatalf("Counts = %d/%d", s, total)
-	}
-}
 
 func TestSlidingRateWindowEviction(t *testing.T) {
 	s := NewSlidingRate(4)

@@ -1,14 +1,13 @@
 // Package multicast provides the application-level multicast substrate the
 // Pavilion framework uses to deliver URL requests and content to every
 // participant in a collaborative session, and which the FEC proxy uses to
-// reach multiple wireless receivers. Groups deliver framed packets to members
-// over in-memory buffers or UDP sockets.
+// reach multiple wireless receivers. Groups deliver packets to in-memory
+// members; the engine's fan-out reaches UDP receivers through an AddrGroup.
 package multicast
 
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 
 	"rapidware/internal/packet"
@@ -71,98 +70,6 @@ func (m *BufferMember) Receive() (*packet.Packet, error) {
 
 // Pending returns the number of packets waiting to be received.
 func (m *BufferMember) Pending() int { return m.buf.Len() }
-
-// UDPMember forwards deliveries to a UDP address, one framed packet per
-// datagram, which is how Pavilion reaches participants on other hosts.
-type UDPMember struct {
-	name string
-	conn *net.UDPConn
-}
-
-// NewUDPMember returns a member that sends to addr (e.g. "127.0.0.1:9000").
-func NewUDPMember(name, addr string) (*UDPMember, error) {
-	udpAddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("multicast: resolve %s: %w", addr, err)
-	}
-	conn, err := net.DialUDP("udp", nil, udpAddr)
-	if err != nil {
-		return nil, fmt.Errorf("multicast: dial %s: %w", addr, err)
-	}
-	return &UDPMember{name: name, conn: conn}, nil
-}
-
-// Name implements Member.
-func (m *UDPMember) Name() string { return m.name }
-
-// Deliver implements Member.
-func (m *UDPMember) Deliver(p *packet.Packet) error {
-	buf, err := packet.Marshal(p)
-	if err != nil {
-		return err
-	}
-	_, err = m.conn.Write(buf)
-	return err
-}
-
-// Close implements Member.
-func (m *UDPMember) Close() error { return m.conn.Close() }
-
-// UDPListener receives framed packets sent by UDPMembers and exposes them as
-// a packet buffer, the receiving half of a cross-host group.
-type UDPListener struct {
-	conn *net.UDPConn
-	buf  *packet.Buffer
-	done chan struct{}
-}
-
-// ListenUDP starts a listener on addr (":0" picks a free port) and returns it
-// along with the bound address.
-func ListenUDP(addr string, queueSize int) (*UDPListener, string, error) {
-	udpAddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("multicast: resolve %s: %w", addr, err)
-	}
-	conn, err := net.ListenUDP("udp", udpAddr)
-	if err != nil {
-		return nil, "", fmt.Errorf("multicast: listen %s: %w", addr, err)
-	}
-	if queueSize <= 0 {
-		queueSize = 256
-	}
-	l := &UDPListener{conn: conn, buf: packet.NewBuffer(queueSize), done: make(chan struct{})}
-	go l.readLoop()
-	return l, conn.LocalAddr().String(), nil
-}
-
-func (l *UDPListener) readLoop() {
-	defer close(l.done)
-	buf := make([]byte, 64*1024)
-	for {
-		n, _, err := l.conn.ReadFromUDP(buf)
-		if err != nil {
-			l.buf.Close()
-			return
-		}
-		p, _, err := packet.Unmarshal(buf[:n])
-		if err != nil {
-			continue // drop malformed datagrams
-		}
-		// Drop when the consumer is slow, as UDP would.
-		_ = l.buf.TryPut(p)
-	}
-}
-
-// Receive returns the next packet, blocking until one arrives or the listener
-// is closed.
-func (l *UDPListener) Receive() (*packet.Packet, error) { return l.buf.Get() }
-
-// Close stops the listener.
-func (l *UDPListener) Close() error {
-	err := l.conn.Close()
-	<-l.done
-	return err
-}
 
 // Group is a named multicast group. Send delivers a packet to every joined
 // member; members with failing deliveries are counted but do not abort the

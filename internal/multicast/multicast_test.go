@@ -3,7 +3,6 @@ package multicast
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"rapidware/internal/packet"
 )
@@ -135,86 +134,5 @@ func TestBufferMemberDeliverCopies(t *testing.T) {
 	got, _ := m.Receive()
 	if got.Payload[0] == 'X' {
 		t.Fatal("delivered packet aliases the sender's buffer")
-	}
-}
-
-func TestUDPMemberAndListener(t *testing.T) {
-	listener, addr, err := ListenUDP("127.0.0.1:0", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer listener.Close()
-
-	member, err := NewUDPMember("remote", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer member.Close()
-	if member.Name() != "remote" {
-		t.Fatalf("Name = %q", member.Name())
-	}
-
-	g := NewGroup("over-udp")
-	if err := g.Join(member); err != nil {
-		t.Fatal(err)
-	}
-	want := "collaborative content"
-	if _, err := g.Send(dataPacket(want)); err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan *packet.Packet, 1)
-	go func() {
-		p, err := listener.Receive()
-		if err != nil {
-			t.Errorf("receive: %v", err)
-			return
-		}
-		done <- p
-	}()
-	select {
-	case p := <-done:
-		if string(p.Payload) != want {
-			t.Fatalf("payload = %q, want %q", p.Payload, want)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("UDP packet never arrived")
-	}
-}
-
-func TestUDPListenerIgnoresGarbage(t *testing.T) {
-	listener, addr, err := ListenUDP("127.0.0.1:0", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer listener.Close()
-	member, err := NewUDPMember("m", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer member.Close()
-	// Send garbage directly, then a valid packet; only the valid one surfaces.
-	if _, err := member.conn.Write([]byte("not a packet")); err != nil {
-		t.Fatal(err)
-	}
-	member.Deliver(dataPacket("valid"))
-	p, err := listener.Receive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(p.Payload) != "valid" {
-		t.Fatalf("payload = %q", p.Payload)
-	}
-}
-
-func TestNewUDPMemberBadAddress(t *testing.T) {
-	if _, err := NewUDPMember("x", "not-an-address"); err == nil {
-		t.Fatal("expected error for bad address")
-	}
-}
-
-func TestListenUDPBadAddress(t *testing.T) {
-	if _, _, err := ListenUDP("999.999.999.999:1", 8); err == nil {
-		t.Fatal("expected error for bad address")
 	}
 }

@@ -83,7 +83,7 @@ func (r *ThresholdResponder) Handle(e Event) error {
 	}
 	switch {
 	case trigger && !r.inserted:
-		if err := r.live.Edit(func(cur compose.Plan) (compose.Plan, error) {
+		if err := r.live.Edit(func(_ *compose.Registry, _ compose.Mode, cur compose.Plan) (compose.Plan, error) {
 			return cur.WithInsert(r.position, r.stage)
 		}); err != nil {
 			return fmt.Errorf("raplet: insert %s: %w", r.stage, err)
@@ -91,7 +91,7 @@ func (r *ThresholdResponder) Handle(e Event) error {
 		r.inserted = true
 		r.insertions++
 	case !trigger && r.inserted:
-		if err := r.live.Edit(func(cur compose.Plan) (compose.Plan, error) {
+		if err := r.live.Edit(func(_ *compose.Registry, _ compose.Mode, cur compose.Plan) (compose.Plan, error) {
 			if pos := r.find(cur); pos >= 0 {
 				return cur.WithRemove(pos)
 			}
