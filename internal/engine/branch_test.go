@@ -60,9 +60,28 @@ func reportFrom(t *testing.T, rx *net.UDPConn, e *Engine, id uint32, rep packet.
 // the named receiver.
 func receiverStat(t *testing.T, e *Engine, id uint32, receiver, what string, cond func(metrics.ReceiverStats) bool) metrics.ReceiverStats {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
+	return pollReceiver(t, e, id, receiver, what, 2*time.Second, nil, cond)
+}
+
+// reportUntil re-sends rep from rx on every poll until cond holds for the
+// named receiver, so a report lost to a full socket buffer is sent again
+// instead of waited for. A decision depends on the report alone, so repeats
+// change nothing once one has landed.
+func reportUntil(t *testing.T, rx *net.UDPConn, e *Engine, id uint32, rep packet.Report, receiver, what string, cond func(metrics.ReceiverStats) bool) {
+	t.Helper()
+	pollReceiver(t, e, id, receiver, what, 10*time.Second, func() { reportFrom(t, rx, e, id, rep) }, cond)
+}
+
+// pollReceiver calls each (when non-nil) and then reads the named receiver's
+// stats, every few milliseconds for up to window, until cond holds.
+func pollReceiver(t *testing.T, e *Engine, id uint32, receiver, what string, window time.Duration, each func(), cond func(metrics.ReceiverStats) bool) metrics.ReceiverStats {
+	t.Helper()
+	deadline := time.Now().Add(window)
 	var last metrics.ReceiverStats
 	for time.Now().Before(deadline) {
+		if each != nil {
+			each()
+		}
 		if s := e.Session(id); s != nil {
 			for _, rs := range s.Stats().Receivers {
 				if rs.Receiver == receiver {

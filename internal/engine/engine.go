@@ -42,7 +42,13 @@
 // the syscall level where the platform allows: on linux/amd64 and
 // linux/arm64 the shard loops move up to 32 datagrams per recvmmsg/sendmmsg
 // call and fold runs of equal-size datagrams to one destination into single
-// UDP GSO super-datagrams. GSO is always attempted there; a socket whose
+// UDP GSO super-datagrams. Those two calls are raw syscalls that keep the
+// reader's P: each is non-blocking and bounded by one batch, and a reader
+// with nothing to read parks on the netpoller, so waking one costs a netpoll
+// return and no scheduler handoff (see internal/netbatch). A reader that has
+// run 100 µs without parking calls through the scheduler again, so the
+// control plane and timed stages still get its P under sustained load.
+// GSO is always attempted there; a socket whose
 // kernel or route refuses it turns it off for itself and sends the refused
 // batch down the plain path in the same call, losing nothing. Every other
 // platform — or any build with the "purego" tag — transparently falls back

@@ -136,7 +136,10 @@ func TestEngineMultipleSessionsAreIndependent(t *testing.T) {
 }
 
 func TestEngineSessionLimit(t *testing.T) {
-	e := newTestEngine(t, Config{MaxSessions: 2})
+	// One shard, so one reader admits the three sessions in send order: with
+	// two readers on one socket, session 3's first datagram could be
+	// admitted before session 1's or 2's.
+	e := newTestEngine(t, Config{MaxSessions: 2, Shards: 1})
 	c := dialEngine(t, e)
 
 	for id := uint32(1); id <= 3; id++ {

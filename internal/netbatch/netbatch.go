@@ -6,6 +6,17 @@
 // the same interface. The proxy engine's shard loops, the bench/ load
 // generator and the throughput benchmarks all drive their sockets through
 // this package, so client and server side batch alike.
+//
+// The fast path issues recvmmsg and sendmmsg as raw syscalls
+// (syscall.RawSyscall6), bypassing the scheduler's syscall entry and exit,
+// under one rule: a raw call never sleeps and its work is bounded. Every call
+// is MSG_DONTWAIT on a non-blocking socket and moves at most one batch, so it
+// may keep its P; waiting for a socket belongs to the netpoller alone (EAGAIN
+// parks the goroutine through the socket's syscall.RawConn). Waking a reader
+// thus costs one netpoll return, not a sysmon wake plus a P handoff. A conn
+// that has run 100 µs without parking calls through the scheduler again
+// until it next parks, so a saturated loop still lets sysmon hand its P to
+// timers and netpoll-driven goroutines.
 package netbatch
 
 import (

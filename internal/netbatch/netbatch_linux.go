@@ -7,13 +7,16 @@ import (
 	"net/netip"
 	"sync/atomic"
 	"syscall"
+	"time"
 	"unsafe"
 )
 
 // Linux fast path: recvmmsg/sendmmsg move up to BatchSize datagrams per
 // syscall, issued directly on the socket's raw fd through its
 // syscall.RawConn so the runtime's netpoller still parks the goroutine on
-// EAGAIN (the callbacks return false) instead of spinning. Restricted to
+// EAGAIN (the callbacks return false) instead of spinning. While the conn
+// keeps parking, both calls are raw syscalls that keep their P (see
+// mmsgConn). Restricted to
 // amd64/arm64 — both little-endian, which the raw sockaddr port handling
 // below assumes — and disabled by the purego tag so CI can prove the
 // portable path on the same host.
@@ -35,6 +38,14 @@ const (
 	maxGSOBytes = 65000 // stay inside one UDP datagram's payload bound
 )
 
+// rawQuantum is how long a conn may run without parking on the netpoller and
+// still issue its calls raw (see mmsgConn): a few batches, and several of
+// sysmon's fastest 20 µs ticks.
+const rawQuantum = 100 * time.Microsecond
+
+// monoEpoch anchors the conns' park stamps on the monotonic clock.
+var monoEpoch = time.Now()
+
 // mmsghdr is struct mmsghdr on 64-bit Linux: a msghdr plus the kernel's
 // per-message byte count, padded to 8-byte alignment.
 type mmsghdr struct {
@@ -53,6 +64,25 @@ var groCtrlSpace = syscall.CmsgSpace(4)
 // mmsgConn is the recvmmsg/sendmmsg Conn. All syscall scaffolding (headers,
 // iovecs, name and control buffers) is preallocated at BatchSize width — the
 // write iovecs at BatchSize full GSO runs — so steady state does not allocate.
+//
+// Both syscalls are normally raw (syscall.RawSyscall6, not Syscall6), so
+// they skip the scheduler's entersyscall/exitsyscall: no sysmon wake after an
+// idle spell, and no P handed to another thread when a loopback send outlasts
+// sysmon's tick. That is safe because of one rule, which every call here
+// keeps: each call is MSG_DONTWAIT on a non-blocking socket, so it never
+// sleeps in the kernel, and its work is bounded by one batch (at most
+// BatchSize headers and BatchSize*maxGSOSegs iovecs). It may therefore keep
+// its P for its duration; a raw call that slept would hold that P, and any
+// stop-the-world, until it returned. Waiting belongs to the netpoller alone:
+// EAGAIN returns false to the RawConn, which parks the goroutine until the
+// socket is ready. A call that could block must never be issued raw.
+//
+// Raw calls are never scheduling points, so a conn that stops parking (a
+// saturated loop) would keep its P until preempted, and timers and
+// netpoll-driven goroutines waiting for that P would wait up to 10 ms. So a
+// call is raw only while the conn has parked within the last rawQuantum;
+// past that it goes through Syscall6, and sysmon can hand the P to them as
+// it always could.
 type mmsgConn struct {
 	rc syscall.RawConn
 	// v4 marks an AF_INET socket: destination names must then be
@@ -87,7 +117,14 @@ type mmsgConn struct {
 	roperr    error
 	wn, wsent int
 	woperr    error
+	// woke is when the conn last woke from a netpoller park, in ns since
+	// monoEpoch; parkPending while a park is under way, so the first call
+	// after the wake stamps it. Both sides share it.
+	woke atomic.Int64
 }
+
+// parkPending marks mmsgConn.woke while a park is under way.
+const parkPending = -1
 
 // New wraps conn in a batched Conn. The fast path needs the socket's raw fd;
 // if that is unreachable the portable one-datagram path is returned instead.
@@ -130,19 +167,42 @@ func New(conn *net.UDPConn, opts Options) Conn {
 			c.rctrl = make([]byte, BatchSize*groCtrlSpace)
 		}
 	}
+	c.woke.Store(parkPending)
 	c.readFn = c.recvmmsg
 	c.writeFn = c.sendmmsg
 	return c
 }
 
-// recvmmsg is the bound netpoller read callback: one recvmmsg attempt per
-// invocation round, parking on EAGAIN.
+// mmsg issues one non-blocking recvmmsg or sendmmsg over the first n of hdrs:
+// raw while the conn has parked within rawQuantum, through the scheduler
+// otherwise.
+func (c *mmsgConn) mmsg(trap, fd uintptr, hdrs *mmsghdr, n int) (uintptr, syscall.Errno) {
+	if c.raw(int64(time.Since(monoEpoch))) {
+		r1, _, errno := syscall.RawSyscall6(trap, fd, uintptr(unsafe.Pointer(hdrs)), uintptr(n), syscall.MSG_DONTWAIT, 0, 0)
+		return r1, errno
+	}
+	r1, _, errno := syscall.Syscall6(trap, fd, uintptr(unsafe.Pointer(hdrs)), uintptr(n), syscall.MSG_DONTWAIT, 0, 0)
+	return r1, errno
+}
+
+// raw reports whether a call at now (ns since monoEpoch) may be issued raw:
+// the conn woke from a park less than rawQuantum ago. The first call after a
+// park stamps the wake.
+func (c *mmsgConn) raw(now int64) bool {
+	woke := c.woke.Load()
+	if woke == parkPending {
+		c.woke.CompareAndSwap(parkPending, now)
+		return true
+	}
+	return now-woke < int64(rawQuantum)
+}
+
+// recvmmsg is the bound netpoller read callback: one non-blocking recvmmsg
+// attempt per invocation round, parking on EAGAIN.
 func (c *mmsgConn) recvmmsg(fd uintptr) bool {
 	for {
 		count(c.recvCalls)
-		r1, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-			uintptr(unsafe.Pointer(&c.rhdrs[0])), uintptr(c.rn),
-			syscall.MSG_DONTWAIT, 0, 0)
+		r1, errno := c.mmsg(syscall.SYS_RECVMMSG, fd, &c.rhdrs[0], c.rn)
 		switch errno {
 		case 0:
 			c.rgot = int(r1)
@@ -150,6 +210,7 @@ func (c *mmsgConn) recvmmsg(fd uintptr) bool {
 		case syscall.EINTR:
 			continue
 		case syscall.EAGAIN:
+			c.woke.Store(parkPending)
 			return false // park on the netpoller until readable
 		default:
 			c.roperr = errno
@@ -162,9 +223,7 @@ func (c *mmsgConn) recvmmsg(fd uintptr) bool {
 func (c *mmsgConn) sendmmsg(fd uintptr) bool {
 	for {
 		count(c.sendCalls)
-		r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-			uintptr(unsafe.Pointer(&c.whdrs[0])), uintptr(c.wn),
-			syscall.MSG_DONTWAIT, 0, 0)
+		r1, errno := c.mmsg(sysSendmmsg, fd, &c.whdrs[0], c.wn)
 		switch errno {
 		case 0:
 			c.wsent = int(r1)
@@ -172,6 +231,7 @@ func (c *mmsgConn) sendmmsg(fd uintptr) bool {
 		case syscall.EINTR:
 			continue
 		case syscall.EAGAIN:
+			c.woke.Store(parkPending)
 			return false // park on the netpoller until writable
 		default:
 			c.woperr = errno

@@ -60,3 +60,39 @@ func TestGSORejectedFallsBackInSameCall(t *testing.T) {
 		t.Fatalf("Entries = %d after a refusal, want %d (one per plain datagram)", got, 2*count)
 	}
 }
+
+// TestRawOnlyWhileParking pins when a call skips the scheduler: from a park
+// (or the conn's start) until the conn has run rawQuantum without parking
+// again. A saturated loop then calls through the scheduler, so sysmon can
+// hand its P to timers and netpoll-driven goroutines.
+func TestRawOnlyWhileParking(t *testing.T) {
+	_, _, ba, _ := pair(t, Options{})
+	c := ba.(*mmsgConn)
+	q := int64(rawQuantum)
+	start := 10 * q
+	for _, step := range []struct {
+		at   int64
+		want bool
+	}{{start, true}, {start + q - 1, true}, {start + q, false}, {start + 5*q, false}} {
+		if got := c.raw(step.at); got != step.want {
+			t.Fatalf("before any park: raw(start%+d) = %v, want %v", step.at-start, got, step.want)
+		}
+	}
+
+	// An EAGAIN on the empty socket parks the conn; the next call is raw
+	// however long the park lasted, and starts a fresh quantum.
+	c.rn = 1
+	var parked bool
+	if err := c.rc.Control(func(fd uintptr) { parked = !c.recvmmsg(fd) }); err != nil || !parked {
+		t.Fatalf("recvmmsg on an empty socket: parked %v, err %v", parked, err)
+	}
+	woke := start + 100*q
+	for _, step := range []struct {
+		at   int64
+		want bool
+	}{{woke, true}, {woke + q - 1, true}, {woke + q, false}} {
+		if got := c.raw(step.at); got != step.want {
+			t.Fatalf("after a park: raw(wake%+d) = %v, want %v", step.at-woke, got, step.want)
+		}
+	}
+}

@@ -2,9 +2,11 @@ package netbatch
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -277,4 +279,118 @@ func TestGROCoalescedReceive(t *testing.T) {
 		}
 	}
 	t.Logf("received %d datagrams, coalesced delivery observed: %v", count, coalesced)
+}
+
+// The parking contract: a ReadBatch with nothing to read waits on the
+// netpoller, never in a syscall or a retry loop. The fast path relies on it
+// to issue its syscalls raw (see mmsgConn), so these tests run with a single
+// P, where a read that spun or slept in the kernel would stall every other
+// goroutine.
+
+// oneP runs the rest of the test with GOMAXPROCS(1).
+func oneP(t *testing.T) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+type readResult struct {
+	m   Msg
+	n   int
+	err error
+}
+
+// parkedRead starts a one-slot ReadBatch on bc in its own goroutine and
+// returns once it has issued its first receive call; the result arrives on
+// the returned channel.
+func parkedRead(t *testing.T, bc Conn, recvCalls *atomic.Uint64) <-chan readResult {
+	t.Helper()
+	done := make(chan readResult, 1)
+	go func() {
+		ms := []Msg{{Buf: make([]byte, 2048)}}
+		n, err := bc.ReadBatch(ms)
+		done <- readResult{ms[0], n, err}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for recvCalls.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("ReadBatch never issued a receive call")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return done
+}
+
+func TestParkedReadBatchStaysIdle(t *testing.T) {
+	oneP(t)
+	var recvCalls atomic.Uint64
+	b := listen(t, "127.0.0.1:0")
+	done := parkedRead(t, New(b, Options{RecvCalls: &recvCalls}), &recvCalls)
+
+	var progress atomic.Uint64
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			progress.Add(1)
+			runtime.Gosched()
+		}
+	}()
+
+	calls, before := recvCalls.Load(), progress.Load()
+	time.Sleep(100 * time.Millisecond)
+	if got := recvCalls.Load(); got != calls {
+		t.Fatalf("idle ReadBatch issued %d more receive calls in 100 ms: it is polling, not parked", got-calls)
+	}
+	if progress.Load() == before {
+		t.Fatal("a sibling goroutine made no progress while ReadBatch waited on one P")
+	}
+	select {
+	case r := <-done:
+		t.Fatalf("ReadBatch returned (%d, %v) on an empty socket", r.n, r.err)
+	default:
+	}
+}
+
+func TestParkedReadBatchWakesOnDatagram(t *testing.T) {
+	oneP(t)
+	var recvCalls atomic.Uint64
+	a, b := listen(t, "127.0.0.1:0"), listen(t, "127.0.0.1:0")
+	done := parkedRead(t, New(b, Options{RecvCalls: &recvCalls}), &recvCalls)
+
+	time.Sleep(50 * time.Millisecond)
+	if _, err := a.WriteToUDPAddrPort([]byte("wake"), b.LocalAddr().(*net.UDPAddr).AddrPort()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-done:
+		if r.err != nil || r.n != 1 || string(r.m.Buf[:r.m.N]) != "wake" {
+			t.Fatalf("ReadBatch = (%d, %v) with %q, want (1, nil) with \"wake\"", r.n, r.err, r.m.Buf[:r.m.N])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a datagram did not wake the parked ReadBatch")
+	}
+}
+
+func TestParkedReadBatchReturnsErrClosed(t *testing.T) {
+	oneP(t)
+	var recvCalls atomic.Uint64
+	b := listen(t, "127.0.0.1:0")
+	done := parkedRead(t, New(b, Options{RecvCalls: &recvCalls}), &recvCalls)
+
+	time.Sleep(20 * time.Millisecond)
+	go b.Close()
+	select {
+	case r := <-done:
+		if !errors.Is(r.err, net.ErrClosed) {
+			t.Fatalf("ReadBatch after Close = (%d, %v), want net.ErrClosed", r.n, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not unpark the ReadBatch")
+	}
 }
