@@ -2,7 +2,7 @@
 // plus the proxy engine serving the session's media stream to heterogeneous
 // receivers. An instructor leads a collaborative browsing session; URL loads
 // are fetched through a caching proxy (so repeated visits are served from the
-// cache, as for memory-limited handhelds) and multicast to every participant.
+// cache, as for memory-limited handhelds) and recorded at every participant.
 // Floor control passes leadership between participants. The second half
 // streams session audio through a proxy engine whose delivery tree gives each
 // participant's wireless channel its own branch: a laptop near the access
@@ -31,7 +31,7 @@ func main() {
 	lateJoinReplay()
 }
 
-// collaborativeBrowsing runs the Pavilion part: cached URL loads multicast to
+// collaborativeBrowsing runs the Pavilion part: cached URL loads observed by
 // every participant, with floor control.
 func collaborativeBrowsing() {
 	// A synthetic "web" stands in for the wired network content.
@@ -50,7 +50,6 @@ func collaborativeBrowsing() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sess.Close()
 
 	// Participants join: the instructor first (and so holds the floor).
 	if _, err := sess.Join("instructor"); err != nil {

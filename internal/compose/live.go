@@ -15,9 +15,6 @@ var (
 	// ErrNoStage is returned when an operation names a stage (or marker) the
 	// plan does not contain.
 	ErrNoStage = errors.New("compose: no such stage in the plan")
-	// ErrMarkerActive is returned by Activate when the marker already has an
-	// instance.
-	ErrMarkerActive = errors.New("compose: marker stage already active")
 )
 
 // Interior is the executor beneath a Live: whatever runs the plan's stage
@@ -32,10 +29,10 @@ type Interior interface {
 
 // Live binds a running filter chain to its plan and keeps the two consistent
 // under one mutex — the chain's splice lock. Every structural mutation of the
-// chain (a control-plane Edit, an adaptation responder activating or
-// deactivating its marker instance) is a plan rewrite applied here as one
-// atomic step: instances that survive the rewrite keep their state, and the
-// executor's SetInterior never exposes a half-built chain to traffic.
+// chain (a control-plane Edit, an adaptation responder changing its marker's
+// occupant) is a plan rewrite applied here as one atomic step: instances
+// that survive the rewrite keep their state, and the executor's SetInterior
+// never exposes a half-built chain to traffic.
 //
 // The relay hot path never touches a Live; recomposition cost is paid only on
 // the control path.
@@ -142,45 +139,33 @@ func (l *Live) Edit(e Edit) error {
 	return l.recomposeLocked(target)
 }
 
-// Activate splices f in as the instance of the plan's marker stage with the
-// given kind — the adaptation responder's way of expressing "protection on"
-// as a plan operation. It fails with ErrNoStage when the plan carries no such
-// marker (an operator recomposed it away) and ErrMarkerActive when an
-// instance is already live. The instance counts its drops into the Live's
+// Occupy makes f the instance of the plan's marker stage with the given kind
+// — nil vacates it — in one splice, and reports whether the occupant changed:
+// the adaptation responder's way of expressing "protection on", "off" or "at
+// another level" as a plan operation. The executor's one SetInterior flushes
+// and retires the departing occupant and wires in f between the same two
+// frames, so no frame passes the marker with neither. A missing marker (an
+// operator recomposed it away) fails with ErrNoStage, unless f is nil: there
+// is nothing to vacate. The instance counts its drops into the Live's
 // Env.Counters, as built stages do.
-func (l *Live) Activate(kind string, f filter.Filter) error {
+func (l *Live) Occupy(kind string, f filter.Filter) (bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	idx := l.markerIndexLocked(kind)
 	if idx < 0 {
-		return fmt.Errorf("%w: marker %q", ErrNoStage, kind)
-	}
-	if l.inst[idx] != nil {
-		return fmt.Errorf("%w: %q", ErrMarkerActive, kind)
-	}
-	l.env.countDrops(f)
-	l.inst[idx] = f
-	if err := l.applyLocked(); err != nil {
-		l.inst[idx] = nil
-		return err
-	}
-	l.publishLocked()
-	return nil
-}
-
-// Deactivate removes the marker stage's live instance (retiring it), leaving
-// the marker in the plan for a later Activate. It reports whether an
-// instance was actually removed; a plan without the marker is not an error —
-// there is nothing to deactivate.
-func (l *Live) Deactivate(kind string) (bool, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	idx := l.markerIndexLocked(kind)
-	if idx < 0 || l.inst[idx] == nil {
-		return false, nil
+		if f == nil {
+			return false, nil
+		}
+		return false, fmt.Errorf("%w: marker %q", ErrNoStage, kind)
 	}
 	prev := l.inst[idx]
-	l.inst[idx] = nil
+	if prev == f {
+		return false, nil
+	}
+	if f != nil {
+		l.env.countDrops(f)
+	}
+	l.inst[idx] = f
 	if err := l.applyLocked(); err != nil {
 		l.inst[idx] = prev
 		return false, err
@@ -191,9 +176,10 @@ func (l *Live) Deactivate(kind string) (bool, error) {
 
 // Instance returns the live filter instance of the first stage with the
 // given kind (markers included), or nil when the plan has no such stage or
-// the marker is inactive. Served from the published snapshot: a caller that
-// needs the authoritative state (the responder deciding to activate) relies
-// on the mutation itself re-checking under the splice lock.
+// the marker is vacant. Served from the published snapshot: a caller that
+// needs the authoritative state (the responder deciding what to occupy the
+// marker with) relies on the mutation itself re-checking under the splice
+// lock.
 func (l *Live) Instance(kind string) filter.Filter {
 	v := l.snapshot()
 	for i, st := range v.plan.Stages {

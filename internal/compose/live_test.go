@@ -216,7 +216,7 @@ func TestLiveMarkerActivateDeactivate(t *testing.T) {
 	payload := bytes.Repeat([]byte("m"), 1<<16)
 	live, dst := newLiveChain(t, payload, ModeBranch, "fec-adapt,counting")
 	if live.Instance(KindFECAdapt) != nil {
-		t.Fatal("marker active before activation")
+		t.Fatal("marker occupied before activation")
 	}
 	if live.Plan().Index(KindFECAdapt) != 0 {
 		t.Fatal("marker not found")
@@ -226,16 +226,16 @@ func TestLiveMarkerActivateDeactivate(t *testing.T) {
 		t.Fatalf("idle marker stats = %+v", stats[0])
 	}
 	enc := filter.NewNull("managed-encoder")
-	if err := live.Activate(KindFECAdapt, enc); err != nil {
-		t.Fatalf("Activate: %v", err)
+	if changed, err := live.Occupy(KindFECAdapt, enc); err != nil || !changed {
+		t.Fatalf("Occupy = %v/%v", changed, err)
 	}
 	if live.Instance(KindFECAdapt) != enc || !enc.Running() {
-		t.Fatal("activated instance not live")
+		t.Fatal("occupying instance not live")
 	}
-	if err := live.Activate(KindFECAdapt, filter.NewNull("second")); !errors.Is(err, ErrMarkerActive) {
-		t.Fatalf("double activate = %v, want ErrMarkerActive", err)
+	if changed, err := live.Occupy(KindFECAdapt, enc); err != nil || changed {
+		t.Fatalf("re-occupy with the same instance = %v/%v, want no change", changed, err)
 	}
-	// A recompose that keeps the marker keeps the active instance.
+	// A recompose that keeps the marker keeps its occupant.
 	target, err := Parse("counting,fec-adapt", ModeBranch)
 	if err != nil {
 		t.Fatal(err)
@@ -244,17 +244,24 @@ func TestLiveMarkerActivateDeactivate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if live.Instance(KindFECAdapt) != enc {
-		t.Fatal("active marker instance lost across recompose")
+		t.Fatal("marker occupant lost across recompose")
 	}
-	removed, err := live.Deactivate(KindFECAdapt)
-	if err != nil || !removed {
-		t.Fatalf("Deactivate = %v/%v", removed, err)
+	// Another instance takes the occupant's place and retires it.
+	next := filter.NewNull("next-encoder")
+	if changed, err := live.Occupy(KindFECAdapt, next); err != nil || !changed {
+		t.Fatalf("swap = %v/%v", changed, err)
 	}
-	if enc.Running() {
-		t.Fatal("deactivated instance still running")
+	if enc.Running() || !next.Running() || live.Instance(KindFECAdapt) != next {
+		t.Fatal("swap did not retire the old occupant and run the new one")
 	}
-	if removed, err := live.Deactivate(KindFECAdapt); err != nil || removed {
-		t.Fatalf("second Deactivate = %v/%v, want no-op", removed, err)
+	if changed, err := live.Occupy(KindFECAdapt, nil); err != nil || !changed {
+		t.Fatalf("vacate = %v/%v", changed, err)
+	}
+	if next.Running() {
+		t.Fatal("vacated instance still running")
+	}
+	if changed, err := live.Occupy(KindFECAdapt, nil); err != nil || changed {
+		t.Fatalf("second vacate = %v/%v, want no-op", changed, err)
 	}
 	// Recomposing the marker away removes the splice point entirely.
 	target, err = Parse("counting", ModeBranch)
@@ -264,10 +271,74 @@ func TestLiveMarkerActivateDeactivate(t *testing.T) {
 	if err := live.Recompose(target); err != nil {
 		t.Fatal(err)
 	}
-	if err := live.Activate(KindFECAdapt, filter.NewNull("x")); !errors.Is(err, ErrNoStage) {
-		t.Fatalf("Activate without marker = %v, want ErrNoStage", err)
+	if _, err := live.Occupy(KindFECAdapt, filter.NewNull("x")); !errors.Is(err, ErrNoStage) {
+		t.Fatalf("Occupy without marker = %v, want ErrNoStage", err)
+	}
+	if changed, err := live.Occupy(KindFECAdapt, nil); err != nil || changed {
+		t.Fatalf("vacate without marker = %v/%v, want no-op", changed, err)
 	}
 	if !bytes.Equal(dst.wait(t, len(payload)), payload) {
 		t.Fatal("payload corrupted across marker operations")
+	}
+}
+
+// recordingInterior is an Interior that records every SetInterior it is
+// given.
+type recordingInterior struct{ splices [][]filter.Filter }
+
+func (r *recordingInterior) SetInterior(stages []filter.Filter) error {
+	r.splices = append(r.splices, append([]filter.Filter(nil), stages...))
+	return nil
+}
+
+// TestLiveOccupySwapIsOneSplice pins that changing a marker's occupant is one
+// SetInterior: the departing and the arriving instance trade places between
+// two frames, so no frame ever passes the marker with neither.
+func TestLiveOccupySwapIsOneSplice(t *testing.T) {
+	exec := &recordingInterior{}
+	plan, err := Parse("fec-adapt,counting", ModeBranch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := Attach(exec, Default(), Env{StreamID: 7}, ModeBranch, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counting := live.Instance("counting")
+	first, second := filter.NewNull("first"), filter.NewNull("second")
+	for _, step := range []struct {
+		occupant filter.Filter
+		changed  bool
+		interior []filter.Filter // after the step; nil: no splice
+	}{
+		{first, true, []filter.Filter{first, counting}},
+		{second, true, []filter.Filter{second, counting}},
+		{second, false, nil},
+		{nil, true, []filter.Filter{counting}},
+		{nil, false, nil},
+	} {
+		before := len(exec.splices)
+		changed, err := live.Occupy(KindFECAdapt, step.occupant)
+		if err != nil || changed != step.changed {
+			t.Fatalf("Occupy(%v) = %v/%v, want changed=%v", step.occupant, changed, err, step.changed)
+		}
+		splices := exec.splices[before:]
+		if step.interior == nil {
+			if len(splices) != 0 {
+				t.Fatalf("Occupy(%v) spliced %d times, want none", step.occupant, len(splices))
+			}
+			continue
+		}
+		if len(splices) != 1 {
+			t.Fatalf("Occupy(%v) spliced %d times, want one", step.occupant, len(splices))
+		}
+		got := splices[0]
+		same := len(got) == len(step.interior)
+		for i := 0; same && i < len(got); i++ {
+			same = got[i] == step.interior[i]
+		}
+		if !same {
+			t.Fatalf("Occupy(%v) spliced %d stages, want %d in plan order", step.occupant, len(got), len(step.interior))
+		}
 	}
 }

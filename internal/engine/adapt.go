@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"rapidware/internal/adapt"
@@ -24,7 +23,7 @@ import (
 //
 //   - a unicast trunk's loop reconciles the fec-adapt marker on the session's
 //     compose.Live, splicing an FEC encoder or an ARQ history in or out; a
-//     level change swaps in a fresh fixed-code encoder;
+//     level change swaps in a fresh fixed-code encoder in one splice;
 //   - a fan-out member's loop moves the member to the delivery cohort its
 //     decision selects (deliveryTree.assign), so one station's bad radio link
 //     retunes only its own delivery.
@@ -33,30 +32,29 @@ import (
 // last report is older than Config.ReportStaleness is expired and its loop
 // re-decided for a clean link. A loop owns no goroutine, queue or timer.
 //
-// Lock order: Session.parkMu → receiverLoop.applyMu → the Live's splice lock
-// or tree.mu → receiverLoop.mu. applyMu serializes one receiver's reports and
-// sweeps from record to apply — on a shared socket two shard readers can each
-// read a report from the same station — and is held across tree.assign. mu
-// is a leaf: deliveryTree.stats takes it under tree.mu, so nothing holds it
-// while calling into the tree or a chain.
+// Lock order, two levels: Session.mu → (the trunk Live's splice lock |
+// tree.mu) → executor locks. Session.mu serializes every step of every loop
+// of a session — report, sweep and apply, on trunk and member loops alike —
+// with park, unpark, close, edits and Stats, and guards the loops' state. On
+// a shared socket two shard readers can each read a report from the same
+// station; they take turns on it. Nothing that holds an executor lock or
+// tree.mu takes Session.mu: dispatch (tree.mu inside the trunk's executor
+// lock, a tail's executor lock inside tree.mu), membership reconciliation,
+// timer releases and NACK answers keep to their own locks.
 //
-// Nothing is applied to a retired incarnation. A trunk loop checks
-// chainState.retired under applyMu, which retirement takes once after setting
-// the flag; a member's assign checks it under tree.mu, which the tree's close
-// takes to snapshot. Either way the parked snapshot is the last decision
-// applied.
+// Nothing is applied to a retired incarnation. Park and close retire it
+// under Session.mu and leave Session.cs without it, and a report or sweep
+// acts only on the current incarnation, under the same lock. A member's
+// assign also checks tree.closed under tree.mu. Either way the parked
+// snapshot is the last decision applied.
 
-// receiverLoop is one downstream receiver's adaptation loop.
+// receiverLoop is one downstream receiver's adaptation loop. Its state is
+// guarded by the session's mu.
 type receiverLoop struct {
 	s  *Session
 	cs *chainState
 	m  *member // the fan-out member served; nil on a unicast trunk's loop
 
-	applyMu sync.Mutex
-
-	// mu guards the state below. decided and retunes are written under both
-	// applyMu and mu, so either lock is enough to read them.
-	mu sync.Mutex
 	// What the receiver reported.
 	seen    int64 // unix nanos of its live report; 0 when none (never, or expired)
 	reports uint64
@@ -85,50 +83,54 @@ func newTrunkLoop(s *Session, cs *chainState) (*receiverLoop, error) {
 }
 
 // report records one receiver report received at now (unix nanos) and
-// applies the decision it leads to.
+// applies the decision it leads to. Caller holds the session's mu.
 func (l *receiverLoop) report(rep packet.Report, now int64) {
-	l.applyMu.Lock()
-	defer l.applyMu.Unlock()
-	if l.cs.retired.Load() {
-		return
-	}
-	l.mu.Lock()
 	l.seen = now
 	l.reports++
 	if rep.HighestSeq >= l.last.HighestSeq {
 		l.last = rep
 	}
-	l.mu.Unlock()
 	l.logErr(l.apply(rep.LossFraction(), rep.RTTMillis))
 }
 
 // stale reports whether the receiver's live report is older than window at
-// now.
+// now. Caller holds the session's mu.
 func (l *receiverLoop) stale(now int64, window time.Duration) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.seen != 0 && now-l.seen > int64(window)
 }
 
 // sweep expires the receiver's report when it is older than window at now and
 // re-decides for a clean link: a station that went silent without leaving
-// stops pinning its protection.
+// stops pinning its protection. Caller holds the session's mu.
 func (l *receiverLoop) sweep(now int64, window time.Duration) {
-	l.applyMu.Lock()
-	defer l.applyMu.Unlock()
-	if l.cs.retired.Load() || !l.stale(now, window) {
+	if !l.stale(now, window) {
 		return
 	}
-	l.mu.Lock()
 	l.seen = 0
 	l.expired++
-	l.mu.Unlock()
 	l.logErr(l.apply(0, 0))
 }
 
+// sweep expires the session's receivers whose last report is older than
+// window at now.
+func (s *Session) sweep(now int64, window time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cs := s.cs.Load()
+	if cs == nil {
+		return
+	}
+	if cs.trunk != nil {
+		cs.trunk.sweep(now, window)
+	}
+	if cs.tree != nil {
+		cs.tree.sweep(now, window)
+	}
+}
+
 // apply decides for the given loss and round trip and applies the decision:
-// a member moves cohorts, a trunk reconciles its marker. Caller holds applyMu
-// (or owns a loop nothing else can reach yet).
+// a member moves cohorts, a trunk reconciles its marker. Caller holds the
+// session's mu (or owns a loop nothing else can reach yet).
 func (l *receiverLoop) apply(loss float64, rttMillis uint32) error {
 	mech, params := l.s.eng.policy.Decide(loss, rttMillis)
 	d := decision{mech: mech, params: params, loss: loss}
@@ -151,18 +153,20 @@ func (l *receiverLoop) apply(loss float64, rttMillis uint32) error {
 // protection level changed. It follows the chain's actual state — what
 // occupies the marker — never the previous decision, so a policy whose
 // cleanest rung is FEC still gets its encoder on the first decision, and a
-// mechanism or level change swaps the marker's occupant: every FEC encoder
-// has a fixed code, and the one leaving flushes its partial group as plain
-// data frames. Every encoder numbers its groups from the session's counter,
-// so the fresh one never repeats a group number. When an operator has
-// recomposed the marker away the loop is dormant: decisions are recorded but
-// engage nothing until a recompose restores it.
+// mechanism or level change swaps the marker's occupant in one splice: every
+// FEC encoder has a fixed code, and the one leaving flushes its partial group
+// as plain data frames before the fresh one takes its place, so no frame
+// passes the marker with neither. Every encoder numbers its groups from the
+// session's counter, so the fresh one never repeats a group number. When an
+// operator has recomposed the marker away the loop is dormant: decisions are
+// recorded but engage nothing until a recompose restores it.
 func (l *receiverLoop) reconcile(d decision) (changed bool, err error) {
 	live := l.cs.live
-	if d.mech == adapt.MechanismNone {
-		return live.Deactivate(compose.KindFECAdapt)
-	}
 	switch cur := live.Instance(compose.KindFECAdapt).(type) {
+	case nil:
+		if d.mech == adapt.MechanismNone {
+			return false, nil
+		}
 	case *arq.SenderFilter:
 		if d.mech == adapt.MechanismARQ {
 			return false, nil
@@ -172,23 +176,17 @@ func (l *receiverLoop) reconcile(d decision) (changed bool, err error) {
 			return false, nil
 		}
 	}
+	// A stopped stage cannot restart, so every change brings a fresh one
+	// (none, for a clean link).
 	fresh, err := l.s.repairStage(d.mech, d.params, "")
 	if err != nil {
 		return false, err
 	}
-	// Swap out whatever holds the marker (the other mechanism's stage, or
-	// another level's encoder) and splice in a fresh one: a stopped stage
-	// cannot restart.
-	if _, err := live.Deactivate(compose.KindFECAdapt); err != nil {
-		return false, err
+	changed, err = live.Occupy(compose.KindFECAdapt, fresh)
+	if errors.Is(err, compose.ErrNoStage) {
+		return false, nil
 	}
-	if err := live.Activate(compose.KindFECAdapt, fresh); err != nil {
-		if errors.Is(err, compose.ErrNoStage) {
-			return false, nil
-		}
-		return false, err
-	}
-	return true, nil
+	return changed, err
 }
 
 // repairStage builds the stage a decision activates at a fec-adapt marker —
@@ -212,15 +210,11 @@ func (s *Session) repairStage(mech adapt.Mechanism, params fec.Params, suffix st
 }
 
 // record stores an applied decision; retuned counts it as a protection
-// change. Caller holds applyMu (and tree.mu for a member).
+// change. Caller holds the session's mu (and tree.mu for a member).
 func (l *receiverLoop) record(d decision, retuned bool) {
-	l.mu.Lock()
 	l.decided = d
 	if retuned {
 		l.retunes++
-	}
-	l.mu.Unlock()
-	if retuned {
 		l.cs.retunes.Add(1)
 	}
 }
@@ -234,10 +228,8 @@ func (l *receiverLoop) logErr(err error) {
 
 // fill copies the loop's state into a receiver's stats entry and returns what
 // only the session view sums: whether the receiver has a live report, and how
-// often one expired. A member's caller holds tree.mu.
+// often one expired. Caller holds the session's mu, and tree.mu for a member.
 func (l *receiverLoop) fill(st *metrics.ReceiverStats) (receivers int, expired uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	d := l.decided
 	st.K, st.N = d.params.K, d.params.N
 	st.LossRate = d.loss

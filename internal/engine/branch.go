@@ -288,7 +288,7 @@ func (t *deliveryTree) moveLocked(m *member, to *cohort) {
 // slow part of a retune, and dispatch must not wait behind it — so the choice
 // is re-made once the lock is back, and a cohort built for a choice that went
 // stale meanwhile is discarded. It returns errDeparted if m left the tree or
-// the tree's incarnation is retiring.
+// the tree is closed. Caller holds the session's mu.
 func (t *deliveryTree) assign(m *member, d decision, retune bool) error {
 	var spare *cohort
 	defer func() {
@@ -299,7 +299,7 @@ func (t *deliveryTree) assign(m *member, d decision, retune bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		if t.closed || t.cs.retired.Load() || t.members[m.ap] != m {
+		if t.closed || t.members[m.ap] != m {
 			return errDeparted
 		}
 		effective := effectiveMech(m.plan, d.mech)
@@ -338,7 +338,8 @@ func (t *deliveryTree) assign(m *member, d decision, retune bool) error {
 // editMember applies a control-plane edit to one member's tail plan, in the
 // branch dialect, and reassigns its cohort: a per-receiver edit is a
 // membership move, not chain surgery. Returns the canonical plan string after
-// the edit.
+// the edit. Caller holds the session's mu, so the receiver's own retunes wait
+// until the move is done.
 func (t *deliveryTree) editMember(ap netip.AddrPort, edit compose.Edit) (string, error) {
 	t.mu.Lock()
 	m := t.members[ap]
@@ -360,9 +361,6 @@ func (t *deliveryTree) editMember(ap netip.AddrPort, edit compose.Edit) (string,
 	}
 	d := decision{mech: adapt.MechanismNone, params: fec.Params{K: 1, N: 1}}
 	if l := m.loop; l != nil {
-		// The receiver's own retunes wait until the move is done.
-		l.applyMu.Lock()
-		defer l.applyMu.Unlock()
 		d = l.decided
 	}
 	if err := t.assign(m, d, false); err != nil {
@@ -400,7 +398,7 @@ func (t *deliveryTree) newCohort(key string, plan compose.Plan, mech adapt.Mecha
 		return nil, fmt.Errorf("cohort fec: %w", err)
 	}
 	if repair != nil {
-		if err := live.Activate(compose.KindFECAdapt, repair); err != nil {
+		if _, err := live.Occupy(compose.KindFECAdapt, repair); err != nil {
 			c.drain(true)
 			return nil, fmt.Errorf("cohort repair: %w", err)
 		}
@@ -459,7 +457,9 @@ func (t *deliveryTree) loopFor(ap netip.AddrPort) *receiverLoop {
 	return nil
 }
 
-// sweep expires members whose last report is older than window at now.
+// sweep expires members whose last report is older than window at now. The
+// loops re-decide with tree.mu released: a member's move takes it. Caller
+// holds the session's mu.
 func (t *deliveryTree) sweep(now int64, window time.Duration) {
 	t.mu.Lock()
 	var stale []*receiverLoop

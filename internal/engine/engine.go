@@ -30,8 +30,13 @@
 // registry, every session binds its chain to a compose.Live, and the
 // control plane can atomically edit any live session's chain — one
 // compose.Edit (replace, insert, remove or move) through EditSession — while
-// it carries traffic, serialized with the trunk's adaptation loop on the same
-// splice lock.
+// it carries traffic.
+//
+// A session's control path has one lock, Session.mu: park, unpark, close,
+// edits, every adaptation decision and Session.Stats serialize on it, and
+// the data path never takes it. Whoever removes a session from the table —
+// a chain-failure eviction, CloseSession, the admission harvester or
+// Engine.Close — closes it, exactly once.
 //
 // The data plane is sharded: Config.Shards reader goroutines (default one
 // per CPU) pull datagrams off the socket, sessions live in a sharded table
@@ -635,28 +640,32 @@ func (e *Engine) openSession(id uint32, peer netip.AddrPort) (*Session, error) {
 
 // chainFailed evicts a session whose trunk failed — a stage failed on a frame
 // (cause says why) — so a dead session cannot occupy a slot and blackhole its
-// ID forever; the next datagram opens a fresh one. Deliberate stops (park,
-// close) retired the incarnation first and are ignored here. It runs on the
-// delivering goroutine after it has left the executor's lock; several
-// readers may report one failure, and only the first evicts.
+// ID forever; the next datagram opens a fresh one. It runs on the delivering
+// goroutine after it has left the executor's lock. Only the incarnation that
+// failed is evicted, and only once: one that park or close retired is no
+// longer current, and of several readers reporting one failure only the one
+// that removes the session counts it.
 func (e *Engine) chainFailed(s *Session, cs *chainState, cause error) {
-	if cs.retired.Load() {
-		return // park or close tore this incarnation down deliberately
+	if ok, _ := e.evict(s, cs); ok {
+		s.shard.counters.chainErrors.Add(1)
+		e.logf("session %d: chain failed, evicting: %v", s.id, cause)
 	}
-	select {
-	case <-s.done:
-		return // CloseSession / Close is tearing the session down
-	default:
+}
+
+// evict removes s from the table and closes it. Whoever removes a session
+// from the table closes it, exactly once: evict for a chain failure,
+// CloseSession and the admission harvester, Engine.Close for the rest. It
+// holds s.mu from the check to the close, so cs, when not nil, restricts the
+// eviction to that incarnation while it is still current. It reports whether
+// this call removed s, and close's error.
+func (e *Engine) evict(s *Session, cs *chainState) (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cs != nil && s.cs.Load() != cs || !e.table.remove(s.id, s) {
+		return false, nil
 	}
-	if !s.exited.CompareAndSwap(false, true) {
-		return
-	}
-	s.shard.counters.chainErrors.Add(1)
-	e.logf("session %d: chain failed, evicting: %v", s.id, cause)
-	if e.table.remove(s.id, s) {
-		e.active.Add(-1)
-	}
-	s.close()
+	e.active.Add(-1)
+	return true, s.closeLocked()
 }
 
 // Session returns the live session with the given ID, or nil.
@@ -668,12 +677,12 @@ func (e *Engine) SessionCount() int { return e.table.count() }
 
 // CloseSession terminates one session and releases its resources.
 func (e *Engine) CloseSession(id uint32) error {
-	s, ok := e.table.delete(id)
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownSession, id)
+	if s := e.table.lookup(id); s != nil {
+		if ok, err := e.evict(s, nil); ok {
+			return err
+		}
 	}
-	e.active.Add(-1)
-	return s.close()
+	return fmt.Errorf("%w: %d", ErrUnknownSession, id)
 }
 
 // SessionStats snapshots every live session's counters, ordered by session

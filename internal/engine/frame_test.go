@@ -75,19 +75,19 @@ func TestFrameSessionFootprint(t *testing.T) {
 		cfg          Config
 		live, parked uint64 // bounds, heap bytes per session
 	}{
-		{"relay", Config{}, 1200, 600},
-		{"counting,checksum,null,null", Config{Chain: "counting,checksum,null,null"}, 3000, 800},
-		{"counting,delay=1ms", Config{Chain: "counting,delay=1ms"}, 2300, 700},
-		{"fec-encode=6/4", Config{Chain: "fec-encode=6/4"}, 2400, 650},
-		{"fec-decode,fec-encode=6/4", Config{Chain: "fec-decode,fec-encode=6/4"}, 17500, 700},
+		{"relay", Config{}, 950, 370},
+		{"counting,checksum,null,null", Config{Chain: "counting,checksum,null,null"}, 2800, 560},
+		{"counting,delay=1ms", Config{Chain: "counting,delay=1ms"}, 2050, 460},
+		{"fec-encode=6/4", Config{Chain: "fec-encode=6/4"}, 2150, 420},
+		{"fec-decode,fec-encode=6/4", Config{Chain: "fec-decode,fec-encode=6/4"}, 17300, 460},
 		// A frame history allocates its slots with its first data frame, and
 		// the DEFLATE stages borrow their codec state from process-wide pools
 		// (a flate.Writer alone is ~600 KB).
-		{"arq", Config{Chain: "arq"}, 1750, 650},
-		{"replay=64", Config{Chain: "replay=64"}, 1750, 650},
-		{"compress", Config{Chain: "compress"}, 1650, 650},
-		{"adaptive unicast", Config{Adapt: true}, 1500, 800},
-		{"adaptive fan-out to two receivers", Config{Adapt: true, Fanout: []string{"127.0.0.1:9", "127.0.0.1:10"}}, 3400, 750},
+		{"arq", Config{Chain: "arq"}, 1500, 420},
+		{"replay=64", Config{Chain: "replay=64"}, 1500, 420},
+		{"compress", Config{Chain: "compress"}, 1450, 420},
+		{"adaptive unicast", Config{Adapt: true}, 1250, 560},
+		{"adaptive fan-out to two receivers", Config{Adapt: true, Fanout: []string{"127.0.0.1:9", "127.0.0.1:10"}}, 3100, 510},
 	} {
 		e := newTestEngine(t, tc.cfg)
 		awaitReadersReading(t)

@@ -21,34 +21,27 @@ import (
 // all survive, so parking is invisible except as first-packet rebuild
 // latency.
 
-// errSessionClosed reports an unpark attempt on a session that is being torn
-// down.
+// errSessionClosed reports an unpark attempt on a closed session.
 var errSessionClosed = errors.New("engine: session closed")
 
 // park tears down the session's chain incarnation, retaining only the compact
-// parked record. It reports whether the session transitioned live→parked.
-// Parking never loses a datagram: the trunk is closed under its lock, and a
-// datagram that loses that race finds it closed and unparks.
+// parked record. It reports whether the session transitioned live→parked; a
+// parked or closed session has no chain to tear down. Parking never loses a
+// datagram: the trunk is closed under its lock, and a datagram that loses
+// that race finds it closed and unparks.
 func (s *Session) park() bool {
-	s.parkMu.Lock()
-	defer s.parkMu.Unlock()
-	select {
-	case <-s.done:
-		return false
-	default:
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	cs := s.cs.Load()
 	if cs == nil {
 		return false
 	}
+	s.parkedPlan = cs.live.Plan()
 	snap, err := s.retireLocked(cs)
 	if err != nil {
 		s.eng.logf("session %d: park: %v", s.id, err)
 	}
-	s.parkedPlan = cs.live.Plan()
 	s.parkedAdapt = snap
-	s.cs.Store(nil)
-	s.parked.Store(true)
 	s.shard.counters.parkedNow.Add(1)
 	s.shard.counters.parks.Add(1)
 	return true
@@ -56,54 +49,44 @@ func (s *Session) park() bool {
 
 // retireLocked stops one incarnation without losing what it holds — the
 // teardown park and close share — and returns its final adaptation snapshot
-// (nil without the feedback plane). The retired flag goes first: it tells the
-// failure path this teardown is deliberate, and no adaptation decision is
-// applied after it. A trunk loop's decision in flight is waited out before
-// the snapshot; then the trunk flushes every stage through send and closes,
-// under its own lock, and the delivery tree flushes, closes and snapshots its
-// members after it. Caller holds parkMu.
+// (nil without the feedback plane). The trunk loop is snapshotted first;
+// then the trunk flushes every stage through send and closes, under its own
+// lock, and the delivery tree flushes, closes and snapshots its members
+// after it. Every decision is made under mu, as this is, so the snapshot is
+// the last decision applied. The incarnation stops being current before mu
+// is released: a chain-failure report for it then evicts nothing. Caller
+// holds mu.
 func (s *Session) retireLocked(cs *chainState) (*metrics.AdaptStats, error) {
-	cs.retired.Store(true)
 	var snap *metrics.AdaptStats
-	if l := cs.trunk; l != nil {
-		l.applyMu.Lock()
-		snap = adaptStats(l)
-		l.applyMu.Unlock()
+	if cs.trunk != nil {
+		snap = adaptStats(cs.trunk)
 	}
 	err := cs.frames.Close()
 	if cs.tree != nil {
 		snap = cs.tree.close()
 	}
+	s.cs.Store(nil)
 	return snap, err
 }
 
-// unpark rebuilds a parked session's chain from its retained plan. It is the
-// slow path of deliver (first datagram after an idle period) and of control
-// operations addressing a parked session; on a live session it is a no-op
-// returning the current state.
+// unpark returns the session's chain-bound state, rebuilding it from the
+// retained plan first when the session is parked: the slow path of deliver
+// (first datagram after an idle period).
 func (s *Session) unpark() (*chainState, error) {
-	s.parkMu.Lock()
-	defer s.parkMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.liveLocked()
 }
 
-// liveLocked returns the session's chain-bound state, rebuilding it first
-// when the session is parked. Caller holds parkMu.
+// liveLocked is unpark with mu held, for control operations that act on the
+// chain under the same lock.
 func (s *Session) liveLocked() (*chainState, error) {
 	if cs := s.cs.Load(); cs != nil {
 		return cs, nil
 	}
-	select {
-	case <-s.done:
+	if s.closed {
 		return nil, errSessionClosed
-	default:
 	}
-	return s.unparkLocked()
-}
-
-// unparkLocked does the rebuild; the caller holds parkMu and has verified the
-// session is parked and not closed.
-func (s *Session) unparkLocked() (*chainState, error) {
 	cs, err := s.eng.buildChainState(s, s.parkedPlan)
 	if err != nil {
 		s.shard.counters.chainErrors.Add(1)
@@ -111,23 +94,11 @@ func (s *Session) unparkLocked() (*chainState, error) {
 		return nil, err
 	}
 	s.cs.Store(cs)
-	s.parked.Store(false)
 	s.idleSince.Store(time.Now().UnixNano())
 	s.idleSeen.Store(s.activitySum())
 	s.shard.counters.parkedNow.Add(-1)
 	s.shard.counters.unparks.Add(1)
 	return cs, nil
-}
-
-// ensureLive returns the session's chain-bound state for a control operation,
-// rebuilding it first when the session is parked. The control touch counts as
-// activity so an operator composing a session holds its idle clock back.
-func (s *Session) ensureLive() (*chainState, error) {
-	s.ctlActivity.Add(1)
-	if cs := s.cs.Load(); cs != nil {
-		return cs, nil
-	}
-	return s.unpark()
 }
 
 // ParkSession immediately parks the session with the given ID, as the idle
@@ -195,15 +166,11 @@ func (e *Engine) maintain(now time.Time) {
 	}
 	nanos := now.UnixNano()
 	for _, s := range e.table.snapshot() {
-		cs := s.cs.Load()
-		if cs == nil {
+		if s.cs.Load() == nil {
 			continue
 		}
-		if sweep && cs.trunk != nil {
-			cs.trunk.sweep(nanos, window)
-		}
-		if sweep && cs.tree != nil {
-			cs.tree.sweep(nanos, window)
+		if sweep {
+			s.sweep(nanos, window)
 		}
 		if harvest {
 			if sum := s.activitySum(); sum != s.idleSeen.Load() {
@@ -228,14 +195,12 @@ func (e *Engine) harvestOldestIdle(incoming uint32) bool {
 	if victim == nil {
 		return false
 	}
-	if !e.table.remove(victim.id, victim) {
-		// Somebody else (a concurrent harvest, close, or the exit hook) beat
-		// us to this victim; report failure and let the caller retry.
+	if ok, _ := e.evict(victim, nil); !ok {
+		// Somebody else (a concurrent harvest, close, or a chain failure)
+		// beat us to this victim; report failure and let the caller retry.
 		return false
 	}
-	e.active.Add(-1)
 	victim.shard.counters.harvested.Add(1)
 	e.logf("session %d: harvested for admission", victim.id)
-	victim.close()
 	return true
 }

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"rapidware/internal/compose"
+	"rapidware/internal/filter"
 	"rapidware/internal/packet"
 	"rapidware/internal/race"
 )
@@ -375,6 +378,85 @@ func TestParkVsInboundDatagramRace(t *testing.T) {
 	}
 }
 
+// TestEngineRemovalOwnerClosesOnce races every path that takes a session out
+// of the table — a chain failure reported by four readers at once,
+// CloseSession, the admission harvester and Engine.Close — on one session
+// whose trunk counts its flushes. Whoever removes the session closes it,
+// exactly once: the trunk flushes once, at most one chain error is counted,
+// the parked gauge never goes negative, and the table and the admission
+// gauge end empty.
+func TestEngineRemovalOwnerClosesOnce(t *testing.T) {
+	peer := netip.MustParseAddrPort("127.0.0.1:9")
+	for round := 0; round < 20; round++ {
+		e, err := New(Config{ListenAddr: "127.0.0.1:0", MaxSessions: 1, Admission: AdmitHarvest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var flushes atomic.Int64
+		reg := e.reg.Clone()
+		if err := reg.Register(compose.Definition{
+			Kind: "flushes",
+			Build: func(compose.Env, string) (filter.Filter, error) {
+				return filter.NewFrame("flushes", func(b *packet.Buf, emit func(*packet.Buf)) error {
+					emit(b)
+					return nil
+				}, func(func(*packet.Buf)) error {
+					flushes.Add(1)
+					return nil
+				}), nil
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		e.reg = reg
+		if e.trunkPlan, err = compose.ParseWith(reg, "flushes", compose.ModeChain); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := e.openSession(1, peer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := s.state()
+
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		race := func(f func()) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				f()
+			}()
+		}
+		for r := 0; r < 4; r++ {
+			race(func() { e.chainFailed(s, cs, errors.New("boom")) })
+		}
+		race(func() { e.CloseSession(1) })
+		race(func() { e.harvestOldestIdle(2) })
+		race(func() { e.Close() })
+		close(start)
+		wg.Wait()
+		e.Close()
+
+		st := e.Stats()
+		if got := flushes.Load(); got != 1 {
+			t.Fatalf("round %d: the trunk flushed %d times, want 1", round, got)
+		}
+		if st.ChainErrors > 1 {
+			t.Fatalf("round %d: ChainErrors = %d, want at most 1", round, st.ChainErrors)
+		}
+		if st.ParkedSessions != 0 {
+			t.Fatalf("round %d: ParkedSessions = %d after every close, want 0", round, st.ParkedSessions)
+		}
+		if n, active := e.SessionCount(), e.active.Load(); n != 0 || active != 0 {
+			t.Fatalf("round %d: SessionCount = %d, active = %d, want 0 and 0", round, n, active)
+		}
+	}
+}
+
 // TestParkVsRecomposeRace races parking against control-plane recomposition
 // under traffic. Individual recompose calls may lose to a concurrent park
 // (their chain stops under them — an error, never a panic or deadlock), but
@@ -593,7 +675,7 @@ func TestEngineChurnSoak(t *testing.T) {
 				continue
 			}
 			t.Logf("stuck live: session %d sum=%d idleSeen=%d idleSince=%d parked=%v packets=%d drops=%d ctl=%d",
-				s.id, s.activitySum(), s.idleSeen.Load(), s.idleSince.Load(), s.parked.Load(),
+				s.id, s.activitySum(), s.idleSeen.Load(), s.idleSince.Load(), s.Parked(),
 				s.counters.Packets.Load(), s.counters.Drops.Load(), s.ctlActivity.Load())
 		}
 		t.Fatalf("only %d of %d sessions parked", e.Stats().ParkedSessions, target)

@@ -33,17 +33,19 @@ type Session struct {
 	shard *shard
 
 	// cs is the session's chain-bound state: nil exactly while the session is
-	// parked. The data path loads it once per packet; park/unpark swap it
-	// under parkMu.
+	// parked (or closed, when it is no longer in the table). The data path
+	// loads it once per packet; park, unpark and close swap it under mu.
 	cs atomic.Pointer[chainState]
 
-	// parkMu serializes the park/unpark/close lifecycle transitions. The
-	// fields below it are the "compact parked record": what remains of a
-	// session when its chain is gone.
-	parkMu      sync.Mutex
-	parked      atomic.Bool
-	parkedPlan  compose.Plan        // canonical trunk plan retained at park (guarded by parkMu)
-	parkedAdapt *metrics.AdaptStats // last adaptation snapshot, for stats while parked (guarded by parkMu)
+	// mu serializes everything the session does off the data path: park,
+	// unpark and close, trunk and member edits, every adaptation step (the
+	// receiver loops' state is guarded by it) and Stats. The fields below it
+	// are the "compact parked record": what remains of a session when its
+	// chain is gone.
+	mu          sync.Mutex
+	closed      bool                // set by close; refuses a later unpark
+	parkedPlan  compose.Plan        // canonical trunk plan retained at park
+	parkedAdapt *metrics.AdaptStats // last adaptation snapshot, for stats while parked
 
 	counters metrics.SessionCounters
 	// groups numbers the FEC groups of every encoder ever built for the
@@ -60,20 +62,10 @@ type Session struct {
 	idleSeen    atomic.Uint64 // activity sum at the last maintenance observation
 	idleSince   atomic.Int64  // unix nanos of the last observed activity change
 
-	done chan struct{}
-
-	// exited is set by the first reader to report the chain's failure, so one
-	// failure evicts the session once.
-	exited atomic.Bool
-
-	closeOnce sync.Once
-	closeErr  error
-
 	// peer is the address the session echoes to. The data path reads it with
-	// one atomic load per datagram; peerMu serializes the writers (the first
-	// sender's pin, and every change under AllowRoaming).
-	peerMu sync.Mutex
-	peer   atomic.Pointer[netip.AddrPort]
+	// one atomic load per datagram; the first sender pins it with a
+	// compare-and-swap, and roaming stores over it.
+	peer atomic.Pointer[netip.AddrPort]
 }
 
 // chainState is one incarnation of a session's running machinery: the trunk
@@ -104,12 +96,6 @@ type chainState struct {
 	// retunes counts every retune this incarnation's loops applied, departed
 	// members' included.
 	retunes atomic.Uint64
-
-	// retired is set (under the session's parkMu) before a deliberate teardown
-	// — park or close — so the failure path can tell it from a chain dying on
-	// its own and skip the eviction, and no adaptation decision is applied
-	// after it (adapt.go).
-	retired atomic.Bool
 }
 
 // newSession builds the chain for one session. It runs with no lock held —
@@ -120,7 +106,6 @@ func newSession(e *Engine, id uint32, peer netip.AddrPort) (*Session, error) {
 		id:    id,
 		eng:   e,
 		shard: e.shardFor(id),
-		done:  make(chan struct{}),
 	}
 	if peer.IsValid() {
 		s.peer.Store(&peer)
@@ -193,8 +178,9 @@ func (s *Session) Live() *compose.Live {
 	return nil
 }
 
-// Parked reports whether the session is currently parked.
-func (s *Session) Parked() bool { return s.parked.Load() }
+// Parked reports whether the session is currently parked: it has no chain.
+// A closed session has none either, but it is no longer in the table.
+func (s *Session) Parked() bool { return s.cs.Load() == nil }
 
 // composeEnv is the build environment the session's stages are instantiated
 // with; suffix tells a cohort tail's instance names from the trunk's. Every
@@ -236,10 +222,13 @@ func (s *Session) activitySum() uint64 {
 // Stats snapshots the session's counters — FEC decoder stages add their
 // repairs to them directly — and the adaptation loop's state when the plane
 // is on. On a parked session the chain columns come from the retained plan
-// and the adaptation snapshot taken at park time.
+// and the adaptation snapshot taken at park time. It holds mu, so it never
+// sees a loop's state half-way through a decision.
 func (s *Session) Stats() metrics.SessionStats {
 	st := s.counters.Snapshot(s.id)
 	st.Shard = s.shard.idx
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if cs := s.cs.Load(); cs != nil {
 		st.Chain = cs.live.String()
 		st.Stages = cs.live.StageStats()
@@ -249,12 +238,10 @@ func (s *Session) Stats() metrics.SessionStats {
 		if cs.tree != nil {
 			cs.tree.stats(&st)
 		}
-	} else {
+	} else if !s.closed {
 		st.Parked = true
-		s.parkMu.Lock()
 		st.Chain = s.parkedPlan.String()
 		st.Adapt = s.parkedAdapt
-		s.parkMu.Unlock()
 	}
 	if s.eng.cfg.IdleTTL > 0 {
 		if since := s.idleSince.Load(); since > 0 {
@@ -274,10 +261,11 @@ func (s *Session) Stats() metrics.SessionStats {
 // Reports for a parked session are dropped too: feedback describes a stream
 // that is not flowing, and a chatty reporter must not keep an idle session's
 // chain alive (nor rebuild it). Called from the engine's read loop, which
-// also decides and applies the report (adapt.go).
+// also decides and applies the report (adapt.go) under mu: a decision lands
+// only on the incarnation that is current, never on one park or close
+// retired.
 func (s *Session) handleFeedback(from netip.AddrPort, frame []byte) {
-	cs := s.cs.Load()
-	if cs == nil || !s.eng.adaptOn {
+	if !s.eng.adaptOn {
 		return
 	}
 	// Canonicalize once: authorization and the member lookup both compare
@@ -289,6 +277,12 @@ func (s *Session) handleFeedback(from netip.AddrPort, frame []byte) {
 	}
 	rep, err := packet.ParseReport(frame)
 	if err != nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cs := s.cs.Load()
+	if cs == nil {
 		return
 	}
 	// A unicast trunk's one receiver is already pinned by authorization, so
@@ -381,19 +375,19 @@ func (s *Session) Peer() netip.AddrPort {
 // live session ID retarget the output would hand the stream to an off-path
 // attacker (or reflect it at a spoofed victim). Deployments with genuinely
 // mobile clients opt in with Config.AllowRoaming. The per-datagram cost is
-// one atomic load (plus an address compare under roaming); the mutex only
-// orders the rare writes.
+// one atomic load (plus an address compare under roaming); the first sender
+// wins the pin with one compare-and-swap.
 func (s *Session) setPeer(from netip.AddrPort) {
-	roaming := s.eng.cfg.AllowRoaming
-	if p := s.peer.Load(); p != nil && (!roaming || *p == from) {
+	p := s.peer.Load()
+	if p != nil && (!s.eng.cfg.AllowRoaming || *p == from) {
 		return
 	}
-	s.peerMu.Lock()
-	if roaming || s.peer.Load() == nil {
-		addr := from // the copy escapes, not the per-datagram parameter
-		s.peer.Store(&addr)
+	addr := from // the copy escapes, not the per-datagram parameter
+	if p == nil {
+		s.peer.CompareAndSwap(nil, &addr)
+		return
 	}
-	s.peerMu.Unlock()
+	s.peer.Store(&addr)
 }
 
 // deliver hands one inbound datagram (session ID still prefixed) to the
@@ -403,8 +397,8 @@ func (s *Session) setPeer(from netip.AddrPort) {
 // The datagram is processed right here: one atomic load, the executor's lock,
 // then every stage and send run to completion on this goroutine, in the
 // buffer the socket read filled. A false Enter means the executor was retired
-// under us — park, under parkMu, or a close/failure for good — so we wait the
-// transition out on parkMu and look again.
+// under us — park or close, under mu, or a stage failure — so we wait the
+// transition out on mu and look again.
 func (s *Session) deliver(b *packet.Buf, from netip.AddrPort) {
 	s.setPeer(from)
 	for {
@@ -429,15 +423,14 @@ func (s *Session) deliver(b *packet.Buf, from netip.AddrPort) {
 			}
 			return
 		}
-		s.parkMu.Lock()
+		s.mu.Lock()
 		swapped := s.cs.Load() != cs
-		s.parkMu.Unlock()
+		s.mu.Unlock()
 		if swapped {
 			continue
 		}
-		// Still the same incarnation, so it is gone for good: the session is
-		// closing, or a stage failed on another reader's frame (or on one a
-		// timed stage released).
+		// Still the same incarnation, so a stage failed on another reader's
+		// frame (or on one a timed stage released).
 		if err := fc.Err(); err != nil {
 			s.eng.chainFailed(s, cs, err)
 		}
@@ -474,21 +467,26 @@ func (s *Session) send(cs *chainState, b *packet.Buf) {
 	s.shard.enqueue(outbound{s: s, b: b, dst: dst})
 }
 
-// close terminates the session: the incarnation is retired as park would —
-// adaptation first, then the trunk flushes what its stages hold and closes,
-// then the delivery cohorts — and a parked session just releases its slot in
-// the parked gauge.
+// close terminates the session: a live incarnation is retired as park
+// would — adaptation first, then the trunk flushes what its stages hold and
+// closes, then the delivery cohorts — and a parked session just releases its
+// slot in the parked gauge. It runs once per session, by whoever removed the
+// session from the table (evict, Engine.Close) or by the opener that lost
+// the race to insert it.
 func (s *Session) close() error {
-	s.closeOnce.Do(func() {
-		s.parkMu.Lock()
-		defer s.parkMu.Unlock()
-		close(s.done)
-		if cs := s.cs.Load(); cs != nil {
-			_, s.closeErr = s.retireLocked(cs)
-		}
-		if s.parked.CompareAndSwap(true, false) {
-			s.shard.counters.parkedNow.Add(-1)
-		}
-	})
-	return s.closeErr
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closeLocked()
+}
+
+// closeLocked is close with mu held.
+func (s *Session) closeLocked() error {
+	s.closed = true
+	cs := s.cs.Load()
+	if cs == nil {
+		s.shard.counters.parkedNow.Add(-1)
+		return nil
+	}
+	_, err := s.retireLocked(cs)
+	return err
 }

@@ -94,19 +94,6 @@ func (t *table) remove(id uint32, s *Session) bool {
 	return true
 }
 
-// delete removes and returns the session with the given ID.
-func (t *table) delete(id uint32) (*Session, bool) {
-	sh := &t.shards[t.shardIndex(id)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.sessions[id]
-	if ok {
-		delete(sh.sessions, id)
-		sh.n.Add(-1)
-	}
-	return s, ok
-}
-
 // count returns the number of registered sessions across all shards. It sums
 // the per-shard gauges — no locks, no map walks — so stats and admission stay
 // O(shards) no matter how many sessions are registered.
@@ -140,7 +127,7 @@ func (t *table) oldestIdle(incoming uint32) *Session {
 			if id == incoming {
 				continue
 			}
-			parked, since := s.parked.Load(), s.idleSince.Load()
+			parked, since := s.cs.Load() == nil, s.idleSince.Load()
 			switch {
 			case best == nil,
 				parked && !bestParked,

@@ -1,3 +1,8 @@
+// Package multicast is the application-level multicast substrate the proxy
+// engine fans a session's output out with: an AddrGroup names the downstream
+// UDP receivers — the wireless stations of the paper's FEC experiments, the
+// participants of a collaborative session — and the engine writes every
+// datagram to each of them itself.
 package multicast
 
 import (
@@ -9,8 +14,7 @@ import (
 
 // AddrGroup is the engine-facing face of a multicast group: a dynamic set of
 // downstream UDP receiver addresses a proxy session fans its output out to.
-// Unlike Group (whose members receive decoded packets in process), an
-// AddrGroup only names destinations — the engine writes raw datagrams to
+// An AddrGroup only names destinations — the engine writes raw datagrams to
 // every address itself, so the relay hot path stays allocation-free: Snapshot
 // is a single atomic load of a shared, immutable slice. Membership changes
 // (receivers joining and leaving the session) happen on the control path and

@@ -1,17 +1,16 @@
 // Package session implements the Pavilion collaborative-session substrate the
 // paper builds on: a leadership (floor control) protocol that decides which
-// participant drives the session, and collaborative web browsing in which the
-// leader's URL loads are multicast to every participant, with proxies free to
+// participant drives the session, and collaborative web browsing in which
+// every participant observes the leader's URL loads, with proxies free to
 // filter or transcode the content on its way to resource-limited devices.
+// The session is in-process: a load is recorded in every participant's
+// history directly.
 package session
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"rapidware/internal/multicast"
-	"rapidware/internal/packet"
 )
 
 // Errors returned by sessions.
@@ -36,8 +35,8 @@ type PageVisit struct {
 	Leader  string
 }
 
-// Participant is one member of a collaborative session: it owns a multicast
-// member endpoint and accumulates the browsing history it observes.
+// Participant is one member of a collaborative session: it accumulates the
+// browsing history it observes.
 type Participant struct {
 	name string
 	mu   sync.Mutex
@@ -67,7 +66,6 @@ func (p *Participant) record(v PageVisit) {
 type Session struct {
 	name    string
 	fetcher Fetcher
-	group   *multicast.Group
 
 	mu           sync.Mutex
 	participants map[string]*Participant
@@ -84,7 +82,6 @@ func New(name string, fetcher Fetcher) (*Session, error) {
 	return &Session{
 		name:         name,
 		fetcher:      fetcher,
-		group:        multicast.NewGroup(name),
 		participants: make(map[string]*Participant),
 	}, nil
 }
@@ -99,10 +96,6 @@ func (s *Session) Join(name string) (*Participant, error) {
 	}
 	p := &Participant{name: name}
 	s.participants[name] = p
-	if err := s.group.Join(multicast.NewBufferMember(name, 64)); err != nil {
-		delete(s.participants, name)
-		return nil, err
-	}
 	if s.leader == "" {
 		s.leader = name
 	}
@@ -118,7 +111,6 @@ func (s *Session) Leave(name string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownMember, name)
 	}
 	delete(s.participants, name)
-	_ = s.group.Leave(name)
 	// Drop any pending floor request from the departed member.
 	for i, n := range s.floorQueue {
 		if n == name {
@@ -215,8 +207,8 @@ func (s *Session) Transfers() uint64 {
 }
 
 // LoadURL is the collaborative browse operation: the leader fetches the URL
-// (through its proxy) and the URL and content are multicast to every
-// participant, who record the visit in their history.
+// (through its proxy) and the visit — URL and content — is recorded in every
+// participant's history.
 func (s *Session) LoadURL(leader, url string) error {
 	s.mu.Lock()
 	if s.leader != leader {
@@ -233,20 +225,9 @@ func (s *Session) LoadURL(leader, url string) error {
 	if err != nil {
 		return fmt.Errorf("session: fetch %s: %w", url, err)
 	}
-	// Multicast the content (exercises the same group used by proxies)...
-	payload := append([]byte(url+"\n"), content...)
-	if _, err := s.group.Send(&packet.Packet{Kind: packet.KindData, Payload: payload}); err != nil {
-		return err
-	}
-	// ...and record the visit at every participant.
 	visit := PageVisit{URL: url, Content: content, Leader: leader}
 	for _, p := range participants {
 		p.record(visit)
 	}
 	return nil
-}
-
-// Close shuts down the session's multicast group.
-func (s *Session) Close() error {
-	return s.group.Close()
 }

@@ -22,7 +22,6 @@ func newSession(t *testing.T) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
 	return s
 }
 
