@@ -95,7 +95,7 @@ func TestSessionParkUnparkAllocs(t *testing.T) {
 }
 
 func TestEngineIdleChurnAllocs(t *testing.T) {
-	requireAllocs(t, 80, 1000, idleChurn)
+	requireAllocs(t, 80, 1000, func(tb testing.TB) func() { return idleChurn(tb, 1024) })
 }
 
 // TestBranchReplayPrimeAllocs bounds the join its benchmark times; the leave

@@ -1212,23 +1212,27 @@ func sessionParkUnpark(tb testing.TB) func() {
 
 // BenchmarkEngineIdleChurn measures steady-state session churn against a
 // full table under the harvest admission policy: each op contacts a fresh
-// session ID — evicting the oldest parked session to admit it — echoes one
+// session ID — evicting the longest-parked session to admit it — echoes one
 // datagram through the new chain, and parks it again. This is the sustained
 // arrival/retirement cycle a million-session deployment lives in; the table
-// holds MaxSessions parked records throughout.
+// holds MaxSessions parked records throughout. The victim is a parked list's
+// head, so the op costs the same at either cap.
 func BenchmarkEngineIdleChurn(b *testing.B) {
-	op := idleChurn(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op()
+	for _, capSessions := range []int{1024, 65536} {
+		op := idleChurn(b, capSessions)
+		b.Run(fmt.Sprintf("cap=%d", capSessions), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
 	}
 }
 
-// idleChurn fills a harvest-admission table with parked sessions and returns
-// one fresh session's admission, echo and park.
-func idleChurn(tb testing.TB) func() {
-	const capSessions = 1024
+// idleChurn fills a harvest-admission table of capSessions with parked
+// sessions and returns one fresh session's admission, echo and park.
+func idleChurn(tb testing.TB, capSessions int) func() {
 	eng := startEngine(tb, engine.Config{
 		IdleTTL:     time.Hour,
 		MaxSessions: capSessions,
@@ -1256,7 +1260,7 @@ func idleChurn(tb testing.TB) func() {
 	// capacity rather than into free slots.
 	c.SetReadDeadline(time.Now().Add(10 * time.Minute))
 	id := uint32(0)
-	for id < capSessions {
+	for id < uint32(capSessions) {
 		id++
 		churn(id)
 	}

@@ -87,7 +87,7 @@ func run(args []string) error {
 		branchSpec  = fs.String("branch", "", "engine mode: per-receiver branch tail spec for fan-out sessions (e.g. 'fec-adapt,ratelimit=64000')")
 		staleness   = fs.Duration("report-staleness", 0, "engine mode: age out receivers whose last loss report is older than this window (0 disables)")
 		idleTTL     = fs.Duration("idle-ttl", 0, "engine mode: park sessions idle for this long down to a compact record, rebuilt on their next datagram (0 disables)")
-		admission   = fs.String("admission", "", "engine mode: policy at -max-sessions: reject (default) or harvest (evict the oldest-idle session)")
+		admission   = fs.String("admission", "", "engine mode: policy at -max-sessions: reject (default) or harvest (evict the longest-parked session, else the oldest-idle live one)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -53,9 +53,10 @@
 // record — identity, counters, canonical plan, adaptation snapshot —
 // releasing its stage instances, and is rebuilt transparently by the next
 // datagram or control operation. One engine-wide maintenance ticker drives harvesting and
-// stale-receiver sweeps; admission (Config.MaxSessions, default 1M, with
-// reject or harvest-oldest-idle policy at the cap) and Stats() read atomic
-// gauges rather than walking the table.
+// stale-receiver sweeps over the live sessions only; admission
+// (Config.MaxSessions, default 1M, with reject or harvest-longest-parked
+// policy at the cap) and Stats() read atomic gauges rather than walking the
+// table.
 //
 // The engine also hosts a closed-loop adaptation plane: downstream receivers
 // report observed loss upstream as feedback datagrams (packet.Report), and

@@ -75,7 +75,7 @@
 // engine stats are maintained as atomic gauges, so admission checks and
 // Stats() are O(1)/O(shards) regardless of table size, and an explicit
 // admission policy (Config.Admission) chooses between rejecting new sessions
-// at capacity and harvesting the oldest-idle one to make room.
+// at capacity and harvesting the longest-parked one to make room.
 //
 // Fan-out sessions relay through a delivery tree instead of a single chain:
 // the shared trunk's output is dispatched to delivery *cohorts* — one shared
@@ -238,7 +238,8 @@ type Config struct {
 	IdleTTL time.Duration
 	// Admission selects what happens to a new session arriving at
 	// MaxSessions: AdmitReject (the default) refuses it, AdmitHarvest evicts
-	// the oldest-idle existing session to make room.
+	// the longest-parked session (else the oldest-idle live one) to make
+	// room.
 	Admission AdmissionPolicy
 	// Logger receives engine lifecycle messages; nil disables logging.
 	Logger *log.Logger
@@ -252,9 +253,9 @@ const (
 	// AdmitReject refuses new sessions at capacity (the default): the
 	// datagram is dropped and counted, and the sender retries later.
 	AdmitReject AdmissionPolicy = "reject"
-	// AdmitHarvest evicts the oldest-idle registered session — parked ones
-	// first — to make room for the new one, so a full table churns instead
-	// of rejecting.
+	// AdmitHarvest evicts the longest-parked registered session — the
+	// oldest-idle live one when none is parked — to make room for the new
+	// one, so a full table churns instead of rejecting.
 	AdmitHarvest AdmissionPolicy = "harvest"
 )
 
@@ -288,6 +289,11 @@ type Engine struct {
 
 	table  *table
 	shards []shard
+
+	// maintMu serializes maintenance ticks over maintLive, the scratch slice
+	// a tick copies the live sessions into.
+	maintMu   sync.Mutex
+	maintLive []*Session
 
 	closed      atomic.Bool
 	active      atomic.Int64 // registered sessions (live + parked), admission-checked against MaxSessions
@@ -605,7 +611,7 @@ func (e *Engine) openSession(id uint32, peer netip.AddrPort) (*Session, error) {
 		return nil, ErrEngineClosed
 	}
 	// Admission is one atomic against the global cap. Under the harvest
-	// policy a full table evicts its oldest-idle session and retries; the
+	// policy a full table evicts its longest-parked session and retries; the
 	// attempt bound keeps a pathological race (every freed slot snatched by
 	// concurrent opens) from spinning the read loop.
 	for attempt := 0; ; attempt++ {
@@ -685,8 +691,8 @@ func (e *Engine) CloseSession(id uint32) error {
 	return fmt.Errorf("%w: %d", ErrUnknownSession, id)
 }
 
-// SessionStats snapshots every live session's counters, ordered by session
-// ID.
+// SessionStats snapshots every registered session's counters, live and
+// parked, ordered by session ID.
 func (e *Engine) SessionStats() []metrics.SessionStats {
 	sessions := e.table.snapshot()
 	out := make([]metrics.SessionStats, 0, len(sessions))
@@ -706,7 +712,6 @@ func (e *Engine) Stats() Stats {
 		ActiveSessions: e.table.count(),
 		Shards:         len(e.shards),
 	}
-	parked := int64(0)
 	for i := range e.shards {
 		c := &e.shards[i].counters
 		st.TotalSessions += c.opened.Load()
@@ -727,13 +732,12 @@ func (e *Engine) Stats() Stats {
 		st.SentDatagrams += c.sentDatagrams.Load()
 		st.BypassHits += c.bypassHits.Load()
 		st.CoalescedSends += c.coalesced.Load()
-		parked += c.parkedNow.Load()
 		st.Parks += c.parks.Load()
 		st.Unparks += c.unparks.Load()
 		st.Harvested += c.harvested.Load()
 		st.AdmissionDrops += c.admitDrops.Load()
 	}
-	st.ParkedSessions = int(parked)
+	st.ParkedSessions = e.table.parked()
 	if st.LiveSessions = st.ActiveSessions - st.ParkedSessions; st.LiveSessions < 0 {
 		st.LiveSessions = 0 // transient skew between independent gauges
 	}

@@ -42,7 +42,7 @@ func (s *Session) park() bool {
 		s.eng.logf("session %d: park: %v", s.id, err)
 	}
 	s.parkedAdapt = snap
-	s.shard.counters.parkedNow.Add(1)
+	s.eng.table.relist(s, true)
 	s.shard.counters.parks.Add(1)
 	return true
 }
@@ -96,7 +96,7 @@ func (s *Session) liveLocked() (*chainState, error) {
 	s.cs.Store(cs)
 	s.idleSince.Store(time.Now().UnixNano())
 	s.idleSeen.Store(s.activitySum())
-	s.shard.counters.parkedNow.Add(-1)
+	s.eng.table.relist(s, false)
 	s.shard.counters.unparks.Add(1)
 	return cs, nil
 }
@@ -154,9 +154,10 @@ func (e *Engine) maintenanceLoop(interval time.Duration) {
 // maintain runs one maintenance tick at the given time: every live session's
 // receivers whose last report is older than ReportStaleness are expired (when
 // aging is on), and every live session whose activity sum hasn't moved since
-// the previous tick for at least IdleTTL is parked. Taking `now` as a
-// parameter keeps the tick deterministic under test. Parked sessions are
-// skipped — they cost nothing and have nothing to sweep.
+// the previous tick for at least IdleTTL is parked. The tick copies the
+// table's live lists into a scratch slice it keeps between ticks, so it never
+// sees a parked session and allocates nothing in steady state. Taking `now`
+// as a parameter keeps the tick deterministic under test.
 func (e *Engine) maintain(now time.Time) {
 	window := e.cfg.ReportStaleness
 	sweep := e.adaptOn && window > 0
@@ -165,10 +166,9 @@ func (e *Engine) maintain(now time.Time) {
 		return
 	}
 	nanos := now.UnixNano()
-	for _, s := range e.table.snapshot() {
-		if s.cs.Load() == nil {
-			continue
-		}
+	e.maintMu.Lock()
+	live := e.table.appendLive(e.maintLive[:0])
+	for _, s := range live {
 		if sweep {
 			s.sweep(nanos, window)
 		}
@@ -183,15 +183,17 @@ func (e *Engine) maintain(now time.Time) {
 			}
 		}
 	}
+	clear(live) // the scratch holds no session past the tick
+	e.maintLive = live[:0]
+	e.maintMu.Unlock()
 }
 
 // harvestOldestIdle frees one admission slot under the AdmitHarvest policy by
-// evicting the best victim: a parked session if any, else the live session
-// idle the longest. The scan starts at the table shard that will own the
-// incoming ID — O(sessions/shards) in the common case — and walks subsequent
-// shards only if that one is empty. It reports whether a slot was freed.
+// evicting the table's victim (table.victim): the longest-parked session,
+// found at the head of a parked list in O(shards), else the live session
+// idle the longest. It reports whether a slot was freed.
 func (e *Engine) harvestOldestIdle(incoming uint32) bool {
-	victim := e.table.oldestIdle(incoming)
+	victim := e.table.victim(incoming)
 	if victim == nil {
 		return false
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"net/netip"
 	"runtime"
@@ -748,5 +749,66 @@ func TestEngineChurnSoak(t *testing.T) {
 	}
 	if st.ParkedSessions > sessions-probes {
 		t.Fatalf("ParkedSessions = %d after %d probes, want <= %d", st.ParkedSessions, probes, sessions-probes)
+	}
+}
+
+// maintainTick opens live sessions and parked more (each opened, then
+// parked) on an idle-harvesting engine, through openSession rather than
+// round trips, and returns one maintenance tick that changes nothing: its
+// clock stays inside every live session's TTL. One tick runs before it
+// returns, so the tick's reused scratch has its steady size.
+func maintainTick(tb testing.TB, live, parked int) func() {
+	e, err := New(Config{ListenAddr: "127.0.0.1:0", IdleTTL: time.Hour, MaxSessions: live + parked})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { e.Close() })
+	peer := netip.MustParseAddrPort("127.0.0.1:9")
+	for id := uint32(1); id <= uint32(live+parked); id++ {
+		s, err := e.openSession(id, peer)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if id > uint32(live) && !s.park() {
+			tb.Fatalf("session %d did not park", id)
+		}
+	}
+	if st := e.Stats(); st.LiveSessions != live || st.ParkedSessions != parked {
+		tb.Fatalf("%d live and %d parked sessions, want %d and %d", st.LiveSessions, st.ParkedSessions, live, parked)
+	}
+	now := time.Now()
+	e.maintain(now)
+	return func() { e.maintain(now) }
+}
+
+// BenchmarkMaintainTick times one maintenance tick over 512 live sessions
+// with 0, 16,384 and 262,144 parked ones beside them. The tick walks only the
+// live lists, so the parked sessions must not move its cost.
+func BenchmarkMaintainTick(b *testing.B) {
+	for _, parked := range []int{0, 16384, 262144} {
+		op := maintainTick(b, 512, parked)
+		b.Run(fmt.Sprintf("parked=%d", parked), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+	}
+}
+
+// TestMaintainTickAllocs holds BenchmarkMaintainTick's tick allocation-free
+// with 10,000 parked sessions beside 64 live ones: the tick reuses its
+// scratch and never copies a parked session.
+func TestMaintainTickAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	op := maintainTick(t, 64, 10000)
+	if n := testing.AllocsPerRun(20, op); n != 0 {
+		t.Fatalf("%v allocs per maintenance tick, want 0", n)
 	}
 }

@@ -277,3 +277,47 @@ func TestEngineFECToARQEscalation(t *testing.T) {
 	sendReport(t, c, id, packet.Report{HighestSeq: 103, Received: 100, Lost: 0, Window: 100, RTTMillis: 20})
 	waitAdapt(t, e, id, "clean", func(a *metrics.AdaptStats) bool { return !a.Active && a.Mechanism == "none" })
 }
+
+// TestEngineNackAnswersEachSeqOnce pins the NACK amplifier shut: one NACK
+// naming the same held sequence number 64 times gets exactly one
+// retransmission, and a NACK repeating several numbers gets one per distinct
+// number, in first-mention order.
+func TestEngineNackAnswersEachSeqOnce(t *testing.T) {
+	const id = 33
+	e := newTestEngine(t, Config{Chain: "arq"})
+	c := dialEngine(t, e)
+	for seq := uint64(0); seq < 10; seq++ {
+		sendPacket(t, c, id, &packet.Packet{Seq: seq, Kind: packet.KindData, Payload: []byte{byte(seq)}})
+		readPacket(t, c, 2*time.Second)
+	}
+	// expect reads the retransmissions of want, in order, then requires the
+	// socket to stay quiet.
+	expect := func(want ...uint64) {
+		t.Helper()
+		for _, seq := range want {
+			if _, p := readPacket(t, c, 2*time.Second); p.Kind != packet.KindData || p.Seq != seq {
+				t.Fatalf("retransmission = kind %d seq %d, want data seq %d", p.Kind, p.Seq, seq)
+			}
+		}
+		c.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+		if n, err := c.Read(make([]byte, packet.MaxDatagram)); err == nil {
+			t.Fatalf("extra datagram of %d bytes after the retransmissions of %v", n, want)
+		}
+	}
+
+	same := make([]uint64, packet.MaxNackSeqs)
+	for i := range same {
+		same[i] = 3
+	}
+	sendNack(t, c, id, same)
+	expect(3)
+	if got := e.Stats().Retransmits; got != 1 {
+		t.Fatalf("Retransmits = %d after one NACK naming seq 3 %d times, want 1", got, len(same))
+	}
+
+	sendNack(t, c, id, []uint64{5, 3, 5, 42, 3, 7, 5})
+	expect(5, 3, 7) // 42 was never sent
+	if got := e.Stats().Retransmits; got != 4 {
+		t.Fatalf("Retransmits = %d, want 4", got)
+	}
+}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,6 +67,14 @@ type Session struct {
 	// one atomic load per datagram; the first sender pins it with a
 	// compare-and-swap, and roaming stores over it.
 	peer atomic.Pointer[netip.AddrPort]
+
+	// prev and next link the session into the list of its table shard that
+	// list names: the live list while it has a chain, the parked list while
+	// it has none, no list once it is out of the table. All three are guarded
+	// by the table shard's lock (see tableShard). They come last, after the
+	// fields the data path reads.
+	prev, next *Session
+	list       *sessionList
 }
 
 // chainState is one incarnation of a session's running machinery: the trunk
@@ -308,15 +317,15 @@ func historyFor(live *compose.Live) *arq.SenderFilter {
 	return h
 }
 
-// handleNack consumes one validated NACK frame, answering each named sequence
-// number out of the session's ARQ retransmission history with a unicast
-// retransmission to the requester. NACKs honor the same off-path check as
-// receiver reports; on a fan-out session the requester's own delivery branch
-// is consulted first, so a member whose loop escalated to ARQ is served from
-// its cohort's own history. Requests for sequence numbers the bounded
-// history no longer holds are silently unanswerable — the receiver's give-up
-// accounting owns that loss, and a parked session's history went with its
-// chain. Called from the engine's read loop.
+// handleNack consumes one validated NACK frame, answering each distinct named
+// sequence number once out of the session's ARQ retransmission history with a
+// unicast retransmission to the requester. NACKs honor the same off-path
+// check as receiver reports; on a fan-out session the requester's own
+// delivery branch is consulted first, so a member whose loop escalated to ARQ
+// is served from its cohort's own history. Requests for sequence numbers the
+// bounded history no longer holds are silently unanswerable — the receiver's
+// give-up accounting owns that loss, and a parked session's history went with
+// its chain. Called from the engine's read loop.
 func (s *Session) handleNack(from netip.AddrPort, frame []byte) {
 	cs := s.cs.Load()
 	if cs == nil {
@@ -331,6 +340,7 @@ func (s *Session) handleNack(from netip.AddrPort, frame []byte) {
 	if err != nil {
 		return
 	}
+	seqs = dedupSeqs(seqs)
 	var rx *metrics.ReceiverCounters
 	var h *arq.SenderFilter
 	if cs.tree != nil {
@@ -359,6 +369,21 @@ func (s *Session) handleNack(from netip.AddrPort, frame []byte) {
 		s.shard.enqueue(outbound{s: s, b: b, dst: from, rx: rx})
 		s.shard.counters.retransmits.Add(1)
 	}
+}
+
+// dedupSeqs drops repeated sequence numbers from seqs in place, keeping each
+// one's first position, so a NACK naming one held frame many times is
+// answered with one retransmission, not one per mention. A NACK holds at most
+// packet.MaxNackSeqs numbers, so the quadratic scan stays on the stack.
+func dedupSeqs(seqs []uint64) []uint64 {
+	n := 0
+	for _, seq := range seqs {
+		if !slices.Contains(seqs[:n], seq) {
+			seqs[n] = seq
+			n++
+		}
+	}
+	return seqs[:n]
 }
 
 // Peer returns the address the session currently relays to in echo mode: the
@@ -469,10 +494,10 @@ func (s *Session) send(cs *chainState, b *packet.Buf) {
 
 // close terminates the session: a live incarnation is retired as park
 // would — adaptation first, then the trunk flushes what its stages hold and
-// closes, then the delivery cohorts — and a parked session just releases its
-// slot in the parked gauge. It runs once per session, by whoever removed the
-// session from the table (evict, Engine.Close) or by the opener that lost
-// the race to insert it.
+// closes, then the delivery cohorts — and a parked session has nothing left
+// to retire. It runs once per session, by whoever removed the session from
+// the table (evict, Engine.Close) or by the opener that lost the race to
+// insert it.
 func (s *Session) close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -484,7 +509,6 @@ func (s *Session) closeLocked() error {
 	s.closed = true
 	cs := s.cs.Load()
 	if cs == nil {
-		s.shard.counters.parkedNow.Add(-1)
 		return nil
 	}
 	_, err := s.retireLocked(cs)

@@ -61,9 +61,8 @@ type shardCounters struct {
 	writeDrops  atomic.Uint64
 	recvCalls   atomic.Uint64
 	sendCalls   atomic.Uint64
-	// Park/admission accounting (see park.go): parkedNow gauges the shard's
-	// currently parked sessions; the rest count lifecycle transitions.
-	parkedNow  atomic.Int64
+	// Park/admission accounting (see park.go): lifecycle transitions. The
+	// shard's parked gauge is its table shard's parked list.
 	parks      atomic.Uint64
 	unparks    atomic.Uint64
 	harvested  atomic.Uint64
@@ -191,7 +190,7 @@ func (sh *shard) stats() metrics.ShardStats {
 		SendEntries:   sh.counters.sendEntries.Load(),
 		SentDatagrams: sh.counters.sentDatagrams.Load(),
 
-		Parked:         int(sh.counters.parkedNow.Load()),
+		Parked:         sh.eng.table.parkedShard(sh.idx),
 		Parks:          sh.counters.parks.Load(),
 		Unparks:        sh.counters.unparks.Load(),
 		Harvested:      sh.counters.harvested.Load(),

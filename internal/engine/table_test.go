@@ -2,8 +2,10 @@ package engine
 
 import (
 	"math/rand"
+	"net/netip"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // TestShardIndexStable property-checks that session→shard placement is a
@@ -91,5 +93,48 @@ func TestResolveShards(t *testing.T) {
 	auto := resolveShards(0)
 	if auto < 1 || auto > maxShards || auto&(auto-1) != 0 {
 		t.Errorf("resolveShards(0) = %d, want a power of two in [1, %d]", auto, maxShards)
+	}
+}
+
+// TestVictimIsLongestParked pins the admission harvester's victim rule: the
+// longest-parked session first (never the incoming ID itself), else the live
+// session idle the longest.
+func TestVictimIsLongestParked(t *testing.T) {
+	e := newTestEngine(t, Config{Shards: 1, IdleTTL: time.Hour})
+	peer := netip.MustParseAddrPort("127.0.0.1:9")
+	s := make(map[uint32]*Session)
+	for id := uint32(1); id <= 4; id++ {
+		var err error
+		if s[id], err = e.openSession(id, peer); err != nil {
+			t.Fatal(err)
+		}
+		s[id].idleSince.Store(int64(10 - id)) // 4 has been idle the longest
+	}
+	s[3].park()
+	s[1].park()
+	for _, c := range []struct {
+		incoming, want uint32
+	}{{99, 3}, {3, 1}} {
+		if got := e.table.victim(c.incoming); got != s[c.want] {
+			t.Fatalf("victim for %d = session %v, want %d (parked 3, then 1)", c.incoming, got.ID(), c.want)
+		}
+	}
+	if _, err := s[3].unpark(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.table.victim(99); got != s[1] {
+		t.Fatalf("victim = session %d after 3 unparked, want 1", got.ID())
+	}
+	if _, err := s[1].unpark(); err != nil {
+		t.Fatal(err)
+	}
+	s[1].idleSince.Store(100)
+	s[3].idleSince.Store(100)
+	for _, c := range []struct {
+		incoming, want uint32
+	}{{99, 4}, {4, 2}} {
+		if got := e.table.victim(c.incoming); got != s[c.want] {
+			t.Fatalf("victim for %d with nothing parked = session %d, want the oldest-idle live %d", c.incoming, got.ID(), c.want)
+		}
 	}
 }
