@@ -7,6 +7,10 @@
 // plane is sharded (-shards, default one shard per CPU; -reuseport on
 // capable builds gives each shard its own SO_REUSEPORT socket), and the
 // control protocol reports engine, per-shard and per-session counters.
+// -pprof serves /debug/pprof for go tool pprof and curl from a small
+// responder built on runtime/pprof and runtime/trace, so the binary links no
+// HTTP stack; each shard's reader and writer goroutines carry the pprof
+// labels shard=<i> and loop=reader|writer, so a CPU profile splits per shard.
 //
 //	rapidproxy -listen :7400 -shards 8 -chain counting,fec-encode=6/4 \
 //	    [-forward host:7500] [-control 127.0.0.1:7100] [-pprof localhost:6060]
@@ -42,8 +46,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
 	"os/signal"
 	"strings"
@@ -78,7 +80,7 @@ func run(args []string) error {
 		// -gso still parses so existing command lines (bench/'s fanout-mixed
 		// among them) keep working.
 		_           = fs.Bool("gso", false, "deprecated, no effect: GSO is always attempted")
-		pprofAddr   = fs.String("pprof", "", "engine mode: serve net/http/pprof on this address (e.g. localhost:6060)")
+		pprofAddr   = fs.String("pprof", "", "engine mode: serve /debug/pprof for go tool pprof and curl on this address (e.g. localhost:6060)")
 		chainSpec   = fs.String("chain", "", "chain spec: engine mode's default for new sessions, stream mode's chain (e.g. counting,fec-encode=6/4)")
 		roaming     = fs.Bool("allow-roaming", false, "engine mode: let a session's echo destination follow its most recent sender")
 		adaptOn     = fs.Bool("adapt", false, "engine mode: enable the closed-loop adaptation plane (receiver feedback drives per-session FEC; per-receiver with -fanout)")
@@ -193,15 +195,14 @@ func runEngine(logger *log.Logger, opts engineOptions) error {
 	defer eng.Close()
 
 	if opts.pprof != "" {
-		// Live profiling of the sharded runtime: the default mux already
-		// carries the /debug/pprof handlers via the blank import.
+		// Live profiling of the sharded runtime (pprof.go).
 		ln, err := net.Listen("tcp", opts.pprof)
 		if err != nil {
 			return fmt.Errorf("pprof listen %q: %w", opts.pprof, err)
 		}
 		defer ln.Close()
 		logger.Printf("pprof on http://%s/debug/pprof/", ln.Addr())
-		go func() { _ = http.Serve(ln, nil) }()
+		go servePprof(ln)
 	}
 
 	server := control.NewServer(logger)

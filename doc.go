@@ -45,7 +45,8 @@
 // shard so the kernel spreads flows across readers. Engine,
 // per-shard and per-session counters — including syscall and batch-fill
 // economics — are exposed through the control protocol. cmd/rapidproxy serves
-// the engine (with -pprof for live profiling and graceful signal-driven
+// the engine (with -pprof for live profiling, served by a stdlib-only
+// /debug/pprof responder so the binary links no HTTP stack, and graceful signal-driven
 // drain); cmd/rapidctl inspects it (sessions, stats, stats -json).
 //
 // Scale past the hot set comes from idle-session parking: a session with no

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"net/netip"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -401,6 +402,55 @@ func TestEngineShardedStatsAggregate(t *testing.T) {
 
 // TestEngineChainTranscodeStage checks the transcode wiring end to end: an
 // engine chain with an audio downsampler halves every data payload.
+// TestShardLoopsCarryPprofLabels: every shard's reader and writer goroutine
+// carries shard=<idx> and loop=reader|writer, so a goroutine or CPU profile
+// splits per shard and per loop.
+func TestShardLoopsCarryPprofLabels(t *testing.T) {
+	newTestEngine(t, Config{Shards: 2})
+	want := []string{
+		`{"loop":"reader", "shard":"0"} (*shard).readLoop+`,
+		`{"loop":"reader", "shard":"1"} (*shard).readLoop+`,
+		`{"loop":"writer", "shard":"0"} (*shard).writeLoop+`,
+		`{"loop":"writer", "shard":"1"} (*shard).writeLoop+`,
+	}
+	var missing []string
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		// One "labels frame" string per labelled stack frame of the
+		// goroutine?debug=1 profile; records are separated by blank lines.
+		var prof strings.Builder
+		if err := pprof.Lookup("goroutine").WriteTo(&prof, 1); err != nil {
+			t.Fatal(err)
+		}
+		var seen []string
+		for _, rec := range strings.Split(prof.String(), "\n\n") {
+			_, after, ok := strings.Cut(rec, "# labels: ")
+			if !ok {
+				continue
+			}
+			labels, frames, _ := strings.Cut(after, "\n")
+			for _, f := range strings.Fields(frames) {
+				if _, fn, ok := strings.Cut(f, "internal/engine."); ok {
+					seen = append(seen, labels+" "+fn)
+				}
+			}
+		}
+		missing = missing[:0]
+		for _, w := range want {
+			found := false
+			for _, s := range seen {
+				found = found || strings.HasPrefix(s, w)
+			}
+			if !found {
+				missing = append(missing, w)
+			}
+		}
+		if len(missing) == 0 {
+			return
+		}
+	}
+	t.Fatalf("goroutine profile lacks labelled shard loops %q", missing)
+}
+
 func TestEngineChainTranscodeStage(t *testing.T) {
 	e := newTestEngine(t, Config{Chain: "transcode=2"})
 	c := dialEngine(t, e)

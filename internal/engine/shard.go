@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"math/bits"
 	"net"
 	"net/netip"
+	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -201,6 +204,13 @@ func (sh *shard) stats() metrics.ShardStats {
 	}
 }
 
+// labelLoop sets the pprof labels shard=<idx> and loop=<loop> on the calling
+// goroutine, once at its start, so CPU and goroutine profiles split per shard
+// and per loop at no per-datagram cost.
+func (sh *shard) labelLoop(loop string) {
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("shard", strconv.Itoa(sh.idx), "loop", loop)))
+}
+
 // readLoop pulls datagram batches off the shard's socket and routes each to
 // its session. Buffers are leased from the packet pool a batch at a time;
 // slots the kernel didn't fill keep their buffer for the next batch, so an
@@ -214,6 +224,7 @@ func (sh *shard) stats() metrics.ShardStats {
 func (sh *shard) readLoop() {
 	e := sh.eng
 	defer e.wg.Done()
+	sh.labelLoop("reader")
 	var (
 		bufs [batchSize]*packet.Buf
 		ms   [batchSize]ioMsg
@@ -388,6 +399,7 @@ func (sh *shard) wakeWriter() {
 func (sh *shard) writeLoop() {
 	e := sh.eng
 	defer e.wg.Done()
+	sh.labelLoop("writer")
 	for {
 		select {
 		case <-sh.wake:
