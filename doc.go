@@ -27,8 +27,11 @@
 // the shard's output queue, all on one goroutine under one per-session lock
 // (several readers may serve one session, and the control plane splices from
 // its own goroutine) — no per-session goroutine, queue or byte pipe, no copy
-// and no re-parse, so a live session is a plain struct and the buffer
-// recvmmsg filled is the one sendmmsg sends. The timed kinds — delay,
+// and no re-parse, so a live session is a plain struct and the buffer the
+// reader copied a datagram into is the one sendmmsg sends. The reader keeps
+// its 64 KiB receive slots, off the Go heap, and copies each datagram out
+// into a pooled buffer of its own size class, so a datagram costs its size,
+// not a slot. The timed kinds — delay,
 // ratelimit, jitter — hold frames and release them from one runtime timer
 // per chain, under the same lock. FrameChain is the only executor in the
 // repository: rapidproxy's stream mode and the figure benchmarks run
@@ -38,7 +41,8 @@
 // is batched (internal/netbatch): on Linux each shard moves up to 32
 // datagrams per recvmmsg/sendmmsg call — coalescing equal-size runs further
 // with UDP GSO, always attempted and dropped per socket when the kernel
-// refuses it, without losing the refused batch — with a portable
+// refuses it, without losing the refused batch, and taking a GSO sender's
+// run as one UDP GRO slot that the reader splits per datagram — with a portable
 // single-datagram fallback elsewhere, holding the data plane under 0.25 syscalls per packet
 // at steady state. Where the batched path runs (linux/amd64 and linux/arm64
 // without "purego") the engine can also bind one SO_REUSEPORT socket per

@@ -17,10 +17,12 @@ import (
 )
 
 // scriptedDgram is one inbound datagram a scripted conn serves to the shard
-// reader.
+// reader, or with seg set a GRO slot: seg-byte datagrams back to back in
+// data, the last possibly shorter.
 type scriptedDgram struct {
 	data []byte
 	from netip.AddrPort
+	seg  int
 }
 
 // scriptedConn replaces a shard's batch conn (through the shard.bconn test
@@ -61,6 +63,7 @@ func (c *scriptedConn) ReadBatch(ms []ioMsg) (int, error) {
 	for i := range batch {
 		ms[i].N = copy(ms[i].Buf, batch[i].data)
 		ms[i].Addr = batch[i].from
+		ms[i].Seg = batch[i].seg
 	}
 	return len(batch), nil
 }

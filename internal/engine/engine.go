@@ -47,7 +47,9 @@
 // the syscall level where the platform allows: on linux/amd64 and
 // linux/arm64 the shard loops move up to 32 datagrams per recvmmsg/sendmmsg
 // call and fold runs of equal-size datagrams to one destination into single
-// UDP GSO super-datagrams. Those two calls are raw syscalls that keep the
+// UDP GSO super-datagrams; the socket takes UDP GRO too, so a GSO sender's
+// run arrives as one receive slot, which the reader splits per datagram.
+// Those two calls are raw syscalls that keep the
 // reader's P: each is non-blocking and bounded by one batch, and a reader
 // with nothing to read parks on the netpoller, so waking one costs a netpoll
 // return and no scheduler handoff (see internal/netbatch). A reader that has
@@ -63,8 +65,10 @@
 // SentDatagrams and SendEntries counters expose the achieved syscall and
 // kernel-traversal amortization (see metrics.EngineStats).
 //
-// The steady-state relay path is allocation-free: datagrams travel in pooled
-// buffers (packet.GetBuf) from the socket read, through the chain, to the
+// The steady-state relay path is allocation-free: each shard reader reads
+// into receive slots it keeps for its whole life, mapped off the Go heap on
+// Linux, and copies every datagram out into a pooled buffer of its own size
+// class (packet.GetBuf), in which it travels through the chain to the
 // shard's socket write, and session lookup, peer tracking (one atomic
 // load per datagram) and counters all avoid per-packet allocation.
 //
@@ -488,6 +492,7 @@ func (e *Engine) Start() error {
 		if sh.bconn == nil { // tests may have injected a scripted conn
 			sh.bconn = netbatch.New(sh.conn, netbatch.Options{
 				GSO:       gsoAvailable,
+				GRO:       gsoAvailable,
 				RecvCalls: &sh.counters.recvCalls,
 				SendCalls: &sh.counters.sendCalls,
 				Segmented: &sh.counters.gsoDatagrams,
@@ -511,7 +516,7 @@ func (e *Engine) Start() error {
 	}
 	io := "single-datagram I/O"
 	if batchIOAvailable {
-		io = "batched mmsg I/O + GSO where the kernel accepts it"
+		io = "batched mmsg I/O + GSO/GRO where the kernel accepts them"
 	}
 	e.logf("serving UDP on %s (%d shards over %s, %s, max %d sessions, chain %q)",
 		e.conns[0].LocalAddr(), len(e.shards), mode, io, e.cfg.MaxSessions, e.cfg.Chain)

@@ -27,9 +27,10 @@ func heapBytes() uint64 {
 }
 
 // awaitReadersReading waits until every shard reader in the process is inside
-// a read. A reader leases its receive slots (32 x 64 KiB) right after Start,
-// on its own goroutine, before its first read: a lease landing between two
-// heap readings would count as per-session heap.
+// a read. A reader takes its receive slots (32 x 64 KiB) right after Start,
+// on its own goroutine, before its first read, and where they are not mapped
+// off the heap (receiveSlots) slots landing between two heap readings would
+// count as per-session heap.
 func awaitReadersReading(t *testing.T) {
 	t.Helper()
 	buf := make([]byte, 1<<20)

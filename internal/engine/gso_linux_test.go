@@ -8,14 +8,17 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/netip"
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rapidware/internal/fec"
 	"rapidware/internal/metrics"
 	"rapidware/internal/netbatch"
 	"rapidware/internal/packet"
+	"rapidware/internal/race"
 )
 
 // TestEngineGSORejectedLosesNothing starts an engine whose socket refuses
@@ -274,5 +277,241 @@ func TestFlushSendsEachDestinationOneRunPerKind(t *testing.T) {
 		if !bytes.Equal(got[i], wantShared[i]) {
 			t.Fatalf("shared member: datagram %d is not the %d-th in queue order", i, i)
 		}
+	}
+}
+
+// Linux's UDP socket option level and its UDP_SEGMENT option (linux/udp.h).
+const (
+	solUDP     = 17
+	udpSegment = 103
+)
+
+// sendRun sends dgrams to dst the way a GSO sender sends a run: one sendmsg
+// whose UDP_SEGMENT size is the first datagram's length. Every datagram but
+// the last must have that length; the last may be shorter. Over loopback to
+// a UDP_GRO socket the run arrives as one receive slot.
+func sendRun(t *testing.T, c *net.UDPConn, dst netip.AddrPort, dgrams [][]byte) {
+	t.Helper()
+	var buf []byte
+	for _, d := range dgrams {
+		buf = append(buf, d...)
+	}
+	oob := make([]byte, syscall.CmsgSpace(2))
+	h := (*syscall.Cmsghdr)(unsafe.Pointer(&oob[0]))
+	h.Level, h.Type = solUDP, udpSegment
+	h.SetLen(syscall.CmsgLen(2))
+	binary.NativeEndian.PutUint16(oob[syscall.CmsgLen(0):], uint16(len(dgrams[0])))
+	if _, _, err := c.WriteMsgUDPAddrPort(buf, oob, dst); err != nil {
+		t.Fatalf("GSO send of %d datagrams: %v", len(dgrams), err)
+	}
+}
+
+// groRun builds one run of n datagrams for the GRO ingress tests: sessions 1
+// to 4 interleaved, each datagram the next seq of its session (next counts
+// them), a 100-byte payload each and a 30-byte one last.
+func groRun(t *testing.T, n int, next map[uint32]uint64) [][]byte {
+	run := make([][]byte, n)
+	for i := range run {
+		id := uint32(1 + i%4)
+		payload := bytes.Repeat([]byte{byte(next[id])}, 100)
+		if i == n-1 {
+			payload = payload[:30]
+		}
+		run[i] = mustDatagram(t, id, next[id], payload)
+		next[id]++
+	}
+	return run
+}
+
+// groEcho starts a one-shard echo engine and a loopback client socket, and
+// returns them with the engine's address.
+func groEcho(tb testing.TB) (*Engine, *net.UDPConn, netip.AddrPort) {
+	e, err := New(Config{ListenAddr: "127.0.0.1:0", Shards: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { e.Close() })
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	return e, c, e.LocalAddr().(*net.UDPAddr).AddrPort()
+}
+
+// startGROIngress is groEcho for the GRO ingress tests: it waits for the
+// reader's first read, so the engine's RecvCalls from then on count only
+// reads of the test's runs.
+func startGROIngress(t *testing.T) (*Engine, *net.UDPConn, netip.AddrPort) {
+	t.Helper()
+	if !gsoAvailable {
+		t.Skip("UDP GSO and GRO not available in this build")
+	}
+	e, c, dst := groEcho(t)
+	waitFor(t, "the reader's first read", func() bool { return e.Stats().RecvCalls > 0 })
+	return e, c, dst
+}
+
+// requireSessionOrder fails unless got holds exactly the datagrams of want,
+// each session's in want's order.
+func requireSessionOrder(t *testing.T, got, want [][]byte) {
+	t.Helper()
+	bySession := func(dgrams [][]byte) map[uint32][][]byte {
+		m := map[uint32][][]byte{}
+		for _, d := range dgrams {
+			id := binary.BigEndian.Uint32(d)
+			m[id] = append(m[id], d)
+		}
+		return m
+	}
+	g, w := bySession(got), bySession(want)
+	if len(got) != len(want) || len(g) != len(w) {
+		t.Fatalf("%d echoes over %d sessions, want %d over %d", len(got), len(g), len(want), len(w))
+	}
+	for id, ws := range w {
+		for i := range ws {
+			if i >= len(g[id]) || !bytes.Equal(g[id][i], ws[i]) {
+				t.Fatalf("session %d: echo %d is not the %d-th datagram it sent", id, i, i)
+			}
+		}
+	}
+}
+
+// TestEngineGROIngressOneSlotPerRun sends an engine runs of 48 datagrams —
+// four sessions' equal-size datagrams interleaved and a short last one — each
+// as one GSO send. The engine's socket takes UDP GRO, so each run reaches the
+// reader as one slot: one read that yields it and at most one that finds the
+// socket empty, where 48 separate datagrams need two reads of 32 slots before
+// that. The reader splits the slot, and every datagram, the short one too, is
+// counted, demuxed and echoed in its session's order.
+func TestEngineGROIngressOneSlotPerRun(t *testing.T) {
+	e, c, dst := startGROIngress(t)
+	const runs, perRun = 8, 48
+	before := e.Stats()
+	next := map[uint32]uint64{}
+	for r := 0; r < runs; r++ {
+		run := groRun(t, perRun, next)
+		sendRun(t, c, dst, run)
+		requireSessionOrder(t, readGRO(t, c, perRun), run)
+	}
+	st := e.Stats()
+	if calls := st.RecvCalls - before.RecvCalls; calls > 2*runs {
+		t.Fatalf("%d receive calls for %d runs, want at most 2 a run: a run did not arrive as one slot", calls, runs)
+	}
+	if got := st.Datagrams - before.Datagrams; got != runs*perRun {
+		t.Fatalf("Datagrams = %d, want %d: one per datagram, not per slot", got, runs*perRun)
+	}
+	if st.Malformed != 0 || e.SessionCount() != 4 {
+		t.Fatalf("Malformed = %d, SessionCount = %d, want 0 and 4", st.Malformed, e.SessionCount())
+	}
+}
+
+// TestEngineGROIngressDropsBadSegmentAlone sends one run whose middle
+// datagram declares a frame kind that does not exist. The reader validates
+// each datagram of the slot on its own: that one is counted malformed and
+// dropped, and every other is echoed in its session's order.
+func TestEngineGROIngressDropsBadSegmentAlone(t *testing.T) {
+	e, c, dst := startGROIngress(t)
+	const perRun, bad = 48, 24
+	run := groRun(t, perRun, map[uint32]uint64{})
+	run[bad][packet.SessionIDSize+3] = 0xee
+	sendRun(t, c, dst, run)
+	want := append(append([][]byte(nil), run[:bad]...), run[bad+1:]...)
+	requireSessionOrder(t, readGRO(t, c, len(want)), want)
+	st := e.Stats()
+	if st.Malformed != 1 || st.Datagrams != perRun {
+		t.Fatalf("Malformed = %d, Datagrams = %d, want 1 and %d", st.Malformed, st.Datagrams, perRun)
+	}
+}
+
+// groRunLen is the number of datagrams in one groIngress op's run.
+const groRunLen = 32
+
+// groIngress starts a one-shard echo engine and a client that sends it runs
+// of groRunLen datagrams with 64-byte payloads, four sessions interleaved,
+// and returns one op: a run sent and its echoes read back. With gso the
+// client's netbatch conn has GSO and GRO on, so the run leaves in one GSO
+// send, reaches the engine as one slot, and its echoes come back as one;
+// without, each datagram is its own entry both ways.
+func groIngress(tb testing.TB, gso bool) func() {
+	_, c, dst := groEcho(tb)
+	bc := netbatch.New(c, netbatch.Options{GSO: gso, GRO: gso})
+	out := make([]ioMsg, groRunLen)
+	for i := range out {
+		d, err := packet.AppendDatagram(nil, uint32(1+i%4), &packet.Packet{Seq: uint64(i), Kind: packet.KindData, Payload: make([]byte, 64)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = ioMsg{Buf: d, Addr: dst}
+	}
+	in := make([]ioMsg, batchSize)
+	for i := range in {
+		in[i].Buf = make([]byte, packet.MaxDatagram)
+	}
+	op := func() {
+		if n, err := bc.WriteBatch(out); n != len(out) || err != nil {
+			tb.Fatalf("client WriteBatch = (%d, %v), want (%d, nil)", n, err, len(out))
+		}
+		for got := 0; got < groRunLen; {
+			n, err := bc.ReadBatch(in)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for _, m := range in[:n] {
+				got++
+				if m.Seg > 0 {
+					got += (m.N+m.Seg-1)/m.Seg - 1
+				}
+			}
+		}
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	op() // opens the sessions and warms the pools
+	c.SetReadDeadline(time.Now().Add(10 * time.Minute))
+	return op
+}
+
+// BenchmarkEngineGROIngress times one run of groRunLen datagrams through an
+// echo engine, from a GSO client and from a plain one, and reports the
+// process's CPU time (client and engine, from getrusage) per datagram.
+// TestEngineGROIngressAllocs holds the GSO client's op allocation-free.
+func BenchmarkEngineGROIngress(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		gso  bool
+	}{{"gso-client", true}, {"plain-client", false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			if tc.gso && !gsoAvailable {
+				b.Skip("UDP GSO and GRO not available in this build")
+			}
+			op := groIngress(b, tc.gso)
+			b.ReportAllocs()
+			var r0, r1 syscall.Rusage
+			b.ResetTimer()
+			syscall.Getrusage(syscall.RUSAGE_SELF, &r0)
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			syscall.Getrusage(syscall.RUSAGE_SELF, &r1)
+			b.StopTimer()
+			cpu := r1.Utime.Nano() + r1.Stime.Nano() - r0.Utime.Nano() - r0.Stime.Nano()
+			b.ReportMetric(float64(cpu)/float64(b.N*groRunLen), "cpu-ns/datagram")
+		})
+	}
+}
+
+func TestEngineGROIngressAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if !gsoAvailable {
+		t.Skip("UDP GSO and GRO not available in this build")
+	}
+	op := groIngress(t, true)
+	if n := testing.AllocsPerRun(200, op); n != 0 {
+		t.Fatalf("%v allocs per GRO run of %d datagrams, want 0", n, groRunLen)
 	}
 }

@@ -1,0 +1,140 @@
+package engine
+
+import (
+	"bytes"
+	"net/netip"
+	"sync"
+	"testing"
+
+	"rapidware/internal/compose"
+	"rapidware/internal/filter"
+	"rapidware/internal/packet"
+)
+
+// recvPeer is the source address of the datagrams the tests below script.
+var recvPeer = netip.MustParseAddrPort("10.9.0.3:4000")
+
+// newProbeEngine starts a one-shard scripted engine (see newScriptedEngine)
+// whose sessions run one stage of kind "probe", a frame function made of fn.
+func newProbeEngine(t *testing.T, fn func(b *packet.Buf, emit func(*packet.Buf)) error) (*Engine, *scriptedConn) {
+	t.Helper()
+	e, err := New(Config{ListenAddr: "127.0.0.1:0", Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := e.reg.Clone()
+	if err := reg.Register(compose.Definition{
+		Kind:  "probe",
+		Build: func(compose.Env, string) (filter.Filter, error) { return filter.NewFrame("probe", fn, nil), nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e.reg = reg
+	if e.trunkPlan, err = compose.ParseWith(reg, "probe", compose.ModeChain); err != nil {
+		t.Fatal(err)
+	}
+	sc := newScriptedConn()
+	e.shards[0].bconn = sc
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		close(sc.in)
+		e.Close()
+	})
+	return e, sc
+}
+
+// TestReceivedDatagramRightSized pins what a received datagram costs: the
+// reader copies it out of its 64 KiB receive slot into the pooled buffer
+// class that fits it, so a stage sees a 64-byte payload in a 512-byte buffer
+// and a 1,200-byte one in a 2,048-byte buffer.
+func TestReceivedDatagramRightSized(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		caps []int
+	)
+	_, sc := newProbeEngine(t, func(b *packet.Buf, emit func(*packet.Buf)) error {
+		mu.Lock()
+		caps = append(caps, b.Cap())
+		mu.Unlock()
+		emit(b)
+		return nil
+	})
+	sc.in <- []scriptedDgram{
+		{data: mustDatagram(t, 1, 0, make([]byte, 64)), from: recvPeer},
+		{data: mustDatagram(t, 1, 1, make([]byte, 1200)), from: recvPeer},
+	}
+	waitFor(t, "both echoes", func() bool { return sc.sentTotal() == 2 })
+	mu.Lock()
+	defer mu.Unlock()
+	if len(caps) != 2 || caps[0] != 512 || caps[1] != 2048 {
+		t.Fatalf("stage saw buffers of capacity %v, want [512 2048]", caps)
+	}
+}
+
+// TestHeldFrameOutlivesReceiveSlots has a stage hold the first frame it sees
+// while the reader reads ten more full batches into the same receive slots.
+// The held frame's bytes must not change: no part of a slot ever leaves the
+// reader.
+func TestHeldFrameOutlivesReceiveSlots(t *testing.T) {
+	var held *packet.Buf
+	_, sc := newProbeEngine(t, func(b *packet.Buf, emit func(*packet.Buf)) error {
+		if held == nil {
+			held = b
+			return nil
+		}
+		emit(b)
+		return nil
+	})
+	first := mustDatagram(t, 1, 0, bytes.Repeat([]byte{0xa5}, 200))
+	sc.in <- []scriptedDgram{{data: first, from: recvPeer}}
+	const batches = 10
+	for n := 1; n <= batches; n++ {
+		batch := make([]scriptedDgram, batchSize)
+		for i := range batch {
+			batch[i] = scriptedDgram{data: mustDatagram(t, 1, uint64(n*batchSize+i), bytes.Repeat([]byte{byte(n)}, 200)), from: recvPeer}
+		}
+		sc.in <- batch
+	}
+	waitFor(t, "every echo but the held frame's", func() bool { return sc.sentTotal() == batches*batchSize })
+	// The reader wrote held before the echoes it waited for.
+	if !bytes.Equal(held.B, first[packet.SessionIDSize:]) {
+		t.Fatal("the held frame's bytes changed while the reader read on")
+	}
+	held.Release()
+}
+
+// TestReaderSendsFullGROBatch serves the reader one batch of batchSize GRO
+// slots of 64 datagrams each, 2,048 datagrams in all, twice what the shard's
+// queue holds. The reader sends what it queued every readSendSize datagrams,
+// so every one is counted once, echoed in order, and none is dropped.
+func TestReaderSendsFullGROBatch(t *testing.T) {
+	e, sc := newScriptedEngine(t, Config{})
+	const perSlot = 64
+	var want [][]byte
+	batch := make([]scriptedDgram, batchSize)
+	for i := range batch {
+		var slot []byte
+		for j := 0; j < perSlot; j++ {
+			d := mustDatagram(t, 1, uint64(len(want)), make([]byte, 100))
+			want = append(want, d)
+			slot = append(slot, d...)
+		}
+		batch[i] = scriptedDgram{data: slot, from: recvPeer, seg: len(want[0])}
+	}
+	sc.in <- batch
+	waitFor(t, "every datagram echoed or dropped", func() bool {
+		st := e.Stats()
+		return st.Datagrams == uint64(len(want)) && sc.sentTotal()+int(st.WriteDrops) == len(want)
+	})
+	if st := e.Stats(); st.WriteDrops != 0 || st.Malformed != 0 {
+		t.Fatalf("WriteDrops = %d, Malformed = %d, want 0 and 0", st.WriteDrops, st.Malformed)
+	}
+	got := sc.sentTo(recvPeer)
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("echo %d is not datagram %d", i, i)
+		}
+	}
+}

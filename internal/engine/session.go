@@ -421,7 +421,7 @@ func (s *Session) setPeer(from netip.AddrPort) {
 //
 // The datagram is processed right here: one atomic load, the executor's lock,
 // then every stage and send run to completion on this goroutine, in the
-// buffer the socket read filled. A false Enter means the executor was retired
+// size-classed buffer the reader copied the datagram into. A false Enter means the executor was retired
 // under us — park or close, under mu, or a stage failure — so we wait the
 // transition out on mu and look again.
 func (s *Session) deliver(b *packet.Buf, from netip.AddrPort) {

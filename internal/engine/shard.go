@@ -38,6 +38,11 @@ const (
 	// has the group when its parity arrives. It also bounds the expansion
 	// scratch, which peaks at flushSize x members datagrams.
 	flushSize = 64
+	// readSendSize is how many received datagrams the reader handles before
+	// it sends what they queued. A batch of GRO slots can carry a few
+	// thousand datagrams, and their output must not overflow writeqSize
+	// while the reader holds it back from the writer.
+	readSendSize = writeqSize / 4
 	// maxReadBackoffShift caps the transient-read-error sleep at
 	// 1ms << maxReadBackoffShift (256ms).
 	maxReadBackoffShift = 8
@@ -212,12 +217,14 @@ func (sh *shard) labelLoop(loop string) {
 }
 
 // readLoop pulls datagram batches off the shard's socket and routes each to
-// its session. Buffers are leased from the packet pool a batch at a time;
-// slots the kernel didn't fill keep their buffer for the next batch, so an
-// idle shard holds at most batchSize spare buffers and steady state still
-// allocates nothing. What a batch's sessions emit is queued while the batch
-// runs and sent by the reader once it is done, so one flush carries the whole
-// batch's output and no goroutine handoff sits on the forwarding path (cohort
+// its session. The reader owns batchSize receive slots of packet.MaxDatagram
+// bytes for its whole life (receiveSlots) and reads every batch into them.
+// handleSlot copies each datagram out into a pooled buffer of its own size
+// class, so a datagram costs its size class, not a 64 KiB slot, and no slot
+// byte leaves the loop. What a batch's sessions emit is queued while the batch
+// runs and sent by the reader once it is done (or every readSendSize
+// datagrams of a batch of GRO slots), so one flush carries the whole batch's
+// output and no goroutine handoff sits on the forwarding path (cohort
 // tails' output excepted, see enqueueTail). Transient read errors back off
 // exponentially — both the retry pace and the logging — so a persistent
 // socket fault can neither spin a core nor storm the log.
@@ -225,25 +232,14 @@ func (sh *shard) readLoop() {
 	e := sh.eng
 	defer e.wg.Done()
 	sh.labelLoop("reader")
-	var (
-		bufs [batchSize]*packet.Buf
-		ms   [batchSize]ioMsg
-	)
-	defer func() {
-		for _, b := range bufs {
-			if b != nil {
-				b.Release()
-			}
-		}
-	}()
+	slots, unmap := receiveSlots(batchSize * packet.MaxDatagram)
+	defer unmap()
+	var ms [batchSize]ioMsg
+	for i := range ms {
+		ms[i].Buf = slots[i*packet.MaxDatagram : (i+1)*packet.MaxDatagram]
+	}
 	var errStreak uint
 	for {
-		for i := range bufs {
-			if bufs[i] == nil {
-				bufs[i] = packet.GetBuf(packet.MaxDatagram)
-			}
-			ms[i].Buf = bufs[i].B
-		}
 		n, err := sh.bconn.ReadBatch(ms[:])
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) || e.closed.Load() {
@@ -261,15 +257,43 @@ func (sh *shard) readLoop() {
 			continue
 		}
 		errStreak = 0
-		sh.counters.datagrams.Add(uint64(n))
 		sh.reading.Store(true)
-		for i := 0; i < n; i++ {
-			b := bufs[i]
-			bufs[i] = nil // ownership moves to the session (or is released below)
-			sh.handleDatagram(b, ms[i].N, ms[i].Addr)
+		dgrams, unsent := 0, 0
+		for i := range ms[:n] {
+			k := sh.handleSlot(&ms[i])
+			dgrams += k
+			if unsent += k; unsent >= readSendSize {
+				sh.sendQueue(&sh.wq)
+				unsent = 0
+			}
 		}
+		sh.counters.datagrams.Add(uint64(dgrams))
 		sh.reading.Store(false)
 		sh.sendQueue(&sh.wq)
+	}
+}
+
+// handleSlot hands each datagram of one filled receive slot to
+// handleDatagram, in order, each copied into packet.GetBuf of its length, and
+// returns how many the slot held. A plain slot holds one datagram. A slot the
+// kernel filled by UDP GRO holds a GSO sender's run from one source: Seg
+// bytes a datagram, the last possibly shorter. Each is validated and demuxed
+// on its own, so a bad one drops only itself.
+func (sh *shard) handleSlot(m *ioMsg) int {
+	seg := m.Seg
+	if seg <= 0 {
+		seg = m.N
+	}
+	count := 0
+	for off := 0; ; off += seg {
+		dgram := m.Buf[off:min(off+seg, m.N)]
+		b := packet.GetBuf(len(dgram))
+		copy(b.B, dgram)
+		sh.handleDatagram(b, len(dgram), m.Addr)
+		count++
+		if off+seg >= m.N {
+			return count
+		}
 	}
 }
 
@@ -631,15 +655,7 @@ func (sh *shard) sendBatch(ms []ioMsg, acct []wmeta) {
 	for sent < len(ms) {
 		n, err := sh.bconn.WriteBatch(ms[sent:])
 		sh.counters.sentDatagrams.Add(uint64(n))
-		for i := sent; i < sent+n; i++ {
-			m := &acct[i]
-			m.s.counters.OutPackets.Add(1)
-			m.s.counters.OutBytes.Add(uint64(len(ms[i].Buf)))
-			if m.rx != nil {
-				m.rx.OutPackets.Add(1)
-				m.rx.OutBytes.Add(uint64(len(ms[i].Buf)))
-			}
-		}
+		credit(ms[sent:sent+n], acct[sent:sent+n])
 		sent += n
 		if err != nil {
 			if sent >= len(ms) {
@@ -656,6 +672,28 @@ func (sh *shard) sendBatch(ms []ioMsg, acct []wmeta) {
 				drop(&acct[i])
 			}
 			return
+		}
+	}
+}
+
+// credit adds sent datagrams to their sessions' and receivers' output
+// counters, once per run of adjacent datagrams with the same session and
+// receiver. flush lays datagrams out destination-major, so a run is usually
+// a destination's whole share of one session's output, and the totals stay
+// exact at a few atomic adds per flush instead of four per datagram.
+func credit(ms []ioMsg, acct []wmeta) {
+	for i := 0; i < len(ms); {
+		a := acct[i]
+		var pkts, bytes uint64
+		for ; i < len(ms) && acct[i] == a; i++ {
+			pkts++
+			bytes += uint64(len(ms[i].Buf))
+		}
+		a.s.counters.OutPackets.Add(pkts)
+		a.s.counters.OutBytes.Add(bytes)
+		if a.rx != nil {
+			a.rx.OutPackets.Add(pkts)
+			a.rx.OutBytes.Add(bytes)
 		}
 	}
 }
