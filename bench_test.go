@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rapidware/internal/adapt"
+	"rapidware/internal/arq"
 	"rapidware/internal/audio"
 	"rapidware/internal/compose"
 	"rapidware/internal/endpoint"
@@ -1039,13 +1040,17 @@ func BenchmarkLiveRecompose(b *testing.B) {
 // Reliability spectrum — ARQ retransmission and replay catch-up paths.
 // ---------------------------------------------------------------------------
 
-// BenchmarkEngineARQRecovery measures the NACK repair path end to end: one
-// session with an arq history stage is primed with a stream, then each op is
-// one NACK datagram answered with one retransmitted frame out of the bounded
-// history — the per-repair cost a receiver pays after reporting a gap.
+// BenchmarkEngineARQRecovery measures the NACK repair path end to end on one
+// requester within its retransmission budget: one session with an arq
+// history stage is primed with a stream, then each op relays the stream's
+// next arqStreamPerRepair frames and answers one NACK for an earlier frame
+// with a retransmission out of the bounded history — the repair cycle of a
+// receiver that loses one datagram in arqStreamPerRepair+1. The budget grows
+// with the stream relayed to the requester, so the loop runs as long as b.N
+// asks with no NACK refused.
 func BenchmarkEngineARQRecovery(b *testing.B) {
 	op := arqRecovery(b)
-	b.SetBytes(benchDgramSize)
+	b.SetBytes((arqStreamPerRepair + 1) * benchDgramSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1053,34 +1058,57 @@ func BenchmarkEngineARQRecovery(b *testing.B) {
 	}
 }
 
-// arqRecovery primes an arq session's history and returns one NACK ->
-// retransmission round trip, cycling over the history.
+// arqStreamPerRepair is the stream frames BenchmarkEngineARQRecovery relays
+// per repair: a requester may draw one byte in arq.RetransmitShare of what it
+// is relayed, retransmissions included, so one repair per
+// arq.RetransmitShare stream frames keeps it inside its budget.
+const arqStreamPerRepair = arq.RetransmitShare
+
+// arqRecovery primes an arq session's history and returns one repair cycle:
+// the stream's next arqStreamPerRepair frames and a NACK for the first frame
+// of the previous cycle, written back to back, and every datagram read back.
+// The stream's sequence numbers cycle through the history's depth, so every
+// datagram is built once.
 func arqRecovery(tb testing.TB) func() {
 	eng := startEngine(tb, engine.Config{Chain: "arq"})
 	c := dialEngine(tb, eng)
 
 	const id = 1
-	const primed = 256
+	const depth = arq.DefaultHistory
 	payload := make([]byte, benchPayload)
 	rand.New(rand.NewSource(3)).Read(payload)
 	recv := make([]byte, packet.MaxDatagram)
-	// Prime the history one round trip at a time so nothing is dropped on
-	// either socket.
-	for seq := uint64(0); seq < primed; seq++ {
-		primeRoundTrip(tb, c, benchDatagram(tb, id, seq, payload), recv)
-	}
-	nacks := make([][]byte, primed)
-	for i := range nacks {
-		d, err := packet.AppendNackDatagram(nil, id, 0, 0, []uint64{uint64(i)})
+	stream := make([][]byte, depth)
+	nacks := make([][]byte, depth)
+	for seq := range stream {
+		stream[seq] = benchDatagram(tb, id, uint64(seq), payload)
+		d, err := packet.AppendNackDatagram(nil, id, 0, 0, []uint64{uint64(seq)})
 		if err != nil {
 			tb.Fatal(err)
 		}
-		nacks[i] = d
+		nacks[seq] = d
 	}
-	next := 0
+	// Prime one cycle's frames one round trip at a time so nothing is
+	// dropped on either socket.
+	for seq := 0; seq < arqStreamPerRepair; seq++ {
+		primeRoundTrip(tb, c, stream[seq], recv)
+	}
+	next := arqStreamPerRepair
 	return func() {
-		roundTrip(tb, c, nacks[next], recv)
-		next = (next + 1) % primed
+		for i := range arqStreamPerRepair {
+			if _, err := c.Write(stream[(next+i)%depth]); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if _, err := c.Write(nacks[(next+depth-arqStreamPerRepair)%depth]); err != nil {
+			tb.Fatal(err)
+		}
+		for range arqStreamPerRepair + 1 {
+			if _, err := c.Read(recv); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		next = (next + arqStreamPerRepair) % depth
 	}
 }
 

@@ -230,8 +230,8 @@ func printStats(out *os.File, eng *metrics.EngineStats, shards []metrics.ShardSt
 	}
 	fmt.Fprintf(out, "engine: sessions %d (%d live, %d parked; total %d), shards %d\n",
 		eng.ActiveSessions, eng.LiveSessions, eng.ParkedSessions, eng.TotalSessions, eng.Shards)
-	fmt.Fprintf(out, "datagrams %d  malformed %d  rejected %d  feedback %d  nacks %d  retransmits %d  chain-errors %d\n",
-		eng.Datagrams, eng.Malformed, eng.Rejected, eng.Feedback, eng.Nacks, eng.Retransmits, eng.ChainErrors)
+	fmt.Fprintf(out, "datagrams %d  malformed %d  rejected %d  feedback %d  nacks %d  retransmits %d  nack-refused %d  chain-errors %d\n",
+		eng.Datagrams, eng.Malformed, eng.Rejected, eng.Feedback, eng.Nacks, eng.Retransmits, eng.NackRefusals, eng.ChainErrors)
 	fmt.Fprintf(out, "parks %d  unparks %d  harvested %d  admission-drops %d\n",
 		eng.Parks, eng.Unparks, eng.Harvested, eng.AdmissionDrops)
 	perFlush := 0.0
@@ -246,12 +246,12 @@ func printStats(out *os.File, eng *metrics.EngineStats, shards []metrics.ShardSt
 		perPacket(eng.Datagrams+eng.BatchedWrites, eng.RecvCalls+eng.SendCalls),
 		fillRatio(eng.Datagrams+eng.BatchedWrites, eng.RecvCalls+eng.SendCalls),
 		eng.GSODatagrams, fillRatio(eng.SentDatagrams, eng.SendEntries))
-	fmt.Fprintf(out, "%-5s %8s %6s %10s %9s %8s %8s %6s %7s %10s %10s %8s %7s %7s %6s %7s %7s %9s %10s\n",
-		"shard", "sessions", "parked", "datagrams", "malformed", "rejected", "feedback", "nacks", "rexmits", "chain-errs", "writes", "flushes", "wdrops", "harvest", "adrops", "bypass", "coalsc", "syscalls", "batch-fill")
+	fmt.Fprintf(out, "%-5s %8s %6s %10s %9s %8s %8s %6s %7s %7s %10s %10s %8s %7s %7s %6s %7s %7s %9s %10s\n",
+		"shard", "sessions", "parked", "datagrams", "malformed", "rejected", "feedback", "nacks", "rexmits", "nrefuse", "chain-errs", "writes", "flushes", "wdrops", "harvest", "adrops", "bypass", "coalsc", "syscalls", "batch-fill")
 	for _, sh := range shards {
-		fmt.Fprintf(out, "%-5d %8d %6d %10d %9d %8d %8d %6d %7d %10d %10d %8d %7d %7d %6d %7d %7d %9d %10s\n",
+		fmt.Fprintf(out, "%-5d %8d %6d %10d %9d %8d %8d %6d %7d %7d %10d %10d %8d %7d %7d %6d %7d %7d %9d %10s\n",
 			sh.Shard, sh.Sessions, sh.Parked, sh.Datagrams, sh.Malformed, sh.Rejected, sh.Feedback,
-			sh.Nacks, sh.Retransmits, sh.ChainErrors, sh.Writes, sh.Flushes, sh.WriteDrops,
+			sh.Nacks, sh.Retransmits, sh.NackRefusals, sh.ChainErrors, sh.Writes, sh.Flushes, sh.WriteDrops,
 			sh.Harvested, sh.AdmissionDrops, sh.BypassHits, sh.CoalescedSends,
 			sh.RecvCalls+sh.SendCalls, fillRatio(sh.Datagrams+sh.Writes, sh.RecvCalls+sh.SendCalls))
 	}

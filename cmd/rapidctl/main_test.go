@@ -570,7 +570,7 @@ func TestPrintStatsGolden(t *testing.T) {
 	eng := &metrics.EngineStats{
 		ActiveSessions: 3, LiveSessions: 2, ParkedSessions: 1, TotalSessions: 5, Shards: 2,
 		Datagrams: 6400, Malformed: 1, Rejected: 2, Feedback: 3, Nacks: 4,
-		Retransmits: 5, ChainErrors: 6,
+		Retransmits: 5, NackRefusals: 13, ChainErrors: 6,
 		Parks: 9, Unparks: 8, Harvested: 1, AdmissionDrops: 2,
 		BatchedWrites: 6400, WriteFlushes: 400, WriteDrops: 7,
 		RecvCalls: 200, SendCalls: 200, GSODatagrams: 5200,
@@ -579,7 +579,7 @@ func TestPrintStatsGolden(t *testing.T) {
 	}
 	shards := []metrics.ShardStats{
 		{Shard: 0, Sessions: 2, Parked: 1, Datagrams: 3200, Malformed: 1, Rejected: 2,
-			Feedback: 3, Nacks: 4, Retransmits: 5, ChainErrors: 6,
+			Feedback: 3, Nacks: 4, Retransmits: 5, NackRefusals: 13, ChainErrors: 6,
 			Writes: 3200, Flushes: 200, WriteDrops: 7, Harvested: 1, AdmissionDrops: 2,
 			BypassHits: 11, CoalescedSends: 12,
 			RecvCalls: 100, SendCalls: 100},
@@ -592,15 +592,15 @@ func TestPrintStatsGolden(t *testing.T) {
 		return nil
 	})
 	want := `engine: sessions 3 (2 live, 1 parked; total 5), shards 2
-datagrams 6400  malformed 1  rejected 2  feedback 3  nacks 4  retransmits 5  chain-errors 6
+datagrams 6400  malformed 1  rejected 2  feedback 3  nacks 4  retransmits 5  nack-refused 13  chain-errors 6
 parks 9  unparks 8  harvested 1  admission-drops 2
 writes 6400 in 400 flushes (16.0/flush)  write-drops 7
 bypass-hits 11  coalesced-sends 12
 syscalls 400 (recv 200, send 200)  per-packet 0.031  batch-fill 32.0  gso 5200  per-entry 12.8
-shard sessions parked  datagrams malformed rejected feedback  nacks rexmits chain-errs     writes  flushes  wdrops harvest adrops  bypass  coalsc  syscalls batch-fill
-0            2      1       3200         1        2        3      4       5          6       3200      200       7       1      2      11      12       200       32.0
-1            1      0       3200         0        0        0      0       0          0       3200      200       0       0      0       0       0       200       32.0
-2            0      0          0         0        0        0      0       0          0          0        0       0       0      0       0       0         0          -
+shard sessions parked  datagrams malformed rejected feedback  nacks rexmits nrefuse chain-errs     writes  flushes  wdrops harvest adrops  bypass  coalsc  syscalls batch-fill
+0            2      1       3200         1        2        3      4       5      13          6       3200      200       7       1      2      11      12       200       32.0
+1            1      0       3200         0        0        0      0       0       0          0       3200      200       0       0      0       0       0       200       32.0
+2            0      0          0         0        0        0      0       0       0          0          0        0       0       0      0       0       0         0          -
 `
 	if out != want {
 		t.Fatalf("stats output drifted:\ngot:\n%s\nwant:\n%s", out, want)

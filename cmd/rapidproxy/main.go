@@ -9,8 +9,10 @@
 // control protocol reports engine, per-shard and per-session counters.
 // -pprof serves /debug/pprof for go tool pprof and curl from a small
 // responder built on runtime/pprof and runtime/trace, so the binary links no
-// HTTP stack; each shard's reader and writer goroutines carry the pprof
-// labels shard=<i> and loop=reader|writer, so a CPU profile splits per shard.
+// HTTP stack (heap?gc=1 collects first, so the heap profile is current);
+// each shard's reader carries the pprof labels shard=<i> and loop=reader, and
+// the maintenance goroutine loop=maint, so a CPU profile splits per shard and
+// loop.
 //
 //	rapidproxy -listen :7400 -shards 8 -chain counting,fec-encode=6/4 \
 //	    [-forward host:7500] [-control 127.0.0.1:7100] [-pprof localhost:6060]
@@ -75,7 +77,7 @@ func run(args []string) error {
 		forwardAddr = fs.String("forward", "", "downstream address (optional in engine mode: empty echoes to senders; required in stream mode)")
 		controlAddr = fs.String("control", "127.0.0.1:7100", "address for the management (control) protocol; it has no authentication, so expose it beyond loopback deliberately")
 		maxSessions = fs.Int("max-sessions", engine.DefaultMaxSessions, "engine mode: maximum concurrent sessions")
-		shards      = fs.Int("shards", 0, "engine mode: data-plane shards (readers/table shards/writers); 0 = one per CPU")
+		shards      = fs.Int("shards", 0, "engine mode: data-plane shards (readers/table shards/output queues); 0 = one per CPU")
 		reusePort   = fs.Bool("reuseport", false, "engine mode: one SO_REUSEPORT socket per shard (linux/amd64 and linux/arm64, not with the 'purego' tag)")
 		// -gso still parses so existing command lines (bench/'s fanout-mixed
 		// among them) keep working.

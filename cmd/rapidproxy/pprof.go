@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/url"
+	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
 	"strconv"
@@ -42,6 +43,7 @@ type pprofRequest struct {
 	name    string        // "" for the index, "profile", "trace" or a runtime/pprof profile name
 	seconds time.Duration // profile and trace window
 	debug   int           // named profiles: 0 is the gzipped protobuf, >0 text
+	gc      bool          // heap: collect first, so the profile is current
 }
 
 // servePprof answers /debug/pprof requests on ln until ln is closed.
@@ -142,6 +144,16 @@ func parsePprofRequest(r io.Reader) (req pprofRequest, status int, msg string) {
 				return req, 400, fmt.Sprintf("debug=%q: want an integer\n", s)
 			}
 		}
+		if s := q.Get("gc"); s != "" {
+			gc, err := strconv.Atoi(s)
+			if err != nil {
+				return req, 400, fmt.Sprintf("gc=%q: want an integer\n", s)
+			}
+			if name != "heap" {
+				return req, 400, "gc applies to heap only\n"
+			}
+			req.gc = gc > 0
+		}
 	}
 	return req, 200, ""
 }
@@ -169,6 +181,11 @@ func (req pprofRequest) respond() (status int, ctype string, body []byte) {
 		trace.Stop()
 		return 200, octetStream, buf.Bytes()
 	}
+	if req.gc {
+		// A heap profile shows the heap as of the last collection, which can
+		// be seconds old.
+		runtime.GC()
+	}
 	if err := pprof.Lookup(req.name).WriteTo(&buf, req.debug); err != nil {
 		return 500, textPlain, []byte("writing profile: " + err.Error() + "\n")
 	}
@@ -185,6 +202,7 @@ func pprofIndex() string {
 	for _, p := range pprof.Profiles() {
 		fmt.Fprintf(&b, "  %-14s %d  ?debug=1 for text\n", p.Name(), p.Count())
 	}
+	b.WriteString("  heap              ?gc=1 collects first, so the profile is current\n")
 	b.WriteString("  profile           ?seconds=N (default 30): CPU profile\n")
 	b.WriteString("  trace             ?seconds=N (default 1): execution trace\n")
 	return b.String()

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"os/exec"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -68,6 +69,13 @@ func gunzipped(t *testing.T, what string, body []byte) {
 func TestPprofServesProfiles(t *testing.T) {
 	base := startPprof(t)
 	gunzipped(t, "heap", mustGet(t, base+"heap", 200))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.NumGC
+	gunzipped(t, "heap?gc=1", mustGet(t, base+"heap?gc=1", 200))
+	if runtime.ReadMemStats(&ms); ms.NumGC == before {
+		t.Fatal("heap?gc=1 ran no garbage collection")
+	}
 	gunzipped(t, "profile", mustGet(t, base+"profile?seconds=1", 200))
 	if body := mustGet(t, base+"goroutine?debug=1", 200); !bytes.HasPrefix(body, []byte("goroutine profile:")) {
 		t.Fatalf("goroutine?debug=1 starts %q, want the text profile", body[:min(len(body), 40)])
@@ -140,6 +148,8 @@ func TestPprofErrorStatuses(t *testing.T) {
 	mustGet(t, base+"trace?seconds=-1", 400)
 	mustGet(t, base+"goroutine?debug=x", 400)
 	mustGet(t, base+"heap?seconds=5", 400)
+	mustGet(t, base+"heap?gc=yes", 400)
+	mustGet(t, base+"goroutine?gc=1", 400)
 	resp, err := http.Post(base+"heap", "text/plain", strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)

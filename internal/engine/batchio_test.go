@@ -150,7 +150,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // shard whose conn fails every send to the middle session's peer. The
 // regression being pinned: a transient sendmmsg error must drop only the
 // datagram it names — counted as a write drop — while the datagrams before
-// and after it in the same batch are delivered, and the writer keeps
+// and after it in the same batch are delivered, and the shard keeps
 // flushing rounds afterwards rather than stalling.
 func TestBatchedWriterPartialFailure(t *testing.T) {
 	e, sc := newScriptedEngine(t, Config{})
@@ -187,7 +187,7 @@ func TestBatchedWriterPartialFailure(t *testing.T) {
 		}
 	}
 
-	// A conn that stops making progress without reporting an error: the writer
+	// A conn that stops making progress without reporting an error: the send
 	// must give the batch's remainder up rather than spin, and count every
 	// datagram it gives up. How many of A's share a batch with (and sit behind)
 	// a stuck C depends on flush timing, so pin conservation, not a number:
@@ -222,7 +222,7 @@ func TestBatchedWriterPartialFailure(t *testing.T) {
 
 // TestBatchedWriterCohortDropAccounting extends the partial-failure contract
 // to cohort fan-out: two clean receivers share one bypass cohort, so each
-// trunk frame is expanded in the writer into one datagram per member off a
+// trunk frame is expanded in the flush into one datagram per member off a
 // shared payload buffer — and every send to one member fails. The surviving
 // member must receive every frame in order, and each lost datagram must be
 // charged exactly once to the poisoned member's branch counters, once to the
@@ -440,7 +440,7 @@ func (c *orderConn) WriteBatch(ms []ioMsg) (int, error) {
 	return len(ms), nil
 }
 
-// TestFlushGroupsCohortFramesAcrossBatch pins the writer's expansion order
+// TestFlushGroupsCohortFramesAcrossBatch pins the flush's expansion order
 // when two cohort views' frames interleave in one drained batch — as they do,
 // several cohorts and release timers feeding the queue. Each view's frames
 // must be expanded together, destination-major, so that every

@@ -24,7 +24,7 @@ import (
 // identically and whose adaptation loops decided the same repair mechanism
 // (same (n,k) FEC code, same ARQ history, or none) are members of the same
 // cohort: a trunk frame traverses the cohort's tail once, is FEC-encoded once,
-// and fans to every member through the owning shard's writer — same payload,
+// and fans to every member through the owning shard's flush — same payload,
 // N address stamps. Receivers whose effective tail is empty (every stage a
 // dormant marker, no repair engaged) share the bypass cohort, which has no
 // tail at all: trunk output goes straight into the shard's queue, sent with
@@ -51,6 +51,7 @@ type member struct {
 	plan compose.Plan // this member's tail plan (guarded by tree.mu)
 
 	counters metrics.ReceiverCounters
+	nack     arq.Budget // retransmission budget (see handleNack)
 
 	// cohort is the cohort currently serving this member (guarded by
 	// tree.mu); nil only when cohort construction failed.
@@ -61,7 +62,7 @@ type member struct {
 }
 
 // target is one destination of a cohort's fan-out: the address the shard
-// writer stamps and the receiver counters it credits.
+// flush stamps and the receiver counters it credits.
 type target struct {
 	dst netip.AddrPort
 	rx  *metrics.ReceiverCounters
@@ -150,8 +151,8 @@ func (e *Engine) allMarkers(plan compose.Plan) bool {
 // membership first if the fan-out group changed. The trunk sink reserved
 // session-ID headroom, so the ID is stamped here once and the whole buffer is
 // one ready datagram. One cohort takes the buffer itself and the others get a
-// copy, because a tail may rewrite its frame in place while the writer still
-// reads the original. dispatch consumes b.
+// copy, because a tail may rewrite its frame in place while the queue still
+// holds the original. dispatch consumes b.
 func (t *deliveryTree) dispatch(b *packet.Buf) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -413,13 +414,15 @@ func (t *deliveryTree) newCohort(key string, plan compose.Plan, mech adapt.Mecha
 // bypasses the member's cohort tail — the history is delivered as recorded,
 // without re-encoding, which keeps a late join from perturbing the cohort's
 // FEC group state — and enqueues straight onto the shard's queue, one pooled
-// copy per frame and nothing else. Caller holds t.mu.
+// copy per frame and nothing else, as one batch. Caller holds t.mu.
 func (t *deliveryTree) primeLocked(m *member) {
 	rf, ok := t.cs.live.Instance(compose.KindReplay).(*arq.SenderFilter)
 	if !ok {
 		return
 	}
 	s := t.s
+	s.eng.beginBatch()
+	defer s.eng.endBatch()
 	rf.Visit(func(frame []byte) {
 		b := packet.GetBuf(packet.SessionIDSize + len(frame))
 		packet.PutSessionID(b.B, s.id)
@@ -429,19 +432,17 @@ func (t *deliveryTree) primeLocked(m *member) {
 	})
 }
 
-// memberRepair resolves the counters and (for chain cohorts) the live
-// composition a NACK from the given receiver should be answered against.
-func (t *deliveryTree) memberRepair(ap netip.AddrPort) (*metrics.ReceiverCounters, *compose.Live) {
+// memberRepair resolves the member a NACK from the given receiver is charged
+// to and (for chain cohorts) the live composition it should be answered
+// against; nil when ap is no member.
+func (t *deliveryTree) memberRepair(ap netip.AddrPort) (*member, *compose.Live) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	m := t.members[ap]
-	if m == nil {
-		return nil, nil
+	if m == nil || m.cohort == nil {
+		return m, nil
 	}
-	if m.cohort != nil && m.cohort.live != nil {
-		return &m.counters, m.cohort.live
-	}
-	return &m.counters, nil
+	return m, m.cohort.live
 }
 
 // loopFor reconciles membership — a departed member cannot be reported for,
@@ -533,7 +534,7 @@ func (t *deliveryTree) stats(st *metrics.SessionStats) {
 }
 
 // deliver takes one stamped trunk datagram. The bypass lane enqueues it as
-// is; a tail runs it inline, its output reaching the writer through send.
+// is; a tail runs it inline, its output reaching the same queue through send.
 // Caller holds tree.mu.
 func (c *cohort) deliver(b *packet.Buf) {
 	s := c.tree.s
@@ -566,7 +567,7 @@ func (c *cohort) send(b *packet.Buf) {
 	s := c.tree.s
 	b = datagram(b)
 	packet.PutSessionID(b.B, s.id)
-	s.shard.enqueueTail(outbound{s: s, b: b, view: c.view.Load()})
+	s.shard.enqueue(outbound{s: s, b: b, view: c.view.Load()})
 }
 
 // publish republishes the cohort's view from its membership. Caller holds
@@ -579,12 +580,14 @@ func (c *cohort) publish() {
 	c.view.Store(&v)
 }
 
-// drain empties the cohort's tail through send to its current members, and
-// closes it when closing; the bypass lane holds nothing.
+// drain empties the cohort's tail through send to its current members, as
+// one batch, and closes it when closing; the bypass lane holds nothing.
 func (c *cohort) drain(closing bool) {
 	if c.frames == nil {
 		return
 	}
+	c.tree.s.eng.beginBatch()
+	defer c.tree.s.eng.endBatch()
 	op, fn := "flush", c.frames.Flush
 	if closing {
 		op, fn = "close", c.frames.Close

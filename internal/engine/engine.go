@@ -38,32 +38,33 @@
 // a chain-failure eviction, CloseSession, the admission harvester or
 // Engine.Close — closes it, exactly once.
 //
-// The data plane is sharded: Config.Shards reader goroutines (default one
-// per CPU) pull datagrams off the socket, sessions live in a sharded table
-// (per-shard lock, session ID hashed to shard) so open/lookup/close never
-// touch a global lock, and each shard runs a writer goroutine that sends the
-// delivery-cohort tails' output and what goroutines other than its reader
-// queue (timed stages' releases, the control plane). Socket I/O is batched at
-// the syscall level where the platform allows: on linux/amd64 and
-// linux/arm64 the shard loops move up to 32 datagrams per recvmmsg/sendmmsg
-// call and fold runs of equal-size datagrams to one destination into single
-// UDP GSO super-datagrams; the socket takes UDP GRO too, so a GSO sender's
-// run arrives as one receive slot, which the reader splits per datagram.
-// Those two calls are raw syscalls that keep the
-// reader's P: each is non-blocking and bounded by one batch, and a reader
-// with nothing to read parks on the netpoller, so waking one costs a netpoll
-// return and no scheduler handoff (see internal/netbatch). A reader that has
-// run 100 µs without parking calls through the scheduler again, so the
-// control plane and timed stages still get its P under sustained load.
-// GSO is always attempted there; a socket whose
+// The data plane is sharded: Config.Shards reader goroutines (default one per
+// CPU) pull datagrams off the socket, sessions live in a sharded table
+// (per-shard lock, session ID hashed to shard) so open/lookup/close never touch
+// a global lock, and each shard has one output queue and one send path: a
+// batch's end sends what it queued — a reader's batch its trunk, bypass lane
+// and cohort tails in one flush — and a producer outside every batch (timers,
+// the control plane) sends for itself (shard.send). Socket I/O is batched at
+// the syscall level where the platform allows: on linux/amd64 and linux/arm64
+// the shard loops move up to 32 datagrams per recvmmsg/sendmmsg call and fold
+// runs of equal-size datagrams to one destination into single UDP GSO
+// super-datagrams; the socket takes UDP GRO too, so a GSO sender's run arrives
+// as one receive slot, which the reader splits per datagram. Those two calls
+// are raw syscalls that keep the reader's P: each is non-blocking and bounded
+// by one batch, and a reader with nothing to read parks on the netpoller, so
+// waking one costs a netpoll return and no scheduler handoff (see
+// internal/netbatch). A reader that has run 100 µs without parking calls
+// through the scheduler again, so the control plane and timed stages still get
+// its P under sustained load. GSO is always attempted there; a socket whose
 // kernel or route refuses it turns it off for itself and sends the refused
 // batch down the plain path in the same call, losing nothing. Every other
-// platform — or any build with the "purego" tag — transparently falls back
-// to one datagram per syscall behind the same interface. The portable path
-// runs every reader over one net.UDPConn; where the batched path runs, each
-// shard can have its own SO_REUSEPORT socket instead (Config.ReusePort). Per-shard RecvCalls, SendCalls, GSODatagrams,
-// SentDatagrams and SendEntries counters expose the achieved syscall and
-// kernel-traversal amortization (see metrics.EngineStats).
+// platform — or any build with the "purego" tag — transparently falls back to
+// one datagram per syscall behind the same interface. The portable path runs
+// every reader over one net.UDPConn; where the batched path runs, each shard
+// can have its own SO_REUSEPORT socket instead (Config.ReusePort). Per-shard
+// RecvCalls, SendCalls, GSODatagrams, SentDatagrams and SendEntries counters
+// expose the achieved syscall and kernel-traversal amortization (see
+// metrics.EngineStats).
 //
 // The steady-state relay path is allocation-free: each shard reader reads
 // into receive slots it keeps for its whole life, mapped off the Go heap on
@@ -169,7 +170,7 @@ type Config struct {
 	// MaxSessions caps concurrent sessions; 0 selects DefaultMaxSessions.
 	MaxSessions int
 	// Shards sets the width of the data plane: the number of reader
-	// goroutines, session-table shards and batched writers. 0 selects
+	// goroutines, session-table shards and output queues. 0 selects
 	// runtime.NumCPU(); values are rounded up to a power of two and capped
 	// at 64.
 	//
@@ -299,10 +300,11 @@ type Engine struct {
 	maintMu   sync.Mutex
 	maintLive []*Session
 
-	closed      atomic.Bool
-	active      atomic.Int64 // registered sessions (live + parked), admission-checked against MaxSessions
-	stopWriters chan struct{}
-	wg          sync.WaitGroup // shard readers and writers
+	batching atomic.Int32 // batches under way, engine-wide (see beginBatch)
+	closed   atomic.Bool
+	active   atomic.Int64 // registered sessions (live + parked), admission-checked against MaxSessions
+	stop     chan struct{}
+	wg       sync.WaitGroup // shard readers and the maintenance loop
 }
 
 // New validates cfg (including the chain spec) and returns an engine ready to
@@ -352,17 +354,17 @@ func New(cfg Config) (*Engine, error) {
 		return nil, errors.New("engine: the adaptation plane manages each branch's FEC encoder; remove fec-encode from Branch (or drop fec-adapt/Adapt)")
 	}
 	e := &Engine{
-		cfg:         cfg,
-		reg:         reg,
-		trunkPlan:   trunkPlan,
-		branchPlan:  branchPlan,
-		adaptOn:     adaptOn,
-		table:       newTable(cfg.Shards),
-		shards:      make([]shard, cfg.Shards),
-		stopWriters: make(chan struct{}),
+		cfg:        cfg,
+		reg:        reg,
+		trunkPlan:  trunkPlan,
+		branchPlan: branchPlan,
+		adaptOn:    adaptOn,
+		table:      newTable(cfg.Shards),
+		shards:     make([]shard, cfg.Shards),
+		stop:       make(chan struct{}),
 	}
 	for i := range e.shards {
-		e.shards[i] = shard{idx: i, eng: e, wake: make(chan struct{}, 1)}
+		e.shards[i] = shard{idx: i, eng: e}
 	}
 	if adaptOn {
 		e.policy = cfg.AdaptPolicy
@@ -465,8 +467,8 @@ func (e *Engine) receiverAuthorized(s *Session, from netip.AddrPort) bool {
 	}
 }
 
-// Start binds the UDP socket(s) and launches the shard runtime: one reader
-// and one batched writer per shard.
+// Start binds the UDP socket(s) and launches one reader per shard, once every
+// shard's conn is wired: a reader may send any shard's queue.
 func (e *Engine) Start() error {
 	if err := e.listen(); err != nil {
 		return err
@@ -484,13 +486,12 @@ func (e *Engine) Start() error {
 	}
 	for i := range e.shards {
 		sh := &e.shards[i]
+		conn := e.conns[0]
 		if e.cfg.ReusePort {
-			sh.conn = e.conns[i]
-		} else {
-			sh.conn = e.conns[0]
+			conn = e.conns[i]
 		}
 		if sh.bconn == nil { // tests may have injected a scripted conn
-			sh.bconn = netbatch.New(sh.conn, netbatch.Options{
+			sh.bconn = netbatch.New(conn, netbatch.Options{
 				GSO:       gsoAvailable,
 				GRO:       gsoAvailable,
 				RecvCalls: &sh.counters.recvCalls,
@@ -499,9 +500,10 @@ func (e *Engine) Start() error {
 				Entries:   &sh.counters.sendEntries,
 			})
 		}
-		e.wg.Add(2)
-		go sh.readLoop()
-		go sh.writeLoop()
+	}
+	e.wg.Add(len(e.shards))
+	for i := range e.shards {
+		go e.shards[i].readLoop()
 	}
 	// One maintenance ticker for the whole engine serves both timer-driven
 	// concerns — stale-receiver sweeps and idle-session parking — so the
@@ -727,6 +729,7 @@ func (e *Engine) Stats() Stats {
 		st.Feedback += c.feedback.Load()
 		st.Nacks += c.nacks.Load()
 		st.Retransmits += c.retransmits.Load()
+		st.NackRefusals += c.nackRefused.Load()
 		st.BatchedWrites += c.writes.Load()
 		st.WriteFlushes += c.flushes.Load()
 		st.WriteDrops += c.writeDrops.Load()
@@ -775,9 +778,7 @@ func (e *Engine) Close() error {
 			firstErr = err
 		}
 	}
-	// Every registered session's chain has now been closed; stop the writers
-	// (they drain and release whatever is still queued).
-	close(e.stopWriters)
+	close(e.stop)
 	e.wg.Wait()
 	e.logf("closed (%d sessions served)", e.Stats().TotalSessions)
 	return firstErr

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/netip"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -402,42 +403,61 @@ func TestEngineShardedStatsAggregate(t *testing.T) {
 
 // TestEngineChainTranscodeStage checks the transcode wiring end to end: an
 // engine chain with an audio downsampler halves every data payload.
-// TestShardLoopsCarryPprofLabels: every shard's reader and writer goroutine
-// carries shard=<idx> and loop=reader|writer, so a goroutine or CPU profile
-// splits per shard and per loop.
+// engineGoroutines counts the goroutine profile's goroutines running in this
+// package, keyed by their pprof labels and outermost engine function
+// ("{labels} (*shard).readLoop+0x..."; "{} ..." when unlabelled).
+func engineGoroutines(t *testing.T) map[string]int {
+	t.Helper()
+	var prof strings.Builder
+	if err := pprof.Lookup("goroutine").WriteTo(&prof, 1); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]int)
+	// Records are separated by blank lines; each starts "<count> @ ..." and
+	// may carry a "# labels: {...}" line before its stack.
+	for _, rec := range strings.Split(prof.String(), "\n\n") {
+		head, _, _ := strings.Cut(rec, " @ ")
+		n, err := strconv.Atoi(strings.TrimSpace(head))
+		if err != nil {
+			continue
+		}
+		labels := "{}"
+		if _, after, ok := strings.Cut(rec, "# labels: "); ok {
+			labels, _, _ = strings.Cut(after, "\n")
+		}
+		outer := ""
+		for _, f := range strings.Fields(rec) {
+			if _, fn, ok := strings.Cut(f, "internal/engine."); ok && !strings.Contains(fn, "_test") {
+				outer = fn
+			}
+		}
+		if outer != "" {
+			seen[labels+" "+outer] += n
+		}
+	}
+	return seen
+}
+
+// TestShardLoopsCarryPprofLabels: every shard's reader carries shard=<idx>
+// and loop=reader, and the maintenance goroutine loop=maint, so a goroutine
+// or CPU profile splits per shard and per loop. There is no writer.
 func TestShardLoopsCarryPprofLabels(t *testing.T) {
-	newTestEngine(t, Config{Shards: 2})
+	newTestEngine(t, Config{Shards: 2, IdleTTL: time.Minute})
 	want := []string{
 		`{"loop":"reader", "shard":"0"} (*shard).readLoop+`,
 		`{"loop":"reader", "shard":"1"} (*shard).readLoop+`,
-		`{"loop":"writer", "shard":"0"} (*shard).writeLoop+`,
-		`{"loop":"writer", "shard":"1"} (*shard).writeLoop+`,
+		`{"loop":"maint"} (*Engine).maintenanceLoop+`,
 	}
 	var missing []string
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
-		// One "labels frame" string per labelled stack frame of the
-		// goroutine?debug=1 profile; records are separated by blank lines.
-		var prof strings.Builder
-		if err := pprof.Lookup("goroutine").WriteTo(&prof, 1); err != nil {
-			t.Fatal(err)
-		}
-		var seen []string
-		for _, rec := range strings.Split(prof.String(), "\n\n") {
-			_, after, ok := strings.Cut(rec, "# labels: ")
-			if !ok {
-				continue
-			}
-			labels, frames, _ := strings.Cut(after, "\n")
-			for _, f := range strings.Fields(frames) {
-				if _, fn, ok := strings.Cut(f, "internal/engine."); ok {
-					seen = append(seen, labels+" "+fn)
-				}
-			}
-		}
+		seen := engineGoroutines(t)
 		missing = missing[:0]
 		for _, w := range want {
 			found := false
-			for _, s := range seen {
+			for s := range seen {
+				if strings.Contains(s, "writer") {
+					t.Fatalf("goroutine profile holds a writer: %s", s)
+				}
 				found = found || strings.HasPrefix(s, w)
 			}
 			if !found {
@@ -449,6 +469,33 @@ func TestShardLoopsCarryPprofLabels(t *testing.T) {
 		}
 	}
 	t.Fatalf("goroutine profile lacks labelled shard loops %q", missing)
+}
+
+// TestEngineRunsOneReaderPerShard: an engine with N shards runs N goroutines,
+// its readers, one per shard; cohort tails and off-batch producers send
+// through the readers' and their own sends, with no writer goroutine.
+func TestEngineRunsOneReaderPerShard(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		e := newTestEngine(t, Config{Shards: n, Fanout: []string{"127.0.0.1:9"}, Branch: "counting"})
+		var seen map[string]int
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			seen = engineGoroutines(t)
+			total, readers := 0, 0
+			for k, c := range seen {
+				total += c
+				if strings.HasPrefix(k, `{"loop":"reader", "shard":`) && strings.Contains(k, "(*shard).readLoop+") {
+					readers += c
+				}
+			}
+			if total == n && readers == n {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d shards: engine goroutines %v, want %d readers and nothing else", n, seen, n)
+			}
+		}
+		e.Close()
+	}
 }
 
 func TestEngineChainTranscodeStage(t *testing.T) {

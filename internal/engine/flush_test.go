@@ -6,7 +6,10 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rapidware/internal/fec"
 	"rapidware/internal/metrics"
@@ -114,11 +117,11 @@ func TestFlushKeepsPerKindOrderOnRandomBatches(t *testing.T) {
 		for pos, o := range queue {
 			parity[pos] = isParity(o.b.B)
 			o.b.Retain(1) // keeps what conn recorded readable after the flush
-			if !sh.push(&sh.tq, o) {
+			if !sh.push(o) {
 				t.Fatalf("seed %d: queue of %d refused an entry", seed, size)
 			}
 		}
-		sh.sendQueue(&sh.tq)
+		sh.sendQueue()
 		for _, o := range queue {
 			if o.b.Refs() != 1 {
 				t.Fatalf("seed %d: a flushed frame holds %d references, want the test's 1", seed, o.b.Refs())
@@ -340,11 +343,11 @@ func TestFlushFullQueueKeepsFECRepairable(t *testing.T) {
 			for _, o := range queue {
 				o.b.Retain(1) // keeps what conn recorded readable after the flush
 				defer o.b.Release()
-				if !sh.push(&sh.tq, o) {
+				if !sh.push(o) {
 					t.Fatal("a full queue refused an entry")
 				}
 			}
-			sh.sendQueue(&sh.tq)
+			sh.sendQueue()
 
 			for _, tg := range view {
 				var got [][]byte
@@ -392,9 +395,9 @@ func fullQueueFlush(tb testing.TB) func() {
 	return func() {
 		for _, b := range frames {
 			b.Retain(1) // the flush releases one reference per entry
-			sh.push(&sh.tq, outbound{s: s, b: b, view: &view})
+			sh.push(outbound{s: s, b: b, view: &view})
 		}
-		sh.sendQueue(&sh.tq)
+		sh.sendQueue()
 	}
 }
 
@@ -444,9 +447,9 @@ func unicastPeersFlush(tb testing.TB, peers int) func() {
 	return func() {
 		for _, o := range queue {
 			o.b.Retain(1) // the flush releases one reference per entry
-			sh.push(&sh.wq, o)
+			sh.push(o)
 		}
-		sh.sendQueue(&sh.wq)
+		sh.sendQueue()
 	}
 }
 
@@ -480,11 +483,13 @@ func TestShardFlushUnicastPeersAllocs(t *testing.T) {
 	}
 }
 
-// TestDrainWriteQueueCountsDiscards queues unicast and cohort entries on both
-// of a shard's queues and drains them as the writer does at shutdown: every
-// discarded entry must be released and counted like a full-queue drop — to
-// its session, to its receiver or to every member of its view, and to the
-// shard's write drops.
+// TestDrainWriteQueueCountsDiscards queues unicast and cohort entries on a
+// shard's queue and drains them as Close does with what the readers left:
+// every discarded entry must be released and counted like a full-queue drop —
+// to its session, to its receiver or to every member of its view, and to the
+// shard's write drops. On a running engine, an entry a reader batch queued
+// whose batch ends after Close, and one queued after Close, are discarded
+// the same way.
 func TestDrainWriteQueueCountsDiscards(t *testing.T) {
 	sh := &shard{}
 	s1, s2 := &Session{id: 1}, &Session{id: 2}
@@ -496,28 +501,36 @@ func TestDrainWriteQueueCountsDiscards(t *testing.T) {
 	empty := []target{}
 	u := netip.MustParseAddrPort("10.9.0.3:9000")
 	var frames []*packet.Buf
-	queue := func(q *[]outbound, o outbound) {
+	entry := func(o outbound) outbound {
 		o.b = flushFrame(t, o.s.id, packet.KindData, len(frames), 64)
 		o.b.Retain(1) // keeps the buffer checkable after the drain
 		frames = append(frames, o.b)
-		if !sh.push(q, o) {
+		return o
+	}
+	queue := func(o outbound) {
+		if !sh.push(entry(o)) {
 			t.Fatal("queue refused an entry")
 		}
 	}
-	queue(&sh.wq, outbound{s: s1, dst: u})
-	queue(&sh.wq, outbound{s: s1, dst: u, rx: rx})
-	queue(&sh.wq, outbound{s: s2, view: &view})
-	queue(&sh.tq, outbound{s: s2, view: &view})
-	queue(&sh.tq, outbound{s: s2, view: &empty})
-	queue(&sh.tq, outbound{s: s1, dst: u, rx: rx})
-	sh.drainWriteQueue()
+	queue(outbound{s: s1, dst: u})
+	queue(outbound{s: s1, dst: u, rx: rx})
+	queue(outbound{s: s2, view: &view})
+	queue(outbound{s: s2, view: &view})
+	queue(outbound{s: s2, view: &empty})
+	queue(outbound{s: s1, dst: u, rx: rx})
+	sh.drainQueue()
 
-	for _, b := range frames {
-		if b.Refs() != 1 {
-			t.Fatalf("a drained frame holds %d references, want the test's 1", b.Refs())
+	checkReleased := func() {
+		t.Helper()
+		for _, b := range frames {
+			if b.Refs() != 1 {
+				t.Fatalf("a drained frame holds %d references, want the test's 1", b.Refs())
+			}
+			b.Release()
 		}
-		b.Release()
+		frames = frames[:0]
 	}
+	checkReleased()
 	for _, c := range []struct {
 		what      string
 		got, want uint64
@@ -533,7 +546,119 @@ func TestDrainWriteQueueCountsDiscards(t *testing.T) {
 			t.Errorf("%s = %d, want %d", c.what, c.got, c.want)
 		}
 	}
-	if len(sh.wq) != 0 || len(sh.tq) != 0 {
-		t.Fatalf("queues hold %d and %d entries after the drain, want none", len(sh.wq), len(sh.tq))
+	if len(sh.wq) != 0 || sh.queued.Load() != 0 {
+		t.Fatalf("queue holds %d entries (queued %d) after the drain, want none", len(sh.wq), sh.queued.Load())
+	}
+
+	e := newTestEngine(t, Config{Shards: 1})
+	s3 := &Session{id: 3}
+	esh := &e.shards[0]
+	e.beginBatch() // a reader batch is under way: the entry waits for its end
+	esh.enqueue(entry(outbound{s: s3, dst: u, rx: rx}))
+	e.Close()
+	e.endBatch()
+	esh.enqueue(entry(outbound{s: s3, view: &view}))
+	checkReleased()
+	if got := s3.counters.Drops.Load(); got != 2 {
+		t.Errorf("session 3 drops = %d, want 2", got)
+	}
+	if got := e.Stats().WriteDrops; got != 2 {
+		t.Errorf("engine write drops = %d, want 2", got)
+	}
+	if len(esh.wq) != 0 {
+		t.Fatalf("queue holds %d entries after Close, want none", len(esh.wq))
+	}
+}
+
+// gateConn records what it sends, after holding each WriteBatch call until
+// the test opens the gate; entered reports calls while it has room.
+type gateConn struct {
+	entered chan struct{}
+	gate    chan struct{}
+	sent    atomic.Int64
+}
+
+func (c *gateConn) ReadBatch([]ioMsg) (int, error) { return 0, net.ErrClosed }
+func (c *gateConn) WriteBatch(ms []ioMsg) (int, error) {
+	select {
+	case c.entered <- struct{}{}:
+	default:
+	}
+	<-c.gate
+	c.sent.Add(int64(len(ms)))
+	return len(ms), nil
+}
+
+// TestCombiningSendStrandsNothing: while one producer sends the queue, a
+// second producer's entry is left to it — the second one's send finds the
+// queue taken and returns — and the sender, re-checking after it lets go,
+// sends that entry too, with no later producer to carry it.
+func TestCombiningSendStrandsNothing(t *testing.T) {
+	conn := &gateConn{entered: make(chan struct{}, 2), gate: make(chan struct{})}
+	sh := &shard{eng: &Engine{}, bconn: conn}
+	s := &Session{id: 1}
+	u := netip.MustParseAddrPort("10.9.0.4:9000")
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		sh.enqueue(outbound{s: s, b: flushFrame(t, 1, packet.KindData, 0, 64), dst: u})
+	}()
+	<-conn.entered // the first producer is mid-send
+	sh.enqueue(outbound{s: s, b: flushFrame(t, 1, packet.KindData, 1, 64), dst: u})
+	if got := sh.queued.Load(); got != 1 {
+		t.Fatalf("queued = %d while the first send runs, want the second entry left to it", got)
+	}
+	close(conn.gate)
+	<-first
+	if got := conn.sent.Load(); got != 2 {
+		t.Fatalf("%d datagrams sent once the first producer returned, want 2", got)
+	}
+	if got := sh.queued.Load(); got != 0 {
+		t.Fatalf("queued = %d, want 0", got)
+	}
+}
+
+// TestSendHolderLeavesBatchTraffic: a producer sending under a lock of its
+// own (a tail's timer, a control edit) is mid-send while a reader's batch
+// pushes past the high-water mark, its sends finding the queue taken. Once
+// its pass is done the producer returns — releasing its lock — and leaves
+// the batch's entries to the batch: the batch's end sends them.
+func TestSendHolderLeavesBatchTraffic(t *testing.T) {
+	conn := &gateConn{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	e := &Engine{shards: make([]shard, 1)}
+	sh := &e.shards[0]
+	sh.eng, sh.bconn = e, conn
+	s := &Session{id: 1}
+	u := netip.MustParseAddrPort("10.9.0.5:9000")
+	var mu sync.Mutex // the producer's own lock, which a reader's dispatch would need
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		mu.Lock()
+		defer mu.Unlock()
+		sh.enqueue(outbound{s: s, b: flushFrame(t, 1, packet.KindData, 0, 64), dst: u})
+	}()
+	<-conn.entered // the producer is mid-send
+	e.beginBatch() // a reader's batch is under way
+	const pushed = 2 * sendHighWater
+	for seq := 1; seq <= pushed; seq++ {
+		sh.enqueue(outbound{s: s, b: flushFrame(t, 1, packet.KindData, seq, 64), dst: u})
+	}
+	close(conn.gate)
+	select {
+	case <-first:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the producer did not return")
+	}
+	if !mu.TryLock() {
+		t.Fatal("the producer still holds its lock")
+	}
+	mu.Unlock()
+	if got, q := conn.sent.Load(), sh.queued.Load(); got != 1 || q != pushed {
+		t.Fatalf("the producer sent %d datagrams and left %d queued, want its own 1 and the batch's %d", got, q, pushed)
+	}
+	e.endBatch()
+	if got := conn.sent.Load(); got != 1+pushed {
+		t.Fatalf("%d datagrams sent after the batch's end, want %d", got, 1+pushed)
 	}
 }

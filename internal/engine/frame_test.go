@@ -209,11 +209,11 @@ func TestTwoReadersOneSession(t *testing.T) {
 
 	const id, perReader, batch = 9, 2048, 16
 	peer := netip.MustParseAddrPort("10.9.0.2:4000")
-	// The session's output all leaves through its owning shard's writer.
+	// The session's output all leaves through its owning shard's queue.
 	out := conns[e.table.shardIndex(id)]
 	// Reader r's datagrams carry seq r<<32 | i. The feeders keep the combined
-	// backlog under the writer's queue depth — unpaced, two inline readers
-	// outrun one writer and it sheds load, as it should.
+	// backlog under the shard's queue depth — unpaced, two inline readers
+	// outrun one queue and it sheds load, as it should.
 	var fed atomic.Int64
 	var wg sync.WaitGroup
 	for r, sc := range conns {

@@ -125,9 +125,9 @@ func TestFlushSendsFECCohortInTwoGSORunsPerMember(t *testing.T) {
 		} else {
 			data = append(data, bytes.Clone(b.B))
 		}
-		sh.push(&sh.tq, outbound{s: s, b: b, view: &view})
+		sh.push(outbound{s: s, b: b, view: &view})
 	})
-	sh.sendQueue(&sh.tq)
+	sh.sendQueue()
 	if got := sh.counters.sendEntries.Load(); got != 2*uint64(len(rxs)) {
 		t.Fatalf("%d send entries for %d members, want 2 each: a data run and a parity run", got, len(rxs))
 	}
@@ -243,7 +243,7 @@ func TestFlushSendsEachDestinationOneRunPerKind(t *testing.T) {
 		default:
 			wantUni = append(wantUni, bytes.Clone(o.b.B))
 		}
-		if !sh.push(&sh.tq, o) {
+		if !sh.push(o) {
 			t.Fatal("queue refused an entry")
 		}
 		entries++
@@ -251,7 +251,7 @@ func TestFlushSendsEachDestinationOneRunPerKind(t *testing.T) {
 	if entries != flushSize {
 		t.Fatalf("queued %d entries, want one flush of %d", entries, flushSize)
 	}
-	sh.sendQueue(&sh.tq)
+	sh.sendQueue()
 	if f := sh.counters.flushes.Load(); f != 1 {
 		t.Fatalf("%d flushes, want 1", f)
 	}

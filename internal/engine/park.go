@@ -49,18 +49,19 @@ func (s *Session) park() bool {
 
 // retireLocked stops one incarnation without losing what it holds — the
 // teardown park and close share — and returns its final adaptation snapshot
-// (nil without the feedback plane). The trunk loop is snapshotted first;
-// then the trunk flushes every stage through send and closes, under its own
-// lock, and the delivery tree flushes, closes and snapshots its members
-// after it. Every decision is made under mu, as this is, so the snapshot is
-// the last decision applied. The incarnation stops being current before mu
-// is released: a chain-failure report for it then evicts nothing. Caller
-// holds mu.
+// (nil without the feedback plane). The trunk loop is snapshotted first; then,
+// as one batch, the trunk flushes every stage through send and closes, under
+// its own lock, and the delivery tree flushes, closes and snapshots its members
+// after it. Every decision is made under mu, as this is, so the snapshot is the
+// last decision applied. The incarnation stops being current before mu is
+// released: a chain-failure report for it then evicts nothing. Caller holds mu.
 func (s *Session) retireLocked(cs *chainState) (*metrics.AdaptStats, error) {
 	var snap *metrics.AdaptStats
 	if cs.trunk != nil {
 		snap = adaptStats(cs.trunk)
 	}
+	s.eng.beginBatch()
+	defer s.eng.endBatch()
 	err := cs.frames.Close()
 	if cs.tree != nil {
 		snap = cs.tree.close()
@@ -139,13 +140,14 @@ func (e *Engine) maintInterval() time.Duration {
 // instead of one timer per concern per session.
 func (e *Engine) maintenanceLoop(interval time.Duration) {
 	defer e.wg.Done()
+	labelGoroutine("loop", "maint")
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {
 		case <-tick.C:
 			e.maintain(time.Now())
-		case <-e.stopWriters:
+		case <-e.stop:
 			return
 		}
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/netip"
 	"sync"
 	"testing"
@@ -107,7 +108,7 @@ func TestHeldFrameOutlivesReceiveSlots(t *testing.T) {
 
 // TestReaderSendsFullGROBatch serves the reader one batch of batchSize GRO
 // slots of 64 datagrams each, 2,048 datagrams in all, twice what the shard's
-// queue holds. The reader sends what it queued every readSendSize datagrams,
+// queue holds. The queue is sent whenever it reaches sendHighWater entries,
 // so every one is counted once, echoed in order, and none is dropped.
 func TestReaderSendsFullGROBatch(t *testing.T) {
 	e, sc := newScriptedEngine(t, Config{})
@@ -135,6 +136,80 @@ func TestReaderSendsFullGROBatch(t *testing.T) {
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("echo %d is not datagram %d", i, i)
+		}
+	}
+}
+
+// TestReaderSendsFullGROBatchFanout is TestReaderSendsFullGROBatch on a
+// fan-out session whose four members are in four cohorts: the bypass lane,
+// two one-stage tails and an FEC (6,4) tail. Each datagram queues four or
+// five entries, so the batch's 2,048 datagrams queue about 9,000, and 256 of
+// them already overflow the queue: only a send triggered by queued entries,
+// not by datagrams read, gets them all out. Every member gets every data
+// frame once and in order, the FEC member its parity too, and nothing is
+// dropped.
+func TestReaderSendsFullGROBatchFanout(t *testing.T) {
+	members := make([]netip.AddrPort, 4)
+	var fanout []string
+	for i := range members {
+		members[i] = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, 1, byte(i + 1)}), 5000)
+		fanout = append(fanout, members[i].String())
+	}
+	e, sc := newScriptedEngine(t, Config{Fanout: fanout})
+	const id, perSlot = 1, 64
+	stamped := func(seq uint64) []byte {
+		return mustDatagram(t, id, seq, binary.BigEndian.AppendUint64(make([]byte, 0, 100), seq)[:100])
+	}
+	sc.in <- []scriptedDgram{{data: stamped(0), from: recvPeer}}
+	waitFor(t, "the session's first frame at every member", func() bool { return sc.sentTotal() == len(members) })
+	for i, tail := range []string{"counting", "null", "fec-encode=6/4"} {
+		if _, err := e.EditSession(id, members[i+1].String(), compose.Replace(tail)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.Session(id).Stats(); st.Cohorts != 4 {
+		t.Fatalf("%d cohorts, want 4", st.Cohorts)
+	}
+
+	batch := make([]scriptedDgram, batchSize)
+	seq := uint64(1)
+	for i := range batch {
+		var slot []byte
+		for j := 0; j < perSlot; j++ {
+			slot = append(slot, stamped(seq)...)
+			seq++
+		}
+		batch[i] = scriptedDgram{data: slot, from: recvPeer, seg: len(stamped(0))}
+	}
+	sc.in <- batch
+	frames := int(seq)             // data frames per member, the first one included
+	parity := (frames - 1) / 4 * 2 // the FEC member's parity for the batch's whole groups
+	want := len(members)*frames + parity
+	waitFor(t, "every datagram sent or dropped", func() bool {
+		st := e.Stats()
+		return st.Datagrams == uint64(frames) && sc.sentTotal()+int(st.WriteDrops) >= want
+	})
+	if st := e.Stats(); st.WriteDrops != 0 || st.Malformed != 0 {
+		t.Fatalf("WriteDrops = %d, Malformed = %d, want 0 and 0", st.WriteDrops, st.Malformed)
+	}
+	for i, m := range members {
+		var data, par int
+		for _, d := range sc.sentTo(m) {
+			p, _, err := packet.Unmarshal(d[packet.SessionIDSize:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Kind == packet.KindParity {
+				par++
+				continue
+			}
+			if got := binary.BigEndian.Uint64(p.Payload); got != uint64(data) {
+				t.Fatalf("member %d: data frame %d carries stamp %d", i, data, got)
+			}
+			data++
+		}
+		if wantPar := map[bool]int{true: parity}[i == 3]; data != frames || par != wantPar {
+			t.Fatalf("member %d: %d data and %d parity frames, want %d and %d", i, data, par, frames, wantPar)
 		}
 	}
 }

@@ -321,3 +321,81 @@ func TestEngineNackAnswersEachSeqOnce(t *testing.T) {
 		t.Fatalf("Retransmits = %d, want 4", got)
 	}
 }
+
+// TestEngineNackFloodHeldToBudget: the session's pinned peer — an authorized
+// requester — floods NACKs that each name every held frame. What it gets
+// back is held to its retransmission budget: at most one burst plus one byte
+// in arq.RetransmitShare of everything relayed to it. Every named frame is
+// either retransmitted or refused, and each refusal is counted.
+func TestEngineNackFloodHeldToBudget(t *testing.T) {
+	const (
+		id      = 34
+		held    = 64
+		payload = 1200
+		nacks   = 50
+	)
+	e := newTestEngine(t, Config{Chain: "arq"})
+	c := dialEngine(t, e)
+	seqs := make([]uint64, held)
+	for i := range seqs {
+		seqs[i] = uint64(i)
+		sendPacket(t, c, id, &packet.Packet{Seq: seqs[i], Kind: packet.KindData, Payload: make([]byte, payload)})
+		readPacket(t, c, 2*time.Second)
+	}
+	for range nacks {
+		sendNack(t, c, id, seqs)
+	}
+	waitFor(t, "every named frame answered or refused", func() bool {
+		st := e.Stats()
+		return st.Retransmits+st.NackRefusals == nacks*held
+	})
+	st := e.Stats()
+	size := packet.SessionIDSize + packet.HeaderSize + payload
+	got := st.Retransmits * uint64(size)
+	relayed := e.Session(id).Stats().OutBytes
+	if limit := arq.RetransmitBurst + relayed/arq.RetransmitShare; got > limit {
+		t.Fatalf("%d retransmissions (%d bytes) of %d bytes relayed, budget allows %d", st.Retransmits, got, relayed, limit)
+	}
+	if st.Retransmits < arq.RetransmitBurst/uint64(size) || st.NackRefusals == 0 {
+		t.Fatalf("Retransmits = %d, NackRefusals = %d: want the burst answered and the rest refused", st.Retransmits, st.NackRefusals)
+	}
+	t.Logf("%d NACKs of %d frames: %d retransmitted, %d refused", nacks, held, st.Retransmits, st.NackRefusals)
+}
+
+// TestEngineNackBudgetServesLossyStream: one requester on a stream far faster
+// than the paper's links loses one frame in ten and NACKs each loss once, as
+// a receiver does. Its repairs come to more than one burst, yet every one is
+// answered: the budget grows with the stream it is relayed.
+func TestEngineNackBudgetServesLossyStream(t *testing.T) {
+	const (
+		id      = 35
+		frames  = 4000
+		lossy   = 10 // one frame in lossy is reported lost
+		payload = 1200
+	)
+	e := newTestEngine(t, Config{Chain: "arq"})
+	c := dialEngine(t, e)
+	data := make([]byte, payload)
+	start := time.Now()
+	for seq := uint64(0); seq < frames; seq++ {
+		sendPacket(t, c, id, &packet.Packet{Seq: seq, Kind: packet.KindData, Payload: data})
+		readPacket(t, c, 2*time.Second)
+		if seq%lossy == lossy-1 {
+			sendNack(t, c, id, []uint64{seq})
+			if _, p := readPacket(t, c, 2*time.Second); p.Seq != seq {
+				t.Fatalf("NACK for frame %d answered with frame %d", seq, p.Seq)
+			}
+		}
+	}
+	elapsed := time.Since(start)
+	st := e.Stats()
+	size := uint64(packet.SessionIDSize + packet.HeaderSize + payload)
+	if st.Retransmits != frames/lossy || st.NackRefusals != 0 {
+		t.Fatalf("Retransmits = %d, NackRefusals = %d: want all %d losses repaired", st.Retransmits, st.NackRefusals, frames/lossy)
+	}
+	if repaired := st.Retransmits * size; repaired <= arq.RetransmitBurst {
+		t.Fatalf("%d bytes repaired fit one burst: the stream's share went untested", repaired)
+	}
+	t.Logf("%d frames at %.0f Mbit/s, %d repairs (%d bytes), none refused",
+		frames, float64(frames*size*8)/elapsed.Seconds()/1e6, st.Retransmits, st.Retransmits*size)
+}

@@ -29,8 +29,8 @@ type Session struct {
 	id  uint32
 	eng *Engine
 	// shard is the slice of the engine's data plane that owns this session:
-	// its table shard holds the registration and its writer carries all of
-	// the session's output.
+	// its table shard holds the registration and its output queue carries all
+	// of the session's output.
 	shard *shard
 
 	// cs is the session's chain-bound state: nil exactly while the session is
@@ -105,6 +105,8 @@ type chainState struct {
 	// retunes counts every retune this incarnation's loops applied, departed
 	// members' included.
 	retunes atomic.Uint64
+
+	nack arq.Budget // the unicast requester's retransmission budget
 }
 
 // newSession builds the chain for one session. It runs with no lock held —
@@ -319,13 +321,14 @@ func historyFor(live *compose.Live) *arq.SenderFilter {
 
 // handleNack consumes one validated NACK frame, answering each distinct named
 // sequence number once out of the session's ARQ retransmission history with a
-// unicast retransmission to the requester. NACKs honor the same off-path
-// check as receiver reports; on a fan-out session the requester's own
-// delivery branch is consulted first, so a member whose loop escalated to ARQ
-// is served from its cohort's own history. Requests for sequence numbers the
-// bounded history no longer holds are silently unanswerable — the receiver's
-// give-up accounting owns that loss, and a parked session's history went with
-// its chain. Called from the engine's read loop.
+// unicast retransmission to the requester, within the budget the bytes
+// relayed to it earn (arq.Budget; refusals count in nackRefused). NACKs honor
+// the same off-path check as receiver reports; on a fan-out session the
+// requester's own delivery branch is consulted first, so a member whose loop
+// escalated to ARQ is served from its cohort's own history. Requests for
+// sequence numbers the bounded history no longer holds are silently
+// unanswerable — the receiver's give-up accounting owns that loss, and a
+// parked session's history went with its chain. Called from the read loop.
 func (s *Session) handleNack(from netip.AddrPort, frame []byte) {
 	cs := s.cs.Load()
 	if cs == nil {
@@ -343,14 +346,16 @@ func (s *Session) handleNack(from netip.AddrPort, frame []byte) {
 	seqs = dedupSeqs(seqs)
 	var rx *metrics.ReceiverCounters
 	var h *arq.SenderFilter
+	budget, sent := &cs.nack, &s.counters.OutBytes
 	if cs.tree != nil {
 		// Same reconcile-before-routing rule as reports: a silently joined
 		// member gets its membership before its first NACK is dropped.
 		cs.tree.reconcile()
-		var live *compose.Live
-		rx, live = cs.tree.memberRepair(from)
-		if live != nil {
-			h = historyFor(live)
+		if m, live := cs.tree.memberRepair(from); m != nil {
+			rx, budget, sent = &m.counters, &m.nack, &m.counters.OutBytes
+			if live != nil {
+				h = historyFor(live)
+			}
 		}
 	}
 	if h == nil {
@@ -365,6 +370,11 @@ func (s *Session) handleNack(from netip.AddrPort, frame []byte) {
 			continue
 		}
 		b = datagram(b)
+		if !budget.Take(len(b.B), sent.Load()) {
+			s.shard.counters.nackRefused.Add(1)
+			b.Release()
+			continue
+		}
 		packet.PutSessionID(b.B, s.id)
 		s.shard.enqueue(outbound{s: s, b: b, dst: from, rx: rx})
 		s.shard.counters.retransmits.Add(1)

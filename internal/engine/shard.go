@@ -38,11 +38,10 @@ const (
 	// has the group when its parity arrives. It also bounds the expansion
 	// scratch, which peaks at flushSize x members datagrams.
 	flushSize = 64
-	// readSendSize is how many received datagrams the reader handles before
-	// it sends what they queued. A batch of GRO slots can carry a few
-	// thousand datagrams, and their output must not overflow writeqSize
-	// while the reader holds it back from the writer.
-	readSendSize = writeqSize / 4
+	// sendHighWater is the queue length at which a producer sends mid-batch:
+	// one full flush gains nothing by waiting, and a fan-out's GRO batch
+	// (thousands of datagrams, several entries each) cannot overflow writeqSize.
+	sendHighWater = flushSize
 	// maxReadBackoffShift caps the transient-read-error sleep at
 	// 1ms << maxReadBackoffShift (256ms).
 	maxReadBackoffShift = 8
@@ -52,9 +51,9 @@ const (
 // (datagrams, malformed, rejected, feedback, recvCalls) are incremented by
 // the shard's reader goroutine; opened and chainErrors are attributed to the
 // shard that owns the session; writes, flushes, writeDrops, sendCalls,
-// gsoDatagrams, sendEntries and sentDatagrams belong to the shard's writer.
-// Everything is atomic so Stats can aggregate without stopping the data
-// plane.
+// gsoDatagrams, sendEntries and sentDatagrams count the shard's queue,
+// whoever sends it. Everything is atomic so Stats can aggregate without
+// stopping the data plane.
 type shardCounters struct {
 	datagrams   atomic.Uint64
 	malformed   atomic.Uint64
@@ -62,6 +61,7 @@ type shardCounters struct {
 	feedback    atomic.Uint64
 	nacks       atomic.Uint64
 	retransmits atomic.Uint64
+	nackRefused atomic.Uint64 // retransmissions a requester's budget refused
 	opened      atomic.Uint64
 	chainErrors atomic.Uint64
 	writes      atomic.Uint64
@@ -76,8 +76,8 @@ type shardCounters struct {
 	harvested  atomic.Uint64
 	admitDrops atomic.Uint64
 	// Delivery-cohort accounting: bypassHits counts trunk frames that took a
-	// bypass lane straight into the writer batch (no chain, no copy);
-	// coalesced counts cohort outbounds the writer expanded to two or more
+	// bypass lane straight into the shard's queue (no chain, no copy);
+	// coalesced counts cohort outbounds a flush expanded to two or more
 	// destinations — frames that traversed (and were encoded by) one shared
 	// chain instead of one per receiver.
 	bypassHits atomic.Uint64
@@ -86,12 +86,11 @@ type shardCounters struct {
 	// GSO sends (netbatch.Options.Segmented); sendEntries counts the send
 	// entries it accepted, a GSO run once (netbatch.Options.Entries), and
 	// sentDatagrams the datagrams it accepted, a cohort frame once per
-	// member. They take 24 bytes of the pad, so every other counter keeps
-	// its offset.
+	// member.
 	gsoDatagrams  atomic.Uint64
 	sendEntries   atomic.Uint64
 	sentDatagrams atomic.Uint64
-	_             [24]byte // pad so neighboring shards' counters don't false-share
+	_             [16]byte // pad so neighboring shards' counters don't false-share
 }
 
 // outbound is one datagram queued on a shard. dst is the resolved
@@ -116,44 +115,37 @@ type wmeta struct {
 }
 
 // shard is one slice of the engine's data plane: a reader goroutine pulling
-// datagram batches off its socket and sending what they produce, a writer
-// goroutine sending the cohort tails' output and what other goroutines queue,
-// and the counter block both report into. In the portable single-socket mode
-// all shards share one net.UDPConn (the kernel serializes receives, but
-// validation, demux and queueing overlap across readers); in SO_REUSEPORT
-// mode each shard owns its own socket and the kernel spreads flows across
-// them.
+// datagram batches off its socket, the output queue of the sessions it owns
+// (one send path, see enqueue), and the counter block both report into. In the
+// portable single-socket mode all shards share one net.UDPConn (the kernel
+// serializes receives, but validation, demux and queueing overlap across
+// readers); in SO_REUSEPORT mode each shard owns its own socket and the kernel
+// spreads flows across them.
 type shard struct {
 	idx      int
 	eng      *Engine
-	conn     *net.UDPConn
 	bconn    batchConn // wired by Start unless a test injected one
 	counters shardCounters
 
-	// The output queues. Producers append to wq under wmu and wake the
-	// writer — except while the reader is handling a batch (reading is set):
-	// the reader sends wq itself once done, in one piece, so flush groups
-	// the whole batch's datagrams into GSO runs per destination. tq holds
-	// the cohort tails' output, which the writer sends (see enqueueTail).
-	wmu     sync.Mutex
-	wq, tq  []outbound // guarded by wmu
-	wake    chan struct{}
-	reading atomic.Bool
+	// The output queue. queued mirrors len(wq) for readers without wmu.
+	wmu    sync.Mutex
+	wq     []outbound // guarded by wmu
+	queued atomic.Int32
 
-	// sendMu serializes sendQueue, so each queue goes out in order, and
-	// guards the scratch below, reused so a flush never allocates in steady
-	// state. dests holds one flush's destinations, dtab finds them by
-	// address, views lists the flush's distinct cohort views and vdests
-	// their members' dests indices (see flush).
-	sendMu sync.Mutex
-	spare  []outbound
-	wmsgs  []ioMsg
-	wacct  []wmeta
-	dests  [][2]int32
-	dtab   []dtabEntry
-	dgen   uint32
-	views  []flushView
-	vdests []int32
+	// sending is the combining send's try-lock (see send): its holder alone
+	// sends, in queue order, and owns the scratch below, reused so a flush
+	// never allocates in steady state. dests holds one flush's destinations,
+	// dtab finds them by address, views lists the flush's distinct cohort
+	// views and vdests their members' dests indices (see flush).
+	sending atomic.Bool
+	spare   []outbound
+	wmsgs   []ioMsg
+	wacct   []wmeta
+	dests   [][2]int32
+	dtab    []dtabEntry
+	dgen    uint32
+	views   []flushView
+	vdests  []int32
 }
 
 // dtabEntry is one slot of the open-addressed table that maps a flush's
@@ -179,20 +171,21 @@ type flushView struct {
 // stats snapshots this shard's counters.
 func (sh *shard) stats() metrics.ShardStats {
 	return metrics.ShardStats{
-		Shard:       sh.idx,
-		Sessions:    sh.eng.table.countShard(sh.idx),
-		Datagrams:   sh.counters.datagrams.Load(),
-		Malformed:   sh.counters.malformed.Load(),
-		Rejected:    sh.counters.rejected.Load(),
-		Feedback:    sh.counters.feedback.Load(),
-		Nacks:       sh.counters.nacks.Load(),
-		Retransmits: sh.counters.retransmits.Load(),
-		ChainErrors: sh.counters.chainErrors.Load(),
-		Writes:      sh.counters.writes.Load(),
-		Flushes:     sh.counters.flushes.Load(),
-		WriteDrops:  sh.counters.writeDrops.Load(),
-		RecvCalls:   sh.counters.recvCalls.Load(),
-		SendCalls:   sh.counters.sendCalls.Load(),
+		Shard:        sh.idx,
+		Sessions:     sh.eng.table.countShard(sh.idx),
+		Datagrams:    sh.counters.datagrams.Load(),
+		Malformed:    sh.counters.malformed.Load(),
+		Rejected:     sh.counters.rejected.Load(),
+		Feedback:     sh.counters.feedback.Load(),
+		Nacks:        sh.counters.nacks.Load(),
+		Retransmits:  sh.counters.retransmits.Load(),
+		NackRefusals: sh.counters.nackRefused.Load(),
+		ChainErrors:  sh.counters.chainErrors.Load(),
+		Writes:       sh.counters.writes.Load(),
+		Flushes:      sh.counters.flushes.Load(),
+		WriteDrops:   sh.counters.writeDrops.Load(),
+		RecvCalls:    sh.counters.recvCalls.Load(),
+		SendCalls:    sh.counters.sendCalls.Load(),
 
 		GSODatagrams:  sh.counters.gsoDatagrams.Load(),
 		SendEntries:   sh.counters.sendEntries.Load(),
@@ -209,11 +202,11 @@ func (sh *shard) stats() metrics.ShardStats {
 	}
 }
 
-// labelLoop sets the pprof labels shard=<idx> and loop=<loop> on the calling
-// goroutine, once at its start, so CPU and goroutine profiles split per shard
-// and per loop at no per-datagram cost.
-func (sh *shard) labelLoop(loop string) {
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("shard", strconv.Itoa(sh.idx), "loop", loop)))
+// labelGoroutine sets pprof labels (key, value pairs) on the calling
+// goroutine, once at its start, so CPU and goroutine profiles split per loop
+// — loop=reader with shard=<idx>, loop=maint — at no per-datagram cost.
+func labelGoroutine(kv ...string) {
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(kv...)))
 }
 
 // readLoop pulls datagram batches off the shard's socket and routes each to
@@ -221,17 +214,15 @@ func (sh *shard) labelLoop(loop string) {
 // bytes for its whole life (receiveSlots) and reads every batch into them.
 // handleSlot copies each datagram out into a pooled buffer of its own size
 // class, so a datagram costs its size class, not a 64 KiB slot, and no slot
-// byte leaves the loop. What a batch's sessions emit is queued while the batch
-// runs and sent by the reader once it is done (or every readSendSize
-// datagrams of a batch of GRO slots), so one flush carries the whole batch's
-// output and no goroutine handoff sits on the forwarding path (cohort
-// tails' output excepted, see enqueueTail). Transient read errors back off
+// byte leaves the loop. What a batch emits — trunk, bypass lane and cohort
+// tails — leaves at its end (endBatch), with no goroutine handoff on the
+// forwarding path. Transient read errors back off
 // exponentially — both the retry pace and the logging — so a persistent
 // socket fault can neither spin a core nor storm the log.
 func (sh *shard) readLoop() {
 	e := sh.eng
 	defer e.wg.Done()
-	sh.labelLoop("reader")
+	labelGoroutine("shard", strconv.Itoa(sh.idx), "loop", "reader")
 	slots, unmap := receiveSlots(batchSize * packet.MaxDatagram)
 	defer unmap()
 	var ms [batchSize]ioMsg
@@ -257,19 +248,29 @@ func (sh *shard) readLoop() {
 			continue
 		}
 		errStreak = 0
-		sh.reading.Store(true)
-		dgrams, unsent := 0, 0
+		e.beginBatch()
+		dgrams := 0
 		for i := range ms[:n] {
-			k := sh.handleSlot(&ms[i])
-			dgrams += k
-			if unsent += k; unsent >= readSendSize {
-				sh.sendQueue(&sh.wq)
-				unsent = 0
-			}
+			dgrams += sh.handleSlot(&ms[i])
 		}
 		sh.counters.datagrams.Add(uint64(dgrams))
-		sh.reading.Store(false)
-		sh.sendQueue(&sh.wq)
+		e.endBatch()
+	}
+}
+
+// beginBatch starts a batch, a run of enqueues that endBatch sends: a reader's
+// received batch, or a run of frames from outside it (replay priming, a
+// cohort's drain, a retirement), which then shares its flushes. endBatch sends
+// every shard queue holding entries: a batch may feed any shard's sessions,
+// and any producer may have left its entry to a batch under way.
+func (e *Engine) beginBatch() { e.batching.Add(1) }
+
+func (e *Engine) endBatch() {
+	e.batching.Add(-1) // first: a producer that saw the batch left its entry to us
+	for i := range e.shards {
+		if sh := &e.shards[i]; sh.queued.Load() > 0 {
+			sh.send()
+		}
 	}
 }
 
@@ -355,32 +356,23 @@ func (sh *shard) handleDatagram(b *packet.Buf, n int, from netip.AddrPort) {
 	s.deliver(b, from)
 }
 
-// enqueue queues one outbound datagram for the shard's socket. Off the
-// reader's batch — a stage's release timer, the control plane — it wakes the
-// writer. enqueue takes ownership of o.b.
+// enqueue queues one outbound datagram and takes o.b, every producer's one
+// send path: while a batch is under way it waits for a batch end; a producer
+// outside every batch (a stage's timer, a control edit) sends itself, as does
+// one reaching sendHighWater.
 func (sh *shard) enqueue(o outbound) {
-	if sh.push(&sh.wq, o) && !sh.reading.Load() {
-		sh.wakeWriter()
+	if sh.push(o) && (sh.queued.Load() >= sendHighWater || sh.eng.batching.Load() == 0) {
+		sh.send()
 	}
 }
 
-// enqueueTail queues one datagram of a cohort tail's output, which the writer
-// sends: it is the heavy part of a fan-out — an encoded stream, parity
-// included, to every member — and handing it over lets the reader send the
-// trunk's and the bypass lane's output and get back to the socket. It takes
-// ownership of o.b.
-func (sh *shard) enqueueTail(o outbound) {
-	if sh.push(&sh.tq, o) {
-		sh.wakeWriter()
-	}
-}
-
-// push appends o to q, or drops it (UDP-style, counted) when q is full so a
-// saturated socket cannot stall the session chains feeding it.
-func (sh *shard) push(q *[]outbound, o outbound) bool {
+// push appends o to the queue, or drops it (UDP-style, counted) when full,
+// so a saturated socket cannot stall the session chains feeding it.
+func (sh *shard) push(o outbound) bool {
 	sh.wmu.Lock()
-	if len(*q) < writeqSize {
-		*q = append(*q, o)
+	if len(sh.wq) < writeqSize {
+		sh.wq = append(sh.wq, o)
+		sh.queued.Store(int32(len(sh.wq)))
 		sh.wmu.Unlock()
 		return true
 	}
@@ -407,49 +399,40 @@ func (sh *shard) discard(o outbound) {
 	o.b.Release()
 }
 
-// wakeWriter tells the writer the queue has work; wakes coalesce.
-func (sh *shard) wakeWriter() {
-	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
-}
-
-// writeLoop sends the cohort tails' output and what is queued off the
-// reader's batches. Every session enqueues on exactly one shard and sendQueue
-// sends one queue at a time, so flush's contract — per destination, data
-// frames keep queue order and parity frames keep queue order — holds per
-// destination as it is fed from one queue at a time.
-func (sh *shard) writeLoop() {
-	e := sh.eng
-	defer e.wg.Done()
-	sh.labelLoop("writer")
-	for {
-		select {
-		case <-sh.wake:
-			sh.sendQueue(&sh.tq)
-			sh.sendQueue(&sh.wq)
-		case <-e.stopWriters:
-			sh.drainWriteQueue()
+// send sends the queue unless another goroutine is sending it (flat
+// combining, Hendler et al., SPAA 2010). The holder takes the whole queue, so
+// flush's contract holds, and re-checks after letting go, so nothing pushed
+// meanwhile is stranded — unless a batch is under way, whose sends take it: a
+// holder under a session's lock sends one pass of a reader's traffic at most.
+// After Close the queue is discarded, counted. A sync.Mutex would not do: a
+// failed TryLock reads it with a plain load, unordered against the push.
+func (sh *shard) send() {
+	for sh.sending.CompareAndSwap(false, true) {
+		if sh.eng.closed.Load() {
+			sh.drainQueue()
+		} else {
+			sh.sendQueue()
+		}
+		sh.sending.Store(false)
+		if sh.queued.Load() == 0 || sh.eng.batching.Load() > 0 {
 			return
 		}
 	}
 }
 
-// sendQueue takes the whole of q and flushes it flushSize entries at a time;
-// sendBatch splits each flush's expansion into syscalls.
-func (sh *shard) sendQueue(q *[]outbound) {
-	sh.sendMu.Lock()
-	defer sh.sendMu.Unlock()
+// sendQueue takes the whole queue and flushes it flushSize entries at a time,
+// sendBatch splitting each flush into syscalls. The caller holds sending.
+func (sh *shard) sendQueue() {
 	sh.wmu.Lock()
-	b := *q
-	*q = sh.spare
+	b := sh.wq
+	sh.wq = sh.spare
+	sh.queued.Store(0)
 	sh.wmu.Unlock()
 	for i := 0; i < len(b); i += flushSize {
 		batch := b[i:min(i+flushSize, len(b))]
-		sh.flush(batch)
-		sh.counters.writes.Add(uint64(len(batch)))
+		sh.counters.writes.Add(uint64(len(batch))) // before any of it can be received
 		sh.counters.flushes.Add(1)
+		sh.flush(batch)
 	}
 	clear(b)
 	sh.spare = b[:0]
@@ -698,12 +681,12 @@ func credit(ms []ioMsg, acct []wmeta) {
 	}
 }
 
-// drainWriteQueue discards whatever is still queued at shutdown, counting
-// each entry as a write drop.
-func (sh *shard) drainWriteQueue() {
+// drainQueue discards what is queued once the engine is closed, counted.
+func (sh *shard) drainQueue() {
 	sh.wmu.Lock()
-	q := append(sh.wq, sh.tq...)
-	sh.wq, sh.tq = nil, nil
+	q := sh.wq
+	sh.wq = nil
+	sh.queued.Store(0)
 	sh.wmu.Unlock()
 	for _, o := range q {
 		sh.discard(o)

@@ -9,8 +9,8 @@ import (
 // power-of-two number of shards, each an independently locked map, so
 // concurrent open/lookup/close on different shards never contend and no
 // global lock exists anywhere on the data path. The shard count equals the
-// engine's reader/writer count: shard i's sessions are owned by reader and
-// writer goroutine i.
+// engine's reader count: shard i's sessions are owned by data-plane shard i,
+// whose output queue carries their output.
 type table struct {
 	mask   uint32
 	shards []tableShard

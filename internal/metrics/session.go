@@ -92,7 +92,7 @@ type ReceiverCounters struct {
 	OutPackets atomic.Uint64
 	OutBytes   atomic.Uint64
 	// Drops counts datagrams discarded for this receiver: branch queue
-	// overflow, writer queue overflow and send errors.
+	// overflow, shard queue overflow and send errors.
 	Drops atomic.Uint64
 	// Primed counts historical frames replayed into this receiver's branch
 	// from the trunk's replay history when the branch was built (late join).
@@ -199,13 +199,15 @@ type EngineStats struct {
 	ChainErrors    uint64 `json:"chain_errors"`
 	Feedback       uint64 `json:"feedback"`
 	// Nacks counts KindNack datagrams accepted off the feedback wire;
-	// Retransmits counts the historical frames re-sent in answer to them.
-	Nacks       uint64 `json:"nacks,omitempty"`
-	Retransmits uint64 `json:"retransmits,omitempty"`
+	// Retransmits counts the historical frames re-sent in answer to them, and
+	// NackRefusals the ones a requester's retransmission byte budget refused.
+	Nacks        uint64 `json:"nacks,omitempty"`
+	Retransmits  uint64 `json:"retransmits,omitempty"`
+	NackRefusals uint64 `json:"nack_refusals,omitempty"`
 	// Shards is the width of the engine's data plane: the number of reader
-	// goroutines, session-table shards and batched writers.
+	// goroutines, session-table shards and output queues.
 	Shards int `json:"shards"`
-	// BatchedWrites counts the queue entries sent through the shard writers,
+	// BatchedWrites counts the queue entries sent from the shard queues,
 	// a cohort frame once however many members it goes to; WriteFlushes
 	// counts flushes of at most 64 entries each, so
 	// BatchedWrites/WriteFlushes is the mean flush size. Within a flush, per
@@ -236,7 +238,7 @@ type EngineStats struct {
 	SentDatagrams uint64 `json:"sent_datagrams"`
 	SendEntries   uint64 `json:"send_entries"`
 	// BypassHits counts trunk frames delivered through a cohort bypass lane
-	// (no chain, no copy); CoalescedSends counts cohort frames the writers
+	// (no chain, no copy); CoalescedSends counts cohort frames the flushes
 	// fanned to two or more receivers off one shared chain traversal.
 	BypassHits     uint64 `json:"bypass_hits,omitempty"`
 	CoalescedSends uint64 `json:"coalesced_sends,omitempty"`
@@ -247,7 +249,7 @@ type EngineStats struct {
 // what the shard's reader goroutine pulled off its socket — in the shared-
 // socket mode any reader can receive any session's datagrams, so these
 // describe reader load, not session placement. Sessions, ChainErrors and the
-// writer counters are attributed to the shard that owns the session.
+// send counters are attributed to the shard that owns the session.
 type ShardStats struct {
 	Shard       int    `json:"shard"`
 	Sessions    int    `json:"sessions"`
@@ -257,10 +259,12 @@ type ShardStats struct {
 	Feedback    uint64 `json:"feedback"`
 	Nacks       uint64 `json:"nacks,omitempty"`
 	Retransmits uint64 `json:"retransmits,omitempty"`
-	ChainErrors uint64 `json:"chain_errors"`
-	Writes      uint64 `json:"writes"`
-	Flushes     uint64 `json:"flushes"`
-	WriteDrops  uint64 `json:"write_drops"`
+	// NackRefusals counts retransmissions a requester's byte budget refused.
+	NackRefusals uint64 `json:"nack_refusals,omitempty"`
+	ChainErrors  uint64 `json:"chain_errors"`
+	Writes       uint64 `json:"writes"`
+	Flushes      uint64 `json:"flushes"`
+	WriteDrops   uint64 `json:"write_drops"`
 	// RecvCalls and SendCalls count this shard's receive and send syscalls;
 	// see EngineStats for the derived batch-fill and syscalls-per-packet
 	// readings.
