@@ -35,12 +35,13 @@ type scriptedDgram struct {
 type scriptedConn struct {
 	in chan []scriptedDgram
 
-	mu     sync.Mutex
-	sent   map[netip.AddrPort][][]byte
-	total  int
-	poison netip.AddrPort
-	stuck  netip.AddrPort
-	faults int
+	mu      sync.Mutex
+	sent    map[netip.AddrPort][][]byte
+	total   int
+	entries int // kernel send entries the sends would take with GSO (see gsoEntries)
+	poison  netip.AddrPort
+	stuck   netip.AddrPort
+	faults  int
 }
 
 var errInjectedFault = errors.New("injected send fault")
@@ -71,6 +72,7 @@ func (c *scriptedConn) ReadBatch(ms []ioMsg) (int, error) {
 func (c *scriptedConn) WriteBatch(ms []ioMsg) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.entries += gsoEntries(ms)
 	for i := range ms {
 		if c.poison.IsValid() && ms[i].Addr == c.poison {
 			c.faults++
@@ -83,6 +85,22 @@ func (c *scriptedConn) WriteBatch(ms []ioMsg) (int, error) {
 		c.total++
 	}
 	return len(ms), nil
+}
+
+// gsoEntries counts the kernel send entries netbatch's GSO path folds ms
+// into: a run of up to 64 adjacent datagrams of one size to one destination
+// is one entry. (netbatch also caps a run at 65,000 bytes, which the small
+// datagrams of the tests never reach.)
+func gsoEntries(ms []ioMsg) int {
+	entries := 0
+	for i := 0; i < len(ms); entries++ {
+		run := 1
+		for i+run < len(ms) && run < 64 && ms[i+run].Addr == ms[i].Addr && len(ms[i+run].Buf) == len(ms[i].Buf) {
+			run++
+		}
+		i += run
+	}
+	return entries
 }
 
 func (c *scriptedConn) sentTo(addr netip.AddrPort) [][]byte {

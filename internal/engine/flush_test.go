@@ -19,17 +19,48 @@ import (
 
 // prefixConn accepts a random non-empty prefix of every WriteBatch, so a
 // flush's expansion reaches the wire over several calls, and records what it
-// accepted in order.
+// accepted in order. With flushes set it also records, per datagram, the
+// flush it left in: the count flushes read when WriteBatch was called.
 type prefixConn struct {
-	rng  *rand.Rand
-	sent []ioMsg
+	rng     *rand.Rand
+	sent    []ioMsg
+	flushes *atomic.Uint64
+	flushOf []uint64
 }
 
 func (c *prefixConn) ReadBatch([]ioMsg) (int, error) { return 0, net.ErrClosed }
 func (c *prefixConn) WriteBatch(ms []ioMsg) (int, error) {
 	n := 1 + c.rng.Intn(len(ms))
 	c.sent = append(c.sent, ms[:n]...)
+	if c.flushes != nil {
+		for range n {
+			c.flushOf = append(c.flushOf, c.flushes.Load())
+		}
+	}
 	return n, nil
+}
+
+// flushCut models where sendQueue cuts a queue into flushes: a new flush
+// starts at the entry that would give a destination a (flushSize+1)-th
+// datagram, or once a flush holds flushEntries entries. dsts lists each
+// entry's destinations; the result is the number of flushes.
+func flushCut(dsts [][]netip.AddrPort) int {
+	flushes, entries := 0, 0
+	var per map[netip.AddrPort]int
+	for _, ds := range dsts {
+		cut := flushes == 0 || entries == flushEntries
+		for _, d := range ds {
+			cut = cut || per[d] == flushSize
+		}
+		if cut {
+			flushes, entries, per = flushes+1, 0, map[netip.AddrPort]int{}
+		}
+		for _, d := range ds {
+			per[d]++
+		}
+		entries++
+	}
+	return flushes
 }
 
 // flushFrame is a cohort or unicast datagram of the random batches, size
@@ -58,16 +89,25 @@ func isParity(dgram []byte) bool {
 // onto a conn that takes a random prefix of each call, and checks flush's
 // contract: every (destination, frame) pair is sent exactly once; per
 // destination, data frames keep queue order and parity frames keep queue
-// order, whichever session, view or unicast entry they came from; and the
-// coalesced, drop, write, flush and sent-datagram counters are exact.
+// order, whichever session, view or unicast entry they came from; no
+// destination gets more than flushSize datagrams from one flush; the queue
+// is cut into as many flushes as flushCut says; and the coalesced, drop,
+// write and sent-datagram counters are exact. Odd seeds spread the queue
+// over 8 destinations, so flushes end at a destination's flushSize-th
+// datagram; even seeds spread up to writeqSize entries over 200, so most
+// end at flushEntries entries.
 func TestFlushKeepsPerKindOrderOnRandomBatches(t *testing.T) {
-	dsts := make([]netip.AddrPort, 8)
-	for i := range dsts {
-		dsts[i] = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 5, 0, byte(i + 1)}), 9000)
-	}
 	sh := &shard{} // one shard throughout: its flush scratch is reused
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		wide := seed%2 == 0
+		dsts := make([]netip.AddrPort, 8)
+		if wide {
+			dsts = make([]netip.AddrPort, 200)
+		}
+		for i := range dsts {
+			dsts[i] = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 5, byte(i / 250), byte(i%250 + 1)}), 9000)
+		}
 		sessions := []*Session{{id: 1}, {id: 2}}
 		// Each session's views have disjoint members, as a session's cohorts
 		// do; the two sessions' views share members, and unicast entries of
@@ -90,11 +130,15 @@ func TestFlushKeepsPerKindOrderOnRandomBatches(t *testing.T) {
 			}
 		}
 		size := writeqSize
-		if seed > 1 {
+		switch {
+		case wide:
+			size = 1 + rng.Intn(writeqSize)
+		case seed > 1:
 			size = 1 + rng.Intn(300)
 		}
-		conn := &prefixConn{rng: rng}
-		sh.bconn, sh.counters = conn, shardCounters{}
+		sh.counters = shardCounters{}
+		conn := &prefixConn{rng: rng, flushes: &sh.counters.flushes}
+		sh.bconn = conn
 		queue := make([]outbound, size)
 		for pos := range queue {
 			kind, frameSize := packet.KindData, 100
@@ -200,9 +244,30 @@ func TestFlushKeepsPerKindOrderOnRandomBatches(t *testing.T) {
 				}
 			}
 		}
-		flushes := uint64((size + flushSize - 1) / flushSize)
+		entryDsts := make([][]netip.AddrPort, size)
+		for pos, o := range queue {
+			if o.view == nil {
+				entryDsts[pos] = []netip.AddrPort{o.dst}
+				continue
+			}
+			for _, tg := range *o.view {
+				entryDsts[pos] = append(entryDsts[pos], tg.dst)
+			}
+		}
+		flushes := uint64(flushCut(entryDsts))
 		if w, f := sh.counters.writes.Load(), sh.counters.flushes.Load(); w != uint64(size) || f != flushes {
 			t.Fatalf("seed %d: writes %d in %d flushes, want %d in %d", seed, w, f, size, flushes)
+		}
+		type cell struct {
+			flush uint64
+			dst   netip.AddrPort
+		}
+		per := map[cell]int{}
+		for i, m := range conn.sent {
+			c := cell{conn.flushOf[i], m.Addr}
+			if per[c]++; per[c] > flushSize {
+				t.Fatalf("seed %d: flush %d sends %v more than %d datagrams", seed, c.flush, c.dst, flushSize)
+			}
 		}
 		if d := sh.counters.sentDatagrams.Load(); d != uint64(len(conn.sent)) {
 			t.Fatalf("seed %d: sent datagrams = %d, want the %d the conn took", seed, d, len(conn.sent))
@@ -276,27 +341,37 @@ func repairAll(t *testing.T, who string, dgrams [][]byte, wantData, wantRepairs 
 // per frame and receiver — with another session's unicast datagrams at random
 // places between them so flush boundaries fall anywhere in a group, and sends
 // it. The codes are the adaptive policy's first, (5,4), and (8,4); in the
-// last case ten of every eleven (5,4) groups lost all but their first data
-// frame upstream, so a flush spans as many groups as it holds frames. flush
-// sends a group's parity after later groups' data; per receiver, a 64-group
-// decoder losing data frame 1 of every group must still hold each complete
-// group when its parity arrives, and so repair all of them.
+// lone cases ten of every eleven (5,4) groups lost all but their first data
+// frame upstream, so a flush spans as many groups as it sends a receiver
+// frames. The rcv=8 cases spread the queue over eight receivers, so a flush
+// takes far more than 64 entries: up to 64 cohort frames, or flushEntries
+// unicast entries. flush sends a group's parity after later groups' data;
+// per receiver, a 64-group decoder losing data frame 1 of every group must
+// still hold each complete group when its parity arrives, and so repair all
+// of them.
 func TestFlushFullQueueKeepsFECRepairable(t *testing.T) {
 	for _, tc := range []struct {
-		p       fec.Params
-		lone    int  // groups reduced to one data frame after each complete one
-		unicast bool // one unicast entry per receiver instead of a cohort entry
+		p         fec.Params
+		lone      int  // groups reduced to one data frame after each complete one
+		unicast   bool // one unicast entry per receiver instead of a cohort entry
+		receivers int  // 0: 3
 	}{
-		{fec.Params{K: 4, N: 5}, 0, false}, {fec.Params{K: 4, N: 8}, 0, false}, {fec.Params{K: 4, N: 5}, 10, false},
-		{fec.Params{K: 4, N: 5}, 0, true}, {fec.Params{K: 4, N: 8}, 0, true}, {fec.Params{K: 4, N: 5}, 10, true},
+		{fec.Params{K: 4, N: 5}, 0, false, 0}, {fec.Params{K: 4, N: 8}, 0, false, 0}, {fec.Params{K: 4, N: 5}, 10, false, 0},
+		{fec.Params{K: 4, N: 5}, 0, true, 0}, {fec.Params{K: 4, N: 8}, 0, true, 0}, {fec.Params{K: 4, N: 5}, 10, true, 0},
+		{fec.Params{K: 4, N: 8}, 0, false, 8}, {fec.Params{K: 4, N: 5}, 10, false, 8}, {fec.Params{K: 4, N: 5}, 10, true, 8},
 	} {
 		name := fmt.Sprintf("%v/lone=%d", tc.p, tc.lone)
 		if tc.unicast {
 			name += "/unicast"
 		}
+		receivers := 3
+		if tc.receivers != 0 {
+			receivers = tc.receivers
+			name += fmt.Sprintf("/rcv=%d", receivers)
+		}
 		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(tc.p.N + tc.lone)))
-			view := make([]target, 3)
+			rng := rand.New(rand.NewSource(int64(tc.p.N + tc.lone + tc.receivers)))
+			view := make([]target, receivers)
 			for i := range view {
 				view[i] = target{dst: netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 7, 0, byte(i + 1)}), 9000),
 					rx: &metrics.ReceiverCounters{}}
@@ -358,6 +433,9 @@ func TestFlushFullQueueKeepsFECRepairable(t *testing.T) {
 				}
 				repairAll(t, tg.dst.String(), got, complete*tc.p.K+groups-complete, complete)
 			}
+			if entries := sh.counters.writes.Load() / sh.counters.flushes.Load(); receivers > 3 && entries <= flushSize {
+				t.Fatalf("%d entries per flush, want more than %d", entries, flushSize)
+			}
 		})
 	}
 }
@@ -413,14 +491,69 @@ func BenchmarkShardFlushFullQueue(b *testing.B) {
 	}
 }
 
+// fanoutBatchFlush returns one op that queues what a fan-out reader batch of
+// batchSize source frames queues — per frame a bypass-lane entry for 4
+// members and an FEC (8,4) cohort's data frame for 4 others, and after every
+// 4 frames the cohort's 4 parity frames, two bytes longer: 96 entries, 64
+// datagrams to each cohort member — and sends it, in one flush.
+func fanoutBatchFlush(tb testing.TB) func() {
+	viewOf := func(first byte) *[]target {
+		v := make([]target, 4)
+		for i := range v {
+			v[i] = target{dst: netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 6, 1, first + byte(i)}), 9000),
+				rx: &metrics.ReceiverCounters{}}
+		}
+		return &v
+	}
+	bypass, cohort := viewOf(1), viewOf(5)
+	s := &Session{id: 1}
+	sh := &shard{bconn: discardConn{}}
+	var queue []outbound
+	for i := 0; i < batchSize; i++ {
+		queue = append(queue,
+			outbound{s: s, b: flushFrame(tb, 1, packet.KindData, i, 200), view: bypass},
+			outbound{s: s, b: flushFrame(tb, 1, packet.KindData, i, 200), view: cohort})
+		if i%4 == 3 {
+			for j := 0; j < 4; j++ {
+				queue = append(queue, outbound{s: s, b: flushFrame(tb, 1, packet.KindParity, i, 202), view: cohort})
+			}
+		}
+	}
+	tb.Cleanup(func() {
+		for _, o := range queue {
+			o.b.Release()
+		}
+	})
+	return func() {
+		for _, o := range queue {
+			o.b.Retain(1) // the flush releases one reference per entry
+			sh.push(o)
+		}
+		sh.sendQueue()
+	}
+}
+
+// BenchmarkShardFlushFanoutBatch times the expansion and send of one fan-out
+// reader batch's queue. TestShardFlushFullQueueAllocs holds it
+// allocation-free.
+func BenchmarkShardFlushFanoutBatch(b *testing.B) {
+	op := fanoutBatchFlush(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
 func TestShardFlushFullQueueAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	op := fullQueueFlush(t)
-	op() // grows the reused expansion scratch to its steady size
-	if n := testing.AllocsPerRun(20, op); n != 0 {
-		t.Fatalf("%v allocs per full-queue flush, want 0", n)
+	for name, op := range map[string]func(){"full-queue": fullQueueFlush(t), "fan-out batch": fanoutBatchFlush(t)} {
+		op() // grows the reused expansion scratch to its steady size
+		if n := testing.AllocsPerRun(20, op); n != 0 {
+			t.Fatalf("%v allocs per %s flush, want 0", n, name)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 	"unsafe"
 
+	"rapidware/internal/compose"
 	"rapidware/internal/fec"
 	"rapidware/internal/metrics"
 	"rapidware/internal/netbatch"
@@ -513,5 +514,127 @@ func TestEngineGROIngressAllocs(t *testing.T) {
 	op := groIngress(t, true)
 	if n := testing.AllocsPerRun(200, op); n != 0 {
 		t.Fatalf("%v allocs per GRO run of %d datagrams, want 0", n, groRunLen)
+	}
+}
+
+// fanoutBatchSend starts a one-shard engine that fans session 1 out to 8
+// loopback sinks, each reading with UDP GRO — 4 on the bypass lane and 4 in
+// one FEC (8,4) cohort, the shape of the fanout-mixed benchmark — and a GSO
+// client, and returns the engine and one op: batchSize data frames sent as
+// one GSO run, so the engine reads them as one batch, and every datagram the
+// fan-out sends read back at the sinks, 32 at each bypass member and 64 (32
+// data, 32 parity) at each cohort member.
+func fanoutBatchSend(tb testing.TB) (*Engine, func()) {
+	sinks := make([]*net.UDPConn, 8)
+	bsinks := make([]netbatch.Conn, len(sinks))
+	var fanout []string
+	for i := range sinks {
+		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { c.Close() })
+		sinks[i], bsinks[i] = c, netbatch.New(c, netbatch.Options{GRO: true})
+		fanout = append(fanout, c.LocalAddr().String())
+	}
+	e, err := New(Config{ListenAddr: "127.0.0.1:0", Shards: 1, Fanout: fanout})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { e.Close() })
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	bc := netbatch.New(c, netbatch.Options{GSO: true})
+	dst := e.LocalAddr().(*net.UDPAddr).AddrPort()
+
+	out := make([]ioMsg, batchSize)
+	for i := range out {
+		d, err := packet.AppendDatagram(nil, 1, &packet.Packet{Seq: uint64(i), Kind: packet.KindData, Payload: make([]byte, 64)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = ioMsg{Buf: d, Addr: dst}
+	}
+	in := make([]ioMsg, batchSize)
+	for i := range in {
+		in[i].Buf = make([]byte, packet.MaxDatagram)
+	}
+	read := func(sink, want int) {
+		for got := 0; got < want; {
+			n, err := bsinks[sink].ReadBatch(in)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for _, m := range in[:n] {
+				got++
+				if m.Seg > 0 {
+					got += (m.N+m.Seg-1)/m.Seg - 1
+				}
+			}
+		}
+	}
+	deadline := func(d time.Duration) {
+		for _, s := range sinks {
+			s.SetReadDeadline(time.Now().Add(d))
+		}
+	}
+	deadline(5 * time.Second)
+	// The session's first frame opens it with every member on the bypass
+	// lane; then the last 4 members move to the FEC cohort.
+	if n, err := bc.WriteBatch(out[:1]); n != 1 || err != nil {
+		tb.Fatalf("client WriteBatch = (%d, %v), want (1, nil)", n, err)
+	}
+	for i := range sinks {
+		read(i, 1)
+	}
+	for _, addr := range fanout[4:] {
+		if _, err := e.EditSession(1, addr, compose.Replace("fec-encode=8/4")); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	op := func() {
+		if n, err := bc.WriteBatch(out); n != len(out) || err != nil {
+			tb.Fatalf("client WriteBatch = (%d, %v), want (%d, nil)", n, err, len(out))
+		}
+		for i := range sinks {
+			read(i, batchSize*(1+i/4))
+		}
+	}
+	op() // warms the pools and the flush scratch
+	deadline(10 * time.Minute)
+	return e, op
+}
+
+// BenchmarkFanoutBatchSend times one fan-out reader batch end to end over
+// loopback (see fanoutBatchSend) and reports the process's CPU time (client,
+// engine and sinks, from getrusage) per source datagram, the engine's flushes
+// per batch and the datagrams per kernel send entry.
+func BenchmarkFanoutBatchSend(b *testing.B) {
+	if !gsoAvailable {
+		b.Skip("UDP GSO and GRO not available in this build")
+	}
+	e, op := fanoutBatchSend(b)
+	before := e.Stats()
+	b.ReportAllocs()
+	var r0, r1 syscall.Rusage
+	b.ResetTimer()
+	syscall.Getrusage(syscall.RUSAGE_SELF, &r0)
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	syscall.Getrusage(syscall.RUSAGE_SELF, &r1)
+	b.StopTimer()
+	cpu := r1.Utime.Nano() + r1.Stime.Nano() - r0.Utime.Nano() - r0.Stime.Nano()
+	b.ReportMetric(float64(cpu)/float64(b.N*batchSize), "cpu-ns/datagram")
+	st := e.Stats()
+	b.ReportMetric(float64(st.WriteFlushes-before.WriteFlushes)/float64(b.N), "flushes/batch")
+	if entries := st.SendEntries - before.SendEntries; entries > 0 {
+		b.ReportMetric(float64(st.SentDatagrams-before.SentDatagrams)/float64(entries), "dgrams/entry")
 	}
 }

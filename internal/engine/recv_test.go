@@ -213,3 +213,81 @@ func TestReaderSendsFullGROBatchFanout(t *testing.T) {
 		}
 	}
 }
+
+// TestFanoutReadLeavesInOneFlush reads one batch of batchSize data frames on
+// a fan-out session of 8 members: 4 on the bypass lane and 4 in one FEC (8,4)
+// cohort, the shape of the fanout-mixed benchmark. The batch queues 96
+// entries — a bypass frame, a cohort data frame and, every 4 frames, 4
+// parity frames — and gives each cohort member 64 datagrams, each bypass
+// member 32, so it leaves in one flush: one send of 12 GSO entries, a data
+// run to every member and a parity run to each cohort member. Every member
+// gets its data frames in order, and each cohort member its parity.
+func TestFanoutReadLeavesInOneFlush(t *testing.T) {
+	members := make([]netip.AddrPort, 8)
+	var fanout []string
+	for i := range members {
+		members[i] = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, 2, byte(i + 1)}), 5000)
+		fanout = append(fanout, members[i].String())
+	}
+	e, sc := newScriptedEngine(t, Config{Fanout: fanout})
+	const id = 1
+	stamped := func(seq uint64) []byte {
+		return mustDatagram(t, id, seq, binary.BigEndian.AppendUint64(make([]byte, 0, 100), seq)[:100])
+	}
+	sc.in <- []scriptedDgram{{data: stamped(0), from: recvPeer}}
+	waitFor(t, "the session's first frame at every member", func() bool { return sc.sentTotal() == len(members) })
+	for _, m := range members[4:] {
+		if _, err := e.EditSession(id, m.String(), compose.Replace("fec-encode=8/4")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.Session(id).Stats(); st.Cohorts != 2 {
+		t.Fatalf("%d cohorts, want 2", st.Cohorts)
+	}
+
+	before := e.Stats()
+	sc.mu.Lock()
+	entries0 := sc.entries
+	sc.mu.Unlock()
+	batch := make([]scriptedDgram, batchSize)
+	for i := range batch {
+		batch[i] = scriptedDgram{data: stamped(uint64(1 + i)), from: recvPeer}
+	}
+	sc.in <- batch
+	want := len(members) + 4*batchSize + 4*2*batchSize
+	waitFor(t, "the batch at every member", func() bool { return sc.sentTotal() == want })
+	st := e.Stats()
+	if f, w := st.WriteFlushes-before.WriteFlushes, st.BatchedWrites-before.BatchedWrites; f != 1 || w != 3*batchSize {
+		t.Fatalf("the read left in %d flushes of %d entries, want 1 of %d", f, w, 3*batchSize)
+	}
+	sc.mu.Lock()
+	entries := sc.entries - entries0
+	sc.mu.Unlock()
+	if entries != 12 {
+		t.Fatalf("the flush took %d GSO entries, want 12: one run per member and kind", entries)
+	}
+	for i, m := range members {
+		var data, par int
+		for _, d := range sc.sentTo(m) {
+			p, _, err := packet.Unmarshal(d[packet.SessionIDSize:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Kind == packet.KindParity {
+				par++
+				continue
+			}
+			if got := binary.BigEndian.Uint64(p.Payload); got != uint64(data) {
+				t.Fatalf("member %d: data frame %d carries stamp %d", i, data, got)
+			}
+			data++
+		}
+		wantPar := 0
+		if i >= 4 {
+			wantPar = batchSize
+		}
+		if data != 1+batchSize || par != wantPar {
+			t.Fatalf("member %d: %d data and %d parity frames, want %d and %d", i, data, par, 1+batchSize, wantPar)
+		}
+	}
+}

@@ -29,19 +29,25 @@ const (
 	// queue is full new output is dropped and counted, UDP-style, so a
 	// slow socket cannot stall session chains.
 	writeqSize = 1024
-	// flushSize is the number of queue entries one flush expands, and so the
-	// window inside which flush sends a destination's parity frames after its
-	// data frames (see flush). 64 entries hold frames of at most 64 FEC
-	// groups, so a group's parity, unicast or cohort, trails at most 63 other
-	// groups' data to a receiver: within the 64 groups a receiver's FEC
-	// decoder tracks (fec.NewFrameDecoder's default), which therefore still
-	// has the group when its parity arrives. It also bounds the expansion
-	// scratch, which peaks at flushSize x members datagrams.
+	// flushSize is the most datagrams one flush sends any one destination,
+	// data and parity together, and so the window inside which flush sends a
+	// destination's parity frames after its data frames (see flush). A
+	// destination's data frames in one flush span at most 64 FEC groups, so a
+	// group's parity, unicast or cohort, trails at most 63 other groups' data
+	// to a receiver: within the 64 groups a receiver's FEC decoder tracks
+	// (fec.NewFrameDecoder's default), which therefore still has the group
+	// when its parity arrives. It also caps a destination's share of a flush
+	// at one maximal GSO run per kind (netbatch's 64 segments), and the
+	// expansion scratch at flushSize x destinations datagrams.
 	flushSize = 64
+	// flushEntries caps the queue entries one flush takes, and sizes the
+	// shard's per-entry flush scratch. A fan-out reader batch of 32 datagrams
+	// queues about 96 entries, which fit one flush.
+	flushEntries = writeqSize / 4
 	// sendHighWater is the queue length at which a producer sends mid-batch:
-	// one full flush gains nothing by waiting, and a fan-out's GRO batch
+	// a full flush gains nothing by waiting, and a fan-out's GRO batch
 	// (thousands of datagrams, several entries each) cannot overflow writeqSize.
-	sendHighWater = flushSize
+	sendHighWater = flushEntries
 	// maxReadBackoffShift caps the transient-read-error sleep at
 	// 1ms << maxReadBackoffShift (256ms).
 	maxReadBackoffShift = 8
@@ -134,11 +140,14 @@ type shard struct {
 
 	// sending is the combining send's try-lock (see send): its holder alone
 	// sends, in queue order, and owns the scratch below, reused so a flush
-	// never allocates in steady state. dests holds one flush's destinations,
-	// dtab finds them by address, views lists the flush's distinct cohort
-	// views and vdests their members' dests indices (see flush).
+	// never allocates in steady state. class and at hold each entry's frame
+	// class and destination slot (see flush), dests holds one flush's
+	// destinations, dtab finds them by address, views lists the flush's
+	// distinct cohort views and vdests their members' dests indices.
 	sending atomic.Bool
 	spare   []outbound
+	class   [flushEntries]uint8
+	at      [flushEntries]int32
 	wmsgs   []ioMsg
 	wacct   []wmeta
 	dests   [][2]int32
@@ -420,19 +429,17 @@ func (sh *shard) send() {
 	}
 }
 
-// sendQueue takes the whole queue and flushes it flushSize entries at a time,
-// sendBatch splitting each flush into syscalls. The caller holds sending.
+// sendQueue takes the whole queue and flushes it, one prefix at a time (see
+// flush), sendBatch splitting each flush into syscalls. The caller holds
+// sending.
 func (sh *shard) sendQueue() {
 	sh.wmu.Lock()
 	b := sh.wq
 	sh.wq = sh.spare
 	sh.queued.Store(0)
 	sh.wmu.Unlock()
-	for i := 0; i < len(b); i += flushSize {
-		batch := b[i:min(i+flushSize, len(b))]
-		sh.counters.writes.Add(uint64(len(batch))) // before any of it can be received
-		sh.counters.flushes.Add(1)
-		sh.flush(batch)
+	for q := b; len(q) > 0; {
+		q = q[sh.flush(q):]
 	}
 	clear(b)
 	sh.spare = b[:0]
@@ -447,11 +454,14 @@ func frameClass(dgram []byte) int {
 	return 0
 }
 
-// flush expands at most flushSize drained queue entries into the wire-level
-// datagram list — a unicast entry is one datagram to its dst, a cohort entry
-// one datagram per member of its view, sharing the payload buffer by
-// reference — sends it, and releases every buffer. flush owns the batch's
-// buffers.
+// flush expands a prefix of the drained queue q into the wire-level datagram
+// list — a unicast entry is one datagram to its dst, a cohort entry one
+// datagram per member of its view, sharing the payload buffer by reference —
+// sends it, releases the prefix's buffers, and returns how many entries it
+// took. The prefix is cut by what the layout below needs, not by a count of
+// entries: it ends before the first entry that would give any destination a
+// (flushSize+1)-th datagram, or at flushEntries entries. flush owns the
+// prefix's buffers.
 //
 // The list is destination-major: each destination's datagrams are adjacent,
 // whichever sessions, views and unicast entries they came from, and within a
@@ -470,11 +480,7 @@ func frameClass(dgram []byte) int {
 // flush, a unicast dst through dtab — and counts each destination's data and
 // parity datagrams; prefix sums turn the counts into positions, and a second
 // pass places every (destination, frame) pair. A frame's kind is read once.
-func (sh *shard) flush(batch []outbound) {
-	var (
-		class [flushSize]uint8 // each entry's frameClass
-		at    [flushSize]int32 // unicast: its dests index; cohort: its view's vdests offset
-	)
+func (sh *shard) flush(q []outbound) int {
 	sh.dgen++
 	if sh.dgen == 0 { // wrapped: stale slots could look current
 		clear(sh.dtab)
@@ -482,13 +488,16 @@ func (sh *shard) flush(batch []outbound) {
 	}
 	sh.dests, sh.views, sh.vdests = sh.dests[:0], sh.views[:0], sh.vdests[:0]
 	last := -1 // the views index of the previous cohort entry
-	for i := range batch {
-		o := &batch[i]
+	end := 0   // the prefix taken so far
+	for ; end < min(len(q), flushEntries); end++ {
+		o := &q[end]
 		c := frameClass(o.b.B)
-		class[i] = uint8(c)
 		if o.view == nil {
 			d := sh.destIndex(o.dst)
-			at[i] = d
+			if sh.dests[d][0]+sh.dests[d][1] >= flushSize {
+				break
+			}
+			sh.class[end], sh.at[end] = uint8(c), d
 			sh.dests[d][c]++
 			continue
 		}
@@ -496,17 +505,27 @@ func (sh *shard) flush(batch []outbound) {
 			last = sh.viewIndex(o.view)
 		}
 		off := sh.views[last].off
-		at[i] = off
-		for _, d := range sh.vdests[off : off+int32(len(*o.view))] {
+		members := sh.vdests[off : off+int32(len(*o.view))]
+		over := false
+		for _, d := range members {
 			sh.dests[d][c]++
+			over = over || sh.dests[d][0]+sh.dests[d][1] > flushSize
 		}
-		switch n := len(*o.view); {
+		if over && end > 0 { // the first entry always goes, so every flush makes progress
+			for _, d := range members {
+				sh.dests[d][c]--
+			}
+			break
+		}
+		sh.class[end], sh.at[end] = uint8(c), off
+		switch n := len(members); {
 		case n == 0:
 			o.s.counters.Drops.Add(1)
 		case n >= 2:
 			sh.counters.coalesced.Add(1)
 		}
 	}
+	batch := q[:end]
 	total := int32(0)
 	for i := range sh.dests {
 		n := &sh.dests[i]
@@ -523,26 +542,29 @@ func (sh *shard) flush(batch []outbound) {
 	ms, acct := sh.wmsgs[:total], sh.wacct[:total]
 	for i := range batch {
 		o := &batch[i]
-		c := class[i]
+		c := sh.class[i]
 		if o.view == nil {
-			n := &sh.dests[at[i]][c]
+			n := &sh.dests[sh.at[i]][c]
 			m, a := &ms[*n], &acct[*n]
 			m.Buf, m.Addr, a.s, a.rx = o.b.B, o.dst, o.s, o.rx
 			*n++
 			continue
 		}
 		for k, t := range *o.view {
-			n := &sh.dests[sh.vdests[at[i]+int32(k)]][c]
+			n := &sh.dests[sh.vdests[sh.at[i]+int32(k)]][c]
 			m, a := &ms[*n], &acct[*n]
 			m.Buf, m.Addr, a.s, a.rx = o.b.B, t.dst, o.s, t.rx
 			*n++
 		}
 	}
+	sh.counters.writes.Add(uint64(end)) // before any of it can be received
+	sh.counters.flushes.Add(1)
 	sh.sendBatch(ms, acct)
 	for i := range batch {
 		batch[i].b.Release()
 	}
 	clear(sh.views) // drop the views' references until the next flush
+	return end
 }
 
 // viewIndex returns v's index in the flush's views, resolving its members'

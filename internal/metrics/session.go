@@ -209,8 +209,9 @@ type EngineStats struct {
 	Shards int `json:"shards"`
 	// BatchedWrites counts the queue entries sent from the shard queues,
 	// a cohort frame once however many members it goes to; WriteFlushes
-	// counts flushes of at most 64 entries each, so
-	// BatchedWrites/WriteFlushes is the mean flush size. Within a flush, per
+	// counts flushes, each at most 256 entries and 64 datagrams to any one
+	// destination, so BatchedWrites/WriteFlushes is the mean flush size in
+	// entries. Within a flush, per
 	// destination, data frames keep queue order and parity frames keep queue
 	// order, the parity after the data. WriteDrops counts datagrams discarded
 	// because a shard's outbound queue was full, a send failed, or they were
