@@ -944,35 +944,20 @@ func BenchmarkGF256MatrixInvert(b *testing.B) {
 // experiment runtimes can be decomposed.
 // ---------------------------------------------------------------------------
 
-// BenchmarkWirelessChannelBroadcast measures the simulator's packet rate with
-// three attached receivers.
+// BenchmarkWirelessChannelBroadcast measures the simulator's loss-draw rate
+// with three attached receivers.
 func BenchmarkWirelessChannelBroadcast(b *testing.B) {
 	ch := wireless.NewChannel(wireless.WaveLAN2Mbps())
-	defer ch.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := ch.Attach(fmt.Sprintf("rx-%d", i), wireless.NewDistanceLoss(25, 1.2), rand.New(rand.NewSource(int64(i))), 64); err != nil {
+		if _, err := ch.Attach(fmt.Sprintf("rx-%d", i), wireless.NewDistanceLoss(25, 1.2), rand.New(rand.NewSource(int64(i)))); err != nil {
 			b.Fatal(err)
 		}
 	}
-	// Keep the receiver buffers drained so broadcasts never hit the overflow
-	// path.
-	for _, r := range ch.Receivers() {
-		go func(r *wireless.Receiver) {
-			for {
-				if _, err := r.Buffer().Get(); err != nil {
-					return
-				}
-			}
-		}(r)
-	}
-	payload := make([]byte, 320)
-	b.SetBytes(int64(len(payload)))
+	const payload = 320
+	b.SetBytes(payload)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := &packet.Packet{Seq: uint64(i), Kind: packet.KindData, Payload: payload}
-		if _, err := ch.Broadcast(p); err != nil {
-			b.Fatal(err)
-		}
+		ch.Broadcast(packet.HeaderSize + payload)
 	}
 }
 

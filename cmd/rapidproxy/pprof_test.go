@@ -283,6 +283,10 @@ func FuzzPprofRequest(f *testing.F) {
 // memory (VmHWM) in every proxy process, because the text is paged in. A
 // new endpoint beside -pprof (a /metrics scrape, say) belongs in pprof.go's
 // responder, not on net/http.
+//
+// It keeps the simulator and the experiment harness out too: the wireless
+// channel, the figure runners, and the packages only examples and
+// experiments build on (session, cache, raplet) are not part of the proxy.
 func TestRapidproxyLinksNoHTTPStack(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go not on PATH")
@@ -293,7 +297,9 @@ func TestRapidproxyLinksNoHTTPStack(t *testing.T) {
 	}
 	for _, dep := range strings.Fields(string(out)) {
 		switch dep {
-		case "net/http", "crypto/tls", "text/template", "html/template":
+		case "net/http", "crypto/tls", "text/template", "html/template",
+			"rapidware/internal/experiment", "rapidware/internal/session", "rapidware/internal/cache",
+			"rapidware/internal/raplet", "rapidware/internal/wireless":
 			t.Errorf("rapidproxy links %s", dep)
 		}
 	}

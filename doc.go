@@ -34,9 +34,15 @@
 // not a slot. The timed kinds — delay,
 // ratelimit, jitter — hold frames and release them from one runtime timer
 // per chain, under the same lock. FrameChain is the only executor in the
-// repository: rapidproxy's stream mode and the figure benchmarks run
+// repository, and the paper's figures run on it directly: the audio proxy of
+// Figures 6 and 7 is a sender FrameChain over the FEC encoder whose sink draws
+// the simulated channel's losses and hands each surviving frame to one
+// decoder FrameChain per station, all on the caller's goroutine, and the
+// repair comparison's ARQ arm is a FrameChain over arq.SenderFilter.
 // filter.Chain, a pump that reads frames from a source endpoint through a
-// FrameChain into a sink endpoint on one goroutine. Pooled buffers travel end
+// FrameChain into a sink endpoint on one goroutine, is left to rapidproxy's
+// stream mode, the live-insertion experiment (E3), the quickstart and
+// transcoding examples and bench/layers. Pooled buffers travel end
 // to end so the steady-state relay path does not allocate. Socket I/O itself
 // is batched (internal/netbatch): on Linux each shard moves up to 32
 // datagrams per recvmmsg/sendmmsg call — coalescing equal-size runs further

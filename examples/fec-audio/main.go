@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"rapidware/internal/audio"
+	"rapidware/internal/experiment"
 	"rapidware/internal/fec"
-	"rapidware/internal/fecproxy"
 )
 
 func main() {
@@ -24,17 +24,17 @@ func main() {
 	fmt.Printf("workload: %.0f s of %s audio (%d bytes)\n\n",
 		format.Duration(len(pcm)).Seconds(), format, len(pcm))
 
-	cfg := fecproxy.AudioProxyConfig{
+	cfg := experiment.AudioProxyConfig{
 		Format: format,
 		FEC:    fec.Params{K: 4, N: 6},
 		Seed:   42,
-		Receivers: []fecproxy.ReceiverConfig{
+		Receivers: []experiment.ReceiverConfig{
 			{Name: "office (5 m)", DistanceMetres: 5, MeanBurst: 1.2},
 			{Name: "hallway (25 m)", DistanceMetres: 25, MeanBurst: 1.2},
 			{Name: "conference room (40 m)", DistanceMetres: 40, MeanBurst: 1.5},
 		},
 	}
-	res, err := fecproxy.RunAudioProxy(cfg, pcm)
+	res, err := experiment.RunAudioProxy(cfg, pcm)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,39 +1,26 @@
 // Package arq implements a NACK-based retransmission (ARQ) repair scheme for
 // wireless multicast. It is the natural baseline the paper's FEC approach is
 // an alternative to: instead of sending proactive parity, receivers detect
-// gaps in the sequence space and ask the sender to retransmit. The experiment
-// harness compares the two over the same simulated channel
-// (experiment.RunRepairComparison): ARQ pays less bandwidth when loss is rare but adds at least a round
-// trip of delay to every repaired packet and scales poorly as independent
-// losses at different receivers each trigger their own retransmissions —
-// exactly the argument the paper makes for parity-based repair of multicast.
+// gaps in the sequence space and ask the sender to retransmit. ARQ pays less
+// bandwidth when loss is rare but adds at least a round trip of delay to
+// every repaired packet and scales poorly as independent losses at different
+// receivers each trigger their own retransmissions — exactly the argument the
+// paper makes for parity-based repair of multicast.
 //
-// Beyond the experiment harness, the package provides the engine-facing
-// reliability stages registered with the compose plane: SenderFilter (a
-// pass-through keeping a bounded frame history, which is both the "arq" stage
-// the engine answers KindNack requests from and the "replay=<n>" stage it
-// primes late joiners from) and JitterFilter (the "jitter=<ms>" stage, a
-// reorder/smoothing buffer that re-sequences data packets within a bounded
-// delay).
+// There is one sender-side history: SenderFilter, a pass-through stage
+// keeping a bounded frame history. It is the "arq" stage the engine answers
+// KindNack requests from, the "replay=<n>" stage it primes late joiners
+// from, and the sender of the ARQ arm of the repair comparison
+// (experiment.RunRepairComparison), which runs it in a filter.FrameChain and
+// retransmits from its Lookup. Receiver is the gap-tracking half that names
+// what to NACK. JitterFilter is the "jitter=<ms>" stage, a reorder/smoothing
+// buffer that re-sequences data packets within a bounded delay.
 package arq
 
-import (
-	"errors"
-	"fmt"
-	"sync"
+import "sync"
 
-	"rapidware/internal/packet"
-)
-
-// Errors returned by the ARQ components.
-var (
-	// ErrNotBuffered is returned when a retransmission is requested for a
-	// packet that has already left the sender's history window.
-	ErrNotBuffered = errors.New("arq: packet no longer buffered")
-)
-
-// DefaultHistory is the sender-side retransmission history depth used when a
-// caller does not specify one.
+// DefaultHistory is the depth of a SenderFilter's frame history when a caller
+// does not specify one.
 const DefaultHistory = 1024
 
 // DefaultReceiverWindow is the receiver's sliding-window span in sequence
@@ -41,78 +28,6 @@ const DefaultHistory = 1024
 // covers the experiment harness's multi-thousand-packet runs while bounding
 // state to a few kilobytes.
 const DefaultReceiverWindow = 4096
-
-// Sender transmits data packets and answers retransmission requests from a
-// bounded history of recently sent packets. The history is a ring indexed by
-// sequence number, so admission and eviction are O(1) with no per-packet
-// bookkeeping allocations. It is safe for concurrent use.
-type Sender struct {
-	transmit func(*packet.Packet) error
-
-	mu            sync.Mutex
-	ring          []*packet.Packet // ring[seq%len] holds the packet iff .Seq == seq
-	nextSeq       uint64
-	sent          uint64
-	retransmitted uint64
-}
-
-// NewSender returns a sender that transmits packets via transmit and keeps the
-// last historyLimit packets available for retransmission.
-func NewSender(historyLimit int, transmit func(*packet.Packet) error) (*Sender, error) {
-	if transmit == nil {
-		return nil, errors.New("arq: transmit function is required")
-	}
-	if historyLimit <= 0 {
-		historyLimit = DefaultHistory
-	}
-	return &Sender{
-		transmit: transmit,
-		ring:     make([]*packet.Packet, historyLimit),
-	}, nil
-}
-
-// Send stamps the next sequence number on a copy of payload and transmits it.
-// It returns the assigned sequence number.
-func (s *Sender) Send(payload []byte) (uint64, error) {
-	s.mu.Lock()
-	seq := s.nextSeq
-	s.nextSeq++
-	p := &packet.Packet{Seq: seq, Kind: packet.KindData, Payload: append([]byte(nil), payload...)}
-	s.ring[seq%uint64(len(s.ring))] = p
-	s.sent++
-	s.mu.Unlock()
-	return seq, s.transmit(p.Clone())
-}
-
-// Retransmit answers a NACK for seq. The retransmission goes through the same
-// transmit path (and is therefore subject to loss again).
-func (s *Sender) Retransmit(seq uint64) error {
-	s.mu.Lock()
-	p := s.ring[seq%uint64(len(s.ring))]
-	if p == nil || p.Seq != seq {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: seq %d", ErrNotBuffered, seq)
-	}
-	s.retransmitted++
-	s.mu.Unlock()
-	// Stored packets are never mutated after admission, only replaced, so the
-	// clone can happen outside the lock.
-	return s.transmit(p.Clone())
-}
-
-// Stats returns the number of original transmissions and retransmissions.
-func (s *Sender) Stats() (sent, retransmitted uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sent, s.retransmitted
-}
-
-// Next returns the next sequence number that Send will assign.
-func (s *Sender) Next() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextSeq
-}
 
 // cell is the per-sequence state inside the receiver's sliding window.
 type cell struct {
@@ -202,19 +117,19 @@ func (r *Receiver) slideLocked() {
 	r.lo++
 }
 
-// Deliver records an arriving packet. round is 0 for original transmissions
-// and the repair round number for retransmissions. It reports whether the
-// packet was new; arrivals below the window (already given up) are counted
-// but not accepted.
-func (r *Receiver) Deliver(p *packet.Packet, round int) bool {
+// Deliver records the arrival of the packet with sequence number seq. round
+// is 0 for original transmissions and the repair round number for
+// retransmissions. It reports whether the packet was new; arrivals below the
+// window (already given up) are counted but not accepted.
+func (r *Receiver) Deliver(seq uint64, round int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if p.Seq < r.lo {
+	if seq < r.lo {
 		r.late++
 		return false
 	}
-	r.advanceLocked(p.Seq + 1)
-	c := r.cellAt(p.Seq)
+	r.advanceLocked(seq + 1)
+	c := r.cellAt(seq)
 	if c.received {
 		return false
 	}

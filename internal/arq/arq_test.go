@@ -1,104 +1,18 @@
 package arq
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
+	"rapidware/internal/filter"
 	"rapidware/internal/packet"
 )
-
-func TestNewSenderValidation(t *testing.T) {
-	if _, err := NewSender(8, nil); err == nil {
-		t.Fatal("expected error for nil transmit function")
-	}
-	s, err := NewSender(0, func(*packet.Packet) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s == nil {
-		t.Fatal("sender nil")
-	}
-}
-
-func TestSenderAssignsSequentialSeqs(t *testing.T) {
-	var sent []*packet.Packet
-	s, _ := NewSender(16, func(p *packet.Packet) error {
-		sent = append(sent, p)
-		return nil
-	})
-	for i := 0; i < 5; i++ {
-		seq, err := s.Send([]byte{byte(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq != uint64(i) {
-			t.Fatalf("seq = %d, want %d", seq, i)
-		}
-	}
-	if s.Next() != 5 {
-		t.Fatalf("Next = %d", s.Next())
-	}
-	for i, p := range sent {
-		if p.Seq != uint64(i) || p.Payload[0] != byte(i) {
-			t.Fatalf("transmitted packet %d = %v", i, p)
-		}
-	}
-	txSent, retx := s.Stats()
-	if txSent != 5 || retx != 0 {
-		t.Fatalf("Stats = %d/%d", txSent, retx)
-	}
-}
-
-func TestSenderSendCopiesPayload(t *testing.T) {
-	var got *packet.Packet
-	s, _ := NewSender(4, func(p *packet.Packet) error { got = p; return nil })
-	payload := []byte{1, 2, 3}
-	s.Send(payload)
-	payload[0] = 99
-	if got.Payload[0] == 99 {
-		t.Fatal("transmitted packet aliases caller's payload")
-	}
-}
-
-func TestRetransmitFromHistory(t *testing.T) {
-	var transmissions []*packet.Packet
-	s, _ := NewSender(16, func(p *packet.Packet) error {
-		transmissions = append(transmissions, p)
-		return nil
-	})
-	s.Send([]byte("a"))
-	s.Send([]byte("b"))
-	if err := s.Retransmit(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(transmissions) != 3 || transmissions[2].Seq != 0 {
-		t.Fatalf("transmissions = %v", transmissions)
-	}
-	_, retx := s.Stats()
-	if retx != 1 {
-		t.Fatalf("retransmitted = %d", retx)
-	}
-}
-
-func TestRetransmitOutsideHistory(t *testing.T) {
-	s, _ := NewSender(2, func(*packet.Packet) error { return nil })
-	s.Send([]byte("0"))
-	s.Send([]byte("1"))
-	s.Send([]byte("2")) // evicts seq 0
-	if err := s.Retransmit(0); !errors.Is(err, ErrNotBuffered) {
-		t.Fatalf("err = %v, want ErrNotBuffered", err)
-	}
-	if err := s.Retransmit(2); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestReceiverTracksGapsAndRecovery(t *testing.T) {
 	r := NewReceiver(3)
 	// Packets 0,1,3 arrive; 2 is missing.
 	for _, seq := range []uint64{0, 1, 3} {
-		if fresh := r.Deliver(&packet.Packet{Seq: seq, Kind: packet.KindData}, 0); !fresh {
+		if fresh := r.Deliver(seq, 0); !fresh {
 			t.Fatalf("packet %d reported as duplicate", seq)
 		}
 	}
@@ -107,11 +21,11 @@ func TestReceiverTracksGapsAndRecovery(t *testing.T) {
 		t.Fatalf("Missing = %v, want [2]", missing)
 	}
 	// Duplicate delivery is reported as such.
-	if r.Deliver(&packet.Packet{Seq: 1, Kind: packet.KindData}, 0) {
+	if r.Deliver(1, 0) {
 		t.Fatal("duplicate reported as fresh")
 	}
 	// The retransmission arrives on round 1.
-	if !r.Deliver(&packet.Packet{Seq: 2, Kind: packet.KindData}, 1) {
+	if !r.Deliver(2, 1) {
 		t.Fatal("retransmission not accepted")
 	}
 	delivered, recovered, lost, meanRounds := r.Stats()
@@ -158,24 +72,35 @@ func TestReceiverDefaults(t *testing.T) {
 	}
 }
 
-// TestEndToEndRepairOverLossyTransmit simulates the full NACK loop over a
-// lossy transmit function: all packets must eventually be delivered when the
-// NACK budget is generous and the loss moderate.
+// TestEndToEndRepairOverLossyTransmit simulates the full NACK loop: the
+// sender is a frame chain over a SenderFilter whose sink is a lossy transmit,
+// and every NACKed sequence number is retransmitted from the filter's
+// history over the same transmit. All packets must eventually be delivered
+// when the NACK budget is generous and the loss moderate.
 func TestEndToEndRepairOverLossyTransmit(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	r := NewReceiver(10)
 	round := 0
-	var s *Sender
-	s, _ = NewSender(1024, func(p *packet.Packet) error {
-		if rng.Float64() < 0.3 {
-			return nil // lost in the air
+	transmit := func(b *packet.Buf) {
+		if rng.Float64() >= 0.3 { // else lost in the air
+			r.Deliver(packet.FrameSeq(b.B), round)
 		}
-		r.Deliver(p, round)
-		return nil
-	})
+		b.Release()
+	}
+	history := NewSenderFilter("", 1024)
+	sender := filter.NewFrameChain(transmit)
+	if err := sender.SetInterior([]filter.Filter{history}); err != nil {
+		t.Fatal(err)
+	}
 	const total = 500
 	for i := 0; i < total; i++ {
-		if _, err := s.Send([]byte{byte(i)}); err != nil {
+		frame, err := packet.Marshal(&packet.Packet{Seq: uint64(i), Kind: packet.KindData, Payload: []byte{byte(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := packet.GetFrameBuf(len(frame))
+		copy(b.B, frame)
+		if err := sender.Process(b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,9 +111,11 @@ func TestEndToEndRepairOverLossyTransmit(t *testing.T) {
 			break
 		}
 		for _, seq := range missing {
-			if err := s.Retransmit(seq); err != nil {
-				t.Fatal(err)
+			b := history.Lookup(seq)
+			if b == nil {
+				t.Fatalf("seq %d left the history", seq)
 			}
+			transmit(b)
 		}
 	}
 	delivered, recovered, lost, meanRounds := r.Stats()
@@ -204,8 +131,7 @@ func TestEndToEndRepairOverLossyTransmit(t *testing.T) {
 	if meanRounds < 1 {
 		t.Fatalf("meanRepairRounds = %v, want >= 1", meanRounds)
 	}
-	_, retx := s.Stats()
-	if retx == 0 {
-		t.Fatal("sender never retransmitted")
+	if tracked, served, _ := history.Stats(); tracked != total || served == 0 {
+		t.Fatalf("history tracked %d served %d, want %d tracked and some served", tracked, served, total)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"rapidware/internal/filter"
 	"rapidware/internal/packet"
-	"rapidware/internal/wireless"
 )
 
 // TestStagesDropNonFrames feeds each stage body that reads header fields what
@@ -15,11 +14,7 @@ import (
 // — dropped and counted — never panic or fail the chain, which still takes a
 // real frame afterwards.
 func TestStagesDropNonFrames(t *testing.T) {
-	stages := map[string]func(*testing.T) filter.Filter{
-		"wireless": func(*testing.T) filter.Filter {
-			return wireless.NewLossFilter("", wireless.Bernoulli{P: 0}, wireless.LinkConfig{}, false, rand.New(rand.NewSource(1)))
-		},
-	}
+	stages := map[string]func(*testing.T) filter.Filter{}
 	for _, spec := range []string{"arq", "replay=8", "thin=1", "thin=3", "transcode=2", "mono", "compress", "decompress", "jitter=1", "fec-encode=6/4", "fec-decode"} {
 		stages[spec] = func(t *testing.T) filter.Filter { return buildPlan(t, spec, frozen)[0] }
 	}

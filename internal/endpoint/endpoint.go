@@ -84,8 +84,8 @@ func NewFrameReader(name string, src io.Reader) *Reader {
 }
 
 // NewPacketSource returns an input endpoint framing the packets next
-// produces; next returns io.EOF to end the stream. It is used by workload
-// generators and the wireless simulator.
+// produces; next returns io.EOF to end the stream. The transcoding example
+// and the integration tests feed their pumps with it.
 func NewPacketSource(name string, next func() (*packet.Packet, error)) *Reader {
 	if name == "" {
 		name = "packet-source"
@@ -146,8 +146,8 @@ func NewWriter(name string, dst io.Writer) *Writer {
 }
 
 // NewPacketSink returns an output endpoint decoding each frame and handing
-// the packet to handle, used by receivers and by measurement collectors in
-// the experiments. A nil handle discards them.
+// the packet to handle, used by the transcoding example and the integration
+// tests. A nil handle discards them.
 func NewPacketSink(name string, handle func(*packet.Packet) error) *Writer {
 	if name == "" {
 		name = "packet-sink"

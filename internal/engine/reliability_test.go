@@ -52,25 +52,17 @@ func TestEngineARQNackRecovery(t *testing.T) {
 	// The lossy last hop: every echo is "broadcast" onto the simulated medium
 	// and only surviving frames reach the ARQ receiver. Deterministic RNG so
 	// the loss pattern is reproducible.
-	// The station buffer must absorb the whole stream plus every repair round
-	// — an overflowing buffer counts as loss at the station, which is not what
-	// this test is measuring.
 	ch := wireless.NewChannel(wireless.WaveLAN2Mbps())
-	if _, err := ch.Attach("station", wireless.Bernoulli{P: 0.10}, rand.New(rand.NewSource(7)), total*(budget+2)); err != nil {
+	if _, err := ch.Attach("station", wireless.Bernoulli{P: 0.10}, rand.New(rand.NewSource(7))); err != nil {
 		t.Fatal(err)
 	}
-	defer ch.Close()
 	recv := arq.NewReceiver(budget)
 
-	// deliver routes one echoed packet across the lossy link into the
+	// deliver routes one echoed frame across the lossy link into the
 	// receiver's window.
-	deliver := func(p *packet.Packet, round int) {
-		ds, err := ch.Broadcast(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ds[0].Lost {
-			recv.Deliver(p, round)
+	deliver := func(frame []byte, round int) {
+		if !ch.Broadcast(len(frame))[0].Lost {
+			recv.Deliver(packet.FrameSeq(frame), round)
 		}
 	}
 	// drain collects echoes until the socket goes quiet for one timeout.
@@ -86,11 +78,10 @@ func TestEngineARQNackRecovery(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			p, _, err := packet.Unmarshal(frame)
-			if err != nil || p.Kind != packet.KindData {
+			if packet.ValidateFrame(frame) != nil || packet.FrameKind(frame) != packet.KindData {
 				continue
 			}
-			deliver(p, round)
+			deliver(frame, round)
 		}
 	}
 

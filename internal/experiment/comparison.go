@@ -10,7 +10,7 @@ import (
 	"rapidware/internal/arq"
 	"rapidware/internal/audio"
 	"rapidware/internal/fec"
-	"rapidware/internal/fecproxy"
+	"rapidware/internal/filter"
 	"rapidware/internal/packet"
 	"rapidware/internal/wireless"
 )
@@ -106,15 +106,15 @@ func RunRepairComparison(cfg RepairComparisonConfig) (*RepairComparisonResult, e
 		{"none", fec.Params{K: 1, N: 1}},
 		{fmt.Sprintf("fec%s", cfg.FEC), cfg.FEC},
 	} {
-		receivers := make([]fecproxy.ReceiverConfig, cfg.Receivers)
+		receivers := make([]ReceiverConfig, cfg.Receivers)
 		for i := range receivers {
-			receivers[i] = fecproxy.ReceiverConfig{
+			receivers[i] = ReceiverConfig{
 				Name:           fmt.Sprintf("rx-%d", i),
 				DistanceMetres: cfg.DistanceMetres,
 				MeanBurst:      cfg.MeanBurst,
 			}
 		}
-		res, err := fecproxy.RunAudioProxy(fecproxy.AudioProxyConfig{
+		res, err := RunAudioProxy(AudioProxyConfig{
 			Format:         format,
 			FEC:            arm.params,
 			PacketInterval: cfg.PacketInterval,
@@ -155,46 +155,45 @@ func RunRepairComparison(cfg RepairComparisonConfig) (*RepairComparisonResult, e
 	}
 	payloads := pktizer.Split(pcm)
 
+	// The sender is a frame chain over the engine's arq history stage; its
+	// sink multicasts each frame, and every station that does not lose it
+	// records the arrival. Retransmissions come from the same history.
 	channel := wireless.NewChannel(wireless.WaveLAN2Mbps())
-	defer channel.Close()
-	type arqReceiver struct {
-		wireless *wireless.Receiver
-		proto    *arq.Receiver
-	}
-	receivers := make([]*arqReceiver, cfg.Receivers)
+	receivers := make([]*arq.Receiver, cfg.Receivers)
 	for i := range receivers {
-		wr, err := channel.Attach(fmt.Sprintf("arq-rx-%d", i),
+		if _, err := channel.Attach(fmt.Sprintf("arq-rx-%d", i),
 			wireless.NewDistanceLoss(cfg.DistanceMetres, cfg.MeanBurst),
-			rand.New(rand.NewSource(cfg.Seed+int64(i)+1)), len(payloads)*4+16)
-		if err != nil {
+			rand.New(rand.NewSource(cfg.Seed+int64(i)+1))); err != nil {
 			return nil, err
 		}
-		receivers[i] = &arqReceiver{wireless: wr, proto: arq.NewReceiver(cfg.MaxNACKRounds)}
+		receivers[i] = arq.NewReceiver(cfg.MaxNACKRounds)
 	}
 	round := 0
-	sender, err := arq.NewSender(len(payloads), func(p *packet.Packet) error {
-		deliveries, berr := channel.Broadcast(p)
-		if berr != nil {
-			return berr
-		}
-		for i, d := range deliveries {
+	transmit := func(b *packet.Buf) {
+		for i, d := range channel.Broadcast(len(b.B)) {
 			if !d.Lost {
-				receivers[i].proto.Deliver(d.Packet, round)
+				receivers[i].Deliver(packet.FrameSeq(b.B), round)
 			}
 		}
-		return nil
-	})
-	if err != nil {
+		b.Release()
+	}
+	history := arq.NewSenderFilter("arq", len(payloads))
+	sender := filter.NewFrameChain(transmit)
+	if err := sender.SetInterior([]filter.Filter{history}); err != nil {
 		return nil, err
 	}
 	// Original transmissions.
-	for _, payload := range payloads {
-		if _, err := sender.Send(payload); err != nil {
+	for seq, payload := range payloads {
+		b, err := dataFrame(uint64(seq), payload)
+		if err != nil {
+			return nil, err
+		}
+		if err := sender.Process(b); err != nil {
 			return nil, err
 		}
 	}
 	for _, r := range receivers {
-		r.proto.ExpectUpTo(uint64(len(payloads)))
+		r.ExpectUpTo(uint64(len(payloads)))
 	}
 	// Repair rounds: the union of all receivers' NACKs is retransmitted (a
 	// single multicast retransmission can serve several receivers, the best
@@ -203,32 +202,34 @@ func RunRepairComparison(cfg RepairComparisonConfig) (*RepairComparisonResult, e
 	for round = 1; round <= cfg.MaxNACKRounds; round++ {
 		var want []uint64
 		for _, r := range receivers {
-			want = append(want, r.proto.Missing()...)
+			want = append(want, r.Missing()...)
 		}
 		if len(want) == 0 {
 			break
 		}
 		slices.Sort(want)
 		for _, seq := range slices.Compact(want) {
-			if err := sender.Retransmit(seq); err != nil {
-				return nil, err
+			b := history.Lookup(seq)
+			if b == nil {
+				return nil, fmt.Errorf("experiment: seq %d left the ARQ history", seq)
 			}
+			transmit(b)
 		}
 	}
 	var sum, worst, repairRoundsTotal float64
 	var repaired int
 	worst = 1
 	for _, r := range receivers {
-		rate := r.proto.DeliveredRate()
+		rate := r.DeliveredRate()
 		sum += rate
 		if rate < worst {
 			worst = rate
 		}
-		_, recovered, _, meanRounds := r.proto.Stats()
+		_, recovered, _, meanRounds := r.Stats()
 		repaired += recovered
 		repairRoundsTotal += meanRounds * float64(recovered)
 	}
-	sent, retx := sender.Stats()
+	sent, retx, _ := history.Stats()
 	meanRounds := 0.0
 	if repaired > 0 {
 		meanRounds = repairRoundsTotal / float64(repaired)

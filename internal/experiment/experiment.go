@@ -13,7 +13,6 @@ import (
 
 	"rapidware/internal/audio"
 	"rapidware/internal/fec"
-	"rapidware/internal/fecproxy"
 	"rapidware/internal/metrics"
 	"rapidware/internal/wireless"
 )
@@ -74,11 +73,11 @@ func RunFigure7(cfg Figure7Config) (*Figure7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := fecproxy.RunAudioProxy(fecproxy.AudioProxyConfig{
+	res, err := RunAudioProxy(AudioProxyConfig{
 		Format: format,
 		FEC:    cfg.FEC,
 		Seed:   cfg.Seed,
-		Receivers: []fecproxy.ReceiverConfig{{
+		Receivers: []ReceiverConfig{{
 			Name:           fmt.Sprintf("laptop-%.0fm", cfg.DistanceMetres),
 			DistanceMetres: cfg.DistanceMetres,
 			MeanBurst:      cfg.MeanBurst,
@@ -160,11 +159,11 @@ func RunDistanceSweep(cfg DistanceSweepConfig) ([]DistancePoint, error) {
 	}
 	var out []DistancePoint
 	for i, d := range cfg.Distances {
-		res, err := fecproxy.RunAudioProxy(fecproxy.AudioProxyConfig{
+		res, err := RunAudioProxy(AudioProxyConfig{
 			Format: format,
 			FEC:    cfg.FEC,
 			Seed:   cfg.Seed + int64(i)*101,
-			Receivers: []fecproxy.ReceiverConfig{{
+			Receivers: []ReceiverConfig{{
 				Name:           fmt.Sprintf("rx-%.0fm", d),
 				DistanceMetres: d,
 				MeanBurst:      cfg.MeanBurst,
@@ -255,15 +254,15 @@ func RunGroupSizeSweep(cfg GroupSizeSweepConfig) ([]GroupSizePoint, error) {
 	}
 	var out []GroupSizePoint
 	for _, code := range cfg.Codes {
-		receivers := make([]fecproxy.ReceiverConfig, cfg.Receivers)
+		receivers := make([]ReceiverConfig, cfg.Receivers)
 		for i := range receivers {
-			receivers[i] = fecproxy.ReceiverConfig{
+			receivers[i] = ReceiverConfig{
 				Name:           fmt.Sprintf("laptop-%d", i+1),
 				DistanceMetres: cfg.DistanceMetres,
 				MeanBurst:      cfg.MeanBurst,
 			}
 		}
-		res, err := fecproxy.RunAudioProxy(fecproxy.AudioProxyConfig{
+		res, err := RunAudioProxy(AudioProxyConfig{
 			Format:         format,
 			FEC:            code,
 			PacketInterval: cfg.PacketInterval,

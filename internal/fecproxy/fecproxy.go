@@ -214,24 +214,19 @@ func (df *DecoderFilter) decode(b *packet.Buf, emit func(*packet.Buf)) error {
 func (df *DecoderFilter) forwardFrame(b *packet.Buf) {
 	df.forwarded.Add(1)
 	if df.trace != nil {
-		df.keys = append(df.keys, frameTraceKey(b.B))
+		df.keys = append(df.keys, FrameTraceKey(b.B))
 	}
 	df.emit(b)
 }
 
-// traceKey derives a stable per-packet key from block coordinates when
-// available, falling back to the sequence number for non-FEC packets.
-func traceKey(p *packet.Packet) uint64 {
-	if p.IsFEC() {
-		return uint64(p.Group)*uint64(p.K) + uint64(p.Index)
+// FrameTraceKey derives a stable per-packet key from a marshaled frame's
+// block coordinates when it carries any, falling back to its sequence number
+// for frames outside an FEC block. The frame must already be validated.
+func FrameTraceKey(frame []byte) uint64 {
+	if group, index, k, n := packet.FrameBlock(frame); n > 0 {
+		return uint64(group)*uint64(k) + uint64(index)
 	}
-	return p.Seq
-}
-
-// frameTraceKey is traceKey read off a marshaled frame's header.
-func frameTraceKey(frame []byte) uint64 {
-	group, index, k, n := packet.FrameBlock(frame)
-	return traceKey(&packet.Packet{Seq: packet.FrameSeq(frame), Group: group, Index: index, K: k, N: n})
+	return packet.FrameSeq(frame)
 }
 
 // Stats returns the decoder's packet accounting: data packets received off

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"rapidware/internal/packet"
 )
 
 func TestBernoulliLossRate(t *testing.T) {
@@ -175,36 +173,40 @@ func TestSerializationDelay(t *testing.T) {
 }
 
 func TestChannelBroadcastIndependentLoss(t *testing.T) {
-	ch := NewChannel(WaveLAN2Mbps())
-	defer ch.Close()
-	a, err := ch.Attach("laptop-a", Bernoulli{P: 0.5}, rand.New(rand.NewSource(1)), 4096)
+	cfg := WaveLAN2Mbps()
+	ch := NewChannel(cfg)
+	a, err := ch.Attach("laptop-a", Bernoulli{P: 0.5}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ch.Attach("laptop-b", Bernoulli{P: 0.5}, rand.New(rand.NewSource(2)), 4096)
+	b, err := ch.Attach("laptop-b", Bernoulli{P: 0.5}, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ch.Attach("laptop-a", Bernoulli{}, rand.New(rand.NewSource(3)), 0); !errors.Is(err, ErrReceiverExists) {
+	if _, err := ch.Attach("laptop-a", Bernoulli{}, rand.New(rand.NewSource(3))); !errors.Is(err, ErrReceiverExists) {
 		t.Fatalf("duplicate attach err = %v", err)
 	}
 
-	const total = 2000
+	const total, frameBytes = 2000, 31
+	floor := cfg.SerializationDelay(frameBytes) + cfg.PropagationDelay
+	differ := 0
 	for i := 0; i < total; i++ {
-		p := &packet.Packet{Seq: uint64(i), Kind: packet.KindData, Payload: []byte{1, 2, 3}}
-		deliveries, err := ch.Broadcast(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		deliveries := ch.Broadcast(frameBytes)
 		if len(deliveries) != 2 {
 			t.Fatalf("got %d deliveries, want 2", len(deliveries))
+		}
+		for _, d := range deliveries {
+			if d.Latency < floor || d.Latency >= floor+cfg.MaxJitter {
+				t.Fatalf("latency %v outside [%v, %v)", d.Latency, floor, floor+cfg.MaxJitter)
+			}
+		}
+		if deliveries[0].Lost != deliveries[1].Lost {
+			differ++
 		}
 	}
 	if ch.Sent() != total {
 		t.Fatalf("Sent = %d, want %d", ch.Sent(), total)
 	}
-	// With independent 50% loss the two receivers' outcomes must differ for a
-	// substantial fraction of packets.
 	aRx, aLost := a.Stats()
 	bRx, bLost := b.Stats()
 	if aRx+aLost != total || bRx+bLost != total {
@@ -213,86 +215,19 @@ func TestChannelBroadcastIndependentLoss(t *testing.T) {
 	if a.LossRate() < 0.4 || a.LossRate() > 0.6 {
 		t.Fatalf("receiver a loss rate %v, want ~0.5", a.LossRate())
 	}
-	if a.Buffer().Len() != int(aRx) {
-		t.Fatalf("buffer holds %d packets, stats say %d received", a.Buffer().Len(), aRx)
-	}
-	if b.Buffer().Len() == a.Buffer().Len() && aRx == bRx && aLost == bLost {
-		// Technically possible but vanishingly unlikely with independent seeds.
-		t.Log("warning: receivers saw identical loss patterns")
+	// With independent 50% loss the two receivers' outcomes must differ for a
+	// substantial fraction of frames.
+	if differ < total/4 {
+		t.Fatalf("outcomes differ on %d of %d frames, want independent losses", differ, total)
 	}
 	if len(ch.Receivers()) != 2 {
 		t.Fatalf("Receivers() = %d, want 2", len(ch.Receivers()))
 	}
 }
 
-func TestChannelDeliveredPacketsAreCopies(t *testing.T) {
-	ch := NewChannel(LinkConfig{})
-	defer ch.Close()
-	r, _ := ch.Attach("rx", Bernoulli{P: 0}, rand.New(rand.NewSource(1)), 16)
-	orig := &packet.Packet{Seq: 9, Kind: packet.KindData, Payload: []byte{1, 2, 3}}
-	if _, err := ch.Broadcast(orig); err != nil {
-		t.Fatal(err)
-	}
-	orig.Payload[0] = 0xFF
-	got, err := r.Buffer().Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Payload[0] == 0xFF {
-		t.Fatal("delivered packet aliases the sender's payload")
-	}
-}
-
-func TestChannelBufferOverflowCountsAsLoss(t *testing.T) {
-	ch := NewChannel(LinkConfig{})
-	defer ch.Close()
-	r, _ := ch.Attach("tiny", Bernoulli{P: 0}, rand.New(rand.NewSource(1)), 2)
-	for i := 0; i < 5; i++ {
-		ch.Broadcast(&packet.Packet{Seq: uint64(i), Kind: packet.KindData, Payload: []byte{1}})
-	}
-	rx, lost := r.Stats()
-	if rx != 2 || lost != 3 {
-		t.Fatalf("stats = %d received %d lost, want 2/3", rx, lost)
-	}
-}
-
-func TestChannelDetachAndClose(t *testing.T) {
-	ch := NewChannel(LinkConfig{})
-	r, _ := ch.Attach("gone", Bernoulli{P: 0}, rand.New(rand.NewSource(1)), 4)
-	ch.Detach("gone")
-	if len(ch.Receivers()) != 0 {
-		t.Fatal("receiver still attached after Detach")
-	}
-	if !r.Buffer().Closed() {
-		t.Fatal("detached receiver's buffer not closed")
-	}
-	ch.Detach("never-existed") // must not panic
-	ch.Close()
-	if _, err := ch.Broadcast(&packet.Packet{Kind: packet.KindData}); !errors.Is(err, ErrChannelClosed) {
-		t.Fatalf("broadcast after close err = %v", err)
-	}
-	ch.Close() // idempotent
-}
-
-func TestChannelRealTimePacing(t *testing.T) {
-	cfg := LinkConfig{BandwidthBps: 1_000_000, PropagationDelay: time.Millisecond}
-	ch := NewChannel(cfg, WithRealTime())
-	defer ch.Close()
-	ch.Attach("rx", Bernoulli{P: 0}, rand.New(rand.NewSource(1)), 64)
-	start := time.Now()
-	// 10 packets of 125 bytes = 1ms serialization each + 1ms propagation.
-	for i := 0; i < 10; i++ {
-		ch.Broadcast(&packet.Packet{Kind: packet.KindData, Payload: make([]byte, 125-packet.HeaderSize)})
-	}
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Fatalf("real-time channel finished in %v, want >= ~20ms of pacing", elapsed)
-	}
-}
-
 func TestReceiverNameAndInitialLossRate(t *testing.T) {
 	ch := NewChannel(LinkConfig{})
-	defer ch.Close()
-	r, _ := ch.Attach("palmtop", Bernoulli{P: 0}, rand.New(rand.NewSource(1)), 4)
+	r, _ := ch.Attach("palmtop", Bernoulli{P: 0}, rand.New(rand.NewSource(1)))
 	if r.Name() != "palmtop" {
 		t.Fatalf("Name = %q", r.Name())
 	}
