@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"rapidware/internal/gf256"
 )
 
 // TestEncodeEraseDecodeRoundTrip is the end-to-end property behind the FEC
@@ -99,6 +101,52 @@ func TestEncodeParityIntoMatchesEncode(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEncodeParityIntoMatchesScalar checks the parity encode against the
+// scalar definition of the code: parity row i is the sum over sources j of
+// generator[k+i][j] * source j, one gf256.Mul per byte. It sweeps every code
+// with k in {1,2,4,8,16} and n-k in {1,2,4,8} over share sizes around the
+// word, vector-block and 4 KiB boundaries, and writes over stale parity.
+func TestEncodeParityIntoMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	sizes := []int{1, 2, 15, 16, 17, 320, 1202, 4095, 4096, 4129}
+	for _, k := range []int{1, 2, 4, 8, 16} {
+		for _, m := range []int{1, 2, 4, 8} {
+			coder, err := NewCoder(Params{K: k, N: k + m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, size := range sizes {
+				sources := make([][]byte, k)
+				for j := range sources {
+					sources[j] = make([]byte, size)
+					rng.Read(sources[j])
+				}
+				got := make([][]byte, m)
+				want := make([][]byte, m)
+				for i := range got {
+					got[i] = make([]byte, size)
+					rng.Read(got[i]) // stale contents must be overwritten
+					want[i] = make([]byte, size)
+					row := coder.enc.Row(k + i)
+					for j, src := range sources {
+						for b := range src {
+							want[i][b] ^= gf256.Mul(row[j], src[b])
+						}
+					}
+				}
+				if err := coder.EncodeParityInto(sources, got); err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("(%d,%d) size=%d parity %d diverges from scalar", k+m, k, size, i)
+					}
+				}
+			}
+		}
 	}
 }
 
