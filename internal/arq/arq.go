@@ -33,7 +33,6 @@ const DefaultReceiverWindow = 4096
 type cell struct {
 	attempts uint16
 	received bool
-	givenUp  bool // counted in the give-up total (budget exhausted)
 }
 
 // Receiver tracks which sequence numbers have arrived over a sliding window,
@@ -53,8 +52,6 @@ type Receiver struct {
 	delivered       uint64 // unique packets received (including slid-out ones)
 	inWindow        int    // received cells currently inside [lo, hi)
 	finalLost       uint64 // unreceived cells that slid out of the window
-	givenUp         uint64 // gaps permanently abandoned (budget or window)
-	late            uint64 // arrivals below lo, after the gap was given up
 	recovered       uint64 // packets that arrived on a repair round
 	recoveredRounds uint64 // sum of repair-round numbers over recovered
 }
@@ -109,10 +106,6 @@ func (r *Receiver) slideLocked() {
 		r.inWindow--
 	} else {
 		r.finalLost++
-		if !c.givenUp {
-			// Slid out before the NACK budget ran dry: still permanently lost.
-			r.givenUp++
-		}
 	}
 	r.lo++
 }
@@ -120,12 +113,11 @@ func (r *Receiver) slideLocked() {
 // Deliver records the arrival of the packet with sequence number seq. round
 // is 0 for original transmissions and the repair round number for
 // retransmissions. It reports whether the packet was new; arrivals below the
-// window (already given up) are counted but not accepted.
+// window (already given up) are not accepted.
 func (r *Receiver) Deliver(seq uint64, round int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if seq < r.lo {
-		r.late++
 		return false
 	}
 	r.advanceLocked(seq + 1)
@@ -134,11 +126,6 @@ func (r *Receiver) Deliver(seq uint64, round int) bool {
 		return false
 	}
 	c.received = true
-	if c.givenUp {
-		// A repair from an earlier round beat the give-up after all.
-		c.givenUp = false
-		r.givenUp--
-	}
 	r.delivered++
 	r.inWindow++
 	if round > 0 {
@@ -158,8 +145,8 @@ func (r *Receiver) ExpectUpTo(n uint64) {
 
 // Missing returns the in-window sequence numbers that have not arrived and
 // have not yet exhausted their NACK budget, incrementing each one's attempt
-// counter. It is the NACK list for the next repair round. A gap skipped
-// because its budget ran dry is marked given up exactly once.
+// counter. It is the NACK list for the next repair round; a gap whose budget
+// ran dry is no longer listed.
 func (r *Receiver) Missing() []uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -170,10 +157,6 @@ func (r *Receiver) Missing() []uint64 {
 			continue
 		}
 		if int(c.attempts) >= r.maxNACKs {
-			if !c.givenUp {
-				c.givenUp = true
-				r.givenUp++
-			}
 			continue
 		}
 		c.attempts++
@@ -195,22 +178,6 @@ func (r *Receiver) Stats() (delivered, recovered, lost int, meanRepairRounds flo
 		meanRepairRounds = float64(r.recoveredRounds) / float64(r.recovered)
 	}
 	return delivered, recovered, lost, meanRepairRounds
-}
-
-// GivenUp returns how many gaps the receiver has permanently abandoned,
-// whether by exhausting their NACK budget or by sliding out of the window.
-func (r *Receiver) GivenUp() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.givenUp
-}
-
-// Late returns how many packets arrived after their gap had already slid out
-// of the window.
-func (r *Receiver) Late() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.late
 }
 
 // DeliveredRate returns the fraction of expected packets that arrived. The

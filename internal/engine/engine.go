@@ -438,9 +438,6 @@ func resolveShards(n int) int {
 	return p
 }
 
-// Shards returns the width of the engine's data plane.
-func (e *Engine) Shards() int { return len(e.shards) }
-
 // FanoutGroup returns the downstream receiver group sessions multicast to,
 // or nil when the engine echoes or forwards instead. Membership may be
 // changed at run time; sessions pick the new set up on their next packet or

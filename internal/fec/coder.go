@@ -9,15 +9,15 @@
 // receivers — the property that makes the scheme attractive for wireless
 // multicast in the paper.
 //
-// Parity generation is one-pass and source-major: each Coder precompiles its
-// parity rows into a gf256.EncodePlan, so EncodeParityInto walks every source
-// share exactly once, scattering into all parity shares in cache-sized tiles
-// through the SIMD kernel hierarchy (see the gf256 package doc), instead of
-// re-reading the sources once per parity row. EncodeParityInto and
-// ReconstructInto, the one decode kernel, are allocation-free at steady state
-// (scratch matrices are pooled), and FrameEncoder and FrameDecoder carry whole
-// wire frames through them in pooled buffers, which is what keeps the proxy's
-// FEC chains off the garbage collector.
+// Encode and decode share one source-major loop: EncodeParityInto and
+// ReconstructInto, the one decode kernel, each stream every input share once,
+// scattering it into all outputs through gf256.MulSliceN (the first share)
+// and gf256.AddMulSliceN (the rest), instead of re-reading the inputs once
+// per output row, through the vector kernels of the gf256 package doc. Both
+// are allocation-free at steady state (scratch matrices are pooled), and
+// FrameEncoder and FrameDecoder carry whole wire frames through them in
+// pooled buffers, which is what keeps the proxy's FEC chains off the garbage
+// collector.
 package fec
 
 import (
@@ -72,10 +72,9 @@ type Coder struct {
 	params Params
 	// enc is the n×k generator matrix whose top k×k block is the identity.
 	enc *gf256.Matrix
-	// plan is the precomputed source-major encode plan over the parity rows
-	// of enc: per-cell nibble tables resolved once at construction so the
-	// encode hot loop never touches the multiplication tables by value.
-	plan *gf256.EncodePlan
+	// parityCols is enc's parity block stored source-major: source j's
+	// coefficients in every parity row are parityCols[j*(n-k):(j+1)*(n-k)].
+	parityCols []byte
 }
 
 // NewCoder builds a coder for the given parameters.
@@ -100,11 +99,14 @@ func NewCoder(params Params) (*Coder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fec: generator construction failed: %w", err)
 	}
-	parityRows := make([][]byte, n-k)
-	for i := range parityRows {
-		parityRows[i] = enc.Row(k + i)
+	m := n - k
+	parityCols := make([]byte, k*m)
+	for i := 0; i < m; i++ {
+		for j, coef := range enc.Row(k + i) {
+			parityCols[j*m+i] = coef
+		}
 	}
-	return &Coder{params: params, enc: enc, plan: gf256.NewEncodePlan(parityRows)}, nil
+	return &Coder{params: params, enc: enc, parityCols: parityCols}, nil
 }
 
 // Params returns the coder's parameters.
@@ -197,10 +199,10 @@ func (c *Coder) EncodeParity(sources [][]byte) ([][]byte, error) {
 // Params().Parity() slices, each the same length as the sources. Existing
 // parity contents are overwritten.
 //
-// The multiply is source-major: the precomputed plan walks the generator's
-// parity block column by column in cache-sized tiles, loading each source
-// chunk once and scattering it into every parity row while it is hot, instead
-// of re-streaming all k sources per parity row.
+// The multiply is the source-major loop ReconstructInto runs: each source
+// streams once through its column of parity coefficients into every parity
+// share, the first overwriting (MulSliceN) and the rest accumulating
+// (AddMulSliceN).
 func (c *Coder) EncodeParityInto(sources, parity [][]byte) error {
 	size, err := c.validateSources(sources)
 	if err != nil {
@@ -214,7 +216,15 @@ func (c *Coder) EncodeParityInto(sources, parity [][]byte) error {
 			return fmt.Errorf("%w: parity %d has %d bytes, want %d", ErrShareSize, i, len(out), size)
 		}
 	}
-	c.plan.Encode(sources, parity)
+	m := len(parity)
+	for j, s := range sources {
+		col := c.parityCols[j*m : (j+1)*m]
+		if j == 0 {
+			gf256.MulSliceN(col, s, parity)
+		} else {
+			gf256.AddMulSliceN(col, s, parity)
+		}
+	}
 	return nil
 }
 
@@ -268,10 +278,10 @@ func (c *Coder) Decode(have map[int][]byte) ([][]byte, error) {
 // that lost one data share costs one row of work, not k.
 //
 // The k×k submatrix of the generator selected by chosen is inverted in
-// pooled matrices, then the multiply is source-major, mirroring the encode
-// side: each received share streams once through a column of inverse
-// coefficients into every output, the first overwriting (MulSliceN) and the
-// rest accumulating (AddMulSliceN).
+// pooled matrices, then the multiply is the source-major loop
+// EncodeParityInto runs: each received share streams once through a column of
+// inverse coefficients into every output, the first overwriting (MulSliceN)
+// and the rest accumulating (AddMulSliceN).
 func (c *Coder) ReconstructInto(chosen []int, shares [][]byte, rows []int, outs [][]byte) error {
 	k, n := c.params.K, c.params.N
 	if len(chosen) != k || len(shares) != k {

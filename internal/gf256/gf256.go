@@ -4,20 +4,19 @@
 // The field is constructed with the primitive polynomial
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the same generator used by Rizzo's
 // erasure-code library that the paper's FEC filter is based on. Multiplication
-// and division are table driven (log/exp tables built at package
+// and inversion are table driven (log/exp tables built at package
 // initialization from constant data, not from mutable global state observable
 // by callers).
 //
-// The bulk slice operations ([AddMulSlice], [MulSlice], [AddMulSliceN] and
-// the precompiled [EncodePlan]) dispatch through a tiered kernel hierarchy
-// selected once at init: byte-table scalar, 8-byte split-nibble SWAR (the
-// portable floor, also the purego and 386 path), SSSE3 16-byte PSHUFB blocks
-// and AVX2 32-byte VPSHUFB blocks on amd64, and NEON 32-byte TBL blocks on
-// arm64. The AVX2 tier is additionally gated by a startup calibration,
-// because virtualized hosts can tax YMM state per call; hosts where 32-byte
-// ops carry that tax route short slices to SSSE3 and engage AVX2 only above
-// the measured crossover. Every tier is differentially tested against the
-// scalar field arithmetic for all multipliers, lengths and alignments.
+// The bulk slice operations ([AddMulSlice], [MulSlice] and their one-source,
+// many-destination forms [MulSliceN] and [AddMulSliceN], the source-major
+// loop the FEC coder's encode and decode share) dispatch through three tiers
+// selected by build and CPU: split-table scalar for slices shorter than a
+// word, 8-byte split-nibble SWAR (the portable floor, also the purego and 386
+// path), and one vector kernel per architecture — SSSE3 16-byte PSHUFB blocks
+// on amd64, NEON 32-byte TBL blocks on arm64 — with the SWAR kernel finishing
+// each sub-block tail. Every tier is differentially tested against the scalar
+// field arithmetic for all multipliers, lengths and alignments.
 package gf256
 
 import "fmt"
@@ -61,9 +60,6 @@ func buildTables() *tables {
 // Add returns a+b in GF(2^8) (bitwise XOR).
 func Add(a, b byte) byte { return a ^ b }
 
-// Sub returns a-b in GF(2^8); subtraction and addition coincide.
-func Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns a*b in GF(2^8).
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
@@ -72,37 +68,12 @@ func Mul(a, b byte) byte {
 	return ft.exp[int(ft.log[a])+int(ft.log[b])]
 }
 
-// Div returns a/b in GF(2^8). Division by zero panics, mirroring integer
-// division semantics.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	diff := int(ft.log[a]) - int(ft.log[b])
-	if diff < 0 {
-		diff += Order - 1
-	}
-	return ft.exp[diff]
-}
-
 // Inv returns the multiplicative inverse of a. Inv(0) panics.
 func Inv(a byte) byte {
 	if a == 0 {
 		panic("gf256: inverse of zero")
 	}
 	return ft.exp[(Order-1)-int(ft.log[a])]
-}
-
-// Exp returns the generator raised to the power e (e may be any non-negative
-// integer; it is reduced modulo 255).
-func Exp(e int) byte {
-	if e < 0 {
-		panic(fmt.Sprintf("gf256: negative exponent %d", e))
-	}
-	return ft.exp[e%(Order-1)]
 }
 
 // Pow returns a^e in GF(2^8) for e >= 0.
@@ -120,5 +91,5 @@ func Pow(a byte, e int) byte {
 	return ft.exp[le]
 }
 
-// The batched slice kernels (MulSlice, AddMulSlice/MulAddSlice, AddSlice)
-// live in kernels.go.
+// The batched slice kernels (MulSlice, AddMulSlice and their N forms) live
+// in kernels.go.

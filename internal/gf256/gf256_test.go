@@ -18,9 +18,6 @@ func TestAddIsXOR(t *testing.T) {
 		if got := Add(c.a, c.b); got != c.want {
 			t.Errorf("Add(%#x,%#x) = %#x, want %#x", c.a, c.b, got, c.want)
 		}
-		if got := Sub(c.a, c.b); got != c.want {
-			t.Errorf("Sub(%#x,%#x) = %#x, want %#x", c.a, c.b, got, c.want)
-		}
 	}
 }
 
@@ -107,26 +104,6 @@ func TestInverseExhaustive(t *testing.T) {
 	}
 }
 
-func TestDivExhaustive(t *testing.T) {
-	for a := 0; a < Order; a++ {
-		for b := 1; b < Order; b++ {
-			q := Div(byte(a), byte(b))
-			if Mul(q, byte(b)) != byte(a) {
-				t.Fatalf("Div(%d,%d)*%d != %d", a, b, b, a)
-			}
-		}
-	}
-}
-
-func TestDivByZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on division by zero")
-		}
-	}()
-	Div(5, 0)
-}
-
 func TestInvZeroPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -168,26 +145,6 @@ func TestPowMatchesRepeatedMul(t *testing.T) {
 	}
 }
 
-func TestExpPeriodic(t *testing.T) {
-	for e := 0; e < 255; e++ {
-		if Exp(e) != Exp(e+255) {
-			t.Fatalf("Exp not periodic at %d", e)
-		}
-	}
-	if Exp(0) != 1 {
-		t.Fatalf("Exp(0) = %d, want 1", Exp(0))
-	}
-}
-
-func TestExpNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative exponent")
-		}
-	}()
-	Exp(-1)
-}
-
 func TestMulSlice(t *testing.T) {
 	src := []byte{1, 2, 3, 0, 0xff}
 	dst := make([]byte, len(src))
@@ -213,47 +170,10 @@ func TestMulSlice(t *testing.T) {
 	}
 }
 
-func TestMulAddSlice(t *testing.T) {
-	src := []byte{1, 2, 3, 4, 5}
-	dst := []byte{10, 20, 30, 40, 50}
-	want := make([]byte, len(dst))
-	for i := range want {
-		want[i] = dst[i] ^ Mul(7, src[i])
-	}
-	MulAddSlice(7, src, dst)
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("MulAddSlice mismatch at %d: got %d want %d", i, dst[i], want[i])
-		}
-	}
-}
-
-func TestMulAddSliceZeroCoefficientNoop(t *testing.T) {
-	src := []byte{9, 9, 9}
-	dst := []byte{1, 2, 3}
-	MulAddSlice(0, src, dst)
-	if dst[0] != 1 || dst[1] != 2 || dst[2] != 3 {
-		t.Fatalf("MulAddSlice(0) modified dst: %v", dst)
-	}
-}
-
-func TestAddSlice(t *testing.T) {
-	src := []byte{1, 2, 3}
-	dst := []byte{4, 5, 6}
-	AddSlice(src, dst)
-	want := []byte{5, 7, 5}
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("AddSlice got %v want %v", dst, want)
-		}
-	}
-}
-
 func TestSliceLengthMismatchPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"MulSlice":    func() { MulSlice(2, []byte{1}, []byte{1, 2}) },
-		"MulAddSlice": func() { MulAddSlice(2, []byte{1}, []byte{1, 2}) },
-		"AddSlice":    func() { AddSlice([]byte{1}, []byte{1, 2}) },
+		"AddMulSlice": func() { AddMulSlice(2, []byte{1}, []byte{1, 2}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -263,18 +183,5 @@ func TestSliceLengthMismatchPanics(t *testing.T) {
 			}()
 			fn()
 		})
-	}
-}
-
-func BenchmarkMulAddSlice(b *testing.B) {
-	src := make([]byte, 1024)
-	dst := make([]byte, 1024)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulAddSlice(0x1b, src, dst)
 	}
 }

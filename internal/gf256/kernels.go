@@ -3,21 +3,23 @@ package gf256
 import "encoding/binary"
 
 // This file holds the batched kernels behind the FEC encode/decode inner
-// loops. Three ideas: a full 64 KiB product table (mulTable[c][x] = c*x, from
-// Rizzo's fec library) replaces the two log lookups per byte of the scalar
-// path; the c==1 case degenerates to a pure XOR that runs one machine word at
-// a time; and for every other coefficient a split-table SWAR kernel
-// multiplies eight bytes per step — two 16-entry nibble tables expanded to
-// 64-bit lanes drive a branch-free bit-plane multiply (see wideTab), 4x
-// unrolled, so encode throughput no longer walks a byte table.
+// loop. The c==0 and c==1 cases degenerate to a clear, a copy or a pure XOR
+// that runs one machine word at a time. Every other coefficient goes through
+// its split nibble tables: two 16-entry tables, lo[x] = c*x and
+// hi[x] = c*(x<<4), cover the field as c*b = lo[b&0x0f] ^ hi[b>>4]. Slices
+// shorter than a word take that lookup a byte at a time (the scalar tier);
+// longer ones run the SWAR tier, which expands the tables to 64-bit lanes and
+// multiplies eight bytes per step in a branch-free bit-plane pass (see
+// wideTab), 4x unrolled. The product table mulTable (from Rizzo's fec
+// library) only seeds the split tables.
 //
-// Above the SWAR tier sit the vector kernels, all driven by the same split
-// nibble tables in byte form (nibTab): on amd64, SSSE3 PSHUFB multiplies 16
-// bytes per shuffle pair and AVX2 VPSHUFB 32 (kernels_amd64.s, runtime
-// dispatched); on arm64, NEON TBL does the same 16 bytes per lookup
-// (kernels_arm64.s, unconditional — ASIMD is architectural). addMulFast/
-// mulFast gate those paths and the portable build resolves them to no-ops
-// (kernels_noasm.go, forced everywhere by the purego tag).
+// Above the SWAR tier sits one vector kernel per architecture, driven by the
+// same split nibble tables in byte form (nibTab): on amd64, SSSE3 PSHUFB
+// multiplies 16 bytes per shuffle pair (kernels_amd64.s, detected at init);
+// on arm64, NEON TBL does the same 16 bytes per lookup (kernels_arm64.s,
+// unconditional — ASIMD is architectural). addMulFast/mulFast gate those
+// paths and the portable build resolves them to no-ops (kernels_noasm.go,
+// forced everywhere by the purego tag).
 
 // nibTab is one multiplier's split table in byte form, contiguous so the
 // vector kernels can load each half with a single 16-byte move: lo[x] = c*x
@@ -218,14 +220,8 @@ func MulSlice(c byte, src, dst []byte) {
 		copy(dst, src)
 		return
 	}
-	mulTabs(&nibTables[c], &wideTables[c], src, dst)
-}
-
-// mulTabs is MulSlice past its dispatch on the degenerate coefficients, keyed
-// by the multiplier's precomputed tables instead of the coefficient itself so
-// plan-driven callers (EncodePlan) resolve the tables exactly once.
-func mulTabs(nt *nibTab, wt *wideTab, src, dst []byte) {
-	if mulFast(nt, wt, src, dst) {
+	wt := &wideTables[c]
+	if mulFast(&nibTables[c], wt, src, dst) {
 		return
 	}
 	if len(src) >= wordSize {
@@ -250,12 +246,8 @@ func AddMulSlice(c byte, src, dst []byte) {
 		xorWords(dst, src)
 		return
 	}
-	addMulTabs(&nibTables[c], &wideTables[c], src, dst)
-}
-
-// addMulTabs is mulTabs' accumulating twin.
-func addMulTabs(nt *nibTab, wt *wideTab, src, dst []byte) {
-	if addMulFast(nt, wt, src, dst) {
+	wt := &wideTables[c]
+	if addMulFast(&nibTables[c], wt, src, dst) {
 		return
 	}
 	if len(src) >= wordSize {
@@ -270,8 +262,8 @@ func addMulTabs(nt *nibTab, wt *wideTab, src, dst []byte) {
 // MulSliceN scatters one source into many destinations in a single pass:
 // dsts[i] = cs[i]*src for every i, so src is read once while hot in cache
 // instead of once per destination. Every destination must have the same
-// length as src. It is the overwriting half of the batched encode kernel;
-// see AddMulSliceN.
+// length as src. It is the overwriting first step of the FEC coder's
+// source-major loop; see AddMulSliceN.
 func MulSliceN(cs []byte, src []byte, dsts [][]byte) {
 	if len(cs) != len(dsts) {
 		panic("gf256: MulSliceN coefficient count mismatch")
@@ -282,9 +274,9 @@ func MulSliceN(cs []byte, src []byte, dsts [][]byte) {
 }
 
 // AddMulSliceN computes dsts[i] ^= cs[i]*src for every destination: the
-// source-major inner step of the one-pass FEC encode, accumulating one source
-// share into all parity rows while its bytes are resident in cache. Every
-// destination must have the same length as src.
+// accumulating step of the source-major loop that fec's encode and decode
+// share, folding one input share into every output while its bytes are
+// resident in cache. Every destination must have the same length as src.
 func AddMulSliceN(cs []byte, src []byte, dsts [][]byte) {
 	if len(cs) != len(dsts) {
 		panic("gf256: AddMulSliceN coefficient count mismatch")
@@ -292,16 +284,4 @@ func AddMulSliceN(cs []byte, src []byte, dsts [][]byte) {
 	for i, dst := range dsts {
 		AddMulSlice(cs[i], src, dst)
 	}
-}
-
-// MulAddSlice is the historical name for AddMulSlice, kept for existing
-// callers.
-func MulAddSlice(c byte, src, dst []byte) { AddMulSlice(c, src, dst) }
-
-// AddSlice computes dst[i] ^= src[i] for every index, batched word at a time.
-func AddSlice(src, dst []byte) {
-	if len(src) != len(dst) {
-		panic("gf256: AddSlice length mismatch")
-	}
-	xorWords(dst, src)
 }

@@ -2,18 +2,12 @@
 
 package gf256
 
-import "time"
-
 // amd64 fast path: the split nibble tables live in vector registers and a
 // byte shuffle resolves one table lookup per source byte — the SIMD form of
 // the same lo[b&0x0f] ^ hi[b>>4] decomposition the portable kernel uses.
-// Two tiers are dispatched at runtime: SSSE3 PSHUFB moves 16 bytes per
-// shuffle pair, and on CPUs with AVX2 (and an OS that saves YMM state)
-// VPSHUFB moves 32, with each nibble table broadcast to both 128-bit lanes.
-// The AVX2 crossover length is calibrated at init (see calibrateAVX2MinLen):
-// some virtualized hosts charge every YMM-touching call a fixed upper-lane
-// power-up tax that dwarfs the kernel itself on short slices. Build with
-// -tags purego to force the portable path.
+// SSSE3 PSHUFB moves 16 bytes per shuffle pair; it is detected at init, and
+// CPUs without it fall back to the portable kernel. Build with -tags purego
+// to force the portable path.
 
 // hasSSSE3 reports whether the CPU implements PSHUFB (CPUID.1:ECX bit 9).
 // Detected directly because the runtime's internal/cpu flags are not
@@ -27,77 +21,8 @@ var hasSSSE3 = func() bool {
 	return ecx&(1<<9) != 0
 }()
 
-// hasAVX2 reports whether the 32-byte VPSHUFB kernel may run: the CPU must
-// implement AVX2 (CPUID.7.0:EBX bit 5) and AVX with OSXSAVE (CPUID.1:ECX bits
-// 28 and 27), and the OS must have enabled XMM+YMM state saving (XCR0 bits 1
-// and 2 via XGETBV) — without the latter, executing a VEX.256 instruction
-// faults even on capable hardware.
-var hasAVX2 = func() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, ecx, _ := cpuid(1, 0)
-	const avxOSXSave = 1<<27 | 1<<28
-	if ecx&avxOSXSave != avxOSXSave {
-		return false
-	}
-	if xgetbv0()&0x6 != 0x6 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
-}()
-
-// avx2MinLen is the slice length from which addMulFast/mulFast dispatch to
-// the AVX2 kernel; below it the SSSE3 kernel runs. On bare metal the 32-byte
-// block width is the natural crossover, but some hypervisors make the guest
-// pay a fixed ~100ns+ assist on every call that touches a YMM register
-// (upper-lane state/power management trapped per entry), which moves the real
-// crossover past several KiB. calibrateAVX2MinLen measures the host once at
-// init and picks between the two regimes; they differ by more than an order
-// of magnitude, so scheduler noise cannot flap the decision.
-var avx2MinLen = calibrateAVX2MinLen()
-
-func calibrateAVX2MinLen() int {
-	const never = int(^uint(0) >> 1)
-	if !hasAVX2 {
-		return never
-	}
-	var src, dst [32]byte
-	nt := &nibTables[2]
-	const rounds, calls = 4, 128
-	best := func(f func()) time.Duration {
-		bestD := time.Duration(1<<63 - 1)
-		for r := 0; r < rounds; r++ {
-			t0 := time.Now()
-			for i := 0; i < calls; i++ {
-				f()
-			}
-			if d := time.Since(t0); d < bestD {
-				bestD = d
-			}
-		}
-		return bestD
-	}
-	wide := best(func() { addMulBlocksAVX2(&nt.lo, &nt.hi, &src[0], &dst[0], 1) })
-	narrow := best(func() { addMulBlocks(&nt.lo, &nt.hi, &src[0], &dst[0], 2) })
-	if wide <= narrow*3+rounds*time.Microsecond/calls {
-		// Same work, comparable cost: YMM calls are untaxed here, so the
-		// wider kernel wins as soon as a whole block fits.
-		return 32
-	}
-	// Taxed host: only dispatch AVX2 where its per-byte advantage over SSSE3
-	// still amortizes a ~135ns per-call assist with a wide margin.
-	return 16 << 10
-}
-
 // cpuid executes the CPUID instruction. Implemented in kernels_amd64.s.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv0 reads extended control register 0 (the XSAVE feature mask).
-// Implemented in kernels_amd64.s; only meaningful when CPUID reports OSXSAVE.
-func xgetbv0() uint64
 
 // addMulBlocks computes dst[i] ^= c*src[i] over n 16-byte blocks using the
 // SSSE3 PSHUFB split-table kernel. src and dst must not overlap and must each
@@ -111,37 +36,12 @@ func addMulBlocks(lo, hi *[16]byte, src, dst *byte, n int)
 //go:noescape
 func mulBlocks(lo, hi *[16]byte, src, dst *byte, n int)
 
-// addMulBlocksAVX2 computes dst[i] ^= c*src[i] over n 32-byte blocks using
-// the AVX2 VPSHUFB kernel. Implemented in kernels_amd64.s.
-//
-//go:noescape
-func addMulBlocksAVX2(lo, hi *[16]byte, src, dst *byte, n int)
-
-// mulBlocksAVX2 is addMulBlocksAVX2's overwriting twin.
-//
-//go:noescape
-func mulBlocksAVX2(lo, hi *[16]byte, src, dst *byte, n int)
-
-// addMulFast runs dst[i] ^= c*src[i] through the widest available shuffle
-// kernel — AVX2 32-byte blocks when the host allows, SSSE3 16-byte blocks
-// otherwise — finishing the sub-block tail with one SSSE3 block and then the
-// portable wide kernel. Returns false (having done nothing) when the slice is
-// too short to fill a block or the CPU lacks SSSE3, letting the caller fall
-// back. The multiplier arrives as its precomputed tables so plan-driven
-// encode loops resolve them once, not per call.
+// addMulFast runs dst[i] ^= c*src[i] through the SSSE3 kernel, finishing the
+// sub-block tail with the portable wide kernel. Returns false (having done
+// nothing) when the slice is too short to fill a 16-byte block or the CPU
+// lacks SSSE3, letting the caller fall back. The multiplier arrives as its
+// precomputed tables, resolved once per call by the exported entry points.
 func addMulFast(nt *nibTab, wt *wideTab, src, dst []byte) bool {
-	if len(src) >= avx2MinLen {
-		n := len(src) &^ 31
-		addMulBlocksAVX2(&nt.lo, &nt.hi, &src[0], &dst[0], n>>5)
-		if n+16 <= len(src) {
-			addMulBlocks(&nt.lo, &nt.hi, &src[n], &dst[n], 1)
-			n += 16
-		}
-		if n < len(src) {
-			addMulWide(wt, src[n:], dst[n:])
-		}
-		return true
-	}
 	if !hasSSSE3 || len(src) < 16 {
 		return false
 	}
@@ -155,18 +55,6 @@ func addMulFast(nt *nibTab, wt *wideTab, src, dst []byte) bool {
 
 // mulFast is addMulFast's overwriting twin.
 func mulFast(nt *nibTab, wt *wideTab, src, dst []byte) bool {
-	if len(src) >= avx2MinLen {
-		n := len(src) &^ 31
-		mulBlocksAVX2(&nt.lo, &nt.hi, &src[0], &dst[0], n>>5)
-		if n+16 <= len(src) {
-			mulBlocks(&nt.lo, &nt.hi, &src[n], &dst[n], 1)
-			n += 16
-		}
-		if n < len(src) {
-			mulWide(wt, src[n:], dst[n:])
-		}
-		return true
-	}
 	if !hasSSSE3 || len(src) < 16 {
 		return false
 	}

@@ -13,15 +13,6 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL	DX, edx+20(FP)
 	RET
 
-// func xgetbv0() uint64
-TEXT ·xgetbv0(SB), NOSPLIT, $0-8
-	XORL	CX, CX
-	XGETBV
-	SHLQ	$32, DX
-	ORQ	DX, AX
-	MOVQ	AX, ret+0(FP)
-	RET
-
 // GF(256) constant multiply via PSHUFB: with the multiplier's two 16-entry
 // nibble tables resident in X0 (lo) and X1 (hi), each 16-byte block costs one
 // shuffle per table — PSHUFB uses the low nibble of every source byte as a
@@ -132,108 +123,4 @@ mul1:
 	JMP	mul1
 
 muldone:
-	RET
-
-// AVX2 tier: the same split-table shuffle at 32 bytes per VPSHUFB pair.
-// VBROADCASTI128 replicates each 16-entry nibble table into both 128-bit
-// lanes of a YMM register, and VPSHUFB indexes within each lane independently
-// — exactly the per-byte nibble lookup of the SSSE3 kernel, twice as wide.
-// VZEROUPPER before returning keeps the upper YMM state from taxing
-// subsequent SSE code with transition penalties.
-
-#define ADDMUL32(OFF) \
-	VMOVDQU	OFF(SI), Y3      \
-	VPSRLQ	$4, Y3, Y4       \
-	VPAND	Y2, Y3, Y3       \
-	VPAND	Y2, Y4, Y4       \
-	VPSHUFB	Y3, Y0, Y5       \
-	VPSHUFB	Y4, Y1, Y6       \
-	VPXOR	Y6, Y5, Y5       \
-	VPXOR	OFF(DI), Y5, Y5  \
-	VMOVDQU	Y5, OFF(DI)
-
-#define MUL32(OFF) \
-	VMOVDQU	OFF(SI), Y3      \
-	VPSRLQ	$4, Y3, Y4       \
-	VPAND	Y2, Y3, Y3       \
-	VPAND	Y2, Y4, Y4       \
-	VPSHUFB	Y3, Y0, Y5       \
-	VPSHUFB	Y4, Y1, Y6       \
-	VPXOR	Y6, Y5, Y5       \
-	VMOVDQU	Y5, OFF(DI)
-
-// func addMulBlocksAVX2(lo, hi *[16]byte, src, dst *byte, n int)
-TEXT ·addMulBlocksAVX2(SB), NOSPLIT, $0-40
-	MOVQ	lo+0(FP), AX
-	MOVQ	hi+8(FP), BX
-	MOVQ	src+16(FP), SI
-	MOVQ	dst+24(FP), DI
-	MOVQ	n+32(FP), CX
-	VBROADCASTI128	(AX), Y0
-	VBROADCASTI128	(BX), Y1
-	MOVQ	$0x0f0f0f0f0f0f0f0f, AX
-	MOVQ	AX, X2
-	VPBROADCASTQ	X2, Y2
-
-avxaddmul4:
-	CMPQ	CX, $4
-	JLT	avxaddmul1
-	ADDMUL32(0)
-	ADDMUL32(32)
-	ADDMUL32(64)
-	ADDMUL32(96)
-	ADDQ	$128, SI
-	ADDQ	$128, DI
-	SUBQ	$4, CX
-	JMP	avxaddmul4
-
-avxaddmul1:
-	TESTQ	CX, CX
-	JZ	avxaddmuldone
-	ADDMUL32(0)
-	ADDQ	$32, SI
-	ADDQ	$32, DI
-	DECQ	CX
-	JMP	avxaddmul1
-
-avxaddmuldone:
-	VZEROUPPER
-	RET
-
-// func mulBlocksAVX2(lo, hi *[16]byte, src, dst *byte, n int)
-TEXT ·mulBlocksAVX2(SB), NOSPLIT, $0-40
-	MOVQ	lo+0(FP), AX
-	MOVQ	hi+8(FP), BX
-	MOVQ	src+16(FP), SI
-	MOVQ	dst+24(FP), DI
-	MOVQ	n+32(FP), CX
-	VBROADCASTI128	(AX), Y0
-	VBROADCASTI128	(BX), Y1
-	MOVQ	$0x0f0f0f0f0f0f0f0f, AX
-	MOVQ	AX, X2
-	VPBROADCASTQ	X2, Y2
-
-avxmul4:
-	CMPQ	CX, $4
-	JLT	avxmul1
-	MUL32(0)
-	MUL32(32)
-	MUL32(64)
-	MUL32(96)
-	ADDQ	$128, SI
-	ADDQ	$128, DI
-	SUBQ	$4, CX
-	JMP	avxmul4
-
-avxmul1:
-	TESTQ	CX, CX
-	JZ	avxmuldone
-	MUL32(0)
-	ADDQ	$32, SI
-	ADDQ	$32, DI
-	DECQ	CX
-	JMP	avxmul1
-
-avxmuldone:
-	VZEROUPPER
 	RET

@@ -48,79 +48,6 @@ func TestAsmKernelMatchesWide(t *testing.T) {
 	}
 }
 
-// TestAVX2KernelMatchesWide drives the 32-byte VPSHUFB block kernels directly
-// against the portable wide kernels, independent of where the calibrated
-// dispatch crossover landed on this host.
-func TestAVX2KernelMatchesWide(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("no AVX2")
-	}
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{32, 64, 96, 1024, 4096 + 96} {
-		src := make([]byte, n)
-		seed := make([]byte, n)
-		rng.Read(src)
-		rng.Read(seed)
-		for _, c := range []byte{2, 0x1d, 0x53, 0x80, 0xff} {
-			want := make([]byte, n)
-			copy(want, seed)
-			addMulWide(&wideTables[c], src, want)
-			got := make([]byte, n)
-			copy(got, seed)
-			nt := &nibTables[c]
-			addMulBlocksAVX2(&nt.lo, &nt.hi, &src[0], &got[0], n>>5)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("addMulBlocksAVX2 c=%#x n=%d diverges from wide kernel", c, n)
-			}
-			mulWide(&wideTables[c], src, want)
-			mulBlocksAVX2(&nt.lo, &nt.hi, &src[0], &got[0], n>>5)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("mulBlocksAVX2 c=%#x n=%d diverges from wide kernel", c, n)
-			}
-		}
-	}
-}
-
-// TestAddMulSliceAVX2DispatchOffsets forces the AVX2 dispatch regime
-// (whatever the init-time calibration picked) and sweeps lengths around the
-// 32-byte block, the single-SSSE3-block tail and the sub-16-byte scalar tail,
-// so the three-stage handoff in addMulFast/mulFast is proven even on hosts
-// whose calibration routes short slices to SSSE3.
-func TestAddMulSliceAVX2DispatchOffsets(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("no AVX2")
-	}
-	old := avx2MinLen
-	avx2MinLen = 32
-	defer func() { avx2MinLen = old }()
-	base := make([]byte, 512)
-	rng := rand.New(rand.NewSource(13))
-	rng.Read(base)
-	for _, c := range []byte{0, 1, 2, 0x1d, 0x53, 0xff} {
-		for off := 0; off < 8; off++ {
-			for _, n := range []int{32, 33, 47, 48, 63, 64, 65, 79, 80, 95, 96, 127, 128, 257, 320, 400} {
-				src := base[off : off+n]
-				got := make([]byte, n)
-				want := make([]byte, n)
-				for i := range got {
-					got[i] = byte(i*23 + 9)
-					want[i] = got[i] ^ Mul(c, src[i])
-				}
-				AddMulSlice(c, src, got)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("AddMulSlice (avx2 regime) c=%#x off=%d n=%d mismatch", c, off, n)
-				}
-				MulSlice(c, src, got)
-				for i := range got {
-					if got[i] != Mul(c, src[i]) {
-						t.Fatalf("MulSlice (avx2 regime) c=%#x off=%d n=%d byte %d", c, off, n, i)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestNibTablesAgreeWithMulTable pins the byte-form split tables to the
 // product table.
 func TestNibTablesAgreeWithMulTable(t *testing.T) {

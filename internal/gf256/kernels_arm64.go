@@ -5,7 +5,7 @@ package gf256
 // arm64 fast path: NEON TBL resolves sixteen nibble-table lookups per
 // instruction against the same split tables the portable kernel decomposes
 // with — lo[b&0x0f] ^ hi[b>>4]. Advanced SIMD is architectural on AArch64, so
-// unlike the amd64 tiers there is nothing to detect: every arm64 build runs
+// unlike amd64's SSSE3 there is nothing to detect: every arm64 build runs
 // the vector kernel. The assembly processes 32 bytes per loop (two 16-byte
 // quads per table) to keep the load/store units busy. Build with -tags purego
 // to force the portable path.
@@ -25,8 +25,8 @@ func mulBlocks32(lo, hi *[16]byte, src, dst *byte, n int)
 // addMulFast runs dst[i] ^= c*src[i] through the NEON kernel, finishing the
 // sub-block tail with the portable wide kernel. Returns false (having done
 // nothing) when the slice is too short to fill a 32-byte block, letting the
-// caller fall back. The multiplier arrives as its precomputed tables so
-// plan-driven encode loops resolve them once, not per call.
+// caller fall back. The multiplier arrives as its precomputed tables,
+// resolved once per call by the exported entry points.
 func addMulFast(nt *nibTab, wt *wideTab, src, dst []byte) bool {
 	if len(src) < 32 {
 		return false

@@ -7,8 +7,7 @@
 // table lookup per nibble half — TBL uses each index byte to select a table
 // entry, so masking with 0x0f (V2) selects lo[b&0x0f] and shifting right four
 // first selects hi[b>>4]; their XOR is the product. Two quads are processed
-// per loop iteration (32 bytes), matching the AVX2 kernel's block width so
-// the Go-side gating is identical across architectures.
+// per loop iteration (32 bytes) to keep the load/store units busy.
 
 // func addMulBlocks32(lo, hi *[16]byte, src, dst *byte, n int)
 TEXT ·addMulBlocks32(SB), NOSPLIT, $0-40

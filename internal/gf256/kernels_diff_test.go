@@ -8,7 +8,7 @@ import (
 )
 
 // Differential coverage for the whole kernel hierarchy: whatever tier the
-// build and host dispatch to (scalar, SWAR, SSSE3, AVX2, NEON), the public
+// build and host dispatch to (scalar, SWAR, SSSE3, NEON), the public
 // slice operations must agree byte-for-byte with the scalar field arithmetic.
 // These tests run identically under purego, GOARCH=386 and the qemu arm64
 // lane, so every tier is pinned to the same reference.
@@ -22,7 +22,7 @@ func scalarAddMulRef(c byte, src, dst []byte) {
 
 // TestAddMulSliceKernelsExhaustive sweeps every multiplier against every
 // length 0..257 with rotating, independently unaligned source and destination
-// offsets, so block boundaries (16 for SSSE3, 32 for AVX2/NEON, 8 for SWAR)
+// offsets, so block boundaries (16 for SSSE3, 32 for NEON, 8 for SWAR)
 // and the scalar tails beyond them are all crossed for all 256 tables.
 func TestAddMulSliceKernelsExhaustive(t *testing.T) {
 	const maxLen = 257
@@ -131,53 +131,6 @@ func TestAddMulSliceNMatchesScalar(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestEncodePlanMatchesScalar checks the source-major tiled plan against the
-// naive row-major scalar encode for a sweep of shapes and share sizes,
-// including sizes straddling the tile boundary.
-func TestEncodePlanMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	sizes := []int{1, 2, 15, 16, 17, 320, 1400, encodeTileBytes - 1, encodeTileBytes, encodeTileBytes + 33}
-	for _, kk := range []int{1, 2, 4, 8, 16} {
-		for _, m := range []int{1, 2, 4, 8} {
-			rows := make([][]byte, m)
-			for i := range rows {
-				rows[i] = make([]byte, kk)
-				rng.Read(rows[i])
-				// Sprinkle the special coefficients the plan compiles to
-				// dedicated ops.
-				rows[i][rng.Intn(kk)] = byte(rng.Intn(2))
-			}
-			plan := NewEncodePlan(rows)
-			if plan.Sources() != kk || plan.Dests() != m {
-				t.Fatalf("plan shape = (%d,%d), want (%d,%d)", plan.Sources(), plan.Dests(), kk, m)
-			}
-			for _, size := range sizes {
-				sources := make([][]byte, kk)
-				for i := range sources {
-					sources[i] = make([]byte, size)
-					rng.Read(sources[i])
-				}
-				got := make([][]byte, m)
-				want := make([][]byte, m)
-				for i := range got {
-					got[i] = make([]byte, size)
-					rng.Read(got[i]) // stale contents must be overwritten
-					want[i] = make([]byte, size)
-					for col := 0; col < kk; col++ {
-						scalarAddMulRef(rows[i][col], sources[col], want[i])
-					}
-				}
-				plan.Encode(sources, got)
-				for i := range got {
-					if !bytes.Equal(got[i], want[i]) {
-						t.Fatalf("EncodePlan k=%d m=%d size=%d row %d diverges from scalar", kk, m, size, i)
-					}
-				}
-			}
-		}
 	}
 }
 

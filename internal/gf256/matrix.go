@@ -129,26 +129,8 @@ func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
 			if a == 0 {
 				continue
 			}
-			MulAddSlice(a, o.Row(k), out.Row(r))
+			AddMulSlice(a, o.Row(k), out.Row(r))
 		}
-	}
-	return out, nil
-}
-
-// MulVec multiplies the matrix by a column vector expressed as a slice and
-// returns the resulting vector of length Rows().
-func (m *Matrix) MulVec(v []byte) ([]byte, error) {
-	if len(v) != m.cols {
-		return nil, fmt.Errorf("gf256: vector length %d does not match %d columns", len(v), m.cols)
-	}
-	out := make([]byte, m.rows)
-	for r := 0; r < m.rows; r++ {
-		var acc byte
-		row := m.Row(r)
-		for c, coef := range row {
-			acc ^= Mul(coef, v[c])
-		}
-		out[r] = acc
 	}
 	return out, nil
 }
@@ -293,8 +275,8 @@ func (m *Matrix) InvertInto(inv *Matrix) error {
 			if factor == 0 {
 				continue
 			}
-			MulAddSlice(factor, work.Row(col), work.Row(r))
-			MulAddSlice(factor, inv.Row(col), inv.Row(r))
+			AddMulSlice(factor, work.Row(col), work.Row(r))
+			AddMulSlice(factor, inv.Row(col), inv.Row(r))
 		}
 	}
 	return nil

@@ -92,24 +92,6 @@ func TestMulShapeMismatch(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	m, _ := NewMatrixFromRows([][]byte{{1, 0}, {0, 1}, {1, 1}})
-	v := []byte{7, 9}
-	got, err := m.MulVec(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{7, 9, 7 ^ 9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MulVec = %v, want %v", got, want)
-		}
-	}
-	if _, err := m.MulVec([]byte{1}); err == nil {
-		t.Fatal("expected length mismatch error")
-	}
-}
-
 func TestVandermondeFirstRowsAndCols(t *testing.T) {
 	v := Vandermonde(6, 4)
 	// Row 0 is [1 0 0 0] because 0^0=1, 0^j=0 for j>0.

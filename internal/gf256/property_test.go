@@ -44,22 +44,6 @@ func TestMulSliceMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestAddSliceMatchesScalarXOR(t *testing.T) {
-	prop := func(src []byte, seed []byte) bool {
-		dst := make([]byte, len(src))
-		copy(dst, seed)
-		want := make([]byte, len(src))
-		for i := range src {
-			want[i] = dst[i] ^ src[i]
-		}
-		AddSlice(src, dst)
-		return bytes.Equal(dst, want)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestXORWordsOffsets nails the word/tail boundary cases deterministically:
 // every length 0..40 and every starting offset within a word.
 func TestXORWordsOffsets(t *testing.T) {
@@ -149,16 +133,5 @@ func TestMulTableAgreesWithLogExp(t *testing.T) {
 				t.Fatalf("mulTable[%d][%d] = %d, want %d", a, b, got, want)
 			}
 		}
-	}
-}
-
-func TestMulAddSliceAliasName(t *testing.T) {
-	src := []byte{1, 2, 3, 255}
-	a := make([]byte, len(src))
-	b := make([]byte, len(src))
-	MulAddSlice(0x53, src, a)
-	AddMulSlice(0x53, src, b)
-	if !bytes.Equal(a, b) {
-		t.Fatal("MulAddSlice and AddMulSlice disagree")
 	}
 }

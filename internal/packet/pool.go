@@ -22,11 +22,12 @@ const MaxDatagram = SessionIDSize + HeaderSize + 64*1024
 // final Release restores it.
 //
 // A fresh Buf holds one reference. Retain adds more, letting several
-// consumers share the same bytes — the engine's delivery tree fans one trunk
-// frame out to every receiver branch this way, cloning ownership instead of
-// payload bytes. Shared holders must treat B as read-only (and must not
-// re-slice the shared Buf's B field); each holder calls Release exactly once,
-// and the storage returns to its pool only when the last reference drops.
+// consumers share the same bytes. Shared holders must treat B as read-only
+// (and must not re-slice the shared Buf's B field); each holder calls Release
+// exactly once, and the storage returns to its pool only when the last
+// reference drops. The engine's delivery tree does not share: it copies a
+// trunk frame for every cohort but one, because a cohort's tail may rewrite
+// its frame in place (see deliveryTree.dispatch).
 type Buf struct {
 	B     []byte
 	full  []byte

@@ -35,9 +35,9 @@ func TestBufSurvivesReslicing(t *testing.T) {
 	}
 }
 
-// TestBufRetainSharesOwnership covers the delivery tree's fan-out pattern:
-// one producer retains n-1 extra references and hands the same buffer to n
-// consumers; the storage must return to the pool only after the last Release.
+// TestBufRetainSharesOwnership covers shared ownership: one producer retains
+// n-1 extra references and hands the same buffer to n consumers; the storage
+// must return to the pool only after the last Release.
 func TestBufRetainSharesOwnership(t *testing.T) {
 	b := GetBuf(64)
 	if b.Refs() != 1 {
