@@ -52,7 +52,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"rapidware/internal/adapt"
 	"rapidware/internal/compose"
@@ -68,126 +67,82 @@ func main() {
 	}
 }
 
+// engineOnly names the flags stream mode refuses instead of silently
+// ignoring them.
+var engineOnly = map[string]bool{
+	"max-sessions": true, "shards": true, "reuseport": true, "pprof": true,
+	"allow-roaming": true, "adapt": true, "adapt-policy": true, "fanout": true,
+	"branch": true, "report-staleness": true, "idle-ttl": true, "admission": true,
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("rapidproxy", flag.ContinueOnError)
 	var (
-		name        = fs.String("name", "rapidproxy", "proxy name reported over the control protocol")
-		mode        = fs.String("mode", "engine", "serving mode: engine (multi-session UDP) or stream (single TCP stream)")
-		listenAddr  = fs.String("listen", ":7400", "address to serve on (UDP in engine mode, TCP in stream mode)")
-		forwardAddr = fs.String("forward", "", "downstream address (optional in engine mode: empty echoes to senders; required in stream mode)")
-		controlAddr = fs.String("control", "127.0.0.1:7100", "address for the management (control) protocol; it has no authentication, so expose it beyond loopback deliberately")
-		maxSessions = fs.Int("max-sessions", engine.DefaultMaxSessions, "engine mode: maximum concurrent sessions")
-		shards      = fs.Int("shards", 0, "engine mode: data-plane shards (readers/table shards/output queues); 0 = one per CPU")
-		reusePort   = fs.Bool("reuseport", false, "engine mode: one SO_REUSEPORT socket per shard (linux/amd64 and linux/arm64, not with the 'purego' tag)")
-		// -gso still parses so existing command lines (bench/'s fanout-mixed
-		// among them) keep working.
-		_           = fs.Bool("gso", false, "deprecated, no effect: GSO is always attempted")
-		pprofAddr   = fs.String("pprof", "", "engine mode: serve /debug/pprof for go tool pprof and curl on this address (e.g. localhost:6060)")
-		chainSpec   = fs.String("chain", "", "chain spec: engine mode's default for new sessions, stream mode's chain (e.g. counting,fec-encode=6/4)")
-		roaming     = fs.Bool("allow-roaming", false, "engine mode: let a session's echo destination follow its most recent sender")
-		adaptOn     = fs.Bool("adapt", false, "engine mode: enable the closed-loop adaptation plane (receiver feedback drives per-session FEC; per-receiver with -fanout)")
-		adaptPolicy = fs.String("adapt-policy", "", "engine mode: load the loss->(n,k) policy ladder from this file (implies -adapt)")
-		fanout      = fs.String("fanout", "", "engine mode: comma-separated downstream receiver addresses to multicast session output to")
-		branchSpec  = fs.String("branch", "", "engine mode: per-receiver branch tail spec for fan-out sessions (e.g. 'fec-adapt,ratelimit=64000')")
-		staleness   = fs.Duration("report-staleness", 0, "engine mode: age out receivers whose last loss report is older than this window (0 disables)")
-		idleTTL     = fs.Duration("idle-ttl", 0, "engine mode: park sessions idle for this long down to a compact record, rebuilt on their next datagram (0 disables)")
-		admission   = fs.String("admission", "", "engine mode: policy at -max-sessions: reject (default) or harvest (evict the longest-parked session, else the oldest-idle live one)")
+		cfg                                      engine.Config
+		mode, controlAddr, pprofAddr, policyFile string
 	)
+	fs.StringVar(&cfg.Name, "name", "rapidproxy", "proxy name reported over the control protocol")
+	fs.StringVar(&mode, "mode", "engine", "serving mode: engine (multi-session UDP) or stream (single TCP stream)")
+	fs.StringVar(&cfg.ListenAddr, "listen", ":7400", "address to serve on (UDP in engine mode, TCP in stream mode)")
+	fs.StringVar(&cfg.Forward, "forward", "", "downstream address (optional in engine mode: empty echoes to senders; required in stream mode)")
+	fs.StringVar(&controlAddr, "control", "127.0.0.1:7100", "address for the management (control) protocol; it has no authentication, so expose it beyond loopback deliberately")
+	fs.IntVar(&cfg.MaxSessions, "max-sessions", engine.DefaultMaxSessions, "engine mode: maximum concurrent sessions")
+	fs.IntVar(&cfg.Shards, "shards", 0, "engine mode: data-plane shards (readers/table shards/output queues); 0 = one per CPU")
+	fs.BoolVar(&cfg.ReusePort, "reuseport", false, "engine mode: one SO_REUSEPORT socket per shard (linux/amd64 and linux/arm64, not with the 'purego' tag)")
+	// -gso still parses so existing command lines (bench/'s fanout-mixed
+	// among them) keep working.
+	fs.Bool("gso", false, "deprecated, no effect: GSO is always attempted")
+	fs.StringVar(&pprofAddr, "pprof", "", "engine mode: serve /debug/pprof for go tool pprof and curl on this address (e.g. localhost:6060)")
+	fs.StringVar(&cfg.Chain, "chain", "", "chain spec: engine mode's default for new sessions, stream mode's chain (e.g. counting,fec-encode=6/4)")
+	fs.BoolVar(&cfg.AllowRoaming, "allow-roaming", false, "engine mode: let a session's echo destination follow its most recent sender")
+	fs.BoolVar(&cfg.Adapt, "adapt", false, "engine mode: enable the closed-loop adaptation plane (receiver feedback drives per-session FEC; per-receiver with -fanout)")
+	fs.StringVar(&policyFile, "adapt-policy", "", "engine mode: load the loss->(n,k) policy ladder from this file (implies -adapt)")
+	fs.Func("fanout", "engine mode: comma-separated downstream receiver addresses to multicast session output to", func(s string) error {
+		cfg.Fanout = splitList(s)
+		return nil
+	})
+	fs.StringVar(&cfg.Branch, "branch", "", "engine mode: per-receiver branch tail spec for fan-out sessions (e.g. 'fec-adapt,ratelimit=64000')")
+	fs.DurationVar(&cfg.ReportStaleness, "report-staleness", 0, "engine mode: age out receivers whose last loss report is older than this window (0 disables)")
+	fs.DurationVar(&cfg.IdleTTL, "idle-ttl", 0, "engine mode: park sessions idle for this long down to a compact record, rebuilt on their next datagram (0 disables)")
+	fs.Func("admission", "engine mode: policy at -max-sessions: reject (default) or harvest (evict the longest-parked session, else the oldest-idle live one)", func(s string) error {
+		cfg.Admission = engine.AdmissionPolicy(s)
+		return nil
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	logger := log.New(os.Stderr, "rapidproxy ", log.LstdFlags)
-
-	// Reject engine-mode flags in stream mode instead of silently ignoring
-	// them.
-	switch *mode {
+	cfg.Logger = log.New(os.Stderr, "rapidproxy ", log.LstdFlags)
+	switch mode {
 	case "engine":
-		return runEngine(logger, engineOptions{
-			name:        *name,
-			listen:      *listenAddr,
-			forward:     *forwardAddr,
-			control:     *controlAddr,
-			maxSessions: *maxSessions,
-			shards:      *shards,
-			reusePort:   *reusePort,
-			pprof:       *pprofAddr,
-			chain:       *chainSpec,
-			roaming:     *roaming,
-			adapt:       *adaptOn,
-			adaptPolicy: *adaptPolicy,
-			fanout:      *fanout,
-			branch:      *branchSpec,
-			staleness:   *staleness,
-			idleTTL:     *idleTTL,
-			admission:   *admission,
-		})
+		if policyFile != "" {
+			p, err := adapt.LoadPolicyFile(policyFile)
+			if err != nil {
+				return err
+			}
+			cfg.AdaptPolicy, cfg.Adapt = p, true
+		}
+		return runEngine(cfg, controlAddr, pprofAddr)
 	case "stream":
-		if *roaming || *maxSessions != engine.DefaultMaxSessions {
-			return fmt.Errorf("-max-sessions/-allow-roaming are engine-mode flags")
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if engineOnly[f.Name] {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			return fmt.Errorf("%s: engine-mode flags", strings.Join(set, ", "))
 		}
-		if *adaptOn || *adaptPolicy != "" || *fanout != "" || *branchSpec != "" || *staleness != 0 {
-			return fmt.Errorf("-adapt/-adapt-policy/-fanout/-branch/-report-staleness are engine-mode flags")
-		}
-		if *idleTTL != 0 || *admission != "" {
-			return fmt.Errorf("-idle-ttl/-admission are engine-mode flags")
-		}
-		if *shards != 0 || *reusePort || *pprofAddr != "" {
-			return fmt.Errorf("-shards/-reuseport/-pprof are engine-mode flags")
-		}
-		return runStream(logger, *name, *listenAddr, *forwardAddr, *controlAddr, *chainSpec)
+		return runStream(cfg.Logger, cfg.Name, cfg.ListenAddr, cfg.Forward, controlAddr, cfg.Chain)
 	default:
-		return fmt.Errorf("unknown -mode %q (want engine or stream)", *mode)
+		return fmt.Errorf("unknown -mode %q (want engine or stream)", mode)
 	}
-}
-
-// engineOptions carries the engine-mode flag values.
-type engineOptions struct {
-	name, listen, forward, control string
-	maxSessions                    int
-	shards                         int
-	reusePort                      bool
-	pprof                          string
-	chain                          string
-	roaming                        bool
-	adapt                          bool
-	adaptPolicy                    string
-	fanout                         string
-	branch                         string
-	staleness                      time.Duration
-	idleTTL                        time.Duration
-	admission                      string
 }
 
 // runEngine serves the multi-session UDP engine.
-func runEngine(logger *log.Logger, opts engineOptions) error {
-	var policy adapt.Policy
-	if opts.adaptPolicy != "" {
-		p, err := adapt.LoadPolicyFile(opts.adaptPolicy)
-		if err != nil {
-			return err
-		}
-		policy = p
-		opts.adapt = true
-	}
-	eng, err := engine.New(engine.Config{
-		Name:            opts.name,
-		ListenAddr:      opts.listen,
-		MaxSessions:     opts.maxSessions,
-		Shards:          opts.shards,
-		ReusePort:       opts.reusePort,
-		Chain:           opts.chain,
-		Forward:         opts.forward,
-		AllowRoaming:    opts.roaming,
-		Fanout:          splitList(opts.fanout),
-		Branch:          opts.branch,
-		Adapt:           opts.adapt,
-		AdaptPolicy:     policy,
-		ReportStaleness: opts.staleness,
-		IdleTTL:         opts.idleTTL,
-		Admission:       engine.AdmissionPolicy(opts.admission),
-		Logger:          logger,
-	})
+func runEngine(cfg engine.Config, controlAddr, pprofAddr string) error {
+	logger := cfg.Logger
+	eng, err := engine.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -196,11 +151,11 @@ func runEngine(logger *log.Logger, opts engineOptions) error {
 	}
 	defer eng.Close()
 
-	if opts.pprof != "" {
+	if pprofAddr != "" {
 		// Live profiling of the sharded runtime (pprof.go).
-		ln, err := net.Listen("tcp", opts.pprof)
+		ln, err := net.Listen("tcp", pprofAddr)
 		if err != nil {
-			return fmt.Errorf("pprof listen %q: %w", opts.pprof, err)
+			return fmt.Errorf("pprof listen %q: %w", pprofAddr, err)
 		}
 		defer ln.Close()
 		logger.Printf("pprof on http://%s/debug/pprof/", ln.Addr())
@@ -209,7 +164,7 @@ func runEngine(logger *log.Logger, opts engineOptions) error {
 
 	server := control.NewServer(logger)
 	server.SetSessionSource(eng)
-	boundControl, err := server.Listen(opts.control)
+	boundControl, err := server.Listen(controlAddr)
 	if err != nil {
 		return err
 	}

@@ -76,7 +76,7 @@
 // loop splices an FEC encoder into the live chain or removes it; a fan-out
 // member's loop moves the member to the delivery cohort its decision selects.
 // Every level change is an encoder swap — a fresh fixed-code
-// fecproxy.EncoderFilter at the trunk's marker, or the cohort's own — and
+// fec.EncodeStage at the trunk's marker, or the cohort's own — and
 // every encoder of a session numbers its FEC groups from one session-wide
 // counter. Decisions follow the loss→code policy ladder in the
 // transport-agnostic internal/adapt package. The observer/bus/responder

@@ -13,7 +13,6 @@ import (
 	"rapidware/internal/arq"
 	"rapidware/internal/audio"
 	"rapidware/internal/fec"
-	"rapidware/internal/fecproxy"
 	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
 	"rapidware/internal/transcode"
@@ -413,7 +412,7 @@ func newDefaultRegistry() *Registry {
 			if err != nil {
 				return nil, err
 			}
-			return fecproxy.NewEncoderFilter(env.StageName("fec-encoder"), p, env.StreamID, env.Groups)
+			return fec.NewEncodeStage(env.StageName("fec-encoder"), p, env.StreamID, env.Groups)
 		},
 	}))
 	must(r.Register(Definition{
@@ -421,7 +420,7 @@ func newDefaultRegistry() *Registry {
 		Canon:     noArg,
 		ChainOnly: true,
 		Build: func(env Env, _ string) (filter.Filter, error) {
-			return fecproxy.NewDecoderFilter(env.StageName("fec-decoder"), nil, env.repairs()), nil
+			return fec.NewDecodeStage(env.StageName("fec-decoder"), env.repairs()), nil
 		},
 	}))
 	must(r.Register(Definition{

@@ -9,7 +9,6 @@ import (
 	"rapidware/internal/arq"
 	"rapidware/internal/compose"
 	"rapidware/internal/fec"
-	"rapidware/internal/fecproxy"
 	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
 	"rapidware/internal/packet"
@@ -171,7 +170,7 @@ func (l *receiverLoop) reconcile(d decision) (changed bool, err error) {
 		if d.mech == adapt.MechanismARQ {
 			return false, nil
 		}
-	case *fecproxy.EncoderFilter:
+	case *fec.EncodeStage:
 		if d.mech == adapt.MechanismFEC && cur.Params() == d.params {
 			return false, nil
 		}
@@ -198,7 +197,7 @@ func (l *receiverLoop) reconcile(d decision) (changed bool, err error) {
 func (s *Session) repairStage(mech adapt.Mechanism, params fec.Params, suffix string) (filter.Filter, error) {
 	switch mech {
 	case adapt.MechanismFEC:
-		enc, err := fecproxy.NewEncoderFilter(fmt.Sprintf("fec:%d%s", s.id, suffix), params, s.id, &s.groups)
+		enc, err := fec.NewEncodeStage(fmt.Sprintf("fec:%d%s", s.id, suffix), params, s.id, &s.groups)
 		if err != nil {
 			return nil, err
 		}

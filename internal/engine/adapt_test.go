@@ -11,7 +11,6 @@ import (
 	"rapidware/internal/adapt"
 	"rapidware/internal/compose"
 	"rapidware/internal/fec"
-	"rapidware/internal/fecproxy"
 	"rapidware/internal/metrics"
 	"rapidware/internal/netbatch"
 	"rapidware/internal/packet"
@@ -558,7 +557,7 @@ func TestEngineTrunkReconcileLifecycle(t *testing.T) {
 	enc := encoder()
 	reportLoss(l, 30)
 	check("30% loss", true, 4, 12, 2)
-	swapped, ok := encoder().(*fecproxy.EncoderFilter)
+	swapped, ok := encoder().(*fec.EncodeStage)
 	if !ok || swapped == enc || swapped.Params() != (fec.Params{K: 4, N: 12}) {
 		t.Fatalf("a level change left %T at the marker, want a fresh encoder with the (12,4) code", encoder())
 	}

@@ -8,9 +8,7 @@ import (
 
 	"rapidware/internal/audio"
 	"rapidware/internal/fec"
-	"rapidware/internal/fecproxy"
 	"rapidware/internal/filter"
-	"rapidware/internal/metrics"
 	"rapidware/internal/packet"
 	"rapidware/internal/wireless"
 )
@@ -53,7 +51,7 @@ type ReceiverResult struct {
 	Sent          int
 	Received      int
 	Reconstructed int
-	Trace         *metrics.TraceRecorder
+	Trace         Trace
 	Audio         *audio.Reassembler
 }
 
@@ -82,13 +80,50 @@ type AudioProxyResult struct {
 	Receivers []ReceiverResult
 }
 
-// station is one receiver's half of the pipeline: its FEC decoder chain and
-// what it collects.
+// station is one receiver's half of the pipeline: its FEC decoder and what
+// it collects.
 type station struct {
-	chain   *filter.FrameChain
-	decoder *fecproxy.DecoderFilter
-	trace   *metrics.TraceRecorder
-	reasm   *audio.Reassembler
+	dec      *fec.FrameDecoder
+	received int           // data frames that arrived off the channel
+	out      []*packet.Buf // what the decoder released for one frame
+	trace    Trace
+	reasm    *audio.Reassembler
+}
+
+// receive feeds one frame that arrived off the channel to the station's
+// decoder and hands everything it releases to the trace and the reassembler.
+func (st *station) receive(b *packet.Buf) error {
+	if packet.FrameKind(b.B) == packet.KindData {
+		st.received++
+	}
+	before := st.dec.Recovered()
+	err := st.dec.Add(b, func(b *packet.Buf) { st.out = append(st.out, b) })
+	// The decoder releases a frame's intact data first and its group's
+	// repairs after it, so the last `repaired` frames are the reconstructed
+	// ones.
+	repaired := int(st.dec.Recovered() - before)
+	for i, b := range st.out {
+		key := frameTraceKey(b.B)
+		outcome := OutcomeReceived
+		if len(st.out)-i <= repaired {
+			outcome = OutcomeReconstructed
+		}
+		st.trace.record(key, outcome)
+		st.reasm.Add(int(key), b.B[packet.HeaderSize:])
+		b.Release()
+		st.out[i] = nil
+	}
+	st.out = st.out[:0]
+	return err
+}
+
+// frameTraceKey is a data frame's ordinal in the stream: its block
+// coordinates when it carries any, else its sequence number.
+func frameTraceKey(frame []byte) uint64 {
+	if group, index, k, n := packet.FrameBlock(frame); n > 0 {
+		return uint64(group)*uint64(k) + uint64(index)
+	}
+	return packet.FrameSeq(frame)
 }
 
 // RunAudioProxy executes the Figure 6 pipeline end to end:
@@ -98,9 +133,10 @@ type station struct {
 //
 // Every stage runs to completion on the caller's goroutine. The sender is a
 // filter.FrameChain over the FEC encoder whose sink broadcasts each frame on
-// the channel and hands a copy to the decoder chain of every station that did
-// not lose it; that chain's sink feeds the station's reassembler. Closing
-// the chains at the end flushes a partial FEC group as plain data frames.
+// the channel and hands a copy to the FEC decoder of every station that did
+// not lose it; what the decoder releases feeds the station's trace and
+// reassembler. Closing the sender at the end flushes a partial FEC group as
+// plain data frames.
 // When cfg.FEC.N == cfg.FEC.K the run degenerates to the "no FEC" baseline
 // used for the raw-receipt series of Figure 7.
 func RunAudioProxy(cfg AudioProxyConfig, pcm []byte) (*AudioProxyResult, error) {
@@ -117,7 +153,7 @@ func RunAudioProxy(cfg AudioProxyConfig, pcm []byte) (*AudioProxyResult, error) 
 	// --- Receiver side ------------------------------------------------------
 	channel := wireless.NewChannel(cfg.Link)
 	stations := make([]*station, len(cfg.Receivers))
-	var rxErr error // the first stage error of any station's chain
+	var rxErr error // the first error of any station's decoder
 	for i, rc := range cfg.Receivers {
 		model := rc.Model
 		if model == nil {
@@ -130,21 +166,9 @@ func RunAudioProxy(cfg AudioProxyConfig, pcm []byte) (*AudioProxyResult, error) 
 		if err != nil {
 			return nil, err
 		}
-		st := &station{trace: metrics.NewTraceRecorder(), reasm: reasm}
-		// Every data packet ordinal that is transmitted counts toward the
-		// rates, even if this receiver never sees it.
-		for seq := range payloads {
-			st.trace.MarkSent(uint64(seq))
-		}
-		st.decoder = fecproxy.NewDecoderFilter("fec-decoder", st.trace, nil)
-		st.chain = filter.NewFrameChain(func(b *packet.Buf) {
-			st.reasm.Add(int(fecproxy.FrameTraceKey(b.B)), b.B[packet.HeaderSize:])
-			b.Release()
-		})
-		if err := st.chain.SetInterior([]filter.Filter{st.decoder}); err != nil {
-			return nil, err
-		}
-		stations[i] = st
+		// Every data packet sent counts toward the rates, even if this
+		// receiver never sees it.
+		stations[i] = &station{dec: fec.NewFrameDecoder(0), trace: make(Trace, len(payloads)), reasm: reasm}
 	}
 
 	// --- Sender side --------------------------------------------------------
@@ -155,14 +179,14 @@ func RunAudioProxy(cfg AudioProxyConfig, pcm []byte) (*AudioProxyResult, error) 
 			}
 			c := packet.GetFrameBuf(len(b.B))
 			copy(c.B, b.B)
-			if err := stations[i].chain.Process(c); err != nil && rxErr == nil {
+			if err := stations[i].receive(c); err != nil && rxErr == nil {
 				rxErr = fmt.Errorf("experiment: receiver %q: %w", cfg.Receivers[i].Name, err)
 			}
 		}
 		b.Release()
 	})
 	if cfg.FEC.N > cfg.FEC.K {
-		encoder, err := fecproxy.NewEncoderFilter("fec-encoder", cfg.FEC, 1, nil)
+		encoder, err := fec.NewEncodeStage("fec-encoder", cfg.FEC, 1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +205,7 @@ func RunAudioProxy(cfg AudioProxyConfig, pcm []byte) (*AudioProxyResult, error) 
 	}
 	err = sender.Close() // the end of the stream: a partial group goes out
 	for _, st := range stations {
-		err = errors.Join(err, st.chain.Close())
+		st.dec.Discard()
 	}
 	if err = errors.Join(err, rxErr); err != nil {
 		return nil, err
@@ -194,13 +218,12 @@ func RunAudioProxy(cfg AudioProxyConfig, pcm []byte) (*AudioProxyResult, error) 
 		Overhead:  float64(channel.Sent()) / float64(len(payloads)),
 	}
 	for i, st := range stations {
-		received, reconstructed, _, _ := st.decoder.Stats()
 		st.reasm.MarkExpected(len(payloads) - 1)
 		result.Receivers = append(result.Receivers, ReceiverResult{
 			Name:          cfg.Receivers[i].Name,
 			Sent:          len(payloads),
-			Received:      int(received),
-			Reconstructed: int(reconstructed),
+			Received:      st.received,
+			Reconstructed: int(st.dec.Recovered()),
 			Trace:         st.trace,
 			Audio:         st.reasm,
 		})

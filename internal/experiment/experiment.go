@@ -13,7 +13,6 @@ import (
 
 	"rapidware/internal/audio"
 	"rapidware/internal/fec"
-	"rapidware/internal/metrics"
 	"rapidware/internal/wireless"
 )
 
@@ -54,7 +53,7 @@ type Figure7Result struct {
 	DataSent           int
 	ReceivedRate       float64 // paper: 98.54 %
 	ReconstructedRate  float64 // paper: 99.98 %
-	Series             []metrics.TracePoint
+	Series             []TracePoint
 	Overhead           float64
 	PaperReceived      float64
 	PaperReconstructed float64

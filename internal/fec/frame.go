@@ -16,7 +16,7 @@ import (
 // materializing packet structs or copying payloads it does not have to. All
 // share staging and parity buffers come from the packet buffer pool, so a
 // steady-state encode touches the allocator not at all. FrameEncoder is not
-// safe for concurrent use; wrap it in the encoder filter for pipeline use.
+// safe for concurrent use; NewEncodeStage wraps it for pipeline use.
 type FrameEncoder struct {
 	coder    *Coder
 	streamID uint32
@@ -275,11 +275,13 @@ type groupSlot struct {
 //
 // Groups live in a fixed FIFO ring of slots: a new group takes the oldest
 // slot, so memory stays bounded whatever the sender does. A slot copies each
-// share it may need into a pooled buffer sized to the share (a received
-// datagram sits in a 64 KiB receive buffer, so retaining it would pin far more
-// than the share) and releases them the moment the group can no longer need
-// a repair: all k data shares seen, or the group reconstructed. Only the
-// bitmasks stay, so duplicates and late data are still recognised.
+// share it may need into a pooled buffer sized to the share and releases them
+// the moment the group can no longer need a repair: all k data shares seen,
+// or the group reconstructed. It copies because a data frame goes on
+// downstream at once, as the buffer it arrived in, and its next owner may
+// rewrite or release it; holding the received frame by reference instead is
+// ROADMAP item 6 ("decoder shares by reference"). Only the bitmasks stay, so
+// duplicates and late data are still recognised.
 //
 // A FrameDecoder is not safe for concurrent use; the decoder stage runs it
 // under its chain's lock.

@@ -10,8 +10,8 @@ import "encoding/binary"
 // shorter than a word take that lookup a byte at a time (the scalar tier);
 // longer ones run the SWAR tier, which expands the tables to 64-bit lanes and
 // multiplies eight bytes per step in a branch-free bit-plane pass (see
-// wideTab), 4x unrolled. The product table mulTable (from Rizzo's fec
-// library) only seeds the split tables.
+// wideTab), 4x unrolled. Both forms of the split tables are built at init
+// from the log/exp tables, as Mul computes a product.
 //
 // Above the SWAR tier sits one vector kernel per architecture, driven by the
 // same split nibble tables in byte form (nibTab): on amd64, SSSE3 PSHUFB
@@ -35,27 +35,12 @@ var nibTables = buildNibTables()
 func buildNibTables() *[Order]nibTab {
 	ts := &[Order]nibTab{}
 	for c := 1; c < Order; c++ {
-		row := &mulTable[c]
 		for x := 0; x < 16; x++ {
-			ts[c].lo[x] = row[x]
-			ts[c].hi[x] = row[x<<4]
+			ts[c].lo[x] = Mul(byte(c), byte(x))
+			ts[c].hi[x] = Mul(byte(c), byte(x<<4))
 		}
 	}
 	return ts
-}
-
-// mulTable[c][x] is the GF(2^8) product c*x.
-var mulTable = buildMulTable()
-
-func buildMulTable() *[Order][Order]byte {
-	t := &[Order][Order]byte{}
-	for c := 1; c < Order; c++ {
-		logC := int(ft.log[c])
-		for x := 1; x < Order; x++ {
-			t[c][x] = ft.exp[logC+int(ft.log[x])]
-		}
-	}
-	return t
 }
 
 const (
@@ -75,18 +60,17 @@ type wideTab struct {
 	hi [16]uint64
 }
 
-// wideTables holds one split table per multiplier (64 KiB total, the same
-// footprint as mulTable; only the 32 hot entries of the active multiplier live
-// in cache during an encode pass, versus the full 256-byte row of mulTable).
+// wideTables holds one split table per multiplier (64 KiB total; only the 32
+// hot entries of the active multiplier live in cache during an encode pass,
+// versus the 256 bytes of a full product-table row).
 var wideTables = buildWideTables()
 
 func buildWideTables() *[Order]wideTab {
 	ts := &[Order]wideTab{}
 	for c := 1; c < Order; c++ {
-		row := &mulTable[c]
 		for x := 0; x < 16; x++ {
-			ts[c].lo[x] = uint64(row[x]) * lanes
-			ts[c].hi[x] = uint64(row[x<<4]) * lanes
+			ts[c].lo[x] = uint64(Mul(byte(c), byte(x))) * lanes
+			ts[c].hi[x] = uint64(Mul(byte(c), byte(x<<4))) * lanes
 		}
 	}
 	return ts

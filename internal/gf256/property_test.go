@@ -104,6 +104,21 @@ func TestAddMulSliceOffsets(t *testing.T) {
 	}
 }
 
+// mulTable[c][x] is the GF(2^8) product c*x, the full 64 KiB product table of
+// Rizzo's fec library: the tests' reference for the split tables.
+var mulTable = buildMulTable()
+
+func buildMulTable() *[Order][Order]byte {
+	t := &[Order][Order]byte{}
+	for c := 1; c < Order; c++ {
+		logC := int(ft.log[c])
+		for x := 1; x < Order; x++ {
+			t[c][x] = ft.exp[logC+int(ft.log[x])]
+		}
+	}
+	return t
+}
+
 // TestWideTablesAgreeWithMulTable cross-checks the split nibble tables (and
 // their lane replication) against the product table for the whole field.
 func TestWideTablesAgreeWithMulTable(t *testing.T) {

@@ -1,7 +1,6 @@
 // Package metrics provides the measurement primitives used across the
-// RAPIDware reproduction: sliding-window rates, latency histograms, and the
-// packet trace recorder that regenerates the paper's Figure 7 series
-// (percentage of packets received vs. reconstructed by sequence number).
+// RAPIDware reproduction: sliding-window rates and latency histograms. The
+// Figure 7 packet trace lives with its experiment (internal/experiment).
 package metrics
 
 import (

@@ -104,97 +104,3 @@ func TestHistogramStats(t *testing.T) {
 		t.Fatal("String empty")
 	}
 }
-
-func TestPacketOutcomeString(t *testing.T) {
-	if OutcomeLost.String() != "lost" || OutcomeReceived.String() != "received" ||
-		OutcomeReconstructed.String() != "reconstructed" {
-		t.Fatal("outcome names wrong")
-	}
-	if PacketOutcome(9).String() == "" {
-		t.Fatal("unknown outcome should still format")
-	}
-}
-
-func TestTraceRecorderRates(t *testing.T) {
-	tr := NewTraceRecorder()
-	rx, rc := tr.Rates()
-	if rx != 1 || rc != 1 {
-		t.Fatalf("empty rates = %v, %v", rx, rc)
-	}
-	// 100 packets: 90 received, 8 reconstructed, 2 lost.
-	for i := 0; i < 100; i++ {
-		tr.MarkSent(uint64(i))
-	}
-	for i := 0; i < 90; i++ {
-		tr.Record(uint64(i), OutcomeReceived)
-	}
-	for i := 90; i < 98; i++ {
-		tr.Record(uint64(i), OutcomeReconstructed)
-	}
-	rx, rc = tr.Rates()
-	if rx != 0.90 {
-		t.Fatalf("received rate = %v, want 0.90", rx)
-	}
-	if rc != 0.98 {
-		t.Fatalf("reconstructed rate = %v, want 0.98", rc)
-	}
-	if tr.Total() != 100 {
-		t.Fatalf("Total = %d", tr.Total())
-	}
-}
-
-func TestTraceRecorderNeverDowngrades(t *testing.T) {
-	tr := NewTraceRecorder()
-	tr.Record(5, OutcomeReceived)
-	tr.Record(5, OutcomeReconstructed) // worse; must not downgrade
-	tr.MarkSent(5)                     // must not downgrade either
-	rx, _ := tr.Rates()
-	if rx != 1 {
-		t.Fatalf("received rate = %v, want 1", rx)
-	}
-}
-
-func TestTraceRecorderSeries(t *testing.T) {
-	tr := NewTraceRecorder()
-	// Two windows of 10: first all received, second half lost.
-	for i := 0; i < 10; i++ {
-		tr.Record(uint64(i), OutcomeReceived)
-	}
-	for i := 10; i < 20; i++ {
-		if i%2 == 0 {
-			tr.Record(uint64(i), OutcomeReceived)
-		} else {
-			tr.MarkSent(uint64(i))
-		}
-	}
-	series := tr.Series(10)
-	if len(series) != 2 {
-		t.Fatalf("len(series) = %d, want 2", len(series))
-	}
-	if series[0].ReceivedRate != 1 || series[0].ReconstructedRate != 1 {
-		t.Fatalf("window 0 = %+v", series[0])
-	}
-	if series[1].ReceivedRate != 0.5 {
-		t.Fatalf("window 1 received = %v, want 0.5", series[1].ReceivedRate)
-	}
-	if series[1].Seq != 19 {
-		t.Fatalf("window 1 seq = %d, want 19", series[1].Seq)
-	}
-	if tr.Series(0) == nil {
-		t.Fatal("windowSize 0 should clamp, not return nil")
-	}
-	if NewTraceRecorder().Series(5) != nil {
-		t.Fatal("empty recorder should return nil series")
-	}
-}
-
-func TestTraceRecorderFormatSeries(t *testing.T) {
-	tr := NewTraceRecorder()
-	for i := 0; i < 5; i++ {
-		tr.Record(uint64(i), OutcomeReceived)
-	}
-	out := tr.FormatSeries(5)
-	if out == "" || len(out) < 20 {
-		t.Fatalf("FormatSeries output too short: %q", out)
-	}
-}
