@@ -46,7 +46,7 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 		pr := packet.NewReader(conn)
 		var got [][]byte
 		for {
-			p, err := pr.ReadPacket()
+			b, err := pr.ReadFrameBuf(0)
 			if err == io.EOF {
 				consumed <- consumeResult{got, nil}
 				return
@@ -55,8 +55,8 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 				consumed <- consumeResult{got, err}
 				return
 			}
-			if p.Kind == packet.KindData {
-				got = append(got, p.Payload)
+			if packet.FrameKind(b.B) == packet.KindData {
+				got = append(got, b.B[packet.HeaderSize:])
 			}
 		}
 	}()
@@ -133,16 +133,7 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 		// The input endpoint is frame-aware: it hands the chain one whole
 		// frame at a time, so live splices always happen on frame boundaries
 		// (the paper's requirement for format-specific filters).
-		frameReader := packet.NewReader(upConn)
-		in := endpoint.NewPacketSource("upstream", func() (*packet.Packet, error) {
-			p, err := frameReader.ReadPacket()
-			if err != nil {
-				upConn.Close()
-				return nil, io.EOF
-			}
-			return p, nil
-		})
-		for _, s := range []filter.Stage{in, endpoint.NewWriter("downstream", downConn)} {
+		for _, s := range []filter.Stage{endpoint.NewFrameReader("upstream", upConn), endpoint.NewWriter("downstream", downConn)} {
 			if err := chain.Append(s); err != nil {
 				proxyReady <- err
 				return
@@ -175,14 +166,16 @@ func TestEndToEndProxyOverTCPWithControlPlane(t *testing.T) {
 
 	producerDone := make(chan error, 1)
 	go func() {
-		pw := packet.NewWriter(upConn)
 		for i := 0; i < totalPackets; i++ {
-			p := &packet.Packet{
+			frame, err := packet.Marshal(&packet.Packet{
 				Seq:     uint64(i),
 				Kind:    packet.KindData,
 				Payload: []byte(fmt.Sprintf("frame-%06d", i)),
+			})
+			if err == nil {
+				_, err = upConn.Write(frame)
 			}
-			if err := pw.WritePacket(p); err != nil {
+			if err != nil {
 				producerDone <- err
 				return
 			}
@@ -289,12 +282,12 @@ func TestStreamModeRateLimitIsLossless(t *testing.T) {
 		pr := packet.NewReader(conn)
 		var seqs []uint64
 		for {
-			p, err := pr.ReadPacket()
+			b, err := pr.ReadFrameBuf(0)
 			if err != nil {
 				consumed <- seqs
 				return
 			}
-			seqs = append(seqs, p.Seq)
+			seqs = append(seqs, packet.FrameSeq(b.B))
 		}
 	}()
 
@@ -337,9 +330,12 @@ func TestStreamModeRateLimitIsLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	pw := packet.NewWriter(upConn)
 	for i := 0; i < total; i++ {
-		if err := pw.WritePacket(&packet.Packet{Seq: uint64(i), Kind: packet.KindData, Payload: make([]byte, payloadSize)}); err != nil {
+		frame, err := packet.Marshal(&packet.Packet{Seq: uint64(i), Kind: packet.KindData, Payload: make([]byte, payloadSize)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := upConn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
 	}

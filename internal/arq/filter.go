@@ -248,17 +248,6 @@ func (f *JitterFilter) flush(emit func(*packet.Buf)) error {
 	return nil
 }
 
-// Delay returns the configured hold time.
-func (f *JitterFilter) Delay() time.Duration { return f.delay }
-
-// Stats returns how many data packets have been buffered and released; the
-// difference is the current buffer depth.
-func (f *JitterFilter) Stats() (buffered, released uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.buffered, f.released
-}
-
 var (
 	_ filter.Filter = (*SenderFilter)(nil)
 	_ filter.Filter = (*JitterFilter)(nil)

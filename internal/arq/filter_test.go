@@ -240,8 +240,8 @@ func TestSenderFilterDefaults(t *testing.T) {
 
 func TestJitterFilterReordersIntoSequence(t *testing.T) {
 	f := NewJitterFilter("", 10*time.Millisecond)
-	if f.Delay() != 10*time.Millisecond {
-		t.Fatalf("Delay = %v", f.Delay())
+	if f.delay != 10*time.Millisecond {
+		t.Fatalf("delay = %v", f.delay)
 	}
 	// Deliver out of order — as a late ARQ repair would arrive — inside one
 	// hold window.
@@ -260,8 +260,8 @@ func TestJitterFilterReordersIntoSequence(t *testing.T) {
 			t.Fatalf("release order %v, want sequence order", seqsOf(out))
 		}
 	}
-	if buffered, released := f.Stats(); buffered != 4 || released != 4 {
-		t.Fatalf("Stats = (%d, %d), want (4, 4)", buffered, released)
+	if f.buffered != 4 || f.released != 4 {
+		t.Fatalf("buffered, released = (%d, %d), want (4, 4)", f.buffered, f.released)
 	}
 }
 
@@ -288,8 +288,8 @@ func TestJitterFilterPassesNonDataImmediately(t *testing.T) {
 
 func TestJitterFilterDefaultDelay(t *testing.T) {
 	f := NewJitterFilter("", 0)
-	if f.Name() != "jitter" || f.Delay() != time.Millisecond {
-		t.Fatalf("defaults = (%q, %v), want (jitter, 1ms)", f.Name(), f.Delay())
+	if f.Name() != "jitter" || f.delay != time.Millisecond {
+		t.Fatalf("defaults = (%q, %v), want (jitter, 1ms)", f.Name(), f.delay)
 	}
 }
 

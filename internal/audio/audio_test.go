@@ -184,8 +184,8 @@ func TestPacketizerSplit(t *testing.T) {
 	if p.PayloadSize() != 320 {
 		t.Fatalf("PayloadSize = %d, want 320", p.PayloadSize())
 	}
-	if p.Interval() != 20*time.Millisecond {
-		t.Fatalf("Interval = %v", p.Interval())
+	if p.interval != 20*time.Millisecond {
+		t.Fatalf("interval = %v", p.interval)
 	}
 	pcm, _ := GenerateTone(f, 440, time.Second)
 	chunks := p.Split(pcm)
@@ -237,20 +237,15 @@ func TestReassemblerFillsSilence(t *testing.T) {
 	}
 	r.MarkExpected(len(chunks) - 1)
 
-	missing := r.Missing()
-	if len(missing) != 1 || missing[0] != lostIdx {
-		t.Fatalf("Missing = %v, want [%d]", missing, lostIdx)
+	if r.maxIndex != len(chunks)-1 || len(r.payloads) != len(chunks)-1 {
+		t.Fatalf("maxIndex %d with %d payloads, want %d with %d", r.maxIndex, len(r.payloads), len(chunks)-1, len(chunks)-1)
 	}
-	out := r.PCM()
-	if len(out) != len(chunks)*pktizer.PayloadSize() {
-		t.Fatalf("output length %d, want %d", len(out), len(chunks)*pktizer.PayloadSize())
+	if _, ok := r.payloads[lostIdx]; ok {
+		t.Fatalf("payload %d present, want it missing", lostIdx)
 	}
-	// The lost packet's region must be silence (128 for unsigned 8-bit).
-	start := lostIdx * pktizer.PayloadSize()
-	for i := start; i < start+pktizer.PayloadSize(); i++ {
-		if out[i] != 128 {
-			t.Fatalf("byte %d = %d, want silence (128)", i, out[i])
-		}
+	// Silence for unsigned 8-bit is the midpoint, 128.
+	if r.silenceAt != 128 {
+		t.Fatalf("silence byte = %d, want 128", r.silenceAt)
 	}
 	wantCompleteness := float64(len(chunks)-1) / float64(len(chunks))
 	if got := r.Completeness(); got != wantCompleteness {
@@ -264,12 +259,12 @@ func TestReassemblerEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PCM() != nil || r.Missing() != nil || r.Completeness() != 1 {
+	if r.haveAny || r.Completeness() != 1 {
 		t.Fatal("empty reassembler should report empty results")
 	}
 	r.Add(-1, []byte{1}) // ignored
 	r.MarkExpected(-5)   // ignored
-	if r.PCM() != nil {
+	if r.haveAny || len(r.payloads) != 0 {
 		t.Fatal("negative indices must be ignored")
 	}
 	if _, err := NewReassembler(Format{}, 320); err == nil {
@@ -285,8 +280,7 @@ func TestReassemblerDuplicateOverwrites(t *testing.T) {
 	r, _ := NewReassembler(f, 4)
 	r.Add(0, []byte{1, 1, 1, 1})
 	r.Add(0, []byte{2, 2, 2, 2})
-	out := r.PCM()
-	if out[0] != 2 {
+	if out := r.payloads[0]; out[0] != 2 {
 		t.Fatalf("duplicate did not overwrite: %v", out)
 	}
 }
@@ -294,11 +288,7 @@ func TestReassemblerDuplicateOverwrites(t *testing.T) {
 func TestSixteenBitSilenceIsZero(t *testing.T) {
 	f := Format{SampleRate: 8000, Channels: 1, BitsPerSample: 16}
 	r, _ := NewReassembler(f, 4)
-	r.MarkExpected(0)
-	out := r.PCM()
-	for _, b := range out {
-		if b != 0 {
-			t.Fatalf("16-bit silence should be zero bytes, got %v", out)
-		}
+	if r.silenceAt != 0 {
+		t.Fatalf("16-bit silence should be zero bytes, got %d", r.silenceAt)
 	}
 }

@@ -32,9 +32,6 @@ func NewPacketizer(f Format, interval time.Duration) (*Packetizer, error) {
 // PayloadSize returns the size in bytes of each full payload.
 func (p *Packetizer) PayloadSize() int { return p.chunk }
 
-// Interval returns the audio duration carried by each payload.
-func (p *Packetizer) Interval() time.Duration { return p.interval }
-
 // Split divides pcm into consecutive payloads. The final payload may be
 // shorter than PayloadSize; payloads alias the input slice.
 func (p *Packetizer) Split(pcm []byte) [][]byte {
@@ -105,38 +102,6 @@ func (r *Reassembler) MarkExpected(idx int) {
 		r.maxIndex = idx
 		r.haveAny = true
 	}
-}
-
-// Missing returns the indices for which no payload was received.
-func (r *Reassembler) Missing() []int {
-	if !r.haveAny {
-		return nil
-	}
-	var missing []int
-	for i := 0; i <= r.maxIndex; i++ {
-		if _, ok := r.payloads[i]; !ok {
-			missing = append(missing, i)
-		}
-	}
-	return missing
-}
-
-// PCM renders the reassembled stream, inserting silence for missing packets.
-func (r *Reassembler) PCM() []byte {
-	if !r.haveAny {
-		return nil
-	}
-	out := make([]byte, 0, (r.maxIndex+1)*r.chunk)
-	for i := 0; i <= r.maxIndex; i++ {
-		if p, ok := r.payloads[i]; ok {
-			out = append(out, p...)
-		} else {
-			for j := 0; j < r.chunk; j++ {
-				out = append(out, r.silenceAt)
-			}
-		}
-	}
-	return out
 }
 
 // Completeness returns the fraction of expected packets that were received,

@@ -103,37 +103,6 @@ func (c *LRU) evictOldest() {
 	c.evictions++
 }
 
-// Delete removes a key if present and reports whether it was there.
-func (c *LRU) Delete(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.order.Remove(el)
-	delete(c.items, key)
-	c.size -= len(el.Value.(*entry).value)
-	return true
-}
-
-// Len returns the number of cached objects.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
-
-// Size returns the total bytes currently cached.
-func (c *LRU) Size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
-}
-
-// Capacity returns the configured byte capacity.
-func (c *LRU) Capacity() int { return c.capacity }
-
 // Stats returns hit, miss and eviction counters.
 func (c *LRU) Stats() (hits, misses, evictions uint64) {
 	c.mu.Lock()

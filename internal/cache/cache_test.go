@@ -32,11 +32,11 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !ok || string(v) != "alpha" {
 		t.Fatalf("Get = %q, %v", v, ok)
 	}
-	if c.Len() != 1 || c.Size() != 5 {
-		t.Fatalf("Len=%d Size=%d", c.Len(), c.Size())
+	if len(c.items) != 1 || c.size != 5 {
+		t.Fatalf("len=%d size=%d", len(c.items), c.size)
 	}
-	if c.Capacity() != 1024 {
-		t.Fatalf("Capacity = %d", c.Capacity())
+	if c.capacity != 1024 {
+		t.Fatalf("capacity = %d", c.capacity)
 	}
 }
 
@@ -66,11 +66,11 @@ func TestPutUpdateExisting(t *testing.T) {
 	c, _ := NewLRU(100)
 	c.Put("k", []byte("short"))
 	c.Put("k", []byte("a much longer replacement value"))
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.items) != 1 {
+		t.Fatalf("len = %d", len(c.items))
 	}
-	if c.Size() != len("a much longer replacement value") {
-		t.Fatalf("Size = %d", c.Size())
+	if c.size != len("a much longer replacement value") {
+		t.Fatalf("size = %d", c.size)
 	}
 	v, _ := c.Get("k")
 	if string(v) != "a much longer replacement value" {
@@ -107,20 +107,6 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	c, _ := NewLRU(64)
-	c.Put("k", []byte("v"))
-	if !c.Delete("k") {
-		t.Fatal("Delete returned false for existing key")
-	}
-	if c.Delete("k") {
-		t.Fatal("Delete returned true for missing key")
-	}
-	if c.Len() != 0 || c.Size() != 0 {
-		t.Fatalf("Len=%d Size=%d after delete", c.Len(), c.Size())
-	}
-}
-
 func TestHitRateAndStats(t *testing.T) {
 	c, _ := NewLRU(64)
 	if c.HitRate() != 0 {
@@ -141,7 +127,7 @@ func TestHitRateAndStats(t *testing.T) {
 
 // TestInvariantsProperty drives random operations and checks the cache's
 // structural invariants: size equals the sum of stored values, size never
-// exceeds capacity, and Len matches the internal list length.
+// exceeds capacity, and the item count matches the internal list length.
 func TestInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -153,7 +139,7 @@ func TestInvariantsProperty(t *testing.T) {
 		shadow := map[string]int{}
 		for op := 0; op < 300; op++ {
 			key := fmt.Sprintf("k%d", rng.Intn(20))
-			switch rng.Intn(3) {
+			switch rng.Intn(2) {
 			case 0:
 				size := rng.Intn(capacity/2) + 1
 				if err := c.Put(key, make([]byte, size)); err != nil {
@@ -162,11 +148,8 @@ func TestInvariantsProperty(t *testing.T) {
 				shadow[key] = size
 			case 1:
 				c.Get(key)
-			case 2:
-				c.Delete(key)
-				delete(shadow, key)
 			}
-			if c.Size() > capacity {
+			if c.size > capacity {
 				return false
 			}
 		}
@@ -182,7 +165,7 @@ func TestInvariantsProperty(t *testing.T) {
 				count++
 			}
 		}
-		return c.Size() >= 0 && c.Len() >= count-c.Len()
+		return c.size >= 0 && len(c.items) >= count-len(c.items)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -207,7 +190,7 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Size() > c.Capacity() {
+	if c.size > c.capacity {
 		t.Fatal("size exceeded capacity under concurrency")
 	}
 }
@@ -262,7 +245,7 @@ func TestProxyOversizedObjectsStillServed(t *testing.T) {
 	if len(v) == 0 {
 		t.Fatal("oversized object not served")
 	}
-	if p.Cache().Len() != 0 {
+	if len(p.Cache().items) != 0 {
 		t.Fatal("oversized object should not be cached")
 	}
 }

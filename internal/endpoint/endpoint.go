@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"time"
 
 	"rapidware/internal/filter"
 	"rapidware/internal/packet"
@@ -210,23 +209,6 @@ func closeQuietly(c io.Closer) error {
 		return err
 	}
 	return nil
-}
-
-// DialTCP connects to addr and returns an input endpoint reading the
-// connection's raw byte stream and an output endpoint writing to it, named
-// after the address.
-func DialTCP(addr string, timeout time.Duration) (*Reader, *Writer, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, nil, fmt.Errorf("endpoint: dial %s: %w", addr, err)
-	}
-	return NewReader("tcp-in:"+addr, conn), NewWriter("tcp-out:"+addr, conn), nil
-}
-
-// Pair wraps a single bidirectional connection as one raw input and one
-// output endpoint sharing the connection.
-func Pair(name string, conn io.ReadWriteCloser) (*Reader, *Writer) {
-	return NewReader(name+":in", conn), NewWriter(name+":out", conn)
 }
 
 // Interface compliance.

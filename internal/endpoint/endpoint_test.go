@@ -196,21 +196,6 @@ func TestNullProxyOverTCP(t *testing.T) {
 	chain.Stop()
 }
 
-func TestDialTCPFailure(t *testing.T) {
-	if _, _, err := DialTCP("127.0.0.1:1", 50*time.Millisecond); err == nil {
-		t.Fatal("expected dial error for closed port")
-	}
-}
-
-func TestPairSharesConnection(t *testing.T) {
-	client, server := net.Pipe()
-	defer server.Close()
-	in, out := Pair("pipe", client)
-	if in.Name() != "pipe:in" || out.Name() != "pipe:out" {
-		t.Fatalf("names = %q, %q", in.Name(), out.Name())
-	}
-}
-
 // packetGen returns a generator of total data packets numbered from 0, and
 // the count of packets it has handed out.
 func packetGen(total int) (next func() (*packet.Packet, error), handed *int) {

@@ -524,7 +524,7 @@ func openTrunkLoop(t *testing.T, e *Engine, id uint32) (*Session, *receiverLoop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, s.state().trunk
+	return s, s.cs.Load().trunk
 }
 
 // reportLoss feeds a loop one report of lostPct percent loss.
@@ -698,7 +698,7 @@ func TestEngineRetireVsReportStorm(t *testing.T) {
 	var gone []retired
 	now := time.Now()
 	for round := 0; round < 30; round++ {
-		cs := s.state()
+		cs := s.cs.Load()
 		waitFor(t, "the storm to retune this incarnation", func() bool { return cs.retunes.Load() > 0 })
 		now = now.Add(ttl)
 		e.maintain(now) // observes the unparking packet
@@ -712,7 +712,7 @@ func TestEngineRetireVsReportStorm(t *testing.T) {
 		sendPacket(t, c, id, &packet.Packet{Seq: uint64(round), Kind: packet.KindData, Payload: []byte("unpark")})
 		waitFor(t, "the unparking packet", func() bool { return s.Counters().Packets.Load() > packets })
 	}
-	last := s.state()
+	last := s.cs.Load()
 	if err := e.CloseSession(id); err != nil {
 		t.Fatal(err)
 	}

@@ -172,12 +172,12 @@ func TestFrameSessionOwnsNoChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := s.state()
+	cs := s.cs.Load()
 	for _, plan := range []string{"counting,delay=1ms", "jitter=5,counting,ratelimit=1000", "counting"} {
 		if _, err := e.EditSession(1, "", compose.Replace(plan)); err != nil {
 			t.Fatal(err)
 		}
-		if s.state() != cs || s.state().live.String() != plan {
+		if s.cs.Load() != cs || s.cs.Load().live.String() != plan {
 			t.Fatalf("recompose to %q rebuilt the session state", plan)
 		}
 	}

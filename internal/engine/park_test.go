@@ -420,7 +420,7 @@ func TestEngineRemovalOwnerClosesOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := s.state()
+		cs := s.cs.Load()
 
 		start := make(chan struct{})
 		var wg sync.WaitGroup

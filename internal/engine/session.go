@@ -173,12 +173,6 @@ func datagram(b *packet.Buf) *packet.Buf {
 	return nb
 }
 
-// ID returns the session's wire identifier.
-func (s *Session) ID() uint32 { return s.id }
-
-// state returns the session's current chain-bound state, nil while parked.
-func (s *Session) state() *chainState { return s.cs.Load() }
-
 // Live exposes the session's composed trunk so the control plane (and tests)
 // can observe it. nil while parked. Edit it through Engine.EditSession,
 // which unparks first.

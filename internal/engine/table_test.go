@@ -116,14 +116,14 @@ func TestVictimIsLongestParked(t *testing.T) {
 		incoming, want uint32
 	}{{99, 3}, {3, 1}} {
 		if got := e.table.victim(c.incoming); got != s[c.want] {
-			t.Fatalf("victim for %d = session %v, want %d (parked 3, then 1)", c.incoming, got.ID(), c.want)
+			t.Fatalf("victim for %d = session %v, want %d (parked 3, then 1)", c.incoming, got.id, c.want)
 		}
 	}
 	if _, err := s[3].unpark(); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.table.victim(99); got != s[1] {
-		t.Fatalf("victim = session %d after 3 unparked, want 1", got.ID())
+		t.Fatalf("victim = session %d after 3 unparked, want 1", got.id)
 	}
 	if _, err := s[1].unpark(); err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestVictimIsLongestParked(t *testing.T) {
 		incoming, want uint32
 	}{{99, 4}, {4, 2}} {
 		if got := e.table.victim(c.incoming); got != s[c.want] {
-			t.Fatalf("victim for %d with nothing parked = session %d, want the oldest-idle live %d", c.incoming, got.ID(), c.want)
+			t.Fatalf("victim for %d with nothing parked = session %d, want the oldest-idle live %d", c.incoming, got.id, c.want)
 		}
 	}
 }

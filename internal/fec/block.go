@@ -33,7 +33,7 @@ type BlockEncoder struct {
 	seq      uint64
 	pending  []*packet.Packet
 
-	// sources/staging are reused scratch for flushGroup: sources holds the
+	// sources/staging are reused scratch for Add: sources holds the
 	// share views handed to the coder, staging the pooled buffers backing
 	// them.
 	sources [][]byte
@@ -45,9 +45,6 @@ type BlockEncoder struct {
 func NewBlockEncoder(coder *Coder, streamID uint32) *BlockEncoder {
 	return &BlockEncoder{coder: coder, streamID: streamID}
 }
-
-// Params returns the encoder's code parameters.
-func (e *BlockEncoder) Params() Params { return e.coder.Params() }
 
 // Add appends a data payload to the current group. When the group reaches k
 // packets, Add returns the full set of k data packets plus n-k parity packets
@@ -75,29 +72,7 @@ func (e *BlockEncoder) Add(payload []byte) ([]*packet.Packet, error) {
 	if len(e.pending) < k {
 		return nil, nil
 	}
-	return e.flushGroup()
-}
-
-// Flush completes a partially filled group by padding it with empty
-// zero-length markers is NOT supported by the code; instead Flush emits the
-// pending data packets without parity (parity requires a full group). It
-// returns the pending packets, which keeps the stream lossless when it ends
-// mid-group.
-func (e *BlockEncoder) Flush() []*packet.Packet {
-	out := e.pending
-	e.pending = nil
-	if len(out) > 0 {
-		e.group++
-	}
-	return out
-}
-
-// Pending returns the number of data packets waiting for a full group.
-func (e *BlockEncoder) Pending() int { return len(e.pending) }
-
-func (e *BlockEncoder) flushGroup() ([]*packet.Packet, error) {
-	params := e.coder.Params()
-	k, n := params.K, params.N
+	n := e.coder.Params().N
 	// Build equal-size shares: 2-byte length prefix + payload, zero padded to
 	// the largest payload in the group.
 	maxLen := 0
@@ -156,6 +131,20 @@ func (e *BlockEncoder) flushGroup() ([]*packet.Packet, error) {
 	e.pending = nil
 	e.group++
 	return out, nil
+}
+
+// Flush completes a partially filled group by padding it with empty
+// zero-length markers is NOT supported by the code; instead Flush emits the
+// pending data packets without parity (parity requires a full group). It
+// returns the pending packets, which keeps the stream lossless when it ends
+// mid-group.
+func (e *BlockEncoder) Flush() []*packet.Packet {
+	out := e.pending
+	e.pending = nil
+	if len(out) > 0 {
+		e.group++
+	}
+	return out
 }
 
 // groupState accumulates shares for one FEC group on the decoding side.
@@ -217,7 +206,12 @@ func (d *BlockDecoder) Add(p *packet.Packet) ([]*packet.Packet, error) {
 		g = &groupState{params: params, shares: make(map[int][]byte), dataSeen: make(map[int]*packet.Packet)}
 		d.groups[p.Group] = g
 		d.order = append(d.order, p.Group)
-		d.evict()
+		// Discard the oldest groups when more than maxGroups are tracked.
+		for len(d.order) > d.maxGroups {
+			oldest := d.order[0]
+			d.order = d.order[1:]
+			delete(d.groups, oldest)
+		}
 	}
 	if g.params != params {
 		return nil, fmt.Errorf("%w: group %d uses %s, packet says %s", ErrGroupMismatch, p.Group, g.params, params)
@@ -309,15 +303,3 @@ func (d *BlockDecoder) Add(p *packet.Packet) ([]*packet.Packet, error) {
 	}
 	return out, nil
 }
-
-// evict discards the oldest groups when more than maxGroups are tracked.
-func (d *BlockDecoder) evict() {
-	for len(d.order) > d.maxGroups {
-		oldest := d.order[0]
-		d.order = d.order[1:]
-		delete(d.groups, oldest)
-	}
-}
-
-// PendingGroups returns the number of groups currently tracked.
-func (d *BlockDecoder) PendingGroups() int { return len(d.groups) }

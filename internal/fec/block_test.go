@@ -52,8 +52,8 @@ func TestBlockEncoderEmitsFullGroups(t *testing.T) {
 			t.Fatalf("packet %d has wrong block coordinates: %v", i, p)
 		}
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d, want 0 after group flush", e.Pending())
+	if len(e.pending) != 0 {
+		t.Fatalf("pending = %d, want 0 after group flush", len(e.pending))
 	}
 }
 
@@ -100,8 +100,8 @@ func TestBlockEncoderFlushPartialGroup(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("Flush returned %d packets, want 2", len(out))
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after Flush, want 0", e.Pending())
+	if len(e.pending) != 0 {
+		t.Fatalf("pending = %d after Flush, want 0", len(e.pending))
 	}
 	if out := e.Flush(); out != nil {
 		t.Fatalf("second Flush returned %v, want nil", out)
@@ -273,8 +273,8 @@ func TestBlockDecoderEvictsOldGroups(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.PendingGroups() > 4 {
-		t.Fatalf("PendingGroups = %d, want <= 4", d.PendingGroups())
+	if len(d.groups) > 4 {
+		t.Fatalf("tracked groups = %d, want <= 4", len(d.groups))
 	}
 }
 

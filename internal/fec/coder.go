@@ -60,9 +60,6 @@ func (p Params) Validate() error {
 // Parity returns the number of parity shares (n-k).
 func (p Params) Parity() int { return p.N - p.K }
 
-// Overhead returns the bandwidth expansion factor n/k.
-func (p Params) Overhead() float64 { return float64(p.N) / float64(p.K) }
-
 // String renders the parameters in the paper's "(n,k)" notation.
 func (p Params) String() string { return fmt.Sprintf("(%d,%d)", p.N, p.K) }
 

@@ -59,9 +59,6 @@ func TestParamsHelpers(t *testing.T) {
 	if p.Parity() != 2 {
 		t.Fatalf("Parity = %d, want 2", p.Parity())
 	}
-	if p.Overhead() != 1.5 {
-		t.Fatalf("Overhead = %v, want 1.5", p.Overhead())
-	}
 	if p.String() != "(6,4)" {
 		t.Fatalf("String = %q, want (6,4)", p.String())
 	}

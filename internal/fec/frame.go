@@ -65,12 +65,6 @@ func (e *FrameEncoder) nextGroup() uint32 {
 	return e.group - 1
 }
 
-// Params returns the encoder's code parameters.
-func (e *FrameEncoder) Params() Params { return e.coder.Params() }
-
-// Pending returns the number of data frames waiting for a full group.
-func (e *FrameEncoder) Pending() int { return len(e.pending) }
-
 // Add appends one marshaled data frame to the current group, taking ownership
 // of b (it is released when the group is emitted or discarded). It reports
 // whether the group is now full, in which case the caller must invoke Encode
@@ -183,25 +177,10 @@ func (e *FrameEncoder) EncodeBufs(emit func(*packet.Buf)) error {
 	return nil
 }
 
-// Flush emits a partially filled group as plain stamped data frames without
-// parity (parity requires a full group), keeping the stream lossless when it
-// ends — or hits an in-band barrier — mid-group. Emitted buffers are released.
-func (e *FrameEncoder) Flush(emit func(frame []byte) error) error {
-	var emitErr error
-	err := e.FlushBufs(func(b *packet.Buf) {
-		if emitErr == nil {
-			emitErr = emit(b.B)
-		}
-		b.Release()
-	})
-	if err != nil {
-		return err
-	}
-	return emitErr
-}
-
-// FlushBufs is Flush handing over the held buffers themselves; emit takes
-// ownership of each.
+// FlushBufs emits a partially filled group as plain stamped data frames
+// without parity (parity requires a full group), keeping the stream lossless
+// when it ends — or hits an in-band barrier — mid-group. emit takes ownership
+// of each buffer.
 func (e *FrameEncoder) FlushBufs(emit func(*packet.Buf)) error {
 	if len(e.pending) == 0 {
 		return nil

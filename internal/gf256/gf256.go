@@ -57,9 +57,6 @@ func buildTables() *tables {
 	return t
 }
 
-// Add returns a+b in GF(2^8) (bitwise XOR).
-func Add(a, b byte) byte { return a ^ b }
-
 // Mul returns a*b in GF(2^8).
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {

@@ -126,25 +126,6 @@ func (h *Histogram) Mean() time.Duration {
 	return sum / time.Duration(len(h.samples))
 }
 
-// Jitter returns the mean absolute difference between consecutive samples,
-// the metric the paper's small FEC group sizes are chosen to minimize.
-func (h *Histogram) Jitter() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) < 2 {
-		return 0
-	}
-	var sum time.Duration
-	for i := 1; i < len(h.samples); i++ {
-		d := h.samples[i] - h.samples[i-1]
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum / time.Duration(len(h.samples)-1)
-}
-
 // String summarizes the histogram.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%s p50=%s p99=%s", h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99))

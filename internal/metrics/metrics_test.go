@@ -76,7 +76,7 @@ func TestSlidingRateMatchesNaiveProperty(t *testing.T) {
 
 func TestHistogramStats(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Jitter() != 0 {
+	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	for i := 1; i <= 100; i++ {
@@ -96,9 +96,6 @@ func TestHistogramStats(t *testing.T) {
 	}
 	if got := h.Mean(); got != 50500*time.Microsecond {
 		t.Fatalf("mean = %v, want 50.5ms", got)
-	}
-	if got := h.Jitter(); got != time.Millisecond {
-		t.Fatalf("jitter = %v, want 1ms", got)
 	}
 	if h.String() == "" {
 		t.Fatal("String empty")

@@ -15,8 +15,8 @@ import (
 // AddrGroup is the engine-facing face of a multicast group: a dynamic set of
 // downstream UDP receiver addresses a proxy session fans its output out to.
 // An AddrGroup only names destinations — the engine writes raw datagrams to
-// every address itself, so the relay hot path stays allocation-free: Snapshot
-// is a single atomic load of a shared, immutable slice. Membership changes
+// every address itself, so the relay hot path stays allocation-free: the
+// snapshot is a shared, immutable slice. Membership changes
 // (receivers joining and leaving the session) happen on the control path and
 // rebuild the snapshot.
 type AddrGroup struct {
@@ -88,17 +88,6 @@ func (g *AddrGroup) Contains(ap netip.AddrPort) bool {
 	defer g.mu.Unlock()
 	_, ok := g.members[ap]
 	return ok
-}
-
-// Snapshot returns the current membership as a shared read-only slice in
-// deterministic (sorted) order; callers must not modify it. It is safe and
-// allocation-free on the per-packet send path. Returns nil when empty.
-func (g *AddrGroup) Snapshot() []netip.AddrPort {
-	p := g.snap.Load()
-	if p == nil {
-		return nil
-	}
-	return *p
 }
 
 // Version returns a counter that increments on every membership change. A

@@ -11,7 +11,7 @@ func TestAddrGroupMembership(t *testing.T) {
 	if g.Name() != "fanout" {
 		t.Fatalf("Name = %q", g.Name())
 	}
-	if g.Snapshot() != nil || g.Len() != 0 {
+	if members(g) != nil || g.Len() != 0 {
 		t.Fatal("new group not empty")
 	}
 	a := netip.MustParseAddrPort("127.0.0.1:9001")
@@ -25,10 +25,10 @@ func TestAddrGroupMembership(t *testing.T) {
 	if g.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", g.Len())
 	}
-	// Snapshot is sorted for determinism.
-	snap := g.Snapshot()
+	// The snapshot is sorted for determinism.
+	snap := members(g)
 	if len(snap) != 2 || snap[0] != b || snap[1] != a {
-		t.Fatalf("Snapshot = %v, want sorted [%v %v]", snap, b, a)
+		t.Fatalf("members = %v, want sorted [%v %v]", snap, b, a)
 	}
 	if !g.Remove(a) {
 		t.Fatal("Remove missed a member")
@@ -36,11 +36,11 @@ func TestAddrGroupMembership(t *testing.T) {
 	if g.Remove(a) {
 		t.Fatal("second Remove reported a member")
 	}
-	if snap := g.Snapshot(); len(snap) != 1 || snap[0] != b {
-		t.Fatalf("Snapshot after Remove = %v", snap)
+	if snap := members(g); len(snap) != 1 || snap[0] != b {
+		t.Fatalf("members after Remove = %v", snap)
 	}
 	g.Remove(b)
-	if g.Snapshot() != nil {
+	if members(g) != nil {
 		t.Fatal("empty group snapshot not nil")
 	}
 }
@@ -53,8 +53,8 @@ func TestAddrGroupUnmapsMappedAddrs(t *testing.T) {
 	if g.Add(plain) {
 		t.Fatal("mapped and unmapped forms treated as distinct members")
 	}
-	if snap := g.Snapshot(); len(snap) != 1 || snap[0] != plain {
-		t.Fatalf("Snapshot = %v, want the unmapped form", snap)
+	if snap := members(g); len(snap) != 1 || snap[0] != plain {
+		t.Fatalf("members = %v, want the unmapped form", snap)
 	}
 	if !g.Remove(mapped) {
 		t.Fatal("Remove with the mapped form missed the member")
@@ -118,7 +118,7 @@ func TestAddrGroupConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				for _, ap := range g.Snapshot() {
+				for _, ap := range members(g) {
 					_ = ap.Port()
 				}
 				g.Len()
@@ -129,4 +129,10 @@ func TestAddrGroupConcurrentAccess(t *testing.T) {
 	if g.Len() != 0 {
 		t.Fatalf("Len = %d after balanced add/remove", g.Len())
 	}
+}
+
+// members returns g's membership snapshot.
+func members(g *AddrGroup) []netip.AddrPort {
+	snap, _ := g.SnapshotVersion()
+	return snap
 }

@@ -5,34 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 )
-
-// Writer frames packets onto an underlying byte stream. It is safe for
-// concurrent use by multiple goroutines.
-type Writer struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewWriter returns a Writer that frames packets onto w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w}
-}
-
-// WritePacket marshals p and writes the full frame to the underlying stream.
-func (pw *Writer) WritePacket(p *Packet) error {
-	buf, err := Marshal(p)
-	if err != nil {
-		return fmt.Errorf("packet: marshal: %w", err)
-	}
-	pw.mu.Lock()
-	defer pw.mu.Unlock()
-	if _, err := pw.w.Write(buf); err != nil {
-		return fmt.Errorf("packet: write frame: %w", err)
-	}
-	return nil
-}
 
 // Reader decodes framed packets from an underlying byte stream.
 type Reader struct {
@@ -60,34 +33,12 @@ func (pr *Reader) readHeader() (plen int, err error) {
 	return validateHeader(pr.hdr[:])
 }
 
-// ReadPacket reads the next framed packet. It returns io.EOF when the stream
-// ends cleanly on a frame boundary and io.ErrUnexpectedEOF when it ends
-// mid-frame.
-func (pr *Reader) ReadPacket() (*Packet, error) {
-	plen, err := pr.readHeader()
-	if err != nil {
-		return nil, err
-	}
-	full := make([]byte, HeaderSize+plen)
-	copy(full, pr.hdr[:])
-	if _, err := io.ReadFull(pr.r, full[HeaderSize:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("packet: read payload: %w", err)
-	}
-	p, _, err := Unmarshal(full)
-	if err != nil {
-		return nil, fmt.Errorf("packet: decode frame: %w", err)
-	}
-	return p, nil
-}
-
 // ReadFrameBuf reads the next frame into a pooled buffer without decoding it,
 // the allocation-free read path of the relay engine. The returned Buf holds
 // headroom unused bytes (for a caller-prepended session ID) followed by the
-// complete frame; the caller owns the Buf and must Release it. EOF semantics
-// match ReadPacket.
+// complete frame; the caller owns the Buf and must Release it. It returns
+// io.EOF when the stream ends cleanly on a frame boundary and
+// io.ErrUnexpectedEOF when it ends mid-frame.
 func (pr *Reader) ReadFrameBuf(headroom int) (*Buf, error) {
 	plen, err := pr.readHeader()
 	if err != nil {

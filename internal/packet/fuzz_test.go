@@ -225,15 +225,8 @@ func FuzzDecodeNoPanic(f *testing.F) {
 			t.Fatalf("SplitSessionID rejected %d bytes: %v", len(data), err)
 		}
 
-		// Streaming reader: decode as many frames as the bytes contain.
+		// Streaming reader: read as many frames as the bytes contain.
 		pr := NewReader(bytes.NewReader(data))
-		for {
-			if _, err := pr.ReadPacket(); err != nil {
-				break
-			}
-		}
-		// Pooled raw-frame path over the same bytes.
-		pr = NewReader(bytes.NewReader(data))
 		for {
 			b, err := pr.ReadFrameBuf(SessionIDSize)
 			if err != nil {

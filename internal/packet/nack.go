@@ -34,33 +34,18 @@ const nackCountSize = 2
 // retransmission requests.
 var ErrBadNack = errors.New("packet: malformed nack")
 
-// appendNackPayload appends the NACK wire payload to dst.
-func appendNackPayload(dst []byte, seqs []uint64) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(seqs)))
-	for _, s := range seqs {
-		dst = binary.BigEndian.AppendUint64(dst, s)
-	}
-	return dst
-}
-
-// AppendNackFrame appends a KindNack frame requesting seqs to dst. seq is the
-// request's own sequence number (receivers typically count NACK rounds).
-func AppendNackFrame(dst []byte, seq uint64, streamID uint32, seqs []uint64) ([]byte, error) {
+// AppendNackDatagram appends a complete engine NACK datagram (session ID +
+// KindNack frame requesting seqs) to dst. seq is the request's own sequence
+// number (receivers typically count NACK rounds).
+func AppendNackDatagram(dst []byte, session uint32, seq uint64, streamID uint32, seqs []uint64) ([]byte, error) {
 	if len(seqs) == 0 || len(seqs) > MaxNackSeqs {
 		return nil, fmt.Errorf("%w: %d seqs, want 1..%d", ErrBadNack, len(seqs), MaxNackSeqs)
 	}
-	return AppendFrame(dst, &Packet{
-		Seq:      seq,
-		StreamID: streamID,
-		Kind:     KindNack,
-		Payload:  appendNackPayload(make([]byte, 0, nackCountSize+8*len(seqs)), seqs),
-	})
-}
-
-// AppendNackDatagram appends a complete engine NACK datagram (session ID +
-// KindNack frame) to dst.
-func AppendNackDatagram(dst []byte, session uint32, seq uint64, streamID uint32, seqs []uint64) ([]byte, error) {
-	return AppendNackFrame(AppendSessionID(dst, session), seq, streamID, seqs)
+	payload := binary.BigEndian.AppendUint16(make([]byte, 0, nackCountSize+8*len(seqs)), uint16(len(seqs)))
+	for _, s := range seqs {
+		payload = binary.BigEndian.AppendUint64(payload, s)
+	}
+	return AppendFrame(AppendSessionID(dst, session), &Packet{Seq: seq, StreamID: streamID, Kind: KindNack, Payload: payload})
 }
 
 // ParseNack decodes the sequence numbers carried by a validated KindNack

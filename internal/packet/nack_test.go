@@ -40,11 +40,11 @@ func TestNackRoundTrip(t *testing.T) {
 }
 
 func TestNackBounds(t *testing.T) {
-	if _, err := AppendNackFrame(nil, 0, 0, nil); !errors.Is(err, ErrBadNack) {
+	if _, err := AppendNackDatagram(nil, 0, 0, 0, nil); !errors.Is(err, ErrBadNack) {
 		t.Fatalf("empty seqs: err = %v, want ErrBadNack", err)
 	}
 	big := make([]uint64, MaxNackSeqs+1)
-	if _, err := AppendNackFrame(nil, 0, 0, big); !errors.Is(err, ErrBadNack) {
+	if _, err := AppendNackDatagram(nil, 0, 0, 0, big); !errors.Is(err, ErrBadNack) {
 		t.Fatalf("oversized seqs: err = %v, want ErrBadNack", err)
 	}
 	// A full-size request is legal.
@@ -52,10 +52,11 @@ func TestNackBounds(t *testing.T) {
 	for i := range full {
 		full[i] = uint64(i)
 	}
-	frame, err := AppendNackFrame(nil, 0, 0, full)
+	dgram, err := AppendNackDatagram(nil, 0, 0, 0, full)
 	if err != nil {
 		t.Fatalf("full-size nack rejected: %v", err)
 	}
+	frame := dgram[SessionIDSize:]
 	got, err := ParseNack(frame, nil)
 	if err != nil || len(got) != MaxNackSeqs {
 		t.Fatalf("ParseNack(full) = %d seqs, %v", len(got), err)

@@ -7,16 +7,6 @@ import (
 	"rapidware/internal/metrics"
 )
 
-// Observer is a monitoring raplet: it watches some aspect of the system and
-// publishes events to a Bus when something relevant happens.
-type Observer interface {
-	// Name identifies the observer.
-	Name() string
-	// Start begins monitoring; Stop ends it.
-	Start() error
-	Stop() error
-}
-
 // LossRateObserver tracks packet delivery outcomes over a sliding window and
 // publishes an EventLossRate whenever the loss rate crosses the report
 // threshold hysteresis. Packet outcomes are fed by whatever component sees
@@ -47,28 +37,6 @@ func NewLossRateObserver(name string, bus *Bus, windowSize int, threshold, hyste
 		threshold:  threshold,
 		hysteresis: hysteresis,
 	}
-}
-
-// Name implements Observer.
-func (o *LossRateObserver) Name() string { return o.name }
-
-// Start implements Observer; the loss observer is passive (event driven by
-// ObservePacket), so Start is a no-op provided for interface symmetry.
-func (o *LossRateObserver) Start() error { return nil }
-
-// Stop implements Observer.
-func (o *LossRateObserver) Stop() error { return nil }
-
-// Events returns how many events this observer has published.
-func (o *LossRateObserver) Events() uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.events
-}
-
-// LossRate returns the current windowed loss rate.
-func (o *LossRateObserver) LossRate() float64 {
-	return 1 - o.window.Rate()
 }
 
 // ObservePacket records one delivery outcome (received true / lost false) and
@@ -104,5 +72,3 @@ func (o *LossRateObserver) publish(loss float64) {
 		Time:   time.Now(),
 	})
 }
-
-var _ Observer = (*LossRateObserver)(nil)

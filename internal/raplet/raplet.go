@@ -13,7 +13,6 @@ package raplet
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -108,17 +107,4 @@ func (b *Bus) Errors() []error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]error(nil), b.errs...)
-}
-
-// SubscriberTypes returns the event types that have at least one responder,
-// sorted for deterministic reporting.
-func (b *Bus) SubscriberTypes() []EventType {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]EventType, 0, len(b.subscribers))
-	for t := range b.subscribers {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

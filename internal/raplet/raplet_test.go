@@ -42,8 +42,8 @@ func TestBusDispatchesToSubscribers(t *testing.T) {
 	if rec.count() != 1 {
 		t.Fatalf("events = %d, want 1 delivered before Publish returned", rec.count())
 	}
-	if got := bus.SubscriberTypes(); len(got) != 1 || got[0] != EventLossRate {
-		t.Fatalf("SubscriberTypes = %v", got)
+	if len(bus.subscribers) != 1 || len(bus.subscribers[EventLossRate]) != 1 {
+		t.Fatalf("subscribers = %v, want one loss-rate responder", bus.subscribers)
 	}
 }
 
@@ -107,7 +107,6 @@ func TestBusConcurrentPublishSubscribe(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
 				bus.Errors()
-				bus.SubscriberTypes()
 			}
 		}()
 	}
@@ -132,37 +131,33 @@ func TestLossRateObserverThresholdCrossing(t *testing.T) {
 	bus.Subscribe(EventLossRate, rec)
 
 	obs := NewLossRateObserver("", bus, 20, 0.10, 0.05)
-	if obs.Name() == "" {
+	if obs.name == "" {
 		t.Fatal("default name empty")
 	}
-	if err := obs.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer obs.Stop()
 
 	// All packets delivered: no events.
 	for i := 0; i < 40; i++ {
 		obs.ObservePacket(true)
 	}
-	if obs.Events() != 0 {
-		t.Fatalf("events = %d before any loss", obs.Events())
+	if obs.events != 0 {
+		t.Fatalf("events = %d before any loss", obs.events)
 	}
 	// Burst of losses drives the windowed rate above 10%: exactly one event.
 	for i := 0; i < 10; i++ {
 		obs.ObservePacket(false)
 	}
-	if obs.Events() != 1 {
-		t.Fatalf("events = %d after loss burst, want 1", obs.Events())
+	if obs.events != 1 {
+		t.Fatalf("events = %d after loss burst, want 1", obs.events)
 	}
-	if obs.LossRate() < 0.10 {
-		t.Fatalf("LossRate = %v, want >= 0.10", obs.LossRate())
+	if loss := 1 - obs.window.Rate(); loss < 0.10 {
+		t.Fatalf("loss rate = %v, want >= 0.10", loss)
 	}
 	// Recovery drives it back below threshold-hysteresis: one more event.
 	for i := 0; i < 40; i++ {
 		obs.ObservePacket(true)
 	}
-	if obs.Events() != 2 || rec.count() != 2 {
-		t.Fatalf("events = %d (%d delivered) after recovery, want 2", obs.Events(), rec.count())
+	if obs.events != 2 || rec.count() != 2 {
+		t.Fatalf("events = %d (%d delivered) after recovery, want 2", obs.events, rec.count())
 	}
 }
 
@@ -171,7 +166,7 @@ func TestLossRateObserverNeedsMinimumSignal(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		obs.ObservePacket(false)
 	}
-	if obs.Events() != 0 {
+	if obs.events != 0 {
 		t.Fatal("observer reported with fewer than 8 observations")
 	}
 }

@@ -43,9 +43,6 @@ type Participant struct {
 	hist []PageVisit
 }
 
-// Name returns the participant's name.
-func (p *Participant) Name() string { return p.name }
-
 // History returns the pages this participant has observed, in order.
 func (p *Participant) History() []PageVisit {
 	p.mu.Lock()
@@ -100,29 +97,6 @@ func (s *Session) Join(name string) (*Participant, error) {
 		s.leader = name
 	}
 	return p, nil
-}
-
-// Leave removes a participant. If the leader leaves, leadership passes to the
-// next requester (or the session is left leaderless until someone joins).
-func (s *Session) Leave(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.participants[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownMember, name)
-	}
-	delete(s.participants, name)
-	// Drop any pending floor request from the departed member.
-	for i, n := range s.floorQueue {
-		if n == name {
-			s.floorQueue = append(s.floorQueue[:i], s.floorQueue[i+1:]...)
-			break
-		}
-	}
-	if s.leader == name {
-		s.leader = ""
-		s.grantNextLocked()
-	}
-	return nil
 }
 
 // Leader returns the current leader's name ("" when leaderless).
@@ -190,20 +164,6 @@ func (s *Session) grantNextLocked() {
 			return
 		}
 	}
-}
-
-// FloorQueue returns the names waiting for the floor, in grant order.
-func (s *Session) FloorQueue() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.floorQueue...)
-}
-
-// Transfers returns how many times leadership has changed hands.
-func (s *Session) Transfers() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.transfers
 }
 
 // LoadURL is the collaborative browse operation: the leader fetches the URL

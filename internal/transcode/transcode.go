@@ -1,8 +1,8 @@
 // Package transcode provides the content-adaptation filters the paper lists
 // among a proxy's duties: reducing the bandwidth of a stream before it is
 // forwarded to a resource-limited mobile host. Audio transcoders operate on
-// the paper's PCM packets (downsampling, stereo-to-mono mixdown, bit-depth
-// reduction) and a general-purpose DEFLATE filter pair compresses arbitrary
+// the paper's PCM packets (downsampling, stereo-to-mono mixdown, thinning)
+// and a general-purpose DEFLATE filter pair compresses arbitrary
 // payloads such as web content.
 package transcode
 
@@ -18,21 +18,6 @@ import (
 	"rapidware/internal/packet"
 )
 
-// DownsamplePCM reduces the sample rate of interleaved PCM data by keeping
-// one frame in every factor frames. It returns the downsampled data and the
-// resulting format.
-func DownsamplePCM(f audio.Format, pcm []byte, factor int) ([]byte, audio.Format, error) {
-	if err := f.Validate(); err != nil {
-		return nil, audio.Format{}, err
-	}
-	if factor <= 0 {
-		return nil, audio.Format{}, fmt.Errorf("transcode: invalid downsample factor %d", factor)
-	}
-	nf := f
-	nf.SampleRate = f.SampleRate / factor
-	return appendDownsampled(make([]byte, 0, len(pcm)/factor+f.BytesPerFrame()), f, pcm, factor), nf, nil
-}
-
 // appendDownsampled appends one frame in every factor frames of pcm to dst;
 // factor 1 appends all of pcm. f and factor must already be valid.
 func appendDownsampled(dst []byte, f audio.Format, pcm []byte, factor int) []byte {
@@ -44,20 +29,6 @@ func appendDownsampled(dst []byte, f audio.Format, pcm []byte, factor int) []byt
 		dst = append(dst, pcm[off:off+frame]...)
 	}
 	return dst
-}
-
-// StereoToMono mixes interleaved multi-channel PCM down to a single channel
-// by averaging the channels of each frame.
-func StereoToMono(f audio.Format, pcm []byte) ([]byte, audio.Format, error) {
-	if err := f.Validate(); err != nil {
-		return nil, audio.Format{}, err
-	}
-	if err := monoMixable(f); err != nil {
-		return nil, audio.Format{}, err
-	}
-	nf := f
-	nf.Channels = 1
-	return appendMono(make([]byte, 0, len(pcm)/f.Channels+1), f, pcm), nf, nil
 }
 
 // monoMixable reports whether appendMono can mix f down.
@@ -84,24 +55,6 @@ func appendMono(dst []byte, f audio.Format, pcm []byte) []byte {
 		dst = append(dst, byte(sum/f.Channels))
 	}
 	return dst
-}
-
-// ReduceBitDepth converts 16-bit signed little-endian PCM to 8-bit unsigned.
-func ReduceBitDepth(f audio.Format, pcm []byte) ([]byte, audio.Format, error) {
-	if err := f.Validate(); err != nil {
-		return nil, audio.Format{}, err
-	}
-	if f.BitsPerSample == 8 {
-		return append([]byte(nil), pcm...), f, nil
-	}
-	out := make([]byte, 0, len(pcm)/2)
-	for off := 0; off+1 < len(pcm); off += 2 {
-		s := int16(uint16(pcm[off]) | uint16(pcm[off+1])<<8)
-		out = append(out, byte(int(s)>>8+128))
-	}
-	nf := f
-	nf.BitsPerSample = 8
-	return out, nf, nil
 }
 
 // newPayloadFilter returns a frame filter that hands rewrite each non-empty

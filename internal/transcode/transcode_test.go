@@ -17,26 +17,12 @@ import (
 func TestDownsamplePCM(t *testing.T) {
 	f := audio.PaperFormat()
 	pcm, _ := audio.GenerateTone(f, 440, 100*time.Millisecond)
-	down, nf, err := DownsamplePCM(f, pcm, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nf.SampleRate != 4000 {
-		t.Fatalf("new rate = %d", nf.SampleRate)
-	}
-	if len(down) != len(pcm)/2 {
+	if down := appendDownsampled(nil, f, pcm, 2); len(down) != len(pcm)/2 {
 		t.Fatalf("len = %d, want %d", len(down), len(pcm)/2)
 	}
 	// Factor 1 copies.
-	same, _, err := DownsamplePCM(f, pcm, 1)
-	if err != nil || !bytes.Equal(same, pcm) {
+	if same := appendDownsampled(nil, f, pcm, 1); !bytes.Equal(same, pcm) {
 		t.Fatal("factor 1 should copy unchanged")
-	}
-	if _, _, err := DownsamplePCM(f, pcm, 0); err == nil {
-		t.Fatal("expected error for factor 0")
-	}
-	if _, _, err := DownsamplePCM(audio.Format{}, pcm, 2); err == nil {
-		t.Fatal("expected error for bad format")
 	}
 }
 
@@ -44,46 +30,18 @@ func TestStereoToMono(t *testing.T) {
 	f := audio.PaperFormat()
 	// Left channel 100, right channel 200 -> mono 150.
 	pcm := []byte{100, 200, 100, 200, 100, 200}
-	mono, nf, err := StereoToMono(f, pcm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nf.Channels != 1 {
-		t.Fatalf("channels = %d", nf.Channels)
-	}
 	want := []byte{150, 150, 150}
-	if !bytes.Equal(mono, want) {
+	if mono := appendMono(nil, f, pcm); !bytes.Equal(mono, want) {
 		t.Fatalf("mono = %v, want %v", mono, want)
 	}
 	// Already mono copies.
 	monoFmt := audio.Format{SampleRate: 8000, Channels: 1, BitsPerSample: 8}
-	same, _, err := StereoToMono(monoFmt, []byte{1, 2, 3})
-	if err != nil || !bytes.Equal(same, []byte{1, 2, 3}) {
+	if same := appendMono(nil, monoFmt, []byte{1, 2, 3}); !bytes.Equal(same, []byte{1, 2, 3}) {
 		t.Fatal("mono input should copy unchanged")
 	}
 	// 16-bit unsupported.
-	if _, _, err := StereoToMono(audio.Format{SampleRate: 8000, Channels: 2, BitsPerSample: 16}, pcm); err == nil {
+	if err := monoMixable(audio.Format{SampleRate: 8000, Channels: 2, BitsPerSample: 16}); err == nil {
 		t.Fatal("expected error for 16-bit input")
-	}
-}
-
-func TestReduceBitDepth(t *testing.T) {
-	f16 := audio.Format{SampleRate: 8000, Channels: 1, BitsPerSample: 16}
-	pcm16, _ := audio.GenerateTone(f16, 440, 50*time.Millisecond)
-	out, nf, err := ReduceBitDepth(f16, pcm16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nf.BitsPerSample != 8 || len(out) != len(pcm16)/2 {
-		t.Fatalf("reduced = %d bytes %d-bit", len(out), nf.BitsPerSample)
-	}
-	f8 := audio.PaperFormat()
-	same, _, err := ReduceBitDepth(f8, []byte{1, 2})
-	if err != nil || !bytes.Equal(same, []byte{1, 2}) {
-		t.Fatal("8-bit input should copy unchanged")
-	}
-	if _, _, err := ReduceBitDepth(audio.Format{}, nil); err == nil {
-		t.Fatal("expected error for bad format")
 	}
 }
 

@@ -62,26 +62,6 @@ type Receiver struct {
 	dropped uint64
 }
 
-// Name returns the receiver's name.
-func (r *Receiver) Name() string { return r.name }
-
-// Stats returns the number of frames received and lost at this receiver.
-func (r *Receiver) Stats() (received, lost uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rx, r.dropped
-}
-
-// LossRate returns the observed loss fraction at this receiver.
-func (r *Receiver) LossRate() float64 {
-	rx, lost := r.Stats()
-	total := rx + lost
-	if total == 0 {
-		return 0
-	}
-	return float64(lost) / float64(total)
-}
-
 // Channel is a simulated broadcast wireless medium. The access point
 // multicasts every frame to all attached receivers; each receiver applies
 // its own independent loss model, matching the paper's observation that a
@@ -123,13 +103,6 @@ func (c *Channel) Attach(name string, model LossModel, rng *rand.Rand) (*Receive
 	r := &Receiver{name: name, model: model, rng: rng}
 	c.receivers = append(c.receivers, r)
 	return r, nil
-}
-
-// Receivers returns the attached receivers in attach order.
-func (c *Channel) Receivers() []*Receiver {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*Receiver(nil), c.receivers...)
 }
 
 // Sent returns the number of frames broadcast so far.

@@ -96,15 +96,6 @@ func (g *GilbertElliott) MeanLossRate() float64 {
 	return piBad*g.LossBad + (1-piBad)*g.LossGood
 }
 
-// MeanBurstLength returns the expected number of consecutive packets spent in
-// the Bad state once it is entered.
-func (g *GilbertElliott) MeanBurstLength() float64 {
-	if g.PBadToGood == 0 {
-		return math.Inf(1)
-	}
-	return 1 / g.PBadToGood
-}
-
 // String implements LossModel.
 func (g *GilbertElliott) String() string {
 	return fmt.Sprintf("gilbert-elliott(pGB=%.4f pBG=%.4f mean=%.4f)", g.PGoodToBad, g.PBadToGood, g.MeanLossRate())
