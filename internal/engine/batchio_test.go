@@ -38,6 +38,7 @@ type scriptedConn struct {
 	mu      sync.Mutex
 	sent    map[netip.AddrPort][][]byte
 	total   int
+	calls   int // WriteBatch calls
 	entries int // kernel send entries the sends would take with GSO (see gsoEntries)
 	poison  netip.AddrPort
 	stuck   netip.AddrPort
@@ -72,6 +73,7 @@ func (c *scriptedConn) ReadBatch(ms []ioMsg) (int, error) {
 func (c *scriptedConn) WriteBatch(ms []ioMsg) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.calls++
 	c.entries += gsoEntries(ms)
 	for i := range ms {
 		if c.poison.IsValid() && ms[i].Addr == c.poison {

@@ -387,7 +387,7 @@ func (t *deliveryTree) newCohort(key string, plan compose.Plan, mech adapt.Mecha
 		return c, nil
 	}
 	suffix := fmt.Sprintf(":c%d", t.serial.Add(1))
-	c.frames = filter.NewFrameChain(c.send)
+	c.frames = filter.NewFrameChain(c.send).WithBatch(e.beginBatch, e.endBatch)
 	live, err := compose.Attach(c.frames, e.reg, s.composeEnv(suffix), compose.ModeBranch, plan)
 	if err != nil {
 		return nil, fmt.Errorf("cohort tail: %w", err)

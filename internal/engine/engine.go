@@ -20,7 +20,9 @@
 // another goroutine — so a splice is a slice swap between two frames and a
 // departing stage is flushed through the stages downstream of it first. The
 // timed kinds (delay, ratelimit, jitter) hold frames and release them from
-// one runtime timer per chain, through the same lock. A stage error evicts
+// one runtime timer per chain, through the same lock; each release is a
+// batch (beginBatch/endBatch), so the frames that fall due together leave in
+// one flush. A stage error evicts
 // the session (chainErrors); a bad frame (filter.ErrBadFrame) is dropped and
 // counted instead. Delivery-cohort tails (branch.go) run the same way,
 // inline behind the trunk.

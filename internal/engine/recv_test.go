@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rapidware/internal/compose"
 	"rapidware/internal/filter"
@@ -44,6 +46,96 @@ func newProbeEngine(t *testing.T, fn func(b *packet.Buf, emit func(*packet.Buf))
 		e.Close()
 	})
 	return e, sc
+}
+
+// TestTimedReleaseLeavesInOneFlush holds 16 frames in a delay stage, on a
+// trunk and on a fan-out member's cohort tail, with a clock the test steps so
+// that they fall due together. The chain's timer releases all 16 at once, and
+// they must leave as one batch: one flush, one send call, not one each.
+func TestTimedReleaseLeavesInOneFlush(t *testing.T) {
+	const frames = 16
+	member := netip.MustParseAddrPort("10.9.4.1:5000")
+	for _, tail := range []bool{false, true} {
+		name := map[bool]string{false: "trunk", true: "cohort"}[tail]
+		t.Run(name, func(t *testing.T) {
+			var now atomic.Int64
+			now.Store(time.Now().UnixNano())
+			cfg := Config{ListenAddr: "127.0.0.1:0", Shards: 1}
+			dst := recvPeer
+			if tail {
+				cfg.Fanout, dst = []string{member.String()}, member
+			}
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := e.reg.Clone()
+			if err := reg.Register(compose.Definition{
+				Kind: "stepdelay",
+				Build: func(env compose.Env, _ string) (filter.Filter, error) {
+					d := filter.NewDelay(env.StageName("stepdelay"), 20*time.Millisecond)
+					d.SetClock(func() time.Time { return time.Unix(0, now.Load()) })
+					return d, nil
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			e.reg = reg
+			if !tail {
+				if e.trunkPlan, err = compose.ParseWith(reg, "stepdelay", compose.ModeChain); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sc := newScriptedConn()
+			e.shards[0].bconn = sc
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				close(sc.in)
+				e.Close()
+			})
+			const id = 1
+			if tail {
+				sc.in <- []scriptedDgram{{data: mustDatagram(t, id, 0, []byte{0}), from: recvPeer}}
+				waitFor(t, "the session's first frame at the member", func() bool { return sc.sentTotal() == 1 })
+				if _, err := e.EditSession(id, member.String(), compose.Replace("stepdelay")); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			sent0, flushes0 := sc.sentTotal(), e.Stats().WriteFlushes
+			sc.mu.Lock()
+			calls0 := sc.calls
+			sc.mu.Unlock()
+			batch := make([]scriptedDgram, frames)
+			for i := range batch {
+				batch[i] = scriptedDgram{data: mustDatagram(t, id, uint64(1+i), []byte{byte(i)}), from: recvPeer}
+			}
+			datagrams := e.Stats().Datagrams
+			sc.in <- batch
+			waitFor(t, "the batch held", func() bool { return e.Stats().Datagrams == datagrams+frames })
+			if n := sc.sentTotal() - sent0; n != 0 {
+				t.Fatalf("%d frames left before they fell due", n)
+			}
+			now.Add(int64(20 * time.Millisecond))
+			waitFor(t, "the release", func() bool { return sc.sentTotal()-sent0 == frames })
+			want := frames
+			if tail {
+				want++ // the frame that opened the session
+			}
+			if got := len(sc.sentTo(dst)); got != want {
+				t.Fatalf("%d frames at %v, want %d", got, dst, want)
+			}
+			flushes := e.Stats().WriteFlushes - flushes0
+			sc.mu.Lock()
+			calls := sc.calls - calls0
+			sc.mu.Unlock()
+			if flushes != 1 || calls != 1 {
+				t.Fatalf("%d frames released together left in %d flushes and %d send calls, want 1 and 1", frames, flushes, calls)
+			}
+		})
+	}
 }
 
 // TestReceivedDatagramRightSized pins what a received datagram costs: the

@@ -137,7 +137,7 @@ func newSession(e *Engine, id uint32, peer netip.AddrPort) (*Session, error) {
 // buffer it arrived in whenever the stages kept it.
 func (e *Engine) buildChainState(s *Session, plan compose.Plan) (*chainState, error) {
 	cs := &chainState{}
-	cs.frames = filter.NewFrameChain(func(b *packet.Buf) { s.send(cs, datagram(b)) })
+	cs.frames = filter.NewFrameChain(func(b *packet.Buf) { s.send(cs, datagram(b)) }).WithBatch(e.beginBatch, e.endBatch)
 	live, err := compose.Attach(cs.frames, e.reg, s.composeEnv(""), e.trunkMode(), plan)
 	if err != nil {
 		return nil, fmt.Errorf("engine: session %d chain: %w", s.id, err)

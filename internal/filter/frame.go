@@ -94,6 +94,8 @@ type FrameChain struct {
 	// released is signalled whenever held frames may have left the timed
 	// stages; created by the first AwaitHeld.
 	released chan struct{}
+	// begin and end bracket each timer release (WithBatch).
+	begin, end func()
 }
 
 // frameSlot is one stage's position in a FrameChain's current wiring.
@@ -134,6 +136,15 @@ func (sl *frameSlot) forward(b *packet.Buf) {
 // and must not call back into the chain.
 func NewFrameChain(sink func(*packet.Buf)) *FrameChain {
 	return &FrameChain{sink: sink}
+}
+
+// WithBatch makes the chain's timer call begin before each release and end
+// after it, outside the chain's lock, and returns fc: the engine passes its
+// batch brackets, so the frames that fall due together leave in one flush
+// instead of one send each. Call it before the chain carries traffic.
+func (fc *FrameChain) WithBatch(begin, end func()) *FrameChain {
+	fc.begin, fc.end = begin, end
+	return fc
 }
 
 // Filters returns a snapshot of the chain's stages in order.
@@ -207,6 +218,10 @@ func (fc *FrameChain) releaseLocked() {
 
 // fire is the timer's callback.
 func (fc *FrameChain) fire() {
+	if fc.begin != nil {
+		fc.begin()
+		defer fc.end() // after the unlock below
+	}
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	fc.armed = false

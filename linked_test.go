@@ -1,7 +1,6 @@
 package rapidware
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"go/ast"
@@ -84,11 +83,10 @@ func declaredFuncs(t *testing.T) map[string]string {
 	}
 	decls := make(map[string]string)
 	fset := token.NewFileSet()
-	sc := bufio.NewScanner(bytes.NewReader(out))
-	for sc.Scan() {
-		parts := strings.Split(sc.Text(), "\t")
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		parts := strings.Split(line, "\t")
 		if len(parts) != 3 {
-			t.Fatalf("go list: unexpected line %q", sc.Text())
+			t.Fatalf("go list: unexpected line %q", line)
 		}
 		pkg := strings.TrimPrefix(parts[0], "rapidware/")
 		for _, name := range strings.Fields(parts[2]) {
