@@ -129,11 +129,12 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // Per-connection limits. A request may read at most maxRequestBytes off the
 // wire, a connection may sit idle between requests for idleTimeout, and a
 // reply must be written within writeTimeout; a peer that breaks one is
-// disconnected.
+// disconnected. Replies leave through a buffer of replyBufferBytes.
 const (
-	maxRequestBytes = 64 << 10
-	idleTimeout     = 5 * time.Minute
-	writeTimeout    = 10 * time.Second
+	maxRequestBytes  = 64 << 10
+	replyBufferBytes = 16 << 10
+	idleTimeout      = 5 * time.Minute
+	writeTimeout     = 10 * time.Second
 )
 
 // serveConn handles one control connection. Deadlines apply when conn
