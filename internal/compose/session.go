@@ -21,15 +21,15 @@ func NewStreamSession(live *Live) *StreamSession {
 	return &StreamSession{live: live}
 }
 
-// SessionStats reports the stream as one session: its plan and per-stage
+// SessionStats yields the stream as the one session: its plan and per-stage
 // view. A stream carries bytes, not datagrams, so the per-stage counters are
 // its traffic figures.
-func (s *StreamSession) SessionStats() []metrics.SessionStats {
-	return []metrics.SessionStats{{
+func (s *StreamSession) SessionStats(yield func(metrics.SessionStats) bool) {
+	yield(metrics.SessionStats{
 		ID:     s.live.env.StreamID,
 		Chain:  s.live.String(),
 		Stages: s.live.StageStats(),
-	}}
+	})
 }
 
 // Kinds lists the stage kinds the stream's registry can compose.

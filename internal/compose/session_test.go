@@ -2,6 +2,7 @@ package compose
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,7 +16,7 @@ func TestStreamSession(t *testing.T) {
 	live, dst := newLiveChain(t, payload, ModeChain, "counting")
 	s := NewStreamSession(live)
 
-	stats := s.SessionStats()
+	stats := slices.Collect(s.SessionStats)
 	if len(stats) != 1 || stats[0].ID != 7 || stats[0].Chain != "counting" || len(stats[0].Stages) != 1 {
 		t.Fatalf("SessionStats = %+v", stats)
 	}

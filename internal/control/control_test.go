@@ -205,7 +205,13 @@ func contains(list []string, want string) bool {
 // stubSessions is a fixed SessionSource for testing the engine plumbing.
 type stubSessions []metrics.SessionStats
 
-func (s stubSessions) SessionStats() []metrics.SessionStats { return s }
+func (s stubSessions) SessionStats(yield func(metrics.SessionStats) bool) {
+	for _, st := range s {
+		if !yield(st) {
+			return
+		}
+	}
+}
 
 func TestSessionsOverTheWire(t *testing.T) {
 	stats := stubSessions{
@@ -222,6 +228,49 @@ func TestSessionsOverTheWire(t *testing.T) {
 	}
 	if len(got) != 2 || got[0].ID != 1 || got[0].Repairs != 2 || got[1].ID != 7 {
 		t.Fatalf("Sessions = %+v", got)
+	}
+}
+
+// countedSessions is a stub source that counts the sessions it yields.
+type countedSessions struct {
+	stubSessions
+	yielded int
+}
+
+func (s *countedSessions) SessionStats(yield func(metrics.SessionStats) bool) {
+	s.stubSessions.SessionStats(func(st metrics.SessionStats) bool {
+		s.yielded++
+		return yield(st)
+	})
+}
+
+// failingConn serves one request and fails every write.
+type failingConn struct {
+	r      *strings.Reader
+	writes int
+}
+
+func (c *failingConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
+func (c *failingConn) Write([]byte) (int, error) {
+	c.writes++
+	return 0, errors.New("peer gone")
+}
+
+// TestSessionsReplyStopsOnWriteError: a write error mid-reply ends the
+// listing and the connection. The failed write is the connection's only
+// one, and the source stops soon after it, not at its last session.
+func TestSessionsReplyStopsOnWriteError(t *testing.T) {
+	src := &countedSessions{stubSessions: footprintSessions(20000)}
+	s := NewServer(nil)
+	s.SetSessionSource(src)
+	conn := &failingConn{r: strings.NewReader(`{"op":"sessions"}` + "\n" + `{"op":"ping"}` + "\n")}
+	s.serveConn(conn)
+	if conn.writes != 1 {
+		t.Fatalf("%d writes to a failed connection, want 1", conn.writes)
+	}
+	if src.yielded >= len(src.stubSessions) {
+		t.Fatalf("the source yielded all %d sessions into a failed connection", src.yielded)
 	}
 }
 

@@ -12,6 +12,12 @@
 // through compose.Live (or, for a fan-out receiver, to that receiver's tail
 // plan).
 //
+// A sessions reply lists every session ordered by ID, and is streamed: the
+// server encodes one session at a time into a fixed per-connection buffer,
+// so listing a table of a million sessions holds one pointer per session,
+// not the encoded listing. On the wire it is the same one JSON line as any
+// other reply.
+//
 // The paper delivered new filters by Java object serialization; Go cannot
 // load code at run time, so the protocol carries stage specs in the compose
 // spec language (a registered kind plus its argument, e.g. "fec-encode=6/4")
@@ -50,6 +56,7 @@ const (
 	// count) when the engine runs with the closed loop enabled, and — on
 	// fan-out sessions with per-receiver delivery branches — the receiver
 	// breakdown: each branch's counters, filter tail and protection level.
+	// Sessions are ordered by ID, and the reply is streamed.
 	OpSessions Op = "sessions"
 	// OpStats returns the attached engine's aggregate counters and a
 	// per-shard breakdown of its data plane.

@@ -1,12 +1,15 @@
 package control
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -17,8 +20,11 @@ import (
 
 // SessionSource provides per-session statistics for OpSessions; it is
 // implemented by the multi-session proxy engine and by compose.StreamSession.
+// SessionStats yields every session, ordered by ID, and stops when yield
+// returns false; the server streams each one into the reply as it comes, so
+// a listing never holds more than one session's stats.
 type SessionSource interface {
-	SessionStats() []metrics.SessionStats
+	SessionStats(yield func(metrics.SessionStats) bool)
 }
 
 // EngineSource is implemented by session sources that also expose aggregate
@@ -69,25 +75,18 @@ func (s *Server) SetSessionSource(src SessionSource) {
 	s.sessions = src
 }
 
-// sessionStats snapshots the attached session source, or nil when absent.
-func (s *Server) sessionStats() []metrics.SessionStats {
+// source returns the attached session source, or nil.
+func (s *Server) source() SessionSource {
 	s.mu.Lock()
-	src := s.sessions
-	s.mu.Unlock()
-	if src == nil {
-		return nil
-	}
-	return src.SessionStats()
+	defer s.mu.Unlock()
+	return s.sessions
 }
 
 // engineStats snapshots the attached engine's aggregate and per-shard
 // counters, or nil when no engine (or a stats-less session source) is
 // attached.
 func (s *Server) engineStats() (*metrics.EngineStats, []metrics.ShardStats) {
-	s.mu.Lock()
-	src := s.sessions
-	s.mu.Unlock()
-	es, ok := src.(EngineSource)
+	es, ok := s.source().(EngineSource)
 	if !ok {
 		return nil, nil
 	}
@@ -138,7 +137,8 @@ const (
 )
 
 // serveConn handles one control connection. Deadlines apply when conn
-// supports them (a net.Conn does).
+// supports them (a net.Conn does). Every reply leaves through one buffered
+// writer, and a sessions reply is streamed into it (writeSessions).
 func (s *Server) serveConn(conn io.ReadWriter) {
 	dl, _ := conn.(interface {
 		SetReadDeadline(time.Time) error
@@ -148,7 +148,9 @@ func (s *Server) serveConn(conn io.ReadWriter) {
 	// request bounds that buffer, and so the connection's memory, too.
 	lim := &io.LimitedReader{R: conn}
 	dec := json.NewDecoder(lim)
-	enc := json.NewEncoder(conn)
+	w := bufio.NewWriterSize(conn, replyBufferBytes)
+	enc := json.NewEncoder(w)
+	var elem sessionEncoder
 	for {
 		lim.N = maxRequestBytes
 		if dl != nil {
@@ -161,26 +163,75 @@ func (s *Server) serveConn(conn io.ReadWriter) {
 			}
 			return
 		}
-		resp := s.Handle(req)
 		if dl != nil {
 			dl.SetWriteDeadline(time.Now().Add(writeTimeout))
 		}
-		if err := enc.Encode(resp); err != nil {
+		var err error
+		if req.Op == OpSessions {
+			err = s.writeSessions(w, &elem)
+		} else {
+			err = enc.Encode(s.Handle(req))
+		}
+		if err == nil {
+			err = w.Flush()
+		}
+		if err != nil {
 			if s.logger != nil {
-				s.logger.Printf("control: encode: %v", err)
+				s.logger.Printf("control: reply: %v", err)
 			}
 			return
 		}
 	}
 }
 
+// sessionEncoder encodes one session of a sessions reply at a time into buf,
+// which it reuses. cur is the session being encoded: handing Encode a
+// pointer to it, not a copy, keeps each session from boxing onto the heap.
+type sessionEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+	cur metrics.SessionStats
+}
+
+// writeSessions streams the OpSessions reply to w: byte for byte what
+// json.Encoder writes for Response{OK: true, Sessions: every session}, but
+// encoded one session at a time, so the reply never holds the listing. A
+// write error stops the listing.
+func (s *Server) writeSessions(w *bufio.Writer, e *sessionEncoder) error {
+	if e.enc == nil {
+		e.enc = json.NewEncoder(&e.buf)
+	}
+	w.WriteString(`{"ok":true`)
+	sep := `,"sessions":[`
+	var err error
+	if src := s.source(); src != nil {
+		for e.cur = range src.SessionStats {
+			e.buf.Reset()
+			if err = e.enc.Encode(&e.cur); err != nil {
+				break
+			}
+			w.WriteString(sep)
+			sep = ","
+			// Encode ends each value with a newline; an array element has none.
+			if _, err = w.Write(e.buf.Bytes()[:e.buf.Len()-1]); err != nil {
+				break
+			}
+		}
+	}
+	if err != nil {
+		return err
+	}
+	if sep == "," {
+		w.WriteByte(']')
+	}
+	_, err = w.WriteString("}\n")
+	return err
+}
+
 // composer returns the attached session source's composition surface, or nil
 // when no engine (or a compose-less source) is attached.
 func (s *Server) composer() Composer {
-	s.mu.Lock()
-	src := s.sessions
-	s.mu.Unlock()
-	c, _ := src.(Composer)
+	c, _ := s.source().(Composer)
 	return c
 }
 
@@ -212,7 +263,8 @@ func (s *Server) handleSessionOp(comp Composer, req Request) Response {
 
 // Handle executes one request against the attached session source. It is
 // exported so in-process callers (tests, raplets) can use the same dispatch
-// logic as the network path.
+// logic as the network path; it collects a sessions reply the network path
+// streams.
 func (s *Server) Handle(req Request) Response {
 	if err := req.Validate(); err != nil {
 		return Response{Error: err.Error()}
@@ -221,7 +273,11 @@ func (s *Server) Handle(req Request) Response {
 	case OpPing:
 		return Response{OK: true}
 	case OpSessions:
-		return Response{OK: true, Sessions: s.sessionStats()}
+		var sessions []metrics.SessionStats
+		if src := s.source(); src != nil {
+			sessions = slices.Collect(src.SessionStats)
+		}
+		return Response{OK: true, Sessions: sessions}
 	case OpStats:
 		eng, shards := s.engineStats()
 		if eng == nil {

@@ -123,13 +123,14 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log"
 	"net"
 	"net/netip"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -697,16 +698,18 @@ func (e *Engine) CloseSession(id uint32) error {
 	return fmt.Errorf("%w: %d", ErrUnknownSession, id)
 }
 
-// SessionStats snapshots every registered session's counters, live and
-// parked, ordered by session ID.
-func (e *Engine) SessionStats() []metrics.SessionStats {
+// SessionStats yields every registered session's counters, live and parked,
+// ordered by session ID: the control plane's SessionSource. It holds one
+// pointer per session, not a list of stats: each session's Stats is taken as
+// it is yielded.
+func (e *Engine) SessionStats(yield func(metrics.SessionStats) bool) {
 	sessions := e.table.snapshot()
-	out := make([]metrics.SessionStats, 0, len(sessions))
+	slices.SortFunc(sessions, func(a, b *Session) int { return cmp.Compare(a.id, b.id) })
 	for _, s := range sessions {
-		out = append(out, s.Stats())
+		if !yield(s.Stats()) {
+			return
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Stats aggregates the per-shard counters into an engine-level snapshot. The

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/netip"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -92,7 +93,7 @@ func TestEngineEchoRelay(t *testing.T) {
 	if n := e.SessionCount(); n != 1 {
 		t.Fatalf("SessionCount = %d, want 1", n)
 	}
-	stats := e.SessionStats()
+	stats := slices.Collect(e.SessionStats)
 	if len(stats) != 1 || stats[0].ID != 42 {
 		t.Fatalf("SessionStats = %+v, want one entry for session 42", stats)
 	}
@@ -385,7 +386,7 @@ func TestEngineShardedStatsAggregate(t *testing.T) {
 	// The per-shard breakdown must sum to the aggregate and agree with each
 	// session's reported placement.
 	shardSessions := make(map[int]int)
-	for _, ss := range e.SessionStats() {
+	for ss := range e.SessionStats {
 		shardSessions[ss.Shard]++
 	}
 	var total int

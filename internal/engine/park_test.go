@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -229,7 +230,7 @@ func testSessionParkUnparkTTL(t *testing.T, chain string) {
 	if n := e.SessionCount(); n != 1 {
 		t.Fatalf("SessionCount after park = %d, want 1 (registration survives)", n)
 	}
-	ss := e.SessionStats()
+	ss := slices.Collect(e.SessionStats)
 	if len(ss) != 1 || !ss[0].Parked {
 		t.Fatalf("SessionStats after park = %+v, want one parked entry", ss)
 	}
@@ -293,7 +294,7 @@ func TestParkRetainsRecomposedPlan(t *testing.T) {
 	if !s.Parked() {
 		t.Fatal("session not parked")
 	}
-	if got := e.SessionStats()[0].Chain; got != "counting" {
+	if got := slices.Collect(e.SessionStats)[0].Chain; got != "counting" {
 		t.Fatalf("parked chain column = %q, want recomposed plan %q", got, "counting")
 	}
 	// Parking an already-parked session is a no-op, not a double-count.

@@ -317,7 +317,8 @@ func TestEngineRecomposeVsResponderRetune(t *testing.T) {
 				return
 			default:
 			}
-			e.SessionStats()
+			for range e.SessionStats {
+			}
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()

@@ -1,16 +1,19 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"net"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rapidware/internal/compose"
+	"rapidware/internal/metrics"
 	"rapidware/internal/packet"
 )
 
@@ -93,9 +96,12 @@ func TestEngineSoak256Sessions(t *testing.T) {
 	if n := e.SessionCount(); n != sessions {
 		t.Fatalf("SessionCount = %d, want %d", n, sessions)
 	}
-	stats := e.SessionStats()
+	stats := slices.Collect(e.SessionStats)
 	if len(stats) != sessions {
 		t.Fatalf("SessionStats has %d entries, want %d", len(stats), sessions)
+	}
+	if !slices.IsSortedFunc(stats, func(a, b metrics.SessionStats) int { return cmp.Compare(a.ID, b.ID) }) {
+		t.Fatal("SessionStats is not ordered by session ID")
 	}
 	var inPkts uint64
 	for _, st := range stats {
@@ -187,7 +193,7 @@ func TestEngineSoak4096SessionsCrossShard(t *testing.T) {
 	if n := e.SessionCount(); n != sessions {
 		t.Fatalf("SessionCount = %d, want %d", n, sessions)
 	}
-	if got := len(e.SessionStats()); got != sessions {
+	if got := len(slices.Collect(e.SessionStats)); got != sessions {
 		t.Fatalf("SessionStats has %d entries, want %d", got, sessions)
 	}
 	// Placement must actually be cross-shard and roughly balanced: no shard
@@ -278,7 +284,8 @@ func TestEngineConcurrentOpenCloseRace(t *testing.T) {
 			default:
 			}
 			_ = e.Stats()
-			_ = e.SessionStats()
+			for range e.SessionStats {
+			}
 			_ = e.ShardStats()
 		}
 	}()

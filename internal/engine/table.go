@@ -253,7 +253,7 @@ func (t *table) appendLive(dst []*Session) []*Session {
 // snapshot returns every registered session, live and parked. Order is
 // unspecified.
 func (t *table) snapshot() []*Session {
-	var out []*Session
+	out := make([]*Session, 0, t.count())
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.RLock()
