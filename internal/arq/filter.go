@@ -171,10 +171,8 @@ type JitterFilter struct {
 	*filter.Base
 	delay time.Duration
 
-	mu       sync.Mutex
-	heap     jitterHeap
-	buffered uint64 // total data packets held
-	released uint64 // total data packets released
+	mu   sync.Mutex
+	heap jitterHeap
 }
 
 // NewJitterFilter returns a smoothing buffer holding data packets for delay
@@ -216,7 +214,6 @@ func (f *JitterFilter) hold(b *packet.Buf, emit func(*packet.Buf)) error {
 		return nil
 	}
 	heap.Push(&f.heap, jitterEntry{b: b, seq: packet.FrameSeq(b.B), due: f.Now().Add(f.delay)})
-	f.buffered++
 	return nil
 }
 
@@ -229,7 +226,6 @@ func (f *JitterFilter) release(emit func(*packet.Buf)) time.Duration {
 	defer f.mu.Unlock()
 	for len(f.heap) > 0 && !f.heap[0].due.After(now) {
 		emit(heap.Pop(&f.heap).(jitterEntry).b)
-		f.released++
 	}
 	if len(f.heap) == 0 {
 		return 0
@@ -243,7 +239,6 @@ func (f *JitterFilter) flush(emit func(*packet.Buf)) error {
 	defer f.mu.Unlock()
 	for len(f.heap) > 0 {
 		emit(heap.Pop(&f.heap).(jitterEntry).b)
-		f.released++
 	}
 	return nil
 }

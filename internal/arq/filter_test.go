@@ -256,12 +256,10 @@ func TestJitterFilterReordersIntoSequence(t *testing.T) {
 		t.Fatalf("released %d packets, want %d", len(out), len(in))
 	}
 	for i, p := range out {
-		if p.Seq != uint64(i) {
-			t.Fatalf("release order %v, want sequence order", seqsOf(out))
+		if p.Seq != uint64(i) || p.Kind != packet.KindData || string(p.Payload) != string(rune('a'+i)) {
+			t.Fatalf("released %v (seq %d, payload %q) at %d, want data seq %d %q in sequence order",
+				seqsOf(out), p.Seq, p.Payload, i, i, string(rune('a'+i)))
 		}
-	}
-	if f.buffered != 4 || f.released != 4 {
-		t.Fatalf("buffered, released = (%d, %d), want (4, 4)", f.buffered, f.released)
 	}
 }
 

@@ -8,9 +8,7 @@ import (
 // Packetizer splits a PCM stream into the fixed-interval chunks that the
 // paper's proxy multicasts (and the FEC encoder groups into blocks).
 type Packetizer struct {
-	format   Format
-	interval time.Duration
-	chunk    int
+	chunk int
 }
 
 // NewPacketizer returns a packetizer producing one payload per interval of
@@ -26,7 +24,7 @@ func NewPacketizer(f Format, interval time.Duration) (*Packetizer, error) {
 	if frames < 1 {
 		return nil, fmt.Errorf("audio: interval %v shorter than one frame", interval)
 	}
-	return &Packetizer{format: f, interval: interval, chunk: frames * f.BytesPerFrame()}, nil
+	return &Packetizer{chunk: frames * f.BytesPerFrame()}, nil
 }
 
 // PayloadSize returns the size in bytes of each full payload.
@@ -46,16 +44,14 @@ func (p *Packetizer) Split(pcm []byte) [][]byte {
 	return out
 }
 
-// Reassembler rebuilds a PCM stream from packet payloads at the receiver,
-// substituting silence for packets that never arrive so playback timing is
-// preserved (the audible "degradation" the paper describes for lost packets).
+// Reassembler collects a PCM stream's packet payloads at the receiver and
+// reports how complete the stream arrived: each packet that never does is a
+// gap of silence in playback (the audible "degradation" the paper describes
+// for lost packets).
 type Reassembler struct {
-	format    Format
-	chunk     int
-	payloads  map[int][]byte
-	maxIndex  int
-	haveAny   bool
-	silenceAt byte
+	payloads map[int][]byte
+	maxIndex int
+	haveAny  bool
 }
 
 // NewReassembler returns a reassembler for payloads produced by a packetizer
@@ -67,16 +63,7 @@ func NewReassembler(f Format, payloadSize int) (*Reassembler, error) {
 	if payloadSize <= 0 {
 		return nil, fmt.Errorf("audio: non-positive payload size %d", payloadSize)
 	}
-	silence := byte(0)
-	if f.BitsPerSample == 8 {
-		silence = 128 // unsigned 8-bit midpoint
-	}
-	return &Reassembler{
-		format:    f,
-		chunk:     payloadSize,
-		payloads:  make(map[int][]byte),
-		silenceAt: silence,
-	}, nil
+	return &Reassembler{payloads: make(map[int][]byte)}, nil
 }
 
 // Add stores the payload for packet index idx (0-based position in the

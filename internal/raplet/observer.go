@@ -20,7 +20,6 @@ type LossRateObserver struct {
 
 	mu       sync.Mutex
 	reported bool // whether we last reported loss above threshold
-	events   uint64
 }
 
 // NewLossRateObserver returns an observer that publishes when the loss rate
@@ -52,7 +51,6 @@ func (o *LossRateObserver) ObservePacket(received bool) {
 	crossed := (!o.reported && loss >= o.threshold) || (o.reported && loss <= o.threshold-o.hysteresis)
 	if crossed {
 		o.reported = !o.reported
-		o.events++
 	}
 	o.mu.Unlock()
 	// Published unlocked: the bus runs its responders before returning.

@@ -139,34 +139,41 @@ func TestLossRateObserverThresholdCrossing(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		obs.ObservePacket(true)
 	}
-	if obs.events != 0 {
-		t.Fatalf("events = %d before any loss", obs.events)
+	if rec.count() != 0 {
+		t.Fatalf("%d events before any loss", rec.count())
 	}
-	// Burst of losses drives the windowed rate above 10%: exactly one event.
+	// Burst of losses drives the windowed rate above 10%: exactly one event,
+	// carrying that rate.
 	for i := 0; i < 10; i++ {
 		obs.ObservePacket(false)
 	}
-	if obs.events != 1 {
-		t.Fatalf("events = %d after loss burst, want 1", obs.events)
+	if rec.count() != 1 {
+		t.Fatalf("%d events after loss burst, want 1", rec.count())
 	}
-	if loss := 1 - obs.window.Rate(); loss < 0.10 {
-		t.Fatalf("loss rate = %v, want >= 0.10", loss)
+	if e := rec.events[0]; e.Type != EventLossRate || e.Source != "loss-observer" || e.Value < 0.10 {
+		t.Fatalf("loss event = %+v, want a loss rate >= 0.10 from loss-observer", e)
 	}
 	// Recovery drives it back below threshold-hysteresis: one more event.
 	for i := 0; i < 40; i++ {
 		obs.ObservePacket(true)
 	}
-	if obs.events != 2 || rec.count() != 2 {
-		t.Fatalf("events = %d (%d delivered) after recovery, want 2", obs.events, rec.count())
+	if rec.count() != 2 {
+		t.Fatalf("%d events after recovery, want 2", rec.count())
+	}
+	if e := rec.events[1]; e.Value > 0.10-0.05 {
+		t.Fatalf("recovery event = %+v, want a loss rate <= 0.05", e)
 	}
 }
 
 func TestLossRateObserverNeedsMinimumSignal(t *testing.T) {
-	obs := NewLossRateObserver("min", nil, 100, 0.01, 0.005)
+	bus := NewBus()
+	rec := &recorder{}
+	bus.Subscribe(EventLossRate, rec)
+	obs := NewLossRateObserver("min", bus, 100, 0.01, 0.005)
 	for i := 0; i < 5; i++ {
 		obs.ObservePacket(false)
 	}
-	if obs.events != 0 {
+	if rec.count() != 0 {
 		t.Fatal("observer reported with fewer than 8 observations")
 	}
 }

@@ -50,16 +50,14 @@ type Delivery struct {
 	Latency time.Duration
 }
 
-// Receiver is one station attached to the channel: its loss model, its RNG
-// and its counts. The caller of Broadcast hands each frame on to the stations
-// that did not lose it.
+// Receiver is one station attached to the channel: its loss model and its
+// RNG. The caller of Broadcast hands each frame on to the stations that did
+// not lose it.
 type Receiver struct {
-	name    string
-	model   LossModel
-	rng     *rand.Rand
-	mu      sync.Mutex
-	rx      uint64
-	dropped uint64
+	name  string
+	model LossModel
+	rng   *rand.Rand
+	mu    sync.Mutex
 }
 
 // Channel is a simulated broadcast wireless medium. The access point
@@ -131,11 +129,6 @@ func (c *Channel) Broadcast(frameBytes int) []Delivery {
 		var jitter time.Duration
 		if c.cfg.MaxJitter > 0 {
 			jitter = time.Duration(r.rng.Int63n(int64(c.cfg.MaxJitter)))
-		}
-		if lost {
-			r.dropped++
-		} else {
-			r.rx++
 		}
 		r.mu.Unlock()
 		deliveries[i] = Delivery{Lost: lost, Latency: baseLatency + jitter}
