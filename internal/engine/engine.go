@@ -308,6 +308,7 @@ type Engine struct {
 	active   atomic.Int64 // registered sessions (live + parked), admission-checked against MaxSessions
 	stop     chan struct{}
 	wg       sync.WaitGroup // shard readers and the maintenance loop
+	bufShort sync.Once      // logs the first socket granted smaller buffers than asked for
 }
 
 // New validates cfg (including the chain spec) and returns an engine ready to
@@ -547,7 +548,7 @@ func (e *Engine) listen() error {
 		if err != nil {
 			return fmt.Errorf("engine: listen %q: %w", e.cfg.ListenAddr, err)
 		}
-		tuneConn(conn)
+		e.tuneConn(conn, sockBufBytes)
 		e.conns = []*net.UDPConn{conn}
 		return nil
 	}
@@ -555,7 +556,7 @@ func (e *Engine) listen() error {
 	if err != nil {
 		return fmt.Errorf("engine: listen %q: %w", e.cfg.ListenAddr, err)
 	}
-	tuneConn(first)
+	e.tuneConn(first, sockBufBytes)
 	e.conns = []*net.UDPConn{first}
 	// Later sockets must bind the concrete address the first one resolved
 	// (":0" picks a port only once).
@@ -567,18 +568,35 @@ func (e *Engine) listen() error {
 			e.conns = nil
 			return fmt.Errorf("engine: listen %q (shard %d): %w", bound, i, err)
 		}
-		tuneConn(conn)
+		e.tuneConn(conn, sockBufBytes)
 		e.conns = append(e.conns, conn)
 	}
 	return nil
 }
 
-// tuneConn sizes a socket's kernel buffers for the bursts produced by
-// thousands of concurrent sessions. Failures are advisory (the OS may clamp
-// the value), so errors are ignored.
-func tuneConn(conn *net.UDPConn) {
-	_ = conn.SetReadBuffer(4 << 20)
-	_ = conn.SetWriteBuffer(4 << 20)
+// sockBufBytes is the kernel receive and send buffer size the engine asks
+// for on each of its sockets: room for the bursts of thousands of concurrent
+// sessions.
+const sockBufBytes = 4 << 20
+
+// tuneConn asks the kernel for size-byte receive and send buffers on conn and
+// reads back what it granted; Linux caps them at net.core.rmem_max and
+// wmem_max. A shortfall is not an error — the engine relays with smaller
+// buffers, with less room for a burst — so it is logged, once per engine.
+func (e *Engine) tuneConn(conn *net.UDPConn, size int) {
+	err := errors.Join(conn.SetReadBuffer(size), conn.SetWriteBuffer(size))
+	rcv, snd, ok := grantedBuffers(conn)
+	if err == nil && (!ok || rcv >= size && snd >= size) {
+		return
+	}
+	e.bufShort.Do(func() {
+		if err != nil {
+			e.logf("socket buffers: asking for %d KiB: %v", size>>10, err)
+			return
+		}
+		e.logf("socket buffers: asked for %d KiB, granted %d KiB receive and %d KiB send (net.core.rmem_max and wmem_max cap them); the kernel drops a burst beyond them",
+			size>>10, rcv>>10, snd>>10)
+	})
 }
 
 // closeConns closes every bound socket (partial-startup cleanup and Close).

@@ -2,12 +2,15 @@ package engine
 
 import (
 	"errors"
+	"log"
 	"net"
 	"net/netip"
+	"os"
 	"runtime/pprof"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -720,5 +723,69 @@ func TestEngineAllowRoamingFollowsSender(t *testing.T) {
 	_, p := readPacket(t, second, 2*time.Second)
 	if string(p.Payload) != "b" {
 		t.Fatalf("roamed client received %q", p.Payload)
+	}
+}
+
+// logSink is a log destination tests can read while the engine writes to it.
+type logSink struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *logSink) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *logSink) count(sub string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return strings.Count(l.b.String(), sub)
+}
+
+// TestTuneConnReadsBackGrantedBuffers: the engine reads back the socket
+// buffers the kernel granted, which Linux caps at net.core.rmem_max and
+// wmem_max, and logs a shortfall once per engine, however many sockets fall
+// short.
+func TestTuneConnReadsBackGrantedBuffers(t *testing.T) {
+	sysctl := func(name string) int {
+		b, err := os.ReadFile("/proc/sys/net/core/" + name)
+		if err != nil {
+			t.Skipf("cannot read the kernel's buffer cap: %v", err)
+		}
+		n, err := strconv.Atoi(strings.TrimSpace(string(b)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	rmax, wmax := sysctl("rmem_max"), sysctl("wmem_max")
+	logs := &logSink{}
+	e := newTestEngine(t, Config{Logger: log.New(logs, "", 0)})
+	rcv, snd, ok := grantedBuffers(e.conns[0])
+	if !ok {
+		t.Fatal("cannot read back the engine socket's buffer sizes")
+	}
+	if rcv != min(sockBufBytes, rmax) || snd != min(sockBufBytes, wmax) {
+		t.Fatalf("granted %d receive and %d send bytes, want %d and %d", rcv, snd, min(sockBufBytes, rmax), min(sockBufBytes, wmax))
+	}
+	want := 0
+	if rcv < sockBufBytes || snd < sockBufBytes {
+		want = 1
+	}
+	if got := logs.count("socket buffers"); got != want {
+		t.Fatalf("%d socket buffer warnings at start, want %d (rmem_max %d, wmem_max %d)", got, want, rmax, wmax)
+	}
+	// Asking for more than the caps allow falls short on every socket; the
+	// engine still warns once.
+	over := 2 * max(rmax, wmax)
+	for range 2 {
+		for _, c := range e.conns {
+			e.tuneConn(c, over)
+		}
+	}
+	if got := logs.count("socket buffers"); got != 1 {
+		t.Fatalf("%d socket buffer warnings, want 1 per engine", got)
 	}
 }
