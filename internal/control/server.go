@@ -195,8 +195,10 @@ type sessionEncoder struct {
 
 // writeSessions streams the OpSessions reply to w: byte for byte what
 // json.Encoder writes for Response{OK: true, Sessions: every session}, but
-// encoded one session at a time, so the reply never holds the listing. A
-// write error stops the listing.
+// encoded one session at a time, so the reply never holds the listing. An
+// error stops the listing, and serveConn ends the connection on it. The
+// writes left unchecked need no check: w keeps its first error and returns
+// it from every later write.
 func (s *Server) writeSessions(w *bufio.Writer, e *sessionEncoder) error {
 	if e.enc == nil {
 		e.enc = json.NewEncoder(&e.buf)
