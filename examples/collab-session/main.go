@@ -46,7 +46,7 @@ func collaborativeBrowsing() {
 		log.Fatal(err)
 	}
 
-	sess, err := session.New("distributed-systems-lecture", proxy.Get)
+	sess, err := session.New(proxy.Get)
 	if err != nil {
 		log.Fatal(err)
 	}

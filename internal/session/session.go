@@ -38,7 +38,6 @@ type PageVisit struct {
 // Participant is one member of a collaborative session: it accumulates the
 // browsing history it observes.
 type Participant struct {
-	name string
 	mu   sync.Mutex
 	hist []PageVisit
 }
@@ -61,23 +60,20 @@ func (p *Participant) record(v PageVisit) {
 // request the floor and are granted leadership in FIFO order when the current
 // leader releases it (the "leadership protocol for session floor control").
 type Session struct {
-	name    string
 	fetcher Fetcher
 
 	mu           sync.Mutex
 	participants map[string]*Participant
 	leader       string
 	floorQueue   []string
-	transfers    uint64
 }
 
 // New returns a session. fetcher retrieves content for the leader's loads.
-func New(name string, fetcher Fetcher) (*Session, error) {
+func New(fetcher Fetcher) (*Session, error) {
 	if fetcher == nil {
 		return nil, errors.New("session: fetcher is required")
 	}
 	return &Session{
-		name:         name,
 		fetcher:      fetcher,
 		participants: make(map[string]*Participant),
 	}, nil
@@ -91,7 +87,7 @@ func (s *Session) Join(name string) (*Participant, error) {
 	if _, ok := s.participants[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrAlreadyJoined, name)
 	}
-	p := &Participant{name: name}
+	p := &Participant{}
 	s.participants[name] = p
 	if s.leader == "" {
 		s.leader = name
@@ -160,7 +156,6 @@ func (s *Session) grantNextLocked() {
 		s.floorQueue = s.floorQueue[1:]
 		if _, ok := s.participants[next]; ok {
 			s.leader = next
-			s.transfers++
 			return
 		}
 	}

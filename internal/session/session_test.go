@@ -18,7 +18,7 @@ func testFetcher() Fetcher {
 
 func newSession(t *testing.T) *Session {
 	t.Helper()
-	s, err := New("lecture", testFetcher())
+	s, err := New(testFetcher())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func newSession(t *testing.T) *Session {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New("x", nil); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Fatal("expected error for nil fetcher")
 	}
 }
@@ -62,17 +62,17 @@ func TestLoadURLMulticastsToAllParticipants(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, p := range []*Participant{leader, s1, s2} {
+	for name, p := range map[string]*Participant{"leader": leader, "wireless-laptop": s1, "palmtop": s2} {
 		hist := p.History()
 		if len(hist) != 2 {
-			t.Fatalf("%s history = %d entries, want 2", p.name, len(hist))
+			t.Fatalf("%s history = %d entries, want 2", name, len(hist))
 		}
 		for i, v := range hist {
 			if v.URL != urls[i] || v.Leader != "leader" {
-				t.Fatalf("%s visit %d = %+v", p.name, i, v)
+				t.Fatalf("%s visit %d = %+v", name, i, v)
 			}
 			if len(v.Content) == 0 {
-				t.Fatalf("%s visit %d has no content", p.name, i)
+				t.Fatalf("%s visit %d has no content", name, i)
 			}
 		}
 	}
@@ -100,6 +100,11 @@ func TestFloorControlFIFO(t *testing.T) {
 	s.Join("a")
 	s.Join("b")
 	s.Join("c")
+	leaders := []string{s.Leader()} // the leader after each floor event
+	leader := func() string {
+		leaders = append(leaders, s.Leader())
+		return leaders[len(leaders)-1]
+	}
 	if err := s.RequestFloor("b"); err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +121,8 @@ func TestFloorControlFIFO(t *testing.T) {
 	if err := s.ReleaseFloor("a"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Leader() != "b" {
-		t.Fatalf("Leader = %q, want b", s.Leader())
+	if l := leader(); l != "b" {
+		t.Fatalf("Leader = %q, want b", l)
 	}
 	if err := s.ReleaseFloor("a"); !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("stale release err = %v", err)
@@ -125,25 +130,25 @@ func TestFloorControlFIFO(t *testing.T) {
 	if err := s.ReleaseFloor("b"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Leader() != "c" {
-		t.Fatalf("Leader = %q, want c", s.Leader())
+	if l := leader(); l != "c" {
+		t.Fatalf("Leader = %q, want c", l)
 	}
 	// No one queued: releasing leaves the session leaderless.
 	if err := s.ReleaseFloor("c"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Leader() != "" {
-		t.Fatalf("Leader = %q, want empty", s.Leader())
+	if l := leader(); l != "" {
+		t.Fatalf("Leader = %q, want empty", l)
 	}
 	// A new request grants immediately when leaderless.
 	if err := s.RequestFloor("a"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Leader() != "a" {
-		t.Fatalf("Leader = %q, want a", s.Leader())
+	if l := leader(); l != "a" {
+		t.Fatalf("Leader = %q, want a", l)
 	}
-	if s.transfers != 3 {
-		t.Fatalf("transfers = %d, want 3", s.transfers)
+	if got := fmt.Sprintf("%q", leaders); got != `["a" "b" "c" "" "a"]` {
+		t.Fatalf("leaders %s, want a, b, c, none, then a: three grants in FIFO order", got)
 	}
 }
 
@@ -190,9 +195,9 @@ func TestConcurrentBrowsing(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	for _, p := range participants {
+	for i, p := range participants {
 		if len(p.History()) != loads {
-			t.Fatalf("%s observed %d loads, want %d", p.name, len(p.History()), loads)
+			t.Fatalf("member-%d observed %d loads, want %d", i, len(p.History()), loads)
 		}
 	}
 }
