@@ -226,19 +226,19 @@ func TestReassemblerFillsSilence(t *testing.T) {
 		t.Fatal(err)
 	}
 	lostIdx := 3
-	for i, c := range chunks {
+	for i := range chunks {
 		if i == lostIdx {
 			continue
 		}
-		r.Add(i, c)
+		r.Add(i)
 	}
 	r.MarkExpected(len(chunks) - 1)
 
-	if r.maxIndex != len(chunks)-1 || len(r.payloads) != len(chunks)-1 {
-		t.Fatalf("maxIndex %d with %d payloads, want %d with %d", r.maxIndex, len(r.payloads), len(chunks)-1, len(chunks)-1)
+	if r.maxIndex != len(chunks)-1 || len(r.received) != len(chunks)-1 {
+		t.Fatalf("maxIndex %d with %d packets received, want %d with %d", r.maxIndex, len(r.received), len(chunks)-1, len(chunks)-1)
 	}
-	if _, ok := r.payloads[lostIdx]; ok {
-		t.Fatalf("payload %d present, want it missing", lostIdx)
+	if _, ok := r.received[lostIdx]; ok {
+		t.Fatalf("packet %d received, want it missing", lostIdx)
 	}
 	wantCompleteness := float64(len(chunks)-1) / float64(len(chunks))
 	if got := r.Completeness(); got != wantCompleteness {
@@ -255,9 +255,9 @@ func TestReassemblerEdgeCases(t *testing.T) {
 	if r.haveAny || r.Completeness() != 1 {
 		t.Fatal("empty reassembler should report empty results")
 	}
-	r.Add(-1, []byte{1}) // ignored
-	r.MarkExpected(-5)   // ignored
-	if r.haveAny || len(r.payloads) != 0 {
+	r.Add(-1)          // ignored
+	r.MarkExpected(-5) // ignored
+	if r.haveAny || len(r.received) != 0 {
 		t.Fatal("negative indices must be ignored")
 	}
 	if _, err := NewReassembler(Format{}, 320); err == nil {
@@ -268,12 +268,13 @@ func TestReassemblerEdgeCases(t *testing.T) {
 	}
 }
 
-func TestReassemblerDuplicateOverwrites(t *testing.T) {
+func TestReassemblerDuplicateCountsOnce(t *testing.T) {
 	f := PaperFormat()
 	r, _ := NewReassembler(f, 4)
-	r.Add(0, []byte{1, 1, 1, 1})
-	r.Add(0, []byte{2, 2, 2, 2})
-	if out := r.payloads[0]; out[0] != 2 {
-		t.Fatalf("duplicate did not overwrite: %v", out)
+	r.Add(0)
+	r.Add(0)
+	r.MarkExpected(1)
+	if got := r.Completeness(); got != 0.5 {
+		t.Fatalf("Completeness = %v after packet 0 twice of 2 expected, want 0.5", got)
 	}
 }

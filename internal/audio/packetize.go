@@ -44,12 +44,12 @@ func (p *Packetizer) Split(pcm []byte) [][]byte {
 	return out
 }
 
-// Reassembler collects a PCM stream's packet payloads at the receiver and
+// Reassembler tracks which of a PCM stream's packets reached the receiver and
 // reports how complete the stream arrived: each packet that never does is a
 // gap of silence in playback (the audible "degradation" the paper describes
 // for lost packets).
 type Reassembler struct {
-	payloads map[int][]byte
+	received map[int]struct{}
 	maxIndex int
 	haveAny  bool
 }
@@ -63,16 +63,16 @@ func NewReassembler(f Format, payloadSize int) (*Reassembler, error) {
 	if payloadSize <= 0 {
 		return nil, fmt.Errorf("audio: non-positive payload size %d", payloadSize)
 	}
-	return &Reassembler{payloads: make(map[int][]byte)}, nil
+	return &Reassembler{received: make(map[int]struct{})}, nil
 }
 
-// Add stores the payload for packet index idx (0-based position in the
-// original stream). Later duplicates overwrite earlier ones.
-func (r *Reassembler) Add(idx int, payload []byte) {
+// Add records that packet index idx (0-based position in the original stream)
+// arrived. A duplicate counts once.
+func (r *Reassembler) Add(idx int) {
 	if idx < 0 {
 		return
 	}
-	r.payloads[idx] = append([]byte(nil), payload...)
+	r.received[idx] = struct{}{}
 	if !r.haveAny || idx > r.maxIndex {
 		r.maxIndex = idx
 		r.haveAny = true
@@ -97,5 +97,5 @@ func (r *Reassembler) Completeness() float64 {
 	if !r.haveAny {
 		return 1
 	}
-	return float64(len(r.payloads)) / float64(r.maxIndex+1)
+	return float64(len(r.received)) / float64(r.maxIndex+1)
 }

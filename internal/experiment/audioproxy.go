@@ -109,7 +109,7 @@ func (st *station) receive(b *packet.Buf) error {
 			outcome = OutcomeReconstructed
 		}
 		st.trace.record(key, outcome)
-		st.reasm.Add(int(key), b.B[packet.HeaderSize:])
+		st.reasm.Add(int(key))
 		b.Release()
 		st.out[i] = nil
 	}
