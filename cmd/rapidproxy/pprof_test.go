@@ -7,7 +7,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -303,4 +305,51 @@ func TestRapidproxyLinksNoHTTPStack(t *testing.T) {
 			t.Errorf("rapidproxy links %s", dep)
 		}
 	}
+}
+
+// TestRapidproxyBuildsWithoutCgo builds rapidproxy with CGO_ENABLED=0 — no
+// libc, and Go's own resolver, which reads /etc/hosts and resolv.conf — and
+// runs it once until it serves. A dependency that needs cgo fails here.
+func TestRapidproxyBuildsWithoutCgo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary; skipped under -short")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go not on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "rapidproxy")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Env = append(os.Environ(), "CGO_ENABLED=0")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("CGO_ENABLED=0 go build: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "-listen", "127.0.0.1:0", "-control", "127.0.0.1:0")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan bool, 1)
+	go func() {
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			if strings.Contains(sc.Text(), "serving UDP") {
+				served <- true
+				return
+			}
+		}
+		served <- false
+	}()
+	select {
+	case ok := <-served:
+		if !ok {
+			t.Error("rapidproxy exited before it served UDP")
+		}
+	case <-time.After(30 * time.Second):
+		t.Error("rapidproxy did not log \"serving UDP\" within 30 s")
+	}
+	cmd.Process.Kill()
+	cmd.Wait()
 }
