@@ -755,15 +755,15 @@ func TestEngineLevelChangesNeverRepeatGroupNumbers(t *testing.T) {
 		{"fan-out cohort move", Config{Adapt: true, Fanout: []string{member.String()}}, member},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, sc := newScriptedEngine(t, tc.cfg)
+			e, sc := newSimEngine(t, tc.cfg)
 			sent := 0
 			feed := func(n int) {
 				for n > 0 {
-					batch := make([]scriptedDgram, min(n, netbatch.BatchSize))
+					batch := make([]simDgram, min(n, netbatch.BatchSize))
 					for i := range batch {
 						payload := make([]byte, 160)
 						binary.BigEndian.PutUint32(payload, uint32(sent))
-						batch[i] = scriptedDgram{data: mustDatagram(t, id, uint64(sent), payload), from: src}
+						batch[i] = simDgram{data: mustDatagram(t, id, uint64(sent), payload), from: src}
 						sent++
 					}
 					sc.in <- batch
@@ -775,7 +775,7 @@ func TestEngineLevelChangesNeverRepeatGroupNumbers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sc.in <- []scriptedDgram{{data: d, from: tc.receiver}}
+				sc.in <- []simDgram{{data: d, from: tc.receiver}}
 			}
 			// The last clean report splices the last encoder out, or moves
 			// the member off its cohort, which flushes the partial group.

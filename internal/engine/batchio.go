@@ -4,8 +4,9 @@ import "rapidware/internal/netbatch"
 
 // The shard loops move datagrams through internal/netbatch: one syscall per
 // batch on the Linux fast path, one per datagram on the portable fallback.
-// The aliases keep the engine's own names for the contract (and give tests a
-// local seam to inject scripted conns through shard.bconn).
+// The aliases keep the engine's own names for the contract. A shard runs on
+// whichever batchConn Engine.start hands it: Start's, over the bound sockets,
+// or a test's simulated conn, with no socket behind it.
 
 // ioMsg is one datagram slot in a batch.
 type ioMsg = netbatch.Msg

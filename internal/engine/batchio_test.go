@@ -2,12 +2,11 @@ package engine
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"net/netip"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,132 +14,6 @@ import (
 	"rapidware/internal/netbatch"
 	"rapidware/internal/packet"
 )
-
-// scriptedDgram is one inbound datagram a scripted conn serves to the shard
-// reader, or with seg set a GRO slot: seg-byte datagrams back to back in
-// data, the last possibly shorter.
-type scriptedDgram struct {
-	data []byte
-	from netip.AddrPort
-	seg  int
-}
-
-// scriptedConn replaces a shard's batch conn (through the shard.bconn test
-// seam) with a fully scripted socket: ReadBatch serves pre-arranged batches,
-// WriteBatch records every send per destination and can be told to fail all
-// datagrams to one poisoned address — honoring the WriteBatch contract, where
-// an error names exactly the first unsent datagram — or to stall at a stuck
-// address, breaking the contract: it stops there and reports no error, so a
-// batch headed by that address makes no progress at all, (0, nil).
-type scriptedConn struct {
-	in chan []scriptedDgram
-
-	mu      sync.Mutex
-	sent    map[netip.AddrPort][][]byte
-	total   int
-	calls   int // WriteBatch calls
-	entries int // kernel send entries the sends would take with GSO (see gsoEntries)
-	poison  netip.AddrPort
-	stuck   netip.AddrPort
-	faults  int
-}
-
-var errInjectedFault = errors.New("injected send fault")
-
-func newScriptedConn() *scriptedConn {
-	return &scriptedConn{
-		in:   make(chan []scriptedDgram, 4096),
-		sent: make(map[netip.AddrPort][][]byte),
-	}
-}
-
-func (c *scriptedConn) ReadBatch(ms []ioMsg) (int, error) {
-	batch, ok := <-c.in
-	if !ok {
-		return 0, net.ErrClosed
-	}
-	if len(batch) > len(ms) {
-		return 0, fmt.Errorf("scripted batch of %d exceeds reader capacity %d", len(batch), len(ms))
-	}
-	for i := range batch {
-		ms[i].N = copy(ms[i].Buf, batch[i].data)
-		ms[i].Addr = batch[i].from
-		ms[i].Seg = batch[i].seg
-	}
-	return len(batch), nil
-}
-
-func (c *scriptedConn) WriteBatch(ms []ioMsg) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.calls++
-	c.entries += gsoEntries(ms)
-	for i := range ms {
-		if c.poison.IsValid() && ms[i].Addr == c.poison {
-			c.faults++
-			return i, errInjectedFault
-		}
-		if c.stuck.IsValid() && ms[i].Addr == c.stuck {
-			return i, nil
-		}
-		c.sent[ms[i].Addr] = append(c.sent[ms[i].Addr], append([]byte(nil), ms[i].Buf...))
-		c.total++
-	}
-	return len(ms), nil
-}
-
-// gsoEntries counts the kernel send entries netbatch's GSO path folds ms
-// into: a run of up to 64 adjacent datagrams of one size to one destination
-// is one entry. (netbatch also caps a run at 65,000 bytes, which the small
-// datagrams of the tests never reach.)
-func gsoEntries(ms []ioMsg) int {
-	entries := 0
-	for i := 0; i < len(ms); entries++ {
-		run := 1
-		for i+run < len(ms) && run < 64 && ms[i+run].Addr == ms[i].Addr && len(ms[i+run].Buf) == len(ms[i].Buf) {
-			run++
-		}
-		i += run
-	}
-	return entries
-}
-
-func (c *scriptedConn) sentTo(addr netip.AddrPort) [][]byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([][]byte, len(c.sent[addr]))
-	copy(out, c.sent[addr])
-	return out
-}
-
-func (c *scriptedConn) sentTotal() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
-}
-
-// newScriptedEngine builds an engine whose single shard reads and writes
-// through the scripted conn instead of its socket. The real socket is still
-// bound (and idle); closing the scripted input releases the reader.
-func newScriptedEngine(t *testing.T, cfg Config) (*Engine, *scriptedConn) {
-	t.Helper()
-	cfg.ListenAddr = "127.0.0.1:0"
-	cfg.Shards = 1
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	sc := newScriptedConn()
-	e.shards[0].bconn = sc
-	if err := e.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(func() {
-		close(sc.in)
-		e.Close()
-	})
-	return e, sc
-}
 
 // mustDatagram marshals one data datagram.
 func mustDatagram(t *testing.T, session uint32, seq uint64, payload []byte) []byte {
@@ -173,15 +46,25 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // and after it in the same batch are delivered, and the shard keeps
 // flushing rounds afterwards rather than stalling.
 func TestBatchedWriterPartialFailure(t *testing.T) {
-	e, sc := newScriptedEngine(t, Config{})
+	e, sc := newSimEngine(t, Config{})
 	addrA := netip.MustParseAddrPort("10.1.0.1:4000")
 	addrB := netip.MustParseAddrPort("10.1.0.2:4000")
 	addrC := netip.MustParseAddrPort("10.1.0.3:4000")
-	sc.poison = addrB
+	// Until stuck is set every send to B fails, honoring the WriteBatch
+	// contract. Then the conn stalls at C instead, breaking it: a batch
+	// headed by C makes no progress at all, (0, nil).
+	var stuck atomic.Bool
+	poison, stall := refuse(addrB, errInjectedFault), refuse(addrC, nil)
+	sc.write = func(ms []ioMsg) (int, error) {
+		if stuck.Load() {
+			return stall(ms)
+		}
+		return poison(ms)
+	}
 
 	const rounds = 10
 	for seq := uint64(0); seq < rounds; seq++ {
-		sc.in <- []scriptedDgram{
+		sc.in <- []simDgram{
 			{data: mustDatagram(t, 1, seq, []byte("to-A")), from: addrA},
 			{data: mustDatagram(t, 2, seq, []byte("to-B")), from: addrB},
 			{data: mustDatagram(t, 3, seq, []byte("to-C")), from: addrC},
@@ -213,11 +96,9 @@ func TestBatchedWriterPartialFailure(t *testing.T) {
 	// a stuck C depends on flush timing, so pin conservation, not a number:
 	// every datagram a session took in was either sent or counted as dropped,
 	// and every drop is a write drop.
-	sc.mu.Lock()
-	sc.poison, sc.stuck = netip.AddrPort{}, addrC
-	sc.mu.Unlock()
+	stuck.Store(true)
 	for seq := uint64(rounds); seq < 2*rounds; seq++ {
-		sc.in <- []scriptedDgram{
+		sc.in <- []simDgram{
 			{data: mustDatagram(t, 1, seq, []byte("to-A")), from: addrA},
 			{data: mustDatagram(t, 3, seq, []byte("to-C")), from: addrC},
 			{data: mustDatagram(t, 1, seq, []byte("to-A")), from: addrA},
@@ -254,13 +135,13 @@ func TestBatchedWriterCohortDropAccounting(t *testing.T) {
 	// Branch engages the per-receiver delivery plane (Fanout alone uses the
 	// legacy whole-group expansion); a marker-only branch plan with no loss
 	// reports keeps both members in the single bypass cohort.
-	e, sc := newScriptedEngine(t, Config{Branch: "fec-adapt", Fanout: []string{addrA.String(), addrB.String()}})
-	sc.poison = addrA
+	e, sc := newSimEngine(t, Config{Branch: "fec-adapt", Fanout: []string{addrA.String(), addrB.String()}})
+	sc.write = refuse(addrA, errInjectedFault)
 	client := netip.MustParseAddrPort("10.3.0.9:4000")
 
 	const rounds = 10
 	for seq := uint64(0); seq < rounds; seq++ {
-		sc.in <- []scriptedDgram{{data: mustDatagram(t, 1, seq, []byte("fan")), from: client}}
+		sc.in <- []simDgram{{data: mustDatagram(t, 1, seq, []byte("fan")), from: client}}
 	}
 
 	waitFor(t, "fan-out to the healthy member", func() bool {
@@ -323,11 +204,11 @@ func TestBatchSplitDemuxEquivalence(t *testing.T) {
 	// returns each session's echoed seq sequence keyed by peer.
 	run := func(t *testing.T, next func(remaining int) int) map[netip.AddrPort][]uint64 {
 		t.Helper()
-		_, sc := newScriptedEngine(t, Config{MaxSessions: sessions})
-		var stream []scriptedDgram
+		_, sc := newSimEngine(t, Config{MaxSessions: sessions})
+		var stream []simDgram
 		for seq := uint64(0); seq < perSession; seq++ {
 			for s := 0; s < sessions; s++ {
-				stream = append(stream, scriptedDgram{
+				stream = append(stream, simDgram{
 					data: mustDatagram(t, uint32(s+1), seq, []byte{byte(s), byte(seq)}),
 					from: peers[s],
 				})
@@ -449,17 +330,6 @@ func TestSoakSyscallAmortization(t *testing.T) {
 	}
 }
 
-// orderConn records the destination of every datagram in send order.
-type orderConn struct{ order []netip.AddrPort }
-
-func (c *orderConn) ReadBatch([]ioMsg) (int, error) { return 0, net.ErrClosed }
-func (c *orderConn) WriteBatch(ms []ioMsg) (int, error) {
-	for i := range ms {
-		c.order = append(c.order, ms[i].Addr)
-	}
-	return len(ms), nil
-}
-
 // TestFlushGroupsCohortFramesAcrossBatch pins the flush's expansion order
 // when two cohort views' frames interleave in one drained batch — as they do,
 // several cohorts and release timers feeding the queue. Each view's frames
@@ -481,7 +351,7 @@ func TestFlushGroupsCohortFramesAcrossBatch(t *testing.T) {
 	}
 	A, B := viewOf(a1, a2), viewOf(b1)
 	s := &Session{}
-	conn := &orderConn{}
+	conn := &simConn{}
 	sh := &shard{bconn: conn}
 	var frames []*packet.Buf
 	entry := func(view *[]target, dst netip.AddrPort) outbound {
@@ -495,12 +365,16 @@ func TestFlushGroupsCohortFramesAcrossBatch(t *testing.T) {
 	sh.flush(batch)
 
 	want := []netip.AddrPort{a1, a1, a1, a2, a2, a2, b1, b1, u}
-	if len(conn.order) != len(want) {
-		t.Fatalf("sent %d datagrams, want %d: %v", len(conn.order), len(want), conn.order)
+	var order []netip.AddrPort
+	for _, m := range conn.sent {
+		order = append(order, m.Addr)
+	}
+	if len(order) != len(want) {
+		t.Fatalf("sent %d datagrams, want %d: %v", len(order), len(want), order)
 	}
 	for i := range want {
-		if conn.order[i] != want[i] {
-			t.Fatalf("send order %v, want %v", conn.order, want)
+		if order[i] != want[i] {
+			t.Fatalf("send order %v, want %v", order, want)
 		}
 	}
 	if got := sh.counters.coalesced.Load(); got != 3 {

@@ -126,6 +126,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/netip"
@@ -291,7 +292,8 @@ type Engine struct {
 	branchPlan compose.Plan
 	adaptOn    bool
 
-	conns   []*net.UDPConn       // one per shard in ReusePort mode, else one shared
+	local   net.Addr             // what LocalAddr reports; nil before Start
+	closers []io.Closer          // what Close closes: the sockets, one per shard in ReusePort mode, else one shared
 	forward netip.AddrPort       // zero value when echoing to senders
 	group   *multicast.AddrGroup // non-nil when fanning out to receivers, through a delivery tree
 
@@ -378,6 +380,15 @@ func New(cfg Config) (*Engine, error) {
 		if err := e.policy.Validate(); err != nil {
 			return nil, err
 		}
+	}
+	if cfg.Forward != "" {
+		fwd, err := net.ResolveUDPAddr("udp", cfg.Forward)
+		if err != nil {
+			return nil, fmt.Errorf("engine: resolve forward %q: %w", cfg.Forward, err)
+		}
+		// Unmap 4-in-6 addresses so writes work regardless of the socket's
+		// address family.
+		e.forward = multicast.UnmapAddrPort(fwd.AddrPort())
 	}
 	if len(cfg.Fanout) > 0 || cfg.Branch != "" {
 		e.group = multicast.NewAddrGroup(cfg.Name + "-fanout")
@@ -468,39 +479,35 @@ func (e *Engine) receiverAuthorized(s *Session, from netip.AddrPort) bool {
 	}
 }
 
-// Start binds the UDP socket(s) and launches one reader per shard, once every
-// shard's conn is wired: a reader may send any shard's queue.
+// Start binds the UDP socket(s), wraps each shard's in a batch conn, and
+// starts the engine on them.
 func (e *Engine) Start() error {
-	if err := e.listen(); err != nil {
+	conns, err := e.listen()
+	if err != nil {
 		return err
 	}
-	if e.cfg.Forward != "" {
-		fwd, err := net.ResolveUDPAddr("udp", e.cfg.Forward)
-		if err != nil {
-			e.closeConns()
-			e.conns = nil // a later Close must not re-close these sockets
-			return fmt.Errorf("engine: resolve forward %q: %w", e.cfg.Forward, err)
-		}
-		// Unmap 4-in-6 addresses so writes work regardless of the socket's
-		// address family.
-		e.forward = multicast.UnmapAddrPort(fwd.AddrPort())
-	}
+	bconns := make([]batchConn, len(e.shards))
 	for i := range e.shards {
-		sh := &e.shards[i]
-		conn := e.conns[0]
-		if e.cfg.ReusePort {
-			conn = e.conns[i]
-		}
-		if sh.bconn == nil { // tests may have injected a scripted conn
-			sh.bconn = netbatch.New(conn, netbatch.Options{
-				GSO:       gsoAvailable,
-				GRO:       gsoAvailable,
-				RecvCalls: &sh.counters.recvCalls,
-				SendCalls: &sh.counters.sendCalls,
-				Segmented: &sh.counters.gsoDatagrams,
-				Entries:   &sh.counters.sendEntries,
-			})
-		}
+		c := &e.shards[i].counters
+		bconns[i] = netbatch.New(conns[i%len(conns)], netbatch.Options{GSO: gsoAvailable, GRO: gsoAvailable,
+			RecvCalls: &c.recvCalls, SendCalls: &c.sendCalls, Segmented: &c.gsoDatagrams, Entries: &c.sendEntries})
+	}
+	closers := make([]io.Closer, len(conns))
+	for i, c := range conns {
+		closers[i] = c
+	}
+	e.start(bconns, conns[0].LocalAddr(), closers)
+	return nil
+}
+
+// start runs the engine on conns, one per shard: LocalAddr reports local, and
+// Close closes closers, which must end every conn's ReadBatch with
+// net.ErrClosed. Every shard's conn is wired before any reader starts: a
+// reader may send any shard's queue.
+func (e *Engine) start(conns []batchConn, local net.Addr, closers []io.Closer) {
+	e.local, e.closers = local, closers
+	for i := range e.shards {
+		e.shards[i].bconn = conns[i]
 	}
 	e.wg.Add(len(e.shards))
 	for i := range e.shards {
@@ -517,12 +524,12 @@ func (e *Engine) Start() error {
 	if e.cfg.ReusePort {
 		mode = "SO_REUSEPORT sockets"
 	}
-	io := "single-datagram I/O"
+	syscalls := "single-datagram I/O"
 	if batchIOAvailable {
-		io = "batched mmsg I/O + GSO/GRO where the kernel accepts them"
+		syscalls = "batched mmsg I/O + GSO/GRO where the kernel accepts them"
 	}
 	e.logf("serving UDP on %s (%d shards over %s, %s, max %d sessions, chain %q)",
-		e.conns[0].LocalAddr(), len(e.shards), mode, io, e.cfg.MaxSessions, e.cfg.Chain)
+		local, len(e.shards), mode, syscalls, e.cfg.MaxSessions, e.cfg.Chain)
 	if e.adaptOn {
 		e.logf("adaptation plane on (policy %s)", e.policy)
 	}
@@ -532,46 +539,45 @@ func (e *Engine) Start() error {
 	if e.group != nil {
 		e.logf("fanning out to %d receivers through delivery cohorts (branch spec %q)", e.group.Len(), e.cfg.Branch)
 	}
-	return nil
 }
 
 // listen binds the engine's socket(s): one shared net.UDPConn on the
 // portable path, or one SO_REUSEPORT socket per shard when Config.ReusePort
 // is set.
-func (e *Engine) listen() error {
+func (e *Engine) listen() ([]*net.UDPConn, error) {
 	addr, err := net.ResolveUDPAddr("udp", e.cfg.ListenAddr)
 	if err != nil {
-		return fmt.Errorf("engine: resolve %q: %w", e.cfg.ListenAddr, err)
+		return nil, fmt.Errorf("engine: resolve %q: %w", e.cfg.ListenAddr, err)
 	}
 	if !e.cfg.ReusePort {
 		conn, err := net.ListenUDP("udp", addr)
 		if err != nil {
-			return fmt.Errorf("engine: listen %q: %w", e.cfg.ListenAddr, err)
+			return nil, fmt.Errorf("engine: listen %q: %w", e.cfg.ListenAddr, err)
 		}
 		e.tuneConn(conn, sockBufBytes)
-		e.conns = []*net.UDPConn{conn}
-		return nil
+		return []*net.UDPConn{conn}, nil
 	}
 	first, err := listenReusePort(e.cfg.ListenAddr)
 	if err != nil {
-		return fmt.Errorf("engine: listen %q: %w", e.cfg.ListenAddr, err)
+		return nil, fmt.Errorf("engine: listen %q: %w", e.cfg.ListenAddr, err)
 	}
 	e.tuneConn(first, sockBufBytes)
-	e.conns = []*net.UDPConn{first}
+	conns := []*net.UDPConn{first}
 	// Later sockets must bind the concrete address the first one resolved
 	// (":0" picks a port only once).
 	bound := first.LocalAddr().String()
 	for i := 1; i < len(e.shards); i++ {
 		conn, err := listenReusePort(bound)
 		if err != nil {
-			e.closeConns()
-			e.conns = nil
-			return fmt.Errorf("engine: listen %q (shard %d): %w", bound, i, err)
+			for _, c := range conns {
+				c.Close()
+			}
+			return nil, fmt.Errorf("engine: listen %q (shard %d): %w", bound, i, err)
 		}
 		e.tuneConn(conn, sockBufBytes)
-		e.conns = append(e.conns, conn)
+		conns = append(conns, conn)
 	}
-	return nil
+	return conns, nil
 }
 
 // sockBufBytes is the kernel receive and send buffer size the engine asks
@@ -599,25 +605,9 @@ func (e *Engine) tuneConn(conn *net.UDPConn, size int) {
 	})
 }
 
-// closeConns closes every bound socket (partial-startup cleanup and Close).
-func (e *Engine) closeConns() error {
-	var firstErr error
-	for _, c := range e.conns {
-		if err := c.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // LocalAddr returns the bound UDP address (nil before Start). In ReusePort
 // mode every shard's socket shares this address.
-func (e *Engine) LocalAddr() net.Addr {
-	if len(e.conns) == 0 {
-		return nil
-	}
-	return e.conns[0].LocalAddr()
-}
+func (e *Engine) LocalAddr() net.Addr { return e.local }
 
 // shardFor returns the shard owning session id.
 func (e *Engine) shardFor(id uint32) *shard {
@@ -792,7 +782,12 @@ func (e *Engine) Close() error {
 	}
 	sessions := e.table.sweep()
 	e.active.Add(-int64(len(sessions)))
-	firstErr := e.closeConns() // unblocks every reader
+	var firstErr error
+	for _, c := range e.closers { // unblocks every reader
+		if err := c.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
 	for _, s := range sessions {
 		if err := s.close(); err != nil && firstErr == nil {
 			firstErr = err

@@ -170,6 +170,15 @@ func TestEngineSessionLimit(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnresolvableForward: New resolves Forward, as it resolves
+// Fanout, so a bad address fails before any socket is bound. The port is out
+// of range, so no resolver is asked.
+func TestNewRejectsUnresolvableForward(t *testing.T) {
+	if _, err := New(Config{Forward: "127.0.0.1:99999"}); err == nil {
+		t.Fatal("New accepted Forward 127.0.0.1:99999")
+	}
+}
+
 func TestEngineForwardMode(t *testing.T) {
 	// Downstream receiver.
 	down, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -301,19 +310,10 @@ func TestEngineChainDyingDuringOpenDoesNotBlackholeID(t *testing.T) {
 	if err := filter.NewFrameChain((*packet.Buf).Release).SetInterior([]filter.Filter{shared}); err != nil {
 		t.Fatal(err)
 	}
-	reg := compose.Default().Clone()
-	if err := reg.Register(compose.Definition{
+	withStage(t, e, compose.Definition{
 		Kind:  "insta-fail",
 		Build: func(compose.Env, string) (filter.Filter, error) { return shared, nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	e.reg = reg
-	failPlan, err := compose.ParseWith(reg, "insta-fail", compose.ModeChain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.trunkPlan = failPlan
+	}, "insta-fail")
 	peer := netip.MustParseAddrPort("127.0.0.1:9")
 	for i := 0; i < 30; i++ {
 		if _, err := e.openSession(77, peer); err == nil || !strings.Contains(err.Error(), "already running") {
@@ -553,27 +553,20 @@ func TestEngineGarbageFrameDoesNotBrickSession(t *testing.T) {
 	}
 }
 
-// failingRegistry clones e's registry with a "fail" kind whose frame form
-// fails on every frame carrying the payload "fail" and passes the rest.
-func failingRegistry(t *testing.T, e *Engine) *compose.Registry {
-	t.Helper()
-	reg := e.reg.Clone()
-	if err := reg.Register(compose.Definition{
-		Kind: "fail",
-		Build: func(compose.Env, string) (filter.Filter, error) {
-			return filter.NewFrame("fail", func(b *packet.Buf, emit func(*packet.Buf)) error {
-				if string(b.B[packet.HeaderSize:]) == "fail" {
-					b.Release()
-					return errors.New("boom")
-				}
-				emit(b)
-				return nil
-			}, nil), nil
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return reg
+// failingStage is a "fail" kind whose frame form fails on every frame
+// carrying the payload "fail" and passes the rest.
+var failingStage = compose.Definition{
+	Kind: "fail",
+	Build: func(compose.Env, string) (filter.Filter, error) {
+		return filter.NewFrame("fail", func(b *packet.Buf, emit func(*packet.Buf)) error {
+			if string(b.B[packet.HeaderSize:]) == "fail" {
+				b.Release()
+				return errors.New("boom")
+			}
+			emit(b)
+			return nil
+		}, nil), nil
+	},
 }
 
 func TestEngineEvictsSessionWhoseChainFails(t *testing.T) {
@@ -587,10 +580,7 @@ func TestEngineEvictsSessionWhoseChainFails(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.reg = failingRegistry(t, e)
-			if e.trunkPlan, err = compose.ParseWith(e.reg, chain, compose.ModeChain); err != nil {
-				t.Fatal(err)
-			}
+			withStage(t, e, failingStage, chain)
 			if err := e.Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -763,7 +753,7 @@ func TestTuneConnReadsBackGrantedBuffers(t *testing.T) {
 	rmax, wmax := sysctl("rmem_max"), sysctl("wmem_max")
 	logs := &logSink{}
 	e := newTestEngine(t, Config{Logger: log.New(logs, "", 0)})
-	rcv, snd, ok := grantedBuffers(e.conns[0])
+	rcv, snd, ok := grantedBuffers(e.closers[0].(*net.UDPConn))
 	if !ok {
 		t.Fatal("cannot read back the engine socket's buffer sizes")
 	}
@@ -781,8 +771,8 @@ func TestTuneConnReadsBackGrantedBuffers(t *testing.T) {
 	// engine still warns once.
 	over := 2 * max(rmax, wmax)
 	for range 2 {
-		for _, c := range e.conns {
-			e.tuneConn(c, over)
+		for _, c := range e.closers {
+			e.tuneConn(c.(*net.UDPConn), over)
 		}
 	}
 	if got := logs.count("socket buffers"); got != 1 {

@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,27 +15,10 @@ import (
 	"rapidware/internal/race"
 )
 
-// prefixConn accepts a random non-empty prefix of every WriteBatch, so a
-// flush's expansion reaches the wire over several calls, and records what it
-// accepted in order. With flushes set it also records, per datagram, the
-// flush it left in: the count flushes read when WriteBatch was called.
-type prefixConn struct {
-	rng     *rand.Rand
-	sent    []ioMsg
-	flushes *atomic.Uint64
-	flushOf []uint64
-}
-
-func (c *prefixConn) ReadBatch([]ioMsg) (int, error) { return 0, net.ErrClosed }
-func (c *prefixConn) WriteBatch(ms []ioMsg) (int, error) {
-	n := 1 + c.rng.Intn(len(ms))
-	c.sent = append(c.sent, ms[:n]...)
-	if c.flushes != nil {
-		for range n {
-			c.flushOf = append(c.flushOf, c.flushes.Load())
-		}
-	}
-	return n, nil
+// randomPrefix is a write rule that takes a random non-empty prefix of every
+// call, so a flush's expansion reaches the wire over several calls.
+func randomPrefix(rng *rand.Rand) func([]ioMsg) (int, error) {
+	return func(ms []ioMsg) (int, error) { return 1 + rng.Intn(len(ms)), nil }
 }
 
 // flushCut models where sendQueue cuts a queue into flushes: a new flush
@@ -137,7 +118,17 @@ func TestFlushKeepsPerKindOrderOnRandomBatches(t *testing.T) {
 			size = 1 + rng.Intn(300)
 		}
 		sh.counters = shardCounters{}
-		conn := &prefixConn{rng: rng, flushes: &sh.counters.flushes}
+		// flushOf records, per datagram sent, the flush it left in: the
+		// count flushes read when WriteBatch was called.
+		var flushOf []uint64
+		take := randomPrefix(rng)
+		conn := &simConn{write: func(ms []ioMsg) (int, error) {
+			n, err := take(ms)
+			for range n {
+				flushOf = append(flushOf, sh.counters.flushes.Load())
+			}
+			return n, err
+		}}
 		sh.bconn = conn
 		queue := make([]outbound, size)
 		for pos := range queue {
@@ -160,7 +151,7 @@ func TestFlushKeepsPerKindOrderOnRandomBatches(t *testing.T) {
 		parity := make([]bool, size)
 		for pos, o := range queue {
 			parity[pos] = isParity(o.b.B)
-			o.b.Retain(1) // keeps what conn recorded readable after the flush
+			o.b.Retain(1) // the test's reference: the flush releases every other one
 			if !sh.push(o) {
 				t.Fatalf("seed %d: queue of %d refused an entry", seed, size)
 			}
@@ -264,7 +255,7 @@ func TestFlushKeepsPerKindOrderOnRandomBatches(t *testing.T) {
 		}
 		per := map[cell]int{}
 		for i, m := range conn.sent {
-			c := cell{conn.flushOf[i], m.Addr}
+			c := cell{flushOf[i], m.Addr}
 			if per[c]++; per[c] > flushSize {
 				t.Fatalf("seed %d: flush %d sends %v more than %d datagrams", seed, c.flush, c.dst, flushSize)
 			}
@@ -395,7 +386,7 @@ func TestFlushFullQueueKeepsFECRepairable(t *testing.T) {
 				frames = append(frames, b)
 			})
 
-			conn := &prefixConn{rng: rng}
+			conn := &simConn{write: randomPrefix(rng)}
 			sh := &shard{bconn: conn}
 			queue := make([]outbound, 0, writeqSize)
 			for len(queue) < writeqSize {
@@ -416,8 +407,6 @@ func TestFlushFullQueueKeepsFECRepairable(t *testing.T) {
 					dst: netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 7, 1, 1}), 9000)})
 			}
 			for _, o := range queue {
-				o.b.Retain(1) // keeps what conn recorded readable after the flush
-				defer o.b.Release()
 				if !sh.push(o) {
 					t.Fatal("a full queue refused an entry")
 				}
@@ -440,12 +429,6 @@ func TestFlushFullQueueKeepsFECRepairable(t *testing.T) {
 	}
 }
 
-// discardConn accepts every datagram and sends none.
-type discardConn struct{}
-
-func (discardConn) ReadBatch([]ioMsg) (int, error)     { return 0, net.ErrClosed }
-func (discardConn) WriteBatch(ms []ioMsg) (int, error) { return len(ms), nil }
-
 // fullQueueFlush returns one op that fills a shard's tail queue to
 // writeqSize with cohort frames — FEC (8,4) groups, data then parity, the
 // parity two bytes longer — for a view of 8 members, and sends it.
@@ -456,24 +439,31 @@ func fullQueueFlush(tb testing.TB) func() {
 			rx: &metrics.ReceiverCounters{}}
 	}
 	s := &Session{id: 1}
-	sh := &shard{bconn: discardConn{}}
-	frames := make([]*packet.Buf, writeqSize)
-	for i := range frames {
+	queue := make([]outbound, writeqSize)
+	for i := range queue {
 		kind, size := packet.KindData, 200
 		if i%8 >= 4 {
 			kind, size = packet.KindParity, 202
 		}
-		frames[i] = flushFrame(tb, 1, kind, i, size)
+		queue[i] = outbound{s: s, b: flushFrame(tb, 1, kind, i, size), view: &view}
 	}
+	return flushOp(tb, queue)
+}
+
+// flushOp returns one op that pushes queue's entries onto a shard whose conn
+// discards what it is sent, and sends the queue. The entries' buffers are
+// released when the test ends.
+func flushOp(tb testing.TB, queue []outbound) func() {
+	sh := &shard{bconn: &simConn{discard: true}}
 	tb.Cleanup(func() {
-		for _, b := range frames {
-			b.Release()
+		for _, o := range queue {
+			o.b.Release()
 		}
 	})
 	return func() {
-		for _, b := range frames {
-			b.Retain(1) // the flush releases one reference per entry
-			sh.push(outbound{s: s, b: b, view: &view})
+		for _, o := range queue {
+			o.b.Retain(1) // the flush releases one reference per entry
+			sh.push(o)
 		}
 		sh.sendQueue()
 	}
@@ -507,7 +497,6 @@ func fanoutBatchFlush(tb testing.TB) func() {
 	}
 	bypass, cohort := viewOf(1), viewOf(5)
 	s := &Session{id: 1}
-	sh := &shard{bconn: discardConn{}}
 	var queue []outbound
 	for i := 0; i < batchSize; i++ {
 		queue = append(queue,
@@ -519,18 +508,7 @@ func fanoutBatchFlush(tb testing.TB) func() {
 			}
 		}
 	}
-	tb.Cleanup(func() {
-		for _, o := range queue {
-			o.b.Release()
-		}
-	})
-	return func() {
-		for _, o := range queue {
-			o.b.Retain(1) // the flush releases one reference per entry
-			sh.push(o)
-		}
-		sh.sendQueue()
-	}
+	return flushOp(tb, queue)
 }
 
 // BenchmarkShardFlushFanoutBatch times the expansion and send of one fan-out
@@ -562,7 +540,6 @@ func TestShardFlushFullQueueAllocs(t *testing.T) {
 // spread round-robin over peers distinct destinations, and sends it.
 func unicastPeersFlush(tb testing.TB, peers int) func() {
 	s := &Session{id: 1}
-	sh := &shard{bconn: discardConn{}}
 	queue := make([]outbound, flushSize)
 	for i := range queue {
 		kind, size := packet.KindData, 200
@@ -572,18 +549,7 @@ func unicastPeersFlush(tb testing.TB, peers int) func() {
 		queue[i] = outbound{s: s, b: flushFrame(tb, 1, kind, i, size),
 			dst: netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 8, byte(i % peers), 1}), 9000)}
 	}
-	tb.Cleanup(func() {
-		for _, o := range queue {
-			o.b.Release()
-		}
-	})
-	return func() {
-		for _, o := range queue {
-			o.b.Retain(1) // the flush releases one reference per entry
-			sh.push(o)
-		}
-		sh.sendQueue()
-	}
+	return flushOp(tb, queue)
 }
 
 // BenchmarkShardFlushUnicastPeers times one flush of unicast entries to 2 and
@@ -703,31 +669,13 @@ func TestDrainWriteQueueCountsDiscards(t *testing.T) {
 	}
 }
 
-// gateConn records what it sends, after holding each WriteBatch call until
-// the test opens the gate; entered reports calls while it has room.
-type gateConn struct {
-	entered chan struct{}
-	gate    chan struct{}
-	sent    atomic.Int64
-}
-
-func (c *gateConn) ReadBatch([]ioMsg) (int, error) { return 0, net.ErrClosed }
-func (c *gateConn) WriteBatch(ms []ioMsg) (int, error) {
-	select {
-	case c.entered <- struct{}{}:
-	default:
-	}
-	<-c.gate
-	c.sent.Add(int64(len(ms)))
-	return len(ms), nil
-}
-
 // TestCombiningSendStrandsNothing: while one producer sends the queue, a
 // second producer's entry is left to it — the second one's send finds the
 // queue taken and returns — and the sender, re-checking after it lets go,
 // sends that entry too, with no later producer to carry it.
 func TestCombiningSendStrandsNothing(t *testing.T) {
-	conn := &gateConn{entered: make(chan struct{}, 2), gate: make(chan struct{})}
+	entered, gate := make(chan struct{}, 2), make(chan struct{})
+	conn := &simConn{write: gated(entered, gate)}
 	sh := &shard{eng: &Engine{}, bconn: conn}
 	s := &Session{id: 1}
 	u := netip.MustParseAddrPort("10.9.0.4:9000")
@@ -736,14 +684,14 @@ func TestCombiningSendStrandsNothing(t *testing.T) {
 		defer close(first)
 		sh.enqueue(outbound{s: s, b: flushFrame(t, 1, packet.KindData, 0, 64), dst: u})
 	}()
-	<-conn.entered // the first producer is mid-send
+	<-entered // the first producer is mid-send
 	sh.enqueue(outbound{s: s, b: flushFrame(t, 1, packet.KindData, 1, 64), dst: u})
 	if got := sh.queued.Load(); got != 1 {
 		t.Fatalf("queued = %d while the first send runs, want the second entry left to it", got)
 	}
-	close(conn.gate)
+	close(gate)
 	<-first
-	if got := conn.sent.Load(); got != 2 {
+	if got := conn.sentTotal(); got != 2 {
 		t.Fatalf("%d datagrams sent once the first producer returned, want 2", got)
 	}
 	if got := sh.queued.Load(); got != 0 {
@@ -757,7 +705,8 @@ func TestCombiningSendStrandsNothing(t *testing.T) {
 // its pass is done the producer returns — releasing its lock — and leaves
 // the batch's entries to the batch: the batch's end sends them.
 func TestSendHolderLeavesBatchTraffic(t *testing.T) {
-	conn := &gateConn{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	entered, gate := make(chan struct{}, 1), make(chan struct{})
+	conn := &simConn{write: gated(entered, gate)}
 	e := &Engine{shards: make([]shard, 1)}
 	sh := &e.shards[0]
 	sh.eng, sh.bconn = e, conn
@@ -771,13 +720,13 @@ func TestSendHolderLeavesBatchTraffic(t *testing.T) {
 		defer mu.Unlock()
 		sh.enqueue(outbound{s: s, b: flushFrame(t, 1, packet.KindData, 0, 64), dst: u})
 	}()
-	<-conn.entered // the producer is mid-send
+	<-entered      // the producer is mid-send
 	e.beginBatch() // a reader's batch is under way
 	const pushed = 2 * sendHighWater
 	for seq := 1; seq <= pushed; seq++ {
 		sh.enqueue(outbound{s: s, b: flushFrame(t, 1, packet.KindData, seq, 64), dst: u})
 	}
-	close(conn.gate)
+	close(gate)
 	select {
 	case <-first:
 	case <-time.After(5 * time.Second):
@@ -787,11 +736,11 @@ func TestSendHolderLeavesBatchTraffic(t *testing.T) {
 		t.Fatal("the producer still holds its lock")
 	}
 	mu.Unlock()
-	if got, q := conn.sent.Load(), sh.queued.Load(); got != 1 || q != pushed {
+	if got, q := conn.sentTotal(), sh.queued.Load(); got != 1 || q != pushed {
 		t.Fatalf("the producer sent %d datagrams and left %d queued, want its own 1 and the batch's %d", got, q, pushed)
 	}
 	e.endBatch()
-	if got := conn.sent.Load(); got != 1+pushed {
+	if got := conn.sentTotal(); got != 1+pushed {
 		t.Fatalf("%d datagrams sent after the batch's end, want %d", got, 1+pushed)
 	}
 }

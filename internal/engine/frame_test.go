@@ -189,23 +189,11 @@ func TestFrameSessionOwnsNoChain(t *testing.T) {
 // comes out exactly once, and each reader's datagrams in the order it read
 // them. Run under -race.
 func TestTwoReadersOneSession(t *testing.T) {
-	e, err := New(Config{ListenAddr: "127.0.0.1:0", Shards: 2, Chain: "counting,checksum"})
+	e, err := New(Config{Shards: 2, Chain: "counting,checksum"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns := []*scriptedConn{newScriptedConn(), newScriptedConn()}
-	for i := range e.shards {
-		e.shards[i].bconn = conns[i]
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		for _, sc := range conns {
-			close(sc.in)
-		}
-		e.Close()
-	})
+	conns := startSim(t, e)
 
 	const id, perReader, batch = 9, 2048, 16
 	peer := netip.MustParseAddrPort("10.9.0.2:4000")
@@ -217,12 +205,12 @@ func TestTwoReadersOneSession(t *testing.T) {
 	var fed atomic.Int64
 	var wg sync.WaitGroup
 	for r, sc := range conns {
-		dgrams := make([]scriptedDgram, perReader)
+		dgrams := make([]simDgram, perReader)
 		for i := range dgrams {
-			dgrams[i] = scriptedDgram{data: mustDatagram(t, id, uint64(r)<<32|uint64(i), []byte("x")), from: peer}
+			dgrams[i] = simDgram{data: mustDatagram(t, id, uint64(r)<<32|uint64(i), []byte("x")), from: peer}
 		}
 		wg.Add(1)
-		go func(sc *scriptedConn) {
+		go func(sc *simConn) {
 			defer wg.Done()
 			for i := 0; i < perReader; i += batch {
 				for fed.Load()-int64(out.sentTotal()) > writeqSize/2 {

@@ -31,7 +31,7 @@ import (
 // are sent to make sure some flush carries a run.
 func TestEngineGSORejectedLosesNothing(t *testing.T) {
 	e := newTestEngine(t, Config{Shards: 1})
-	rc, err := e.conns[0].SyscallConn()
+	rc, err := e.closers[0].(*net.UDPConn).SyscallConn()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,7 @@ func newTripEngine(t *testing.T, capSessions int) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := e.reg.Clone()
-	if err := reg.Register(compose.Definition{
+	withStage(t, e, compose.Definition{
 		Kind: "trip",
 		Build: func(compose.Env, string) (filter.Filter, error) {
 			return filter.NewFrame("trip", func(b *packet.Buf, emit func(*packet.Buf)) error {
@@ -42,13 +41,7 @@ func newTripEngine(t *testing.T, capSessions int) *Engine {
 				return nil
 			}, nil), nil
 		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	e.reg = reg
-	if e.trunkPlan, err = compose.ParseWith(reg, "trip", compose.ModeChain); err != nil {
-		t.Fatal(err)
-	}
+	}, "trip")
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}

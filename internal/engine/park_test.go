@@ -395,8 +395,7 @@ func TestEngineRemovalOwnerClosesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		var flushes atomic.Int64
-		reg := e.reg.Clone()
-		if err := reg.Register(compose.Definition{
+		withStage(t, e, compose.Definition{
 			Kind: "flushes",
 			Build: func(compose.Env, string) (filter.Filter, error) {
 				return filter.NewFrame("flushes", func(b *packet.Buf, emit func(*packet.Buf)) error {
@@ -407,13 +406,7 @@ func TestEngineRemovalOwnerClosesOnce(t *testing.T) {
 					return nil
 				}), nil
 			},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		e.reg = reg
-		if e.trunkPlan, err = compose.ParseWith(reg, "flushes", compose.ModeChain); err != nil {
-			t.Fatal(err)
-		}
+		}, "flushes")
 		if err := e.Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -364,7 +364,7 @@ func TestEngineRecomposeVsResponderRetune(t *testing.T) {
 // counter block as it makes them, so Stats keeps counting with no record of
 // the decoders it no longer has.
 func TestSessionRepairsSurviveRecomposeAndPark(t *testing.T) {
-	e, _ := newScriptedEngine(t, Config{Chain: "fec-decode"})
+	e, _ := newSimEngine(t, Config{Chain: "fec-decode"})
 	peer := netip.MustParseAddrPort("10.9.0.3:4000")
 	s, err := e.openSession(3, peer)
 	if err != nil {

@@ -17,35 +17,36 @@ import (
 // recvPeer is the source address of the datagrams the tests below script.
 var recvPeer = netip.MustParseAddrPort("10.9.0.3:4000")
 
-// newProbeEngine starts a one-shard scripted engine (see newScriptedEngine)
-// whose sessions run one stage of kind "probe", a frame function made of fn.
-func newProbeEngine(t *testing.T, fn func(b *packet.Buf, emit func(*packet.Buf)) error) (*Engine, *scriptedConn) {
+// withStage registers def on a clone of e's registry and, unless trunk is
+// empty, makes the chain spec trunk the trunk every new session starts from.
+func withStage(t *testing.T, e *Engine, def compose.Definition, trunk string) {
 	t.Helper()
-	e, err := New(Config{ListenAddr: "127.0.0.1:0", Shards: 1})
+	e.reg = e.reg.Clone()
+	if err := e.reg.Register(def); err != nil {
+		t.Fatal(err)
+	}
+	if trunk != "" {
+		var err error
+		if e.trunkPlan, err = compose.ParseWith(e.reg, trunk, compose.ModeChain); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// newProbeEngine starts a one-shard engine on a simulated conn (see
+// newSimEngine) whose sessions run one stage of kind "probe", a frame
+// function made of fn.
+func newProbeEngine(t *testing.T, fn func(b *packet.Buf, emit func(*packet.Buf)) error) (*Engine, *simConn) {
+	t.Helper()
+	e, err := New(Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := e.reg.Clone()
-	if err := reg.Register(compose.Definition{
+	withStage(t, e, compose.Definition{
 		Kind:  "probe",
 		Build: func(compose.Env, string) (filter.Filter, error) { return filter.NewFrame("probe", fn, nil), nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	e.reg = reg
-	if e.trunkPlan, err = compose.ParseWith(reg, "probe", compose.ModeChain); err != nil {
-		t.Fatal(err)
-	}
-	sc := newScriptedConn()
-	e.shards[0].bconn = sc
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		close(sc.in)
-		e.Close()
-	})
-	return e, sc
+	}, "probe")
+	return e, startSim(t, e)[0]
 }
 
 // TestTimedReleaseLeavesInOneFlush holds 16 frames in a delay stage, on a
@@ -60,44 +61,26 @@ func TestTimedReleaseLeavesInOneFlush(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var now atomic.Int64
 			now.Store(time.Now().UnixNano())
-			cfg := Config{ListenAddr: "127.0.0.1:0", Shards: 1}
-			dst := recvPeer
+			cfg, dst, trunk := Config{Shards: 1}, recvPeer, "stepdelay"
 			if tail {
-				cfg.Fanout, dst = []string{member.String()}, member
+				cfg.Fanout, dst, trunk = []string{member.String()}, member, ""
 			}
 			e, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg := e.reg.Clone()
-			if err := reg.Register(compose.Definition{
+			withStage(t, e, compose.Definition{
 				Kind: "stepdelay",
 				Build: func(env compose.Env, _ string) (filter.Filter, error) {
 					d := filter.NewDelay(env.StageName("stepdelay"), 20*time.Millisecond)
 					d.SetClock(func() time.Time { return time.Unix(0, now.Load()) })
 					return d, nil
 				},
-			}); err != nil {
-				t.Fatal(err)
-			}
-			e.reg = reg
-			if !tail {
-				if e.trunkPlan, err = compose.ParseWith(reg, "stepdelay", compose.ModeChain); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sc := newScriptedConn()
-			e.shards[0].bconn = sc
-			if err := e.Start(); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() {
-				close(sc.in)
-				e.Close()
-			})
+			}, trunk)
+			sc := startSim(t, e)[0]
 			const id = 1
 			if tail {
-				sc.in <- []scriptedDgram{{data: mustDatagram(t, id, 0, []byte{0}), from: recvPeer}}
+				sc.in <- []simDgram{{data: mustDatagram(t, id, 0, []byte{0}), from: recvPeer}}
 				waitFor(t, "the session's first frame at the member", func() bool { return sc.sentTotal() == 1 })
 				if _, err := e.EditSession(id, member.String(), compose.Replace("stepdelay")); err != nil {
 					t.Fatal(err)
@@ -105,12 +88,10 @@ func TestTimedReleaseLeavesInOneFlush(t *testing.T) {
 			}
 
 			sent0, flushes0 := sc.sentTotal(), e.Stats().WriteFlushes
-			sc.mu.Lock()
-			calls0 := sc.calls
-			sc.mu.Unlock()
-			batch := make([]scriptedDgram, frames)
+			calls0, _ := sc.counts()
+			batch := make([]simDgram, frames)
 			for i := range batch {
-				batch[i] = scriptedDgram{data: mustDatagram(t, id, uint64(1+i), []byte{byte(i)}), from: recvPeer}
+				batch[i] = simDgram{data: mustDatagram(t, id, uint64(1+i), []byte{byte(i)}), from: recvPeer}
 			}
 			datagrams := e.Stats().Datagrams
 			sc.in <- batch
@@ -128,9 +109,8 @@ func TestTimedReleaseLeavesInOneFlush(t *testing.T) {
 				t.Fatalf("%d frames at %v, want %d", got, dst, want)
 			}
 			flushes := e.Stats().WriteFlushes - flushes0
-			sc.mu.Lock()
-			calls := sc.calls - calls0
-			sc.mu.Unlock()
+			calls, _ := sc.counts()
+			calls -= calls0
 			if flushes != 1 || calls != 1 {
 				t.Fatalf("%d frames released together left in %d flushes and %d send calls, want 1 and 1", frames, flushes, calls)
 			}
@@ -154,7 +134,7 @@ func TestReceivedDatagramRightSized(t *testing.T) {
 		emit(b)
 		return nil
 	})
-	sc.in <- []scriptedDgram{
+	sc.in <- []simDgram{
 		{data: mustDatagram(t, 1, 0, make([]byte, 64)), from: recvPeer},
 		{data: mustDatagram(t, 1, 1, make([]byte, 1200)), from: recvPeer},
 	}
@@ -181,12 +161,12 @@ func TestHeldFrameOutlivesReceiveSlots(t *testing.T) {
 		return nil
 	})
 	first := mustDatagram(t, 1, 0, bytes.Repeat([]byte{0xa5}, 200))
-	sc.in <- []scriptedDgram{{data: first, from: recvPeer}}
+	sc.in <- []simDgram{{data: first, from: recvPeer}}
 	const batches = 10
 	for n := 1; n <= batches; n++ {
-		batch := make([]scriptedDgram, batchSize)
+		batch := make([]simDgram, batchSize)
 		for i := range batch {
-			batch[i] = scriptedDgram{data: mustDatagram(t, 1, uint64(n*batchSize+i), bytes.Repeat([]byte{byte(n)}, 200)), from: recvPeer}
+			batch[i] = simDgram{data: mustDatagram(t, 1, uint64(n*batchSize+i), bytes.Repeat([]byte{byte(n)}, 200)), from: recvPeer}
 		}
 		sc.in <- batch
 	}
@@ -203,10 +183,10 @@ func TestHeldFrameOutlivesReceiveSlots(t *testing.T) {
 // queue holds. The queue is sent whenever it reaches sendHighWater entries,
 // so every one is counted once, echoed in order, and none is dropped.
 func TestReaderSendsFullGROBatch(t *testing.T) {
-	e, sc := newScriptedEngine(t, Config{})
+	e, sc := newSimEngine(t, Config{})
 	const perSlot = 64
 	var want [][]byte
-	batch := make([]scriptedDgram, batchSize)
+	batch := make([]simDgram, batchSize)
 	for i := range batch {
 		var slot []byte
 		for j := 0; j < perSlot; j++ {
@@ -214,7 +194,7 @@ func TestReaderSendsFullGROBatch(t *testing.T) {
 			want = append(want, d)
 			slot = append(slot, d...)
 		}
-		batch[i] = scriptedDgram{data: slot, from: recvPeer, seg: len(want[0])}
+		batch[i] = simDgram{data: slot, from: recvPeer, seg: len(want[0])}
 	}
 	sc.in <- batch
 	waitFor(t, "every datagram echoed or dropped", func() bool {
@@ -232,6 +212,49 @@ func TestReaderSendsFullGROBatch(t *testing.T) {
 	}
 }
 
+// stamped returns session 1's data datagram seq, its 100-byte payload
+// stamped with seq.
+func stamped(t *testing.T, seq uint64) []byte {
+	return mustDatagram(t, 1, seq, binary.BigEndian.AppendUint64(make([]byte, 0, 100), seq)[:100])
+}
+
+// newStampedFanout starts a one-shard engine on a simulated conn that fans
+// out to n members, 10.9.<subnet>.1 and up, sends session 1's first stamped
+// frame and waits for it at every member.
+func newStampedFanout(t *testing.T, n int, subnet byte) (*Engine, *simConn, []netip.AddrPort) {
+	members := make([]netip.AddrPort, n)
+	var fanout []string
+	for i := range members {
+		members[i] = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, subnet, byte(i + 1)}), 5000)
+		fanout = append(fanout, members[i].String())
+	}
+	e, sc := newSimEngine(t, Config{Fanout: fanout})
+	sc.in <- []simDgram{{data: stamped(t, 0), from: recvPeer}}
+	waitFor(t, "the session's first frame at every member", func() bool { return sc.sentTotal() == len(members) })
+	return e, sc, members
+}
+
+// memberFrames counts the data and parity frames sent to member i at m, and
+// fails unless its data frames carry stamps 0, 1, 2 and on, in order.
+func memberFrames(t *testing.T, sc *simConn, i int, m netip.AddrPort) (data, par int) {
+	t.Helper()
+	for _, d := range sc.sentTo(m) {
+		p, _, err := packet.Unmarshal(d[packet.SessionIDSize:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Kind == packet.KindParity {
+			par++
+			continue
+		}
+		if got := binary.BigEndian.Uint64(p.Payload); got != uint64(data) {
+			t.Fatalf("member %d: data frame %d carries stamp %d", i, data, got)
+		}
+		data++
+	}
+	return data, par
+}
+
 // TestReaderSendsFullGROBatchFanout is TestReaderSendsFullGROBatch on a
 // fan-out session whose four members are in four cohorts: the bypass lane,
 // two one-stage tails and an FEC (6,4) tail. Each datagram queues four or
@@ -241,19 +264,8 @@ func TestReaderSendsFullGROBatch(t *testing.T) {
 // frame once and in order, the FEC member its parity too, and nothing is
 // dropped.
 func TestReaderSendsFullGROBatchFanout(t *testing.T) {
-	members := make([]netip.AddrPort, 4)
-	var fanout []string
-	for i := range members {
-		members[i] = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, 1, byte(i + 1)}), 5000)
-		fanout = append(fanout, members[i].String())
-	}
-	e, sc := newScriptedEngine(t, Config{Fanout: fanout})
+	e, sc, members := newStampedFanout(t, 4, 1)
 	const id, perSlot = 1, 64
-	stamped := func(seq uint64) []byte {
-		return mustDatagram(t, id, seq, binary.BigEndian.AppendUint64(make([]byte, 0, 100), seq)[:100])
-	}
-	sc.in <- []scriptedDgram{{data: stamped(0), from: recvPeer}}
-	waitFor(t, "the session's first frame at every member", func() bool { return sc.sentTotal() == len(members) })
 	for i, tail := range []string{"counting", "null", "fec-encode=6/4"} {
 		if _, err := e.EditSession(id, members[i+1].String(), compose.Replace(tail)); err != nil {
 			t.Fatal(err)
@@ -263,15 +275,15 @@ func TestReaderSendsFullGROBatchFanout(t *testing.T) {
 		t.Fatalf("%d cohorts, want 4", st.Cohorts)
 	}
 
-	batch := make([]scriptedDgram, batchSize)
+	batch := make([]simDgram, batchSize)
 	seq := uint64(1)
 	for i := range batch {
 		var slot []byte
 		for j := 0; j < perSlot; j++ {
-			slot = append(slot, stamped(seq)...)
+			slot = append(slot, stamped(t, seq)...)
 			seq++
 		}
-		batch[i] = scriptedDgram{data: slot, from: recvPeer, seg: len(stamped(0))}
+		batch[i] = simDgram{data: slot, from: recvPeer, seg: len(stamped(t, 0))}
 	}
 	sc.in <- batch
 	frames := int(seq)             // data frames per member, the first one included
@@ -285,21 +297,7 @@ func TestReaderSendsFullGROBatchFanout(t *testing.T) {
 		t.Fatalf("WriteDrops = %d, Malformed = %d, want 0 and 0", st.WriteDrops, st.Malformed)
 	}
 	for i, m := range members {
-		var data, par int
-		for _, d := range sc.sentTo(m) {
-			p, _, err := packet.Unmarshal(d[packet.SessionIDSize:])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Kind == packet.KindParity {
-				par++
-				continue
-			}
-			if got := binary.BigEndian.Uint64(p.Payload); got != uint64(data) {
-				t.Fatalf("member %d: data frame %d carries stamp %d", i, data, got)
-			}
-			data++
-		}
+		data, par := memberFrames(t, sc, i, m)
 		if wantPar := map[bool]int{true: parity}[i == 3]; data != frames || par != wantPar {
 			t.Fatalf("member %d: %d data and %d parity frames, want %d and %d", i, data, par, frames, wantPar)
 		}
@@ -315,19 +313,8 @@ func TestReaderSendsFullGROBatchFanout(t *testing.T) {
 // run to every member and a parity run to each cohort member. Every member
 // gets its data frames in order, and each cohort member its parity.
 func TestFanoutReadLeavesInOneFlush(t *testing.T) {
-	members := make([]netip.AddrPort, 8)
-	var fanout []string
-	for i := range members {
-		members[i] = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, 2, byte(i + 1)}), 5000)
-		fanout = append(fanout, members[i].String())
-	}
-	e, sc := newScriptedEngine(t, Config{Fanout: fanout})
+	e, sc, members := newStampedFanout(t, 8, 2)
 	const id = 1
-	stamped := func(seq uint64) []byte {
-		return mustDatagram(t, id, seq, binary.BigEndian.AppendUint64(make([]byte, 0, 100), seq)[:100])
-	}
-	sc.in <- []scriptedDgram{{data: stamped(0), from: recvPeer}}
-	waitFor(t, "the session's first frame at every member", func() bool { return sc.sentTotal() == len(members) })
 	for _, m := range members[4:] {
 		if _, err := e.EditSession(id, m.String(), compose.Replace("fec-encode=8/4")); err != nil {
 			t.Fatal(err)
@@ -338,12 +325,10 @@ func TestFanoutReadLeavesInOneFlush(t *testing.T) {
 	}
 
 	before := e.Stats()
-	sc.mu.Lock()
-	entries0 := sc.entries
-	sc.mu.Unlock()
-	batch := make([]scriptedDgram, batchSize)
+	_, entries0 := sc.counts()
+	batch := make([]simDgram, batchSize)
 	for i := range batch {
-		batch[i] = scriptedDgram{data: stamped(uint64(1 + i)), from: recvPeer}
+		batch[i] = simDgram{data: stamped(t, uint64(1+i)), from: recvPeer}
 	}
 	sc.in <- batch
 	want := len(members) + 4*batchSize + 4*2*batchSize
@@ -352,28 +337,13 @@ func TestFanoutReadLeavesInOneFlush(t *testing.T) {
 	if f, w := st.WriteFlushes-before.WriteFlushes, st.BatchedWrites-before.BatchedWrites; f != 1 || w != 3*batchSize {
 		t.Fatalf("the read left in %d flushes of %d entries, want 1 of %d", f, w, 3*batchSize)
 	}
-	sc.mu.Lock()
-	entries := sc.entries - entries0
-	sc.mu.Unlock()
+	_, entries := sc.counts()
+	entries -= entries0
 	if entries != 12 {
 		t.Fatalf("the flush took %d GSO entries, want 12: one run per member and kind", entries)
 	}
 	for i, m := range members {
-		var data, par int
-		for _, d := range sc.sentTo(m) {
-			p, _, err := packet.Unmarshal(d[packet.SessionIDSize:])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Kind == packet.KindParity {
-				par++
-				continue
-			}
-			if got := binary.BigEndian.Uint64(p.Payload); got != uint64(data) {
-				t.Fatalf("member %d: data frame %d carries stamp %d", i, data, got)
-			}
-			data++
-		}
+		data, par := memberFrames(t, sc, i, m)
 		wantPar := 0
 		if i >= 4 {
 			wantPar = batchSize

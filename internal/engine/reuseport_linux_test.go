@@ -18,12 +18,12 @@ import (
 // the client).
 func TestEngineReusePortEchoAcrossShards(t *testing.T) {
 	e := newTestEngine(t, Config{Shards: 4, ReusePort: true})
-	if got := len(e.conns); got != 4 {
+	if got := len(e.closers); got != 4 {
 		t.Fatalf("bound %d sockets, want 4", got)
 	}
-	want := e.conns[0].LocalAddr().String()
-	for i, c := range e.conns {
-		if got := c.LocalAddr().String(); got != want {
+	want := e.LocalAddr().String()
+	for i, c := range e.closers {
+		if got := c.(*net.UDPConn).LocalAddr().String(); got != want {
 			t.Fatalf("socket %d bound %s, want %s", i, got, want)
 		}
 	}

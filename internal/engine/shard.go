@@ -130,7 +130,7 @@ type wmeta struct {
 type shard struct {
 	idx      int
 	eng      *Engine
-	bconn    batchConn // wired by Start unless a test injected one
+	bconn    batchConn // wired by Engine.start, before any reader runs
 	counters shardCounters
 
 	// The output queue. queued mirrors len(wq) for readers without wmu.
