@@ -486,15 +486,18 @@ func (e *Engine) Start() error {
 	if err != nil {
 		return err
 	}
-	bconns := make([]batchConn, len(e.shards))
+	bconns, closers := make([]batchConn, len(e.shards)), make([]io.Closer, len(conns))
 	for i := range e.shards {
-		c := &e.shards[i].counters
-		bconns[i] = netbatch.New(conns[i%len(conns)], netbatch.Options{GSO: gsoAvailable, GRO: gsoAvailable,
-			RecvCalls: &c.recvCalls, SendCalls: &c.sendCalls, Segmented: &c.gsoDatagrams, Entries: &c.sendEntries})
-	}
-	closers := make([]io.Closer, len(conns))
-	for i, c := range conns {
-		closers[i] = c
+		conn, c := conns[i%len(conns)], &e.shards[i].counters
+		closers[i%len(conns)] = conn
+		bconns[i] = netbatch.New(conn, netbatch.Options{
+			GSO:       gsoAvailable,
+			GRO:       gsoAvailable,
+			RecvCalls: &c.recvCalls,
+			SendCalls: &c.sendCalls,
+			Segmented: &c.gsoDatagrams,
+			Entries:   &c.sendEntries,
+		})
 	}
 	e.start(bconns, conns[0].LocalAddr(), closers)
 	return nil

@@ -46,6 +46,9 @@ type simConn struct {
 
 var errInjectedFault = errors.New("injected send fault")
 
+// newSimConn returns a conn whose input holds 4096 batches, more than any
+// test scripts, so a test queues its whole script without waiting for the
+// reader.
 func newSimConn() *simConn {
 	return &simConn{in: make(chan []simDgram, 4096), done: make(chan struct{})}
 }
