@@ -91,11 +91,11 @@ func TestEngineAdaptiveTrunkFECAllocs(t *testing.T) {
 }
 
 func TestSessionParkUnparkAllocs(t *testing.T) {
-	requireAllocs(t, 80, 1000, sessionParkUnpark)
+	requireAllocs(t, 1, 1000, sessionParkUnpark)
 }
 
 func TestEngineIdleChurnAllocs(t *testing.T) {
-	requireAllocs(t, 80, 1000, func(tb testing.TB) func() { return idleChurn(tb, 1024) })
+	requireAllocs(t, 2, 1000, func(tb testing.TB) func() { return idleChurn(tb, 1024) })
 }
 
 // TestBranchReplayPrimeAllocs bounds the join its benchmark times; the leave

@@ -246,15 +246,25 @@ func printStats(out *os.File, eng *metrics.EngineStats, shards []metrics.ShardSt
 		perPacket(eng.Datagrams+eng.BatchedWrites, eng.RecvCalls+eng.SendCalls),
 		fillRatio(eng.Datagrams+eng.BatchedWrites, eng.RecvCalls+eng.SendCalls),
 		eng.GSODatagrams, fillRatio(eng.SentDatagrams, eng.SendEntries))
-	fmt.Fprintf(out, "%-5s %8s %6s %10s %9s %8s %8s %6s %7s %7s %10s %10s %8s %7s %7s %6s %7s %7s %9s %10s\n",
-		"shard", "sessions", "parked", "datagrams", "malformed", "rejected", "feedback", "nacks", "rexmits", "nrefuse", "chain-errs", "writes", "flushes", "wdrops", "harvest", "adrops", "bypass", "coalsc", "syscalls", "batch-fill")
+	fmt.Fprintf(out, "%-5s %8s %6s %10s %9s %8s %8s %6s %7s %7s %10s %10s %8s %7s %7s %6s %7s %7s %9s %10s %7s %7s\n",
+		"shard", "sessions", "parked", "datagrams", "malformed", "rejected", "feedback", "nacks", "rexmits", "nrefuse", "chain-errs", "writes", "flushes", "wdrops", "harvest", "adrops", "bypass", "coalsc", "syscalls", "batch-fill", "rcvbuf", "sndbuf")
 	for _, sh := range shards {
-		fmt.Fprintf(out, "%-5d %8d %6d %10d %9d %8d %8d %6d %7d %7d %10d %10d %8d %7d %7d %6d %7d %7d %9d %10s\n",
+		fmt.Fprintf(out, "%-5d %8d %6d %10d %9d %8d %8d %6d %7d %7d %10d %10d %8d %7d %7d %6d %7d %7d %9d %10s %7s %7s\n",
 			sh.Shard, sh.Sessions, sh.Parked, sh.Datagrams, sh.Malformed, sh.Rejected, sh.Feedback,
 			sh.Nacks, sh.Retransmits, sh.NackRefusals, sh.ChainErrors, sh.Writes, sh.Flushes, sh.WriteDrops,
 			sh.Harvested, sh.AdmissionDrops, sh.BypassHits, sh.CoalescedSends,
-			sh.RecvCalls+sh.SendCalls, fillRatio(sh.Datagrams+sh.Writes, sh.RecvCalls+sh.SendCalls))
+			sh.RecvCalls+sh.SendCalls, fillRatio(sh.Datagrams+sh.Writes, sh.RecvCalls+sh.SendCalls),
+			bufKiB(sh.RecvBuf), bufKiB(sh.SendBuf))
 	}
+}
+
+// bufKiB renders a socket buffer size the kernel granted in KiB, or a dash
+// when the engine could not read it back.
+func bufKiB(n int) string {
+	if n < 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%dK", n>>10)
 }
 
 // fillRatio renders packets per call: per syscall (the batch amortization

@@ -564,8 +564,9 @@ func TestPrintSessionsReceiverChain(t *testing.T) {
 }
 
 // TestPrintStatsGolden pins the exact stats rendering — the syscalls,
-// batch-fill, gso and datagrams-per-entry figures included — so accidental
-// format drift is caught.
+// batch-fill, gso and datagrams-per-entry figures and the granted socket
+// buffers (a dash where unknown) included — so accidental format drift is
+// caught.
 func TestPrintStatsGolden(t *testing.T) {
 	eng := &metrics.EngineStats{
 		ActiveSessions: 3, LiveSessions: 2, ParkedSessions: 1, TotalSessions: 5, Shards: 2,
@@ -582,10 +583,10 @@ func TestPrintStatsGolden(t *testing.T) {
 			Feedback: 3, Nacks: 4, Retransmits: 5, NackRefusals: 13, ChainErrors: 6,
 			Writes: 3200, Flushes: 200, WriteDrops: 7, Harvested: 1, AdmissionDrops: 2,
 			BypassHits: 11, CoalescedSends: 12,
-			RecvCalls: 100, SendCalls: 100},
+			RecvCalls: 100, SendCalls: 100, RecvBuf: 4 << 20, SendBuf: 4 << 20},
 		{Shard: 1, Sessions: 1, Datagrams: 3200,
-			Writes: 3200, Flushes: 200, RecvCalls: 100, SendCalls: 100},
-		{Shard: 2},
+			Writes: 3200, Flushes: 200, RecvCalls: 100, SendCalls: 100, RecvBuf: 212992, SendBuf: 212992},
+		{Shard: 2, RecvBuf: -1, SendBuf: -1},
 	}
 	out := captureOutput(t, func(f *os.File) error {
 		printStats(f, eng, shards)
@@ -597,10 +598,10 @@ parks 9  unparks 8  harvested 1  admission-drops 2
 writes 6400 in 400 flushes (16.0/flush)  write-drops 7
 bypass-hits 11  coalesced-sends 12
 syscalls 400 (recv 200, send 200)  per-packet 0.031  batch-fill 32.0  gso 5200  per-entry 12.8
-shard sessions parked  datagrams malformed rejected feedback  nacks rexmits nrefuse chain-errs     writes  flushes  wdrops harvest adrops  bypass  coalsc  syscalls batch-fill
-0            2      1       3200         1        2        3      4       5      13          6       3200      200       7       1      2      11      12       200       32.0
-1            1      0       3200         0        0        0      0       0       0          0       3200      200       0       0      0       0       0       200       32.0
-2            0      0          0         0        0        0      0       0       0          0          0        0       0       0      0       0       0         0          -
+shard sessions parked  datagrams malformed rejected feedback  nacks rexmits nrefuse chain-errs     writes  flushes  wdrops harvest adrops  bypass  coalsc  syscalls batch-fill  rcvbuf  sndbuf
+0            2      1       3200         1        2        3      4       5      13          6       3200      200       7       1      2      11      12       200       32.0   4096K   4096K
+1            1      0       3200         0        0        0      0       0       0          0       3200      200       0       0      0       0       0       200       32.0    208K    208K
+2            0      0          0         0        0        0      0       0       0          0          0        0       0       0      0       0       0         0          -       -       -
 `
 	if out != want {
 		t.Fatalf("stats output drifted:\ngot:\n%s\nwant:\n%s", out, want)

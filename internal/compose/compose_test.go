@@ -226,9 +226,13 @@ func TestEnvStageName(t *testing.T) {
 	if e.StageName("counting") != "counting" {
 		t.Fatal("default stage name should be the kind")
 	}
-	e.Name = func(kind string) string { return kind + ":7" }
-	if e.StageName("counting") != "counting:7" {
-		t.Fatal("Env.Name not honored")
+	e = Env{StreamID: 7, Qualify: true}
+	if got := e.StageName("counting"); got != "counting:7" {
+		t.Fatalf("qualified stage name = %q, want counting:7", got)
+	}
+	e.Suffix = ":c2"
+	if got := e.StageName("counting"); got != "counting:7:c2" {
+		t.Fatalf("suffixed stage name = %q, want counting:7:c2", got)
 	}
 }
 

@@ -48,8 +48,8 @@ type Live struct {
 	// instance.
 	inst []filter.Filter
 
-	// view is the last successfully applied (plan, instances) pair,
-	// republished after every mutation. Read paths — Plan, String, Instance,
+	// view is the last successfully applied (plan, instances) pair, set by
+	// Attach and every mutation. Read paths — Plan, String, Instance,
 	// StageStats, the control plane's session listing — load it without
 	// taking mu, so a recompose (which waits for the executor's lock and for
 	// departing stages to flush) never stalls observation.
@@ -62,50 +62,54 @@ type liveView struct {
 	inst []filter.Filter
 }
 
+// emptyView is the published state of every stage-less Live: readers never
+// write a view, so all of them share it.
+var emptyView liveView
+
 // publishLocked snapshots the current state for lock-free readers. Caller
 // holds l.mu and has fully applied the state it publishes.
 func (l *Live) publishLocked() {
-	l.view.Store(&liveView{
-		plan: l.plan.Clone(),
-		inst: append([]filter.Filter(nil), l.inst...),
-	})
-}
-
-// snapshot returns the last published state (never nil after Attach).
-func (l *Live) snapshot() *liveView {
-	if v := l.view.Load(); v != nil {
-		return v
+	v := &emptyView
+	if len(l.plan.Stages) > 0 {
+		v = &liveView{plan: l.plan.Clone(), inst: append([]filter.Filter(nil), l.inst...)}
 	}
-	return &liveView{}
+	l.view.Store(v)
 }
 
 // Attach builds plan's interior into exec and returns the Live managing it.
 // mode governs which stages later rewrites may contain.
 func Attach(exec Interior, reg *Registry, env Env, mode Mode, plan Plan) (*Live, error) {
-	if exec == nil {
-		return nil, errors.New("compose: attach requires an executor")
-	}
-	if reg == nil {
-		reg = Default()
-	}
-	l := &Live{exec: exec, reg: reg, env: env, mode: mode}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.recomposeLocked(plan); err != nil {
+	l := new(Live)
+	if err := l.Attach(exec, reg, env, mode, plan); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
+// Attach is the function Attach on a zero Live its owner embeds, so the two
+// are one allocation; a stage-less plan allocates nothing more.
+func (l *Live) Attach(exec Interior, reg *Registry, env Env, mode Mode, plan Plan) error {
+	if exec == nil {
+		return errors.New("compose: attach requires an executor")
+	}
+	if reg == nil {
+		reg = Default()
+	}
+	l.exec, l.reg, l.env, l.mode = exec, reg, env, mode
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.recomposeLocked(plan)
+}
+
 // Plan returns a copy of the current plan. Like all read paths it serves
 // from the published snapshot and never blocks behind an in-flight splice.
 func (l *Live) Plan() Plan {
-	return l.snapshot().plan.Clone()
+	return l.view.Load().plan.Clone()
 }
 
 // String returns the current plan's canonical spec string.
 func (l *Live) String() string {
-	return l.snapshot().plan.String()
+	return l.view.Load().plan.String()
 }
 
 // Mode returns the validation mode rewrites of this chain are checked
@@ -181,7 +185,7 @@ func (l *Live) Occupy(kind string, f filter.Filter) (bool, error) {
 // marker with) relies on the mutation itself re-checking under the splice
 // lock.
 func (l *Live) Instance(kind string) filter.Filter {
-	v := l.snapshot()
+	v := l.view.Load()
 	for i, st := range v.plan.Stages {
 		if st.Kind == kind {
 			return v.inst[i]
@@ -194,7 +198,7 @@ func (l *Live) Instance(kind string) filter.Filter {
 // entry per plan stage, in order, with the live instance's name and I/O
 // counters when one is spliced in.
 func (l *Live) StageStats() []metrics.StageStats {
-	v := l.snapshot()
+	v := l.view.Load()
 	out := make([]metrics.StageStats, len(v.plan.Stages))
 	for i, st := range v.plan.Stages {
 		s := metrics.StageStats{Kind: st.Kind, Spec: st.String()}

@@ -10,6 +10,7 @@ import (
 
 	"rapidware/internal/filter"
 	"rapidware/internal/packet"
+	"rapidware/internal/race"
 )
 
 // byteSource feeds payload into the chain in small paced buffers — a raw
@@ -340,5 +341,39 @@ func TestLiveOccupySwapIsOneSplice(t *testing.T) {
 		if !same {
 			t.Fatalf("Occupy(%v) spliced %d stages, want %d in plan order", step.occupant, len(got), len(step.interior))
 		}
+	}
+}
+
+// releaseSink discards what a chain emits.
+type releaseSink struct{}
+
+func (releaseSink) Deliver(b *packet.Buf) { b.Release() }
+
+// TestAttachStagelessAllocs bounds a stage-less composition embedded in its
+// owner, as an engine session's chain incarnation embeds its executor and
+// Live: the owner is the one allocation, and Attach adds none.
+func TestAttachStagelessAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	type incarnation struct {
+		frames filter.FrameChain
+		live   Live
+	}
+	reg := Default()
+	var last *incarnation
+	n := testing.AllocsPerRun(100, func() {
+		in := new(incarnation)
+		in.frames.Init(releaseSink{}, nil)
+		if err := in.live.Attach(&in.frames, reg, Env{StreamID: 7, Qualify: true}, ModeChain, Plan{}); err != nil {
+			t.Fatal(err)
+		}
+		last = in
+	})
+	if n != 1 {
+		t.Fatalf("%v allocs per stage-less incarnation, want 1 (the owner)", n)
+	}
+	if got := last.live.String(); got != "" {
+		t.Fatalf("plan = %q, want the empty plan", got)
 	}
 }

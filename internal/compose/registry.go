@@ -22,12 +22,12 @@ import (
 // instantiated: everything a stage constructor may need that is not part of
 // the stage spec itself.
 type Env struct {
-	// StreamID is stamped on packets emitted by FEC stages and conventionally
-	// woven into stage instance names.
+	// StreamID is stamped on packets emitted by FEC stages.
 	StreamID uint32
-	// Name derives an instance name for a stage kind; nil uses the kind
-	// itself.
-	Name func(kind string) string
+	// Qualify names instances kind:StreamID<Suffix> (an engine session's
+	// trunk and cohort tails), not by kind alone.
+	Qualify bool
+	Suffix  string
 	// Counters is the owning session's counter block: an FEC decoder stage
 	// adds every packet it reconstructs to Repairs, and every stage counts a
 	// frame it discards because it cannot accept it (a bad frame, an FEC
@@ -62,10 +62,10 @@ func (e Env) repairs() *atomic.Uint64 {
 
 // StageName resolves the instance name for a stage kind.
 func (e Env) StageName(kind string) string {
-	if e.Name != nil {
-		return e.Name(kind)
+	if !e.Qualify {
+		return kind
 	}
-	return kind
+	return kind + ":" + strconv.FormatUint(uint64(e.StreamID), 10) + e.Suffix
 }
 
 // Definition describes one registered stage kind.
@@ -233,21 +233,13 @@ func (r *Registry) Build(env Env, st Stage) (filter.Filter, error) {
 	return f, nil
 }
 
-var (
-	defaultOnce sync.Once
-	defaultReg  *Registry
-)
+var defaultRegistry = sync.OnceValue(newDefaultRegistry)
 
 // Default returns the shared registry holding every built-in stage kind. It
 // is the single source of truth for what the engine, the stream proxy and
 // the control plane's kind listing can compose; extend a Clone rather than
 // the shared instance.
-func Default() *Registry {
-	defaultOnce.Do(func() {
-		defaultReg = newDefaultRegistry()
-	})
-	return defaultReg
-}
+func Default() *Registry { return defaultRegistry() }
 
 // The chain spec language. A spec is a comma-separated list of stages
 // instantiated in order between a chain's endpoints:

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"rapidware/internal/adapt"
@@ -50,7 +49,6 @@ import (
 // receiverLoop is one downstream receiver's adaptation loop. Its state is
 // guarded by the session's mu.
 type receiverLoop struct {
-	s  *Session
 	cs *chainState
 	m  *member // the fan-out member served; nil on a unicast trunk's loop
 
@@ -76,8 +74,8 @@ type decision struct {
 // clean-link decision, so a policy whose cleanest rung already demands FEC
 // has its encoder spliced in before the chain carries its first packet. The
 // session is not registered yet, so no report can reach the loop.
-func newTrunkLoop(s *Session, cs *chainState) (*receiverLoop, error) {
-	l := &receiverLoop{s: s, cs: cs}
+func newTrunkLoop(cs *chainState) (*receiverLoop, error) {
+	l := &receiverLoop{cs: cs}
 	return l, l.apply(0, 0)
 }
 
@@ -131,7 +129,7 @@ func (s *Session) sweep(now int64, window time.Duration) {
 // a member moves cohorts, a trunk reconciles its marker. Caller holds the
 // session's mu (or owns a loop nothing else can reach yet).
 func (l *receiverLoop) apply(loss float64, rttMillis uint32) error {
-	mech, params := l.s.eng.policy.Decide(loss, rttMillis)
+	mech, params := l.cs.s.eng.policy.Decide(loss, rttMillis)
 	d := decision{mech: mech, params: params, loss: loss}
 	if l.m != nil {
 		if err := l.cs.tree.assign(l.m, d, true); err != nil && !errors.Is(err, errDeparted) {
@@ -160,7 +158,7 @@ func (l *receiverLoop) apply(loss float64, rttMillis uint32) error {
 // operator has recomposed the marker away the loop is dormant: decisions are
 // recorded but engage nothing until a recompose restores it.
 func (l *receiverLoop) reconcile(d decision) (changed bool, err error) {
-	live := l.cs.live
+	live := &l.cs.live
 	switch cur := live.Instance(compose.KindFECAdapt).(type) {
 	case nil:
 		if d.mech == adapt.MechanismNone {
@@ -177,7 +175,7 @@ func (l *receiverLoop) reconcile(d decision) (changed bool, err error) {
 	}
 	// A stopped stage cannot restart, so every change brings a fresh one
 	// (none, for a clean link).
-	fresh, err := l.s.repairStage(d.mech, d.params, "")
+	fresh, err := l.cs.s.repairStage(d.mech, d.params, "")
 	if err != nil {
 		return false, err
 	}
@@ -197,13 +195,13 @@ func (l *receiverLoop) reconcile(d decision) (changed bool, err error) {
 func (s *Session) repairStage(mech adapt.Mechanism, params fec.Params, suffix string) (filter.Filter, error) {
 	switch mech {
 	case adapt.MechanismFEC:
-		enc, err := fec.NewEncodeStage(fmt.Sprintf("fec:%d%s", s.id, suffix), params, s.id, &s.groups)
+		enc, err := fec.NewEncodeStage(s.composeEnv(suffix).StageName("fec"), params, s.id, &s.groups)
 		if err != nil {
 			return nil, err
 		}
 		return enc, nil
 	case adapt.MechanismARQ:
-		return arq.NewSenderFilter(fmt.Sprintf("arq:%d%s", s.id, suffix), 0), nil
+		return arq.NewSenderFilter(s.composeEnv(suffix).StageName("arq"), 0), nil
 	}
 	return nil, nil
 }
@@ -221,7 +219,7 @@ func (l *receiverLoop) record(d decision, retuned bool) {
 // logErr logs a decision that failed to apply.
 func (l *receiverLoop) logErr(err error) {
 	if err != nil {
-		l.s.eng.logf("session %d: adaptation: %v", l.s.id, err)
+		l.cs.s.eng.logf("session %d: adaptation: %v", l.cs.s.id, err)
 	}
 }
 

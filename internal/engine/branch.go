@@ -86,10 +86,9 @@ type cohort struct {
 // deliveryTree owns a session's members and cohorts and keeps them reconciled
 // with the engine's fan-out group.
 type deliveryTree struct {
-	s *Session
-	// cs is the chain incarnation this tree belongs to: member priming reads
-	// its live trunk's replay stage, and members' retunes count toward it. A
-	// parked session has no tree; unpark builds a fresh one.
+	// cs is the incarnation this tree belongs to, cs.s its session: member
+	// priming reads its trunk's replay stage, and members' retunes count
+	// toward it. A parked session has no tree; unpark builds a fresh one.
 	cs *chainState
 
 	mu      sync.Mutex // held by dispatch for every frame, and by every membership change
@@ -102,9 +101,8 @@ type deliveryTree struct {
 	serial atomic.Uint64 // names cohort stages
 }
 
-func newDeliveryTree(s *Session, cs *chainState) *deliveryTree {
+func newDeliveryTree(cs *chainState) *deliveryTree {
 	return &deliveryTree{
-		s:       s,
 		cs:      cs,
 		members: make(map[netip.AddrPort]*member),
 		cohorts: make(map[string]*cohort),
@@ -156,15 +154,15 @@ func (e *Engine) allMarkers(plan compose.Plan) bool {
 func (t *deliveryTree) dispatch(b *packet.Buf) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.s.eng.group.Version() != t.version {
+	if t.cs.s.eng.group.Version() != t.version {
 		t.reconcileLocked()
 	}
 	if len(t.list) == 0 {
-		t.s.counters.Drops.Add(1)
+		t.cs.s.counters.Drops.Add(1)
 		b.Release()
 		return
 	}
-	packet.PutSessionID(b.B, t.s.id)
+	packet.PutSessionID(b.B, t.cs.s.id)
 	last := len(t.list) - 1
 	for _, c := range t.list[:last] {
 		cp := packet.GetBuf(len(b.B))
@@ -186,7 +184,7 @@ func (t *deliveryTree) reconcile() {
 // the cohort their tail plan and initial policy decision select. Runs on the
 // trunk's dispatch (version check) and the feedback path. Caller holds t.mu.
 func (t *deliveryTree) reconcileLocked() {
-	members, v := t.s.eng.group.SnapshotVersion()
+	members, v := t.cs.s.eng.group.SnapshotVersion()
 	if v == t.version || t.closed {
 		return
 	}
@@ -214,7 +212,7 @@ func (t *deliveryTree) reconcileLocked() {
 // trunk's replay history. Joins are rare, so a cohort they need is built
 // under the lock. Caller holds t.mu.
 func (t *deliveryTree) addMemberLocked(ap netip.AddrPort) {
-	e := t.s.eng
+	e := t.cs.s.eng
 	m := &member{ap: ap, plan: e.branchPlan}
 	d := decision{mech: adapt.MechanismNone, params: fec.Params{K: 1, N: 1}}
 	if e.adaptOn {
@@ -229,14 +227,14 @@ func (t *deliveryTree) addMemberLocked(ap netip.AddrPort) {
 			// The member gets nothing until membership changes again; branch
 			// specs are validated at engine construction, so this is a
 			// resource-level failure worth surfacing.
-			t.s.shard.counters.chainErrors.Add(1)
-			e.logf("session %d: member %s: %v", t.s.id, ap, err)
+			t.cs.s.shard.counters.chainErrors.Add(1)
+			e.logf("session %d: member %s: %v", t.cs.s.id, ap, err)
 			return
 		}
 		t.cohorts[key] = c
 	}
 	if e.adaptOn {
-		m.loop = &receiverLoop{s: t.s, cs: t.cs, m: m, decided: d}
+		m.loop = &receiverLoop{cs: t.cs, m: m, decided: d}
 	}
 	t.members[ap] = m
 	t.moveLocked(m, c)
@@ -346,9 +344,9 @@ func (t *deliveryTree) editMember(ap netip.AddrPort, edit compose.Edit) (string,
 	m := t.members[ap]
 	if m == nil {
 		t.mu.Unlock()
-		return "", fmt.Errorf("engine: session %d has no branch for receiver %s", t.s.id, ap)
+		return "", fmt.Errorf("engine: session %d has no branch for receiver %s", t.cs.s.id, ap)
 	}
-	reg := t.s.eng.reg
+	reg := t.cs.s.eng.reg
 	plan, err := edit(reg, compose.ModeBranch, m.plan)
 	if err == nil {
 		err = reg.Validate(plan, compose.ModeBranch)
@@ -379,7 +377,7 @@ func (t *deliveryTree) editMember(ap netip.AddrPort, edit compose.Edit) (string,
 // session's counter, so a member moving between cohorts never sees a group
 // number twice. It takes no lock.
 func (t *deliveryTree) newCohort(key string, plan compose.Plan, mech adapt.Mechanism, params fec.Params) (*cohort, error) {
-	s := t.s
+	s := t.cs.s
 	e := s.eng
 	c := &cohort{key: key, tree: t}
 	c.publish()
@@ -387,7 +385,8 @@ func (t *deliveryTree) newCohort(key string, plan compose.Plan, mech adapt.Mecha
 		return c, nil
 	}
 	suffix := fmt.Sprintf(":c%d", t.serial.Add(1))
-	c.frames = filter.NewFrameChain(c.send).WithBatch(e.beginBatch, e.endBatch)
+	c.frames = new(filter.FrameChain)
+	c.frames.Init(c, e)
 	live, err := compose.Attach(c.frames, e.reg, s.composeEnv(suffix), compose.ModeBranch, plan)
 	if err != nil {
 		return nil, fmt.Errorf("cohort tail: %w", err)
@@ -420,9 +419,9 @@ func (t *deliveryTree) primeLocked(m *member) {
 	if !ok {
 		return
 	}
-	s := t.s
-	s.eng.beginBatch()
-	defer s.eng.endBatch()
+	s := t.cs.s
+	s.eng.BeginBatch()
+	defer s.eng.EndBatch()
 	rf.Visit(func(frame []byte) {
 		b := packet.GetBuf(packet.SessionIDSize + len(frame))
 		packet.PutSessionID(b.B, s.id)
@@ -496,7 +495,7 @@ func (t *deliveryTree) close() *metrics.AdaptStats {
 // adaptLocked aggregates the members' loops, nil without the feedback plane.
 // Caller holds t.mu.
 func (t *deliveryTree) adaptLocked() *metrics.AdaptStats {
-	if !t.s.eng.adaptOn {
+	if !t.cs.s.eng.adaptOn {
 		return nil
 	}
 	loops := make([]*receiverLoop, 0, len(t.members))
@@ -534,10 +533,10 @@ func (t *deliveryTree) stats(st *metrics.SessionStats) {
 }
 
 // deliver takes one stamped trunk datagram. The bypass lane enqueues it as
-// is; a tail runs it inline, its output reaching the same queue through send.
-// Caller holds tree.mu.
+// is; a tail runs it inline, its output reaching the same queue through
+// Deliver. Caller holds tree.mu.
 func (c *cohort) deliver(b *packet.Buf) {
-	s := c.tree.s
+	s := c.tree.cs.s
 	if c.frames == nil {
 		s.shard.counters.bypassHits.Add(1)
 		s.shard.enqueue(outbound{s: s, b: b, view: c.view.Load()})
@@ -560,11 +559,11 @@ func (c *cohort) deliver(b *packet.Buf) {
 	}
 }
 
-// send is a tail's sink: it stamps the session ID and enqueues the frame for
-// the cohort's current members. It runs under the tail's lock — inside
+// Deliver is a tail's sink: it stamps the session ID and enqueues the frame
+// for the cohort's current members. It runs under the tail's lock — inside
 // dispatch, or on the tail's release timer.
-func (c *cohort) send(b *packet.Buf) {
-	s := c.tree.s
+func (c *cohort) Deliver(b *packet.Buf) {
+	s := c.tree.cs.s
 	b = datagram(b)
 	packet.PutSessionID(b.B, s.id)
 	s.shard.enqueue(outbound{s: s, b: b, view: c.view.Load()})
@@ -580,19 +579,19 @@ func (c *cohort) publish() {
 	c.view.Store(&v)
 }
 
-// drain empties the cohort's tail through send to its current members, as
+// drain empties the cohort's tail through Deliver to its current members, as
 // one batch, and closes it when closing; the bypass lane holds nothing.
 func (c *cohort) drain(closing bool) {
 	if c.frames == nil {
 		return
 	}
-	c.tree.s.eng.beginBatch()
-	defer c.tree.s.eng.endBatch()
+	c.tree.cs.s.eng.BeginBatch()
+	defer c.tree.cs.s.eng.EndBatch()
 	op, fn := "flush", c.frames.Flush
 	if closing {
 		op, fn = "close", c.frames.Close
 	}
 	if err := fn(); err != nil {
-		c.tree.s.eng.logf("session %d: cohort %q: %s: %v", c.tree.s.id, c.key, op, err)
+		c.tree.cs.s.eng.logf("session %d: cohort %q: %s: %v", c.tree.cs.s.id, c.key, op, err)
 	}
 }

@@ -9,7 +9,7 @@
 //
 // Execution model. A session's trunk runs to completion on the shard reader
 // that received the datagram: validate and demux, every trunk stage in order,
-// Session.send, the owning shard's output queue, which the reader itself
+// chainState.Deliver, the owning shard's output queue, which the reader itself
 // sends once its read batch is done — one goroutine, no per-session queue,
 // no byte pipe between stages, no copy and no re-parse; the received buffer
 // (its session-ID prefix kept as the outgoing one's room) rides all the way
@@ -21,7 +21,7 @@
 // departing stage is flushed through the stages downstream of it first. The
 // timed kinds (delay, ratelimit, jitter) hold frames and release them from
 // one runtime timer per chain, through the same lock; each release is a
-// batch (beginBatch/endBatch), so the frames that fall due together leave in
+// batch (BeginBatch/EndBatch), so the frames that fall due together leave in
 // one flush. A stage error evicts
 // the session (chainErrors); a bad frame (filter.ErrBadFrame) is dropped and
 // counted instead. Delivery-cohort tails (branch.go) run the same way,
@@ -305,7 +305,7 @@ type Engine struct {
 	maintMu   sync.Mutex
 	maintLive []*Session
 
-	batching atomic.Int32 // batches under way, engine-wide (see beginBatch)
+	batching atomic.Int32 // batches under way, engine-wide (see BeginBatch)
 	closed   atomic.Bool
 	active   atomic.Int64 // registered sessions (live + parked), admission-checked against MaxSessions
 	stop     chan struct{}
@@ -370,7 +370,7 @@ func New(cfg Config) (*Engine, error) {
 		stop:       make(chan struct{}),
 	}
 	for i := range e.shards {
-		e.shards[i] = shard{idx: i, eng: e}
+		e.shards[i] = shard{idx: i, eng: e, rcvBuf: -1, sndBuf: -1}
 	}
 	if adaptOn {
 		e.policy = cfg.AdaptPolicy
@@ -490,6 +490,7 @@ func (e *Engine) Start() error {
 	for i := range e.shards {
 		conn, c := conns[i%len(conns)], &e.shards[i].counters
 		closers[i%len(conns)] = conn
+		e.shards[i].rcvBuf, e.shards[i].sndBuf = grantedBuffers(conn)
 		bconns[i] = netbatch.New(conn, netbatch.Options{
 			GSO:       gsoAvailable,
 			GRO:       gsoAvailable,
@@ -594,8 +595,8 @@ const sockBufBytes = 4 << 20
 // buffers, with less room for a burst — so it is logged, once per engine.
 func (e *Engine) tuneConn(conn *net.UDPConn, size int) {
 	err := errors.Join(conn.SetReadBuffer(size), conn.SetWriteBuffer(size))
-	rcv, snd, ok := grantedBuffers(conn)
-	if err == nil && (!ok || rcv >= size && snd >= size) {
+	rcv, snd := grantedBuffers(conn)
+	if err == nil && (rcv < 0 || rcv >= size && snd >= size) {
 		return
 	}
 	e.bufShort.Do(func() {

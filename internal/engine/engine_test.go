@@ -753,8 +753,8 @@ func TestTuneConnReadsBackGrantedBuffers(t *testing.T) {
 	rmax, wmax := sysctl("rmem_max"), sysctl("wmem_max")
 	logs := &logSink{}
 	e := newTestEngine(t, Config{Logger: log.New(logs, "", 0)})
-	rcv, snd, ok := grantedBuffers(e.closers[0].(*net.UDPConn))
-	if !ok {
+	rcv, snd := grantedBuffers(e.closers[0].(*net.UDPConn))
+	if rcv < 0 {
 		t.Fatal("cannot read back the engine socket's buffer sizes")
 	}
 	if rcv != min(sockBufBytes, rmax) || snd != min(sockBufBytes, wmax) {

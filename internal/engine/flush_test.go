@@ -652,10 +652,10 @@ func TestDrainWriteQueueCountsDiscards(t *testing.T) {
 	e := newTestEngine(t, Config{Shards: 1})
 	s3 := &Session{id: 3}
 	esh := &e.shards[0]
-	e.beginBatch() // a reader batch is under way: the entry waits for its end
+	e.BeginBatch() // a reader batch is under way: the entry waits for its end
 	esh.enqueue(entry(outbound{s: s3, dst: u, rx: rx}))
 	e.Close()
-	e.endBatch()
+	e.EndBatch()
 	esh.enqueue(entry(outbound{s: s3, view: &view}))
 	checkReleased()
 	if got := s3.counters.Drops.Load(); got != 2 {
@@ -721,7 +721,7 @@ func TestSendHolderLeavesBatchTraffic(t *testing.T) {
 		sh.enqueue(outbound{s: s, b: flushFrame(t, 1, packet.KindData, 0, 64), dst: u})
 	}()
 	<-entered      // the producer is mid-send
-	e.beginBatch() // a reader's batch is under way
+	e.BeginBatch() // a reader's batch is under way
 	const pushed = 2 * sendHighWater
 	for seq := 1; seq <= pushed; seq++ {
 		sh.enqueue(outbound{s: s, b: flushFrame(t, 1, packet.KindData, seq, 64), dst: u})
@@ -739,7 +739,7 @@ func TestSendHolderLeavesBatchTraffic(t *testing.T) {
 	if got, q := conn.sentTotal(), sh.queued.Load(); got != 1 || q != pushed {
 		t.Fatalf("the producer sent %d datagrams and left %d queued, want its own 1 and the batch's %d", got, q, pushed)
 	}
-	e.endBatch()
+	e.EndBatch()
 	if got := conn.sentTotal(); got != 1+pushed {
 		t.Fatalf("%d datagrams sent after the batch's end, want %d", got, 1+pushed)
 	}

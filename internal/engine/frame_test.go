@@ -76,19 +76,19 @@ func TestFrameSessionFootprint(t *testing.T) {
 		cfg          Config
 		live, parked uint64 // bounds, heap bytes per session
 	}{
-		{"relay", Config{}, 950, 370},
-		{"counting,checksum,null,null", Config{Chain: "counting,checksum,null,null"}, 2800, 560},
-		{"counting,delay=1ms", Config{Chain: "counting,delay=1ms"}, 2050, 460},
-		{"fec-encode=6/4", Config{Chain: "fec-encode=6/4"}, 2150, 420},
-		{"fec-decode,fec-encode=6/4", Config{Chain: "fec-decode,fec-encode=6/4"}, 17300, 460},
+		{"relay", Config{}, 830, 370},
+		{"counting,checksum,null,null", Config{Chain: "counting,checksum,null,null"}, 2760, 560},
+		{"counting,delay=1ms", Config{Chain: "counting,delay=1ms"}, 2000, 460},
+		{"fec-encode=6/4", Config{Chain: "fec-encode=6/4"}, 2000, 420},
+		{"fec-decode,fec-encode=6/4", Config{Chain: "fec-decode,fec-encode=6/4"}, 16950, 460},
 		// A frame history allocates its slots with its first data frame, and
 		// the DEFLATE stages borrow their codec state from process-wide pools
 		// (a flate.Writer alone is ~600 KB).
-		{"arq", Config{Chain: "arq"}, 1500, 420},
-		{"replay=64", Config{Chain: "replay=64"}, 1500, 420},
-		{"compress", Config{Chain: "compress"}, 1450, 420},
-		{"adaptive unicast", Config{Adapt: true}, 1250, 560},
-		{"adaptive fan-out to two receivers", Config{Adapt: true, Fanout: []string{"127.0.0.1:9", "127.0.0.1:10"}}, 3100, 510},
+		{"arq", Config{Chain: "arq"}, 1470, 420},
+		{"replay=64", Config{Chain: "replay=64"}, 1470, 420},
+		{"compress", Config{Chain: "compress"}, 1410, 420},
+		{"adaptive unicast", Config{Adapt: true}, 1210, 560},
+		{"adaptive fan-out to two receivers", Config{Adapt: true, Fanout: []string{"127.0.0.1:9", "127.0.0.1:10"}}, 2960, 510},
 	} {
 		e := newTestEngine(t, tc.cfg)
 		awaitReadersReading(t)

@@ -50,7 +50,7 @@ func (s *Session) park() bool {
 // retireLocked stops one incarnation without losing what it holds — the
 // teardown park and close share — and returns its final adaptation snapshot
 // (nil without the feedback plane). The trunk loop is snapshotted first; then,
-// as one batch, the trunk flushes every stage through send and closes, under
+// as one batch, the trunk flushes every stage through Deliver and closes, under
 // its own lock, and the delivery tree flushes, closes and snapshots its members
 // after it. Every decision is made under mu, as this is, so the snapshot is the
 // last decision applied. The incarnation stops being current before mu is
@@ -60,8 +60,8 @@ func (s *Session) retireLocked(cs *chainState) (*metrics.AdaptStats, error) {
 	if cs.trunk != nil {
 		snap = adaptStats(cs.trunk)
 	}
-	s.eng.beginBatch()
-	defer s.eng.endBatch()
+	s.eng.BeginBatch()
+	defer s.eng.EndBatch()
 	err := cs.frames.Close()
 	if cs.tree != nil {
 		snap = cs.tree.close()
@@ -193,7 +193,8 @@ func (e *Engine) maintain(now time.Time) {
 // harvestOldestIdle frees one admission slot under the AdmitHarvest policy by
 // evicting the table's victim (table.victim): the longest-parked session,
 // found at the head of a parked list in O(shards), else the live session
-// idle the longest. It reports whether a slot was freed.
+// idle the longest. It reports whether a slot was freed. A harvest is
+// counted (harvested), not logged: the log would take a line per open.
 func (e *Engine) harvestOldestIdle(incoming uint32) bool {
 	victim := e.table.victim(incoming)
 	if victim == nil {
@@ -205,6 +206,5 @@ func (e *Engine) harvestOldestIdle(incoming uint32) bool {
 		return false
 	}
 	victim.shard.counters.harvested.Add(1)
-	e.logf("session %d: harvested for admission", victim.id)
 	return true
 }

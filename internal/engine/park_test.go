@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/netip"
 	"runtime"
@@ -805,4 +806,98 @@ func TestMaintainTickAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20, op); n != 0 {
 		t.Fatalf("%v allocs per maintenance tick, want 0", n)
 	}
+}
+
+// lifecyclePeer is the opening sender of the sessions
+// TestSessionIncarnationAllocs and BenchmarkSessionIncarnation open.
+var lifecyclePeer = netip.MustParseAddrPort("10.9.0.1:4000")
+
+// TestSessionIncarnationAllocs bounds what a stage-less session's lifecycle
+// allocates, with no socket or datagram in the way: an open is the Session
+// and its chain incarnation (plus the table's amortised map growth), an
+// unpark is the incarnation alone, and a park allocates nothing. Each
+// AllocsPerRun call acts on a batch of fresh sessions, so its warm-up run
+// takes the first batch and the measured run the second.
+func TestSessionIncarnationAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const batch = 1000
+	e, _ := newSimEngine(t, Config{})
+	perOp := func(op func(id uint32)) float64 {
+		next := uint32(0)
+		return testing.AllocsPerRun(1, func() {
+			for i := 0; i < batch; i++ {
+				next++
+				op(next)
+			}
+		}) / batch
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		op   func(id uint32)
+	}{
+		{"open", 2, func(id uint32) {
+			if _, err := e.openSession(id, lifecyclePeer); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"park", 0, func(id uint32) {
+			if !e.Session(id).park() {
+				t.Fatalf("session %d did not park", id)
+			}
+		}},
+		{"unpark", 1, func(id uint32) {
+			if _, err := e.Session(id).unpark(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		n := perOp(tc.op)
+		t.Logf("%s: %.3f allocs per session, bound %v", tc.name, n, tc.max)
+		if math.Round(n) > tc.max {
+			t.Fatalf("%s: %.3f allocs per session exceeds the bound of %v", tc.name, n, tc.max)
+		}
+	}
+}
+
+// BenchmarkSessionIncarnation times the steps TestSessionIncarnationAllocs
+// bounds: a stage-less session's open, and one park plus unpark of it. Open
+// closes its sessions every 1024 opens, off the clock, so the table stays
+// small.
+func BenchmarkSessionIncarnation(b *testing.B) {
+	const window = 1024
+	b.Run("open", func(b *testing.B) {
+		e, _ := newSimEngine(b, Config{})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			id := uint32(i%window) + 1
+			if id == 1 && i > 0 {
+				b.StopTimer()
+				for j := uint32(1); j <= window; j++ {
+					e.CloseSession(j)
+				}
+				b.StartTimer()
+			}
+			if _, err := e.openSession(id, lifecyclePeer); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("park+unpark", func(b *testing.B) {
+		e, _ := newSimEngine(b, Config{})
+		s, err := e.openSession(1, lifecyclePeer)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.park()
+			if _, err := s.unpark(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -27,6 +27,13 @@ func TestEngineReusePortEchoAcrossShards(t *testing.T) {
 			t.Fatalf("socket %d bound %s, want %s", i, got, want)
 		}
 	}
+	// Each shard reports the buffers its own socket was granted.
+	for _, sh := range e.ShardStats() {
+		rcv, snd := grantedBuffers(e.closers[sh.Shard].(*net.UDPConn))
+		if sh.RecvBuf != rcv || sh.SendBuf != snd || rcv <= 0 || snd <= 0 {
+			t.Fatalf("shard %d reports buffers %d/%d, its socket was granted %d/%d", sh.Shard, sh.RecvBuf, sh.SendBuf, rcv, snd)
+		}
+	}
 
 	addr := e.LocalAddr().(*net.UDPAddr)
 	const sessions = 32

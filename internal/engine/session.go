@@ -63,10 +63,11 @@ type Session struct {
 	idleSeen    atomic.Uint64 // activity sum at the last maintenance observation
 	idleSince   atomic.Int64  // unix nanos of the last observed activity change
 
-	// peer is the address the session echoes to. The data path reads it with
-	// one atomic load per datagram; the first sender pins it with a
-	// compare-and-swap, and roaming stores over it.
-	peer atomic.Pointer[netip.AddrPort]
+	// peer is the address the session echoes to, one atomic load a datagram.
+	// It starts at first, the opening datagram's sender (zero if none), and
+	// setPeer swaps in a fresh copy of each sender it accepts.
+	peer  atomic.Pointer[netip.AddrPort]
+	first netip.AddrPort
 
 	// prev and next link the session into the list of its table shard that
 	// list names: the live list while it has a chain, the parked list while
@@ -83,14 +84,16 @@ type Session struct {
 // pipe of its own — and, when configured, the adaptation loops and the
 // per-receiver delivery tree. A frame chain cannot reopen once closed, so
 // park discards the whole incarnation and unpark builds a fresh one from the
-// retained plan.
+// retained plan. It embeds the chain and its Live and is the chain's sink, so
+// a stage-less incarnation is one allocation.
 type chainState struct {
-	frames *filter.FrameChain
+	s      *Session
+	frames filter.FrameChain
 
 	// live binds the trunk's executor to its composition plan; all structural
 	// mutation — control-plane recompose, the trunk loop's splices — goes
 	// through it, serialized by its splice lock.
-	live *compose.Live
+	live compose.Live
 
 	// trunk is the adaptation loop of a unicast session's one receiver; nil
 	// without the feedback plane and on fan-out sessions, whose members carry
@@ -117,10 +120,9 @@ func newSession(e *Engine, id uint32, peer netip.AddrPort) (*Session, error) {
 		id:    id,
 		eng:   e,
 		shard: e.shardFor(id),
+		first: peer,
 	}
-	if peer.IsValid() {
-		s.peer.Store(&peer)
-	}
+	s.peer.Store(&s.first)
 	s.idleSince.Store(time.Now().UnixNano())
 	cs, err := e.buildChainState(s, e.trunkPlan)
 	if err != nil {
@@ -133,18 +135,16 @@ func newSession(e *Engine, id uint32, peer netip.AddrPort) (*Session, error) {
 // buildChainState assembles one incarnation of a session's trunk from the
 // given plan: at open time from the engine's configured plan, at unpark time
 // from the plan the session retained when it was parked. The stages run on
-// the delivering goroutine and what they emit goes straight to send, in the
-// buffer it arrived in whenever the stages kept it.
+// the delivering goroutine and what they emit goes straight to Deliver.
 func (e *Engine) buildChainState(s *Session, plan compose.Plan) (*chainState, error) {
-	cs := &chainState{}
-	cs.frames = filter.NewFrameChain(func(b *packet.Buf) { s.send(cs, datagram(b)) }).WithBatch(e.beginBatch, e.endBatch)
-	live, err := compose.Attach(cs.frames, e.reg, s.composeEnv(""), e.trunkMode(), plan)
-	if err != nil {
+	cs := &chainState{s: s}
+	cs.frames.Init(cs, e)
+	if err := cs.live.Attach(&cs.frames, e.reg, s.composeEnv(""), e.trunkMode(), plan); err != nil {
 		return nil, fmt.Errorf("engine: session %d chain: %w", s.id, err)
 	}
-	cs.live = live
 	if e.adaptOn && e.group == nil {
-		if cs.trunk, err = newTrunkLoop(s, cs); err != nil {
+		var err error
+		if cs.trunk, err = newTrunkLoop(cs); err != nil {
 			_ = cs.frames.Close() // nothing has run through it yet
 			return nil, fmt.Errorf("engine: session %d adaptation: %w", s.id, err)
 		}
@@ -153,7 +153,7 @@ func (e *Engine) buildChainState(s *Session, plan compose.Plan) (*chainState, er
 		// Build the delivery tree (and a cohort for every current fan-out
 		// member) before the session can receive a packet, so the first
 		// trunk frame already fans out through fully primed cohorts.
-		cs.tree = newDeliveryTree(s, cs)
+		cs.tree = newDeliveryTree(cs)
 		cs.tree.reconcile()
 	}
 	return cs, nil
@@ -178,7 +178,7 @@ func datagram(b *packet.Buf) *packet.Buf {
 // which unparks first.
 func (s *Session) Live() *compose.Live {
 	if cs := s.cs.Load(); cs != nil {
-		return cs.live
+		return &cs.live
 	}
 	return nil
 }
@@ -194,7 +194,8 @@ func (s *Session) Parked() bool { return s.cs.Load() == nil }
 func (s *Session) composeEnv(suffix string) compose.Env {
 	return compose.Env{
 		StreamID: s.id,
-		Name:     func(kind string) string { return fmt.Sprintf("%s:%d%s", kind, s.id, suffix) },
+		Qualify:  true,
+		Suffix:   suffix,
 		Counters: &s.counters,
 		Groups:   &s.groups,
 	}
@@ -353,7 +354,7 @@ func (s *Session) handleNack(from netip.AddrPort, frame []byte) {
 		}
 	}
 	if h == nil {
-		h = historyFor(cs.live)
+		h = historyFor(&cs.live)
 	}
 	if h == nil {
 		return
@@ -392,31 +393,23 @@ func dedupSeqs(seqs []uint64) []uint64 {
 
 // Peer returns the address the session currently relays to in echo mode: the
 // source of the most recent inbound datagram.
-func (s *Session) Peer() netip.AddrPort {
-	if p := s.peer.Load(); p != nil {
-		return *p
-	}
-	return netip.AddrPort{}
-}
+func (s *Session) Peer() netip.AddrPort { return *s.peer.Load() }
 
 // setPeer records the sender a session echoes to. By default the peer is
 // pinned to the session's first sender: letting any datagram that guesses a
 // live session ID retarget the output would hand the stream to an off-path
 // attacker (or reflect it at a spoofed victim). Deployments with genuinely
 // mobile clients opt in with Config.AllowRoaming. The per-datagram cost is
-// one atomic load (plus an address compare under roaming); the first sender
-// wins the pin with one compare-and-swap.
+// one atomic load (plus an address compare under roaming); a sender it
+// accepts is swapped in with one compare-and-swap, so of two first senders
+// one wins the pin.
 func (s *Session) setPeer(from netip.AddrPort) {
 	p := s.peer.Load()
-	if p != nil && (!s.eng.cfg.AllowRoaming || *p == from) {
+	if p.IsValid() && (!s.eng.cfg.AllowRoaming || *p == from) {
 		return
 	}
 	addr := from // the copy escapes, not the per-datagram parameter
-	if p == nil {
-		s.peer.CompareAndSwap(nil, &addr)
-		return
-	}
-	s.peer.Store(&addr)
+	s.peer.CompareAndSwap(p, &addr)
 }
 
 // deliver hands one inbound datagram (session ID still prefixed) to the
@@ -440,7 +433,7 @@ func (s *Session) deliver(b *packet.Buf, from netip.AddrPort) {
 				return
 			}
 		}
-		fc := cs.frames
+		fc := &cs.frames
 		if fc.Enter() {
 			s.counters.Packets.Add(1)
 			s.counters.Bytes.Add(uint64(len(b.B)))
@@ -469,20 +462,22 @@ func (s *Session) deliver(b *packet.Buf, from netip.AddrPort) {
 	}
 }
 
-// send relays one trunk-output frame; b.B starts with SessionIDSize bytes of
-// headroom followed by the frame. On a fan-out session the tree stamps the
-// session ID and dispatches the frame to every delivery cohort; otherwise the
-// session ID is stamped in place and the whole buffer is one datagram for the
-// owning shard's output queue. Routing every datagram of a session
-// through one shard's queue preserves per-session output order; a full queue
-// drops (UDP-style, counted) rather than blocking the trunk. send owns b
-// until the enqueue. It runs under the executor's lock, so calls for one
-// incarnation never overlap.
-func (s *Session) send(cs *chainState, b *packet.Buf) {
+// Deliver is the trunk's sink: it relays one trunk-output frame, in the
+// buffer it arrived in whenever the stages kept it. On a fan-out session the
+// tree stamps the session ID and dispatches the frame to every delivery
+// cohort; otherwise the session ID is stamped in place and the whole buffer
+// is one datagram for the owning shard's output queue. Routing every
+// datagram of a session through one shard's queue preserves per-session
+// output order; a full queue drops (UDP-style, counted) rather than blocking
+// the trunk. It runs under the executor's lock, so calls for one incarnation
+// never overlap.
+func (cs *chainState) Deliver(b *packet.Buf) {
+	b = datagram(b)
 	if cs.tree != nil {
 		cs.tree.dispatch(b)
 		return
 	}
+	s := cs.s
 	packet.PutSessionID(b.B, s.id)
 	dst := s.eng.forward
 	if !dst.IsValid() {

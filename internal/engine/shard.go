@@ -155,6 +155,8 @@ type shard struct {
 	dgen    uint32
 	views   []flushView
 	vdests  []int32
+	// rcvBuf and sndBuf are the socket buffers Start read back; -1: unknown.
+	rcvBuf, sndBuf int
 }
 
 // dtabEntry is one slot of the open-addressed table that maps a flush's
@@ -208,6 +210,8 @@ func (sh *shard) stats() metrics.ShardStats {
 
 		BypassHits:     sh.counters.bypassHits.Load(),
 		CoalescedSends: sh.counters.coalesced.Load(),
+		RecvBuf:        sh.rcvBuf,
+		SendBuf:        sh.sndBuf,
 	}
 }
 
@@ -224,7 +228,7 @@ func labelGoroutine(kv ...string) {
 // handleSlot copies each datagram out into a pooled buffer of its own size
 // class, so a datagram costs its size class, not a 64 KiB slot, and no slot
 // byte leaves the loop. What a batch emits — trunk, bypass lane and cohort
-// tails — leaves at its end (endBatch), with no goroutine handoff on the
+// tails — leaves at its end (EndBatch), with no goroutine handoff on the
 // forwarding path. Transient read errors back off
 // exponentially — both the retry pace and the logging — so a persistent
 // socket fault can neither spin a core nor storm the log.
@@ -257,24 +261,26 @@ func (sh *shard) readLoop() {
 			continue
 		}
 		errStreak = 0
-		e.beginBatch()
+		e.BeginBatch()
 		dgrams := 0
 		for i := range ms[:n] {
 			dgrams += sh.handleSlot(&ms[i])
 		}
 		sh.counters.datagrams.Add(uint64(dgrams))
-		e.endBatch()
+		e.EndBatch()
 	}
 }
 
-// beginBatch starts a batch, a run of enqueues that endBatch sends: a reader's
+// BeginBatch starts a batch, a run of enqueues that EndBatch sends: a reader's
 // received batch, or a run of frames from outside it (replay priming, a
-// cohort's drain, a retirement), which then shares its flushes. endBatch sends
+// cohort's drain, a retirement), which then shares its flushes. EndBatch sends
 // every shard queue holding entries: a batch may feed any shard's sessions,
-// and any producer may have left its entry to a batch under way.
-func (e *Engine) beginBatch() { e.batching.Add(1) }
+// and any producer may have left its entry to a batch under way. Every chain
+// the engine builds brackets its timer releases with them (filter.Batcher).
+func (e *Engine) BeginBatch() { e.batching.Add(1) }
 
-func (e *Engine) endBatch() {
+// EndBatch ends a batch.
+func (e *Engine) EndBatch() {
 	e.batching.Add(-1) // first: a producer that saw the batch left its entry to us
 	for i := range e.shards {
 		if sh := &e.shards[i]; sh.queued.Load() > 0 {

@@ -168,7 +168,7 @@ func gated(entered, gate chan struct{}) func([]ioMsg) (int, error) {
 // startSim starts e on one new simulated conn per shard, which it returns,
 // and closes e when the test ends. No socket is bound: LocalAddr reports
 // simAddr, and Close stops the readers by closing their conns.
-func startSim(t *testing.T, e *Engine) []*simConn {
+func startSim(t testing.TB, e *Engine) []*simConn {
 	t.Helper()
 	conns := make([]*simConn, len(e.shards))
 	bconns := make([]batchConn, len(conns))
@@ -184,7 +184,7 @@ func startSim(t *testing.T, e *Engine) []*simConn {
 
 // newSimEngine builds a one-shard engine from cfg and starts it on a
 // simulated conn.
-func newSimEngine(t *testing.T, cfg Config) (*Engine, *simConn) {
+func newSimEngine(t testing.TB, cfg Config) (*Engine, *simConn) {
 	t.Helper()
 	cfg.Shards = 1
 	e, err := New(cfg)
@@ -220,5 +220,28 @@ func TestEngineStartsOnSimulatedConns(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return: a reader is still reading")
+	}
+}
+
+// TestShardStatsReportGrantedBuffers shows each shard's socket buffers in its
+// stats: what the kernel granted the socket the shard reads, as read back
+// from it, and unknown (-1, never 0) on a simulated conn, which is no socket.
+func TestShardStatsReportGrantedBuffers(t *testing.T) {
+	e := newTestEngine(t, Config{Shards: 2})
+	rcv, snd := grantedBuffers(e.closers[0].(*net.UDPConn))
+	for _, sh := range e.ShardStats() {
+		if sh.RecvBuf != rcv || sh.SendBuf != snd {
+			t.Fatalf("shard %d reports buffers %d/%d, the shared socket was granted %d/%d", sh.Shard, sh.RecvBuf, sh.SendBuf, rcv, snd)
+		}
+	}
+	sim, err := New(Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startSim(t, sim)
+	for _, sh := range sim.ShardStats() {
+		if sh.RecvBuf != -1 || sh.SendBuf != -1 {
+			t.Fatalf("simulated shard %d reports buffers %d/%d, want -1/-1 (unknown)", sh.Shard, sh.RecvBuf, sh.SendBuf)
+		}
 	}
 }

@@ -5,5 +5,5 @@ package engine
 import "net"
 
 // grantedBuffers cannot read back a socket's buffer sizes on this platform
-// (sockbuf_linux.go does): ok is always false.
-func grantedBuffers(*net.UDPConn) (rcv, snd int, ok bool) { return 0, 0, false }
+// (sockbuf_linux.go does): it returns -1, -1.
+func grantedBuffers(*net.UDPConn) (rcv, snd int) { return -1, -1 }

@@ -82,20 +82,35 @@ var ErrFrameChainClosed = errors.New("filter: frame chain closed")
 // wiring downstream of each timed stage. A feeder that must not outrun them
 // waits in AwaitHeld.
 type FrameChain struct {
-	sink func(*packet.Buf)
+	sink  FrameSink
+	batch Batcher // nil: a timer release is no batch
 
 	mu     sync.Mutex
 	slots  []frameSlot
-	timed  bool        // some stage has a ReleaseFunc
 	timer  *time.Timer // created on first use
-	armed  bool        // timer pending; its callback clears this under mu
 	err    error
+	timed  bool // some stage has a ReleaseFunc
+	armed  bool // timer pending; its callback clears this under mu
 	closed bool
 	// released is signalled whenever held frames may have left the timed
 	// stages; created by the first AwaitHeld.
 	released chan struct{}
-	// begin and end bracket each timer release (WithBatch).
-	begin, end func()
+}
+
+// FrameSink takes each frame a FrameChain emits, and ownership of its buffer.
+// It runs with the chain's lock held and must not call back into the chain.
+type FrameSink interface{ Deliver(b *packet.Buf) }
+
+// sinkFunc is a function as a FrameSink.
+type sinkFunc func(*packet.Buf)
+
+func (f sinkFunc) Deliver(b *packet.Buf) { f(b) }
+
+// Batcher brackets each timer release, outside the chain's lock: the engine
+// is one, so the frames that fall due together leave in one flush.
+type Batcher interface {
+	BeginBatch()
+	EndBatch()
 }
 
 // frameSlot is one stage's position in a FrameChain's current wiring.
@@ -128,23 +143,19 @@ func (sl *frameSlot) forward(b *packet.Buf) {
 		sl.down.run(b)
 		return
 	}
-	sl.fc.sink(b)
+	sl.fc.sink.Deliver(b)
 }
 
 // NewFrameChain returns an empty frame chain delivering its output to sink,
-// which takes ownership of each buffer. sink runs with the chain's lock held
-// and must not call back into the chain.
+// which is held to a FrameSink's terms.
 func NewFrameChain(sink func(*packet.Buf)) *FrameChain {
-	return &FrameChain{sink: sink}
+	return &FrameChain{sink: sinkFunc(sink)}
 }
 
-// WithBatch makes the chain's timer call begin before each release and end
-// after it, outside the chain's lock, and returns fc: the engine passes its
-// batch brackets, so the frames that fall due together leave in one flush
-// instead of one send each. Call it before the chain carries traffic.
-func (fc *FrameChain) WithBatch(begin, end func()) *FrameChain {
-	fc.begin, fc.end = begin, end
-	return fc
+// Init readies a zero FrameChain its owner embeds, so the two are one
+// allocation, for sink and (when not nil) batch. Call it before any traffic.
+func (fc *FrameChain) Init(sink FrameSink, batch Batcher) {
+	fc.sink, fc.batch = sink, batch
 }
 
 // Filters returns a snapshot of the chain's stages in order.
@@ -181,7 +192,7 @@ func (fc *FrameChain) Exit() { fc.mu.Unlock() }
 // and is returned from this and reported by every later Err.
 func (fc *FrameChain) Run(b *packet.Buf) error {
 	if len(fc.slots) == 0 {
-		fc.sink(b)
+		fc.sink.Deliver(b)
 		return nil
 	}
 	fc.slots[0].run(b)
@@ -218,9 +229,9 @@ func (fc *FrameChain) releaseLocked() {
 
 // fire is the timer's callback.
 func (fc *FrameChain) fire() {
-	if fc.begin != nil {
-		fc.begin()
-		defer fc.end() // after the unlock below
+	if fc.batch != nil {
+		fc.batch.BeginBatch()
+		defer fc.batch.EndBatch() // after the unlock below
 	}
 	fc.mu.Lock()
 	defer fc.mu.Unlock()

@@ -288,6 +288,11 @@ type ShardStats struct {
 	// accounting; see EngineStats.
 	BypassHits     uint64 `json:"bypass_hits,omitempty"`
 	CoalescedSends uint64 `json:"coalesced_sends,omitempty"`
+	// RecvBuf and SendBuf are the receive and send buffer bytes the kernel
+	// granted this shard's socket; -1 when unknown (a platform that cannot
+	// read them back, a conn that is not a socket).
+	RecvBuf int `json:"recv_buf"`
+	SendBuf int `json:"send_buf"`
 }
 
 // Snapshot captures the counters for the session with the given ID.
